@@ -19,7 +19,7 @@ from .curvature import (
     HermitianPoint,
     _ricci,
     _j_twisted_ricci,
-    _rotate_all_slots,
+    _rotate,
     _symmetrized,
     _trace,
     phi_psi,
@@ -135,9 +135,7 @@ def rk_bochner(
         )
     require_curvature_class(R, max(sym_tol, rk_tol), "rk_bochner()")
     A, J, gi = R.components, point.J, point.g_inv
-    rk_defect = float(
-        np.max(np.abs(A - _rotate_all_slots(A, J)))
-    )
+    rk_defect = float(np.max(np.abs(A - _rotate(A, J, 0, 1, 2, 3))))
     out_of_domain = rk_defect > rk_tol
     if out_of_domain and not allow_non_rk:
         raise NotRKError(rk_defect, rk_tol)
@@ -177,36 +175,16 @@ def rk_bochner(
 def rhs_2_1(point: HermitianPoint, S_star: SymBilinear, tau_star: float) -> CurvTensor:
     """The closed form the symmetrized curvature takes when its trace-free part vanishes.
 
-    Written out term by term (ten Ricci-type terms and five metric terms) as an
-    independent route: adding the trace-free part back must reproduce the
-    symmetrized tensor exactly, which cross-checks the assembled correction maps.
+    (phi + psi)(S*) / (2(m+2)) - tau* (pi1 + pi2) / (4(m+1)(m+2)), so adding
+    :func:`generalized_bochner` back must reproduce the symmetrized tensor.
     """
     _check_same_dim(point.dim, S_star.dim)
     m = point.m
-    g, J, Q = point.g_mat, point.J, S_star.components
-    gJ = g @ J
-    QJ = Q @ J
-    ricci_block = (
-        np.einsum("il,jk->ijkl", g, Q)        # g(X,U) S*(Y,Z)
-        - np.einsum("ik,jl->ijkl", g, Q)      # - g(X,Z) S*(Y,U)
-        + np.einsum("jk,il->ijkl", g, Q)      # + g(Y,Z) S*(X,U)
-        - np.einsum("jl,ik->ijkl", g, Q)      # - g(Y,U) S*(X,Z)
-        + np.einsum("il,jk->ijkl", gJ, QJ)    # + g(X,JU) S*(Y,JZ)
-        - np.einsum("ik,jl->ijkl", gJ, QJ)    # - g(X,JZ) S*(Y,JU)
-        + np.einsum("jk,il->ijkl", gJ, QJ)    # + g(Y,JZ) S*(X,JU)
-        - np.einsum("jl,ik->ijkl", gJ, QJ)    # - g(Y,JU) S*(X,JZ)
-        - 2.0 * np.einsum("ij,kl->ijkl", gJ, QJ)  # - 2 g(X,JY) S*(Z,JU)
-        - 2.0 * np.einsum("kl,ij->ijkl", gJ, QJ)  # - 2 g(Z,JU) S*(X,JY)
-    )
-    metric_block = (
-        np.einsum("il,jk->ijkl", g, g)
-        - np.einsum("ik,jl->ijkl", g, g)
-        + np.einsum("il,jk->ijkl", gJ, gJ)
-        - np.einsum("ik,jl->ijkl", gJ, gJ)
-        - 2.0 * np.einsum("ij,kl->ijkl", gJ, gJ)
-    )
-    out = ricci_block / (2.0 * (m + 2)) - tau_star / (4.0 * (m + 1) * (m + 2)) * metric_block
-    return CurvTensor(point.dim, out)
+    phi, psi = phi_psi(point, S_star)
+    pi1, pi2 = sigma_forms(point)
+    return (1.0 / (2.0 * (m + 2))) * (phi + psi) - (
+        tau_star / (4.0 * (m + 1) * (m + 2))
+    ) * (pi1 + pi2)
 
 
 def nk_flat_form_3_4(point: HermitianPoint, S: SymBilinear, tau: float) -> CurvTensor:

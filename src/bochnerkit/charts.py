@@ -29,7 +29,9 @@ from typing import Callable
 
 import numpy as np
 
-from .curvature import HermitianPoint, standard_J, validate_point, _ricci, _j_twisted_ricci, _trace
+from .curvature import (
+    HermitianPoint, standard_J, validate_point, _j_twisted_ricci, _ricci, _rotate, _trace,
+)
 from .multilinear import TOL_ALG, CurvTensor, _norm_sq_rank2
 from .octonion import cross_operator
 
@@ -153,6 +155,20 @@ class ChartSpec:
     mu: float | None = None
     factors: tuple["ChartSpec", ...] = ()
 
+    def __post_init__(self):
+        """Every model parameter is checked here, so algebraic models and
+        charts built from one spec accept exactly the same inputs."""
+        if self.kind not in ("CE", "S6", "CP", "CD", "PRODUCT"):
+            raise ChartSpecError(f"unknown model kind {self.kind!r}")
+        if self.kind in ("CE", "CP", "CD") and (self.m is None or self.m < 1):
+            raise ChartSpecError(f"{self.kind} needs a complex dimension m >= 1")
+        if self.kind == "S6" and not _finite(self.c) > 0:
+            raise ChartSpecError("S6 needs a positive curvature parameter c")
+        if self.kind == "CP" and not _finite(self.mu) > 0:
+            raise ChartSpecError("CP needs a positive holomorphic curvature mu")
+        if self.kind == "CD" and not _finite(self.mu) < 0:
+            raise ChartSpecError("CD needs a negative holomorphic curvature mu")
+
     def label(self) -> str:
         if self.kind == "CE":
             return f"CE({self.m})"
@@ -167,6 +183,11 @@ class ChartSpec:
 
 def _fmt(v: float) -> str:
     return f"{v:g}"
+
+
+def _finite(v: float | None) -> float:
+    """``v``, or NaN (which fails every comparison) when missing or infinite."""
+    return v if v is not None and np.isfinite(v) else np.nan
 
 
 _LEAF = re.compile(r"^(CE|S6|CP|CD)\s*\(\s*([^()]*)\s*\)$", re.IGNORECASE)
@@ -200,42 +221,31 @@ def parse_model_spec(text: str) -> ChartSpec:
     try:
         if kind == "CE":
             (m,) = args
-            return ChartSpec(kind="CE", m=int(m))
-        if kind == "S6":
+            params = {"m": int(m)}
+        elif kind == "S6":
             (c,) = args
-            return ChartSpec(kind="S6", c=float(c))
-        m, mu = args
-        return ChartSpec(kind=kind, m=int(m), mu=float(mu))
+            params = {"c": float(c)}
+        else:
+            m, mu = args
+            params = {"m": int(m), "mu": float(mu)}
     except ValueError as exc:
         raise ChartSpecError(f"bad arguments in model descriptor {text!r}: {exc}") from exc
+    return ChartSpec(kind=kind, **params)
 
 
 def make_chart(spec: ChartSpec | str) -> ChartModel:
     """Build the chart for a model descriptor."""
     if isinstance(spec, str):
         spec = parse_model_spec(spec)
-    if spec.kind == "CE":
-        return _ce_chart(spec)
-    if spec.kind == "S6":
-        return _s6_chart(spec)
-    if spec.kind == "CP":
-        return _cp_chart(spec)
-    if spec.kind == "CD":
-        return _cd_chart(spec)
-    if spec.kind == "PRODUCT":
-        return _product_chart(spec)
-    raise ChartSpecError(f"unknown model kind {spec.kind!r}")
-
-
-def _require_m(spec: ChartSpec) -> int:
-    if spec.m is None or spec.m < 1:
-        raise ChartSpecError(f"{spec.kind} needs a complex dimension m >= 1")
-    return spec.m
+    builders = {
+        "CE": _ce_chart, "S6": _s6_chart, "CP": _cp_chart, "CD": _cd_chart,
+        "PRODUCT": _product_chart,
+    }
+    return builders[spec.kind](spec)
 
 
 def _ce_chart(spec: ChartSpec) -> ChartModel:
-    m = _require_m(spec)
-    n = 2 * m
+    n = 2 * spec.m
     g0, J0 = np.eye(n), standard_J(n)
     return ChartModel(
         label=spec.label(), n=n, scale=0.0,
@@ -245,8 +255,6 @@ def _ce_chart(spec: ChartSpec) -> ChartModel:
 
 def _s6_chart(spec: ChartSpec) -> ChartModel:
     c = spec.c
-    if c is None or c <= 0:
-        raise ChartSpecError("S6 needs a positive curvature parameter c")
     rho = 1.0 / np.sqrt(c)
 
     def embed(x: np.ndarray) -> np.ndarray:
@@ -287,10 +295,7 @@ def _interleaved_metric(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _cp_chart(spec: ChartSpec) -> ChartModel:
-    m = _require_m(spec)
-    if spec.mu is None or spec.mu <= 0:
-        raise ChartSpecError("CP needs a positive holomorphic curvature mu")
-    mu = spec.mu
+    m, mu = spec.m, spec.mu
     c0 = 4.0 / mu
     J0 = standard_J(2 * m)
 
@@ -308,10 +313,7 @@ def _cp_chart(spec: ChartSpec) -> ChartModel:
 
 
 def _cd_chart(spec: ChartSpec) -> ChartModel:
-    m = _require_m(spec)
-    if spec.mu is None or spec.mu >= 0:
-        raise ChartSpecError("CD needs a negative holomorphic curvature mu")
-    mu = spec.mu
+    m, mu = spec.m, spec.mu
     c0 = -4.0 / mu
     J0 = standard_J(2 * m)
 
@@ -578,19 +580,14 @@ def nk_identity_suite(
         raise NotNearlyKahlerError(nk, nk_threshold)
 
     A = R.components
-    res_1_1 = (
-        A
-        - np.einsum("ijpq,pk,ql->ijkl", A, J, J)
-        + np.einsum("apb,pq,cqd->abcd", nJ, g, nJ)
-    )
+    RJ34 = _rotate(A, J, 2, 3)
+    res_1_1 = A - RJ34 + np.einsum("apb,pq,cqd->abcd", nJ, g, nJ)
     id_1_1 = _max_multilinear(res_1_1, [V, V, V, V])
 
     lhs_1_2 = 2.0 * np.einsum("abpc,pd->abcd", n2J, g)
-    rhs_1_2 = (
-        np.einsum("aqdc,qb->abcd", A, J)
-        + np.einsum("aqcb,qd->abcd", A, J)
-        + np.einsum("aqbd,qc->abcd", A, J)
-    )
+    RJ2 = _rotate(A, J, 1)  # R(X,JY,Z,U)
+    # R(X,JY,U,Z) + R(X,JU,Z,Y) + R(X,JZ,Y,U)
+    rhs_1_2 = RJ2.transpose(0, 1, 3, 2) + RJ2.transpose(0, 3, 2, 1) + RJ2.transpose(0, 2, 1, 3)
     id_1_2 = _max_multilinear(lhs_1_2 - rhs_1_2, [V, V, V, V])
 
     curvature_field = _cached(lambda y: curvature_at(chart, y, cfg)[1].components)
@@ -611,7 +608,7 @@ def nk_identity_suite(
     id_1_3 = _max_multilinear(res_1_3, [V, V, V])
 
     S = _ricci(gi, A)
-    Sp = _j_twisted_ricci(gi, J, A)
+    Sp = _ricci(gi, RJ34)
     tau, tau_p = _trace(gi, S), _trace(gi, Sp)
     id_1_5 = abs(float(np.einsum("ac,bd,ab,cd->", gi, gi, S - Sp, S - 5.0 * Sp)))
     rel_3_2 = (S - Sp) - ((tau - tau_p) / (2.0 * m)) * g

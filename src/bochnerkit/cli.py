@@ -27,6 +27,7 @@ from .charts import (
     ChartSpec,
     ChartSpecError,
     FDConfig,
+    MarginError,
     bianchi_suite,
     make_chart,
     nk_identity_suite,
@@ -250,6 +251,9 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
 
 
 def _cmd_identities(args: argparse.Namespace) -> int:
+    if args.points < 1:
+        print(f"error: --points must be >= 1, got {args.points}", file=sys.stderr)
+        return 2
     chart = make_chart(args.chart)
     cfg = FDConfig(
         h=args.fd_step,
@@ -334,7 +338,7 @@ def cli_dispatch(argv: Sequence[str]) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return _COMMANDS[args.command](args)
-    except (ChartSpecError, ScenarioParamError, UnknownScenarioError,
+    except (ChartSpecError, MarginError, ScenarioParamError, UnknownScenarioError,
             DocumentFormatError, PointValidationError, SymmetryError,
             DimensionTooSmallError) as exc:
         print(f"error: {exc}", file=sys.stderr)

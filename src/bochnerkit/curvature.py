@@ -216,15 +216,18 @@ def sigma_forms(point: HermitianPoint) -> tuple[CurvTensor, CurvTensor]:
     Constant sectional curvature c is ``c * pi1``; constant holomorphic
     sectional curvature mu is ``(mu/4) * (pi1 + pi2)``.
     """
-    g = point.g_mat
-    gJ = g @ point.J  # gJ[i, j] = g(e_i, J e_j), antisymmetric
-    pi1 = np.einsum("il,jk->ijkl", g, g) - np.einsum("ik,jl->ijkl", g, g)
-    pi2 = (
-        np.einsum("il,jk->ijkl", gJ, gJ)
-        - np.einsum("ik,jl->ijkl", gJ, gJ)
-        - 2.0 * np.einsum("ij,kl->ijkl", gJ, gJ)
-    )
-    return CurvTensor(point.dim, pi1), CurvTensor(point.dim, pi2)
+    phi, psi = phi_psi(point, point.g)
+    return 0.5 * phi, 0.5 * psi
+
+
+def _kn(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Kulkarni-Nomizu-type product of two bilinear forms:
+
+    P(X,U)Q(Y,Z) - P(X,Z)Q(Y,U) + P(Y,Z)Q(X,U) - P(Y,U)Q(X,Z)
+    """
+    T = np.einsum("il,jk->ijkl", P, Q)
+    T = T - T.transpose(0, 1, 3, 2)
+    return T - T.transpose(1, 0, 2, 3)
 
 
 def phi_psi(point: HermitianPoint, Q: SymBilinear) -> tuple[CurvTensor, CurvTensor]:
@@ -238,25 +241,23 @@ def phi_psi(point: HermitianPoint, Q: SymBilinear) -> tuple[CurvTensor, CurvTens
     phi(g) = 2 pi1 and psi(g) = 2 pi2.
     """
     _check_same_dim(point.dim, Q.dim)
-    g = point.g_mat
-    Qm = Q.components
-    gJ = g @ point.J
-    QJ = Qm @ point.J  # QJ[i, j] = Q(e_i, J e_j)
-    phi = (
-        np.einsum("il,jk->ijkl", g, Qm)
-        - np.einsum("ik,jl->ijkl", g, Qm)
-        + np.einsum("jk,il->ijkl", g, Qm)
-        - np.einsum("jl,ik->ijkl", g, Qm)
-    )
-    psi = (
-        np.einsum("il,jk->ijkl", gJ, QJ)
-        - np.einsum("ik,jl->ijkl", gJ, QJ)
-        - 2.0 * np.einsum("ij,kl->ijkl", gJ, QJ)
-        + np.einsum("jk,il->ijkl", gJ, QJ)
-        - np.einsum("jl,ik->ijkl", gJ, QJ)
-        - 2.0 * np.einsum("kl,ij->ijkl", gJ, QJ)
-    )
+    gJ = point.g_mat @ point.J  # gJ[i, j] = g(e_i, J e_j), antisymmetric
+    QJ = Q.components @ point.J  # QJ[i, j] = Q(e_i, J e_j)
+    pair = np.multiply.outer(gJ, QJ)  # g(X,JY) Q(Z,JU)
+    phi = _kn(point.g_mat, Q.components)
+    psi = _kn(gJ, QJ) - 2.0 * (pair + pair.transpose(2, 3, 0, 1))
     return CurvTensor(point.dim, phi), CurvTensor(point.dim, psi)
+
+
+def _rotate(A: np.ndarray, J: np.ndarray, *slots: int) -> np.ndarray:
+    """A with J applied to the listed argument slots, one slot at a time.
+
+    ``_rotate(A, J, 2, 3)`` is A(X, Y, JZ, JU); each slot costs one
+    ``tensordot``, never a multi-operand einsum.
+    """
+    for slot in slots:
+        A = np.moveaxis(np.tensordot(A, J, axes=(slot, 0)), -1, slot)
+    return A
 
 
 def star(point: HermitianPoint, R: CurvTensor, sym_tol: float = TOL_ALG) -> CurvTensor:
@@ -274,21 +275,15 @@ def star(point: HermitianPoint, R: CurvTensor, sym_tol: float = TOL_ALG) -> Curv
     _check_same_dim(point.dim, R.dim)
     require_curvature_class(R, sym_tol, "star()")
     A, J = R.components, point.J
-    t1 = np.einsum("ijpq,pk,ql->ijkl", A, J, J)  # R(X,Y,JZ,JU)
-    t2 = np.einsum("pqkl,pi,qj->ijkl", A, J, J)  # R(JX,JY,Z,U)
-    t3 = _rotate_all_slots(A, J)  # R(JX,JY,JZ,JU)
-    u1 = np.einsum("abjl,ai,bk->ijkl", A, J, J)  # R(JX,JZ,Y,U)
-    u2 = np.einsum("abil,aj,bk->ijkl", A, J, J)  # R(JY,JZ,X,U)
-    u3 = np.einsum("ikpq,pj,ql->ijkl", A, J, J)  # R(X,Z,JY,JU)
-    u4 = np.einsum("jkpq,pi,ql->ijkl", A, J, J)  # R(Y,Z,JX,JU)
-    u5 = np.einsum("jbpl,bk,pi->ijkl", A, J, J)  # R(Y,JZ,JX,U)
-    u6 = np.einsum("ibpl,bk,pj->ijkl", A, J, J)  # R(X,JZ,JY,U)
-    u7 = np.einsum("akiq,aj,ql->ijkl", A, J, J)  # R(JY,Z,X,JU)
-    u8 = np.einsum("akjq,ai,ql->ijkl", A, J, J)  # R(JX,Z,Y,JU)
-    out = (3.0 / 16.0) * (A + t1 + t2 + t3) + (1.0 / 16.0) * (
-        u1 - u2 + u3 - u4 + u5 - u6 + u7 - u8
-    )
-    return CurvTensor(point.dim, out)
+    # pair symmetry turns R(JX,JY,Z,U) into P^T and R(JX,Y,Z,JU) into M^T
+    P = _rotate(A, J, 2, 3)  # R(X,Y,JZ,JU)
+    M = _rotate(A, J, 1, 2)  # R(X,JY,JZ,U)
+    Pt, Mt = P.transpose(2, 3, 0, 1), M.transpose(2, 3, 0, 1)
+    main = A + P + Pt + _rotate(P, J, 0, 1)
+    # the eight mixed terms are mixed(X,Z,Y,U) - mixed(Y,Z,X,U)
+    mixed = P + Pt - M - Mt
+    tail = mixed.transpose(0, 2, 1, 3) - mixed.transpose(2, 0, 1, 3)
+    return CurvTensor(point.dim, (3.0 / 16.0) * main + (1.0 / 16.0) * tail)
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,21 +304,12 @@ class RicciFamily:
     tau_star: float
 
 
-def _rotate_all_slots(A: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """A(JX, JY, JZ, JU), one slot at a time (a five-operand einsum is dim^8)."""
-    out = np.einsum("pjkl,pi->ijkl", A, J)
-    out = np.einsum("iqkl,qj->ijkl", out, J)
-    out = np.einsum("ijrl,rk->ijkl", out, J)
-    return np.einsum("ijks,sl->ijkl", out, J)
-
-
 def _ricci(g_inv: np.ndarray, R: np.ndarray) -> np.ndarray:
     return np.einsum("bc,abcd->ad", g_inv, R)
 
 
 def _j_twisted_ricci(g_inv: np.ndarray, J: np.ndarray, R: np.ndarray) -> np.ndarray:
-    twisted = np.einsum("abpq,pc,ql->abcl", R, J, J)
-    return np.einsum("bc,abcl->al", g_inv, twisted)
+    return _ricci(g_inv, _rotate(R, J, 2, 3))
 
 
 def _trace(g_inv: np.ndarray, Q: np.ndarray) -> float:
@@ -494,10 +480,10 @@ def identity_defects(
     _check_same_dim(point.dim, R.dim)
     require_curvature_class(R, sym_tol, "identity_defects()")
     gi, J, A = point.g_inv, point.J, R.components
-    RJ34 = np.einsum("ijpq,pk,ql->ijkl", A, J, J)
-    RJ4 = _rotate_all_slots(A, J)
+    RJ34 = _rotate(A, J, 2, 3)
+    RJ4 = _rotate(RJ34, J, 0, 1)
     S = _ricci(gi, A)
-    Sp = _j_twisted_ricci(gi, J, A)
+    Sp = _ricci(gi, RJ34)
     Ss = _ricci(gi, star(point, R, sym_tol).components)
     rel = 4.0 * Ss - (S + 3.0 * Sp)
     contraction = np.einsum("ac,bd,ab,cd->", gi, gi, S - Sp, S - 5.0 * Sp)
@@ -515,9 +501,8 @@ def rk_project(point: HermitianPoint, R: CurvTensor) -> CurvTensor:
     The result is the nearest tensor invariant under that rotation; it stays
     curvature-class.
     """
-    A, J = R.components, point.J
-    RJ4 = _rotate_all_slots(A, J)
-    return CurvTensor(point.dim, 0.5 * (A + RJ4))
+    A = R.components
+    return CurvTensor(point.dim, 0.5 * (A + _rotate(A, point.J, 0, 1, 2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -537,12 +522,16 @@ def random_hermitian_point(dim: int, seed: int, orthonormal: bool = False) -> He
     J0 = standard_J(dim)
     while True:
         M = np.eye(dim) + 0.3 * rng.standard_normal((dim, dim))
-        if abs(np.linalg.det(M)) > 0.1:
-            break
-    M_inv = np.linalg.inv(M)
-    g = M_inv.T @ M_inv
-    g = 0.5 * (g + g.T)
-    return validate_point(g, M @ J0 @ M_inv, tol=1e-9)
+        if abs(np.linalg.det(M)) <= 0.1:
+            continue
+        # a bounded determinant does not bound the condition number, so an
+        # ill-conditioned draw can still miss the tolerance: draw again
+        M_inv = np.linalg.inv(M)
+        g = M_inv.T @ M_inv
+        try:
+            return validate_point(0.5 * (g + g.T), M @ J0 @ M_inv, tol=1e-9)
+        except PointValidationError:
+            continue
 
 
 def random_curvature_tensor(dim: int, seed: int, scale: float = 1.0) -> CurvTensor:

@@ -97,6 +97,23 @@ def test_identities_bad_chart(capsys):
     assert cli_dispatch(["identities", "TORUS(1)"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["tensor", "S6(-1)"],
+    ["tensor", "CP(3,-2)"],
+    ["tensor", "CP(0,1)"],
+    ["tensor", "CE(0)"],
+    ["identities", "CD(2,-1)", "--fd-step", "0.2"],
+    ["identities", "CE(1)", "--points", "0"],
+])
+def test_bad_model_input_exits_2_with_one_line(argv, capsys):
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_usage_error_exit_code():
     assert cli_dispatch([]) == 2
     assert cli_dispatch(["frobnicate"]) == 2

@@ -19,6 +19,7 @@ from bochnerkit.curvature import (
     phi_psi,
     point_violations,
     random_curvature_tensor,
+    random_hermitian_point,
     ricci_family,
     rk_project,
     sigma_forms,
@@ -152,6 +153,14 @@ def test_validate_point_rejects_indefinite_metric():
     assert any("positive definite" in v.invariant for v in err.value.violations)
 
 
+@pytest.mark.parametrize("seed", [260, 678, 1434, 2027])
+def test_random_hermitian_point_redraws_ill_conditioned_frame(seed):
+    """These seeds first draw a frame too ill-conditioned for the 1e-9 check."""
+    point = random_hermitian_point(12, seed)
+    assert point.dim == 12
+    assert point_violations(point.g, point.J, tol=1e-9) == []
+
+
 # ---------------------------------------------------------------------------
 # sigma forms
 # ---------------------------------------------------------------------------
@@ -281,15 +290,17 @@ def test_star_fixed_point(flat6):
     assert invariant_norm(flat6, star(flat6, R) - R) < 10 * TOL_ALG
 
 
-def test_star_matches_oracle_on_random_input(flat4):
+@pytest.mark.parametrize("point_fixture", ["flat4", "skew_point6"])
+def test_star_matches_oracle_on_random_input(point_fixture, request):
+    point = request.getfixturevalue(point_fixture)
     rng = np.random.default_rng(4)
     for seed in range(3):
-        R = random_curvature_tensor(4, seed)
-        out = star(flat4, R)
+        R = random_curvature_tensor(point.dim, seed)
+        out = star(point, R)
         for _ in range(6):
-            X, Y, Z, U = rng.standard_normal((4, 4))
+            X, Y, Z, U = rng.standard_normal((4, point.dim))
             assert _ev(out, X, Y, Z, U) == pytest.approx(
-                _oracle_star(flat4, R, X, Y, Z, U), rel=1e-9, abs=1e-9
+                _oracle_star(point, R, X, Y, Z, U), rel=1e-9, abs=1e-9
             )
 
 
