@@ -51,7 +51,6 @@ from .bochner import (
 from .charts import (
     ChartModel,
     FDConfig,
-    bianchi_suite,
     christoffel_at,
     curvature_at,
     j_derivatives_at,

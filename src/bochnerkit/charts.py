@@ -30,27 +30,26 @@ from typing import Callable
 import numpy as np
 
 from .curvature import (
-    HermitianPoint, standard_J, validate_point, _j_twisted_ricci, _ricci, _rotate, _trace,
+    HermitianPoint, standard_J, validate_point,
+    _id_1_5_contraction, _j_twisted_ricci, _ricci, _rotate, _trace,
 )
 from .multilinear import TOL_ALG, CurvTensor, _norm_sq_rank2
 from .octonion import cross_operator
 
 __all__ = [
     "FDConfig",
+    "FDConfigError",
     "ChartModel",
     "ChartSpecError",
     "MarginError",
     "NotNearlyKahlerError",
     "NKIdentityReport",
-    "BianchiReport",
     "parse_model_spec",
     "make_chart",
     "christoffel_at",
     "curvature_at",
     "j_derivatives_at",
-    "covariant_field_derivative",
     "nk_identity_suite",
-    "bianchi_suite",
 ]
 
 
@@ -60,6 +59,10 @@ class ChartSpecError(ValueError):
 
 class MarginError(ValueError):
     """The evaluation point is too close to the chart boundary for the stencil."""
+
+
+class FDConfigError(ValueError):
+    """Finite-difference step or tolerance that is not finite and positive."""
 
 
 class NotNearlyKahlerError(ValueError):
@@ -90,8 +93,10 @@ class FDConfig:
     tol_fd2: float = 1e-4
 
     def __post_init__(self):
-        if self.h <= 0 or self.tol_fd1 <= 0 or self.tol_fd2 <= 0:
-            raise ValueError("step and tolerances must be positive")
+        for name in ("h", "tol_fd1", "tol_fd2"):
+            value = getattr(self, name)
+            if not _finite(value) > 0:
+                raise FDConfigError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -420,37 +425,22 @@ def curvature_at(
     return chart.point_at(x), CurvTensor(chart.n, R)
 
 
-def covariant_field_derivative(
-    chart: ChartModel,
-    fieldfn: Callable[[np.ndarray], np.ndarray],
-    variance: str,
-    x: np.ndarray,
-    cfg: FDConfig,
-    christoffel: np.ndarray | None = None,
-) -> np.ndarray:
-    """Covariant derivative of a tensor field; axis 0 of the result is the
-    derivative index.
+def _covariant(G: np.ndarray, T: np.ndarray, dT: np.ndarray, variance: str) -> np.ndarray:
+    """Covariant derivative of a tensor field from its value ``T`` and its
+    coordinate derivatives ``dT`` at one point; axis 0 of ``dT`` and of the
+    result is the derivative index.
 
-    ``variance`` gives one character per axis of the field value: ``'u'`` for
-    an upper index (corrected by +Gamma) and ``'l'`` for a lower one (-Gamma).
+    ``variance`` gives one character per axis of ``T``: ``'u'`` for an upper
+    index (corrected by +Gamma) and ``'l'`` for a lower one (-Gamma).
     """
-    G = christoffel_at(chart, x, cfg) if christoffel is None else christoffel
-    T = fieldfn(x)
-    if len(variance) != T.ndim:
-        raise ValueError(f"variance {variance!r} does not match field rank {T.ndim}")
-    out = _grad_field(fieldfn, x, cfg)
     letters = "ijklmn"[: T.ndim]
+    out = dT
     for axis, var in enumerate(variance):
-        src = list(letters)
-        src[axis] = "p"
+        src = letters[:axis] + "p" + letters[axis + 1 :]
         if var == "u":
-            spec = f"{letters[axis]}ap,{''.join(src)}->a{letters}"
-            out = out + np.einsum(spec, G, T)
-        elif var == "l":
-            spec = f"pa{letters[axis]},{''.join(src)}->a{letters}"
-            out = out - np.einsum(spec, G, T)
+            out = out + np.einsum(f"{letters[axis]}ap,{src}->a{letters}", G, T)
         else:
-            raise ValueError(f"variance characters must be 'u' or 'l', got {var!r}")
+            out = out - np.einsum(f"pa{letters[axis]},{src}->a{letters}", G, T)
     return out
 
 
@@ -465,15 +455,13 @@ def j_derivatives_at(
     """
     chart.require_margin(x, 4 * cfg.h)
 
-    def nabla_j(y: np.ndarray) -> np.ndarray:
-        G = christoffel_at(chart, y, cfg)
-        J = chart.J_at(y)
-        dJ = _grad_field(chart.J_at, y, cfg)  # dJ[a, k, j]
-        return dJ + np.einsum("kap,pj->akj", G, J) - np.einsum("paj,kp->akj", G, J)
+    def nabla_j(y: np.ndarray, G: np.ndarray) -> np.ndarray:
+        return _covariant(G, chart.J_at(y), _grad_field(chart.J_at, y, cfg), "ul")
 
-    nJ = nabla_j(x)
-    n2J = covariant_field_derivative(chart, nabla_j, "lul", x, cfg)
-    return nJ, n2J
+    G = christoffel_at(chart, x, cfg)
+    nJ = nabla_j(x, G)
+    dnJ = _grad_field(lambda y: nabla_j(y, christoffel_at(chart, y, cfg)), x, cfg)
+    return nJ, _covariant(G, nJ, dnJ, "lul")
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +478,10 @@ class NKIdentityReport:
              R(X,JY,U,Z) + R(X,JU,Z,Y) + R(X,JZ,Y,U)
     id_1_3   2 (nabla_X (S - S'))(Y, Z) - (S-S')((nabla_X J)Y, JZ)
              - (S-S')(JY, (nabla_X J)Z)
+    id_1_4   max coordinate derivative of tau - tau'
     id_1_5   |contraction of (S - S') against (S - 5 S')|
+    id_1_6   sum_i (nabla_{E_i} R)(X,Y,Z,E_i) - (nabla_X S)(Y,Z) + (nabla_Y S)(X,Z)
+    id_1_7   sum_i (nabla_{E_i} S)(X,E_i) - X(tau)/2
     id_3_2   invariant norm of (S - S') - (tau - tau') g / (2m)
     id_3_3   |tau - 5 tau'|
     """
@@ -499,23 +490,12 @@ class NKIdentityReport:
     id_1_1: float
     id_1_2: float
     id_1_3: float
-    id_1_5: float
-    id_3_2: float
-    id_3_3: float
-
-
-@dataclass(frozen=True)
-class BianchiReport:
-    """Residuals of the differential trace identities at one point.
-
-    id_1_4   max coordinate derivative of tau - tau'
-    id_1_6   sum_i (nabla_{E_i} R)(X,Y,Z,E_i) - (nabla_X S)(Y,Z) + (nabla_Y S)(X,Z)
-    id_1_7   sum_i (nabla_{E_i} S)(X,E_i) - X(tau)/2
-    """
-
     id_1_4: float
+    id_1_5: float
     id_1_6: float
     id_1_7: float
+    id_3_2: float
+    id_3_3: float
 
 
 def _unit_vectors(point: HermitianPoint, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -537,16 +517,14 @@ def _max_multilinear(T: np.ndarray, vector_sets: list[np.ndarray]) -> float:
     return float(np.max(np.abs(out)))
 
 
-def _cached(fn):
-    memo: dict[bytes, np.ndarray] = {}
-
-    def wrapped(y: np.ndarray) -> np.ndarray:
-        key = y.tobytes()
-        if key not in memo:
-            memo[key] = fn(y)
-        return memo[key]
-
-    return wrapped
+def _trace_stack(chart: ChartModel, y: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """R, S, S - S', tau and tau - tau' at ``y`` packed into one flat array,
+    so one finite-difference pass differentiates all of them."""
+    gi = np.linalg.inv(chart.metric_at(y))
+    S = _ricci(gi, R)
+    Sp = _j_twisted_ricci(gi, chart.J_at(y), R)
+    tau = _trace(gi, S)
+    return np.concatenate([R.ravel(), S.ravel(), (S - Sp).ravel(), [tau, tau - _trace(gi, Sp)]])
 
 
 def nk_identity_suite(
@@ -561,7 +539,8 @@ def nk_identity_suite(
 
     Residuals are maxima over ``samples`` seeded unit vectors per slot.  If the
     chart itself fails the nearly Kahler condition beyond ``nk_threshold`` the
-    dependent checks are aborted with :class:`NotNearlyKahlerError`.
+    dependent checks are aborted with :class:`NotNearlyKahlerError`.  The
+    curvature is evaluated once at ``x`` and once at each stencil point.
     """
     chart.require_margin(x, 6 * cfg.h)
     point, R = curvature_at(chart, x, cfg)
@@ -590,78 +569,40 @@ def nk_identity_suite(
     rhs_1_2 = RJ2.transpose(0, 1, 3, 2) + RJ2.transpose(0, 3, 2, 1) + RJ2.transpose(0, 2, 1, 3)
     id_1_2 = _max_multilinear(lhs_1_2 - rhs_1_2, [V, V, V, V])
 
-    curvature_field = _cached(lambda y: curvature_at(chart, y, cfg)[1].components)
+    G = christoffel_at(chart, x, cfg)
+    T = _trace_stack(chart, x, A)
+    dT = _grad_field(lambda y: _trace_stack(chart, y, curvature_at(chart, y, cfg)[1].components),
+                     x, cfg)
+    s1, s2 = n**4, n**4 + n * n  # where S and S - S' start in the stack
+    Sx, D = T[s1:s2].reshape(n, n), T[s2:-2].reshape(n, n)
+    dR = dT[:, :s1].reshape((n,) * 5)
+    dS, dD = dT[:, s1:s2].reshape(n, n, n), dT[:, s2:-2].reshape(n, n, n)
+    d_tau, d_tau_diff = dT[:, -2], dT[:, -1]
 
-    def diff_field(y: np.ndarray) -> np.ndarray:
-        gy = chart.metric_at(y)
-        gyi = np.linalg.inv(gy)
-        Ry = curvature_field(y)
-        return _ricci(gyi, Ry) - _j_twisted_ricci(gyi, chart.J_at(y), Ry)
-
-    D = diff_field(x)
-    nD = covariant_field_derivative(chart, diff_field, "ll", x, cfg)
     res_1_3 = (
-        2.0 * nD
+        2.0 * _covariant(G, D, dD, "ll")
         - np.einsum("pq,apb,qc->abc", D, nJ, J)
         - np.einsum("pq,pb,aqc->abc", D, J, nJ)
     )
     id_1_3 = _max_multilinear(res_1_3, [V, V, V])
+    id_1_4 = float(np.max(np.abs(d_tau_diff)))
+
+    nR = _covariant(G, A, dR, "llll")
+    nS = _covariant(G, Sx, dS, "ll")
+    lhs_1_6 = np.einsum("ab,aijkb->ijk", gi, nR)
+    id_1_6 = _max_multilinear(lhs_1_6 - (nS - nS.transpose(1, 0, 2)), [V, V, V])
+    res_1_7 = np.einsum("ab,aib->i", gi, nS) - 0.5 * d_tau
+    id_1_7 = _max_multilinear(res_1_7, [V])
 
     S = _ricci(gi, A)
     Sp = _ricci(gi, RJ34)
     tau, tau_p = _trace(gi, S), _trace(gi, Sp)
-    id_1_5 = abs(float(np.einsum("ac,bd,ab,cd->", gi, gi, S - Sp, S - 5.0 * Sp)))
+    id_1_5 = abs(_id_1_5_contraction(gi, S, Sp))
     rel_3_2 = (S - Sp) - ((tau - tau_p) / (2.0 * m)) * g
     id_3_2 = float(np.sqrt(max(_norm_sq_rank2(gi, rel_3_2), 0.0)))
     id_3_3 = abs(tau - 5.0 * tau_p)
 
     return NKIdentityReport(
-        nk=nk, id_1_1=id_1_1, id_1_2=id_1_2, id_1_3=id_1_3,
-        id_1_5=id_1_5, id_3_2=id_3_2, id_3_3=id_3_3,
+        nk=nk, id_1_1=id_1_1, id_1_2=id_1_2, id_1_3=id_1_3, id_1_4=id_1_4, id_1_5=id_1_5,
+        id_1_6=id_1_6, id_1_7=id_1_7, id_3_2=id_3_2, id_3_3=id_3_3,
     )
-
-
-def bianchi_suite(
-    chart: ChartModel,
-    x: np.ndarray,
-    cfg: FDConfig,
-    seed: int = 0,
-    samples: int = 8,
-) -> BianchiReport:
-    """Evaluate the differential trace identities at one chart point."""
-    chart.require_margin(x, 6 * cfg.h)
-    point, R = curvature_at(chart, x, cfg)
-    gi = point.g_inv
-    rng = np.random.default_rng(seed)
-    V = _unit_vectors(point, rng, samples)
-
-    curvature_field = _cached(lambda y: curvature_at(chart, y, cfg)[1].components)
-
-    def ricci_field(y: np.ndarray) -> np.ndarray:
-        return _ricci(np.linalg.inv(chart.metric_at(y)), curvature_field(y))
-
-    def tau_field(y: np.ndarray) -> np.ndarray:
-        gyi = np.linalg.inv(chart.metric_at(y))
-        return np.array([_trace(gyi, _ricci(gyi, curvature_field(y)))])
-
-    def tau_diff_field(y: np.ndarray) -> np.ndarray:
-        gyi = np.linalg.inv(chart.metric_at(y))
-        Ry = curvature_field(y)
-        return np.array(
-            [_trace(gyi, _ricci(gyi, Ry)) - _trace(gyi, _j_twisted_ricci(gyi, chart.J_at(y), Ry))]
-        )
-
-    d_tau_diff = _grad_field(tau_diff_field, x, cfg)[:, 0]
-    id_1_4 = float(np.max(np.abs(d_tau_diff)))
-
-    nR = covariant_field_derivative(chart, curvature_field, "llll", x, cfg)
-    nS = covariant_field_derivative(chart, ricci_field, "ll", x, cfg)
-    lhs_1_6 = np.einsum("ab,aijkb->ijk", gi, nR)
-    rhs_1_6 = np.einsum("ijk->ijk", nS) - np.einsum("jik->ijk", nS)
-    id_1_6 = _max_multilinear(lhs_1_6 - rhs_1_6, [V, V, V])
-
-    d_tau = _grad_field(tau_field, x, cfg)[:, 0]
-    res_1_7 = np.einsum("ab,aib->i", gi, nS) - 0.5 * d_tau
-    id_1_7 = _max_multilinear(res_1_7, [V])
-
-    return BianchiReport(id_1_4=id_1_4, id_1_6=id_1_6, id_1_7=id_1_7)

@@ -27,8 +27,9 @@ from .charts import (
     ChartSpec,
     ChartSpecError,
     FDConfig,
+    FDConfigError,
     MarginError,
-    bianchi_suite,
+    NotNearlyKahlerError,
     make_chart,
     nk_identity_suite,
     parse_model_spec,
@@ -264,9 +265,7 @@ def _cmd_identities(args: argparse.Namespace) -> int:
     points = chart.sample_points(args.seed, args.points)
     residuals: dict[str, float] = {}
     for x in points:
-        nk_rep = nk_identity_suite(chart, x, cfg, seed=args.seed)
-        bi_rep = bianchi_suite(chart, x, cfg, seed=args.seed)
-        for name, value in {**nk_rep.__dict__, **bi_rep.__dict__}.items():
+        for name, value in nk_identity_suite(chart, x, cfg, seed=args.seed).__dict__.items():
             residuals[name] = max(residuals.get(name, 0.0), value)
     universal = {
         "nk": args.tol_fd1,
@@ -338,9 +337,9 @@ def cli_dispatch(argv: Sequence[str]) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return _COMMANDS[args.command](args)
-    except (ChartSpecError, MarginError, ScenarioParamError, UnknownScenarioError,
-            DocumentFormatError, PointValidationError, SymmetryError,
-            DimensionTooSmallError) as exc:
+    except (ChartSpecError, FDConfigError, MarginError, NotNearlyKahlerError,
+            ScenarioParamError, UnknownScenarioError, DocumentFormatError,
+            PointValidationError, SymmetryError, DimensionTooSmallError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

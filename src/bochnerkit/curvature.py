@@ -316,6 +316,11 @@ def _trace(g_inv: np.ndarray, Q: np.ndarray) -> float:
     return float(np.einsum("ad,ad->", g_inv, Q))
 
 
+def _id_1_5_contraction(g_inv: np.ndarray, S: np.ndarray, Sp: np.ndarray) -> float:
+    """The contraction of S - S' against S - 5 S' (identity 1.5 says it vanishes)."""
+    return float(np.einsum("ac,bd,ab,cd->", g_inv, g_inv, S - Sp, S - 5.0 * Sp))
+
+
 def _symmetrized(Q: np.ndarray, tol: float, what: str) -> np.ndarray:
     asym = float(np.max(np.abs(Q - Q.T)))
     if asym > tol:
@@ -486,12 +491,11 @@ def identity_defects(
     Sp = _ricci(gi, RJ34)
     Ss = _ricci(gi, star(point, R, sym_tol).components)
     rel = 4.0 * Ss - (S + 3.0 * Sp)
-    contraction = np.einsum("ac,bd,ab,cd->", gi, gi, S - Sp, S - 5.0 * Sp)
     return IdentityDefects(
         kahler=float(np.max(np.abs(A - RJ34))),
         rk=float(np.max(np.abs(A - RJ4))),
         star_relation=float(np.sqrt(max(_norm_sq_rank2(gi, rel), 0.0))),
-        id_1_5=float(abs(contraction)),
+        id_1_5=abs(_id_1_5_contraction(gi, S, Sp)),
     )
 
 

@@ -30,7 +30,6 @@ from .charts import (
     ChartModel,
     ChartSpec,
     FDConfig,
-    bianchi_suite,
     curvature_at,
     j_derivatives_at,
     make_chart,
@@ -39,6 +38,7 @@ from .charts import (
 )
 from .curvature import (
     HermitianPoint,
+    _id_1_5_contraction,
     ahsc,
     complex_space_form_tensor,
     direct_sum,
@@ -116,8 +116,9 @@ class ScenarioParams:
             raise ScenarioParamError("curvature scales c and mu must be positive")
         if self.samples < 1 or self.chart_points < 1:
             raise ScenarioParamError("samples and chart_points must be >= 1")
-        if self.h <= 0:
-            raise ScenarioParamError("fd step h must be positive")
+        if not np.isfinite(self.tolerances.tol_alg) or self.tolerances.tol_alg <= 0:
+            raise ScenarioParamError("tol_alg must be finite and positive")
+        self.fd_config()  # FDConfig checks the step and the FD tolerances
 
 
 @dataclass(frozen=True)
@@ -174,10 +175,6 @@ def _vanish(name: str, claim: str, defect: float, tol: float) -> CheckResult:
 def _nonvanish(name: str, claim: str, defect: float, tol: float) -> CheckResult:
     status = "expected-fail" if defect > tol else "fail"
     return CheckResult(name, claim, float(defect), float(tol), status)
-
-
-def _absent(name: str, claim: str) -> CheckResult:
-    return CheckResult(name, claim, None, 0.0, "absent")
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +352,8 @@ def _thm31_s6(p: ScenarioParams) -> list[CheckResult]:
         _vanish("star_relation", "four times the symmetrized Ricci equals S + 3S'",
                 invariant_norm(point, 4.0 * fam.S_star - (fam.S + 3.0 * fam.S_prime)), tol),
         _vanish("twisted_contraction", "the twisted Ricci contraction vanishes",
-                abs(np.einsum("ac,bd,ab,cd->", point.g_inv, point.g_inv,
-                              (fam.S - fam.S_prime).components,
-                              (fam.S - 5.0 * fam.S_prime).components)), tol),
+                abs(_id_1_5_contraction(point.g_inv, fam.S.components,
+                                        fam.S_prime.components)), tol),
         _vanish("flat_form_reconstruction",
                 "the closed 5:1-ratio curvature form reproduces the six-sphere tensor",
                 invariant_norm(point, flat_form - R), tol),
@@ -571,7 +567,7 @@ def _bianchi(p: ScenarioParams) -> list[CheckResult]:
     for desc in (f"S6({p.c!r})", f"CE({p.m})", f"CP({p.m},{p.mu!r})"):
         chart = make_chart(desc)
         x = chart.sample_points(p.seed, 1)[0]
-        suite = bianchi_suite(chart, x, cfg, seed=p.seed)
+        suite = nk_identity_suite(chart, x, cfg, seed=p.seed)
         for name, value, claim in (
             ("id_1_4", suite.id_1_4, "the scalar trace difference is locally constant"),
             ("id_1_6", suite.id_1_6, "the contracted differential identity for curvature holds"),

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from bochnerkit import charts
 from bochnerkit.charts import (
     ChartModel,
     ChartSpecError,
     FDConfig,
     MarginError,
     NotNearlyKahlerError,
-    bianchi_suite,
     christoffel_at,
     curvature_at,
     j_derivatives_at,
@@ -259,10 +259,28 @@ def test_nk_suite_rejects_non_nearly_kahler_chart():
 def test_bianchi_suite(desc):
     chart = make_chart(desc)
     x = chart.sample_points(25, 1)[0]
-    rep = bianchi_suite(chart, x, CFG, seed=0)
+    rep = nk_identity_suite(chart, x, CFG, seed=0)
     assert rep.id_1_4 < CFG.tol_fd2
     assert rep.id_1_6 < CFG.tol_fd2
     assert rep.id_1_7 < CFG.tol_fd2
+
+
+@pytest.mark.parametrize("richardson, stencil", [(True, 4), (False, 2)])
+def test_suite_evaluates_curvature_once_per_stencil_point(monkeypatch, richardson, stencil):
+    """One call evaluates the curvature at x and at each of the stencil points
+    around it (two per axis and step, two steps with Richardson), no more."""
+    calls = []
+    original = charts.curvature_at
+
+    def counted(chart, y, cfg):
+        calls.append(y)
+        return original(chart, y, cfg)
+
+    monkeypatch.setattr(charts, "curvature_at", counted)
+    chart = make_chart("S6(1)")
+    x = chart.sample_points(25, 1)[0]
+    nk_identity_suite(chart, x, FDConfig(richardson=richardson), seed=0)
+    assert len(calls) == stencil * chart.n + 1
 
 
 def test_id_1_1_second_order_convergence():

@@ -104,6 +104,13 @@ def test_identities_bad_chart(capsys):
     ["tensor", "CE(0)"],
     ["identities", "CD(2,-1)", "--fd-step", "0.2"],
     ["identities", "CE(1)", "--points", "0"],
+    ["identities", "S6(1)", "--fd-step", "-1"],
+    ["identities", "S6(1)", "--tol-fd1", "0"],
+    ["identities", "S6(1)", "--fd-step", "nan"],
+    ["scenario", "bianchi", "--fd-step", "nan"],
+    ["identities", "S6(1)", "--tol-fd2", "nan"],
+    ["identities", "S6(1)", "--fd-step", "0.3", "--points", "1"],
+    ["scenario", "thm21_forward", "--tol-alg", "nan"],
 ])
 def test_bad_model_input_exits_2_with_one_line(argv, capsys):
     assert cli_dispatch(argv) == 2
