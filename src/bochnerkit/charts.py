@@ -53,6 +53,9 @@ __all__ = [
 ]
 
 
+MAX_DIM = 12  # largest real dimension; TOL_ALG is calibrated up to here
+
+
 class ChartSpecError(ValueError):
     """Unknown model descriptor or parameter outside its admissible range."""
 
@@ -103,8 +106,10 @@ class FDConfig:
 class ChartModel:
     """One coordinate chart of a model space.
 
-    ``metric_at`` / ``J_at`` return raw arrays; ``point_at`` validates them
-    into a :class:`HermitianPoint`.  ``boundary_radius`` is the coordinate
+    ``metric_at`` / ``J_at`` take points of shape (..., n) and return raw
+    arrays of shape (..., n, n): a single point (n,) gives one matrix, and a
+    stack of points is evaluated in one call.  ``point_at`` validates one
+    point into a :class:`HermitianPoint`.  ``boundary_radius`` is the coordinate
     radius at which the chart degenerates (infinite for global charts);
     ``sample_radius`` keeps sampled points well-conditioned.
     """
@@ -173,6 +178,17 @@ class ChartSpec:
             raise ChartSpecError("CP needs a positive holomorphic curvature mu")
         if self.kind == "CD" and not _finite(self.mu) < 0:
             raise ChartSpecError("CD needs a negative holomorphic curvature mu")
+        if self.dim > MAX_DIM:
+            raise ChartSpecError(
+                f"{self.label()} has real dimension {self.dim}; at most {MAX_DIM} is supported"
+            )
+
+    @property
+    def dim(self) -> int:
+        """Real dimension of the model."""
+        if self.kind == "PRODUCT":
+            return sum(f.dim for f in self.factors)
+        return 6 if self.kind == "S6" else 2 * self.m
 
     def label(self) -> str:
         if self.kind == "CE":
@@ -196,6 +212,7 @@ def _finite(v: float | None) -> float:
 
 
 _LEAF = re.compile(r"^(CE|S6|CP|CD)\s*\(\s*([^()]*)\s*\)$", re.IGNORECASE)
+_PRODUCT = re.compile(r"^PRODUCT\s*\((.*)\)$", re.IGNORECASE | re.DOTALL)
 
 
 def parse_model_spec(text: str) -> ChartSpec:
@@ -203,7 +220,10 @@ def parse_model_spec(text: str) -> ChartSpec:
     ``PRODUCT(CD(1,-1),S6(1))`` (case-insensitive, nesting allowed)."""
     s = text.strip()
     if s.upper().startswith("PRODUCT"):
-        inner = s[s.index("(") + 1 : s.rindex(")")] if "(" in s else ""
+        product = _PRODUCT.match(s)
+        if not product:
+            raise ChartSpecError(f"PRODUCT needs a parenthesized factor list: {text!r}")
+        inner = product.group(1)
         parts, depth, start = [], 0, 0
         for i, ch in enumerate(inner):
             if ch == "(":
@@ -243,18 +263,31 @@ def make_chart(spec: ChartSpec | str) -> ChartModel:
     if isinstance(spec, str):
         spec = parse_model_spec(spec)
     builders = {
-        "CE": _ce_chart, "S6": _s6_chart, "CP": _cp_chart, "CD": _cd_chart,
+        "CE": _ce_chart, "S6": _s6_chart, "CP": _csf_chart, "CD": _csf_chart,
         "PRODUCT": _product_chart,
     }
     return builders[spec.kind](spec)
 
 
+def _constant(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Evaluator of a constant field: one copy of ``A`` per point of the batch."""
+    return lambda x: np.broadcast_to(A, x.shape[:-1] + A.shape).copy()
+
+
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., :, None] * v[..., None, :]
+
+
+def _r2(x: np.ndarray) -> np.ndarray:
+    """Squared coordinate radius, shaped to broadcast against (..., n, n)."""
+    return np.sum(x * x, axis=-1)[..., None, None]
+
+
 def _ce_chart(spec: ChartSpec) -> ChartModel:
     n = 2 * spec.m
-    g0, J0 = np.eye(n), standard_J(n)
     return ChartModel(
         label=spec.label(), n=n, scale=0.0,
-        metric_at=lambda x: g0.copy(), J_at=lambda x: J0.copy(),
+        metric_at=_constant(np.eye(n)), J_at=_constant(standard_J(n)),
     )
 
 
@@ -263,105 +296,82 @@ def _s6_chart(spec: ChartSpec) -> ChartModel:
     rho = 1.0 / np.sqrt(c)
 
     def embed(x: np.ndarray) -> np.ndarray:
-        s = rho * rho + x @ x
-        return np.concatenate([2 * rho * rho * x / s, [rho * (x @ x - rho * rho) / s]])
+        r2 = np.sum(x * x, axis=-1, keepdims=True)
+        s = rho * rho + r2
+        return np.concatenate([2 * rho * rho * x / s, rho * (r2 - rho * rho) / s], axis=-1)
 
     def d_embed(x: np.ndarray) -> np.ndarray:
-        s = rho * rho + x @ x
-        D = np.empty((7, 6))
-        D[:6, :] = 2 * rho * rho * (np.eye(6) * s - 2 * np.outer(x, x)) / s**2
-        D[6, :] = 4 * rho**3 * x / s**2
-        return D
+        s = rho * rho + _r2(x)
+        top = 2 * rho * rho * (np.eye(6) * s - 2 * _outer(x, x)) / s**2
+        bottom = 4 * rho**3 * x[..., None, :] / s**2
+        return np.concatenate([top, bottom], axis=-2)  # (..., 7, 6)
 
     def metric_at(x: np.ndarray) -> np.ndarray:
         D = d_embed(x)
-        return D.T @ D
+        return np.swapaxes(D, -1, -2) @ D
 
     def J_at(x: np.ndarray) -> np.ndarray:
         p = embed(x)
         D = d_embed(x)
-        C = cross_operator(p / np.linalg.norm(p))
+        Dt = np.swapaxes(D, -1, -2)
+        C = cross_operator(p / np.linalg.norm(p, axis=-1, keepdims=True))
         # C D v is tangent to the sphere, so solving against D^T D inverts the
         # embedding differential exactly on its range
-        return np.linalg.solve(D.T @ D, D.T @ C @ D)
+        return np.linalg.solve(Dt @ D, Dt @ C @ D)
 
     return ChartModel(label=spec.label(), n=6, scale=c, metric_at=metric_at, J_at=J_at)
 
 
 def _interleaved_metric(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Real metric of a Hermitian form A + iB in x1,y1,x2,y2,... coordinates."""
-    m = A.shape[0]
-    g = np.zeros((2 * m, 2 * m))
-    g[0::2, 0::2] = A
-    g[1::2, 1::2] = A
-    g[0::2, 1::2] = B
-    g[1::2, 0::2] = -B
+    m = A.shape[-1]
+    g = np.zeros(A.shape[:-2] + (2 * m, 2 * m))
+    g[..., 0::2, 0::2] = A
+    g[..., 1::2, 1::2] = A
+    g[..., 0::2, 1::2] = B
+    g[..., 1::2, 0::2] = -B
     return g
 
 
-def _cp_chart(spec: ChartSpec) -> ChartModel:
+def _csf_chart(spec: ChartSpec) -> ChartModel:
+    """Constant holomorphic curvature mu: CP (mu > 0) on a realified complex
+    affine chart, CD (mu < 0) on the unit ball."""
     m, mu = spec.m, spec.mu
-    c0 = 4.0 / mu
-    J0 = standard_J(2 * m)
+    s, c0 = np.sign(mu), 4.0 / abs(mu)
 
     def metric_at(xy: np.ndarray) -> np.ndarray:
-        x, y = xy[0::2], xy[1::2]
-        r2 = xy @ xy
-        A = c0 * ((1 + r2) * np.eye(m) - (np.outer(x, x) + np.outer(y, y))) / (1 + r2) ** 2
-        B = -c0 * (np.outer(x, y) - np.outer(y, x)) / (1 + r2) ** 2
+        x, y = xy[..., 0::2], xy[..., 1::2]
+        r2 = _r2(xy)
+        if s < 0 and np.any(r2 >= 1.0):
+            raise MarginError(f"CD chart is the open unit ball; |x| = {np.sqrt(r2.max()):.3f}")
+        q = 1 + s * r2
+        A = c0 * (q * np.eye(m) - s * (_outer(x, x) + _outer(y, y))) / q**2
+        B = -s * c0 * (_outer(x, y) - _outer(y, x)) / q**2
         return _interleaved_metric(A, B)
 
+    ball = {} if s > 0 else {"boundary_radius": 1.0, "sample_radius": 0.5}
     return ChartModel(
         label=spec.label(), n=2 * m, scale=mu,
-        metric_at=metric_at, J_at=lambda x: J0.copy(),
-    )
-
-
-def _cd_chart(spec: ChartSpec) -> ChartModel:
-    m, mu = spec.m, spec.mu
-    c0 = -4.0 / mu
-    J0 = standard_J(2 * m)
-
-    def metric_at(xy: np.ndarray) -> np.ndarray:
-        x, y = xy[0::2], xy[1::2]
-        r2 = xy @ xy
-        if r2 >= 1.0:
-            raise MarginError(f"CD chart is the open unit ball; |x| = {np.sqrt(r2):.3f}")
-        A = c0 * ((1 - r2) * np.eye(m) + np.outer(x, x) + np.outer(y, y)) / (1 - r2) ** 2
-        B = c0 * (np.outer(x, y) - np.outer(y, x)) / (1 - r2) ** 2
-        return _interleaved_metric(A, B)
-
-    return ChartModel(
-        label=spec.label(), n=2 * m, scale=mu,
-        metric_at=metric_at, J_at=lambda x: J0.copy(),
-        boundary_radius=1.0, sample_radius=0.5,
+        metric_at=metric_at, J_at=_constant(standard_J(2 * m)), **ball,
     )
 
 
 def _product_chart(spec: ChartSpec) -> ChartModel:
     charts = tuple(make_chart(f) for f in spec.factors)
-    n = sum(ch.n for ch in charts)
-    slices = []
-    offset = 0
-    for ch in charts:
-        slices.append(slice(offset, offset + ch.n))
-        offset += ch.n
+    ends = np.cumsum([ch.n for ch in charts])
+    n, slices = int(ends[-1]), [slice(e - ch.n, e) for ch, e in zip(charts, ends)]
 
-    def metric_at(x: np.ndarray) -> np.ndarray:
-        g = np.zeros((n, n))
-        for ch, sl in zip(charts, slices):
-            g[sl, sl] = ch.metric_at(x[sl])
-        return g
-
-    def J_at(x: np.ndarray) -> np.ndarray:
-        J = np.zeros((n, n))
-        for ch, sl in zip(charts, slices):
-            J[sl, sl] = ch.J_at(x[sl])
-        return J
+    def block(field: str) -> Callable[[np.ndarray], np.ndarray]:
+        def at(x: np.ndarray) -> np.ndarray:
+            out = np.zeros(x.shape[:-1] + (n, n))
+            for ch, sl in zip(charts, slices):
+                out[..., sl, sl] = getattr(ch, field)(x[..., sl])
+            return out
+        return at
 
     return ChartModel(
         label="PRODUCT(" + ",".join(ch.label for ch in charts) + ")",
-        n=n, scale=0.0, metric_at=metric_at, J_at=J_at, factors=charts,
+        n=n, scale=0.0, metric_at=block("metric_at"), J_at=block("J_at"), factors=charts,
     )
 
 
@@ -369,21 +379,30 @@ def _product_chart(spec: ChartSpec) -> ChartModel:
 # finite differences
 # ---------------------------------------------------------------------------
 
-def _d1(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, i: int, cfg: FDConfig):
-    e = np.zeros_like(x)
-    e[i] = 1.0
+def _grad_field(f, x, cfg):
+    """Coordinate derivatives of the field ``f`` at the points ``x`` (..., n).
 
-    def central(h):
-        return (f(x + h * e) - f(x - h * e)) / (2.0 * h)
+    The derivative index is the axis right after the batch axes of ``x``.
+    Each step and sign of the stencil is one call of ``f`` on the n points
+    x ± s e_i, stacked as (..., n, n).
+    """
+    eye = np.eye(x.shape[-1])
+
+    def central(s):
+        X = x[..., None, :]
+        return (f(X + s * eye) - f(X - s * eye)) / (2.0 * s)
 
     if cfg.richardson:
         return (4.0 * central(cfg.h / 2) - central(cfg.h)) / 3.0
     return central(cfg.h)
 
 
-def _grad_field(f, x, cfg):
-    """Stack of coordinate derivatives; axis 0 is the derivative index."""
-    return np.stack([_d1(f, x, i, cfg) for i in range(len(x))])
+def _christoffel(chart: ChartModel, X: np.ndarray, cfg: FDConfig) -> np.ndarray:
+    """Connection coefficients at the points ``X`` (..., n); no margin check."""
+    g_inv = np.linalg.inv(chart.metric_at(X))
+    dg = _grad_field(chart.metric_at, X, cfg)  # dg[..., i, j, l] = d_i g_{jl}
+    t = dg + np.einsum("...jil->...ijl", dg) - np.einsum("...lij->...ijl", dg)
+    return 0.5 * np.einsum("...kl,...ijl->...kij", g_inv, t)
 
 
 def christoffel_at(chart: ChartModel, x: np.ndarray, cfg: FDConfig) -> np.ndarray:
@@ -393,11 +412,7 @@ def christoffel_at(chart: ChartModel, x: np.ndarray, cfg: FDConfig) -> np.ndarra
     in the lower pair exactly by construction.
     """
     chart.require_margin(x, 2 * cfg.h)
-    g = chart.metric_at(x)
-    g_inv = np.linalg.inv(g)
-    dg = _grad_field(chart.metric_at, x, cfg)  # dg[i, j, l] = d_i g_{jl}
-    t = dg + np.einsum("jil->ijl", dg) - np.einsum("lij->ijl", dg)
-    return 0.5 * np.einsum("kl,ijl->kij", g_inv, t)
+    return _christoffel(chart, x, cfg)
 
 
 def curvature_at(
@@ -412,8 +427,8 @@ def curvature_at(
                            + Gamma^p_{jk} Gamma^q_{ip} - Gamma^p_{ik} Gamma^q_{jp}).
     """
     chart.require_margin(x, 4 * cfg.h)
-    G = christoffel_at(chart, x, cfg)
-    dG = _grad_field(lambda y: christoffel_at(chart, y, cfg), x, cfg)
+    G = _christoffel(chart, x, cfg)
+    dG = _grad_field(lambda Y: _christoffel(chart, Y, cfg), x, cfg)
     R_up = (
         np.einsum("iqjk->ijkq", dG)
         - np.einsum("jqik->ijkq", dG)
@@ -426,21 +441,21 @@ def curvature_at(
 
 
 def _covariant(G: np.ndarray, T: np.ndarray, dT: np.ndarray, variance: str) -> np.ndarray:
-    """Covariant derivative of a tensor field from its value ``T`` and its
-    coordinate derivatives ``dT`` at one point; axis 0 of ``dT`` and of the
-    result is the derivative index.
+    """Covariant derivative of a tensor field from its values ``T`` and its
+    coordinate derivatives ``dT``.  Axes of ``T`` before its tensor axes are
+    batch axes; in ``dT`` and in the result the derivative index follows them.
 
-    ``variance`` gives one character per axis of ``T``: ``'u'`` for an upper
-    index (corrected by +Gamma) and ``'l'`` for a lower one (-Gamma).
+    ``variance`` gives one character per tensor axis of ``T``: ``'u'`` for an
+    upper index (corrected by +Gamma) and ``'l'`` for a lower one (-Gamma).
     """
-    letters = "ijklmn"[: T.ndim]
+    letters = "ijklmn"[: len(variance)]
     out = dT
     for axis, var in enumerate(variance):
         src = letters[:axis] + "p" + letters[axis + 1 :]
         if var == "u":
-            out = out + np.einsum(f"{letters[axis]}ap,{src}->a{letters}", G, T)
+            out = out + np.einsum(f"...{letters[axis]}ap,...{src}->...a{letters}", G, T)
         else:
-            out = out - np.einsum(f"pa{letters[axis]},{src}->a{letters}", G, T)
+            out = out - np.einsum(f"...pa{letters[axis]},...{src}->...a{letters}", G, T)
     return out
 
 
@@ -455,12 +470,12 @@ def j_derivatives_at(
     """
     chart.require_margin(x, 4 * cfg.h)
 
-    def nabla_j(y: np.ndarray, G: np.ndarray) -> np.ndarray:
-        return _covariant(G, chart.J_at(y), _grad_field(chart.J_at, y, cfg), "ul")
+    def nabla_j(Y: np.ndarray, G: np.ndarray) -> np.ndarray:
+        return _covariant(G, chart.J_at(Y), _grad_field(chart.J_at, Y, cfg), "ul")
 
-    G = christoffel_at(chart, x, cfg)
+    G = _christoffel(chart, x, cfg)
     nJ = nabla_j(x, G)
-    dnJ = _grad_field(lambda y: nabla_j(y, christoffel_at(chart, y, cfg)), x, cfg)
+    dnJ = _grad_field(lambda Y: nabla_j(Y, _christoffel(chart, Y, cfg)), x, cfg)
     return nJ, _covariant(G, nJ, dnJ, "lul")
 
 
@@ -498,15 +513,6 @@ class NKIdentityReport:
     id_3_3: float
 
 
-def _unit_vectors(point: HermitianPoint, rng: np.random.Generator, count: int) -> np.ndarray:
-    g = point.g_mat
-    vecs = []
-    for _ in range(count):
-        v = rng.standard_normal(point.dim)
-        vecs.append(v / np.sqrt(float(v @ g @ v)))
-    return np.array(vecs)
-
-
 def _max_multilinear(T: np.ndarray, vector_sets: list[np.ndarray]) -> float:
     """Max |T(v_1, ..., v_r)| over all combinations of rows of the vector sets."""
     out = T
@@ -517,12 +523,12 @@ def _max_multilinear(T: np.ndarray, vector_sets: list[np.ndarray]) -> float:
     return float(np.max(np.abs(out)))
 
 
-def _trace_stack(chart: ChartModel, y: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """R, S, S - S', tau and tau - tau' at ``y`` packed into one flat array,
-    so one finite-difference pass differentiates all of them."""
-    gi = np.linalg.inv(chart.metric_at(y))
+def _trace_stack(point: HermitianPoint, R: CurvTensor) -> np.ndarray:
+    """R, S, S - S', tau and tau - tau' at one point packed into one flat
+    array, so one finite-difference pass differentiates all of them."""
+    gi, R = point.g_inv, R.components
     S = _ricci(gi, R)
-    Sp = _j_twisted_ricci(gi, chart.J_at(y), R)
+    Sp = _j_twisted_ricci(gi, point.J, R)
     tau = _trace(gi, S)
     return np.concatenate([R.ravel(), S.ravel(), (S - Sp).ravel(), [tau, tau - _trace(gi, Sp)]])
 
@@ -548,13 +554,10 @@ def nk_identity_suite(
     n, m = chart.n, chart.n // 2
     nJ, n2J = j_derivatives_at(chart, x, cfg)
 
-    rng = np.random.default_rng(seed)
-    V = _unit_vectors(point, rng, samples)
-
-    nk = 0.0
-    for X in V:
-        w = np.einsum("akj,a,j->k", nJ, X, X)
-        nk = max(nk, float(np.sqrt(w @ g @ w)))
+    V = np.random.default_rng(seed).standard_normal((samples, n))
+    V /= np.sqrt(np.einsum("vi,ij,vj->v", V, g, V))[:, None]  # seeded unit vectors
+    W = np.einsum("akj,va,vj->vk", nJ, V, V)  # (nabla_X J) X for each sample X
+    nk = float(np.sqrt(np.max(np.einsum("vk,kl,vl->v", W, g, W))))
     if nk > nk_threshold:
         raise NotNearlyKahlerError(nk, nk_threshold)
 
@@ -570,9 +573,10 @@ def nk_identity_suite(
     id_1_2 = _max_multilinear(lhs_1_2 - rhs_1_2, [V, V, V, V])
 
     G = christoffel_at(chart, x, cfg)
-    T = _trace_stack(chart, x, A)
-    dT = _grad_field(lambda y: _trace_stack(chart, y, curvature_at(chart, y, cfg)[1].components),
-                     x, cfg)
+    T = _trace_stack(point, R)
+    dT = _grad_field(
+        lambda Y: np.stack([_trace_stack(*curvature_at(chart, y, cfg)) for y in Y]), x, cfg
+    )
     s1, s2 = n**4, n**4 + n * n  # where S and S - S' start in the stack
     Sx, D = T[s1:s2].reshape(n, n), T[s2:-2].reshape(n, n)
     dR = dT[:, :s1].reshape((n,) * 5)

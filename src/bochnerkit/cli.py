@@ -22,6 +22,8 @@ import argparse
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from .bochner import DimensionTooSmallError, generalized_bochner, rk_bochner
 from .charts import (
     ChartSpec,
@@ -35,7 +37,7 @@ from .charts import (
     parse_model_spec,
 )
 from .curvature import PointValidationError, ricci_family, star
-from .multilinear import SymmetryError
+from .multilinear import NonFiniteError, SymmetryError
 from .scenarios import (
     SCENARIO_IDS,
     ScenarioParamError,
@@ -65,8 +67,22 @@ _STATUS_TAG = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line, like every other bad input."""
+
+    def error(self, message: str):
+        print(f"error: {message} (see {self.prog} --help)", file=sys.stderr)
+        raise SystemExit(2)
+
+
+def _seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--tol-alg", type=float, default=1e-12,
                         help="tolerance for exact-formula algebra (default 1e-12)")
     common.add_argument("--tol-fd1", type=float, default=1e-6,
@@ -77,11 +93,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="finite-difference step (default 1e-3)")
     common.add_argument("--no-richardson", action="store_true",
                         help="disable Richardson extrapolation of first derivatives")
-    common.add_argument("--seed", type=int, default=0, help="seed for all sampling")
+    common.add_argument("--seed", type=_seed, default=0,
+                        help="non-negative seed for all sampling")
     common.add_argument("--json", metavar="PATH", help="write the JSON report to PATH")
     common.add_argument("--quiet", action="store_true", help="suppress console output")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bochnerkit",
         description="curvature algebra and verification for almost Hermitian model spaces",
     )
@@ -339,8 +356,12 @@ def cli_dispatch(argv: Sequence[str]) -> int:
         return _COMMANDS[args.command](args)
     except (ChartSpecError, FDConfigError, MarginError, NotNearlyKahlerError,
             ScenarioParamError, UnknownScenarioError, DocumentFormatError,
-            PointValidationError, SymmetryError, DimensionTooSmallError) as exc:
+            PointValidationError, SymmetryError, DimensionTooSmallError,
+            NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except np.linalg.LinAlgError as exc:
+        print(f"error: numerical failure in the model: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

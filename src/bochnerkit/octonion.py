@@ -56,5 +56,5 @@ def cross7(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def cross_operator(p: np.ndarray) -> np.ndarray:
-    """Matrix C with C v = p x v."""
-    return np.einsum("ijk,i->kj", _F7, p)
+    """Matrix C with C v = p x v; ``p`` of shape (..., 7) gives (..., 7, 7)."""
+    return np.einsum("ijk,...i->...kj", _F7, p)

@@ -1,5 +1,7 @@
 """Finite-difference geometry on the model charts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -46,11 +48,73 @@ def test_parse_rejects_unknown():
 
 
 @pytest.mark.parametrize(
-    "bad", ["CD(1,1)", "CP(3,-4)", "S6(-1)", "S6(0)", "CE(0)", "CP(3)", "PRODUCT(CE(1))"]
+    "bad", ["CD(1,1)", "CP(3,-4)", "S6(-1)", "S6(0)", "CE(0)", "CP(3)", "PRODUCT(CE(1))",
+            "CE(7)", "CP(7,1)", "PRODUCT(CP(4,1),S6(1))", "PRODUCT(CE(2),PRODUCT(CE(2),CE(3)))",
+            "PRODUCT(CE(1),S6(1)"]
 )
 def test_make_chart_rejects_bad_parameters(bad):
     with pytest.raises(ChartSpecError):
         make_chart(bad)
+
+
+# ---------------------------------------------------------------------------
+# batched evaluators
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "desc", ["CE(3)", "S6(1)", "CP(3,4)", "CD(2,-1)", "PRODUCT(CD(1,-1),S6(1))"]
+)
+def test_batched_evaluators_match_pointwise(desc):
+    chart = make_chart(desc)
+    X = chart.sample_points(31, 6).reshape(2, 3, chart.n)
+    for field in (chart.metric_at, chart.J_at):
+        loop = np.array([[field(x) for x in row] for row in X])
+        assert loop.shape == (2, 3, chart.n, chart.n)
+        for batch, ref in ((field(X[0]), loop[0]), (field(X), loop)):
+            assert batch.shape == ref.shape
+            assert np.max(np.abs(batch - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("outside", [[1.0, 0.0, 0.0, 0.0], [0.3, -1.2, 0.5, 0.1]])
+def test_cd_batch_with_one_point_outside_ball_raises(outside):
+    chart = make_chart("CD(2,-1)")
+    X = chart.sample_points(33, 4)
+    X[2] = outside
+    with pytest.raises(MarginError):
+        chart.metric_at(X)
+    chart.metric_at(np.delete(X, 2, axis=0))  # the interior rest is fine
+
+
+def _counted_metric(chart):
+    """The chart with ``metric_at`` wrapped by a counter of calls and points."""
+    count = {"calls": 0, "points": 0}
+
+    def metric_at(x):
+        count["calls"] += 1
+        count["points"] += x[..., 0].size
+        return chart.metric_at(x)
+
+    return dataclasses.replace(chart, metric_at=metric_at), count
+
+
+def test_curvature_makes_a_fixed_number_of_metric_calls():
+    """Each stencil level evaluates all of its points in one call per step
+    and sign, so the call count does not grow with the dimension."""
+    counts = {}
+    for desc in ("S6(1)", "CP(5,1)"):
+        chart, count = _counted_metric(make_chart(desc))
+        curvature_at(chart, chart.sample_points(3, 1)[0], CFG)
+        counts[desc] = count
+    assert counts["S6(1)"]["calls"] == counts["CP(5,1)"]["calls"] < 30
+    # 4n Christoffel stencils of 4n + 1 points each, Gamma at x, g at x, the point
+    assert counts["S6(1)"]["points"] == 627
+    assert counts["CP(5,1)"]["points"] == 1683
+
+
+def test_suite_metric_calls_stay_batched():
+    chart, count = _counted_metric(make_chart("CP(5,1)"))
+    nk_identity_suite(chart, chart.sample_points(3, 1)[0], CFG, seed=3)
+    assert count["calls"] <= 1500  # 70,766 single-point calls before batching
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +310,8 @@ def test_nk_suite_rejects_non_nearly_kahler_chart():
         label="conformal",
         n=n,
         scale=0.0,
-        metric_at=lambda x: (1.0 + x @ x) * np.eye(n),
-        J_at=lambda x: J0.copy(),
+        metric_at=lambda x: (1.0 + np.sum(x * x, -1))[..., None, None] * np.eye(n),
+        J_at=lambda x: np.broadcast_to(J0, x.shape[:-1] + J0.shape).copy(),
     )
     x = np.array([0.3, 0.2, -0.1, 0.4])
     with pytest.raises(NotNearlyKahlerError) as err:

@@ -1,8 +1,12 @@
 """Command-line interface: exit codes, files, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bochnerkit.cli import cli_dispatch
 
@@ -111,6 +115,12 @@ def test_identities_bad_chart(capsys):
     ["identities", "S6(1)", "--tol-fd2", "nan"],
     ["identities", "S6(1)", "--fd-step", "0.3", "--points", "1"],
     ["scenario", "thm21_forward", "--tol-alg", "nan"],
+    ["identities", "S6(1)", "--seed", "-1", "--points", "1"],
+    ["all", "--seed", "-5"],
+    ["identities", "S6(1e300)", "--points", "1"],
+    ["identities", "CE(7)"],
+    ["tensor", "PRODUCT(CP(4,1),S6(1))"],
+    ["tensor", "S6(1e308)"],
 ])
 def test_bad_model_input_exits_2_with_one_line(argv, capsys):
     assert cli_dispatch(argv) == 2
@@ -119,6 +129,40 @@ def test_bad_model_input_exits_2_with_one_line(argv, capsys):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+_NUMBER = st.one_of(
+    st.integers(-(10**30), 10**30).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["1e308", "-1e308", "1e-300", "1e999", "-0", "0x10", "1_0", "", " ", "nan"]),
+)
+_LEAF = st.builds(
+    lambda kind, args: f"{kind}({','.join(args)})",
+    st.sampled_from(["CE", "S6", "CP", "CD", "cp", "s6", "TORUS"]),
+    st.lists(_NUMBER, max_size=3),
+)
+_DESCRIPTOR = st.recursive(
+    _LEAF,
+    lambda parts: st.lists(parts, max_size=3).map(lambda ps: f"PRODUCT({','.join(ps)})"),
+    max_leaves=5,
+)
+_JUNK = st.one_of(
+    st.text(max_size=20),
+    _DESCRIPTOR.flatmap(lambda d: st.integers(0, len(d)).map(lambda i: d[:i])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_DESCRIPTOR, _JUNK))
+def test_tensor_descriptor_fuzz(desc):
+    """Any descriptor either yields the bundle or one error line: never a traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli_dispatch(["tensor", desc, "--quiet"])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_usage_error_exit_code():
