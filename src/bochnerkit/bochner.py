@@ -48,6 +48,9 @@ __all__ = [
     "sample_antiholomorphic_frame",
 ]
 
+_CONSTRAINT_TOL = 1e-10  # pairing with earlier frame vectors a new vector may keep
+_MAX_ATTEMPTS = 200  # draws before the frame sampler gives up
+
 
 class DimensionTooSmallError(ValueError):
     """The five-term corrected tensor needs m > 2 (denominators m-1, m-2)."""
@@ -210,8 +213,6 @@ def sample_antiholomorphic_frame(
     point: HermitianPoint,
     rng: np.random.Generator,
     count: int,
-    constraint_tol: float = 1e-10,
-    max_attempts: int = 200,
 ) -> np.ndarray:
     """Orthonormal vectors v_1..v_count whose span is orthogonal to its J-image.
 
@@ -231,9 +232,9 @@ def sample_antiholomorphic_frame(
     attempts = 0
     while len(frame) < count:
         attempts += 1
-        if attempts > max_attempts:
+        if attempts > _MAX_ATTEMPTS:
             raise FrameSamplingError(
-                f"constraint projection failed {max_attempts} times "
+                f"constraint projection failed {_MAX_ATTEMPTS} times "
                 f"(collected {len(frame)}/{count} vectors)"
             )
         v = rng.standard_normal(point.dim)
@@ -245,7 +246,7 @@ def sample_antiholomorphic_frame(
             continue
         v = v / np.sqrt(nrm2)
         residual = max((abs(u @ g @ v) for u in obstacles), default=0.0)
-        if residual > constraint_tol:
+        if residual > _CONSTRAINT_TOL:
             continue
         Jv = J @ v
         Jv = Jv / np.sqrt(float(Jv @ g @ Jv))
@@ -259,7 +260,6 @@ def antiholo_4frame_defect(
     R: CurvTensor,
     samples: int = 512,
     seed: int = 0,
-    constraint_tol: float = 1e-10,
 ) -> float | None:
     """Largest |R(x, y, z, u)| over sampled orthonormal antiholomorphic 4-frames.
 
@@ -273,6 +273,6 @@ def antiholo_4frame_defect(
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
-        x, y, z, u = sample_antiholomorphic_frame(point, rng, 4, constraint_tol)
+        x, y, z, u = sample_antiholomorphic_frame(point, rng, 4)
         worst = max(worst, abs(R(x, y, z, u)))
     return worst

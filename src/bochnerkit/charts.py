@@ -33,7 +33,7 @@ from .curvature import (
     HermitianPoint, standard_J, validate_point,
     _id_1_5_contraction, _j_twisted_ricci, _ricci, _rotate, _trace,
 )
-from .multilinear import TOL_ALG, CurvTensor, _norm_sq_rank2
+from .multilinear import CurvTensor, _norm_sq_rank2
 from .octonion import cross_operator
 
 __all__ = [
@@ -54,6 +54,8 @@ __all__ = [
 
 
 MAX_DIM = 12  # largest real dimension; TOL_ALG is calibrated up to here
+NK_SAMPLES = 8  # seeded unit vectors per slot in the identity suite
+NK_THRESHOLD = 1e-3  # nearly Kahler defect above which the suite aborts
 
 
 class ChartSpecError(ValueError):
@@ -123,8 +125,8 @@ class ChartModel:
     sample_radius: float = 0.8
     factors: tuple["ChartModel", ...] = ()
 
-    def point_at(self, x: np.ndarray, tol: float = TOL_ALG) -> HermitianPoint:
-        return validate_point(self.metric_at(x), self.J_at(x), tol)
+    def point_at(self, x: np.ndarray) -> HermitianPoint:
+        return validate_point(self.metric_at(x), self.J_at(x))
 
     def sample_points(self, seed: int, count: int) -> np.ndarray:
         """Seeded interior points with guaranteed margin from the boundary."""
@@ -405,6 +407,49 @@ def _christoffel(chart: ChartModel, X: np.ndarray, cfg: FDConfig) -> np.ndarray:
     return 0.5 * np.einsum("...kl,...ijl->...kij", g_inv, t)
 
 
+def _covariant(G: np.ndarray, T: np.ndarray, dT: np.ndarray, variance: str) -> np.ndarray:
+    """Covariant derivative of a tensor field from its values ``T`` and its
+    coordinate derivatives ``dT``.  Axes of ``T`` before its tensor axes are
+    batch axes; in ``dT`` and in the result the derivative index follows them.
+
+    ``variance`` gives one character per tensor axis of ``T``: ``'u'`` for an
+    upper index (corrected by +Gamma) and ``'l'`` for a lower one (-Gamma).
+    """
+    letters = "ijklmn"[: len(variance)]
+    out = dT
+    for axis, var in enumerate(variance):
+        src = letters[:axis] + "p" + letters[axis + 1 :]
+        if var == "u":
+            out = out + np.einsum(f"...{letters[axis]}ap,...{src}->...a{letters}", G, T)
+        else:
+            out = out - np.einsum(f"...pa{letters[axis]},...{src}->...a{letters}", G, T)
+    return out
+
+
+def _riemann(chart: ChartModel, X: np.ndarray, G: np.ndarray, cfg: FDConfig) -> np.ndarray:
+    """Covariant curvature at the points ``X`` (..., n) with connection ``G``; no margin check."""
+    dG = _grad_field(lambda Y: _christoffel(chart, Y, cfg), X, cfg)
+    R_up = (
+        np.einsum("...iqjk->...ijkq", dG)
+        - np.einsum("...jqik->...ijkq", dG)
+        + np.einsum("...pjk,...qip->...ijkq", G, G)
+        - np.einsum("...pik,...qjp->...ijkq", G, G)
+    )
+    return np.einsum("...ijkq,...ql->...ijkl", R_up, chart.metric_at(X))
+
+
+def _nabla_j(chart: ChartModel, X: np.ndarray, G: np.ndarray, cfg: FDConfig) -> np.ndarray:
+    """(nabla_a J)^k_j at the points ``X`` (..., n) with connection ``G``; no margin check."""
+    return _covariant(G, chart.J_at(X), _grad_field(chart.J_at, X, cfg), "ul")
+
+
+def _geometry(chart: ChartModel, X: np.ndarray, cfg: FDConfig) -> tuple[np.ndarray, ...]:
+    """Gamma, nabla J and R at the points ``X`` (..., n), all three from one
+    Christoffel evaluation per point; no margin check."""
+    G = _christoffel(chart, X, cfg)
+    return G, _nabla_j(chart, X, G, cfg), _riemann(chart, X, G, cfg)
+
+
 def christoffel_at(chart: ChartModel, x: np.ndarray, cfg: FDConfig) -> np.ndarray:
     """Connection coefficients Gamma^k_{ij} (axis order: upper, lower, lower).
 
@@ -427,36 +472,8 @@ def curvature_at(
                            + Gamma^p_{jk} Gamma^q_{ip} - Gamma^p_{ik} Gamma^q_{jp}).
     """
     chart.require_margin(x, 4 * cfg.h)
-    G = _christoffel(chart, x, cfg)
-    dG = _grad_field(lambda Y: _christoffel(chart, Y, cfg), x, cfg)
-    R_up = (
-        np.einsum("iqjk->ijkq", dG)
-        - np.einsum("jqik->ijkq", dG)
-        + np.einsum("pjk,qip->ijkq", G, G)
-        - np.einsum("pik,qjp->ijkq", G, G)
-    )
-    g = chart.metric_at(x)
-    R = np.einsum("ijkq,ql->ijkl", R_up, g)
+    R = _riemann(chart, x, _christoffel(chart, x, cfg), cfg)
     return chart.point_at(x), CurvTensor(chart.n, R)
-
-
-def _covariant(G: np.ndarray, T: np.ndarray, dT: np.ndarray, variance: str) -> np.ndarray:
-    """Covariant derivative of a tensor field from its values ``T`` and its
-    coordinate derivatives ``dT``.  Axes of ``T`` before its tensor axes are
-    batch axes; in ``dT`` and in the result the derivative index follows them.
-
-    ``variance`` gives one character per tensor axis of ``T``: ``'u'`` for an
-    upper index (corrected by +Gamma) and ``'l'`` for a lower one (-Gamma).
-    """
-    letters = "ijklmn"[: len(variance)]
-    out = dT
-    for axis, var in enumerate(variance):
-        src = letters[:axis] + "p" + letters[axis + 1 :]
-        if var == "u":
-            out = out + np.einsum(f"...{letters[axis]}ap,...{src}->...a{letters}", G, T)
-        else:
-            out = out - np.einsum(f"...pa{letters[axis]},...{src}->...a{letters}", G, T)
-    return out
 
 
 def j_derivatives_at(
@@ -469,13 +486,9 @@ def j_derivatives_at(
     the nabla-J field, all three slots corrected).
     """
     chart.require_margin(x, 4 * cfg.h)
-
-    def nabla_j(Y: np.ndarray, G: np.ndarray) -> np.ndarray:
-        return _covariant(G, chart.J_at(Y), _grad_field(chart.J_at, Y, cfg), "ul")
-
     G = _christoffel(chart, x, cfg)
-    nJ = nabla_j(x, G)
-    dnJ = _grad_field(lambda Y: nabla_j(Y, _christoffel(chart, Y, cfg)), x, cfg)
+    nJ = _nabla_j(chart, x, G, cfg)
+    dnJ = _grad_field(lambda Y: _nabla_j(chart, Y, _christoffel(chart, Y, cfg), cfg), x, cfg)
     return nJ, _covariant(G, nJ, dnJ, "lul")
 
 
@@ -523,66 +536,67 @@ def _max_multilinear(T: np.ndarray, vector_sets: list[np.ndarray]) -> float:
     return float(np.max(np.abs(out)))
 
 
-def _trace_stack(point: HermitianPoint, R: CurvTensor) -> np.ndarray:
-    """R, S, S - S', tau and tau - tau' at one point packed into one flat
-    array, so one finite-difference pass differentiates all of them."""
+def _pack(point: HermitianPoint, R: CurvTensor, nJ: np.ndarray) -> np.ndarray:
+    """R, S, S - S', tau, tau - tau' and nabla J at one point packed into one
+    flat array, so one finite-difference pass differentiates all of them."""
     gi, R = point.g_inv, R.components
     S = _ricci(gi, R)
     Sp = _j_twisted_ricci(gi, point.J, R)
     tau = _trace(gi, S)
-    return np.concatenate([R.ravel(), S.ravel(), (S - Sp).ravel(), [tau, tau - _trace(gi, Sp)]])
+    return np.concatenate(
+        [R.ravel(), S.ravel(), (S - Sp).ravel(), [tau, tau - _trace(gi, Sp)], nJ.ravel()]
+    )
 
 
 def nk_identity_suite(
-    chart: ChartModel,
-    x: np.ndarray,
-    cfg: FDConfig,
-    seed: int = 0,
-    samples: int = 8,
-    nk_threshold: float = 1e-3,
+    chart: ChartModel, x: np.ndarray, cfg: FDConfig, seed: int = 0
 ) -> NKIdentityReport:
     """Evaluate the nearly Kahler identity catalog at one chart point.
 
-    Residuals are maxima over ``samples`` seeded unit vectors per slot.  If the
-    chart itself fails the nearly Kahler condition beyond ``nk_threshold`` the
+    Residuals are maxima over ``NK_SAMPLES`` seeded unit vectors per slot.  If the
+    chart itself fails the nearly Kahler condition beyond ``NK_THRESHOLD`` the
     dependent checks are aborted with :class:`NotNearlyKahlerError`.  The
-    curvature is evaluated once at ``x`` and once at each stencil point.
+    geometry is evaluated once at ``x`` and once per step and sign on the
+    stencil points around it, where (g, J) is validated point by point.
     """
     chart.require_margin(x, 6 * cfg.h)
-    point, R = curvature_at(chart, x, cfg)
+    G, nJ, A = _geometry(chart, x, cfg)
+    point, A = chart.point_at(x), CurvTensor(chart.n, A).components
     g, gi, J = point.g_mat, point.g_inv, point.J
     n, m = chart.n, chart.n // 2
-    nJ, n2J = j_derivatives_at(chart, x, cfg)
 
-    V = np.random.default_rng(seed).standard_normal((samples, n))
+    def packed(Y: np.ndarray) -> np.ndarray:
+        _, nJ_Y, R_Y = _geometry(chart, Y, cfg)
+        return np.stack([
+            _pack(chart.point_at(y), CurvTensor(n, r), dj) for y, r, dj in zip(Y, R_Y, nJ_Y)
+        ])
+
+    V = np.random.default_rng(seed).standard_normal((NK_SAMPLES, n))
     V /= np.sqrt(np.einsum("vi,ij,vj->v", V, g, V))[:, None]  # seeded unit vectors
     W = np.einsum("akj,va,vj->vk", nJ, V, V)  # (nabla_X J) X for each sample X
     nk = float(np.sqrt(np.max(np.einsum("vk,kl,vl->v", W, g, W))))
-    if nk > nk_threshold:
-        raise NotNearlyKahlerError(nk, nk_threshold)
+    if nk > NK_THRESHOLD:
+        raise NotNearlyKahlerError(nk, NK_THRESHOLD)
 
-    A = R.components
     RJ34 = _rotate(A, J, 2, 3)
     res_1_1 = A - RJ34 + np.einsum("apb,pq,cqd->abcd", nJ, g, nJ)
     id_1_1 = _max_multilinear(res_1_1, [V, V, V, V])
 
-    lhs_1_2 = 2.0 * np.einsum("abpc,pd->abcd", n2J, g)
+    S, Sp = _ricci(gi, A), _ricci(gi, RJ34)
+    tau, tau_p = _trace(gi, S), _trace(gi, Sp)
+    # derivative index first, then the fields of _pack
+    dT = np.split(_grad_field(packed, x, cfg), np.cumsum([n**4, n * n, n * n, 1, 1]), axis=1)
+    dR, dS, dD, d_tau, d_tau_diff, dnJ = (
+        t.reshape((n,) + s) for t, s in zip(dT, [(n,) * 4, (n, n), (n, n), (), (), (n,) * 3])
+    )
+
+    lhs_1_2 = 2.0 * np.einsum("abpc,pd->abcd", _covariant(G, nJ, dnJ, "lul"), g)
     RJ2 = _rotate(A, J, 1)  # R(X,JY,Z,U)
     # R(X,JY,U,Z) + R(X,JU,Z,Y) + R(X,JZ,Y,U)
     rhs_1_2 = RJ2.transpose(0, 1, 3, 2) + RJ2.transpose(0, 3, 2, 1) + RJ2.transpose(0, 2, 1, 3)
     id_1_2 = _max_multilinear(lhs_1_2 - rhs_1_2, [V, V, V, V])
 
-    G = christoffel_at(chart, x, cfg)
-    T = _trace_stack(point, R)
-    dT = _grad_field(
-        lambda Y: np.stack([_trace_stack(*curvature_at(chart, y, cfg)) for y in Y]), x, cfg
-    )
-    s1, s2 = n**4, n**4 + n * n  # where S and S - S' start in the stack
-    Sx, D = T[s1:s2].reshape(n, n), T[s2:-2].reshape(n, n)
-    dR = dT[:, :s1].reshape((n,) * 5)
-    dS, dD = dT[:, s1:s2].reshape(n, n, n), dT[:, s2:-2].reshape(n, n, n)
-    d_tau, d_tau_diff = dT[:, -2], dT[:, -1]
-
+    D = S - Sp
     res_1_3 = (
         2.0 * _covariant(G, D, dD, "ll")
         - np.einsum("pq,apb,qc->abc", D, nJ, J)
@@ -592,17 +606,14 @@ def nk_identity_suite(
     id_1_4 = float(np.max(np.abs(d_tau_diff)))
 
     nR = _covariant(G, A, dR, "llll")
-    nS = _covariant(G, Sx, dS, "ll")
+    nS = _covariant(G, S, dS, "ll")
     lhs_1_6 = np.einsum("ab,aijkb->ijk", gi, nR)
     id_1_6 = _max_multilinear(lhs_1_6 - (nS - nS.transpose(1, 0, 2)), [V, V, V])
     res_1_7 = np.einsum("ab,aib->i", gi, nS) - 0.5 * d_tau
     id_1_7 = _max_multilinear(res_1_7, [V])
 
-    S = _ricci(gi, A)
-    Sp = _ricci(gi, RJ34)
-    tau, tau_p = _trace(gi, S), _trace(gi, Sp)
     id_1_5 = abs(_id_1_5_contraction(gi, S, Sp))
-    rel_3_2 = (S - Sp) - ((tau - tau_p) / (2.0 * m)) * g
+    rel_3_2 = D - ((tau - tau_p) / (2.0 * m)) * g
     id_3_2 = float(np.sqrt(max(_norm_sq_rank2(gi, rel_3_2), 0.0)))
     id_3_3 = abs(tau - 5.0 * tau_p)
 

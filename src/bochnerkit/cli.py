@@ -353,18 +353,17 @@ def cli_dispatch(argv: Sequence[str]) -> int:
     except SystemExit as exc:  # argparse reports usage errors itself
         return 0 if exc.code in (0, None) else 2
     try:
-        return _COMMANDS[args.command](args)
+        # an overflow or invalid value is an input the model cannot evaluate
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _COMMANDS[args.command](args)
     except (ChartSpecError, FDConfigError, MarginError, NotNearlyKahlerError,
             ScenarioParamError, UnknownScenarioError, DocumentFormatError,
             PointValidationError, SymmetryError, DimensionTooSmallError,
-            NonFiniteError) as exc:
+            NonFiniteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"error: numerical failure in the model: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -513,15 +513,13 @@ def rk_project(point: HermitianPoint, R: CurvTensor) -> CurvTensor:
 # seeded generators (scenario and test support)
 # ---------------------------------------------------------------------------
 
-def random_hermitian_point(dim: int, seed: int, orthonormal: bool = False) -> HermitianPoint:
-    """Seeded valid Hermitian point; non-orthonormal coordinates unless requested.
+def random_hermitian_point(dim: int, seed: int) -> HermitianPoint:
+    """Seeded valid Hermitian point in non-orthonormal coordinates.
 
     Conjugating the flat data (identity metric, block J) by a random invertible
     matrix M gives g = M^-T M^-1 and J = M J0 M^-1, which satisfy every point
     invariant exactly.
     """
-    if orthonormal:
-        return flat_point(dim)
     rng = np.random.default_rng(seed)
     J0 = standard_J(dim)
     while True:

@@ -19,6 +19,7 @@ import numpy as np
 # package have condition numbers near 1 on the test metrics and stay far below
 # this threshold at dim <= 12.
 TOL_ALG = 1e-12
+_RETRIES = 8  # seeded restarts before orthonormalize gives up on a metric
 
 __all__ = [
     "TOL_ALG",
@@ -237,7 +238,7 @@ def invariant_norm(point, T: CurvTensor | SymBilinear) -> float:
     return float(np.sqrt(max(sq, 0.0)))
 
 
-def gram_schmidt(point, vectors: np.ndarray, tol: float = TOL_ALG) -> np.ndarray:
+def gram_schmidt(point, vectors: np.ndarray) -> np.ndarray:
     """Metric Gram-Schmidt on the rows of ``vectors`` (two passes for stability)."""
     g = point.g_mat
     basis = np.array(vectors, dtype=float)
@@ -257,23 +258,23 @@ def gram_schmidt(point, vectors: np.ndarray, tol: float = TOL_ALG) -> np.ndarray
         out[i] = v / np.sqrt(nrm)
     gram = out @ g @ out.T
     defect = float(np.max(np.abs(gram - np.eye(n))))
-    if defect > tol:
-        raise DegenerateFrameError(f"Gram defect {defect:.3e} above tolerance {tol:.1e}")
+    if defect > TOL_ALG:
+        raise DegenerateFrameError(f"Gram defect {defect:.3e} above tolerance {TOL_ALG:.1e}")
     return out
 
 
-def orthonormalize(point, seed: int, retries: int = 8) -> FrameSet:
+def orthonormalize(point, seed: int) -> FrameSet:
     """Metric-orthonormal basis from a seeded random start; deterministic given seed."""
     rng = np.random.default_rng(seed)
     last: Exception | None = None
-    for _ in range(retries):
+    for _ in range(_RETRIES):
         basis = rng.standard_normal((point.dim, point.dim))
         try:
             return FrameSet(point.dim, gram_schmidt(point, basis))
         except DegenerateFrameError as exc:  # extremely unlikely for SPD metrics
             last = exc
     raise DegenerateFrameError(
-        f"no orthonormal frame after {retries} seeded attempts; metric may be broken"
+        f"no orthonormal frame after {_RETRIES} seeded attempts; metric may be broken"
     ) from last
 
 

@@ -363,8 +363,7 @@ def _thm31_s6(p: ScenarioParams) -> list[CheckResult]:
 
 
 def _mixed_component_max(R: CurvTensor, n1: int) -> float:
-    A = np.array(R.components)
-    inside = np.array(A)
+    inside = np.array(R.components)
     inside[:n1, :n1, :n1, :n1] = 0.0
     inside[n1:, n1:, n1:, n1:] = 0.0
     return float(np.max(np.abs(inside)))
@@ -372,11 +371,8 @@ def _mixed_component_max(R: CurvTensor, n1: int) -> float:
 
 def _thm31_product(p: ScenarioParams) -> list[CheckResult]:
     tol = p.tolerances
-    pt_a = flat_point(2)
-    pt_b = flat_point(6)
-    point, R = direct_sum(
-        pt_a, complex_space_form_tensor(pt_a, -p.c), pt_b, space_form_tensor(pt_b, p.c)
-    )
+    desc = f"PRODUCT(CD(1,{-p.c!r}),S6({p.c!r}))"
+    point, R, _ = make_model(desc)
     checks = [
         _vanish("b_vanishes",
                 "the hyperbolic-line times six-sphere product has vanishing corrected curvature",
@@ -386,7 +382,7 @@ def _thm31_product(p: ScenarioParams) -> list[CheckResult]:
                 "trace-free symmetrized tensor vanishes",
                 generalized_bochner(point, R).norm, tol.tol_alg),
     ]
-    chart = make_chart(f"PRODUCT(CD(1,{-p.c!r}),S6({p.c!r}))")
+    chart = make_chart(desc)
     cfg = p.fd_config()
     sym_tol = 10.0 * tol.tol_fd1
     worst_b = worst_mixed = 0.0
@@ -415,11 +411,7 @@ def _thm31_product(p: ScenarioParams) -> list[CheckResult]:
 
 def _thm31_counterexample(p: ScenarioParams) -> list[CheckResult]:
     threshold = 1e-3
-    pt_a = flat_point(4)
-    pt_b = flat_point(6)
-    point, R = direct_sum(
-        pt_a, complex_space_form_tensor(pt_a, -p.c), pt_b, space_form_tensor(pt_b, p.c)
-    )
+    point, R, _ = make_model(f"PRODUCT(CD(2,{-p.c!r}),S6({p.c!r}))")
     frame_defect = antiholo_4frame_defect(point, R, samples=p.samples, seed=p.seed)
     return [
         _nonvanish("b_nonvanishing",
@@ -511,8 +503,9 @@ def _identities_cp(p: ScenarioParams) -> list[CheckResult]:
     chart = make_chart(f"CP({p.m},{p.mu!r})")
     checks = []
     worst_rel = worst_dj = 0.0
-    for x in chart.sample_points(p.seed, p.chart_points):
-        point, R = curvature_at(chart, x, cfg)
+    xs = chart.sample_points(p.seed, p.chart_points)
+    curvatures = [curvature_at(chart, x, cfg) for x in xs]
+    for x, (point, R) in zip(xs, curvatures):
         target = complex_space_form_tensor(point, p.mu)
         worst_rel = max(
             worst_rel, invariant_norm(point, R - target) / invariant_norm(point, target)
@@ -536,10 +529,8 @@ def _identities_cp(p: ScenarioParams) -> list[CheckResult]:
         _vanish("chart_nabla_j", "the chart is Kahler: nabla J vanishes",
                 worst_dj, tol.tol_fd1)
     )
-    x = chart.sample_points(p.seed, 1)[0]
-    point, R = curvature_at(chart, x, cfg)
-    fam = ricci_family(point, R, sym_tol=10.0 * tol.tol_fd1)
-    suite = nk_identity_suite(chart, x, cfg, seed=p.seed)
+    fam = ricci_family(*curvatures[0], sym_tol=10.0 * tol.tol_fd1)
+    suite = nk_identity_suite(chart, xs[0], cfg, seed=p.seed)
     checks.extend([
         _vanish("chart_nk", "Kahler charts are nearly Kahler", suite.nk, tol.tol_fd1),
         _vanish("chart_id_1_1", "both sides of the J-rotation pairing vanish",

@@ -86,15 +86,20 @@ def test_cd_batch_with_one_point_outside_ball_raises(outside):
 
 
 def _counted_metric(chart):
-    """The chart with ``metric_at`` wrapped by a counter of calls and points."""
-    count = {"calls": 0, "points": 0}
+    """The chart with ``metric_at`` wrapped by a counter of calls and points,
+    and ``J_at`` by a counter of calls."""
+    count = {"calls": 0, "points": 0, "J_calls": 0}
 
     def metric_at(x):
         count["calls"] += 1
         count["points"] += x[..., 0].size
         return chart.metric_at(x)
 
-    return dataclasses.replace(chart, metric_at=metric_at), count
+    def J_at(x):
+        count["J_calls"] += 1
+        return chart.J_at(x)
+
+    return dataclasses.replace(chart, metric_at=metric_at, J_at=J_at), count
 
 
 def test_curvature_makes_a_fixed_number_of_metric_calls():
@@ -114,7 +119,23 @@ def test_curvature_makes_a_fixed_number_of_metric_calls():
 def test_suite_metric_calls_stay_batched():
     chart, count = _counted_metric(make_chart("CP(5,1)"))
     nk_identity_suite(chart, chart.sample_points(3, 1)[0], CFG, seed=3)
-    assert count["calls"] <= 1500  # 70,766 single-point calls before batching
+    # 5 batched geometry evaluations of 26 calls, and one per validated point;
+    # 70,766 single-point calls before batching, 1,137 before the shared geometry
+    assert count["calls"] <= 200
+    assert count["points"] <= 70725
+
+
+@pytest.mark.parametrize("desc", ["S6(1)", "CP(5,1)"])
+def test_derivative_evaluators_make_fixed_call_counts(desc):
+    """Gamma costs one metric call at x and one per step and sign; nabla J and
+    nabla^2 J evaluate Gamma and J at x and at the 4n stencil points."""
+    chart, count = _counted_metric(make_chart(desc))
+    x = chart.sample_points(3, 1)[0]
+    j_derivatives_at(chart, x, CFG)
+    assert (count["calls"], count["J_calls"]) == (25, 25)
+    chart, count = _counted_metric(make_chart(desc))
+    christoffel_at(chart, x, CFG)
+    assert (count["calls"], count["J_calls"]) == (5, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -331,20 +352,30 @@ def test_bianchi_suite(desc):
 
 @pytest.mark.parametrize("richardson, stencil", [(True, 4), (False, 2)])
 def test_suite_evaluates_curvature_once_per_stencil_point(monkeypatch, richardson, stencil):
-    """One call evaluates the curvature at x and at each of the stencil points
-    around it (two per axis and step, two steps with Richardson), no more."""
-    calls = []
-    original = charts.curvature_at
+    """One call evaluates the geometry once at x and once per step and sign on
+    the n stencil points around it (two steps with Richardson), no more."""
+    batches, gamma_at_x = [], []
+    geometry, christoffel = charts._geometry, charts._christoffel
 
-    def counted(chart, y, cfg):
-        calls.append(y)
-        return original(chart, y, cfg)
+    def counted(chart, Y, cfg):
+        batches.append(Y[..., 0].size)
+        return geometry(chart, Y, cfg)
 
-    monkeypatch.setattr(charts, "curvature_at", counted)
+    def counted_christoffel(chart, Y, cfg):
+        if Y.ndim == 1:
+            gamma_at_x.append(Y)
+        return christoffel(chart, Y, cfg)
+
+    monkeypatch.setattr(charts, "_geometry", counted)
+    monkeypatch.setattr(charts, "_christoffel", counted_christoffel)
+    for public in ("christoffel_at", "curvature_at", "j_derivatives_at"):
+        monkeypatch.setattr(charts, public, None)  # the suite never calls these
     chart = make_chart("S6(1)")
     x = chart.sample_points(25, 1)[0]
     nk_identity_suite(chart, x, FDConfig(richardson=richardson), seed=0)
-    assert len(calls) == stencil * chart.n + 1
+    assert len(batches) == stencil + 1
+    assert sum(batches) == stencil * chart.n + 1
+    assert len(gamma_at_x) == 1
 
 
 def test_id_1_1_second_order_convergence():

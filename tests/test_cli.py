@@ -3,11 +3,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bochnerkit
 from bochnerkit.cli import cli_dispatch
 
 
@@ -129,6 +134,24 @@ def test_bad_model_input_exits_2_with_one_line(argv, capsys):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tensor", "CP(1,1e308)", "--quiet"],
+    ["identities", "S6(1e-300)", "--points", "1"],
+    ["identities", "CD(1,-1e300)", "--points", "1"],
+])
+def test_floating_point_failure_exits_2_with_one_line(argv):
+    """Overflow or an invalid value ends in one error line and no numpy warning.
+    Runs in a subprocess, because pytest captures warnings before stderr."""
+    src = str(Path(bochnerkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "bochnerkit", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: numerical failure in the model: ")
+    assert proc.stderr.count("\n") == 1
 
 
 _NUMBER = st.one_of(
