@@ -45,11 +45,11 @@ __all__ = [
     "rhs_2_1",
     "nk_flat_form_3_4",
     "antiholo_4frame_defect",
-    "sample_antiholomorphic_frame",
+    "sample_antiholomorphic_frames",
 ]
 
-_CONSTRAINT_TOL = 1e-10  # pairing with earlier frame vectors a new vector may keep
-_MAX_ATTEMPTS = 200  # draws before the frame sampler gives up
+_CONSTRAINT_TOL = 1e-10  # Gram and J-pairing defect a sampled frame may keep
+_FRAME_BLOCK = 1024  # frames drawn and evaluated at once by antiholo_4frame_defect
 
 
 class DimensionTooSmallError(ValueError):
@@ -68,7 +68,7 @@ class NotRKError(ValueError):
 
 
 class FrameSamplingError(RuntimeError):
-    """Constraint projection failed repeatedly while sampling frames."""
+    """No such frame exists, or a sampled frame misses the constraint tolerance."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,50 +209,46 @@ def nk_flat_form_3_4(point: HermitianPoint, S: SymBilinear, tau: float) -> CurvT
     )
 
 
-def sample_antiholomorphic_frame(
+def sample_antiholomorphic_frames(
     point: HermitianPoint,
     rng: np.random.Generator,
+    samples: int,
     count: int,
 ) -> np.ndarray:
-    """Orthonormal vectors v_1..v_count whose span is orthogonal to its J-image.
+    """``samples`` frames (samples, count, n) of orthonormal vectors v_1..v_count
+    whose span is orthogonal to its J-image.
 
-    Each new vector is projected (twice, for numerical orthogonality) against
-    every previous vector and its J-image, then normalized; self-pairing
-    g(v, Jv) vanishes identically because g(., J.) is antisymmetric.  Raises
-    :class:`FrameSamplingError` with the attempt count if projection keeps
-    collapsing (needs dim >= 2 * count).
+    One normal draw is projected slot by slot (twice, for numerical
+    orthogonality) against the earlier vectors of each frame and their
+    J-images, then normalized; self-pairing g(v, Jv) vanishes identically
+    because g(., J.) is antisymmetric.  Raises :class:`FrameSamplingError`
+    when dim < 2 * count, or when any frame's Gram matrix or J-pairing then
+    misses ``_CONSTRAINT_TOL``; there is no retry.
     """
     g, J = point.g_mat, point.J
     if point.dim < 2 * count:
         raise FrameSamplingError(
             f"no {count}-frame with antiholomorphic span exists in dimension {point.dim}"
         )
-    frame: list[np.ndarray] = []
-    obstacles: list[np.ndarray] = []
-    attempts = 0
-    while len(frame) < count:
-        attempts += 1
-        if attempts > _MAX_ATTEMPTS:
-            raise FrameSamplingError(
-                f"constraint projection failed {_MAX_ATTEMPTS} times "
-                f"(collected {len(frame)}/{count} vectors)"
-            )
-        v = rng.standard_normal(point.dim)
+    V = rng.standard_normal((samples, count, point.dim))
+    obstacles: list[np.ndarray] = []  # earlier vectors and J-images, each (samples, n)
+    for i in range(count):
+        v = V[:, i]
         for _ in range(2):
             for u in obstacles:
-                v = v - (u @ g @ v) * u
-        nrm2 = float(v @ g @ v)
-        if nrm2 < 1e-12:
-            continue
-        v = v / np.sqrt(nrm2)
-        residual = max((abs(u @ g @ v) for u in obstacles), default=0.0)
-        if residual > _CONSTRAINT_TOL:
-            continue
-        Jv = J @ v
-        Jv = Jv / np.sqrt(float(Jv @ g @ Jv))
-        frame.append(v)
+                v = v - np.sum((u @ g) * v, axis=-1, keepdims=True) * u
+        v = v / np.sqrt(np.sum((v @ g) * v, axis=-1, keepdims=True))
+        Jv = v @ J.T
+        Jv = Jv / np.sqrt(np.sum((Jv @ g) * Jv, axis=-1, keepdims=True))
+        V[:, i] = v
         obstacles.extend([v, Jv])
-    return np.array(frame)
+    Vg, Vt = V @ g, np.swapaxes(V, 1, 2)  # Gram matrix Vg @ Vt, J-pairing Vg @ J @ Vt
+    defect = max(np.max(np.abs(Vg @ Vt - np.eye(count))), np.max(np.abs(Vg @ J @ Vt)))
+    if not defect <= _CONSTRAINT_TOL:  # also catches NaN from a collapsed vector
+        raise FrameSamplingError(
+            f"frame constraint defect {defect:.3e} above tolerance {_CONSTRAINT_TOL:.1e}"
+        )
+    return V
 
 
 def antiholo_4frame_defect(
@@ -264,15 +260,20 @@ def antiholo_4frame_defect(
     """Largest |R(x, y, z, u)| over sampled orthonormal antiholomorphic 4-frames.
 
     Returns ``None`` below dimension 8: a 4-dimensional antiholomorphic plane
-    together with its J-image needs 8 dimensions.  Deterministic given the
-    seed; the max-reduction makes the result order-independent.
+    together with its J-image needs 8 dimensions.  Frames are drawn and
+    evaluated ``_FRAME_BLOCK`` at a time from one seeded stream, so memory does
+    not grow with ``samples``; they are the frames of one unblocked draw.
     """
     _check_same_dim(point.dim, R.dim)
-    if point.dim < 8:
+    n = point.dim
+    if n < 8:
         return None
     rng = np.random.default_rng(seed)
+    R2 = R.components.reshape(n * n, n * n)  # (x y) pair against (z u) pair
     worst = 0.0
-    for _ in range(samples):
-        x, y, z, u = sample_antiholomorphic_frame(point, rng, 4)
-        worst = max(worst, abs(R(x, y, z, u)))
+    for start in range(0, samples, _FRAME_BLOCK):
+        F = sample_antiholomorphic_frames(point, rng, min(_FRAME_BLOCK, samples - start), 4)
+        xy = (F[:, 0, :, None] * F[:, 1, None, :]).reshape(-1, n * n)
+        zu = (F[:, 2, :, None] * F[:, 3, None, :]).reshape(-1, n * n)
+        worst = max(worst, float(np.max(np.abs(np.sum((xy @ R2) * zu, axis=-1)))))
     return worst

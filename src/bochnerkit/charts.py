@@ -30,10 +30,10 @@ from typing import Callable
 import numpy as np
 
 from .curvature import (
-    HermitianPoint, standard_J, validate_point,
-    _id_1_5_contraction, _j_twisted_ricci, _ricci, _rotate, _trace,
+    HermitianPoint, PointValidationError, point_violations, standard_J, validate_point,
+    _id_1_5_contraction, _ricci, _rotate, _trace,
 )
-from .multilinear import CurvTensor, _norm_sq_rank2
+from .multilinear import CurvTensor, NonFiniteError, _norm_sq_rank2
 from .octonion import cross_operator
 
 __all__ = [
@@ -399,12 +399,12 @@ def _grad_field(f, x, cfg):
     return central(cfg.h)
 
 
-def _christoffel(chart: ChartModel, X: np.ndarray, cfg: FDConfig) -> np.ndarray:
-    """Connection coefficients at the points ``X`` (..., n); no margin check."""
-    g_inv = np.linalg.inv(chart.metric_at(X))
+def _christoffel(chart: ChartModel, X: np.ndarray, cfg: FDConfig) -> tuple[np.ndarray, ...]:
+    """Metric and connection coefficients at the points ``X`` (..., n); no margin check."""
+    g = chart.metric_at(X)
     dg = _grad_field(chart.metric_at, X, cfg)  # dg[..., i, j, l] = d_i g_{jl}
     t = dg + np.einsum("...jil->...ijl", dg) - np.einsum("...lij->...ijl", dg)
-    return 0.5 * np.einsum("...kl,...ijl->...kij", g_inv, t)
+    return g, 0.5 * np.einsum("...kl,...ijl->...kij", np.linalg.inv(g), t)
 
 
 def _covariant(G: np.ndarray, T: np.ndarray, dT: np.ndarray, variance: str) -> np.ndarray:
@@ -426,28 +426,33 @@ def _covariant(G: np.ndarray, T: np.ndarray, dT: np.ndarray, variance: str) -> n
     return out
 
 
-def _riemann(chart: ChartModel, X: np.ndarray, G: np.ndarray, cfg: FDConfig) -> np.ndarray:
-    """Covariant curvature at the points ``X`` (..., n) with connection ``G``; no margin check."""
-    dG = _grad_field(lambda Y: _christoffel(chart, Y, cfg), X, cfg)
+def _riemann(chart: ChartModel, X: np.ndarray, cfg: FDConfig) -> tuple[np.ndarray, ...]:
+    """Metric, connection and covariant curvature at the points ``X`` (..., n); no margin check."""
+    g, G = _christoffel(chart, X, cfg)
+    dG = _grad_field(lambda Y: _christoffel(chart, Y, cfg)[1], X, cfg)
     R_up = (
         np.einsum("...iqjk->...ijkq", dG)
         - np.einsum("...jqik->...ijkq", dG)
         + np.einsum("...pjk,...qip->...ijkq", G, G)
         - np.einsum("...pik,...qjp->...ijkq", G, G)
     )
-    return np.einsum("...ijkq,...ql->...ijkl", R_up, chart.metric_at(X))
+    return g, G, np.einsum("...ijkq,...ql->...ijkl", R_up, g)
 
 
-def _nabla_j(chart: ChartModel, X: np.ndarray, G: np.ndarray, cfg: FDConfig) -> np.ndarray:
-    """(nabla_a J)^k_j at the points ``X`` (..., n) with connection ``G``; no margin check."""
-    return _covariant(G, chart.J_at(X), _grad_field(chart.J_at, X, cfg), "ul")
+def _nabla_j(
+    chart: ChartModel, X: np.ndarray, G: np.ndarray, cfg: FDConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """J and (nabla_a J)^k_j at the points ``X`` (..., n) with connection ``G``; no margin check."""
+    J = chart.J_at(X)
+    return J, _covariant(G, J, _grad_field(chart.J_at, X, cfg), "ul")
 
 
 def _geometry(chart: ChartModel, X: np.ndarray, cfg: FDConfig) -> tuple[np.ndarray, ...]:
-    """Gamma, nabla J and R at the points ``X`` (..., n), all three from one
-    Christoffel evaluation per point; no margin check."""
-    G = _christoffel(chart, X, cfg)
-    return G, _nabla_j(chart, X, G, cfg), _riemann(chart, X, G, cfg)
+    """g, J, Gamma, nabla J and R at the points ``X`` (..., n), with g and J read
+    once and one Christoffel evaluation per point; no margin check."""
+    g, G, R = _riemann(chart, X, cfg)
+    J, nJ = _nabla_j(chart, X, G, cfg)
+    return g, J, G, nJ, R
 
 
 def christoffel_at(chart: ChartModel, x: np.ndarray, cfg: FDConfig) -> np.ndarray:
@@ -457,7 +462,7 @@ def christoffel_at(chart: ChartModel, x: np.ndarray, cfg: FDConfig) -> np.ndarra
     in the lower pair exactly by construction.
     """
     chart.require_margin(x, 2 * cfg.h)
-    return _christoffel(chart, x, cfg)
+    return _christoffel(chart, x, cfg)[1]
 
 
 def curvature_at(
@@ -472,8 +477,8 @@ def curvature_at(
                            + Gamma^p_{jk} Gamma^q_{ip} - Gamma^p_{ik} Gamma^q_{jp}).
     """
     chart.require_margin(x, 4 * cfg.h)
-    R = _riemann(chart, x, _christoffel(chart, x, cfg), cfg)
-    return chart.point_at(x), CurvTensor(chart.n, R)
+    g, _, R = _riemann(chart, x, cfg)
+    return validate_point(g, chart.J_at(x)), CurvTensor(chart.n, R)
 
 
 def j_derivatives_at(
@@ -486,9 +491,9 @@ def j_derivatives_at(
     the nabla-J field, all three slots corrected).
     """
     chart.require_margin(x, 4 * cfg.h)
-    G = _christoffel(chart, x, cfg)
-    nJ = _nabla_j(chart, x, G, cfg)
-    dnJ = _grad_field(lambda Y: _nabla_j(chart, Y, _christoffel(chart, Y, cfg), cfg), x, cfg)
+    G = _christoffel(chart, x, cfg)[1]
+    nJ = _nabla_j(chart, x, G, cfg)[1]
+    dnJ = _grad_field(lambda Y: _nabla_j(chart, Y, _christoffel(chart, Y, cfg)[1], cfg)[1], x, cfg)
     return nJ, _covariant(G, nJ, dnJ, "lul")
 
 
@@ -536,16 +541,18 @@ def _max_multilinear(T: np.ndarray, vector_sets: list[np.ndarray]) -> float:
     return float(np.max(np.abs(out)))
 
 
-def _pack(point: HermitianPoint, R: CurvTensor, nJ: np.ndarray) -> np.ndarray:
-    """R, S, S - S', tau, tau - tau' and nabla J at one point packed into one
-    flat array, so one finite-difference pass differentiates all of them."""
-    gi, R = point.g_inv, R.components
+def _pack(g: np.ndarray, J: np.ndarray, R: np.ndarray, nJ: np.ndarray) -> np.ndarray:
+    """R, S, S - S', tau, tau - tau' and nabla J at a batch of points, one flat
+    array per point, so one finite-difference pass differentiates all of them;
+    g^-1 is formed as :class:`HermitianPoint` forms it."""
+    gi = np.linalg.inv(0.5 * (g + np.swapaxes(g, -1, -2)))
+    gi = 0.5 * (gi + np.swapaxes(gi, -1, -2))
+    J4 = J[..., None, None, :, :]
     S = _ricci(gi, R)
-    Sp = _j_twisted_ricci(gi, point.J, R)
-    tau = _trace(gi, S)
-    return np.concatenate(
-        [R.ravel(), S.ravel(), (S - Sp).ravel(), [tau, tau - _trace(gi, Sp)], nJ.ravel()]
-    )
+    Sp = _ricci(gi, np.swapaxes(J4, -1, -2) @ R @ J4)  # traced R(X, Y, JZ, JU)
+    tau, tau_p = (np.einsum("...ad,...ad->...", gi, Q) for Q in (S, Sp))
+    flat = [T.reshape(R.shape[:-4] + (-1,)) for T in (R, S, S - Sp, nJ)]
+    return np.concatenate(flat[:3] + [np.stack([tau, tau - tau_p], axis=-1), flat[3]], axis=-1)
 
 
 def nk_identity_suite(
@@ -557,19 +564,23 @@ def nk_identity_suite(
     chart itself fails the nearly Kahler condition beyond ``NK_THRESHOLD`` the
     dependent checks are aborted with :class:`NotNearlyKahlerError`.  The
     geometry is evaluated once at ``x`` and once per step and sign on the
-    stencil points around it, where (g, J) is validated point by point.
+    stencil points around it; each such batch of (g, J) is validated in one
+    pass, and a non-finite R on it raises :class:`NonFiniteError`.
     """
     chart.require_margin(x, 6 * cfg.h)
-    G, nJ, A = _geometry(chart, x, cfg)
-    point, A = chart.point_at(x), CurvTensor(chart.n, A).components
+    g, J, G, nJ, A = _geometry(chart, x, cfg)
+    point, A = validate_point(g, J), CurvTensor(chart.n, A).components
     g, gi, J = point.g_mat, point.g_inv, point.J
     n, m = chart.n, chart.n // 2
 
     def packed(Y: np.ndarray) -> np.ndarray:
-        _, nJ_Y, R_Y = _geometry(chart, Y, cfg)
-        return np.stack([
-            _pack(chart.point_at(y), CurvTensor(n, r), dj) for y, r, dj in zip(Y, R_Y, nJ_Y)
-        ])
+        g_Y, J_Y, _, nJ_Y, R_Y = _geometry(chart, Y, cfg)
+        violations = point_violations(g_Y, J_Y)
+        if violations:
+            raise PointValidationError(violations)
+        if not np.all(np.isfinite(R_Y)):
+            raise NonFiniteError("CurvTensor: components must be finite")
+        return _pack(g_Y, J_Y, R_Y, nJ_Y)
 
     V = np.random.default_rng(seed).standard_normal((NK_SAMPLES, n))
     V /= np.sqrt(np.einsum("vi,ij,vj->v", V, g, V))[:, None]  # seeded unit vectors

@@ -153,18 +153,20 @@ def flat_point(dim: int) -> HermitianPoint:
 def point_violations(g, J, tol: float = TOL_ALG) -> list[Violation]:
     """Check all Hermitian-point invariants; return every violation found.
 
-    ``g`` may be a :class:`SymBilinear` or a raw square array.
+    ``g`` may be a :class:`SymBilinear` or a raw square array; raw ``g`` and
+    ``J`` may share leading batch axes, and each violation then reports the
+    worst defect over the batch.
     """
     g_arr = np.asarray(g.components if isinstance(g, SymBilinear) else g, dtype=float)
     J_arr = np.asarray(J, dtype=float)
     violations: list[Violation] = []
 
-    if g_arr.ndim != 2 or g_arr.shape[0] != g_arr.shape[1]:
+    if g_arr.ndim < 2 or g_arr.shape[-1] != g_arr.shape[-2]:
         raise DimensionMismatchError(f"metric must be square, got shape {g_arr.shape}")
-    n = g_arr.shape[0]
-    if J_arr.shape != (n, n):
+    n = g_arr.shape[-1]
+    if J_arr.shape != g_arr.shape:
         raise DimensionMismatchError(
-            f"J shape {J_arr.shape} does not match metric dimension {n}"
+            f"J shape {J_arr.shape} does not match metric shape {g_arr.shape}"
         )
     if not (np.all(np.isfinite(g_arr)) and np.all(np.isfinite(J_arr))):
         violations.append(Violation("finite components", float("inf")))
@@ -172,7 +174,8 @@ def point_violations(g, J, tol: float = TOL_ALG) -> list[Violation]:
     if n % 2:
         violations.append(Violation("even dimension", float(n % 2)))
 
-    sym_defect = float(np.max(np.abs(g_arr - g_arr.T)))
+    g_t = np.swapaxes(g_arr, -1, -2)
+    sym_defect = float(np.max(np.abs(g_arr - g_t)))
     if sym_defect > tol:
         violations.append(Violation("metric symmetry", sym_defect))
 
@@ -181,12 +184,12 @@ def point_violations(g, J, tol: float = TOL_ALG) -> list[Violation]:
         violations.append(Violation("J squares to -identity", j_defect))
 
     try:
-        np.linalg.cholesky(0.5 * (g_arr + g_arr.T))
+        np.linalg.cholesky(0.5 * (g_arr + g_t))
     except np.linalg.LinAlgError:
-        min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (g_arr + g_arr.T))))
+        min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (g_arr + g_t))))
         violations.append(Violation("metric positive definite", abs(min(min_eig, 0.0))))
 
-    compat_defect = float(np.max(np.abs(J_arr.T @ g_arr @ J_arr - g_arr)))
+    compat_defect = float(np.max(np.abs(np.swapaxes(J_arr, -1, -2) @ g_arr @ J_arr - g_arr)))
     if compat_defect > tol:
         violations.append(Violation("Hermitian compatibility g(JX,JY)=g(X,Y)", compat_defect))
 
@@ -194,13 +197,14 @@ def point_violations(g, J, tol: float = TOL_ALG) -> list[Violation]:
 
 
 def validate_point(g, J, tol: float = TOL_ALG) -> HermitianPoint:
-    """Validate (g, J) and return a :class:`HermitianPoint`, or raise with all violations."""
+    """Validate one (g, J) and return a :class:`HermitianPoint`, or raise with all violations."""
     violations = point_violations(g, J, tol)
     if violations:
         raise PointValidationError(violations)
     g_arr = np.asarray(g.components if isinstance(g, SymBilinear) else g, dtype=float)
-    n = g_arr.shape[0]
-    return HermitianPoint(n, SymBilinear(n, 0.5 * (g_arr + g_arr.T)), np.asarray(J, dtype=float))
+    n = g_arr.shape[-1]
+    g_sym = 0.5 * (g_arr + np.swapaxes(g_arr, -1, -2))
+    return HermitianPoint(n, SymBilinear(n, g_sym), np.asarray(J, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +309,7 @@ class RicciFamily:
 
 
 def _ricci(g_inv: np.ndarray, R: np.ndarray) -> np.ndarray:
-    return np.einsum("bc,abcd->ad", g_inv, R)
+    return np.einsum("...bc,...abcd->...ad", g_inv, R)
 
 
 def _j_twisted_ricci(g_inv: np.ndarray, J: np.ndarray, R: np.ndarray) -> np.ndarray:

@@ -24,10 +24,9 @@ from .bochner import (
     generalized_bochner,
     nk_flat_form_3_4,
     rk_bochner,
-    sample_antiholomorphic_frame,
+    sample_antiholomorphic_frames,
 )
 from .charts import (
-    ChartModel,
     ChartSpec,
     FDConfig,
     curvature_at,
@@ -299,40 +298,6 @@ def _cor22(p: ScenarioParams) -> list[CheckResult]:
     return checks
 
 
-def _s6_chart_checks(p: ScenarioParams, chart: ChartModel) -> list[CheckResult]:
-    tol = p.tolerances
-    cfg = p.fd_config()
-    checks = []
-    worst_rel = 0.0
-    for x in chart.sample_points(p.seed, p.chart_points):
-        point, R = curvature_at(chart, x, cfg)
-        target = space_form_tensor(point, chart.scale)
-        rel = invariant_norm(point, R - target) / invariant_norm(point, target)
-        worst_rel = max(worst_rel, rel)
-    checks.append(
-        _vanish(
-            "chart_curvature_matches_model",
-            "finite-difference curvature of the round six-sphere chart matches "
-            "the constant-curvature tensor",
-            worst_rel,
-            tol.tol_fd2,
-        )
-    )
-    x = chart.sample_points(p.seed, 1)[0]
-    suite = nk_identity_suite(chart, x, cfg, seed=p.seed)
-    checks.append(_vanish("chart_nk", "the chart is nearly Kahler", suite.nk, tol.tol_fd1))
-    for name, value, claim in (
-        ("chart_id_1_1", suite.id_1_1, "curvature J-rotation defect equals the nabla-J pairing"),
-        ("chart_id_1_2", suite.id_1_2, "second derivatives of J are determined by curvature"),
-        ("chart_id_1_3", suite.id_1_3, "the derivative of the twisted Ricci difference couples to nabla J"),
-        ("chart_id_1_5", suite.id_1_5, "the twisted Ricci contraction vanishes"),
-        ("chart_id_3_2", suite.id_3_2, "the Ricci difference is a multiple of the metric"),
-        ("chart_id_3_3", suite.id_3_3, "the scalar traces sit in the 5:1 ratio"),
-    ):
-        checks.append(_vanish(name, claim, value, tol.tol_fd2))
-    return checks
-
-
 def _thm31_s6(p: ScenarioParams) -> list[CheckResult]:
     tol = p.tolerances.tol_alg
     point = flat_point(6)
@@ -340,7 +305,7 @@ def _thm31_s6(p: ScenarioParams) -> list[CheckResult]:
     fam = ricci_family(point, R)
     out = rk_bochner(point, R)
     flat_form = nk_flat_form_3_4(point, fam.S, fam.tau)
-    checks = [
+    return [
         _vanish("b_vanishes", "the round six-sphere has vanishing corrected curvature",
                 out.norm, tol),
         _vanish("tau_value", "scalar trace equals 30c on the six-sphere",
@@ -358,8 +323,6 @@ def _thm31_s6(p: ScenarioParams) -> list[CheckResult]:
                 "the closed 5:1-ratio curvature form reproduces the six-sphere tensor",
                 invariant_norm(point, flat_form - R), tol),
     ]
-    checks.extend(_s6_chart_checks(p, make_chart(f"S6({p.c!r})")))
-    return checks
 
 
 def _mixed_component_max(R: CurvTensor, n1: int) -> float:
@@ -480,10 +443,10 @@ def _cor33_spotcheck(p: ScenarioParams) -> list[CheckResult]:
                     "vanishing corrected curvature",
                     rk_bochner(point, R).norm, tol)
         )
-        worst = 0.0
-        for _ in range(16):
-            X, Y = sample_antiholomorphic_frame(point, rng, 2)
-            worst = max(worst, abs(ahsc(point, R, X, Y) - expected))
+        worst = max(
+            abs(ahsc(point, R, X, Y) - expected)
+            for X, Y in sample_antiholomorphic_frames(point, rng, 16, 2)
+        )
         checks.append(
             _vanish(f"ahsc_constant_{label}",
                     "sampled antiholomorphic planes all report the model constant",
@@ -493,8 +456,32 @@ def _cor33_spotcheck(p: ScenarioParams) -> list[CheckResult]:
 
 
 def _identities_s6(p: ScenarioParams) -> list[CheckResult]:
+    tol = p.tolerances
+    cfg = p.fd_config()
     chart = make_chart(f"S6({p.c!r})")
-    return _s6_chart_checks(p, chart)
+    worst_rel = 0.0
+    for x in chart.sample_points(p.seed, p.chart_points):
+        point, R = curvature_at(chart, x, cfg)
+        target = space_form_tensor(point, chart.scale)
+        rel = invariant_norm(point, R - target) / invariant_norm(point, target)
+        worst_rel = max(worst_rel, rel)
+    suite = nk_identity_suite(chart, chart.sample_points(p.seed, 1)[0], cfg, seed=p.seed)
+    checks = [
+        _vanish("chart_curvature_matches_model",
+                "finite-difference curvature of the round six-sphere chart matches "
+                "the constant-curvature tensor", worst_rel, tol.tol_fd2),
+        _vanish("chart_nk", "the chart is nearly Kahler", suite.nk, tol.tol_fd1),
+    ]
+    for name, value, claim in (
+        ("chart_id_1_1", suite.id_1_1, "curvature J-rotation defect equals the nabla-J pairing"),
+        ("chart_id_1_2", suite.id_1_2, "second derivatives of J are determined by curvature"),
+        ("chart_id_1_3", suite.id_1_3, "the derivative of the twisted Ricci difference couples to nabla J"),
+        ("chart_id_1_5", suite.id_1_5, "the twisted Ricci contraction vanishes"),
+        ("chart_id_3_2", suite.id_3_2, "the Ricci difference is a multiple of the metric"),
+        ("chart_id_3_3", suite.id_3_3, "the scalar traces sit in the 5:1 ratio"),
+    ):
+        checks.append(_vanish(name, claim, value, tol.tol_fd2))
+    return checks
 
 
 def _identities_cp(p: ScenarioParams) -> list[CheckResult]:
@@ -505,6 +492,7 @@ def _identities_cp(p: ScenarioParams) -> list[CheckResult]:
     worst_rel = worst_dj = 0.0
     xs = chart.sample_points(p.seed, p.chart_points)
     curvatures = [curvature_at(chart, x, cfg) for x in xs]
+    pairs = np.random.default_rng(p.seed).standard_normal((8, 2, chart.n))  # (X, Y) pairs
     for x, (point, R) in zip(xs, curvatures):
         target = complex_space_form_tensor(point, p.mu)
         worst_rel = max(
@@ -512,14 +500,9 @@ def _identities_cp(p: ScenarioParams) -> list[CheckResult]:
         )
         nJ, _ = j_derivatives_at(chart, x, cfg)
         g = point.g_mat
-        rng = np.random.default_rng(p.seed)
-        for _ in range(8):
-            X = rng.standard_normal(point.dim)
-            Y = rng.standard_normal(point.dim)
-            X /= np.sqrt(X @ g @ X)
-            Y /= np.sqrt(Y @ g @ Y)
-            w = np.einsum("akj,a,j->k", nJ, X, Y)
-            worst_dj = max(worst_dj, float(np.sqrt(w @ g @ w)))
+        X, Y = np.moveaxis(pairs / np.sqrt(np.sum((pairs @ g) * pairs, -1, keepdims=True)), 1, 0)
+        w = np.einsum("akj,pa,pj->pk", nJ, X, Y)  # (nabla_X J) Y for each pair
+        worst_dj = max(worst_dj, float(np.sqrt(np.max(np.sum((w @ g) * w, -1)))))
     checks.append(
         _vanish("chart_curvature_matches_model",
                 "finite-difference curvature matches the constant holomorphic "

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bochnerkit import bochner
 from bochnerkit.bochner import (
     DimensionTooSmallError,
     FrameSamplingError,
@@ -14,13 +15,14 @@ from bochnerkit.bochner import (
     nk_flat_form_3_4,
     rhs_2_1,
     rk_bochner,
-    sample_antiholomorphic_frame,
+    sample_antiholomorphic_frames,
 )
 from bochnerkit.curvature import (
     complex_space_form_tensor,
     direct_sum,
     flat_point,
     random_curvature_tensor,
+    random_hermitian_point,
     ricci_family,
     rk_project,
     sigma_forms,
@@ -294,22 +296,50 @@ def test_flat_form_requires_dimension_six():
 # ---------------------------------------------------------------------------
 
 def test_frame_sampler_constraints():
-    point = flat_point(8)
-    rng = np.random.default_rng(0)
-    frame = sample_antiholomorphic_frame(point, rng, 4)
-    g, J = point.g_mat, point.J
-    for i in range(4):
-        for j in range(4):
-            expected = 1.0 if i == j else 0.0
-            assert float(frame[i] @ g @ frame[j]) == pytest.approx(expected, abs=1e-12)
-            assert abs(float(frame[i] @ g @ (J @ frame[j]))) < 1e-12
+    """Every frame of a 2048-frame batch is orthonormal and J-orthogonal, in
+    flat and in non-orthonormal coordinates."""
+    for n in (8, 10, 12):
+        for point in (flat_point(n), random_hermitian_point(n, seed=n)):
+            frames = sample_antiholomorphic_frames(point, np.random.default_rng(n), 2048, 4)
+            assert frames.shape == (2048, 4, n)
+            Fg = frames @ point.g_mat
+            gram = Fg @ np.swapaxes(frames, 1, 2)
+            pairing = Fg @ np.swapaxes(frames @ point.J.T, 1, 2)
+            assert np.max(np.abs(gram - np.eye(4))) < 1e-12
+            assert np.max(np.abs(pairing)) < 1e-12
 
 
 def test_frame_sampler_needs_room():
     point = flat_point(6)
     rng = np.random.default_rng(0)
     with pytest.raises(FrameSamplingError):
-        sample_antiholomorphic_frame(point, rng, 4)
+        sample_antiholomorphic_frames(point, rng, 1, 4)
+
+
+def _counterexample():
+    pa, pb = flat_point(4), flat_point(6)
+    return direct_sum(pa, complex_space_form_tensor(pa, -1.0), pb, space_form_tensor(pb, 1.0))
+
+
+def test_antiholo_defect_does_not_depend_on_blocking():
+    """A sample count that is not a multiple of the block size reads the same
+    stream as one unblocked draw, so the defect is the same."""
+    point, R = _counterexample()
+    samples = bochner._FRAME_BLOCK + 37
+    frames = sample_antiholomorphic_frames(point, np.random.default_rng(5), samples, 4)
+    values = np.einsum("ijkl,si,sj,sk,sl->s", R.components, *frames.transpose(1, 0, 2))
+    unblocked = float(np.max(np.abs(values)))
+    defect = antiholo_4frame_defect(point, R, samples=samples, seed=5)
+    assert defect == pytest.approx(unblocked, rel=1e-12)
+
+
+def test_antiholo_defect_matches_the_one_vector_sampler():
+    """The value the one-vector-at-a-time rejection sampler gave on the
+    counterexample at seed 7 and 512 samples; the batched sampler draws the
+    same normals and differs only by rounding."""
+    point, R = _counterexample()
+    defect = antiholo_4frame_defect(point, R, samples=512, seed=7)
+    assert defect == pytest.approx(0.14469212651426933, rel=1e-12)
 
 
 def test_antiholo_defect_absent_below_dim8():
@@ -339,10 +369,7 @@ def test_antiholo_defect_vanishes_on_line_times_sphere():
 
 
 def test_antiholo_defect_positive_on_counterexample():
-    pa, pb = flat_point(4), flat_point(6)
-    point, R = direct_sum(
-        pa, complex_space_form_tensor(pa, -1.0), pb, space_form_tensor(pb, 1.0)
-    )
+    point, R = _counterexample()
     defect = antiholo_4frame_defect(point, R, samples=256, seed=3)
     assert defect > 1e-3
 

@@ -20,12 +20,18 @@ from bochnerkit.charts import (
     parse_model_spec,
 )
 from bochnerkit.curvature import (
+    PointValidationError,
     complex_space_form_tensor,
     identity_defects,
     space_form_tensor,
     standard_J,
 )
-from bochnerkit.multilinear import TOL_ALG, curvature_symmetry_defects, invariant_norm
+from bochnerkit.multilinear import (
+    TOL_ALG,
+    NonFiniteError,
+    curvature_symmetry_defects,
+    invariant_norm,
+)
 
 CFG = FDConfig()
 
@@ -110,19 +116,26 @@ def test_curvature_makes_a_fixed_number_of_metric_calls():
         chart, count = _counted_metric(make_chart(desc))
         curvature_at(chart, chart.sample_points(3, 1)[0], CFG)
         counts[desc] = count
-    assert counts["S6(1)"]["calls"] == counts["CP(5,1)"]["calls"] < 30
-    # 4n Christoffel stencils of 4n + 1 points each, Gamma at x, g at x, the point
-    assert counts["S6(1)"]["points"] == 627
-    assert counts["CP(5,1)"]["points"] == 1683
+    # Gamma at x: 1 + 4 calls; dGamma: 4 calls of Gamma, 5 each.  Lowering R
+    # and validating the point reuse the g that Gamma at x read (27 calls and
+    # 627 / 1,683 points while they read it again)
+    assert counts["S6(1)"]["calls"] == counts["CP(5,1)"]["calls"] == 25
+    # Gamma at x and at its 4n stencil points, 4n + 1 metric points each: (4n + 1)^2
+    assert counts["S6(1)"]["points"] == 625
+    assert counts["CP(5,1)"]["points"] == 1681
 
 
 def test_suite_metric_calls_stay_batched():
     chart, count = _counted_metric(make_chart("CP(5,1)"))
     nk_identity_suite(chart, chart.sample_points(3, 1)[0], CFG, seed=3)
-    # 5 batched geometry evaluations of 26 calls, and one per validated point;
-    # 70,766 single-point calls before batching, 1,137 before the shared geometry
-    assert count["calls"] <= 200
-    assert count["points"] <= 70725
+    # 5 batched geometry evaluations (at x, then 2 steps x 2 signs on the n
+    # stencil points), each validated from the g and J it read:
+    #   metric: Gamma 5 (g among them) + dGamma 4 x 5 = 25 calls a batch, 125 in all;
+    #   J:      J 1 + dJ 4 = 5 calls a batch, 25 in all;
+    #   points: (4n + 1)^2 = 1,681 per geometry point at n = 10, x 41 = 68,921.
+    # 70,766 single-point calls before batching, 1,137 before the shared
+    # geometry, 171 (and 66 J calls) while each stencil point was validated alone
+    assert (count["calls"], count["J_calls"], count["points"]) == (125, 25, 68921)
 
 
 @pytest.mark.parametrize("desc", ["S6(1)", "CP(5,1)"])
@@ -376,6 +389,40 @@ def test_suite_evaluates_curvature_once_per_stencil_point(monkeypatch, richardso
     assert len(batches) == stencil + 1
     assert sum(batches) == stencil * chart.n + 1
     assert len(gamma_at_x) == 1
+
+
+def _perturbed_off(chart, x, field, perturb):
+    """``chart`` with ``field`` passed through ``perturb`` at every point but ``x``."""
+    def at(y):
+        value = getattr(chart, field)(y)
+        away = ~np.all(y == x, axis=-1)[..., None, None]
+        return np.where(away, perturb(value, y), value)
+
+    return dataclasses.replace(chart, **{field: at})
+
+
+def test_suite_validates_every_stencil_point():
+    """J scaled by 1.001 off x breaks J^2 = -1 on the stencil only; the
+    constant J keeps nabla J zero, so the nearly Kahler check passes first."""
+    chart = make_chart("CP(3,4)")
+    x = chart.sample_points(23, 1)[0]
+    bad = _perturbed_off(chart, x, "J_at", lambda J, y: 1.001 * J)
+    with pytest.raises(PointValidationError) as err:
+        nk_identity_suite(bad, x, CFG, seed=0)
+    assert "J squares to -identity" in [v.invariant for v in err.value.violations]
+
+
+def test_suite_rejects_non_finite_stencil_curvature():
+    """The curvature at x reads the metric up to 2h away and the curvature on
+    the stencil up to 3h: a metric that is NaN beyond 2.5h leaves (g, J) on
+    the stencil and R at x finite, and only the stencil curvature is not."""
+    chart = make_chart("CP(3,4)")
+    x = chart.sample_points(23, 1)[0]
+    far = lambda g, y: np.where(
+        (np.max(np.abs(y - x), axis=-1) > 2.5 * CFG.h)[..., None, None], np.nan, g
+    )
+    with pytest.raises(NonFiniteError):
+        nk_identity_suite(_perturbed_off(chart, x, "metric_at", far), x, CFG, seed=0)
 
 
 def test_id_1_1_second_order_convergence():

@@ -198,6 +198,19 @@ def test_quiet_suppresses_output(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_all_reports_the_s6_chart_checks_once(tmp_path):
+    """The S6 chart suite runs in identities_s6 only; thm31_s6 keeps its
+    algebraic checks."""
+    out = tmp_path / "all.json"
+    assert cli_dispatch(["all", "--seed", "7", "--quiet", "--json", str(out)]) == 0
+    names = {r["scenario"]: [c["name"] for c in r["checks"]]
+             for r in json.loads(out.read_text())["reports"]}
+    assert not [n for n in names["thm31_s6"] if n.startswith("chart_")]
+    s6_chart = ["chart_curvature_matches_model", "chart_nk", "chart_id_1_1", "chart_id_1_2",
+                "chart_id_1_3", "chart_id_1_5", "chart_id_3_2", "chart_id_3_3"]
+    assert sorted(names["identities_s6"]) == sorted(s6_chart)
+
+
 @pytest.mark.slow
 def test_all_seed7_byte_identical(tmp_path):
     """Two identical invocations serialize to identical bytes."""
