@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bochner import DimensionTooSmallError, generalized_bochner, rk_bochner
+from .bochner import DimensionTooSmallError, NotRKError, generalized_bochner, rk_bochner
 from .charts import (
     ChartSpec,
     ChartSpecError,
@@ -81,9 +81,19 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--tol-alg", type=float, default=1e-12,
+    common.add_argument("--tol-alg", type=_positive, default=1e-12,
                         help="tolerance for exact-formula algebra (default 1e-12)")
     common.add_argument("--tol-fd1", type=float, default=1e-6,
                         help="tolerance for first-derivative identities (default 1e-6)")
@@ -356,7 +366,7 @@ def cli_dispatch(argv: Sequence[str]) -> int:
         # an overflow or invalid value is an input the model cannot evaluate
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return _COMMANDS[args.command](args)
-    except (ChartSpecError, FDConfigError, MarginError, NotNearlyKahlerError,
+    except (ChartSpecError, FDConfigError, MarginError, NotNearlyKahlerError, NotRKError,
             ScenarioParamError, UnknownScenarioError, DocumentFormatError,
             PointValidationError, SymmetryError, DimensionTooSmallError,
             NonFiniteError, OSError) as exc:

@@ -320,9 +320,15 @@ def _trace(g_inv: np.ndarray, Q: np.ndarray) -> float:
     return float(np.einsum("ad,ad->", g_inv, Q))
 
 
-def _id_1_5_contraction(g_inv: np.ndarray, S: np.ndarray, Sp: np.ndarray) -> float:
-    """The contraction of S - S' against S - 5 S' (identity 1.5 says it vanishes)."""
-    return float(np.einsum("ac,bd,ab,cd->", g_inv, g_inv, S - Sp, S - 5.0 * Sp))
+def _ricci_identities(point: HermitianPoint, R: CurvTensor) -> tuple[float, float, float]:
+    """Residuals ``id_1_5``, ``id_3_2`` and ``id_3_3`` of ``charts.NKIdentityReport``."""
+    gi, A = point.g_inv, R.components
+    S, Sp = _ricci(gi, A), _j_twisted_ricci(gi, point.J, A)
+    tau, tau_p = _trace(gi, S), _trace(gi, Sp)
+    id_1_5 = float(np.einsum("ac,bd,ab,cd->", gi, gi, S - Sp, S - 5.0 * Sp))
+    rel_3_2 = S - Sp - ((tau - tau_p) / (2.0 * point.m)) * point.g_mat
+    id_3_2 = float(np.sqrt(max(_norm_sq_rank2(gi, rel_3_2), 0.0)))
+    return abs(id_1_5), id_3_2, abs(tau - 5.0 * tau_p)
 
 
 def _symmetrized(Q: np.ndarray, tol: float, what: str) -> np.ndarray:
@@ -499,7 +505,7 @@ def identity_defects(
         kahler=float(np.max(np.abs(A - RJ34))),
         rk=float(np.max(np.abs(A - RJ4))),
         star_relation=float(np.sqrt(max(_norm_sq_rank2(gi, rel), 0.0))),
-        id_1_5=abs(_id_1_5_contraction(gi, S, Sp)),
+        id_1_5=_ricci_identities(point, R)[0],
     )
 
 

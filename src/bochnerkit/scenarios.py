@@ -27,8 +27,10 @@ from .bochner import (
     sample_antiholomorphic_frames,
 )
 from .charts import (
+    ChartModel,
     ChartSpec,
     FDConfig,
+    NKIdentityReport,
     curvature_at,
     j_derivatives_at,
     make_chart,
@@ -37,7 +39,7 @@ from .charts import (
 )
 from .curvature import (
     HermitianPoint,
-    _id_1_5_contraction,
+    _ricci_identities,
     ahsc,
     complex_space_form_tensor,
     direct_sum,
@@ -216,7 +218,7 @@ def _csf_product(dims_mus: list[tuple[int, float]]) -> tuple[HermitianPoint, Cur
 # scenarios
 # ---------------------------------------------------------------------------
 
-def _thm21_forward(p: ScenarioParams) -> list[CheckResult]:
+def _thm21_forward(p: ScenarioParams, suites: dict) -> list[CheckResult]:
     tol = p.tolerances.tol_alg
     point, R = _csf_product([(p.k, p.mu), (p.m - p.k, -p.mu)])
     out = generalized_bochner(point, R)
@@ -234,7 +236,7 @@ def _thm21_forward(p: ScenarioParams) -> list[CheckResult]:
 _EPSILONS = (1e-3, 1e-2, 1e-1)
 
 
-def _thm21_converse(p: ScenarioParams) -> list[CheckResult]:
+def _thm21_converse(p: ScenarioParams, suites: dict) -> list[CheckResult]:
     tol = p.tolerances.tol_alg
     checks = []
     point, R = _csf_product([(p.k, p.mu), (p.m - p.k, -p.mu)])
@@ -272,7 +274,7 @@ def _thm21_converse(p: ScenarioParams) -> list[CheckResult]:
     return checks
 
 
-def _cor22(p: ScenarioParams) -> list[CheckResult]:
+def _cor22(p: ScenarioParams, suites: dict) -> list[CheckResult]:
     tol = p.tolerances.tol_alg
     zero_pt, zero_R = _csf_product([(1, 0.0), (1, 0.0), (1, 0.0)])
     flat_norm = generalized_bochner(zero_pt, zero_R).norm
@@ -298,7 +300,7 @@ def _cor22(p: ScenarioParams) -> list[CheckResult]:
     return checks
 
 
-def _thm31_s6(p: ScenarioParams) -> list[CheckResult]:
+def _thm31_s6(p: ScenarioParams, suites: dict) -> list[CheckResult]:
     tol = p.tolerances.tol_alg
     point = flat_point(6)
     R = space_form_tensor(point, p.c)
@@ -317,8 +319,7 @@ def _thm31_s6(p: ScenarioParams) -> list[CheckResult]:
         _vanish("star_relation", "four times the symmetrized Ricci equals S + 3S'",
                 invariant_norm(point, 4.0 * fam.S_star - (fam.S + 3.0 * fam.S_prime)), tol),
         _vanish("twisted_contraction", "the twisted Ricci contraction vanishes",
-                abs(_id_1_5_contraction(point.g_inv, fam.S.components,
-                                        fam.S_prime.components)), tol),
+                _ricci_identities(point, R)[0], tol),
         _vanish("flat_form_reconstruction",
                 "the closed 5:1-ratio curvature form reproduces the six-sphere tensor",
                 invariant_norm(point, flat_form - R), tol),
@@ -332,7 +333,7 @@ def _mixed_component_max(R: CurvTensor, n1: int) -> float:
     return float(np.max(np.abs(inside)))
 
 
-def _thm31_product(p: ScenarioParams) -> list[CheckResult]:
+def _thm31_product(p: ScenarioParams, suites: dict) -> list[CheckResult]:
     tol = p.tolerances
     desc = f"PRODUCT(CD(1,{-p.c!r}),S6({p.c!r}))"
     point, R, _ = make_model(desc)
@@ -349,8 +350,8 @@ def _thm31_product(p: ScenarioParams) -> list[CheckResult]:
     cfg = p.fd_config()
     sym_tol = 10.0 * tol.tol_fd1
     worst_b = worst_mixed = 0.0
-    for x in chart.sample_points(p.seed, p.chart_points):
-        fd_point, fd_R = curvature_at(chart, x, cfg)
+    curvatures = [curvature_at(chart, x, cfg) for x in chart.sample_points(p.seed, p.chart_points)]
+    for fd_point, fd_R in curvatures:
         worst_b = max(worst_b, rk_bochner(fd_point, fd_R, sym_tol=sym_tol, rk_tol=sym_tol).norm)
         worst_mixed = max(worst_mixed, _mixed_component_max(fd_R, 2))
     checks.append(
@@ -361,18 +362,16 @@ def _thm31_product(p: ScenarioParams) -> list[CheckResult]:
         _vanish("chart_mixed_components", "product curvature has no mixed components",
                 worst_mixed, tol.tol_fd1)
     )
-    x = chart.sample_points(p.seed, 1)[0]
-    suite = nk_identity_suite(chart, x, cfg, seed=p.seed)
     checks.append(
         _nonvanish("chart_id_3_2",
                    "the Ricci difference of the product is not a multiple of the metric, "
                    "as the two blocks carry different constants",
-                   suite.id_3_2, tol.tol_fd2)
+                   _ricci_identities(*curvatures[0])[1], tol.tol_fd2)
     )
     return checks
 
 
-def _thm31_counterexample(p: ScenarioParams) -> list[CheckResult]:
+def _thm31_counterexample(p: ScenarioParams, suites: dict) -> list[CheckResult]:
     threshold = 1e-3
     point, R, _ = make_model(f"PRODUCT(CD(2,{-p.c!r}),S6({p.c!r}))")
     frame_defect = antiholo_4frame_defect(point, R, samples=p.samples, seed=p.seed)
@@ -392,7 +391,7 @@ def _thm31_counterexample(p: ScenarioParams) -> list[CheckResult]:
     ]
 
 
-def _thm32_models(p: ScenarioParams) -> list[CheckResult]:
+def _thm32_models(p: ScenarioParams, suites: dict) -> list[CheckResult]:
     if p.m < 3:
         raise ScenarioParamError("thm32_models needs m >= 3 for the corrected tensor")
     tol = p.tolerances
@@ -426,7 +425,7 @@ def _thm32_models(p: ScenarioParams) -> list[CheckResult]:
     return checks
 
 
-def _cor33_spotcheck(p: ScenarioParams) -> list[CheckResult]:
+def _cor33_spotcheck(p: ScenarioParams, suites: dict) -> list[CheckResult]:
     tol = p.tolerances.tol_alg
     cases = [
         (f"S6({p.c!r})", p.c),
@@ -455,7 +454,15 @@ def _cor33_spotcheck(p: ScenarioParams) -> list[CheckResult]:
     return checks
 
 
-def _identities_s6(p: ScenarioParams) -> list[CheckResult]:
+def _suite(p: ScenarioParams, chart: ChartModel, suites: dict) -> NKIdentityReport:
+    """The suite at the chart's first sample point, kept in ``suites`` by chart label."""
+    if chart.label not in suites:
+        x = chart.sample_points(p.seed, 1)[0]
+        suites[chart.label] = nk_identity_suite(chart, x, p.fd_config(), seed=p.seed)
+    return suites[chart.label]
+
+
+def _identities_s6(p: ScenarioParams, suites: dict) -> list[CheckResult]:
     tol = p.tolerances
     cfg = p.fd_config()
     chart = make_chart(f"S6({p.c!r})")
@@ -465,7 +472,7 @@ def _identities_s6(p: ScenarioParams) -> list[CheckResult]:
         target = space_form_tensor(point, chart.scale)
         rel = invariant_norm(point, R - target) / invariant_norm(point, target)
         worst_rel = max(worst_rel, rel)
-    suite = nk_identity_suite(chart, chart.sample_points(p.seed, 1)[0], cfg, seed=p.seed)
+    suite = _suite(p, chart, suites)
     checks = [
         _vanish("chart_curvature_matches_model",
                 "finite-difference curvature of the round six-sphere chart matches "
@@ -484,7 +491,7 @@ def _identities_s6(p: ScenarioParams) -> list[CheckResult]:
     return checks
 
 
-def _identities_cp(p: ScenarioParams) -> list[CheckResult]:
+def _identities_cp(p: ScenarioParams, suites: dict) -> list[CheckResult]:
     tol = p.tolerances
     cfg = p.fd_config()
     chart = make_chart(f"CP({p.m},{p.mu!r})")
@@ -513,7 +520,7 @@ def _identities_cp(p: ScenarioParams) -> list[CheckResult]:
                 worst_dj, tol.tol_fd1)
     )
     fam = ricci_family(*curvatures[0], sym_tol=10.0 * tol.tol_fd1)
-    suite = nk_identity_suite(chart, xs[0], cfg, seed=p.seed)
+    suite = _suite(p, chart, suites)
     checks.extend([
         _vanish("chart_nk", "Kahler charts are nearly Kahler", suite.nk, tol.tol_fd1),
         _vanish("chart_id_1_1", "both sides of the J-rotation pairing vanish",
@@ -534,14 +541,12 @@ def _identities_cp(p: ScenarioParams) -> list[CheckResult]:
     return checks
 
 
-def _bianchi(p: ScenarioParams) -> list[CheckResult]:
+def _bianchi(p: ScenarioParams, suites: dict) -> list[CheckResult]:
     tol = p.tolerances
-    cfg = p.fd_config()
     checks = []
     for desc in (f"S6({p.c!r})", f"CE({p.m})", f"CP({p.m},{p.mu!r})"):
         chart = make_chart(desc)
-        x = chart.sample_points(p.seed, 1)[0]
-        suite = nk_identity_suite(chart, x, cfg, seed=p.seed)
+        suite = _suite(p, chart, suites)
         for name, value, claim in (
             ("id_1_4", suite.id_1_4, "the scalar trace difference is locally constant"),
             ("id_1_6", suite.id_1_6, "the contracted differential identity for curvature holds"),
@@ -570,6 +575,10 @@ SCENARIO_IDS = tuple(_SCENARIOS)
 
 def run_scenario(scenario_id: str, params: ScenarioParams | None = None) -> ScenarioReport:
     """Run one scenario and return its report."""
+    return _run(scenario_id, params, {})
+
+
+def _run(scenario_id: str, params: ScenarioParams | None, suites: dict) -> ScenarioReport:
     if scenario_id not in _SCENARIOS:
         raise UnknownScenarioError(
             f"unknown scenario {scenario_id!r}; known: {', '.join(SCENARIO_IDS)}"
@@ -577,7 +586,7 @@ def run_scenario(scenario_id: str, params: ScenarioParams | None = None) -> Scen
     params = params or ScenarioParams()
     params.validate()
     start = time.perf_counter()
-    checks = _SCENARIOS[scenario_id](params)
+    checks = _SCENARIOS[scenario_id](params, suites)
     return ScenarioReport(
         scenario=scenario_id,
         parameters=asdict(params),
@@ -587,5 +596,6 @@ def run_scenario(scenario_id: str, params: ScenarioParams | None = None) -> Scen
 
 
 def run_all(params: ScenarioParams | None = None) -> list[ScenarioReport]:
-    """Run every scenario in a fixed order."""
-    return [run_scenario(sid, params) for sid in SCENARIO_IDS]
+    """Run every scenario in a fixed order, evaluating each chart's suite once."""
+    suites: dict = {}
+    return [_run(sid, params, suites) for sid in SCENARIO_IDS]

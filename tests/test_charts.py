@@ -21,6 +21,7 @@ from bochnerkit.charts import (
 )
 from bochnerkit.curvature import (
     PointValidationError,
+    _ricci_identities,
     complex_space_form_tensor,
     identity_defects,
     space_form_tensor,
@@ -361,6 +362,19 @@ def test_bianchi_suite(desc):
     assert rep.id_1_4 < CFG.tol_fd2
     assert rep.id_1_6 < CFG.tol_fd2
     assert rep.id_1_7 < CFG.tol_fd2
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_pointwise_identities_from_curvature_match_the_suite(seed, richardson):
+    """id_1_5, id_3_2 and id_3_3 read from ``curvature_at`` are the suite's, bit
+    for bit: the suite evaluates them from the same g, J and R at x."""
+    chart = make_chart("PRODUCT(CD(1,-1),S6(1))")
+    cfg = FDConfig(richardson=richardson)
+    x = chart.sample_points(seed, 1)[0]
+    suite = nk_identity_suite(chart, x, cfg, seed=seed)
+    pointwise = _ricci_identities(*curvature_at(chart, x, cfg))
+    assert pointwise == (suite.id_1_5, suite.id_3_2, suite.id_3_3)
 
 
 @pytest.mark.parametrize("richardson, stencil", [(True, 4), (False, 2)])

@@ -126,14 +126,28 @@ def test_identities_bad_chart(capsys):
     ["identities", "CE(7)"],
     ["tensor", "PRODUCT(CP(4,1),S6(1))"],
     ["tensor", "S6(1e308)"],
+    *(["tensor", "s6", "--tol-alg", tol] for tol in ("nan", "inf", "-1", "0")),
+    *(["validate", "{doc}", "--tol-alg", tol] for tol in ("nan", "inf", "-1", "0")),
 ])
-def test_bad_model_input_exits_2_with_one_line(argv, capsys):
+def test_bad_model_input_exits_2_with_one_line(argv, tmp_path, capsys):
+    if "{doc}" in argv:  # a valid document, so only the flag can be at fault
+        doc = tmp_path / "s6.json"
+        assert cli_dispatch(["tensor", "s6", "--quiet", "--dump", str(doc)]) == 0
+        argv = [str(doc) if a == "{doc}" else a for a in argv]
     assert cli_dispatch(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def _run_module(argv: list[str]) -> subprocess.CompletedProcess:
+    """``python -m bochnerkit argv`` in a fresh interpreter on this checkout."""
+    src = str(Path(bochnerkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "bochnerkit", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 @pytest.mark.parametrize("argv", [
@@ -144,14 +158,21 @@ def test_bad_model_input_exits_2_with_one_line(argv, capsys):
 def test_floating_point_failure_exits_2_with_one_line(argv):
     """Overflow or an invalid value ends in one error line and no numpy warning.
     Runs in a subprocess, because pytest captures warnings before stderr."""
-    src = str(Path(bochnerkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-m", "bochnerkit", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = _run_module(argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: numerical failure in the model: ")
     assert proc.stderr.count("\n") == 1
+
+
+def test_non_rk_chart_curvature_exits_2_with_one_line():
+    """Without Richardson extrapolation the product chart's curvature at seed 5
+    misses the RK gate of the corrected tensor: one error line, no traceback."""
+    proc = _run_module(["all", "--seed", "5", "--no-richardson"])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: curvature is not RK")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 _NUMBER = st.one_of(

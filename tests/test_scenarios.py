@@ -2,12 +2,14 @@
 
 import pytest
 
+from bochnerkit import scenarios
 from bochnerkit.scenarios import (
     SCENARIO_IDS,
     ScenarioParamError,
     ScenarioParams,
     UnknownScenarioError,
     make_model,
+    run_all,
     run_scenario,
 )
 
@@ -103,3 +105,35 @@ def test_make_model_labels():
     assert point.dim == 8
     assert label == "PRODUCT(CD(1,-1),S6(1))"
     assert R.components[2, 3, 3, 2] != 0.0
+
+
+def _counted_suites(monkeypatch) -> list[str]:
+    """Labels of the charts ``nk_identity_suite`` is called on from the scenarios."""
+    labels = []
+    suite = scenarios.nk_identity_suite
+
+    def counted(chart, *args, **kwargs):
+        labels.append(chart.label)
+        return suite(chart, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "nk_identity_suite", counted)
+    return labels
+
+
+def test_run_all_evaluates_each_chart_suite_once(monkeypatch):
+    # identities_s6, identities_cp and bianchi share the S6 and CP suites, and
+    # thm31_product reads id_3_2 from its curvature: 3 suites, not 6
+    labels = _counted_suites(monkeypatch)
+    run_all(FAST)
+    assert sorted(labels) == ["CE(3)", "CP(3,1)", "S6(1)"]
+    run_all(FAST)  # nothing carries over from the first run
+    assert len(labels) == 6
+
+
+def test_run_all_reports_equal_single_scenario_runs(monkeypatch):
+    labels = _counted_suites(monkeypatch)
+    shared = [r.to_dict() for r in run_all(FAST)]
+    assert len(labels) == 3
+    assert shared == [run_scenario(sid, FAST).to_dict() for sid in SCENARIO_IDS]
+    # alone, identities_s6 and identities_cp evaluate one suite each, bianchi three
+    assert len(labels) == 3 + 5
