@@ -60,10 +60,7 @@ class NotRKError(ValueError):
     """Input curvature is not invariant under J-rotation of all four slots."""
 
     def __init__(self, defect: float, tol: float):
-        super().__init__(
-            f"curvature is not RK (defect {defect:.3e} above tolerance {tol:.1e}); "
-            "pass allow_non_rk=True to evaluate the formula anyway"
-        )
+        super().__init__(f"curvature is not RK (defect {defect:.3e} above tolerance {tol:.1e})")
         self.defect = float(defect)
 
 

@@ -497,6 +497,13 @@ def j_derivatives_at(
     return nJ, _covariant(G, nJ, dnJ, "lul")
 
 
+def _point_geometry(chart: ChartModel, x: np.ndarray, cfg: FDConfig) -> tuple:
+    """The point and R of :func:`curvature_at` and the nabla J of :func:`j_derivatives_at`."""
+    chart.require_margin(x, 4 * cfg.h)
+    g, J, _, nJ, R = _geometry(chart, x, cfg)
+    return validate_point(g, J), CurvTensor(chart.n, R), nJ
+
+
 # ---------------------------------------------------------------------------
 # identity suites
 # ---------------------------------------------------------------------------

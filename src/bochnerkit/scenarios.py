@@ -31,8 +31,7 @@ from .charts import (
     ChartSpec,
     FDConfig,
     NKIdentityReport,
-    curvature_at,
-    j_derivatives_at,
+    _point_geometry,
     make_chart,
     nk_identity_suite,
     parse_model_spec,
@@ -218,7 +217,7 @@ def _csf_product(dims_mus: list[tuple[int, float]]) -> tuple[HermitianPoint, Cur
 # scenarios
 # ---------------------------------------------------------------------------
 
-def _thm21_forward(p: ScenarioParams, suites: dict) -> list[CheckResult]:
+def _thm21_forward(p: ScenarioParams, table: dict) -> list[CheckResult]:
     tol = p.tolerances.tol_alg
     point, R = _csf_product([(p.k, p.mu), (p.m - p.k, -p.mu)])
     out = generalized_bochner(point, R)
@@ -236,7 +235,7 @@ def _thm21_forward(p: ScenarioParams, suites: dict) -> list[CheckResult]:
 _EPSILONS = (1e-3, 1e-2, 1e-1)
 
 
-def _thm21_converse(p: ScenarioParams, suites: dict) -> list[CheckResult]:
+def _thm21_converse(p: ScenarioParams, table: dict) -> list[CheckResult]:
     tol = p.tolerances.tol_alg
     checks = []
     point, R = _csf_product([(p.k, p.mu), (p.m - p.k, -p.mu)])
@@ -274,7 +273,7 @@ def _thm21_converse(p: ScenarioParams, suites: dict) -> list[CheckResult]:
     return checks
 
 
-def _cor22(p: ScenarioParams, suites: dict) -> list[CheckResult]:
+def _cor22(p: ScenarioParams, table: dict) -> list[CheckResult]:
     tol = p.tolerances.tol_alg
     zero_pt, zero_R = _csf_product([(1, 0.0), (1, 0.0), (1, 0.0)])
     flat_norm = generalized_bochner(zero_pt, zero_R).norm
@@ -300,7 +299,7 @@ def _cor22(p: ScenarioParams, suites: dict) -> list[CheckResult]:
     return checks
 
 
-def _thm31_s6(p: ScenarioParams, suites: dict) -> list[CheckResult]:
+def _thm31_s6(p: ScenarioParams, table: dict) -> list[CheckResult]:
     tol = p.tolerances.tol_alg
     point = flat_point(6)
     R = space_form_tensor(point, p.c)
@@ -333,7 +332,7 @@ def _mixed_component_max(R: CurvTensor, n1: int) -> float:
     return float(np.max(np.abs(inside)))
 
 
-def _thm31_product(p: ScenarioParams, suites: dict) -> list[CheckResult]:
+def _thm31_product(p: ScenarioParams, table: dict) -> list[CheckResult]:
     tol = p.tolerances
     desc = f"PRODUCT(CD(1,{-p.c!r}),S6({p.c!r}))"
     point, R, _ = make_model(desc)
@@ -346,12 +345,10 @@ def _thm31_product(p: ScenarioParams, suites: dict) -> list[CheckResult]:
                 "trace-free symmetrized tensor vanishes",
                 generalized_bochner(point, R).norm, tol.tol_alg),
     ]
-    chart = make_chart(desc)
-    cfg = p.fd_config()
     sym_tol = 10.0 * tol.tol_fd1
     worst_b = worst_mixed = 0.0
-    curvatures = [curvature_at(chart, x, cfg) for x in chart.sample_points(p.seed, p.chart_points)]
-    for fd_point, fd_R in curvatures:
+    _, geometries = _chart_points(p, desc, p.chart_points, table)
+    for fd_point, fd_R, _ in geometries:
         worst_b = max(worst_b, rk_bochner(fd_point, fd_R, sym_tol=sym_tol, rk_tol=sym_tol).norm)
         worst_mixed = max(worst_mixed, _mixed_component_max(fd_R, 2))
     checks.append(
@@ -366,12 +363,12 @@ def _thm31_product(p: ScenarioParams, suites: dict) -> list[CheckResult]:
         _nonvanish("chart_id_3_2",
                    "the Ricci difference of the product is not a multiple of the metric, "
                    "as the two blocks carry different constants",
-                   _ricci_identities(*curvatures[0])[1], tol.tol_fd2)
+                   _ricci_identities(*geometries[0][:2])[1], tol.tol_fd2)
     )
     return checks
 
 
-def _thm31_counterexample(p: ScenarioParams, suites: dict) -> list[CheckResult]:
+def _thm31_counterexample(p: ScenarioParams, table: dict) -> list[CheckResult]:
     threshold = 1e-3
     point, R, _ = make_model(f"PRODUCT(CD(2,{-p.c!r}),S6({p.c!r}))")
     frame_defect = antiholo_4frame_defect(point, R, samples=p.samples, seed=p.seed)
@@ -391,11 +388,10 @@ def _thm31_counterexample(p: ScenarioParams, suites: dict) -> list[CheckResult]:
     ]
 
 
-def _thm32_models(p: ScenarioParams, suites: dict) -> list[CheckResult]:
+def _thm32_models(p: ScenarioParams, table: dict) -> list[CheckResult]:
     if p.m < 3:
         raise ScenarioParamError("thm32_models needs m >= 3 for the corrected tensor")
     tol = p.tolerances
-    cfg = p.fd_config()
     sym_tol = 10.0 * tol.tol_fd1
     descriptors = [
         f"CE({p.m})",
@@ -413,9 +409,7 @@ def _thm32_models(p: ScenarioParams, suites: dict) -> list[CheckResult]:
                     "constant-scalar-curvature model has vanishing corrected curvature",
                     rk_bochner(point, R).norm, tol.tol_alg)
         )
-        chart = make_chart(desc)
-        x = chart.sample_points(p.seed, 1)[0]
-        fd_point, fd_R = curvature_at(chart, x, cfg)
+        _, [(fd_point, fd_R, _)] = _chart_points(p, desc, 1, table)
         checks.append(
             _vanish(f"chart_b_{label}",
                     "the finite-difference chart agrees",
@@ -425,7 +419,7 @@ def _thm32_models(p: ScenarioParams, suites: dict) -> list[CheckResult]:
     return checks
 
 
-def _cor33_spotcheck(p: ScenarioParams, suites: dict) -> list[CheckResult]:
+def _cor33_spotcheck(p: ScenarioParams, table: dict) -> list[CheckResult]:
     tol = p.tolerances.tol_alg
     cases = [
         (f"S6({p.c!r})", p.c),
@@ -454,25 +448,41 @@ def _cor33_spotcheck(p: ScenarioParams, suites: dict) -> list[CheckResult]:
     return checks
 
 
-def _suite(p: ScenarioParams, chart: ChartModel, suites: dict) -> NKIdentityReport:
-    """The suite at the chart's first sample point, kept in ``suites`` by chart label."""
-    if chart.label not in suites:
+def _chart_points(p: ScenarioParams, desc: str, count: int, table: dict) -> tuple:
+    """The chart of ``desc`` and (point, R, nabla J) at its first ``count`` sample points,
+    kept in ``table`` by (descriptor, index); labels round the parameters, descriptors do not."""
+    chart = make_chart(desc)
+    for i, x in enumerate(chart.sample_points(p.seed, count)):
+        if (desc, i) not in table:
+            table[desc, i] = _point_geometry(chart, x, p.fd_config())
+    return chart, [table[desc, i] for i in range(count)]
+
+
+def _suite(p: ScenarioParams, chart: ChartModel, table: dict) -> NKIdentityReport:
+    """The suite at the chart's first sample point, kept in ``table`` by chart label."""
+    if chart.label not in table:
         x = chart.sample_points(p.seed, 1)[0]
-        suites[chart.label] = nk_identity_suite(chart, x, p.fd_config(), seed=p.seed)
-    return suites[chart.label]
+        table[chart.label] = nk_identity_suite(chart, x, p.fd_config(), seed=p.seed)
+    return table[chart.label]
 
 
-def _identities_s6(p: ScenarioParams, suites: dict) -> list[CheckResult]:
+def _model_error(geometries: list, model) -> float:
+    """Worst relative invariant distance of the chart curvatures from ``model(point)``."""
+    worst = 0.0
+    for point, R, _ in geometries:
+        target = model(point)
+        norm = invariant_norm(point, target)
+        if norm == 0.0:  # underflow; np.errstate does not see a Python float division
+            raise FloatingPointError("the model curvature norm underflows to 0")
+        worst = max(worst, invariant_norm(point, R - target) / norm)
+    return worst
+
+
+def _identities_s6(p: ScenarioParams, table: dict) -> list[CheckResult]:
     tol = p.tolerances
-    cfg = p.fd_config()
-    chart = make_chart(f"S6({p.c!r})")
-    worst_rel = 0.0
-    for x in chart.sample_points(p.seed, p.chart_points):
-        point, R = curvature_at(chart, x, cfg)
-        target = space_form_tensor(point, chart.scale)
-        rel = invariant_norm(point, R - target) / invariant_norm(point, target)
-        worst_rel = max(worst_rel, rel)
-    suite = _suite(p, chart, suites)
+    chart, geometries = _chart_points(p, f"S6({p.c!r})", p.chart_points, table)
+    worst_rel = _model_error(geometries, lambda point: space_form_tensor(point, chart.scale))
+    suite = _suite(p, chart, table)
     checks = [
         _vanish("chart_curvature_matches_model",
                 "finite-difference curvature of the round six-sphere chart matches "
@@ -491,21 +501,14 @@ def _identities_s6(p: ScenarioParams, suites: dict) -> list[CheckResult]:
     return checks
 
 
-def _identities_cp(p: ScenarioParams, suites: dict) -> list[CheckResult]:
+def _identities_cp(p: ScenarioParams, table: dict) -> list[CheckResult]:
     tol = p.tolerances
-    cfg = p.fd_config()
-    chart = make_chart(f"CP({p.m},{p.mu!r})")
+    chart, geometries = _chart_points(p, f"CP({p.m},{p.mu!r})", p.chart_points, table)
     checks = []
-    worst_rel = worst_dj = 0.0
-    xs = chart.sample_points(p.seed, p.chart_points)
-    curvatures = [curvature_at(chart, x, cfg) for x in xs]
+    worst_rel = _model_error(geometries, lambda point: complex_space_form_tensor(point, p.mu))
+    worst_dj = 0.0
     pairs = np.random.default_rng(p.seed).standard_normal((8, 2, chart.n))  # (X, Y) pairs
-    for x, (point, R) in zip(xs, curvatures):
-        target = complex_space_form_tensor(point, p.mu)
-        worst_rel = max(
-            worst_rel, invariant_norm(point, R - target) / invariant_norm(point, target)
-        )
-        nJ, _ = j_derivatives_at(chart, x, cfg)
+    for point, _, nJ in geometries:
         g = point.g_mat
         X, Y = np.moveaxis(pairs / np.sqrt(np.sum((pairs @ g) * pairs, -1, keepdims=True)), 1, 0)
         w = np.einsum("akj,pa,pj->pk", nJ, X, Y)  # (nabla_X J) Y for each pair
@@ -519,8 +522,8 @@ def _identities_cp(p: ScenarioParams, suites: dict) -> list[CheckResult]:
         _vanish("chart_nabla_j", "the chart is Kahler: nabla J vanishes",
                 worst_dj, tol.tol_fd1)
     )
-    fam = ricci_family(*curvatures[0], sym_tol=10.0 * tol.tol_fd1)
-    suite = _suite(p, chart, suites)
+    fam = ricci_family(*geometries[0][:2], sym_tol=10.0 * tol.tol_fd1)
+    suite = _suite(p, chart, table)
     checks.extend([
         _vanish("chart_nk", "Kahler charts are nearly Kahler", suite.nk, tol.tol_fd1),
         _vanish("chart_id_1_1", "both sides of the J-rotation pairing vanish",
@@ -541,12 +544,12 @@ def _identities_cp(p: ScenarioParams, suites: dict) -> list[CheckResult]:
     return checks
 
 
-def _bianchi(p: ScenarioParams, suites: dict) -> list[CheckResult]:
+def _bianchi(p: ScenarioParams, table: dict) -> list[CheckResult]:
     tol = p.tolerances
     checks = []
     for desc in (f"S6({p.c!r})", f"CE({p.m})", f"CP({p.m},{p.mu!r})"):
         chart = make_chart(desc)
-        suite = _suite(p, chart, suites)
+        suite = _suite(p, chart, table)
         for name, value, claim in (
             ("id_1_4", suite.id_1_4, "the scalar trace difference is locally constant"),
             ("id_1_6", suite.id_1_6, "the contracted differential identity for curvature holds"),
@@ -578,7 +581,7 @@ def run_scenario(scenario_id: str, params: ScenarioParams | None = None) -> Scen
     return _run(scenario_id, params, {})
 
 
-def _run(scenario_id: str, params: ScenarioParams | None, suites: dict) -> ScenarioReport:
+def _run(scenario_id: str, params: ScenarioParams | None, table: dict) -> ScenarioReport:
     if scenario_id not in _SCENARIOS:
         raise UnknownScenarioError(
             f"unknown scenario {scenario_id!r}; known: {', '.join(SCENARIO_IDS)}"
@@ -586,7 +589,7 @@ def _run(scenario_id: str, params: ScenarioParams | None, suites: dict) -> Scena
     params = params or ScenarioParams()
     params.validate()
     start = time.perf_counter()
-    checks = _SCENARIOS[scenario_id](params, suites)
+    checks = _SCENARIOS[scenario_id](params, table)
     return ScenarioReport(
         scenario=scenario_id,
         parameters=asdict(params),
@@ -596,6 +599,7 @@ def _run(scenario_id: str, params: ScenarioParams | None, suites: dict) -> Scena
 
 
 def run_all(params: ScenarioParams | None = None) -> list[ScenarioReport]:
-    """Run every scenario in a fixed order, evaluating each chart's suite once."""
-    suites: dict = {}
-    return [_run(sid, params, suites) for sid in SCENARIO_IDS]
+    """Run every scenario in a fixed order, evaluating each chart's suite and
+    each sampled chart point once."""
+    table: dict = {}
+    return [_run(sid, params, table) for sid in SCENARIO_IDS]

@@ -127,7 +127,7 @@ def _structural_document(raw: Any) -> TensorDocument:
     if missing:
         raise DocumentFormatError(f"document is missing keys: {sorted(missing)}")
     dim = raw["dim"]
-    if not isinstance(dim, int) or dim <= 0:
+    if type(dim) is not int or dim <= 0:  # JSON true is a bool, not a dimension
         raise DocumentFormatError(f"dim must be a positive integer, got {dim!r}")
     arrays = {}
     for key, expected in (("g", dim * dim), ("J", dim * dim), ("R", dim**4)):
@@ -136,10 +136,17 @@ def _structural_document(raw: Any) -> TensorDocument:
             raise DocumentFormatError(
                 f"{key} must be a flat list of {expected} numbers for dim {dim}"
             )
-        arr = np.array(values, dtype=float)
+        strays = set(map(type, values)) - {int, float}  # true/false, strings, nulls, lists
+        if strays:
+            names = ", ".join(sorted(t.__name__ for t in strays))
+            raise DocumentFormatError(f"{key} entries must be numbers, found {names}")
+        try:
+            arr = np.array(values, dtype=float)
+        except OverflowError as exc:
+            raise DocumentFormatError(f"{key} has an integer too large for a float") from exc
         if not np.all(np.isfinite(arr)):
             raise DocumentFormatError(f"{key} contains non-finite entries")
-        arrays[key] = tuple(float(v) for v in values)
+        arrays[key] = tuple(arr.tolist())
     label = raw.get("label")
     if label is not None and not isinstance(label, str):
         raise DocumentFormatError("label must be a string when present")
@@ -169,14 +176,16 @@ def load_tensor(source: str | os.PathLike | IO[str], tol: float = TOL_ALG) -> Te
     propagate the validation errors (with defect values) from
     :func:`~bochnerkit.curvature.validate_point` and the symmetry check.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
     try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise DocumentFormatError(f"document is not UTF-8 text: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DocumentFormatError(f"malformed JSON: {exc}") from exc
     doc = _structural_document(raw)
     doc.to_point_tensor(tol)  # geometric validation; errors carry defects

@@ -92,6 +92,35 @@ def test_validate_missing_file():
     assert cli_dispatch(["validate", "/nonexistent/never.json"]) == 2
 
 
+_MALFORMED = {  # a valid S6 document, broken one way
+    "not_utf8": lambda raw: json.dumps({**raw, "label": "S\u00e9"}, ensure_ascii=False)
+    .encode("latin-1"),
+    "string_in_R": lambda raw: json.dumps({**raw, "R": ["x"] + raw["R"][1:]}).encode(),
+    "numeric_strings_in_R": lambda raw: json.dumps({**raw, "R": [str(v) for v in raw["R"]]})
+    .encode(),
+    "nested_g": lambda raw: json.dumps({**raw, "g": [[v] for v in raw["g"]]}).encode(),
+    "dim_true": lambda raw: json.dumps({**raw, "dim": True, "g": [1], "J": [0], "R": [0]})
+    .encode(),
+    "int_too_large": lambda raw: json.dumps({**raw, "g": ["BIG"] + raw["g"][1:]})
+    .replace('"BIG"', "1" + "0" * 400).encode(),
+    "bools_in_J": lambda raw: json.dumps({**raw, "J": [bool(v) if v >= 0 else v for v in raw["J"]]})
+    .encode(),
+    "deep_nesting": lambda raw: b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("kind", _MALFORMED)
+def test_validate_malformed_document_exits_2_with_one_line(kind, tmp_path, capsys):
+    doc = tmp_path / "s6.json"
+    assert cli_dispatch(["tensor", "s6", "--quiet", "--dump", str(doc)]) == 0
+    doc.write_bytes(_MALFORMED[kind](json.loads(doc.read_text())))
+    assert cli_dispatch(["validate", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_identities_chart(tmp_path, capsys):
     out = tmp_path / "identities.json"
     code = cli_dispatch(["identities", "S6(1)", "--points", "1", "--json", str(out)])
@@ -154,6 +183,9 @@ def _run_module(argv: list[str]) -> subprocess.CompletedProcess:
     ["tensor", "CP(1,1e308)", "--quiet"],
     ["identities", "S6(1e-300)", "--points", "1"],
     ["identities", "CD(1,-1e300)", "--points", "1"],
+    ["scenario", "identities_s6", "--c", "1e100"],  # the model norm underflows to 0
+    ["scenario", "identities_cp", "--mu", "1e200"],
+    ["all", "--mu", "1e300"],
 ])
 def test_floating_point_failure_exits_2_with_one_line(argv):
     """Overflow or an invalid value ends in one error line and no numpy warning.
@@ -171,6 +203,7 @@ def test_non_rk_chart_curvature_exits_2_with_one_line():
     proc = _run_module(["all", "--seed", "5", "--no-richardson"])
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: curvature is not RK")
+    assert "allow_non_rk" not in proc.stderr  # a library keyword, not a CLI option
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
 

@@ -1,8 +1,10 @@
 """Scenario layer: reports, statuses, determinism."""
 
+import dataclasses
+
 import pytest
 
-from bochnerkit import scenarios
+from bochnerkit import charts, scenarios
 from bochnerkit.scenarios import (
     SCENARIO_IDS,
     ScenarioParamError,
@@ -137,3 +139,60 @@ def test_run_all_reports_equal_single_scenario_runs(monkeypatch):
     assert shared == [run_scenario(sid, FAST).to_dict() for sid in SCENARIO_IDS]
     # alone, identities_s6 and identities_cp evaluate one suite each, bianchi three
     assert len(labels) == 3 + 5
+
+
+def test_run_all_evaluates_each_chart_point_once(monkeypatch):
+    # thm31_product, thm32_models, identities_s6 and identities_cp read the
+    # point, R and nabla J from the run's table; nothing calls the public
+    # curvature_at or j_derivatives_at
+    assert not hasattr(scenarios, "curvature_at") and not hasattr(scenarios, "j_derivatives_at")
+    monkeypatch.setattr(charts, "curvature_at", None)
+    monkeypatch.setattr(charts, "j_derivatives_at", None)
+    points = []
+    geometry = scenarios._point_geometry
+
+    def counted(chart, x, cfg):
+        points.append((chart.label, tuple(x)))
+        return geometry(chart, x, cfg)
+
+    monkeypatch.setattr(scenarios, "_point_geometry", counted)
+    run_all(FAST)
+    # one point each on CE(3), CD(3,-1), CP(3,1), S6(1) and the two products
+    assert len(points) == len(set(points)) == 6
+    run_all(FAST)  # nothing carries over from the first run
+    assert len(points) == 12 and set(points[6:]) == set(points[:6])
+
+
+def test_run_all_makes_a_fixed_number_of_metric_and_j_calls(monkeypatch):
+    count = {"metric": 0, "J": 0}
+    build = scenarios.make_chart
+
+    def counted_chart(desc):
+        chart = build(desc)
+
+        def metric_at(x):
+            count["metric"] += 1
+            return chart.metric_at(x)
+
+        def J_at(x):
+            count["J"] += 1
+            return chart.J_at(x)
+
+        return dataclasses.replace(chart, metric_at=metric_at, J_at=J_at)
+
+    monkeypatch.setattr(scenarios, "make_chart", counted_chart)
+    run_all(ScenarioParams(seed=7))
+    # 9 chart points at 25 metric and 5 J calls each, 3 suites at 125 and 25:
+    # 725 and 137 while thm32_models evaluated 3 points again and
+    # identities_cp called j_derivatives_at at its 2 points
+    assert count == {"metric": 600, "J": 120}
+    run_all(ScenarioParams(seed=7))  # the second run repeats every evaluation
+    assert count == {"metric": 1200, "J": 240}
+
+
+def test_run_all_keeps_apart_charts_whose_labels_agree():
+    # thm32_models' CP(3,c) and identities_cp's CP(3,mu) both print as
+    # CP(3,1) here, so the run's table keys chart points by descriptor
+    params = dataclasses.replace(FAST, c=1.0000001)
+    shared = [r.to_dict() for r in run_all(params)]
+    assert shared == [run_scenario(sid, params).to_dict() for sid in SCENARIO_IDS]
