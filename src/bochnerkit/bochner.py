@@ -18,10 +18,10 @@ import numpy as np
 from .curvature import (
     HermitianPoint,
     _ricci,
-    _j_twisted_ricci,
     _rotate,
     _symmetrized,
     _trace,
+    _traces,
     phi_psi,
     sigma_forms,
     star,
@@ -97,7 +97,7 @@ def generalized_bochner(
     S_star = SymBilinear(
         point.dim, _symmetrized(_ricci(gi, Rs.components), sym_tol, "Ricci of R*")
     )
-    tau_star = _trace(gi, S_star.components)
+    tau_star = float(_trace(gi, S_star.components))
     phi, psi = phi_psi(point, S_star)
     pi1, pi2 = sigma_forms(point)
     c_ricci = 1.0 / (2.0 * (m + 2))
@@ -140,18 +140,15 @@ def rk_bochner(
     if out_of_domain and not allow_non_rk:
         raise NotRKError(rk_defect, rk_tol)
 
-    S = _ricci(gi, A)
-    S = 0.5 * (S + S.T)
-    Sp = _j_twisted_ricci(gi, J, A)
-    Sp = 0.5 * (Sp + Sp.T)
-    tau, tau_p = _trace(gi, S), _trace(gi, Sp)
+    S, Sp, tau, tau_p = _traces(gi, J, A)
+    S, Sp = 0.5 * (S + S.T), 0.5 * (Sp + Sp.T)
     phi_a, psi_a = phi_psi(point, SymBilinear(point.dim, S + 3.0 * Sp))
     phi_b, psi_b = phi_psi(point, SymBilinear(point.dim, S - Sp))
     pi1, pi2 = sigma_forms(point)
     c1 = 1.0 / (8.0 * (m + 2))
     c2 = 1.0 / (8.0 * (m - 2))
-    c3 = (tau + 3.0 * tau_p) / (16.0 * (m + 1) * (m + 2))
-    c4 = (tau - tau_p) / (16.0 * (m - 1) * (m - 2))
+    c3 = float(tau + 3.0 * tau_p) / (16.0 * (m + 1) * (m + 2))
+    c4 = float(tau - tau_p) / (16.0 * (m - 1) * (m - 2))
     B = (
         R
         - c1 * (phi_a + psi_a)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .curvature import (
     HermitianPoint, PointValidationError, point_violations, standard_J, validate_point,
-    _ricci, _ricci_identities, _rotate,
+    _g_inv, _ricci_identities, _rotate, _traces,
 )
 from .multilinear import CurvTensor, NonFiniteError
 from .octonion import cross_operator
@@ -554,14 +554,8 @@ def _max_multilinear(T: np.ndarray, vector_sets: list[np.ndarray]) -> float:
 
 def _pack(g: np.ndarray, J: np.ndarray, R: np.ndarray, nJ: np.ndarray) -> np.ndarray:
     """R, S, S - S', tau, tau - tau' and nabla J at a batch of points, one flat
-    array per point, so one finite-difference pass differentiates all of them;
-    g^-1 is formed as :class:`HermitianPoint` forms it."""
-    gi = np.linalg.inv(0.5 * (g + np.swapaxes(g, -1, -2)))
-    gi = 0.5 * (gi + np.swapaxes(gi, -1, -2))
-    J4 = J[..., None, None, :, :]
-    S = _ricci(gi, R)
-    Sp = _ricci(gi, np.swapaxes(J4, -1, -2) @ R @ J4)  # traced R(X, Y, JZ, JU)
-    tau, tau_p = (np.einsum("...ad,...ad->...", gi, Q) for Q in (S, Sp))
+    array per point, so one finite-difference pass differentiates all of them."""
+    S, Sp, tau, tau_p = _traces(_g_inv(g), J, R)
     flat = [T.reshape(R.shape[:-4] + (-1,)) for T in (R, S, S - Sp, nJ)]
     return np.concatenate(flat[:3] + [np.stack([tau, tau - tau_p], axis=-1), flat[3]], axis=-1)
 
@@ -599,11 +593,10 @@ def nk_identity_suite(
     if nk > NK_THRESHOLD:
         raise NotNearlyKahlerError(nk, NK_THRESHOLD)
 
-    RJ34 = _rotate(A, J, 2, 3)
-    res_1_1 = A - RJ34 + np.einsum("apb,pq,cqd->abcd", nJ, g, nJ)
+    res_1_1 = A - _rotate(A, J, 2, 3) + np.einsum("apb,pq,cqd->abcd", nJ, g, nJ)
     id_1_1 = _max_multilinear(res_1_1, [V, V, V, V])
 
-    S, Sp = _ricci(gi, A), _ricci(gi, RJ34)
+    S, Sp, _, _ = _traces(gi, J, A)
     # derivative index first, then the fields of _pack
     dT = np.split(_grad_field(packed, x, cfg), np.cumsum([n**4, n * n, n * n, 1, 1]), axis=1)
     dR, dS, dD, d_tau, d_tau_diff, dnJ = (

@@ -93,14 +93,14 @@ def _positive(text: str) -> float:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--tol-alg", type=_positive, default=1e-12,
-                        help="tolerance for exact-formula algebra (default 1e-12)")
-    common.add_argument("--tol-fd1", type=float, default=1e-6,
-                        help="tolerance for first-derivative identities (default 1e-6)")
-    common.add_argument("--tol-fd2", type=float, default=1e-4,
-                        help="tolerance for second-derivative identities (default 1e-4)")
-    common.add_argument("--fd-step", type=float, default=1e-3,
-                        help="finite-difference step (default 1e-3)")
+    common.add_argument("--tol-alg", type=_positive, default=ToleranceConfig.tol_alg,
+                        help="tolerance for exact-formula algebra (default %(default)g)")
+    common.add_argument("--tol-fd1", type=_positive, default=ToleranceConfig.tol_fd1,
+                        help="tolerance for first-derivative identities (default %(default)g)")
+    common.add_argument("--tol-fd2", type=_positive, default=ToleranceConfig.tol_fd2,
+                        help="tolerance for second-derivative identities (default %(default)g)")
+    common.add_argument("--fd-step", type=_positive, default=ScenarioParams.h,
+                        help="finite-difference step (default %(default)g)")
     common.add_argument("--no-richardson", action="store_true",
                         help="disable Richardson extrapolation of first derivatives")
     common.add_argument("--seed", type=_seed, default=0,
@@ -144,14 +144,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_scenario_params(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--m", type=int, default=3)
-    parser.add_argument("--k", type=int, default=1)
-    parser.add_argument("--c", type=float, default=1.0)
-    parser.add_argument("--mu", type=float, default=1.0)
-    parser.add_argument("--samples", type=int, default=512,
-                        help="antiholomorphic 4-frame samples (default 512)")
-    parser.add_argument("--points", type=int, default=2,
-                        help="chart points per scenario (default 2)")
+    parser.add_argument("--m", type=int, default=ScenarioParams.m)
+    parser.add_argument("--k", type=int, default=ScenarioParams.k)
+    parser.add_argument("--c", type=float, default=ScenarioParams.c)
+    parser.add_argument("--mu", type=float, default=ScenarioParams.mu)
+    parser.add_argument("--samples", type=int, default=ScenarioParams.samples,
+                        help="antiholomorphic 4-frame samples (default %(default)s)")
+    parser.add_argument("--points", type=int, default=ScenarioParams.chart_points,
+                        help="chart points per scenario (default %(default)s)")
 
 
 def _scenario_params(args: argparse.Namespace) -> ScenarioParams:

@@ -30,7 +30,8 @@ from .multilinear import (
     SymBilinear,
     SymmetryError,
     _check_same_dim,
-    _norm_sq_rank2,
+    _inner,
+    _norm,
     invariant_norm,
     require_curvature_class,
 )
@@ -122,8 +123,7 @@ class HermitianPoint:
 
     @cached_property
     def g_inv(self) -> np.ndarray:
-        inv = np.linalg.inv(self.g.components)
-        inv = 0.5 * (inv + inv.T)
+        inv = _g_inv(self.g.components)
         inv.setflags(write=False)
         return inv
 
@@ -132,6 +132,12 @@ class HermitianPoint:
 
     def apply_J(self, X) -> np.ndarray:
         return self.J @ X
+
+
+def _g_inv(g: np.ndarray) -> np.ndarray:
+    """Symmetrized inverse of the symmetrized metric, over any leading batch axes."""
+    inv = np.linalg.inv(0.5 * (g + np.swapaxes(g, -1, -2)))
+    return 0.5 * (inv + np.swapaxes(inv, -1, -2))
 
 
 def standard_J(dim: int) -> np.ndarray:
@@ -256,11 +262,14 @@ def phi_psi(point: HermitianPoint, Q: SymBilinear) -> tuple[CurvTensor, CurvTens
 def _rotate(A: np.ndarray, J: np.ndarray, *slots: int) -> np.ndarray:
     """A with J applied to the listed argument slots, one slot at a time.
 
-    ``_rotate(A, J, 2, 3)`` is A(X, Y, JZ, JU); each slot costs one
-    ``tensordot``, never a multi-operand einsum.
+    ``_rotate(A, J, 2, 3)`` is A(X, Y, JZ, JU).  Slots count among the last four
+    axes of ``A``; earlier axes are batch axes, matched by those of J before its
+    last two.  Each slot costs one matrix product, never a multi-operand einsum.
     """
+    J = np.expand_dims(J, (-3, -4))
     for slot in slots:
-        A = np.moveaxis(np.tensordot(A, J, axes=(slot, 0)), -1, slot)
+        axis = A.ndim - 4 + slot
+        A = np.moveaxis(np.moveaxis(A, axis, -1) @ J, -1, axis)
     return A
 
 
@@ -312,23 +321,24 @@ def _ricci(g_inv: np.ndarray, R: np.ndarray) -> np.ndarray:
     return np.einsum("...bc,...abcd->...ad", g_inv, R)
 
 
-def _j_twisted_ricci(g_inv: np.ndarray, J: np.ndarray, R: np.ndarray) -> np.ndarray:
-    return _ricci(g_inv, _rotate(R, J, 2, 3))
+def _trace(g_inv: np.ndarray, Q: np.ndarray):
+    """The metric trace g^{ad} Q_{ad}, over any leading batch axes."""
+    return np.einsum("...ad,...ad->...", g_inv, Q)
 
 
-def _trace(g_inv: np.ndarray, Q: np.ndarray) -> float:
-    return float(np.einsum("ad,ad->", g_inv, Q))
+def _traces(g_inv: np.ndarray, J: np.ndarray, R: np.ndarray) -> tuple:
+    """S, S', tau and tau' of ``R``, over any leading batch axes of the three
+    arrays; S' is the trace of R(X, Y, JZ, JU)."""
+    S, Sp = _ricci(g_inv, R), _ricci(g_inv, _rotate(R, J, 2, 3))
+    return S, Sp, _trace(g_inv, S), _trace(g_inv, Sp)
 
 
 def _ricci_identities(point: HermitianPoint, R: CurvTensor) -> tuple[float, float, float]:
     """Residuals ``id_1_5``, ``id_3_2`` and ``id_3_3`` of ``charts.NKIdentityReport``."""
-    gi, A = point.g_inv, R.components
-    S, Sp = _ricci(gi, A), _j_twisted_ricci(gi, point.J, A)
-    tau, tau_p = _trace(gi, S), _trace(gi, Sp)
-    id_1_5 = float(np.einsum("ac,bd,ab,cd->", gi, gi, S - Sp, S - 5.0 * Sp))
-    rel_3_2 = S - Sp - ((tau - tau_p) / (2.0 * point.m)) * point.g_mat
-    id_3_2 = float(np.sqrt(max(_norm_sq_rank2(gi, rel_3_2), 0.0)))
-    return abs(id_1_5), id_3_2, abs(tau - 5.0 * tau_p)
+    gi = point.g_inv
+    S, Sp, tau, tau_p = _traces(gi, point.J, R.components)
+    id_3_2 = _norm(gi, S - Sp - ((tau - tau_p) / (2.0 * point.m)) * point.g_mat)
+    return abs(_inner(gi, S - Sp, S - 5.0 * Sp)), id_3_2, abs(float(tau - 5.0 * tau_p))
 
 
 def _symmetrized(Q: np.ndarray, tol: float, what: str) -> np.ndarray:
@@ -350,19 +360,19 @@ def ricci_family(
     """
     _check_same_dim(point.dim, R.dim)
     require_curvature_class(R, sym_tol, "ricci_family()")
-    gi, J, A = point.g_inv, point.J, R.components
-    n = point.dim
-    S = _symmetrized(_ricci(gi, A), sym_tol, "Ricci trace")
-    Sp = _symmetrized(_j_twisted_ricci(gi, J, A), sym_tol, "J-twisted Ricci trace")
+    gi, n = point.g_inv, point.dim
+    S, Sp, tau, tau_p = _traces(gi, point.J, R.components)
+    S = _symmetrized(S, sym_tol, "Ricci trace")
+    Sp = _symmetrized(Sp, sym_tol, "J-twisted Ricci trace")
     Rs = star(point, R, sym_tol).components
     Ss = _symmetrized(_ricci(gi, Rs), sym_tol, "Ricci trace of the symmetrized tensor")
     return RicciFamily(
         S=SymBilinear(n, S),
         S_prime=SymBilinear(n, Sp),
         S_star=SymBilinear(n, Ss),
-        tau=_trace(gi, S),
-        tau_prime=_trace(gi, Sp),
-        tau_star=_trace(gi, Ss),
+        tau=float(tau),
+        tau_prime=float(tau_p),
+        tau_star=float(_trace(gi, Ss)),
     )
 
 
@@ -496,15 +506,12 @@ def identity_defects(
     require_curvature_class(R, sym_tol, "identity_defects()")
     gi, J, A = point.g_inv, point.J, R.components
     RJ34 = _rotate(A, J, 2, 3)
-    RJ4 = _rotate(RJ34, J, 0, 1)
-    S = _ricci(gi, A)
-    Sp = _ricci(gi, RJ34)
+    S, Sp, _, _ = _traces(gi, J, A)
     Ss = _ricci(gi, star(point, R, sym_tol).components)
-    rel = 4.0 * Ss - (S + 3.0 * Sp)
     return IdentityDefects(
         kahler=float(np.max(np.abs(A - RJ34))),
-        rk=float(np.max(np.abs(A - RJ4))),
-        star_relation=float(np.sqrt(max(_norm_sq_rank2(gi, rel), 0.0))),
+        rk=float(np.max(np.abs(A - _rotate(RJ34, J, 0, 1)))),
+        star_relation=_norm(gi, 4.0 * Ss - (S + 3.0 * Sp)),
         id_1_5=_ricci_identities(point, R)[0],
     )
 

@@ -208,34 +208,27 @@ def _check_same_dim(a: int, b: int) -> None:
         raise DimensionMismatchError(f"dimension mismatch: {a} != {b}")
 
 
-def _norm_sq_rank4(g_inv: np.ndarray, T: np.ndarray) -> float:
-    # raise one index at a time; a single four-metric einsum would cost dim^8
-    Tu = np.einsum("ijkl,ip->pjkl", T, g_inv)
-    Tu = np.einsum("pjkl,jq->pqkl", Tu, g_inv)
-    Tu = np.einsum("pqkl,kr->pqrl", Tu, g_inv)
-    Tu = np.einsum("pqrl,ls->pqrs", Tu, g_inv)
-    return float(np.einsum("ijkl,ijkl->", T, Tu))
+def _inner(g_inv: np.ndarray, P: np.ndarray, Q: np.ndarray) -> float:
+    """Full contraction of P with Q, every index of Q raised by one ``tensordot``
+    per slot (the raised slot moves last, so the slots end in their own order)."""
+    for _ in range(Q.ndim):
+        Q = np.tensordot(Q, g_inv, axes=(0, 0))
+    return float(np.tensordot(P, Q, axes=P.ndim))
 
-def _norm_sq_rank2(g_inv: np.ndarray, Q: np.ndarray) -> float:
-    Qu = np.einsum("ij,ip,jq->pq", Q, g_inv, g_inv)
-    return float(np.einsum("ij,ij->", Q, Qu))
+
+def _norm(g_inv: np.ndarray, T: np.ndarray) -> float:
+    # tiny negative values are roundoff from the contraction
+    return float(np.sqrt(max(_inner(g_inv, T, T), 0.0)))
 
 
 def invariant_norm(point, T: CurvTensor | SymBilinear) -> float:
-    """Frame-invariant norm: sqrt of the full self-contraction of ``T``.
-
-    Every index is raised with the inverse metric of ``point``, so the result
-    does not depend on the coordinate basis the components are expressed in.
-    """
+    """Frame-invariant norm of a CurvTensor or SymBilinear: sqrt of its full
+    self-contraction, every index raised with the inverse metric of ``point``,
+    so the result does not depend on the coordinate basis."""
     _check_same_dim(point.dim, T.dim)
-    if isinstance(T, CurvTensor):
-        sq = _norm_sq_rank4(point.g_inv, T.components)
-    elif isinstance(T, SymBilinear):
-        sq = _norm_sq_rank2(point.g_inv, T.components)
-    else:
+    if not isinstance(T, (CurvTensor, SymBilinear)):
         raise TypeError(f"unsupported tensor type {type(T).__name__}")
-    # tiny negative values are roundoff from the contraction
-    return float(np.sqrt(max(sq, 0.0)))
+    return _norm(point.g_inv, T.components)
 
 
 def gram_schmidt(point, vectors: np.ndarray) -> np.ndarray:

@@ -46,7 +46,7 @@ from .curvature import (
     ricci_family,
     space_form_tensor,
 )
-from .multilinear import CurvTensor, invariant_norm
+from .multilinear import TOL_ALG, CurvTensor, invariant_norm
 
 __all__ = [
     "SCENARIO_IDS",
@@ -79,9 +79,9 @@ class ToleranceConfig:
     second-derivative-level ones.
     """
 
-    tol_alg: float = 1e-12
-    tol_fd1: float = 1e-6
-    tol_fd2: float = 1e-4
+    tol_alg: float = TOL_ALG
+    tol_fd1: float = FDConfig.tol_fd1
+    tol_fd2: float = FDConfig.tol_fd2
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class ScenarioParams:
     c: float = 1.0
     mu: float = 1.0
     seed: int = 0
-    h: float = 1e-3
+    h: float = FDConfig.h
     richardson: bool = True
     samples: int = 512
     chart_points: int = 2

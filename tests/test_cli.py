@@ -186,15 +186,26 @@ def _run_module(argv: list[str]) -> subprocess.CompletedProcess:
     ["scenario", "identities_s6", "--c", "1e100"],  # the model norm underflows to 0
     ["scenario", "identities_cp", "--mu", "1e200"],
     ["all", "--mu", "1e300"],
+    ["scenario", "thm31_product", "--c", "1e100"],  # the chart traces overflow
+    ["scenario", "thm32_models", "--c", "1e100", "--json", "{json}"],
 ])
-def test_floating_point_failure_exits_2_with_one_line(argv):
+def test_floating_point_failure_exits_2_with_one_line(argv, tmp_path):
     """Overflow or an invalid value ends in one error line and no numpy warning.
     Runs in a subprocess, because pytest captures warnings before stderr."""
-    proc = _run_module(argv)
+    proc = _run_module([str(tmp_path / "report.json") if a == "{json}" else a for a in argv])
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: numerical failure in the model: ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--fd-step", "--tol-fd1", "--tol-fd2"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_bad_fd_flag_is_named_in_the_error(flag, value, capsys):
+    assert cli_dispatch(["all", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: argument {flag}: must be finite and positive")
+    assert err.count("\n") == 1
 
 
 def test_non_rk_chart_curvature_exits_2_with_one_line():

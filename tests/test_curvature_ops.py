@@ -9,6 +9,9 @@ from bochnerkit.curvature import (
     AntiholomorphyError,
     DegeneratePlaneError,
     PointValidationError,
+    _g_inv,
+    _rotate,
+    _traces,
     ahsc,
     complex_space_form_tensor,
     constant_hsc_estimate,
@@ -408,6 +411,24 @@ def test_s_star_j_invariant_for_general_input(skew_point6):
     Ss = np.einsum("bc,abcd->ad", gi, star(skew_point6, R).components)
     assert np.max(np.abs(Ss - Ss.T)) < 1e-10
     assert np.max(np.abs(J.T @ Ss @ J - Ss)) < 1e-9
+
+
+@pytest.mark.parametrize("dim", [6, 10])
+def test_rotation_and_traces_take_batch_axes(dim):
+    """A stack of points gives, bit for bit, what each point gives alone."""
+    points = [random_hermitian_point(dim, seed) for seed in range(3)]
+    g = np.stack([p.g_mat for p in points])
+    J = np.stack([p.J for p in points])
+    R = np.stack([random_curvature_tensor(dim, 50 + i).components for i in range(3)])
+    gi = _g_inv(g)
+    rotated, traces = _rotate(R, J, 2, 3), _traces(gi, J, R)
+    for i, p in enumerate(points):
+        assert np.array_equal(gi[i], p.g_inv)
+        assert np.array_equal(rotated[i], _rotate(R[i], p.J, 2, 3))
+        for batched, alone in zip(traces, _traces(p.g_inv, p.J, R[i])):
+            assert np.array_equal(batched[i], alone)
+    # one J for the whole stack
+    assert np.array_equal(_rotate(R, J[0], 2, 3)[1], _rotate(R[1], J[0], 2, 3))
 
 
 def test_ricci_family_rejects_asymmetric_twisted_trace(flat6):

@@ -115,7 +115,8 @@ def test_invariant_norm_homogeneous(c):
 @given(seed=st.integers(0, 10**6))
 @settings(max_examples=20, deadline=None)
 def test_invariant_norm_frame_independent(seed):
-    """Pulling back tensor and metric through any basis change preserves the norm."""
+    """Pulling back a rank-4 or a rank-2 tensor and the metric through any basis
+    change preserves the norm."""
     dim = 4
     point = flat_point(dim)
     T = random_curvature_tensor(dim, seed)
@@ -131,6 +132,11 @@ def test_invariant_norm_frame_independent(seed):
     assert invariant_norm(point2, T2) == pytest.approx(
         invariant_norm(point, T), rel=1e-9
     )
+    Q = rng.standard_normal((dim, dim))
+    Q = SymBilinear(dim, Q + Q.T)
+    Q2 = M.T @ Q.components @ M
+    Q2 = SymBilinear(dim, 0.5 * (Q2 + Q2.T))
+    assert invariant_norm(point2, Q2) == pytest.approx(invariant_norm(point, Q), rel=1e-9)
 
 
 def test_invariant_norm_positive_definite(flat4):
