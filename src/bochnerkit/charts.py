@@ -3,7 +3,8 @@
 Each model space is realized as a single chart with closed-form metric and
 almost complex structure fields; connection, curvature, and the covariant
 derivatives of J and of the Ricci traces come from central finite differences
-(optionally Richardson-extrapolated to fourth order).
+(optionally Richardson-extrapolated to fourth order), except the innermost
+metric derivative, which is a complex step.
 
 Models:
 
@@ -33,7 +34,7 @@ from .curvature import (
     HermitianPoint, PointValidationError, point_violations, standard_J, validate_point,
     _g_inv, _ricci_identities, _rotate, _traces,
 )
-from .multilinear import CurvTensor, NonFiniteError
+from .multilinear import CurvTensor, NonFiniteError, _norm
 from .octonion import cross_operator
 
 __all__ = [
@@ -54,7 +55,7 @@ __all__ = [
 
 
 MAX_DIM = 12  # largest real dimension; TOL_ALG is calibrated up to here
-NK_SAMPLES = 8  # seeded unit vectors per slot in the identity suite
+H_C = 1e-30  # complex step of the innermost (metric) derivative
 NK_THRESHOLD = 1e-3  # nearly Kahler defect above which the suite aborts
 
 
@@ -85,11 +86,12 @@ class NotNearlyKahlerError(ValueError):
 class FDConfig:
     """Finite-difference policy.
 
-    ``h`` is the coordinate step; with ``richardson`` every first derivative is
-    extrapolated to fourth order.  ``tol_fd1`` bounds first-derivative-level
-    identities (e.g. nearly Kahler defects), ``tol_fd2`` second-derivative-level
-    ones (curvature comparisons); the defaults sit at the measured
-    truncation/rounding crossover for double precision at these dimensions.
+    ``h`` is the step of the outer derivative levels, each extrapolated to
+    fourth order with ``richardson``; the innermost, the metric derivative in
+    the Christoffel symbols, is a complex step of ``H_C``.  ``tol_fd1`` bounds
+    first-derivative-level identities (e.g. nearly Kahler defects), ``tol_fd2``
+    second-derivative-level ones (curvature comparisons); the defaults sit at
+    the measured truncation/rounding crossover for double precision.
     """
 
     h: float = 1e-3
@@ -110,7 +112,8 @@ class ChartModel:
 
     ``metric_at`` / ``J_at`` take points of shape (..., n) and return raw
     arrays of shape (..., n, n): a single point (n,) gives one matrix, and a
-    stack of points is evaluated in one call.  ``point_at`` validates one
+    stack of points is evaluated in one call; ``metric_at`` is analytic and
+    also takes complex points (for a complex step).  ``point_at`` validates one
     point into a :class:`HermitianPoint`.  ``boundary_radius`` is the coordinate
     radius at which the chart degenerates (infinite for global charts);
     ``sample_radius`` keeps sampled points well-conditioned.
@@ -327,7 +330,7 @@ def _s6_chart(spec: ChartSpec) -> ChartModel:
 def _interleaved_metric(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Real metric of a Hermitian form A + iB in x1,y1,x2,y2,... coordinates."""
     m = A.shape[-1]
-    g = np.zeros(A.shape[:-2] + (2 * m, 2 * m))
+    g = np.zeros(A.shape[:-2] + (2 * m, 2 * m), dtype=A.dtype)
     g[..., 0::2, 0::2] = A
     g[..., 1::2, 1::2] = A
     g[..., 0::2, 1::2] = B
@@ -344,8 +347,8 @@ def _csf_chart(spec: ChartSpec) -> ChartModel:
     def metric_at(xy: np.ndarray) -> np.ndarray:
         x, y = xy[..., 0::2], xy[..., 1::2]
         r2 = _r2(xy)
-        if s < 0 and np.any(r2 >= 1.0):
-            raise MarginError(f"CD chart is the open unit ball; |x| = {np.sqrt(r2.max()):.3f}")
+        if s < 0 and np.any(r2.real >= 1.0):
+            raise MarginError(f"CD chart is the open unit ball; |x| = {r2.real.max() ** 0.5:.3f}")
         q = 1 + s * r2
         A = c0 * (q * np.eye(m) - s * (_outer(x, x) + _outer(y, y))) / q**2
         B = -s * c0 * (_outer(x, y) - _outer(y, x)) / q**2
@@ -365,7 +368,7 @@ def _product_chart(spec: ChartSpec) -> ChartModel:
 
     def block(field: str) -> Callable[[np.ndarray], np.ndarray]:
         def at(x: np.ndarray) -> np.ndarray:
-            out = np.zeros(x.shape[:-1] + (n, n))
+            out = np.zeros(x.shape[:-1] + (n, n), dtype=x.dtype)
             for ch, sl in zip(charts, slices):
                 out[..., sl, sl] = getattr(ch, field)(x[..., sl])
             return out
@@ -399,10 +402,12 @@ def _grad_field(f, x, cfg):
     return central(cfg.h)
 
 
-def _christoffel(chart: ChartModel, X: np.ndarray, cfg: FDConfig) -> tuple[np.ndarray, ...]:
-    """Metric and connection coefficients at the points ``X`` (..., n); no margin check."""
+def _christoffel(chart: ChartModel, X: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Metric and connection coefficients at the points ``X`` (..., n); no margin check.
+    The metric derivative is a complex step, which subtracts nothing: one call."""
     g = chart.metric_at(X)
-    dg = _grad_field(chart.metric_at, X, cfg)  # dg[..., i, j, l] = d_i g_{jl}
+    # dg[..., i, j, l] = d_i g_{jl} = Im g(x + i H_C e_i) / H_C
+    dg = chart.metric_at(X[..., None, :] + 1j * H_C * np.eye(X.shape[-1])).imag / H_C
     t = dg + np.einsum("...jil->...ijl", dg) - np.einsum("...lij->...ijl", dg)
     return g, 0.5 * np.einsum("...kl,...ijl->...kij", np.linalg.inv(g), t)
 
@@ -428,8 +433,8 @@ def _covariant(G: np.ndarray, T: np.ndarray, dT: np.ndarray, variance: str) -> n
 
 def _riemann(chart: ChartModel, X: np.ndarray, cfg: FDConfig) -> tuple[np.ndarray, ...]:
     """Metric, connection and covariant curvature at the points ``X`` (..., n); no margin check."""
-    g, G = _christoffel(chart, X, cfg)
-    dG = _grad_field(lambda Y: _christoffel(chart, Y, cfg)[1], X, cfg)
+    g, G = _christoffel(chart, X)
+    dG = _grad_field(lambda Y: _christoffel(chart, Y)[1], X, cfg)
     R_up = (
         np.einsum("...iqjk->...ijkq", dG)
         - np.einsum("...jqik->...ijkq", dG)
@@ -462,7 +467,7 @@ def christoffel_at(chart: ChartModel, x: np.ndarray, cfg: FDConfig) -> np.ndarra
     in the lower pair exactly by construction.
     """
     chart.require_margin(x, 2 * cfg.h)
-    return _christoffel(chart, x, cfg)[1]
+    return _christoffel(chart, x)[1]
 
 
 def curvature_at(
@@ -491,9 +496,9 @@ def j_derivatives_at(
     the nabla-J field, all three slots corrected).
     """
     chart.require_margin(x, 4 * cfg.h)
-    G = _christoffel(chart, x, cfg)[1]
+    G = _christoffel(chart, x)[1]
     nJ = _nabla_j(chart, x, G, cfg)[1]
-    dnJ = _grad_field(lambda Y: _nabla_j(chart, Y, _christoffel(chart, Y, cfg)[1], cfg)[1], x, cfg)
+    dnJ = _grad_field(lambda Y: _nabla_j(chart, Y, _christoffel(chart, Y)[1], cfg)[1], x, cfg)
     return nJ, _covariant(G, nJ, dnJ, "lul")
 
 
@@ -512,17 +517,18 @@ def _point_geometry(chart: ChartModel, x: np.ndarray, cfg: FDConfig) -> tuple:
 class NKIdentityReport:
     """Residuals of the nearly Kahler identity catalog at one point.
 
-    ``nk``, ``id_1_1``-``id_1_3``, ``id_1_6`` and ``id_1_7`` are maxima over
-    seeded unit vectors and ``id_1_4`` over coordinates; ``id_1_5`` and
-    ``id_3_3`` are absolute values and ``id_3_2`` is an invariant norm.
+    Every residual except the absolute values ``id_1_5`` and ``id_3_3`` is the
+    frame-invariant norm of its residual tensor, every slot raised by the
+    inverse metric; for unit vectors it bounds the residual's value on them.
 
-    nk       |(nabla_X J) X| over unit vectors (the nearly Kahler condition)
+    nk       nabla J lowered and symmetrized in (a, j); it vanishes exactly when
+             (nabla_X J) X = 0 (nearly Kahler) and bounds |(nabla_X J) X|, X unit
     id_1_1   R(X,Y,Z,U) - R(X,Y,JZ,JU) + g((nabla_X J)Y, (nabla_Z J)U)
     id_1_2   2 g((nabla_X (nabla_Y J)) Z, U) minus the cyclic curvature sum
              R(X,JY,U,Z) + R(X,JU,Z,Y) + R(X,JZ,Y,U)
     id_1_3   2 (nabla_X (S - S'))(Y, Z) - (S-S')((nabla_X J)Y, JZ)
              - (S-S')(JY, (nabla_X J)Z)
-    id_1_4   max coordinate derivative of tau - tau'
+    id_1_4   d(tau - tau')
     id_1_5   |contraction of (S - S') against (S - 5 S')|
     id_1_6   sum_i (nabla_{E_i} R)(X,Y,Z,E_i) - (nabla_X S)(Y,Z) + (nabla_Y S)(X,Z)
     id_1_7   sum_i (nabla_{E_i} S)(X,E_i) - X(tau)/2
@@ -542,16 +548,6 @@ class NKIdentityReport:
     id_3_3: float
 
 
-def _max_multilinear(T: np.ndarray, vector_sets: list[np.ndarray]) -> float:
-    """Max |T(v_1, ..., v_r)| over all combinations of rows of the vector sets."""
-    out = T
-    # after contracting slot t, one sample axis is prepended and the next
-    # original tensor axis sits at position t + 1
-    for step, vs in enumerate(vector_sets):
-        out = np.tensordot(vs, out, axes=(1, step))
-    return float(np.max(np.abs(out)))
-
-
 def _pack(g: np.ndarray, J: np.ndarray, R: np.ndarray, nJ: np.ndarray) -> np.ndarray:
     """R, S, S - S', tau, tau - tau' and nabla J at a batch of points, one flat
     array per point, so one finite-difference pass differentiates all of them."""
@@ -560,12 +556,10 @@ def _pack(g: np.ndarray, J: np.ndarray, R: np.ndarray, nJ: np.ndarray) -> np.nda
     return np.concatenate(flat[:3] + [np.stack([tau, tau - tau_p], axis=-1), flat[3]], axis=-1)
 
 
-def nk_identity_suite(
-    chart: ChartModel, x: np.ndarray, cfg: FDConfig, seed: int = 0
-) -> NKIdentityReport:
+def nk_identity_suite(chart: ChartModel, x: np.ndarray, cfg: FDConfig) -> NKIdentityReport:
     """Evaluate the nearly Kahler identity catalog at one chart point.
 
-    Residuals are maxima over ``NK_SAMPLES`` seeded unit vectors per slot.  If the
+    Each residual is scored by its full norm (see :class:`NKIdentityReport`).  If the
     chart itself fails the nearly Kahler condition beyond ``NK_THRESHOLD`` the
     dependent checks are aborted with :class:`NotNearlyKahlerError`.  The
     geometry is evaluated once at ``x`` and once per step and sign on the
@@ -586,17 +580,14 @@ def nk_identity_suite(
             raise NonFiniteError("CurvTensor: components must be finite")
         return _pack(g_Y, J_Y, R_Y, nJ_Y)
 
-    V = np.random.default_rng(seed).standard_normal((NK_SAMPLES, n))
-    V /= np.sqrt(np.einsum("vi,ij,vj->v", V, g, V))[:, None]  # seeded unit vectors
-    W = np.einsum("akj,va,vj->vk", nJ, V, V)  # (nabla_X J) X for each sample X
-    nk = float(np.sqrt(np.max(np.einsum("vk,kl,vl->v", W, g, W))))
+    nJ_low = g @ nJ  # nJ_low[a, k, j] = g_{kq} (nabla_a J)^q_j
+    nk = _norm(gi, 0.5 * (nJ_low + nJ_low.transpose(2, 1, 0)))
     if nk > NK_THRESHOLD:
         raise NotNearlyKahlerError(nk, NK_THRESHOLD)
 
-    res_1_1 = A - _rotate(A, J, 2, 3) + np.einsum("apb,pq,cqd->abcd", nJ, g, nJ)
-    id_1_1 = _max_multilinear(res_1_1, [V, V, V, V])
+    id_1_1 = _norm(gi, A - _rotate(A, J, 2, 3) + np.einsum("apb,pq,cqd->abcd", nJ, g, nJ))
 
-    S, Sp, _, _ = _traces(gi, J, A)
+    S, Sp, tau, tau_p = _traces(gi, J, A)
     # derivative index first, then the fields of _pack
     dT = np.split(_grad_field(packed, x, cfg), np.cumsum([n**4, n * n, n * n, 1, 1]), axis=1)
     dR, dS, dD, d_tau, d_tau_diff, dnJ = (
@@ -607,7 +598,7 @@ def nk_identity_suite(
     RJ2 = _rotate(A, J, 1)  # R(X,JY,Z,U)
     # R(X,JY,U,Z) + R(X,JU,Z,Y) + R(X,JZ,Y,U)
     rhs_1_2 = RJ2.transpose(0, 1, 3, 2) + RJ2.transpose(0, 3, 2, 1) + RJ2.transpose(0, 2, 1, 3)
-    id_1_2 = _max_multilinear(lhs_1_2 - rhs_1_2, [V, V, V, V])
+    id_1_2 = _norm(gi, lhs_1_2 - rhs_1_2)
 
     D = S - Sp
     res_1_3 = (
@@ -615,17 +606,16 @@ def nk_identity_suite(
         - np.einsum("pq,apb,qc->abc", D, nJ, J)
         - np.einsum("pq,pb,aqc->abc", D, J, nJ)
     )
-    id_1_3 = _max_multilinear(res_1_3, [V, V, V])
-    id_1_4 = float(np.max(np.abs(d_tau_diff)))
+    id_1_3 = _norm(gi, res_1_3)
+    id_1_4 = _norm(gi, d_tau_diff)
 
     nR = _covariant(G, A, dR, "llll")
     nS = _covariant(G, S, dS, "ll")
     lhs_1_6 = np.einsum("ab,aijkb->ijk", gi, nR)
-    id_1_6 = _max_multilinear(lhs_1_6 - (nS - nS.transpose(1, 0, 2)), [V, V, V])
-    res_1_7 = np.einsum("ab,aib->i", gi, nS) - 0.5 * d_tau
-    id_1_7 = _max_multilinear(res_1_7, [V])
+    id_1_6 = _norm(gi, lhs_1_6 - (nS - nS.transpose(1, 0, 2)))
+    id_1_7 = _norm(gi, np.einsum("ab,aib->i", gi, nS) - 0.5 * d_tau)
 
-    id_1_5, id_3_2, id_3_3 = _ricci_identities(point, R)
+    id_1_5, id_3_2, id_3_3 = _ricci_identities(point, S, Sp, tau, tau_p)
     return NKIdentityReport(
         nk=nk, id_1_1=id_1_1, id_1_2=id_1_2, id_1_3=id_1_3, id_1_4=id_1_4, id_1_5=id_1_5,
         id_1_6=id_1_6, id_1_7=id_1_7, id_3_2=id_3_2, id_3_3=id_3_3,

@@ -220,17 +220,16 @@ def _tensor_spec(args: argparse.Namespace) -> ChartSpec:
         raise ChartSpecError(
             f"unknown model {name!r}; use one of {', '.join(_BARE_MODELS)} or a descriptor"
         )
+    m = args.m if args.m is not None else ScenarioParams.m
     if kind == "ce":
-        return ChartSpec(kind="CE", m=args.m if args.m is not None else 3)
+        return ChartSpec(kind="CE", m=m)
     if kind == "s6":
         if args.m is not None and args.m != 3:
             raise ChartSpecError("the six-sphere fixes dim 6 (m = 3)")
-        return ChartSpec(kind="S6", c=args.c if args.c is not None else 1.0)
+        return ChartSpec(kind="S6", c=args.c if args.c is not None else ScenarioParams.c)
     if kind == "cp":
-        return ChartSpec(kind="CP", m=args.m if args.m is not None else 3,
-                         mu=args.mu if args.mu is not None else 1.0)
-    return ChartSpec(kind="CD", m=args.m if args.m is not None else 3,
-                     mu=args.mu if args.mu is not None else -1.0)
+        return ChartSpec(kind="CP", m=m, mu=args.mu if args.mu is not None else ScenarioParams.mu)
+    return ChartSpec(kind="CD", m=m, mu=args.mu if args.mu is not None else -ScenarioParams.mu)
 
 
 def _cmd_tensor(args: argparse.Namespace) -> int:
@@ -292,7 +291,7 @@ def _cmd_identities(args: argparse.Namespace) -> int:
     points = chart.sample_points(args.seed, args.points)
     residuals: dict[str, float] = {}
     for x in points:
-        for name, value in nk_identity_suite(chart, x, cfg, seed=args.seed).__dict__.items():
+        for name, value in nk_identity_suite(chart, x, cfg).__dict__.items():
             residuals[name] = max(residuals.get(name, 0.0), value)
     universal = {
         "nk": args.tol_fd1,

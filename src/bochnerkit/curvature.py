@@ -333,10 +333,10 @@ def _traces(g_inv: np.ndarray, J: np.ndarray, R: np.ndarray) -> tuple:
     return S, Sp, _trace(g_inv, S), _trace(g_inv, Sp)
 
 
-def _ricci_identities(point: HermitianPoint, R: CurvTensor) -> tuple[float, float, float]:
-    """Residuals ``id_1_5``, ``id_3_2`` and ``id_3_3`` of ``charts.NKIdentityReport``."""
+def _ricci_identities(point: HermitianPoint, S, Sp, tau, tau_p) -> tuple[float, float, float]:
+    """Residuals ``id_1_5``, ``id_3_2`` and ``id_3_3`` of ``charts.NKIdentityReport``
+    from the traces S, S', tau and tau' of one curvature tensor at ``point``."""
     gi = point.g_inv
-    S, Sp, tau, tau_p = _traces(gi, point.J, R.components)
     id_3_2 = _norm(gi, S - Sp - ((tau - tau_p) / (2.0 * point.m)) * point.g_mat)
     return abs(_inner(gi, S - Sp, S - 5.0 * Sp)), id_3_2, abs(float(tau - 5.0 * tau_p))
 
@@ -506,13 +506,13 @@ def identity_defects(
     require_curvature_class(R, sym_tol, "identity_defects()")
     gi, J, A = point.g_inv, point.J, R.components
     RJ34 = _rotate(A, J, 2, 3)
-    S, Sp, _, _ = _traces(gi, J, A)
+    S, Sp = _ricci(gi, A), _ricci(gi, RJ34)
     Ss = _ricci(gi, star(point, R, sym_tol).components)
     return IdentityDefects(
         kahler=float(np.max(np.abs(A - RJ34))),
         rk=float(np.max(np.abs(A - _rotate(RJ34, J, 0, 1)))),
         star_relation=_norm(gi, 4.0 * Ss - (S + 3.0 * Sp)),
-        id_1_5=_ricci_identities(point, R)[0],
+        id_1_5=_ricci_identities(point, S, Sp, _trace(gi, S), _trace(gi, Sp))[0],
     )
 
 

@@ -97,7 +97,7 @@ def test_criterion_3_product_classification_and_counterexample():
         pa2, complex_space_form_tensor(pa2, -1.0), pb, space_form_tensor(pb, 1.0)
     )
     bad = rk_bochner(point2, R2).norm
-    frame = antiholo_4frame_defect(point2, R2, samples=512, seed=7)
+    frame = antiholo_4frame_defect(point2, R2, samples=512)
     assert bad > 1e-3
     assert frame > 1e-3
     _report(
@@ -170,7 +170,7 @@ def test_criterion_5_chart_level_geometry():
     assert nk_defect < TOL_FD1
     assert off_diag > 0.1
 
-    suite = nk_identity_suite(chart, x, cfg, seed=7)
+    suite = nk_identity_suite(chart, x, cfg)
     assert suite.id_1_1 < TOL_FD2
     assert suite.id_1_2 < TOL_FD2
     assert suite.id_1_3 < TOL_FD2
@@ -247,8 +247,8 @@ def test_criterion_7_reconstruction_and_convergence():
 
     chart = make_chart("S6(1)")
     x = chart.sample_points(7, 1)[0]
-    coarse = nk_identity_suite(chart, x, FDConfig(h=2e-3, richardson=False), seed=7)
-    fine = nk_identity_suite(chart, x, FDConfig(h=1e-3, richardson=False), seed=7)
+    coarse = nk_identity_suite(chart, x, FDConfig(h=2e-3, richardson=False))
+    fine = nk_identity_suite(chart, x, FDConfig(h=1e-3, richardson=False))
     ratio = coarse.id_1_1 / fine.id_1_1
     assert ratio >= 3.0
     _report(

@@ -22,6 +22,7 @@ from bochnerkit.charts import (
 from bochnerkit.curvature import (
     PointValidationError,
     _ricci_identities,
+    _traces,
     complex_space_form_tensor,
     identity_defects,
     space_form_tensor,
@@ -117,39 +118,41 @@ def test_curvature_makes_a_fixed_number_of_metric_calls():
         chart, count = _counted_metric(make_chart(desc))
         curvature_at(chart, chart.sample_points(3, 1)[0], CFG)
         counts[desc] = count
-    # Gamma at x: 1 + 4 calls; dGamma: 4 calls of Gamma, 5 each.  Lowering R
-    # and validating the point reuse the g that Gamma at x read (27 calls and
-    # 627 / 1,683 points while they read it again)
-    assert counts["S6(1)"]["calls"] == counts["CP(5,1)"]["calls"] == 25
-    # Gamma at x and at its 4n stencil points, 4n + 1 metric points each: (4n + 1)^2
-    assert counts["S6(1)"]["points"] == 625
-    assert counts["CP(5,1)"]["points"] == 1681
+    # Gamma at x: g 1 + the complex step 1 call; dGamma: 4 calls of Gamma, 2
+    # each.  Lowering R and validating the point reuse the g that Gamma at x
+    # read (25 calls with a real-difference Gamma of 1 + 4 calls)
+    assert counts["S6(1)"]["calls"] == counts["CP(5,1)"]["calls"] == 10
+    # Gamma at x and at its 4n stencil points, n + 1 metric points each: (n + 1)(4n + 1)
+    assert counts["S6(1)"]["points"] == 175
+    assert counts["CP(5,1)"]["points"] == 451
 
 
 def test_suite_metric_calls_stay_batched():
     chart, count = _counted_metric(make_chart("CP(5,1)"))
-    nk_identity_suite(chart, chart.sample_points(3, 1)[0], CFG, seed=3)
+    nk_identity_suite(chart, chart.sample_points(3, 1)[0], CFG)
     # 5 batched geometry evaluations (at x, then 2 steps x 2 signs on the n
     # stencil points), each validated from the g and J it read:
-    #   metric: Gamma 5 (g among them) + dGamma 4 x 5 = 25 calls a batch, 125 in all;
+    #   metric: Gamma 2 (g and the complex step) + dGamma 4 x 2 = 10 calls a batch,
+    #           50 in all;
     #   J:      J 1 + dJ 4 = 5 calls a batch, 25 in all;
-    #   points: (4n + 1)^2 = 1,681 per geometry point at n = 10, x 41 = 68,921.
+    #   points: (n + 1)(4n + 1) = 451 per geometry point at n = 10, x 41 = 18,491.
     # 70,766 single-point calls before batching, 1,137 before the shared
-    # geometry, 171 (and 66 J calls) while each stencil point was validated alone
-    assert (count["calls"], count["J_calls"], count["points"]) == (125, 25, 68921)
+    # geometry, 171 (and 66 J calls) while each stencil point was validated
+    # alone, 125 (68,921 points) while Gamma took real differences of g
+    assert (count["calls"], count["J_calls"], count["points"]) == (50, 25, 18491)
 
 
 @pytest.mark.parametrize("desc", ["S6(1)", "CP(5,1)"])
 def test_derivative_evaluators_make_fixed_call_counts(desc):
-    """Gamma costs one metric call at x and one per step and sign; nabla J and
+    """Gamma costs one metric call at x and one complex-step call; nabla J and
     nabla^2 J evaluate Gamma and J at x and at the 4n stencil points."""
     chart, count = _counted_metric(make_chart(desc))
     x = chart.sample_points(3, 1)[0]
     j_derivatives_at(chart, x, CFG)
-    assert (count["calls"], count["J_calls"]) == (25, 25)
+    assert (count["calls"], count["J_calls"]) == (10, 25)
     chart, count = _counted_metric(make_chart(desc))
     christoffel_at(chart, x, CFG)
-    assert (count["calls"], count["J_calls"]) == (5, 0)
+    assert (count["calls"], count["J_calls"]) == (2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +321,7 @@ def test_margin_error_near_ball_boundary():
 def test_nk_suite_on_s6():
     chart = make_chart("S6(1)")
     x = chart.sample_points(21, 1)[0]
-    rep = nk_identity_suite(chart, x, CFG, seed=0)
+    rep = nk_identity_suite(chart, x, CFG)
     assert rep.nk < CFG.tol_fd1
     for value in (rep.id_1_1, rep.id_1_2, rep.id_1_3, rep.id_1_5, rep.id_3_2, rep.id_3_3):
         assert value < CFG.tol_fd2
@@ -327,7 +330,7 @@ def test_nk_suite_on_s6():
 def test_nk_suite_on_cp_kahler():
     chart = make_chart("CP(3,4)")
     x = chart.sample_points(23, 1)[0]
-    rep = nk_identity_suite(chart, x, CFG, seed=0)
+    rep = nk_identity_suite(chart, x, CFG)
     assert rep.nk < CFG.tol_fd1
     assert rep.id_1_1 < CFG.tol_fd2  # both sides vanish
     assert rep.id_1_2 < CFG.tol_fd2
@@ -350,7 +353,7 @@ def test_nk_suite_rejects_non_nearly_kahler_chart():
     )
     x = np.array([0.3, 0.2, -0.1, 0.4])
     with pytest.raises(NotNearlyKahlerError) as err:
-        nk_identity_suite(chart, x, CFG, seed=0)
+        nk_identity_suite(chart, x, CFG)
     assert err.value.defect > 0.1
 
 
@@ -358,7 +361,7 @@ def test_nk_suite_rejects_non_nearly_kahler_chart():
 def test_bianchi_suite(desc):
     chart = make_chart(desc)
     x = chart.sample_points(25, 1)[0]
-    rep = nk_identity_suite(chart, x, CFG, seed=0)
+    rep = nk_identity_suite(chart, x, CFG)
     assert rep.id_1_4 < CFG.tol_fd2
     assert rep.id_1_6 < CFG.tol_fd2
     assert rep.id_1_7 < CFG.tol_fd2
@@ -372,8 +375,9 @@ def test_pointwise_identities_from_curvature_match_the_suite(seed, richardson):
     chart = make_chart("PRODUCT(CD(1,-1),S6(1))")
     cfg = FDConfig(richardson=richardson)
     x = chart.sample_points(seed, 1)[0]
-    suite = nk_identity_suite(chart, x, cfg, seed=seed)
-    pointwise = _ricci_identities(*curvature_at(chart, x, cfg))
+    suite = nk_identity_suite(chart, x, cfg)
+    point, R = curvature_at(chart, x, cfg)
+    pointwise = _ricci_identities(point, *_traces(point.g_inv, point.J, R.components))
     assert pointwise == (suite.id_1_5, suite.id_3_2, suite.id_3_3)
 
 
@@ -388,10 +392,10 @@ def test_suite_evaluates_curvature_once_per_stencil_point(monkeypatch, richardso
         batches.append(Y[..., 0].size)
         return geometry(chart, Y, cfg)
 
-    def counted_christoffel(chart, Y, cfg):
+    def counted_christoffel(chart, Y):
         if Y.ndim == 1:
             gamma_at_x.append(Y)
-        return christoffel(chart, Y, cfg)
+        return christoffel(chart, Y)
 
     monkeypatch.setattr(charts, "_geometry", counted)
     monkeypatch.setattr(charts, "_christoffel", counted_christoffel)
@@ -399,7 +403,7 @@ def test_suite_evaluates_curvature_once_per_stencil_point(monkeypatch, richardso
         monkeypatch.setattr(charts, public, None)  # the suite never calls these
     chart = make_chart("S6(1)")
     x = chart.sample_points(25, 1)[0]
-    nk_identity_suite(chart, x, FDConfig(richardson=richardson), seed=0)
+    nk_identity_suite(chart, x, FDConfig(richardson=richardson))
     assert len(batches) == stencil + 1
     assert sum(batches) == stencil * chart.n + 1
     assert len(gamma_at_x) == 1
@@ -422,21 +426,21 @@ def test_suite_validates_every_stencil_point():
     x = chart.sample_points(23, 1)[0]
     bad = _perturbed_off(chart, x, "J_at", lambda J, y: 1.001 * J)
     with pytest.raises(PointValidationError) as err:
-        nk_identity_suite(bad, x, CFG, seed=0)
+        nk_identity_suite(bad, x, CFG)
     assert "J squares to -identity" in [v.invariant for v in err.value.violations]
 
 
 def test_suite_rejects_non_finite_stencil_curvature():
-    """The curvature at x reads the metric up to 2h away and the curvature on
-    the stencil up to 3h: a metric that is NaN beyond 2.5h leaves (g, J) on
+    """The curvature at x reads the metric up to h away and the curvature on
+    the stencil up to 2h: a metric that is NaN beyond 1.5h leaves (g, J) on
     the stencil and R at x finite, and only the stencil curvature is not."""
     chart = make_chart("CP(3,4)")
     x = chart.sample_points(23, 1)[0]
     far = lambda g, y: np.where(
-        (np.max(np.abs(y - x), axis=-1) > 2.5 * CFG.h)[..., None, None], np.nan, g
+        (np.max(np.abs(y - x), axis=-1) > 1.5 * CFG.h)[..., None, None], np.nan, g
     )
     with pytest.raises(NonFiniteError):
-        nk_identity_suite(_perturbed_off(chart, x, "metric_at", far), x, CFG, seed=0)
+        nk_identity_suite(_perturbed_off(chart, x, "metric_at", far), x, CFG)
 
 
 def test_id_1_1_second_order_convergence():
@@ -444,8 +448,8 @@ def test_id_1_1_second_order_convergence():
     plain second-order scheme."""
     chart = make_chart("S6(1)")
     x = chart.sample_points(27, 1)[0]
-    coarse = nk_identity_suite(chart, x, FDConfig(h=2e-3, richardson=False), seed=0)
-    fine = nk_identity_suite(chart, x, FDConfig(h=1e-3, richardson=False), seed=0)
+    coarse = nk_identity_suite(chart, x, FDConfig(h=2e-3, richardson=False))
+    fine = nk_identity_suite(chart, x, FDConfig(h=1e-3, richardson=False))
     assert coarse.id_1_1 / fine.id_1_1 >= 3.0
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bochnerkit
+from bochnerkit.charts import FDConfig
 from bochnerkit.cli import cli_dispatch
 
 
@@ -131,6 +132,23 @@ def test_identities_chart(tmp_path, capsys):
     assert payload["residuals"]["nk"] < 1e-6
 
 
+@pytest.mark.parametrize("argv", [
+    # third-order nested differences of a valid round sphere, which crossed
+    # tol_fd2 while the innermost derivative was a real difference
+    ["S6(2.5)", "--points", "2", "--seed", "5"],
+    # a tiny metric whose derivative is below what the complex step resolves:
+    # Gamma, R and every residual read 0, so nothing on the way overflows
+    ["CD(1,-1e300)", "--points", "1"],
+])
+def test_identities_pass_on_valid_models(argv, tmp_path, capsys):
+    out = tmp_path / "identities.json"
+    assert cli_dispatch(["identities", *argv, "--json", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["status"] == "pass"
+    assert payload["residuals"]["id_1_3"] <= FDConfig.tol_fd2
+    assert payload["residuals"]["id_1_4"] <= FDConfig.tol_fd2
+
+
 def test_identities_bad_chart(capsys):
     assert cli_dispatch(["identities", "TORUS(1)"]) == 2
 
@@ -182,7 +200,6 @@ def _run_module(argv: list[str]) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize("argv", [
     ["tensor", "CP(1,1e308)", "--quiet"],
     ["identities", "S6(1e-300)", "--points", "1"],
-    ["identities", "CD(1,-1e300)", "--points", "1"],
     ["scenario", "identities_s6", "--c", "1e100"],  # the model norm underflows to 0
     ["scenario", "identities_cp", "--mu", "1e200"],
     ["all", "--mu", "1e300"],
@@ -209,9 +226,12 @@ def test_bad_fd_flag_is_named_in_the_error(flag, value, capsys):
 
 
 def test_non_rk_chart_curvature_exits_2_with_one_line():
-    """Without Richardson extrapolation the product chart's curvature at seed 5
-    misses the RK gate of the corrected tensor: one error line, no traceback."""
-    proc = _run_module(["all", "--seed", "5", "--no-richardson"])
+    """Without Richardson extrapolation and at twice the default step the
+    product chart's curvature at seed 7 misses the RK gate of the corrected
+    tensor: one error line, no traceback."""
+    proc = _run_module(
+        ["scenario", "thm32_models", "--seed", "7", "--no-richardson", "--fd-step", "2e-3"]
+    )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: curvature is not RK")
     assert "allow_non_rk" not in proc.stderr  # a library keyword, not a CLI option

@@ -182,12 +182,13 @@ def test_run_all_makes_a_fixed_number_of_metric_and_j_calls(monkeypatch):
 
     monkeypatch.setattr(scenarios, "make_chart", counted_chart)
     run_all(ScenarioParams(seed=7))
-    # 9 chart points at 25 metric and 5 J calls each, 3 suites at 125 and 25:
+    # 9 chart points at 10 metric and 5 J calls each, 3 suites at 50 and 25:
     # 725 and 137 while thm32_models evaluated 3 points again and
-    # identities_cp called j_derivatives_at at its 2 points
-    assert count == {"metric": 600, "J": 120}
+    # identities_cp called j_derivatives_at at its 2 points, 600 metric calls
+    # while Gamma took real differences of g
+    assert count == {"metric": 240, "J": 120}
     run_all(ScenarioParams(seed=7))  # the second run repeats every evaluation
-    assert count == {"metric": 1200, "J": 240}
+    assert count == {"metric": 480, "J": 240}
 
 
 def test_run_all_keeps_apart_charts_whose_labels_agree():
