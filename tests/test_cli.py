@@ -205,6 +205,7 @@ def _run_module(argv: list[str]) -> subprocess.CompletedProcess:
     ["all", "--mu", "1e300"],
     ["scenario", "thm31_product", "--c", "1e100"],  # the chart traces overflow
     ["scenario", "thm32_models", "--c", "1e100", "--json", "{json}"],
+    ["identities", "S6(1e300)", "--points", "1"],  # the chart metric is singular
 ])
 def test_floating_point_failure_exits_2_with_one_line(argv, tmp_path):
     """Overflow or an invalid value ends in one error line and no numpy warning.
