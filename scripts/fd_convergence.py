@@ -17,7 +17,7 @@ tensor c * pi1, so only S6 charts are accepted.
 import argparse
 
 from bochnerkit.charts import (
-    ChartSpecError, FDConfig, curvature_at, make_chart, nk_identity_suite, parse_model_spec,
+    ChartSpecError, FDConfig, geometry_at, make_chart, nk_identity_suite, parse_model_spec,
 )
 from bochnerkit.curvature import space_form_tensor
 from bochnerkit.multilinear import invariant_norm
@@ -45,10 +45,10 @@ def main(argv: list[str] | None = None) -> None:
     for richardson in (False, True):
         for h in args.steps:
             cfg = FDConfig(h=h, richardson=richardson)
-            suite = nk_identity_suite(chart, x, cfg)
-            point, R = curvature_at(chart, x, cfg)
-            target = space_form_tensor(point, chart.scale)
-            rel = invariant_norm(point, R - target) / invariant_norm(point, target)
+            geo = geometry_at(chart, x, cfg)
+            suite = nk_identity_suite(chart, geo)
+            target = space_form_tensor(geo.point, chart.scale)
+            rel = invariant_norm(geo.point, geo.R - target) / invariant_norm(geo.point, target)
             print(f"{h:>10.1e} {str(richardson):>10} {suite.id_1_1:>12.3e} "
                   f"{suite.id_1_3:>12.3e} {suite.id_1_4:>12.3e} {rel:>12.3e}")
 

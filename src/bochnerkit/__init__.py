@@ -51,9 +51,7 @@ from .bochner import (
 from .charts import (
     ChartModel,
     FDConfig,
-    christoffel_at,
-    curvature_at,
-    j_derivatives_at,
+    geometry_at,
     make_chart,
     nk_identity_suite,
     parse_model_spec,

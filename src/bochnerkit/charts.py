@@ -47,9 +47,8 @@ __all__ = [
     "NKIdentityReport",
     "parse_model_spec",
     "make_chart",
-    "christoffel_at",
-    "curvature_at",
-    "j_derivatives_at",
+    "ChartGeometry",
+    "geometry_at",
     "nk_identity_suite",
 ]
 
@@ -431,8 +430,16 @@ def _covariant(G: np.ndarray, T: np.ndarray, dT: np.ndarray, variance: str) -> n
     return out
 
 
-def _riemann(chart: ChartModel, X: np.ndarray, cfg: FDConfig) -> tuple[np.ndarray, ...]:
-    """Metric, connection and covariant curvature at the points ``X`` (..., n); no margin check."""
+def _geometry(chart: ChartModel, X: np.ndarray, cfg: FDConfig) -> tuple[np.ndarray, ...]:
+    """g, J, Gamma, nabla J and R at the points ``X`` (..., n), with g and J read
+    once and one Christoffel evaluation per point; no margin check.
+
+    The curvature index convention matches the algebraic models: the round
+    sphere chart of curvature c yields c * pi1 (pinned by the acceptance suite), so
+
+        R_{ijkl} = g_{ql} (d_i Gamma^q_{jk} - d_j Gamma^q_{ik}
+                           + Gamma^p_{jk} Gamma^q_{ip} - Gamma^p_{ik} Gamma^q_{jp}).
+    """
     g, G = _christoffel(chart, X)
     dG = _grad_field(lambda Y: _christoffel(chart, Y)[1], X, cfg)
     R_up = (
@@ -441,72 +448,35 @@ def _riemann(chart: ChartModel, X: np.ndarray, cfg: FDConfig) -> tuple[np.ndarra
         + np.einsum("...pjk,...qip->...ijkq", G, G)
         - np.einsum("...pik,...qjp->...ijkq", G, G)
     )
-    return g, G, np.einsum("...ijkq,...ql->...ijkl", R_up, g)
-
-
-def _nabla_j(
-    chart: ChartModel, X: np.ndarray, G: np.ndarray, cfg: FDConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """J and (nabla_a J)^k_j at the points ``X`` (..., n) with connection ``G``; no margin check."""
     J = chart.J_at(X)
-    return J, _covariant(G, J, _grad_field(chart.J_at, X, cfg), "ul")
+    nJ = _covariant(G, J, _grad_field(chart.J_at, X, cfg), "ul")
+    return g, J, G, nJ, np.einsum("...ijkq,...ql->...ijkl", R_up, g)
 
 
-def _geometry(chart: ChartModel, X: np.ndarray, cfg: FDConfig) -> tuple[np.ndarray, ...]:
-    """g, J, Gamma, nabla J and R at the points ``X`` (..., n), with g and J read
-    once and one Christoffel evaluation per point; no margin check."""
-    g, G, R = _riemann(chart, X, cfg)
-    J, nJ = _nabla_j(chart, X, G, cfg)
-    return g, J, G, nJ, R
+@dataclass(frozen=True)
+class ChartGeometry:
+    """The finite-difference geometry at the chart point ``x``, evaluated with ``cfg``.
 
-
-def christoffel_at(chart: ChartModel, x: np.ndarray, cfg: FDConfig) -> np.ndarray:
-    """Connection coefficients Gamma^k_{ij} (axis order: upper, lower, lower).
-
-    Gamma^k_{ij} = g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij}) / 2; symmetric
-    in the lower pair exactly by construction.
+    ``point`` holds g and J, ``R`` the covariant curvature, ``G`` the connection
+    coefficients ``G[k, i, j] = Gamma^k_{ij}`` (symmetric in the lower pair exactly
+    by construction) and ``nJ[a, k, j] = (nabla_a J)^k_j``.
     """
-    chart.require_margin(x, 2 * cfg.h)
-    return _christoffel(chart, x)[1]
+
+    x: np.ndarray
+    cfg: FDConfig
+    point: HermitianPoint
+    R: CurvTensor
+    G: np.ndarray
+    nJ: np.ndarray
 
 
-def curvature_at(
-    chart: ChartModel, x: np.ndarray, cfg: FDConfig
-) -> tuple[HermitianPoint, CurvTensor]:
-    """Covariant curvature tensor of the chart metric at ``x``.
-
-    The index convention matches the algebraic models: the round sphere chart
-    of curvature c yields c * pi1 (pinned by the acceptance suite), so
-
-        R_{ijkl} = g_{ql} (d_i Gamma^q_{jk} - d_j Gamma^q_{ik}
-                           + Gamma^p_{jk} Gamma^q_{ip} - Gamma^p_{ik} Gamma^q_{jp}).
-    """
+def geometry_at(chart: ChartModel, x: np.ndarray, cfg: FDConfig) -> ChartGeometry:
+    """The geometry at ``x`` from one :func:`_geometry` evaluation, after one
+    check of the 4h margin its stencil needs; the point is validated and R
+    checked finite."""
     chart.require_margin(x, 4 * cfg.h)
-    g, _, R = _riemann(chart, x, cfg)
-    return validate_point(g, chart.J_at(x)), CurvTensor(chart.n, R)
-
-
-def j_derivatives_at(
-    chart: ChartModel, x: np.ndarray, cfg: FDConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """First and second covariant derivatives of the J field.
-
-    Returns ``nJ`` with ``nJ[a, k, j] = (nabla_a J)^k_j`` and ``n2J`` with
-    ``n2J[a, b, k, j] = (nabla^2_{a,b} J)^k_j`` (the covariant derivative of
-    the nabla-J field, all three slots corrected).
-    """
-    chart.require_margin(x, 4 * cfg.h)
-    G = _christoffel(chart, x)[1]
-    nJ = _nabla_j(chart, x, G, cfg)[1]
-    dnJ = _grad_field(lambda Y: _nabla_j(chart, Y, _christoffel(chart, Y)[1], cfg)[1], x, cfg)
-    return nJ, _covariant(G, nJ, dnJ, "lul")
-
-
-def _point_geometry(chart: ChartModel, x: np.ndarray, cfg: FDConfig) -> tuple:
-    """The point and R of :func:`curvature_at` and the nabla J of :func:`j_derivatives_at`."""
-    chart.require_margin(x, 4 * cfg.h)
-    g, J, _, nJ, R = _geometry(chart, x, cfg)
-    return validate_point(g, J), CurvTensor(chart.n, R), nJ
+    g, J, G, nJ, R = _geometry(chart, x, cfg)
+    return ChartGeometry(x, cfg, validate_point(g, J), CurvTensor(chart.n, R), G, nJ)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +485,8 @@ def _point_geometry(chart: ChartModel, x: np.ndarray, cfg: FDConfig) -> tuple:
 
 @dataclass(frozen=True)
 class NKIdentityReport:
-    """Residuals of the nearly Kahler identity catalog at one point.
+    """Residuals of the nearly Kahler identity catalog at the point of one
+    :class:`ChartGeometry`.
 
     Every residual except the absolute values ``id_1_5`` and ``id_3_3`` is the
     frame-invariant norm of its residual tensor, every slot raised by the
@@ -556,20 +527,19 @@ def _pack(g: np.ndarray, J: np.ndarray, R: np.ndarray, nJ: np.ndarray) -> np.nda
     return np.concatenate(flat[:3] + [np.stack([tau, tau - tau_p], axis=-1), flat[3]], axis=-1)
 
 
-def nk_identity_suite(chart: ChartModel, x: np.ndarray, cfg: FDConfig) -> NKIdentityReport:
-    """Evaluate the nearly Kahler identity catalog at one chart point.
+def nk_identity_suite(chart: ChartModel, geo: ChartGeometry) -> NKIdentityReport:
+    """Evaluate the nearly Kahler identity catalog at the point of ``geo``.
 
     Each residual is scored by its full norm (see :class:`NKIdentityReport`).  If the
     chart itself fails the nearly Kahler condition beyond ``NK_THRESHOLD`` the
-    dependent checks are aborted with :class:`NotNearlyKahlerError`.  The
-    geometry is evaluated once at ``x`` and once per step and sign on the
-    stencil points around it; each such batch of (g, J) is validated in one
-    pass, and a non-finite R on it raises :class:`NonFiniteError`.
+    dependent checks are aborted with :class:`NotNearlyKahlerError`.  The values
+    at x come from ``geo``; the geometry is evaluated once per step and sign of
+    ``geo.cfg`` on the stencil points around x, each such batch of (g, J) is
+    validated in one pass, and a non-finite R on it raises :class:`NonFiniteError`.
     """
+    x, cfg, point, G, nJ = geo.x, geo.cfg, geo.point, geo.G, geo.nJ
     chart.require_margin(x, 6 * cfg.h)
-    g, J, G, nJ, A = _geometry(chart, x, cfg)
-    point, R = validate_point(g, J), CurvTensor(chart.n, A)
-    g, gi, J, A, n = point.g_mat, point.g_inv, point.J, R.components, chart.n
+    g, gi, J, A, n = point.g_mat, point.g_inv, point.J, geo.R.components, chart.n
 
     def packed(Y: np.ndarray) -> np.ndarray:
         g_Y, J_Y, _, nJ_Y, R_Y = _geometry(chart, Y, cfg)

@@ -32,6 +32,7 @@ from .charts import (
     FDConfigError,
     MarginError,
     NotNearlyKahlerError,
+    geometry_at,
     make_chart,
     nk_identity_suite,
     parse_model_spec,
@@ -291,7 +292,7 @@ def _cmd_identities(args: argparse.Namespace) -> int:
     points = chart.sample_points(args.seed, args.points)
     residuals: dict[str, float] = {}
     for x in points:
-        for name, value in nk_identity_suite(chart, x, cfg).__dict__.items():
+        for name, value in nk_identity_suite(chart, geometry_at(chart, x, cfg)).__dict__.items():
             residuals[name] = max(residuals.get(name, 0.0), value)
     universal = {
         "nk": args.tol_fd1,

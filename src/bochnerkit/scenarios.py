@@ -27,11 +27,10 @@ from .bochner import (
     sample_antiholomorphic_frames,
 )
 from .charts import (
-    ChartModel,
     ChartSpec,
     FDConfig,
     NKIdentityReport,
-    _point_geometry,
+    geometry_at,
     make_chart,
     nk_identity_suite,
     parse_model_spec,
@@ -349,9 +348,9 @@ def _thm31_product(p: ScenarioParams, table: dict) -> list[CheckResult]:
     sym_tol = 10.0 * tol.tol_fd1
     worst_b = worst_mixed = 0.0
     _, geometries = _chart_points(p, desc, p.chart_points, table)
-    for fd_point, fd_R, _ in geometries:
-        worst_b = max(worst_b, rk_bochner(fd_point, fd_R, sym_tol=sym_tol, rk_tol=sym_tol).norm)
-        worst_mixed = max(worst_mixed, _mixed_component_max(fd_R, 2))
+    for geo in geometries:
+        worst_b = max(worst_b, rk_bochner(geo.point, geo.R, sym_tol=sym_tol, rk_tol=sym_tol).norm)
+        worst_mixed = max(worst_mixed, _mixed_component_max(geo.R, 2))
     checks.append(
         _vanish("chart_b_vanishes", "the corrected curvature also vanishes for the "
                 "finite-difference product chart", worst_b, tol.tol_fd2)
@@ -360,7 +359,7 @@ def _thm31_product(p: ScenarioParams, table: dict) -> list[CheckResult]:
         _vanish("chart_mixed_components", "product curvature has no mixed components",
                 worst_mixed, tol.tol_fd1)
     )
-    point0, R0, _ = geometries[0]
+    point0, R0 = geometries[0].point, geometries[0].R
     checks.append(
         _nonvanish("chart_id_3_2",
                    "the Ricci difference of the product is not a multiple of the metric, "
@@ -412,11 +411,11 @@ def _thm32_models(p: ScenarioParams, table: dict) -> list[CheckResult]:
                     "constant-scalar-curvature model has vanishing corrected curvature",
                     rk_bochner(point, R).norm, tol.tol_alg)
         )
-        _, [(fd_point, fd_R, _)] = _chart_points(p, desc, 1, table)
+        _, [geo] = _chart_points(p, desc, 1, table)
         checks.append(
             _vanish(f"chart_b_{label}",
                     "the finite-difference chart agrees",
-                    rk_bochner(fd_point, fd_R, sym_tol=sym_tol, rk_tol=sym_tol).norm,
+                    rk_bochner(geo.point, geo.R, sym_tol=sym_tol, rk_tol=sym_tol).norm,
                     tol.tol_fd2)
         )
     return checks
@@ -452,40 +451,42 @@ def _cor33_spotcheck(p: ScenarioParams, table: dict) -> list[CheckResult]:
 
 
 def _chart_points(p: ScenarioParams, desc: str, count: int, table: dict) -> tuple:
-    """The chart of ``desc`` and (point, R, nabla J) at its first ``count`` sample points,
+    """The chart of ``desc`` and its geometry at its first ``count`` sample points,
     kept in ``table`` by (descriptor, index); labels round the parameters, descriptors do not."""
     chart = make_chart(desc)
     for i, x in enumerate(chart.sample_points(p.seed, count)):
         if (desc, i) not in table:
-            table[desc, i] = _point_geometry(chart, x, p.fd_config())
+            table[desc, i] = geometry_at(chart, x, p.fd_config())
     return chart, [table[desc, i] for i in range(count)]
 
 
-def _suite(p: ScenarioParams, chart: ChartModel, table: dict) -> NKIdentityReport:
-    """The suite at the chart's first sample point, kept in ``table`` by chart label."""
-    if chart.label not in table:
-        x = chart.sample_points(p.seed, 1)[0]
-        table[chart.label] = nk_identity_suite(chart, x, p.fd_config())
-    return table[chart.label]
+def _suite(p: ScenarioParams, desc: str, table: dict) -> NKIdentityReport:
+    """The suite at the first sample point of ``desc``, from that point's geometry
+    in ``table``, kept in ``table`` by descriptor."""
+    if desc not in table:
+        chart, [geo] = _chart_points(p, desc, 1, table)
+        table[desc] = nk_identity_suite(chart, geo)
+    return table[desc]
 
 
 def _model_error(geometries: list, model) -> float:
     """Worst relative invariant distance of the chart curvatures from ``model(point)``."""
     worst = 0.0
-    for point, R, _ in geometries:
-        target = model(point)
-        norm = invariant_norm(point, target)
+    for geo in geometries:
+        target = model(geo.point)
+        norm = invariant_norm(geo.point, target)
         if norm == 0.0:  # underflow; np.errstate does not see a Python float division
             raise FloatingPointError("the model curvature norm underflows to 0")
-        worst = max(worst, invariant_norm(point, R - target) / norm)
+        worst = max(worst, invariant_norm(geo.point, geo.R - target) / norm)
     return worst
 
 
 def _identities_s6(p: ScenarioParams, table: dict) -> list[CheckResult]:
     tol = p.tolerances
-    chart, geometries = _chart_points(p, f"S6({p.c!r})", p.chart_points, table)
+    desc = f"S6({p.c!r})"
+    chart, geometries = _chart_points(p, desc, p.chart_points, table)
     worst_rel = _model_error(geometries, lambda point: space_form_tensor(point, chart.scale))
-    suite = _suite(p, chart, table)
+    suite = _suite(p, desc, table)
     checks = [
         _vanish("chart_curvature_matches_model",
                 "finite-difference curvature of the round six-sphere chart matches "
@@ -506,11 +507,12 @@ def _identities_s6(p: ScenarioParams, table: dict) -> list[CheckResult]:
 
 def _identities_cp(p: ScenarioParams, table: dict) -> list[CheckResult]:
     tol = p.tolerances
-    chart, geometries = _chart_points(p, f"CP({p.m},{p.mu!r})", p.chart_points, table)
+    desc = f"CP({p.m},{p.mu!r})"
+    _, geometries = _chart_points(p, desc, p.chart_points, table)
     checks = []
     worst_rel = _model_error(geometries, lambda point: complex_space_form_tensor(point, p.mu))
     # full norm of nabla J, its upper index lowered
-    worst_dj = max(_norm(point.g_inv, point.g_mat @ nJ) for point, _, nJ in geometries)
+    worst_dj = max(_norm(geo.point.g_inv, geo.point.g_mat @ geo.nJ) for geo in geometries)
     checks.append(
         _vanish("chart_curvature_matches_model",
                 "finite-difference curvature matches the constant holomorphic "
@@ -520,8 +522,8 @@ def _identities_cp(p: ScenarioParams, table: dict) -> list[CheckResult]:
         _vanish("chart_nabla_j", "the chart is Kahler: nabla J vanishes",
                 worst_dj, tol.tol_fd1)
     )
-    fam = ricci_family(*geometries[0][:2], sym_tol=10.0 * tol.tol_fd1)
-    suite = _suite(p, chart, table)
+    fam = ricci_family(geometries[0].point, geometries[0].R, sym_tol=10.0 * tol.tol_fd1)
+    suite = _suite(p, desc, table)
     checks.extend([
         _vanish("chart_nk", "Kahler charts are nearly Kahler", suite.nk, tol.tol_fd1),
         _vanish("chart_id_1_1", "both sides of the J-rotation pairing vanish",
@@ -546,14 +548,14 @@ def _bianchi(p: ScenarioParams, table: dict) -> list[CheckResult]:
     tol = p.tolerances
     checks = []
     for desc in (f"S6({p.c!r})", f"CE({p.m})", f"CP({p.m},{p.mu!r})"):
-        chart = make_chart(desc)
-        suite = _suite(p, chart, table)
+        label = make_chart(desc).label
+        suite = _suite(p, desc, table)
         for name, value, claim in (
             ("id_1_4", suite.id_1_4, "the scalar trace difference is locally constant"),
             ("id_1_6", suite.id_1_6, "the contracted differential identity for curvature holds"),
             ("id_1_7", suite.id_1_7, "the contracted differential identity for the Ricci trace holds"),
         ):
-            checks.append(_vanish(f"{name}_{chart.label}", claim, value, tol.tol_fd2))
+            checks.append(_vanish(f"{name}_{label}", claim, value, tol.tol_fd2))
     return checks
 
 

@@ -18,7 +18,7 @@ from bochnerkit.bochner import (
     rhs_2_1,
     rk_bochner,
 )
-from bochnerkit.charts import FDConfig, curvature_at, j_derivatives_at, make_chart, nk_identity_suite
+from bochnerkit.charts import FDConfig, geometry_at, make_chart, nk_identity_suite
 from bochnerkit.curvature import (
     complex_space_form_tensor,
     direct_sum,
@@ -146,17 +146,16 @@ def test_criterion_5_chart_level_geometry():
     chart = make_chart("S6(1)")
     worst_rel = 0.0
     for x in chart.sample_points(7, 5):
-        point, R = curvature_at(chart, x, cfg)
+        geo = geometry_at(chart, x, cfg)
+        point, R = geo.point, geo.R
         target = space_form_tensor(point, 1.0)
         worst_rel = max(
             worst_rel, invariant_norm(point, R - target) / invariant_norm(point, target)
         )
     assert worst_rel < TOL_FD2
 
-    x = chart.sample_points(7, 1)[0]
-    point = chart.point_at(x)
-    g = point.g_mat
-    nJ, _ = j_derivatives_at(chart, x, cfg)
+    geo = geometry_at(chart, chart.sample_points(7, 1)[0], cfg)
+    g, nJ = geo.point.g_mat, geo.nJ
     rng = np.random.default_rng(7)
     nk_defect, off_diag = 0.0, 0.0
     for _ in range(64):
@@ -170,7 +169,7 @@ def test_criterion_5_chart_level_geometry():
     assert nk_defect < TOL_FD1
     assert off_diag > 0.1
 
-    suite = nk_identity_suite(chart, x, cfg)
+    suite = nk_identity_suite(chart, geo)
     assert suite.id_1_1 < TOL_FD2
     assert suite.id_1_2 < TOL_FD2
     assert suite.id_1_3 < TOL_FD2
@@ -181,14 +180,14 @@ def test_criterion_5_chart_level_geometry():
     cp = make_chart("CP(3,4)")
     worst_cp = 0.0
     for x in cp.sample_points(7, 2):
-        point, R = curvature_at(cp, x, cfg)
+        geo = geometry_at(cp, x, cfg)
+        point, R = geo.point, geo.R
         target = complex_space_form_tensor(point, 4.0)
         worst_cp = max(
             worst_cp, invariant_norm(point, R - target) / invariant_norm(point, target)
         )
     assert worst_cp < TOL_FD2
-    x = cp.sample_points(7, 1)[0]
-    nJ_cp, _ = j_derivatives_at(cp, x, cfg)
+    nJ_cp = geometry_at(cp, cp.sample_points(7, 1)[0], cfg).nJ
     assert np.max(np.abs(nJ_cp)) < TOL_FD1
 
     elapsed = time.perf_counter() - start
@@ -216,7 +215,8 @@ def test_criterion_6_model_sweep():
         worst_alg = max(worst_alg, rk_bochner(point, R).norm)
         chart = make_chart(desc)
         x = chart.sample_points(7, 1)[0]
-        fd_point, fd_R = curvature_at(chart, x, cfg)
+        geo = geometry_at(chart, x, cfg)
+        fd_point, fd_R = geo.point, geo.R
         worst_chart = max(
             worst_chart,
             rk_bochner(fd_point, fd_R, sym_tol=1e-5, rk_tol=1e-5).norm,
@@ -247,8 +247,8 @@ def test_criterion_7_reconstruction_and_convergence():
 
     chart = make_chart("S6(1)")
     x = chart.sample_points(7, 1)[0]
-    coarse = nk_identity_suite(chart, x, FDConfig(h=2e-3, richardson=False))
-    fine = nk_identity_suite(chart, x, FDConfig(h=1e-3, richardson=False))
+    coarse = nk_identity_suite(chart, geometry_at(chart, x, FDConfig(h=2e-3, richardson=False)))
+    fine = nk_identity_suite(chart, geometry_at(chart, x, FDConfig(h=1e-3, richardson=False)))
     ratio = coarse.id_1_1 / fine.id_1_1
     assert ratio >= 3.0
     _report(

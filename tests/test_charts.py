@@ -12,9 +12,7 @@ from bochnerkit.charts import (
     FDConfig,
     MarginError,
     NotNearlyKahlerError,
-    christoffel_at,
-    curvature_at,
-    j_derivatives_at,
+    geometry_at,
     make_chart,
     nk_identity_suite,
     parse_model_spec,
@@ -116,11 +114,12 @@ def test_curvature_makes_a_fixed_number_of_metric_calls():
     counts = {}
     for desc in ("S6(1)", "CP(5,1)"):
         chart, count = _counted_metric(make_chart(desc))
-        curvature_at(chart, chart.sample_points(3, 1)[0], CFG)
+        geometry_at(chart, chart.sample_points(3, 1)[0], CFG)
         counts[desc] = count
     # Gamma at x: g 1 + the complex step 1 call; dGamma: 4 calls of Gamma, 2
     # each.  Lowering R and validating the point reuse the g that Gamma at x
-    # read (25 calls with a real-difference Gamma of 1 + 4 calls)
+    # read, and nabla J reuses Gamma (25 calls with a real-difference Gamma of
+    # 1 + 4 calls)
     assert counts["S6(1)"]["calls"] == counts["CP(5,1)"]["calls"] == 10
     # Gamma at x and at its 4n stencil points, n + 1 metric points each: (n + 1)(4n + 1)
     assert counts["S6(1)"]["points"] == 175
@@ -129,30 +128,30 @@ def test_curvature_makes_a_fixed_number_of_metric_calls():
 
 def test_suite_metric_calls_stay_batched():
     chart, count = _counted_metric(make_chart("CP(5,1)"))
-    nk_identity_suite(chart, chart.sample_points(3, 1)[0], CFG)
-    # 5 batched geometry evaluations (at x, then 2 steps x 2 signs on the n
-    # stencil points), each validated from the g and J it read:
+    geo = geometry_at(chart, chart.sample_points(3, 1)[0], CFG)
+    # one geometry evaluation at x, then the suite's 4 batched ones (2 steps x
+    # 2 signs on the n stencil points), each validated from the g and J it read:
     #   metric: Gamma 2 (g and the complex step) + dGamma 4 x 2 = 10 calls a batch,
-    #           50 in all;
-    #   J:      J 1 + dJ 4 = 5 calls a batch, 25 in all;
-    #   points: (n + 1)(4n + 1) = 451 per geometry point at n = 10, x 41 = 18,491.
+    #           10 + 40 = 50 in all;
+    #   J:      J 1 + dJ 4 = 5 calls a batch, 5 + 20 = 25 in all;
+    #   points: (n + 1)(4n + 1) = 451 per geometry point at n = 10, x (1 + 40) = 18,491.
     # 70,766 single-point calls before batching, 1,137 before the shared
     # geometry, 171 (and 66 J calls) while each stencil point was validated
     # alone, 125 (68,921 points) while Gamma took real differences of g
+    assert (count["calls"], count["J_calls"], count["points"]) == (10, 5, 451)
+    nk_identity_suite(chart, geo)
     assert (count["calls"], count["J_calls"], count["points"]) == (50, 25, 18491)
 
 
 @pytest.mark.parametrize("desc", ["S6(1)", "CP(5,1)"])
 def test_derivative_evaluators_make_fixed_call_counts(desc):
-    """Gamma costs one metric call at x and one complex-step call; nabla J and
-    nabla^2 J evaluate Gamma and J at x and at the 4n stencil points."""
+    """Gamma costs one metric call at x and one complex-step call; R and nabla J
+    evaluate Gamma and J at x and at the 4n stencil points, J once per batch.
+    (The nabla^2 J of the deleted j_derivatives_at, which no check read, cost
+    8 metric and 20 J calls more.)"""
     chart, count = _counted_metric(make_chart(desc))
-    x = chart.sample_points(3, 1)[0]
-    j_derivatives_at(chart, x, CFG)
-    assert (count["calls"], count["J_calls"]) == (10, 25)
-    chart, count = _counted_metric(make_chart(desc))
-    christoffel_at(chart, x, CFG)
-    assert (count["calls"], count["J_calls"]) == (2, 0)
+    geometry_at(chart, chart.sample_points(3, 1)[0], CFG)
+    assert (count["calls"], count["J_calls"]) == (10, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +160,12 @@ def test_derivative_evaluators_make_fixed_call_counts(desc):
 
 def test_ce_chart_is_flat():
     chart = make_chart("CE(3)")
-    x = chart.sample_points(0, 1)[0]
-    assert np.max(np.abs(christoffel_at(chart, x, CFG))) == 0.0
-    point, R = curvature_at(chart, x, CFG)
-    assert R.max_abs() == 0.0
-    nJ, n2J = j_derivatives_at(chart, x, CFG)
-    assert np.max(np.abs(nJ)) == 0.0 and np.max(np.abs(n2J)) == 0.0
+    geo = geometry_at(chart, chart.sample_points(0, 1)[0], CFG)
+    assert np.max(np.abs(geo.G)) == 0.0
+    assert geo.R.max_abs() == 0.0
+    assert np.max(np.abs(geo.nJ)) == 0.0
+    # with R = nabla J = 0 the residual of id_1_2 is 2 |nabla^2 J|
+    assert nk_identity_suite(chart, geo).id_1_2 == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +187,14 @@ def test_s6_chart_point_validity():
 def test_s6_christoffel_vanishes_at_origin():
     """The conformal factor has zero gradient at the chart origin."""
     chart = make_chart("S6(1)")
-    G = christoffel_at(chart, np.zeros(6), CFG)
+    G = geometry_at(chart, np.zeros(6), CFG).G
     assert np.max(np.abs(G)) < 1e-10
 
 
 def test_christoffel_symmetric_lower_indices():
     chart = make_chart("S6(1.7)")
     x = chart.sample_points(1, 1)[0]
-    G = christoffel_at(chart, x, CFG)
+    G = geometry_at(chart, x, CFG).G
     assert np.array_equal(G, G.transpose(0, 2, 1))
 
 
@@ -203,7 +202,8 @@ def test_christoffel_symmetric_lower_indices():
 def test_s6_curvature_matches_constant_curvature_model(c):
     chart = make_chart(f"S6({c})")
     for x in chart.sample_points(5, 3):
-        point, R = curvature_at(chart, x, CFG)
+        geo = geometry_at(chart, x, CFG)
+        point, R = geo.point, geo.R
         target = space_form_tensor(point, c)
         rel = invariant_norm(point, R - target) / invariant_norm(point, target)
         assert rel < CFG.tol_fd2
@@ -213,7 +213,8 @@ def test_s6_curvature_matches_constant_curvature_model(c):
 def test_s6_curvature_is_rk_and_star_related():
     chart = make_chart("S6(1)")
     x = chart.sample_points(7, 1)[0]
-    point, R = curvature_at(chart, x, CFG)
+    geo = geometry_at(chart, x, CFG)
+    point, R = geo.point, geo.R
     d = identity_defects(point, R, sym_tol=CFG.tol_fd2)
     assert d.rk < CFG.tol_fd2
     assert d.star_relation < CFG.tol_fd2
@@ -224,7 +225,7 @@ def test_s6_nearly_kahler_not_kahler():
     x = chart.sample_points(9, 1)[0]
     point = chart.point_at(x)
     g = point.g_mat
-    nJ, _ = j_derivatives_at(chart, x, CFG)
+    nJ = geometry_at(chart, x, CFG).nJ
     rng = np.random.default_rng(0)
     worst_xx, worst_xy = 0.0, 0.0
     for _ in range(32):
@@ -244,7 +245,7 @@ def test_s6_nabla_j_pairing_antisymmetric():
     chart = make_chart("S6(1)")
     x = chart.sample_points(29, 1)[0]
     point = chart.point_at(x)
-    nJ, _ = j_derivatives_at(chart, x, CFG)
+    nJ = geometry_at(chart, x, CFG).nJ
     pairing = np.einsum("apb,pc->abc", nJ, point.g_mat)
     assert np.max(np.abs(pairing + pairing.transpose(0, 2, 1))) < CFG.tol_fd1
 
@@ -253,9 +254,9 @@ def test_s6_ricci_difference_from_nabla_j():
     """(S - S')(X, X) equals the frame sum of |(nabla_X J) E_i|^2."""
     chart = make_chart("S6(1)")
     x = chart.sample_points(11, 1)[0]
-    point, R = curvature_at(chart, x, CFG)
+    geo = geometry_at(chart, x, CFG)
+    point, R, nJ = geo.point, geo.R, geo.nJ
     g, gi = point.g_mat, point.g_inv
-    nJ, _ = j_derivatives_at(chart, x, CFG)
     S = np.einsum("bc,abcd->ad", gi, R.components)
     Sp = np.einsum("bc,pc,ql,abpq->al", gi, point.J, point.J, R.components)
     # sum_i g((nabla_X J) E_i, (nabla_Y J) E_i) as a metric contraction
@@ -271,7 +272,8 @@ def test_s6_ricci_difference_from_nabla_j():
 def test_complex_space_form_charts(desc, mu):
     chart = make_chart(desc)
     for x in chart.sample_points(13, 2):
-        point, R = curvature_at(chart, x, CFG)
+        geo = geometry_at(chart, x, CFG)
+        point, R = geo.point, geo.R
         target = complex_space_form_tensor(point, mu)
         rel = invariant_norm(point, R - target) / invariant_norm(point, target)
         assert rel < CFG.tol_fd2
@@ -281,7 +283,7 @@ def test_complex_space_form_charts(desc, mu):
 def test_kahler_charts_have_parallel_j(desc):
     chart = make_chart(desc)
     x = chart.sample_points(15, 1)[0]
-    nJ, _ = j_derivatives_at(chart, x, CFG)
+    nJ = geometry_at(chart, x, CFG).nJ
     assert np.max(np.abs(nJ)) < CFG.tol_fd1
 
 
@@ -293,7 +295,8 @@ def test_product_chart_mixed_curvature_vanishes():
     chart = make_chart("PRODUCT(CD(1,-1),S6(1))")
     assert chart.n == 8
     x = chart.sample_points(17, 1)[0]
-    point, R = curvature_at(chart, x, CFG)
+    geo = geometry_at(chart, x, CFG)
+    point, R = geo.point, geo.R
     A = np.array(R.components)
     A[:2, :2, :2, :2] = 0.0
     A[2:, 2:, 2:, 2:] = 0.0
@@ -311,7 +314,7 @@ def test_margin_error_near_ball_boundary():
     chart = make_chart("CD(1,-1)")
     x = np.array([0.999, 0.0])
     with pytest.raises(MarginError):
-        curvature_at(chart, x, CFG)
+        geometry_at(chart, x, CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +324,7 @@ def test_margin_error_near_ball_boundary():
 def test_nk_suite_on_s6():
     chart = make_chart("S6(1)")
     x = chart.sample_points(21, 1)[0]
-    rep = nk_identity_suite(chart, x, CFG)
+    rep = nk_identity_suite(chart, geometry_at(chart, x, CFG))
     assert rep.nk < CFG.tol_fd1
     for value in (rep.id_1_1, rep.id_1_2, rep.id_1_3, rep.id_1_5, rep.id_3_2, rep.id_3_3):
         assert value < CFG.tol_fd2
@@ -330,7 +333,7 @@ def test_nk_suite_on_s6():
 def test_nk_suite_on_cp_kahler():
     chart = make_chart("CP(3,4)")
     x = chart.sample_points(23, 1)[0]
-    rep = nk_identity_suite(chart, x, CFG)
+    rep = nk_identity_suite(chart, geometry_at(chart, x, CFG))
     assert rep.nk < CFG.tol_fd1
     assert rep.id_1_1 < CFG.tol_fd2  # both sides vanish
     assert rep.id_1_2 < CFG.tol_fd2
@@ -353,7 +356,7 @@ def test_nk_suite_rejects_non_nearly_kahler_chart():
     )
     x = np.array([0.3, 0.2, -0.1, 0.4])
     with pytest.raises(NotNearlyKahlerError) as err:
-        nk_identity_suite(chart, x, CFG)
+        nk_identity_suite(chart, geometry_at(chart, x, CFG))
     assert err.value.defect > 0.1
 
 
@@ -361,7 +364,7 @@ def test_nk_suite_rejects_non_nearly_kahler_chart():
 def test_bianchi_suite(desc):
     chart = make_chart(desc)
     x = chart.sample_points(25, 1)[0]
-    rep = nk_identity_suite(chart, x, CFG)
+    rep = nk_identity_suite(chart, geometry_at(chart, x, CFG))
     assert rep.id_1_4 < CFG.tol_fd2
     assert rep.id_1_6 < CFG.tol_fd2
     assert rep.id_1_7 < CFG.tol_fd2
@@ -370,21 +373,25 @@ def test_bianchi_suite(desc):
 @pytest.mark.parametrize("richardson", [True, False])
 @pytest.mark.parametrize("seed", [0, 5, 11])
 def test_pointwise_identities_from_curvature_match_the_suite(seed, richardson):
-    """id_1_5, id_3_2 and id_3_3 read from ``curvature_at`` are the suite's, bit
-    for bit: the suite evaluates them from the same g, J and R at x."""
+    """id_1_5, id_3_2 and id_3_3 read from the point and R of a geometry are
+    the suite's, bit for bit: the suite evaluates them from the g, J and R at x
+    that its geometry holds."""
     chart = make_chart("PRODUCT(CD(1,-1),S6(1))")
     cfg = FDConfig(richardson=richardson)
-    x = chart.sample_points(seed, 1)[0]
-    suite = nk_identity_suite(chart, x, cfg)
-    point, R = curvature_at(chart, x, cfg)
+    geo = geometry_at(chart, chart.sample_points(seed, 1)[0], cfg)
+    suite = nk_identity_suite(chart, geo)
+    point, R = geo.point, geo.R
     pointwise = _ricci_identities(point, *_traces(point.g_inv, point.J, R.components))
     assert pointwise == (suite.id_1_5, suite.id_3_2, suite.id_3_3)
 
 
 @pytest.mark.parametrize("richardson, stencil", [(True, 4), (False, 2)])
 def test_suite_evaluates_curvature_once_per_stencil_point(monkeypatch, richardson, stencil):
-    """One call evaluates the geometry once at x and once per step and sign on
-    the n stencil points around it (two steps with Richardson), no more."""
+    """One call evaluates the geometry once per step and sign on the n stencil
+    points around x (two steps with Richardson), no more; the values at x,
+    Gamma among them, come from its geometry."""
+    chart = make_chart("S6(1)")
+    geo = geometry_at(chart, chart.sample_points(25, 1)[0], FDConfig(richardson=richardson))
     batches, gamma_at_x = [], []
     geometry, christoffel = charts._geometry, charts._christoffel
 
@@ -399,14 +406,11 @@ def test_suite_evaluates_curvature_once_per_stencil_point(monkeypatch, richardso
 
     monkeypatch.setattr(charts, "_geometry", counted)
     monkeypatch.setattr(charts, "_christoffel", counted_christoffel)
-    for public in ("christoffel_at", "curvature_at", "j_derivatives_at"):
-        monkeypatch.setattr(charts, public, None)  # the suite never calls these
-    chart = make_chart("S6(1)")
-    x = chart.sample_points(25, 1)[0]
-    nk_identity_suite(chart, x, FDConfig(richardson=richardson))
-    assert len(batches) == stencil + 1
-    assert sum(batches) == stencil * chart.n + 1
-    assert len(gamma_at_x) == 1
+    monkeypatch.setattr(charts, "geometry_at", None)  # the suite never calls it
+    nk_identity_suite(chart, geo)
+    assert len(batches) == stencil
+    assert sum(batches) == stencil * chart.n
+    assert gamma_at_x == []
 
 
 def _perturbed_off(chart, x, field, perturb):
@@ -426,7 +430,7 @@ def test_suite_validates_every_stencil_point():
     x = chart.sample_points(23, 1)[0]
     bad = _perturbed_off(chart, x, "J_at", lambda J, y: 1.001 * J)
     with pytest.raises(PointValidationError) as err:
-        nk_identity_suite(bad, x, CFG)
+        nk_identity_suite(bad, geometry_at(bad, x, CFG))
     assert "J squares to -identity" in [v.invariant for v in err.value.violations]
 
 
@@ -439,8 +443,9 @@ def test_suite_rejects_non_finite_stencil_curvature():
     far = lambda g, y: np.where(
         (np.max(np.abs(y - x), axis=-1) > 1.5 * CFG.h)[..., None, None], np.nan, g
     )
+    bad = _perturbed_off(chart, x, "metric_at", far)
     with pytest.raises(NonFiniteError):
-        nk_identity_suite(_perturbed_off(chart, x, "metric_at", far), x, CFG)
+        nk_identity_suite(bad, geometry_at(bad, x, CFG))
 
 
 def test_id_1_1_second_order_convergence():
@@ -448,8 +453,8 @@ def test_id_1_1_second_order_convergence():
     plain second-order scheme."""
     chart = make_chart("S6(1)")
     x = chart.sample_points(27, 1)[0]
-    coarse = nk_identity_suite(chart, x, FDConfig(h=2e-3, richardson=False))
-    fine = nk_identity_suite(chart, x, FDConfig(h=1e-3, richardson=False))
+    coarse = nk_identity_suite(chart, geometry_at(chart, x, FDConfig(h=2e-3, richardson=False)))
+    fine = nk_identity_suite(chart, geometry_at(chart, x, FDConfig(h=1e-3, richardson=False)))
     assert coarse.id_1_1 / fine.id_1_1 >= 3.0
 
 

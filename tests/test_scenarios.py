@@ -142,25 +142,31 @@ def test_run_all_reports_equal_single_scenario_runs(monkeypatch):
 
 
 def test_run_all_evaluates_each_chart_point_once(monkeypatch):
-    # thm31_product, thm32_models, identities_s6 and identities_cp read the
-    # point, R and nabla J from the run's table; nothing calls the public
-    # curvature_at or j_derivatives_at
-    assert not hasattr(scenarios, "curvature_at") and not hasattr(scenarios, "j_derivatives_at")
-    monkeypatch.setattr(charts, "curvature_at", None)
-    monkeypatch.setattr(charts, "j_derivatives_at", None)
-    points = []
-    geometry = scenarios._point_geometry
+    # thm31_product, thm32_models, identities_s6, identities_cp and the three
+    # suites read the geometry from the run's table; the scenarios reach the
+    # chart geometry only through geometry_at
+    assert scenarios.geometry_at is charts.geometry_at and not hasattr(scenarios, "_geometry")
+    monkeypatch.setattr(charts, "geometry_at", None)
+    points, at_x = [], []
+    geometry_at, geometry = scenarios.geometry_at, charts._geometry
 
     def counted(chart, x, cfg):
         points.append((chart.label, tuple(x)))
-        return geometry(chart, x, cfg)
+        return geometry_at(chart, x, cfg)
 
-    monkeypatch.setattr(scenarios, "_point_geometry", counted)
+    def counted_geometry(chart, X, cfg):
+        if X.ndim == 1:
+            at_x.append(X)
+        return geometry(chart, X, cfg)
+
+    monkeypatch.setattr(scenarios, "geometry_at", counted)
+    monkeypatch.setattr(charts, "_geometry", counted_geometry)
     run_all(FAST)
-    # one point each on CE(3), CD(3,-1), CP(3,1), S6(1) and the two products
-    assert len(points) == len(set(points)) == 6
+    # one point each on CE(3), CD(3,-1), CP(3,1), S6(1) and the two products;
+    # the suites on CE(3), CP(3,1) and S6(1) evaluate only their stencils
+    assert len(points) == len(set(points)) == len(at_x) == 6
     run_all(FAST)  # nothing carries over from the first run
-    assert len(points) == 12 and set(points[6:]) == set(points[:6])
+    assert len(points) == len(at_x) == 12 and set(points[6:]) == set(points[:6])
 
 
 def test_run_all_makes_a_fixed_number_of_metric_and_j_calls(monkeypatch):
@@ -182,13 +188,14 @@ def test_run_all_makes_a_fixed_number_of_metric_and_j_calls(monkeypatch):
 
     monkeypatch.setattr(scenarios, "make_chart", counted_chart)
     run_all(ScenarioParams(seed=7))
-    # 9 chart points at 10 metric and 5 J calls each, 3 suites at 50 and 25:
-    # 725 and 137 while thm32_models evaluated 3 points again and
-    # identities_cp called j_derivatives_at at its 2 points, 600 metric calls
-    # while Gamma took real differences of g
-    assert count == {"metric": 240, "J": 120}
+    # 9 chart points at 10 metric and 5 J calls each, 3 suites at 40 and 20 on
+    # their stencils: 90 + 120 = 210 and 45 + 60 = 105.  240 and 120 while
+    # each suite evaluated its point again, 725 and 137 while thm32_models
+    # evaluated 3 points again and identities_cp took nabla^2 J at its 2
+    # points, 600 metric calls while Gamma took real differences of g
+    assert count == {"metric": 210, "J": 105}
     run_all(ScenarioParams(seed=7))  # the second run repeats every evaluation
-    assert count == {"metric": 480, "J": 240}
+    assert count == {"metric": 420, "J": 210}
 
 
 def test_run_all_keeps_apart_charts_whose_labels_agree():
