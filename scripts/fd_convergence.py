@@ -4,9 +4,9 @@
 Prints how the full-norm residuals of the curvature/nabla-J pairing identity
 (id_1_1), the two trace-derivative identities closest to their gates (id_1_3,
 id_1_4) and the curvature-vs-model deviation behave as the step h of the outer
-derivative levels is halved, with and without Richardson extrapolation.  The
-innermost level, the metric derivative inside the Christoffel symbols, is a
-complex step at every h.  The table shows the second-order convergence of the
+derivative levels is halved, with and without Richardson extrapolation.  Both
+innermost derivatives, dg inside the Christoffel symbols and dJ inside nabla J,
+are complex steps at every h.  The table shows the second-order convergence of the
 plain scheme and, with Richardson, where truncation and the rounding of the
 outer levels cross over.  The deviation column compares with the round-sphere
 tensor c * pi1, so only S6 charts are accepted.

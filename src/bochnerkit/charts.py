@@ -4,15 +4,15 @@ Each model space is realized as a single chart with closed-form metric and
 almost complex structure fields; connection, curvature, and the covariant
 derivatives of J and of the Ricci traces come from central finite differences
 (optionally Richardson-extrapolated to fourth order), except the innermost
-metric derivative, which is a complex step.
+derivatives of the two fields, dg and dJ, which are complex steps.
 
 Models:
 
 * ``CE(m)``      flat R^{2m}, constant block J.
 * ``S6(c)``      the round six-sphere of sectional curvature c in a
-                 stereographic chart; J is the cross-product structure of the
-                 unit sphere in R^7, pulled back through the embedding
-                 differential.
+                 stereographic chart, whose metric is conformally flat; J is
+                 the cross-product structure of the unit sphere in R^7, pulled
+                 back through the embedding differential.
 * ``CP(m, mu)``  constant holomorphic sectional curvature mu > 0 in a
                  realified complex affine chart; J constant.
 * ``CD(m, mu)``  the hyperbolic analog (mu < 0) on the unit ball.
@@ -54,7 +54,7 @@ __all__ = [
 
 
 MAX_DIM = 12  # largest real dimension; TOL_ALG is calibrated up to here
-H_C = 1e-30  # complex step of the innermost (metric) derivative
+H_C = 1e-30  # complex step of every first derivative of a chart field
 NK_THRESHOLD = 1e-3  # nearly Kahler defect above which the suite aborts
 
 
@@ -86,8 +86,8 @@ class FDConfig:
     """Finite-difference policy.
 
     ``h`` is the step of the outer derivative levels, each extrapolated to
-    fourth order with ``richardson``; the innermost, the metric derivative in
-    the Christoffel symbols, is a complex step of ``H_C``.  ``tol_fd1`` bounds
+    fourth order with ``richardson``; the innermost ones, dg in the Christoffel
+    symbols and dJ in nabla J, are complex steps of ``H_C``.  ``tol_fd1`` bounds
     first-derivative-level identities (e.g. nearly Kahler defects), ``tol_fd2``
     second-derivative-level ones (curvature comparisons); the defaults sit at
     the measured truncation/rounding crossover for double precision.
@@ -111,9 +111,9 @@ class ChartModel:
 
     ``metric_at`` / ``J_at`` take points of shape (..., n) and return raw
     arrays of shape (..., n, n): a single point (n,) gives one matrix, and a
-    stack of points is evaluated in one call; ``metric_at`` is analytic and
-    also takes complex points (for a complex step).  ``point_at`` validates one
-    point into a :class:`HermitianPoint`.  ``boundary_radius`` is the coordinate
+    stack of points is evaluated in one call.  Both fields must be analytic in
+    x and take complex points, as their first derivatives are complex steps (no
+    ``abs``, ``norm`` or real-only cast).  ``boundary_radius`` is the coordinate
     radius at which the chart degenerates (infinite for global charts);
     ``sample_radius`` keeps sampled points well-conditioned.
     """
@@ -126,9 +126,6 @@ class ChartModel:
     boundary_radius: float = np.inf
     sample_radius: float = 0.8
     factors: tuple["ChartModel", ...] = ()
-
-    def point_at(self, x: np.ndarray) -> HermitianPoint:
-        return validate_point(self.metric_at(x), self.J_at(x))
 
     def sample_points(self, seed: int, count: int) -> np.ndarray:
         """Seeded interior points with guaranteed margin from the boundary."""
@@ -310,18 +307,17 @@ def _s6_chart(spec: ChartSpec) -> ChartModel:
         bottom = 4 * rho**3 * x[..., None, :] / s**2
         return np.concatenate([top, bottom], axis=-2)  # (..., 7, 6)
 
+    def conformal(x: np.ndarray) -> np.ndarray:  # lambda with D^T D = lambda I
+        return 4 * rho**4 / (rho * rho + _r2(x)) ** 2
+
     def metric_at(x: np.ndarray) -> np.ndarray:
-        D = d_embed(x)
-        return np.swapaxes(D, -1, -2) @ D
+        return conformal(x) * np.eye(6)
 
     def J_at(x: np.ndarray) -> np.ndarray:
-        p = embed(x)
         D = d_embed(x)
-        Dt = np.swapaxes(D, -1, -2)
-        C = cross_operator(p / np.linalg.norm(p, axis=-1, keepdims=True))
-        # C D v is tangent to the sphere, so solving against D^T D inverts the
-        # embedding differential exactly on its range
-        return np.linalg.solve(Dt @ D, Dt @ C @ D)
+        # C D v is tangent to the sphere, so D^T / lambda inverts the embedding
+        # differential exactly on its range; |embed(x)| = rho
+        return np.swapaxes(D, -1, -2) @ cross_operator(embed(x) / rho) @ D / conformal(x)
 
     return ChartModel(label=spec.label(), n=6, scale=c, metric_at=metric_at, J_at=J_at)
 
@@ -401,12 +397,16 @@ def _grad_field(f, x, cfg):
     return central(cfg.h)
 
 
+def _complex_step(f, X):
+    """Im f(x + i H_C e_i) / H_C: the exact coordinate derivatives of the analytic field
+    ``f`` at the points ``X`` (..., n), derivative index after the batch axes; one call."""
+    return f(X[..., None, :] + 1j * H_C * np.eye(X.shape[-1])).imag / H_C
+
+
 def _christoffel(chart: ChartModel, X: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Metric and connection coefficients at the points ``X`` (..., n); no margin check.
-    The metric derivative is a complex step, which subtracts nothing: one call."""
+    """Metric and connection coefficients at the points ``X`` (..., n); no margin check."""
     g = chart.metric_at(X)
-    # dg[..., i, j, l] = d_i g_{jl} = Im g(x + i H_C e_i) / H_C
-    dg = chart.metric_at(X[..., None, :] + 1j * H_C * np.eye(X.shape[-1])).imag / H_C
+    dg = _complex_step(chart.metric_at, X)  # dg[..., i, j, l] = d_i g_{jl}
     t = dg + np.einsum("...jil->...ijl", dg) - np.einsum("...lij->...ijl", dg)
     return g, 0.5 * np.einsum("...kl,...ijl->...kij", np.linalg.inv(g), t)
 
@@ -449,7 +449,7 @@ def _geometry(chart: ChartModel, X: np.ndarray, cfg: FDConfig) -> tuple[np.ndarr
         - np.einsum("...pik,...qjp->...ijkq", G, G)
     )
     J = chart.J_at(X)
-    nJ = _covariant(G, J, _grad_field(chart.J_at, X, cfg), "ul")
+    nJ = _covariant(G, J, _complex_step(chart.J_at, X), "ul")
     return g, J, G, nJ, np.einsum("...ijkq,...ql->...ijkl", R_up, g)
 
 

@@ -25,6 +25,7 @@ from bochnerkit.curvature import (
     identity_defects,
     space_form_tensor,
     standard_J,
+    validate_point,
 )
 from bochnerkit.multilinear import (
     TOL_ALG,
@@ -79,6 +80,13 @@ def test_batched_evaluators_match_pointwise(desc):
         for batch, ref in ((field(X[0]), loop[0]), (field(X), loop)):
             assert batch.shape == ref.shape
             assert np.max(np.abs(batch - ref)) <= 1e-14 * np.max(np.abs(ref))
+        # every first derivative of a field is a complex step, exact only if the
+        # field is analytic: a real central difference at h = 1e-6 must agree
+        h, eye = 1e-6, np.eye(chart.n)
+        central = (field(X[..., None, :] + h * eye) - field(X[..., None, :] - h * eye)) / (2 * h)
+        exact = charts._complex_step(field, X)
+        assert exact.shape == (2, 3, chart.n, chart.n, chart.n)
+        assert np.max(np.abs(exact - central)) <= 1e-7 * max(1.0, np.max(np.abs(exact)))
 
 
 @pytest.mark.parametrize("outside", [[1.0, 0.0, 0.0, 0.0], [0.3, -1.2, 0.5, 0.1]])
@@ -133,25 +141,27 @@ def test_suite_metric_calls_stay_batched():
     # 2 signs on the n stencil points), each validated from the g and J it read:
     #   metric: Gamma 2 (g and the complex step) + dGamma 4 x 2 = 10 calls a batch,
     #           10 + 40 = 50 in all;
-    #   J:      J 1 + dJ 4 = 5 calls a batch, 5 + 20 = 25 in all;
+    #   J:      J 1 + the complex step dJ 1 = 2 calls a batch, 2 + 8 = 10 in all;
     #   points: (n + 1)(4n + 1) = 451 per geometry point at n = 10, x (1 + 40) = 18,491.
     # 70,766 single-point calls before batching, 1,137 before the shared
     # geometry, 171 (and 66 J calls) while each stencil point was validated
-    # alone, 125 (68,921 points) while Gamma took real differences of g
-    assert (count["calls"], count["J_calls"], count["points"]) == (10, 5, 451)
+    # alone, 125 (68,921 points) while Gamma took real differences of g, 25 J
+    # calls while dJ took real differences
+    assert (count["calls"], count["J_calls"], count["points"]) == (10, 2, 451)
     nk_identity_suite(chart, geo)
-    assert (count["calls"], count["J_calls"], count["points"]) == (50, 25, 18491)
+    assert (count["calls"], count["J_calls"], count["points"]) == (50, 10, 18491)
 
 
 @pytest.mark.parametrize("desc", ["S6(1)", "CP(5,1)"])
 def test_derivative_evaluators_make_fixed_call_counts(desc):
-    """Gamma costs one metric call at x and one complex-step call; R and nabla J
-    evaluate Gamma and J at x and at the 4n stencil points, J once per batch.
+    """Gamma costs one metric call at x and one complex-step call; R evaluates
+    Gamma at x and at the 4n stencil points, and nabla J costs one J call at x
+    and one complex-step call (5 J calls while dJ took real differences).
     (The nabla^2 J of the deleted j_derivatives_at, which no check read, cost
     8 metric and 20 J calls more.)"""
     chart, count = _counted_metric(make_chart(desc))
     geometry_at(chart, chart.sample_points(3, 1)[0], CFG)
-    assert (count["calls"], count["J_calls"]) == (10, 5)
+    assert (count["calls"], count["J_calls"]) == (10, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +185,7 @@ def test_ce_chart_is_flat():
 def test_s6_chart_point_validity():
     chart = make_chart("S6(1)")
     for x in chart.sample_points(3, 4):
-        point = chart.point_at(x)
+        point = validate_point(chart.metric_at(x), chart.J_at(x))
         J, g = point.J, point.g_mat
         assert np.max(np.abs(J @ J + np.eye(6))) < TOL_ALG
         assert np.max(np.abs(J.T @ g @ J - g)) < TOL_ALG
@@ -223,7 +233,7 @@ def test_s6_curvature_is_rk_and_star_related():
 def test_s6_nearly_kahler_not_kahler():
     chart = make_chart("S6(1)")
     x = chart.sample_points(9, 1)[0]
-    point = chart.point_at(x)
+    point = validate_point(chart.metric_at(x), chart.J_at(x))
     g = point.g_mat
     nJ = geometry_at(chart, x, CFG).nJ
     rng = np.random.default_rng(0)
@@ -244,7 +254,7 @@ def test_s6_nabla_j_pairing_antisymmetric():
     """g((nabla_X J)Y, Z) = -g((nabla_X J)Z, Y) on nearly Kahler charts."""
     chart = make_chart("S6(1)")
     x = chart.sample_points(29, 1)[0]
-    point = chart.point_at(x)
+    point = validate_point(chart.metric_at(x), chart.J_at(x))
     nJ = geometry_at(chart, x, CFG).nJ
     pairing = np.einsum("apb,pc->abc", nJ, point.g_mat)
     assert np.max(np.abs(pairing + pairing.transpose(0, 2, 1))) < CFG.tol_fd1

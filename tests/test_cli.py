@@ -165,7 +165,7 @@ def test_identities_bad_chart(capsys):
     ["identities", "S6(1)", "--fd-step", "nan"],
     ["scenario", "bianchi", "--fd-step", "nan"],
     ["identities", "S6(1)", "--tol-fd2", "nan"],
-    ["identities", "S6(1)", "--fd-step", "0.3", "--points", "1"],
+    ["identities", "PRODUCT(CD(1,-1),S6(1))", "--fd-step", "0.2", "--points", "1"],
     ["scenario", "thm21_forward", "--tol-alg", "nan"],
     ["identities", "S6(1)", "--seed", "-1", "--points", "1"],
     ["all", "--seed", "-5"],
