@@ -244,11 +244,11 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
         "schema_version": 1,
         "model": label,
         "document": doc.to_dict(),
-        "star": list(star_tensor.components.reshape(-1)),
+        "star": star_tensor.components.reshape(-1).tolist(),
         "ricci": {
-            "S": list(fam.S.components.reshape(-1)),
-            "S_prime": list(fam.S_prime.components.reshape(-1)),
-            "S_star": list(fam.S_star.components.reshape(-1)),
+            "S": fam.S.components.reshape(-1).tolist(),
+            "S_prime": fam.S_prime.components.reshape(-1).tolist(),
+            "S_star": fam.S_star.components.reshape(-1).tolist(),
             "tau": fam.tau,
             "tau_prime": fam.tau_prime,
             "tau_star": fam.tau_star,
@@ -256,7 +256,7 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
         "generalized_bochner": {
             "norm": gen.norm,
             "coefficients_used": gen.coefficients_used,
-            "tensor": list(gen.tensor.components.reshape(-1)),
+            "tensor": gen.tensor.components.reshape(-1).tolist(),
         },
     }
     try:
@@ -264,14 +264,13 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
         bundle["rk_bochner"] = {
             "norm": rk.norm,
             "coefficients_used": rk.coefficients_used,
-            "tensor": list(rk.tensor.components.reshape(-1)),
+            "tensor": rk.tensor.components.reshape(-1).tolist(),
         }
     except DimensionTooSmallError as exc:
         bundle["rk_bochner"] = None
         bundle["rk_bochner_status"] = str(exc)
-    text = canonical_json(bundle)
     if not args.quiet and not args.json:
-        print(text)
+        print(canonical_json(bundle))
     _write_json(args, bundle)
     if args.dump:
         dump_tensor(doc, args.dump)

@@ -4,6 +4,11 @@ The writer is byte-stable: object keys are sorted, floats are rendered with 17
 significant digits (which round-trips IEEE doubles exactly), and there is no
 insignificant whitespace.  Two runs that produce equal values therefore
 produce equal bytes.
+
+A list, tuple or array whose elements are all Python ``float`` is formatted
+in one ``%``-call over the whole run rather than element by element.
+``"%.17g" % f`` and ``format(f, ".17g")`` share one double-to-string
+conversion, so both paths write the same bytes.
 """
 
 from __future__ import annotations
@@ -35,6 +40,9 @@ class DocumentFormatError(ValueError):
     """Malformed JSON or structurally invalid document."""
 
 
+_NON_FINITE = "canonical JSON forbids NaN and infinity"
+
+
 def _canon(value: Any) -> str:
     if value is None:
         return "null"
@@ -45,7 +53,7 @@ def _canon(value: Any) -> str:
     if isinstance(value, (float, np.floating)):
         f = float(value)
         if not math.isfinite(f):
-            raise DocumentFormatError("canonical JSON forbids NaN and infinity")
+            raise DocumentFormatError(_NON_FINITE)
         if f == 0.0:
             f = 0.0  # normalize -0.0
         return format(f, ".17g")
@@ -60,6 +68,11 @@ def _canon(value: Any) -> str:
         return "{" + ",".join(items) + "}"
     if isinstance(value, (list, tuple, np.ndarray)):
         seq = value.tolist() if isinstance(value, np.ndarray) else value
+        if set(map(type, seq)) == {float}:  # exact type: np.float64, ints, bools stay per element
+            if not all(map(math.isfinite, seq)):
+                raise DocumentFormatError(_NON_FINITE)
+            # adding 0.0 turns -0.0 into 0.0
+            return "[" + ",".join(["%.17g"] * len(seq)) % tuple([f + 0.0 for f in seq]) + "]"
         return "[" + ",".join(_canon(v) for v in seq) + "]"
     raise DocumentFormatError(f"cannot serialize {type(value).__name__}")
 

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 from bochnerkit.curvature import (
     PointValidationError,
     flat_point,
+    random_curvature_tensor,
+    random_hermitian_point,
+    rk_project,
     space_form_tensor,
     standard_J,
 )
@@ -52,6 +55,45 @@ def test_canonical_json_is_valid_json():
     assert json.loads(canonical_json(doc)) == doc
 
 
+_finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+@given(xs=st.lists(_finite_floats, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_float_run_matches_per_element_form(xs):
+    # a run of Python floats is formatted in one call; it must give the bytes
+    # the scalar branch gives element by element
+    expected = "[" + ",".join(canonical_json(x) for x in xs) + "]"
+    assert canonical_json(xs) == expected
+    assert canonical_json(tuple(xs)) == expected
+    assert canonical_json(np.array(xs, dtype=float)) == expected
+    assert canonical_json([np.float64(x) for x in xs]) == expected
+
+
+def test_float_run_pinned_literally():
+    assert (canonical_json([0.1, -0.0, 5e-324, -2.5])
+            == "[0.10000000000000001,0,4.9406564584124654e-324,-2.5]")
+    assert canonical_json(np.array([[1.5, -0.0], [1e300, 3.0]])) == "[[1.5,0],[1.0000000000000001e+300,3]]"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_float_run_rejects_non_finite(bad):
+    with pytest.raises(DocumentFormatError):
+        canonical_json([1.0, bad, 2.0])
+    with pytest.raises(DocumentFormatError):
+        canonical_json(np.array([1.0, bad, 2.0]))
+
+
+def test_mixed_list_stays_per_element():
+    assert canonical_json([1, 2.0, True, None]) == "[1,2,true,null]"
+    assert canonical_json([2.0, True, 10**20]) == "[2,true,100000000000000000000]"
+    assert canonical_json([np.float64(-0.0), 0.5, {"a": 1.0}]) == '[0,0.5,{"a":1}]'
+
+
 # ---------------------------------------------------------------------------
 # documents
 # ---------------------------------------------------------------------------
@@ -63,9 +105,18 @@ def _sphere_doc():
     )
 
 
-def test_round_trip_is_bitwise(tmp_path):
-    doc = _sphere_doc()
-    path = tmp_path / "s6.json"
+def _random_doc(n=12, seed=5):
+    # non-orthonormal point and 17-significant-digit entries at the largest
+    # size the algebra benchmark writes
+    point = random_hermitian_point(n, seed)
+    R = rk_project(point, random_curvature_tensor(n, seed))
+    return TensorDocument.from_point_tensor(point, R, label=f"random({n})")
+
+
+@pytest.mark.parametrize("make_doc", [_sphere_doc, _random_doc], ids=["S6(1)", "random(12)"])
+def test_round_trip_is_bitwise(tmp_path, make_doc):
+    doc = make_doc()
+    path = tmp_path / "doc.json"
     dump_tensor(doc, path)
     loaded = load_tensor(path)
     assert loaded == doc
