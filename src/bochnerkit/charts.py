@@ -380,21 +380,22 @@ def _product_chart(spec: ChartSpec) -> ChartModel:
 # ---------------------------------------------------------------------------
 
 def _grad_field(f, x, cfg):
-    """Coordinate derivatives of the field ``f`` at the points ``x`` (..., n).
+    """Coordinate derivatives at the points ``x`` (..., n) of each field in the
+    tuple of arrays that ``f`` returns, batch axes first.
 
-    The derivative index is the axis right after the batch axes of ``x``.
-    Each step and sign of the stencil is one call of ``f`` on the n points
-    x ± s e_i, stacked as (..., n, n).
+    The result holds one derivative array per field, in the same order, with the
+    derivative index right after the batch axes of ``x``.  Each step and sign of
+    the stencil is one call of ``f`` on the n points x ± s e_i, stacked as (..., n, n).
     """
     eye = np.eye(x.shape[-1])
 
     def central(s):
         X = x[..., None, :]
-        return (f(X + s * eye) - f(X - s * eye)) / (2.0 * s)
+        return [(p - m) / (2.0 * s) for p, m in zip(f(X + s * eye), f(X - s * eye))]
 
     if cfg.richardson:
-        return (4.0 * central(cfg.h / 2) - central(cfg.h)) / 3.0
-    return central(cfg.h)
+        return tuple((4.0 * a - b) / 3.0 for a, b in zip(central(cfg.h / 2), central(cfg.h)))
+    return tuple(central(cfg.h))
 
 
 def _complex_step(f, X):
@@ -441,7 +442,7 @@ def _geometry(chart: ChartModel, X: np.ndarray, cfg: FDConfig) -> tuple[np.ndarr
                            + Gamma^p_{jk} Gamma^q_{ip} - Gamma^p_{ik} Gamma^q_{jp}).
     """
     g, G = _christoffel(chart, X)
-    dG = _grad_field(lambda Y: _christoffel(chart, Y)[1], X, cfg)
+    (dG,) = _grad_field(lambda Y: _christoffel(chart, Y)[1:], X, cfg)
     R_up = (
         np.einsum("...iqjk->...ijkq", dG)
         - np.einsum("...jqik->...ijkq", dG)
@@ -519,14 +520,6 @@ class NKIdentityReport:
     id_3_3: float
 
 
-def _pack(g: np.ndarray, J: np.ndarray, R: np.ndarray, nJ: np.ndarray) -> np.ndarray:
-    """R, S, S - S', tau, tau - tau' and nabla J at a batch of points, one flat
-    array per point, so one finite-difference pass differentiates all of them."""
-    S, Sp, tau, tau_p = _traces(_g_inv(g), J, R)
-    flat = [T.reshape(R.shape[:-4] + (-1,)) for T in (R, S, S - Sp, nJ)]
-    return np.concatenate(flat[:3] + [np.stack([tau, tau - tau_p], axis=-1), flat[3]], axis=-1)
-
-
 def nk_identity_suite(chart: ChartModel, geo: ChartGeometry) -> NKIdentityReport:
     """Evaluate the nearly Kahler identity catalog at the point of ``geo``.
 
@@ -536,19 +529,22 @@ def nk_identity_suite(chart: ChartModel, geo: ChartGeometry) -> NKIdentityReport
     at x come from ``geo``; the geometry is evaluated once per step and sign of
     ``geo.cfg`` on the stencil points around x, each such batch of (g, J) is
     validated in one pass, and a non-finite R on it raises :class:`NonFiniteError`.
+    One finite-difference pass differentiates the fields R, S, S - S', tau,
+    tau - tau' and nabla J on those batches, each as it is.
     """
     x, cfg, point, G, nJ = geo.x, geo.cfg, geo.point, geo.G, geo.nJ
     chart.require_margin(x, 6 * cfg.h)
-    g, gi, J, A, n = point.g_mat, point.g_inv, point.J, geo.R.components, chart.n
+    g, gi, J, A = point.g_mat, point.g_inv, point.J, geo.R.components
 
-    def packed(Y: np.ndarray) -> np.ndarray:
+    def fields(Y: np.ndarray) -> tuple[np.ndarray, ...]:
         g_Y, J_Y, _, nJ_Y, R_Y = _geometry(chart, Y, cfg)
         violations = point_violations(g_Y, J_Y)
         if violations:
             raise PointValidationError(violations)
         if not np.all(np.isfinite(R_Y)):
             raise NonFiniteError("CurvTensor: components must be finite")
-        return _pack(g_Y, J_Y, R_Y, nJ_Y)
+        S_Y, Sp_Y, tau_Y, tau_p_Y = _traces(_g_inv(g_Y), J_Y, R_Y)
+        return R_Y, S_Y, S_Y - Sp_Y, tau_Y, tau_Y - tau_p_Y, nJ_Y
 
     nJ_low = g @ nJ  # nJ_low[a, k, j] = g_{kq} (nabla_a J)^q_j
     nk = _norm(gi, 0.5 * (nJ_low + nJ_low.transpose(2, 1, 0)))
@@ -558,11 +554,7 @@ def nk_identity_suite(chart: ChartModel, geo: ChartGeometry) -> NKIdentityReport
     id_1_1 = _norm(gi, A - _rotate(A, J, 2, 3) + np.einsum("apb,pq,cqd->abcd", nJ, g, nJ))
 
     S, Sp, tau, tau_p = _traces(gi, J, A)
-    # derivative index first, then the fields of _pack
-    dT = np.split(_grad_field(packed, x, cfg), np.cumsum([n**4, n * n, n * n, 1, 1]), axis=1)
-    dR, dS, dD, d_tau, d_tau_diff, dnJ = (
-        t.reshape((n,) + s) for t, s in zip(dT, [(n,) * 4, (n, n), (n, n), (), (), (n,) * 3])
-    )
+    dR, dS, dD, d_tau, d_tau_diff, dnJ = _grad_field(fields, x, cfg)
 
     lhs_1_2 = 2.0 * np.einsum("abpc,pd->abcd", _covariant(G, nJ, dnJ, "lul"), g)
     RJ2 = _rotate(A, J, 1)  # R(X,JY,Z,U)

@@ -112,8 +112,8 @@ class ScenarioParams:
             raise ScenarioParamError(f"m must be in [2, 6], got {self.m}")
         if not (1 <= self.k < self.m):
             raise ScenarioParamError(f"k must satisfy 1 <= k < m, got k={self.k}, m={self.m}")
-        if self.c <= 0 or self.mu <= 0:
-            raise ScenarioParamError("curvature scales c and mu must be positive")
+        if not (0 < self.c < np.inf and 0 < self.mu < np.inf):  # NaN fails both
+            raise ScenarioParamError("curvature scales c and mu must be finite and positive")
         if self.samples < 1 or self.chart_points < 1:
             raise ScenarioParamError("samples and chart_points must be >= 1")
         if not np.isfinite(self.tolerances.tol_alg) or self.tolerances.tol_alg <= 0:

@@ -105,7 +105,7 @@ class TensorDocument:
         return cls(
             dim=point.dim,
             g=tuple(point.g_mat.reshape(-1).tolist()),
-            J=tuple(np.asarray(point.J).reshape(-1).tolist()),
+            J=tuple(point.J.reshape(-1).tolist()),
             R=tuple(R.components.reshape(-1).tolist()),
             label=label,
         )
@@ -124,9 +124,9 @@ class TensorDocument:
         out = {
             "schema_version": self.schema_version,
             "dim": self.dim,
-            "g": list(self.g),
-            "J": list(self.J),
-            "R": list(self.R),
+            "g": self.g,
+            "J": self.J,
+            "R": self.R,
         }
         if self.label is not None:
             out["label"] = self.label
@@ -154,12 +154,11 @@ def _structural_document(raw: Any) -> TensorDocument:
             names = ", ".join(sorted(t.__name__ for t in strays))
             raise DocumentFormatError(f"{key} entries must be numbers, found {names}")
         try:
-            arr = np.array(values, dtype=float)
+            arrays[key] = tuple(map(float, values))
         except OverflowError as exc:
             raise DocumentFormatError(f"{key} has an integer too large for a float") from exc
-        if not np.all(np.isfinite(arr)):
+        if not all(map(math.isfinite, arrays[key])):
             raise DocumentFormatError(f"{key} contains non-finite entries")
-        arrays[key] = tuple(arr.tolist())
     label = raw.get("label")
     if label is not None and not isinstance(label, str):
         raise DocumentFormatError("label must be a string when present")

@@ -468,6 +468,57 @@ def test_id_1_1_second_order_convergence():
     assert coarse.id_1_1 / fine.id_1_1 >= 3.0
 
 
+def test_grad_field_differentiates_each_field_of_a_tuple():
+    """One derivative array per field, in order, with the derivative index right
+    after the batch axes; the central difference is exact on a quadratic and
+    its Richardson extrapolation on a cubic, up to rounding."""
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, size=(2, 3, 4))
+    field = lambda X: (X[..., :, None] * X[..., None, :], np.sum(X**3, axis=-1))
+    eye = np.eye(4)
+    d_outer = eye[:, :, None] * x[..., None, None, :] + x[..., None, :, None] * eye[:, None, :]
+    d_cubic = 3.0 * x**2
+    plain = charts._grad_field(field, x, FDConfig(h=1e-3, richardson=False))
+    extrapolated = charts._grad_field(field, x, FDConfig(h=1e-3, richardson=True))
+    for derivatives in (plain, extrapolated):
+        assert [d.shape for d in derivatives] == [(2, 3, 4, 4, 4), (2, 3, 4)]
+    np.testing.assert_allclose(plain[0], d_outer, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(extrapolated[1], d_cubic, rtol=0, atol=1e-10)
+    # the plain step leaves the cubic's truncation h^2, so the two schemes differ
+    np.testing.assert_allclose(plain[1] - d_cubic, 1e-6, rtol=1e-6)
+
+
+SWEEP_STEPS = (8e-3, 4e-3, 2e-3, 1e-3, 5e-4)
+
+
+def _s6_sweep(richardson):
+    """id_1_1, id_1_3, id_1_4 and the relative deviation of R from c * pi1 on
+    S6(1) at the seed-7 point, one row per step of ``SWEEP_STEPS``."""
+    chart = make_chart("S6(1)")
+    x = chart.sample_points(7, 1)[0]
+    rows = []
+    for h in SWEEP_STEPS:
+        geo = geometry_at(chart, x, FDConfig(h=h, richardson=richardson))
+        suite = nk_identity_suite(chart, geo)
+        target = space_form_tensor(geo.point, chart.scale)
+        rel = invariant_norm(geo.point, geo.R - target) / invariant_norm(geo.point, target)
+        rows.append((suite.id_1_1, suite.id_1_3, suite.id_1_4, rel))
+    return rows
+
+
+def test_fd_step_sweep_on_s6():
+    """The plain scheme is second order in the pairing identity at every
+    halving.  With Richardson the residuals nearest their gates stay far below
+    tol_fd2 at the default step and twice it, and id_1_3 is smallest at
+    h = 2e-3: below it the rounding of the outer levels outgrows truncation."""
+    plain = _s6_sweep(richardson=False)
+    for coarse, fine in zip(plain, plain[1:]):
+        assert coarse[0] / fine[0] >= 3.0
+    extrapolated = dict(zip(SWEEP_STEPS, _s6_sweep(richardson=True)))
+    for h in (2e-3, 1e-3):
+        assert max(extrapolated[h]) < 1e-4
+    assert min(SWEEP_STEPS, key=lambda h: extrapolated[h][1]) == 2e-3
+
+
 def test_fd_config_validation():
     with pytest.raises(ValueError):
         FDConfig(h=-1e-3)

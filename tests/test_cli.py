@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -107,6 +108,8 @@ _MALFORMED = {  # a valid S6 document, broken one way
     "bools_in_J": lambda raw: json.dumps({**raw, "J": [bool(v) if v >= 0 else v for v in raw["J"]]})
     .encode(),
     "deep_nesting": lambda raw: b"[" * 100_000 + b"]" * 100_000,
+    "nan_in_g": lambda raw: json.dumps({**raw, "g": [math.nan] + raw["g"][1:]}).encode(),
+    "infinity_in_R": lambda raw: json.dumps({**raw, "R": raw["R"][:-1] + [-math.inf]}).encode(),
 }
 
 
@@ -120,6 +123,17 @@ def test_validate_malformed_document_exits_2_with_one_line(kind, tmp_path, capsy
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind, key", [("nan_in_g", "g"), ("infinity_in_R", "R")])
+def test_validate_names_the_non_finite_array(kind, key, tmp_path, capsys):
+    """NaN and Infinity parse as JSON floats; the structural check rejects them
+    before any geometry is built."""
+    doc = tmp_path / "s6.json"
+    assert cli_dispatch(["tensor", "s6", "--quiet", "--dump", str(doc)]) == 0
+    doc.write_bytes(_MALFORMED[kind](json.loads(doc.read_text())))
+    assert cli_dispatch(["validate", str(doc)]) == 2
+    assert capsys.readouterr().err == f"error: {key} contains non-finite entries\n"
 
 
 def test_identities_chart(tmp_path, capsys):
@@ -175,12 +189,17 @@ def test_identities_bad_chart(capsys):
     ["tensor", "S6(1e308)"],
     *(["tensor", "s6", "--tol-alg", tol] for tol in ("nan", "inf", "-1", "0")),
     *(["validate", "{doc}", "--tol-alg", tol] for tol in ("nan", "inf", "-1", "0")),
+    # NaN fails every comparison, so a sign check alone lets a NaN scale through
+    ["scenario", "thm21_forward", "--c", "nan"],
+    ["scenario", "thm21_forward", "--c", "nan", "--json", "{json}"],
+    ["all", "--mu", "nan"],
 ])
 def test_bad_model_input_exits_2_with_one_line(argv, tmp_path, capsys):
     if "{doc}" in argv:  # a valid document, so only the flag can be at fault
         doc = tmp_path / "s6.json"
         assert cli_dispatch(["tensor", "s6", "--quiet", "--dump", str(doc)]) == 0
         argv = [str(doc) if a == "{doc}" else a for a in argv]
+    argv = [str(tmp_path / "report.json") if a == "{json}" else a for a in argv]
     assert cli_dispatch(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,6 +1,7 @@
 """Scenario layer: reports, statuses, determinism."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -55,6 +56,10 @@ def test_parameter_range_validation():
         run_scenario("thm31_s6", ScenarioParams(c=-1.0))
     with pytest.raises(ScenarioParamError):
         run_scenario("thm32_models", ScenarioParams(m=2))
+    with pytest.raises(ScenarioParamError):
+        run_scenario("thm21_forward", ScenarioParams(c=math.nan))
+    with pytest.raises(ScenarioParamError):
+        run_scenario("thm21_forward", ScenarioParams(mu=math.inf))
 
 
 def test_counterexample_statuses():
