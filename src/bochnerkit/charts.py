@@ -408,8 +408,10 @@ def _christoffel(chart: ChartModel, X: np.ndarray) -> tuple[np.ndarray, ...]:
     """Metric and connection coefficients at the points ``X`` (..., n); no margin check."""
     g = chart.metric_at(X)
     dg = _complex_step(chart.metric_at, X)  # dg[..., i, j, l] = d_i g_{jl}
-    t = dg + np.einsum("...jil->...ijl", dg) - np.einsum("...lij->...ijl", dg)
-    return g, 0.5 * np.einsum("...kl,...ijl->...kij", np.linalg.inv(g), t)
+    t = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)  # t[..., i, j, l]
+    # Gamma^k_{ij} = g^{kl} t_{ijl} / 2 as one matmul per point, t as (..., l, ij)
+    t = np.swapaxes(t.reshape(*dg.shape[:-3], -1, dg.shape[-1]), -1, -2)
+    return g, ((0.5 * np.linalg.inv(g)) @ t).reshape(dg.shape)
 
 
 def _covariant(G: np.ndarray, T: np.ndarray, dT: np.ndarray, variance: str) -> np.ndarray:
@@ -419,15 +421,19 @@ def _covariant(G: np.ndarray, T: np.ndarray, dT: np.ndarray, variance: str) -> n
 
     ``variance`` gives one character per tensor axis of ``T``: ``'u'`` for an
     upper index (corrected by +Gamma) and ``'l'`` for a lower one (-Gamma).
+    Each correction is one matmul per point: T with the corrected axis last,
+    (rest, p), times Gamma as (p, a i).
     """
-    letters = "ijklmn"[: len(variance)]
+    b, n = T.ndim - len(variance), G.shape[-1]
+    batch = T.shape[:b]
+    # (p, a, i) layouts: Gamma^i_{ap} for an upper index, Gamma^p_{ai} for a lower one
+    Gx = {"u": np.swapaxes(G, -3, -1), "l": G}
     out = dT
     for axis, var in enumerate(variance):
-        src = letters[:axis] + "p" + letters[axis + 1 :]
-        if var == "u":
-            out = out + np.einsum(f"...{letters[axis]}ap,...{src}->...a{letters}", G, T)
-        else:
-            out = out - np.einsum(f"...pa{letters[axis]},...{src}->...a{letters}", G, T)
+        Tm = np.moveaxis(T, b + axis, -1)
+        term = Tm.reshape(batch + (-1, n)) @ Gx[var].reshape(batch + (n, n * n))
+        term = np.moveaxis(term.reshape(Tm.shape[:-1] + (n, n)), (-2, -1), (b, b + 1 + axis))
+        out = out + term if var == "u" else out - term
     return out
 
 
@@ -438,29 +444,31 @@ def _geometry(chart: ChartModel, X: np.ndarray, cfg: FDConfig) -> tuple[np.ndarr
     The curvature index convention matches the algebraic models: the round
     sphere chart of curvature c yields c * pi1 (pinned by the acceptance suite), so
 
-        R_{ijkl} = g_{ql} (d_i Gamma^q_{jk} - d_j Gamma^q_{ik}
-                           + Gamma^p_{jk} Gamma^q_{ip} - Gamma^p_{ik} Gamma^q_{jp}).
+        R_{ijkl} = g_{ql} (A_{ijk}^q - A_{jik}^q),
+        A_{ijk}^q = d_i Gamma^q_{jk} + Gamma^p_{jk} Gamma^q_{ip},
+
+    with the Gamma Gamma product one (qi, p) @ (p, jk) matmul per point; the
+    difference makes R antisymmetric in its first pair exactly.
     """
     g, G = _christoffel(chart, X)
     (dG,) = _grad_field(lambda Y: _christoffel(chart, Y)[1:], X, cfg)
-    R_up = (
-        np.einsum("...iqjk->...ijkq", dG)
-        - np.einsum("...jqik->...ijkq", dG)
-        + np.einsum("...pjk,...qip->...ijkq", G, G)
-        - np.einsum("...pik,...qjp->...ijkq", G, G)
-    )
+    n = g.shape[-1]
+    GG = G.reshape(*G.shape[:-3], -1, n) @ G.reshape(*G.shape[:-2], -1)  # (qi, jk)
+    A = np.moveaxis(dG, -3, -1) + np.moveaxis(GG.reshape(G.shape + (n,)), -4, -1)
+    R_up = A - np.swapaxes(A, -4, -3)
     J = chart.J_at(X)
     nJ = _covariant(G, J, _complex_step(chart.J_at, X), "ul")
-    return g, J, G, nJ, np.einsum("...ijkq,...ql->...ijkl", R_up, g)
+    return g, J, G, nJ, R_up @ g[..., None, None, :, :]
 
 
 @dataclass(frozen=True)
 class ChartGeometry:
     """The finite-difference geometry at the chart point ``x``, evaluated with ``cfg``.
 
-    ``point`` holds g and J, ``R`` the covariant curvature, ``G`` the connection
-    coefficients ``G[k, i, j] = Gamma^k_{ij}`` (symmetric in the lower pair exactly
-    by construction) and ``nJ[a, k, j] = (nabla_a J)^k_j``.
+    ``point`` holds g and J, ``R`` the covariant curvature (antisymmetric in its
+    first pair exactly by construction), ``G`` the connection coefficients
+    ``G[k, i, j] = Gamma^k_{ij}`` (symmetric in the lower pair exactly by
+    construction) and ``nJ[a, k, j] = (nabla_a J)^k_j``.
     """
 
     x: np.ndarray
@@ -473,9 +481,18 @@ class ChartGeometry:
 
 def geometry_at(chart: ChartModel, x: np.ndarray, cfg: FDConfig) -> ChartGeometry:
     """The geometry at ``x`` from one :func:`_geometry` evaluation, after one
-    check of the 4h margin its stencil needs; the point is validated and R
-    checked finite."""
+    check of the 4h margin its stencil needs and one that its smallest offset
+    (h/2 with Richardson, h without) moves every coordinate of ``x``; the point
+    is validated and R checked finite."""
     chart.require_margin(x, 4 * cfg.h)
+    step = cfg.h / 2 if cfg.richardson else cfg.h
+    collapsed = np.flatnonzero(x + step == x - step)
+    if collapsed.size:
+        i = collapsed[0]
+        raise FDConfigError(
+            f"step h = {cfg.h:g} collapses the stencil: x[{i}] +/- {step:g} both round "
+            f"to x[{i}] = {x[i]:g}"
+        )
     g, J, G, nJ, R = _geometry(chart, x, cfg)
     return ChartGeometry(x, cfg, validate_point(g, J), CurvTensor(chart.n, R), G, nJ)
 
@@ -551,7 +568,8 @@ def nk_identity_suite(chart: ChartModel, geo: ChartGeometry) -> NKIdentityReport
     if nk > NK_THRESHOLD:
         raise NotNearlyKahlerError(nk, NK_THRESHOLD)
 
-    id_1_1 = _norm(gi, A - _rotate(A, J, 2, 3) + np.einsum("apb,pq,cqd->abcd", nJ, g, nJ))
+    # g((nabla_a J) e_b, (nabla_c J) e_d) = (nabla_a J)^p_b (nabla_c J)_{pd}
+    id_1_1 = _norm(gi, A - _rotate(A, J, 2, 3) + np.tensordot(nJ, nJ_low, axes=(1, 1)))
 
     S, Sp, tau, tau_p = _traces(gi, J, A)
     dR, dS, dD, d_tau, d_tau_diff, dnJ = _grad_field(fields, x, cfg)
@@ -565,8 +583,8 @@ def nk_identity_suite(chart: ChartModel, geo: ChartGeometry) -> NKIdentityReport
     D = S - Sp
     res_1_3 = (
         2.0 * _covariant(G, D, dD, "ll")
-        - np.einsum("pq,apb,qc->abc", D, nJ, J)
-        - np.einsum("pq,pb,aqc->abc", D, J, nJ)
+        - np.swapaxes(nJ, 1, 2) @ (D @ J)
+        - J.T @ D @ nJ
     )
     id_1_3 = _norm(gi, res_1_3)
     id_1_4 = _norm(gi, d_tau_diff)

@@ -10,6 +10,7 @@ from bochnerkit.charts import (
     ChartModel,
     ChartSpecError,
     FDConfig,
+    FDConfigError,
     MarginError,
     NotNearlyKahlerError,
     geometry_at,
@@ -206,6 +207,84 @@ def test_christoffel_symmetric_lower_indices():
     x = chart.sample_points(1, 1)[0]
     G = geometry_at(chart, x, CFG).G
     assert np.array_equal(G, G.transpose(0, 2, 1))
+
+
+_PINNED_CHARTS = ["S6(1)", "CP(5,1)", "PRODUCT(CD(2,-1),S6(1))"]
+
+
+@pytest.mark.parametrize("desc", _PINNED_CHARTS)
+def test_curvature_antisymmetric_in_first_pair_exactly(desc):
+    chart = make_chart(desc)
+    R = geometry_at(chart, chart.sample_points(3, 1)[0], CFG).R.components
+    assert np.array_equal(R, -R.transpose(1, 0, 2, 3))
+
+
+# The contractions in their index form, one einsum each, as a reference for the
+# matmul forms in `charts`.
+
+def _einsum_christoffel(chart, X):
+    g = chart.metric_at(X)
+    dg = charts._complex_step(chart.metric_at, X)
+    t = dg + np.einsum("...jil->...ijl", dg) - np.einsum("...lij->...ijl", dg)
+    return g, 0.5 * np.einsum("...kl,...ijl->...kij", np.linalg.inv(g), t)
+
+
+def _einsum_covariant(G, T, dT, variance):
+    letters = "ijklmn"[: len(variance)]
+    out = dT
+    for axis, var in enumerate(variance):
+        src = letters[:axis] + "p" + letters[axis + 1 :]
+        if var == "u":
+            out = out + np.einsum(f"...{letters[axis]}ap,...{src}->...a{letters}", G, T)
+        else:
+            out = out - np.einsum(f"...pa{letters[axis]},...{src}->...a{letters}", G, T)
+    return out
+
+
+def _einsum_geometry(chart, X, cfg):
+    """nabla J and R at the points ``X``."""
+    g, G = _einsum_christoffel(chart, X)
+    (dG,) = charts._grad_field(lambda Y: _einsum_christoffel(chart, Y)[1:], X, cfg)
+    R_up = (
+        np.einsum("...iqjk->...ijkq", dG)
+        - np.einsum("...jqik->...ijkq", dG)
+        + np.einsum("...pjk,...qip->...ijkq", G, G)
+        - np.einsum("...pik,...qjp->...ijkq", G, G)
+    )
+    nJ = _einsum_covariant(G, chart.J_at(X), charts._complex_step(chart.J_at, X), "ul")
+    return nJ, np.einsum("...ijkq,...ql->...ijkl", R_up, g)
+
+
+def _assert_close(new, ref, scale=None):
+    """Agreement to 1e-12 of ``scale``, by default the largest entry of ``ref``."""
+    assert new.shape == ref.shape
+    assert np.max(np.abs(new - ref)) <= 1e-12 * (scale or np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("desc", _PINNED_CHARTS)
+def test_matmul_contractions_match_their_einsum_forms(desc, batch):
+    chart = make_chart(desc)
+    n = chart.n
+    X = chart.sample_points(41, 6)[: int(np.prod(batch))].reshape(batch + (n,))
+    g, G = charts._christoffel(chart, X)
+    g_ref, G_ref = _einsum_christoffel(chart, X)
+    assert np.array_equal(g, g_ref)
+    _assert_close(G, G_ref)
+
+    _, _, _, nJ, R = charts._geometry(chart, X, CFG)
+    nJ_ref, R_ref = _einsum_geometry(chart, X, CFG)
+    # on the Kahler CP(5,1) nabla J vanishes and both forms read rounding, so
+    # it is measured against the size of its Gamma J terms
+    _assert_close(nJ, nJ_ref, np.max(np.abs(G_ref)) * np.max(np.abs(chart.J_at(X))))
+    _assert_close(R, R_ref)
+
+    rng = np.random.default_rng(43)
+    for variance in ("ul", "ll", "llll"):
+        rank = (n,) * len(variance)
+        T, dT = rng.standard_normal(batch + rank), rng.standard_normal(batch + (n,) + rank)
+        _assert_close(charts._covariant(G, T, dT, variance),
+                      _einsum_covariant(G_ref, T, dT, variance))
 
 
 @pytest.mark.parametrize("c", [1.0, 2.0])
@@ -517,6 +596,20 @@ def test_fd_step_sweep_on_s6():
     for h in (2e-3, 1e-3):
         assert max(extrapolated[h]) < 1e-4
     assert min(SWEEP_STEPS, key=lambda h: extrapolated[h][1]) == 2e-3
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+def test_step_that_collapses_the_stencil_is_rejected(richardson):
+    """fl(1 +/- d) = 1 for d up to 2**-54, half the spacing of the doubles below
+    1: h = 1e-16 collapses the h/2 offsets of the Richardson stencil at the
+    coordinate 1.0, and not the h offsets of the plain one."""
+    chart = make_chart("CP(2,1)")
+    x, cfg = np.array([0.25, 1.0, 0.0, 0.0]), FDConfig(h=1e-16, richardson=richardson)
+    if richardson:
+        with pytest.raises(FDConfigError, match=r"^step h = 1e-16 collapses the stencil: x\[1\]"):
+            geometry_at(chart, x, cfg)
+    else:
+        geometry_at(chart, x, cfg)
 
 
 def test_fd_config_validation():

@@ -193,6 +193,9 @@ def test_identities_bad_chart(capsys):
     ["scenario", "thm21_forward", "--c", "nan"],
     ["scenario", "thm21_forward", "--c", "nan", "--json", "{json}"],
     ["all", "--mu", "nan"],
+    # a step that x +/- h/2 cannot resolve reads every real derivative as 0
+    ["identities", "CP(2,1)", "--points", "1", "--fd-step", "1e-320"],
+    ["all", "--fd-step", "1e-320"],
 ])
 def test_bad_model_input_exits_2_with_one_line(argv, tmp_path, capsys):
     if "{doc}" in argv:  # a valid document, so only the flag can be at fault
@@ -206,6 +209,14 @@ def test_bad_model_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [["identities", "CP(2,1)", "--points", "1"], ["all"]])
+def test_collapsed_stencil_error_names_the_step(argv, capsys):
+    """Not the identity that fails, nor the curvature class, but the step."""
+    assert cli_dispatch([*argv, "--fd-step", "1e-320"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: step h = ") and "collapses the stencil" in err
 
 
 def _run_module(argv: list[str]) -> subprocess.CompletedProcess:
