@@ -6,6 +6,12 @@ derivatives of J and of the Ricci traces come from central finite differences
 (optionally Richardson-extrapolated to fourth order), except the innermost
 derivatives of the two fields, dg and dJ, which are complex steps.
 
+The real levels are one stencil grid: ``geometry_at`` differentiates Gamma on
+the stencil of x, and the identity suite differentiates on the stencil of x
+the geometry that is itself differentiated on the stencil of each of those
+points.  Gamma is evaluated once per distinct point of the grid and kept in
+one table of its lower pairs; each level reads its differences from it.
+
 Models:
 
 * ``CE(m)``      flat R^{2m}, constant block J.
@@ -379,23 +385,32 @@ def _product_chart(spec: ChartSpec) -> ChartModel:
 # finite differences
 # ---------------------------------------------------------------------------
 
-def _grad_field(f, x, cfg):
-    """Coordinate derivatives at the points ``x`` (..., n) of each field in the
-    tuple of arrays that ``f`` returns, batch axes first.
+def _steps(cfg: FDConfig) -> tuple[float, ...]:
+    """The real finite-difference steps of ``cfg``: h/2 and h with Richardson, h without."""
+    return (cfg.h / 2, cfg.h) if cfg.richardson else (cfg.h,)
 
-    The result holds one derivative array per field, in the same order, with the
-    derivative index right after the batch axes of ``x``.  Each step and sign of
-    the stencil is one call of ``f`` on the n points x ± s e_i, stacked as (..., n, n).
+
+def _stencil(X: np.ndarray, cfg: FDConfig) -> np.ndarray:
+    """The stencil of the points ``X`` (..., n): for each step s and sign, the n
+    points X +/- s e_i as one batch (..., n, n), stacked in the order +s, -s per step."""
+    X, eye = X[..., None, :], np.eye(X.shape[-1])
+    return np.stack([Y for s in _steps(cfg) for Y in (X + s * eye, X - s * eye)])
+
+
+def _difference(values, cfg: FDConfig) -> tuple[np.ndarray, ...]:
+    """Coordinate derivatives of each field in the tuples that the iterator
+    ``values`` yields on the batches of :func:`_stencil`, in its order.
+
+    Per step s the central difference is (p - m) / (2s); with Richardson the
+    differences a at h/2 and b at h combine as (4a - b) / 3.  Each result has the
+    shape of its field on one batch, so a field evaluated per point carries the
+    derivative index right after the batch axes of the stencil's centres.
     """
-    eye = np.eye(x.shape[-1])
-
-    def central(s):
-        X = x[..., None, :]
-        return [(p - m) / (2.0 * s) for p, m in zip(f(X + s * eye), f(X - s * eye))]
-
+    central = [[(p - m) / (2.0 * s) for p, m in zip(next(values), next(values))]
+               for s in _steps(cfg)]
     if cfg.richardson:
-        return tuple((4.0 * a - b) / 3.0 for a, b in zip(central(cfg.h / 2), central(cfg.h)))
-    return tuple(central(cfg.h))
+        return tuple((4.0 * a - b) / 3.0 for a, b in zip(*central))
+    return tuple(central[0])
 
 
 def _complex_step(f, X):
@@ -437,12 +452,29 @@ def _covariant(G: np.ndarray, T: np.ndarray, dT: np.ndarray, variance: str) -> n
     return out
 
 
-def _geometry(chart: ChartModel, X: np.ndarray, cfg: FDConfig) -> tuple[np.ndarray, ...]:
-    """g, J, Gamma, nabla J and R at the points ``X`` (..., n), with g and J read
-    once and one Christoffel evaluation per point; no margin check.
+def _christoffel_table(
+    chart: ChartModel, P: np.ndarray, rows: np.ndarray, calls: int
+) -> tuple[np.ndarray, ...]:
+    """Gamma at each of the points ``P`` (N, n) in ``calls`` calls whose sizes differ
+    by at most one, and g at the points ``P[rows]``.  Gamma is exactly symmetric in
+    its lower pair, so the table keeps the pairs i <= j: ``table[p, k]`` lists
+    Gamma^k_{ij} in the order of ``np.triu_indices(n)``."""
+    n, edges = P.shape[-1], [len(P) * c // calls for c in range(calls + 1)]
+    i, j = np.triu_indices(n)
+    table, g_rows = np.empty((len(P), n, i.size)), np.empty(rows.shape + (n, n))
+    for start, stop in zip(edges, edges[1:]):
+        g, G = _christoffel(chart, P[start:stop])
+        table[start:stop] = G[..., i, j]
+        here = (rows >= start) & (rows < stop)
+        g_rows[here] = g[rows[here] - start]
+    return table, g_rows
 
-    The curvature index convention matches the algebraic models: the round
-    sphere chart of curvature c yields c * pi1 (pinned by the acceptance suite), so
+
+def _curvature(g: np.ndarray, G: np.ndarray, dG: np.ndarray) -> np.ndarray:
+    """The covariant curvature from g, Gamma and dGamma (derivative index first).
+
+    The index convention matches the algebraic models: the round sphere chart
+    of curvature c yields c * pi1 (pinned by the acceptance suite), so
 
         R_{ijkl} = g_{ql} (A_{ijk}^q - A_{jik}^q),
         A_{ijk}^q = d_i Gamma^q_{jk} + Gamma^p_{jk} Gamma^q_{ip},
@@ -450,15 +482,49 @@ def _geometry(chart: ChartModel, X: np.ndarray, cfg: FDConfig) -> tuple[np.ndarr
     with the Gamma Gamma product one (qi, p) @ (p, jk) matmul per point; the
     difference makes R antisymmetric in its first pair exactly.
     """
-    g, G = _christoffel(chart, X)
-    (dG,) = _grad_field(lambda Y: _christoffel(chart, Y)[1:], X, cfg)
     n = g.shape[-1]
     GG = G.reshape(*G.shape[:-3], -1, n) @ G.reshape(*G.shape[:-2], -1)  # (qi, jk)
-    A = np.moveaxis(dG, -3, -1) + np.moveaxis(GG.reshape(G.shape + (n,)), -4, -1)
-    R_up = A - np.swapaxes(A, -4, -3)
-    J = chart.J_at(X)
-    nJ = _covariant(G, J, _complex_step(chart.J_at, X), "ul")
-    return g, J, G, nJ, R_up @ g[..., None, None, :, :]
+    # in place on dG, which is not read again; numpy buffers the overlapping
+    # operand of the difference, so A - A_(i<->j) reads A before it is written
+    A = np.moveaxis(dG, -3, -1)
+    A += np.moveaxis(GG.reshape(G.shape + (n,)), -4, -1)
+    A -= np.swapaxes(A, -4, -3)
+    return A @ g[..., None, None, :, :]
+
+
+def _geometry(chart: ChartModel, C: np.ndarray, cfg: FDConfig):
+    """Yield g, J, Gamma, nabla J and R at each batch ``C[b]`` of the centres ``C``
+    (B, ..., n) in turn; no margin check.
+
+    The centres and their stencil points form one grid, and Gamma is evaluated
+    once per distinct point of it (:func:`_christoffel_table`), in calls of at
+    most n^2 points.  Points merge only when all their bits agree: the two-level
+    point x + s1 e_i + s2 e_j is reached again as x + s2 e_j + s1 e_i, while
+    (x_i + s1) + s2 and (x_i + s2) + s1 may differ in the last bit.  dGamma at a
+    batch is the :func:`_difference` of gathers from the table, so every value is
+    the one that evaluating Gamma afresh at each stencil point gives.  J and its
+    complex step are read once per batch.
+    """
+    n, count = C.shape[-1], C.size // C.shape[-1]  # coordinates, centres
+    stencil = _stencil(C, cfg)
+    points = np.concatenate([C.reshape(-1, n), stencil.reshape(-1, n)])
+    _, first, index = np.unique(
+        points.view(np.dtype((np.void, points.itemsize * n))).ravel(),
+        return_index=True, return_inverse=True,
+    )
+    centres, around = index[:count].reshape(C.shape[:-1]), index[count:].reshape(stencil.shape[:-1])
+    # as many calls as n^2 points of the unmerged grid would fill, so the count
+    # depends on the grid's shape alone and no call exceeds n^2 points
+    table, g = _christoffel_table(chart, points[first], centres, -(-len(points) // n**2))
+    i, j = np.triu_indices(n)
+    unpack = np.empty((n, n), dtype=np.intp)
+    unpack[i, j] = unpack[j, i] = np.arange(i.size)
+    for b, X in enumerate(C):
+        G, J = table[centres[b]][..., unpack], chart.J_at(X)
+        nJ = _covariant(G, J, _complex_step(chart.J_at, X), "ul")
+        # neither dGamma nor R is bound here, so neither outlives its use
+        gathers = ((table[k],) for k in around[:, b])
+        yield g[b], J, G, nJ, _curvature(g[b], G, _difference(gathers, cfg)[0][..., unpack])
 
 
 @dataclass(frozen=True)
@@ -485,7 +551,7 @@ def geometry_at(chart: ChartModel, x: np.ndarray, cfg: FDConfig) -> ChartGeometr
     (h/2 with Richardson, h without) moves every coordinate of ``x``; the point
     is validated and R checked finite."""
     chart.require_margin(x, 4 * cfg.h)
-    step = cfg.h / 2 if cfg.richardson else cfg.h
+    step = _steps(cfg)[0]
     collapsed = np.flatnonzero(x + step == x - step)
     if collapsed.size:
         i = collapsed[0]
@@ -493,7 +559,7 @@ def geometry_at(chart: ChartModel, x: np.ndarray, cfg: FDConfig) -> ChartGeometr
             f"step h = {cfg.h:g} collapses the stencil: x[{i}] +/- {step:g} both round "
             f"to x[{i}] = {x[i]:g}"
         )
-    g, J, G, nJ, R = _geometry(chart, x, cfg)
+    ((g, J, G, nJ, R),) = _geometry(chart, x[None], cfg)
     return ChartGeometry(x, cfg, validate_point(g, J), CurvTensor(chart.n, R), G, nJ)
 
 
@@ -543,18 +609,20 @@ def nk_identity_suite(chart: ChartModel, geo: ChartGeometry) -> NKIdentityReport
     Each residual is scored by its full norm (see :class:`NKIdentityReport`).  If the
     chart itself fails the nearly Kahler condition beyond ``NK_THRESHOLD`` the
     dependent checks are aborted with :class:`NotNearlyKahlerError`.  The values
-    at x come from ``geo``; the geometry is evaluated once per step and sign of
-    ``geo.cfg`` on the stencil points around x, each such batch of (g, J) is
-    validated in one pass, and a non-finite R on it raises :class:`NonFiniteError`.
-    One finite-difference pass differentiates the fields R, S, S - S', tau,
-    tau - tau' and nabla J on those batches, each as it is.
+    at x come from ``geo``.  The two real levels around x are one grid: one
+    :func:`_geometry` over the batches of the stencil of x, one per step and sign
+    of ``geo.cfg``, evaluates Gamma once per distinct point of their stencils.
+    Each batch of (g, J) is validated in one pass, and a non-finite R on it
+    raises :class:`NonFiniteError`.  One finite-difference pass differentiates
+    the fields R, S, S - S', tau, tau - tau' and nabla J on those batches, each
+    as it is.
     """
     x, cfg, point, G, nJ = geo.x, geo.cfg, geo.point, geo.G, geo.nJ
     chart.require_margin(x, 6 * cfg.h)
     g, gi, J, A = point.g_mat, point.g_inv, point.J, geo.R.components
 
-    def fields(Y: np.ndarray) -> tuple[np.ndarray, ...]:
-        g_Y, J_Y, _, nJ_Y, R_Y = _geometry(chart, Y, cfg)
+    def fields(geometry: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+        g_Y, J_Y, _, nJ_Y, R_Y = geometry
         violations = point_violations(g_Y, J_Y)
         if violations:
             raise PointValidationError(violations)
@@ -572,7 +640,8 @@ def nk_identity_suite(chart: ChartModel, geo: ChartGeometry) -> NKIdentityReport
     id_1_1 = _norm(gi, A - _rotate(A, J, 2, 3) + np.tensordot(nJ, nJ_low, axes=(1, 1)))
 
     S, Sp, tau, tau_p = _traces(gi, J, A)
-    dR, dS, dD, d_tau, d_tau_diff, dnJ = _grad_field(fields, x, cfg)
+    geometries = _geometry(chart, _stencil(x, cfg), cfg)
+    dR, dS, dD, d_tau, d_tau_diff, dnJ = _difference(map(fields, geometries), cfg)
 
     lhs_1_2 = 2.0 * np.einsum("abpc,pd->abcd", _covariant(G, nJ, dnJ, "lul"), g)
     RJ2 = _rotate(A, J, 1)  # R(X,JY,Z,U)

@@ -118,18 +118,22 @@ def _counted_metric(chart):
 
 
 def test_curvature_makes_a_fixed_number_of_metric_calls():
-    """Each stencil level evaluates all of its points in one call per step
-    and sign, so the call count does not grow with the dimension."""
+    """Gamma is evaluated on all the points of the stencil of x at once, in
+    calls of at most n^2 points, so the call count does not grow with the
+    dimension."""
     counts = {}
-    for desc in ("S6(1)", "CP(5,1)"):
+    for desc in ("S6(1)", "CP(5,1)", "CE(1)"):
         chart, count = _counted_metric(make_chart(desc))
         geometry_at(chart, chart.sample_points(3, 1)[0], CFG)
         counts[desc] = count
-    # Gamma at x: g 1 + the complex step 1 call; dGamma: 4 calls of Gamma, 2
-    # each.  Lowering R and validating the point reuse the g that Gamma at x
-    # read, and nabla J reuses Gamma (25 calls with a real-difference Gamma of
-    # 1 + 4 calls)
-    assert counts["S6(1)"]["calls"] == counts["CP(5,1)"]["calls"] == 10
+    # Gamma at x and its 4n stencil points: 4n + 1 <= n^2 points for n >= 5,
+    # one call of g and one of the complex step.  Lowering R and validating the
+    # point reuse the g that Gamma at x read, and nabla J reuses Gamma (10 calls
+    # while Gamma at x and each step and sign were separate calls, 25 with a
+    # real-difference Gamma of 1 + 4 calls)
+    assert counts["S6(1)"]["calls"] == counts["CP(5,1)"]["calls"] == 2
+    # at n = 2 the 9 points take ceil(9 / 4) = 3 calls of Gamma
+    assert counts["CE(1)"]["calls"] == 6
     # Gamma at x and at its 4n stencil points, n + 1 metric points each: (n + 1)(4n + 1)
     assert counts["S6(1)"]["points"] == 175
     assert counts["CP(5,1)"]["points"] == 451
@@ -137,32 +141,39 @@ def test_curvature_makes_a_fixed_number_of_metric_calls():
 
 def test_suite_metric_calls_stay_batched():
     chart, count = _counted_metric(make_chart("CP(5,1)"))
-    geo = geometry_at(chart, chart.sample_points(3, 1)[0], CFG)
-    # one geometry evaluation at x, then the suite's 4 batched ones (2 steps x
-    # 2 signs on the n stencil points), each validated from the g and J it read:
-    #   metric: Gamma 2 (g and the complex step) + dGamma 4 x 2 = 10 calls a batch,
-    #           10 + 40 = 50 in all;
+    x = chart.sample_points(3, 1)[0]
+    geo = geometry_at(chart, x, CFG)
+    # one geometry evaluation at x, then the suite's one over its 4 batches (2
+    # steps x 2 signs on the n stencil points), each validated from the g and J
+    # it read:
+    #   metric: 2 calls (g and the complex step) per n^2 = 100 points of the
+    #           unmerged grid: 4n + 1 = 41 at x, 4n + 16n^2 = 1,640 for the suite,
+    #           so 2 + 2 ceil(1,640 / 100) = 36 in all;
     #   J:      J 1 + the complex step dJ 1 = 2 calls a batch, 2 + 8 = 10 in all;
-    #   points: (n + 1)(4n + 1) = 451 per geometry point at n = 10, x (1 + 40) = 18,491.
-    # 70,766 single-point calls before batching, 1,137 before the shared
-    # geometry, 171 (and 66 J calls) while each stencil point was validated
-    # alone, 125 (68,921 points) while Gamma took real differences of g, 25 J
-    # calls while dJ took real differences
-    assert (count["calls"], count["J_calls"], count["points"]) == (10, 2, 451)
+    #   points: n + 1 = 11 per distinct Gamma point, 41 at x and 801 for the
+    #           suite at this point (_grid_size): 451 + 8,811 = 9,262.
+    # 50 calls (18,491 points) while each batch evaluated Gamma afresh on its
+    # own stencil, 70,766 single-point calls before batching, 1,137 before the
+    # shared geometry, 171 (and 66 J calls) while each stencil point was
+    # validated alone, 125 (68,921 points) while Gamma took real differences
+    # of g, 25 J calls while dJ took real differences
+    assert (count["calls"], count["J_calls"], count["points"]) == (2, 2, 451)
+    assert _grid_size(x, CFG) == 801
     nk_identity_suite(chart, geo)
-    assert (count["calls"], count["J_calls"], count["points"]) == (50, 10, 18491)
+    assert (count["calls"], count["J_calls"], count["points"]) == (36, 10, 9262)
 
 
 @pytest.mark.parametrize("desc", ["S6(1)", "CP(5,1)"])
 def test_derivative_evaluators_make_fixed_call_counts(desc):
-    """Gamma costs one metric call at x and one complex-step call; R evaluates
-    Gamma at x and at the 4n stencil points, and nabla J costs one J call at x
+    """R evaluates Gamma at x and at the 4n stencil points, at most n^2 of
+    them, in one metric call and one complex-step call (10 calls while x and
+    each step and sign were separate calls), and nabla J costs one J call at x
     and one complex-step call (5 J calls while dJ took real differences).
     (The nabla^2 J of the deleted j_derivatives_at, which no check read, cost
     8 metric and 20 J calls more.)"""
     chart, count = _counted_metric(make_chart(desc))
     geometry_at(chart, chart.sample_points(3, 1)[0], CFG)
-    assert (count["calls"], count["J_calls"]) == (10, 2)
+    assert (count["calls"], count["J_calls"]) == (2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +220,19 @@ def test_christoffel_symmetric_lower_indices():
     assert np.array_equal(G, G.transpose(0, 2, 1))
 
 
+@pytest.mark.parametrize(
+    "desc", ["CE(2)", "S6(1)", "CP(3,1)", "CD(2,-1)", "PRODUCT(CD(1,-1),S6(1))"]
+)
+def test_christoffel_is_exactly_symmetric_at_every_batch_size(desc):
+    """The grid keeps only the lower pairs i <= j of Gamma, which is exact only
+    if Gamma^k_{ij} and Gamma^k_{ji} agree in every bit, in every call size."""
+    chart = make_chart(desc)
+    for size in (1, 7, chart.n**2):
+        _, G = charts._christoffel(chart, chart.sample_points(size, size))
+        assert G.shape == (size, chart.n, chart.n, chart.n)
+        assert np.array_equal(G, np.swapaxes(G, -1, -2))
+
+
 _PINNED_CHARTS = ["S6(1)", "CP(5,1)", "PRODUCT(CD(2,-1),S6(1))"]
 
 
@@ -244,7 +268,8 @@ def _einsum_covariant(G, T, dT, variance):
 def _einsum_geometry(chart, X, cfg):
     """nabla J and R at the points ``X``."""
     g, G = _einsum_christoffel(chart, X)
-    (dG,) = charts._grad_field(lambda Y: _einsum_christoffel(chart, Y)[1:], X, cfg)
+    gammas = (_einsum_christoffel(chart, Y)[1:] for Y in charts._stencil(X, cfg))
+    (dG,) = charts._difference(gammas, cfg)
     R_up = (
         np.einsum("...iqjk->...ijkq", dG)
         - np.einsum("...jqik->...ijkq", dG)
@@ -272,7 +297,7 @@ def test_matmul_contractions_match_their_einsum_forms(desc, batch):
     assert np.array_equal(g, g_ref)
     _assert_close(G, G_ref)
 
-    _, _, _, nJ, R = charts._geometry(chart, X, CFG)
+    ((_, _, _, nJ, R),) = charts._geometry(chart, X[None], CFG)
     nJ_ref, R_ref = _einsum_geometry(chart, X, CFG)
     # on the Kahler CP(5,1) nabla J vanishes and both forms read rounding, so
     # it is measured against the size of its Gamma J terms
@@ -476,17 +501,20 @@ def test_pointwise_identities_from_curvature_match_the_suite(seed, richardson):
 
 @pytest.mark.parametrize("richardson, stencil", [(True, 4), (False, 2)])
 def test_suite_evaluates_curvature_once_per_stencil_point(monkeypatch, richardson, stencil):
-    """One call evaluates the geometry once per step and sign on the n stencil
-    points around x (two steps with Richardson), no more; the values at x,
-    Gamma among them, come from its geometry."""
-    chart = make_chart("S6(1)")
-    geo = geometry_at(chart, chart.sample_points(25, 1)[0], FDConfig(richardson=richardson))
-    batches, gamma_at_x = [], []
+    """One geometry evaluation yields the geometry once per step and sign on
+    the n stencil points around x (two steps with Richardson), no more; the
+    values at x, Gamma among them, come from its geometry, so x is no centre."""
+    chart, cfg = make_chart("S6(1)"), FDConfig(richardson=richardson)
+    x = chart.sample_points(25, 1)[0]
+    geo = geometry_at(chart, x, cfg)
+    centres, batches, gamma_at_x = [], [], []
     geometry, christoffel = charts._geometry, charts._christoffel
 
-    def counted(chart, Y, cfg):
-        batches.append(Y[..., 0].size)
-        return geometry(chart, Y, cfg)
+    def counted(chart, C, cfg):
+        centres.append(C)
+        for batch in geometry(chart, C, cfg):
+            batches.append(batch[0].shape[0])
+            yield batch
 
     def counted_christoffel(chart, Y):
         if Y.ndim == 1:
@@ -497,9 +525,123 @@ def test_suite_evaluates_curvature_once_per_stencil_point(monkeypatch, richardso
     monkeypatch.setattr(charts, "_christoffel", counted_christoffel)
     monkeypatch.setattr(charts, "geometry_at", None)  # the suite never calls it
     nk_identity_suite(chart, geo)
-    assert len(batches) == stencil
-    assert sum(batches) == stencil * chart.n
+    assert len(centres) == 1 and np.array_equal(centres[0], charts._stencil(x, cfg))
+    assert not np.any(np.all(centres[0] == x, axis=-1))
+    assert batches == [chart.n] * stencil
     assert gamma_at_x == []
+
+
+def _grid_size(x, cfg):
+    """The distinct points of the suite's two-level grid around ``x``, from the
+    offsets o in {+/-h/2, +/-h} (+/-h without Richardson) alone.
+
+    A point moved in two coordinates, x + o1 e_i + o2 e_j with i < j, is one
+    point for both orders.  A point moved in coordinate i alone is a first-level
+    centre x_i + o or a diagonal (x_i + o1) + o2, and those merge only where
+    their values agree; all of them that land back on x_i are x.
+    """
+    offsets = [o for s in charts._steps(cfg) for o in (s, -s)]
+    n, x = len(x), x.tolist()
+    moved = [{v + o for o in offsets} | {(v + o1) + o2 for o1 in offsets for o2 in offsets}
+             for v in x]
+    at_x = any(v in values for v, values in zip(x, moved))
+    return n * (n - 1) // 2 * len(offsets) ** 2 + sum(len(m - {v}) for v, m in zip(x, moved)) + at_x
+
+
+def _counted_christoffel(monkeypatch):
+    """Patch ``charts._christoffel`` to record the points of each call."""
+    calls, christoffel = [], charts._christoffel
+
+    def counted(chart, Y):
+        calls.append(np.array(Y))
+        return christoffel(chart, Y)
+
+    monkeypatch.setattr(charts, "_christoffel", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "desc, richardson, distinct, grid",
+    [("CP(5,1)", True, 803, 1640), ("CP(5,1)", False, 222, 420),
+     ("PRODUCT(CD(2,-1),S6(1))", True, 803, 1640), ("PRODUCT(CD(2,-1),S6(1))", False, 222, 420),
+     ("S6(1)", True, 291, 600), ("S6(1)", False, 86, 156)],
+)
+def test_suite_evaluates_gamma_once_per_distinct_grid_point(
+    monkeypatch, desc, richardson, distinct, grid
+):
+    """The unmerged grid has 4n centres and 16n^2 points around them (2n and
+    4n^2 without Richardson), which each batch evaluated afresh.  Merged, 16
+    n(n - 1)/2 points moved in two coordinates, the 4n centres, the 4n
+    diagonals at +/-3h/2 and +/-2h, and x make 801 at n = 10 and 289 at n = 6
+    (4 n(n - 1)/2 + 2n + 2n + 1 = 221 and 85 without Richardson).  At the
+    seed-7 point two of the coincidences among the diagonal sums fail in the
+    last bit (one without Richardson), which adds a point each.  The calls
+    are as many as n^2 points of the unmerged grid would fill, so their count
+    does not depend on which points merge."""
+    chart, cfg = make_chart(desc), FDConfig(richardson=richardson)
+    x = chart.sample_points(7, 1)[0]
+    geo = geometry_at(chart, x, cfg)
+    calls = _counted_christoffel(monkeypatch)
+    nk_identity_suite(chart, geo)
+    assert all(Y.ndim == 2 and len(Y) <= chart.n**2 for Y in calls)
+    assert len(calls) == -(-grid // chart.n**2)
+    points = np.concatenate(calls)
+    assert len(points) == len({p.tobytes() for p in points}) == distinct == _grid_size(x, cfg)
+
+
+def test_diagonal_sums_that_differ_in_the_last_bit_are_both_evaluated(monkeypatch):
+    """(0.5 + h/2) + h/2 rounds one ulp below 0.5 + h at h = 1e-3, so the
+    diagonal point and the first-level centre are two points; at 0.25 the two
+    sums agree and are one point."""
+    h = CFG.h
+    assert (0.5 + h / 2) + h / 2 != 0.5 + h and (0.25 + h / 2) + h / 2 == 0.25 + h
+    chart = make_chart("CP(2,1)")
+    x = np.array([0.5, 0.25, 0.1, -0.2])
+    geo = geometry_at(chart, x, CFG)
+    calls = _counted_christoffel(monkeypatch)
+    nk_identity_suite(chart, geo)
+    seen = [p.tobytes() for p in np.concatenate(calls)]
+
+    def moved(i, v):
+        y = x.copy()
+        y[i] = v
+        return y.tobytes()
+
+    for i, v in ((0, 0.5), (1, 0.25)):
+        assert seen.count(moved(i, (v + h / 2) + h / 2)) == seen.count(moved(i, v + h)) == 1
+    assert len(seen) == len(set(seen)) == _grid_size(x, CFG)
+
+
+def _nested_geometry(chart, C, cfg):
+    """The nested formulation the grid replaced: at each batch of the centres
+    ``C``, Gamma evaluated afresh at every point of each step and sign."""
+    eye = np.eye(chart.n)
+    for X in C:
+        g, G = charts._christoffel(chart, X)
+
+        def central(s):
+            p = charts._christoffel(chart, X[..., None, :] + s * eye)[1]
+            m = charts._christoffel(chart, X[..., None, :] - s * eye)[1]
+            return (p - m) / (2.0 * s)
+
+        dG = (4.0 * central(cfg.h / 2) - central(cfg.h)) / 3.0 if cfg.richardson else central(cfg.h)
+        J = chart.J_at(X)
+        nJ = charts._covariant(G, J, charts._complex_step(chart.J_at, X), "ul")
+        yield g, J, G, nJ, charts._curvature(g, G, dG)
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+@pytest.mark.parametrize("desc", ["CP(5,1)", "PRODUCT(CD(2,-1),S6(1))", "S6(1)", "CE(3)"])
+def test_grid_matches_the_nested_formulation_bit_for_bit(monkeypatch, desc, richardson):
+    chart, cfg = make_chart(desc), FDConfig(richardson=richardson)
+    x = chart.sample_points(7, 1)[0]
+    geo = geometry_at(chart, x, cfg)
+    suite = nk_identity_suite(chart, geo)
+    monkeypatch.setattr(charts, "_geometry", _nested_geometry)
+    ref = geometry_at(chart, x, cfg)
+    assert np.array_equal(geo.R.components, ref.R.components)
+    assert np.array_equal(geo.G, ref.G) and np.array_equal(geo.nJ, ref.nJ)
+    assert dataclasses.astuple(suite) == dataclasses.astuple(nk_identity_suite(chart, ref))
 
 
 def _perturbed_off(chart, x, field, perturb):
@@ -547,7 +689,7 @@ def test_id_1_1_second_order_convergence():
     assert coarse.id_1_1 / fine.id_1_1 >= 3.0
 
 
-def test_grad_field_differentiates_each_field_of_a_tuple():
+def test_difference_differentiates_each_field_of_a_tuple():
     """One derivative array per field, in order, with the derivative index right
     after the batch axes; the central difference is exact on a quadratic and
     its Richardson extrapolation on a cubic, up to rounding."""
@@ -556,8 +698,10 @@ def test_grad_field_differentiates_each_field_of_a_tuple():
     eye = np.eye(4)
     d_outer = eye[:, :, None] * x[..., None, None, :] + x[..., None, :, None] * eye[:, None, :]
     d_cubic = 3.0 * x**2
-    plain = charts._grad_field(field, x, FDConfig(h=1e-3, richardson=False))
-    extrapolated = charts._grad_field(field, x, FDConfig(h=1e-3, richardson=True))
+    plain, extrapolated = (
+        charts._difference(map(field, charts._stencil(x, cfg)), cfg)
+        for cfg in (FDConfig(h=1e-3, richardson=False), FDConfig(h=1e-3, richardson=True))
+    )
     for derivatives in (plain, extrapolated):
         assert [d.shape for d in derivatives] == [(2, 3, 4, 4, 4), (2, 3, 4)]
     np.testing.assert_allclose(plain[0], d_outer, rtol=0, atol=1e-10)

@@ -167,10 +167,10 @@ def test_run_all_evaluates_each_chart_point_once(monkeypatch):
         points.append((chart.label, tuple(x)))
         return geometry_at(chart, x, cfg)
 
-    def counted_geometry(chart, X, cfg):
-        if X.ndim == 1:
-            at_x.append(X)
-        return geometry(chart, X, cfg)
+    def counted_geometry(chart, C, cfg):
+        if C.shape[:-1] == (1,):  # the one centre x of geometry_at
+            at_x.append(C)
+        return geometry(chart, C, cfg)
 
     monkeypatch.setattr(scenarios, "geometry_at", counted)
     monkeypatch.setattr(charts, "_geometry", counted_geometry)
@@ -201,15 +201,19 @@ def test_run_all_makes_a_fixed_number_of_metric_and_j_calls(monkeypatch):
 
     monkeypatch.setattr(scenarios, "make_chart", counted_chart)
     run_all(ScenarioParams(seed=7))
-    # 9 chart points at 10 metric and 2 J calls each, 3 suites at 40 and 8 on
-    # their stencils: 90 + 120 = 210 and 18 + 24 = 42.  240 and 120 while
-    # each suite evaluated its point again, 725 and 137 while thm32_models
-    # evaluated 3 points again and identities_cp took nabla^2 J at its 2
-    # points, 600 metric calls while Gamma took real differences of g, 105 J
-    # calls while dJ took real differences
-    assert count == {"metric": 210, "J": 42}
+    # 9 chart points at 2 metric calls (their 4n + 1 <= n^2 stencil points in
+    # one Gamma call) and 2 J calls each; 3 suites at n = 6, whose unmerged
+    # grids of 4n + 16n^2 = 600 points take 2 metric calls per n^2 = 36 of
+    # them, and 8 J calls: 18 + 3 x 2 x ceil(600 / 36) = 120 and 18 + 24 = 42.
+    # 210 metric calls
+    # while each batch evaluated Gamma afresh on its own stencil, 240 and 120
+    # while each suite evaluated its point again, 725 and 137 while
+    # thm32_models evaluated 3 points again and identities_cp took nabla^2 J
+    # at its 2 points, 600 metric calls while Gamma took real differences of
+    # g, 105 J calls while dJ took real differences
+    assert count == {"metric": 120, "J": 42}
     run_all(ScenarioParams(seed=7))  # the second run repeats every evaluation
-    assert count == {"metric": 420, "J": 84}
+    assert count == {"metric": 240, "J": 84}
 
 
 def test_run_all_keeps_apart_charts_whose_labels_agree():
