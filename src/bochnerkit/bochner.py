@@ -17,13 +17,12 @@ import numpy as np
 
 from .curvature import (
     HermitianPoint,
+    _phi_psi_sum,
     _ricci,
     _rotate,
     _symmetrized,
     _trace,
     _traces,
-    phi_psi,
-    sigma_forms,
     star,
 )
 from .multilinear import (
@@ -89,20 +88,21 @@ def generalized_bochner(
     """Trace-free part of the holomorphically symmetrized curvature.
 
     B* = R* - (phi + psi)(S*) / (2(m+2)) + tau* (pi1 + pi2) / (4(m+1)(m+2))
+
+    Since pi1 = phi(g)/2 and pi2 = psi(g)/2, this is evaluated as the one
+    fold B* = R* + (phi + psi)(Q) with Q = (c_scalar / 2) g - c_ricci S*,
+    where c_ricci = 1/(2(m+2)) and c_scalar = tau*/(4(m+1)(m+2)).
     """
     _check_same_dim(point.dim, R.dim)
     m = point.m
-    Rs = star(point, R, sym_tol)
+    Rs = star(point, R, sym_tol).components
     gi = point.g_inv
-    S_star = SymBilinear(
-        point.dim, _symmetrized(_ricci(gi, Rs.components), sym_tol, "Ricci of R*")
-    )
-    tau_star = float(_trace(gi, S_star.components))
-    phi, psi = phi_psi(point, S_star)
-    pi1, pi2 = sigma_forms(point)
+    S_star = _symmetrized(_ricci(gi, Rs), sym_tol, "Ricci of R*")
+    tau_star = float(_trace(gi, S_star))
     c_ricci = 1.0 / (2.0 * (m + 2))
     c_scalar = tau_star / (4.0 * (m + 1) * (m + 2))
-    B = Rs - c_ricci * (phi + psi) + c_scalar * (pi1 + pi2)
+    Q = (0.5 * c_scalar) * point.g_mat - c_ricci * S_star
+    B = CurvTensor(point.dim, Rs + _phi_psi_sum(point, Q, Q))
     return BochnerOutput(
         tensor=B,
         norm=invariant_norm(point, B),
@@ -123,6 +123,15 @@ def rk_bochner(
           + (tau + 3 tau')(pi1 + pi2) / (16(m+1)(m+2))
           + (tau - tau')(3 pi1 - pi2) / (16(m-1)(m-2))
 
+    With c1..c4 the four prefactors above, Sa = S + 3S', Sb = S - S' and
+    pi1 = phi(g)/2, pi2 = psi(g)/2, the five terms fold by linearity into
+
+        B = R + phi(Q1) + psi(Q2),
+        Q1 = (c3 + 3 c4)/2 g - c1 Sa - 3 c2 Sb,
+        Q2 = (c3 - c4)/2 g - c1 Sa + c2 Sb,
+
+    which is how it is evaluated.
+
     Refuses non-RK input (the correction terms assume the J-twisted trace is
     symmetric); ``allow_non_rk=True`` evaluates the formula anyway, with the
     J-twisted trace symmetrized, and marks the output ``out_of_domain``.
@@ -142,20 +151,15 @@ def rk_bochner(
 
     S, Sp, tau, tau_p = _traces(gi, J, A)
     S, Sp = 0.5 * (S + S.T), 0.5 * (Sp + Sp.T)
-    phi_a, psi_a = phi_psi(point, SymBilinear(point.dim, S + 3.0 * Sp))
-    phi_b, psi_b = phi_psi(point, SymBilinear(point.dim, S - Sp))
-    pi1, pi2 = sigma_forms(point)
+    Sa, Sb = S + 3.0 * Sp, S - Sp
     c1 = 1.0 / (8.0 * (m + 2))
     c2 = 1.0 / (8.0 * (m - 2))
     c3 = float(tau + 3.0 * tau_p) / (16.0 * (m + 1) * (m + 2))
     c4 = float(tau - tau_p) / (16.0 * (m - 1) * (m - 2))
-    B = (
-        R
-        - c1 * (phi_a + psi_a)
-        - c2 * (3.0 * phi_b - psi_b)
-        + c3 * (pi1 + pi2)
-        + c4 * (3.0 * pi1 - pi2)
-    )
+    g = point.g_mat
+    Q1 = (0.5 * (c3 + 3.0 * c4)) * g - c1 * Sa - (3.0 * c2) * Sb
+    Q2 = (0.5 * (c3 - c4)) * g - c1 * Sa + c2 * Sb
+    B = CurvTensor(point.dim, A + _phi_psi_sum(point, Q1, Q2))
     return BochnerOutput(
         tensor=B,
         norm=invariant_norm(point, B),
@@ -174,14 +178,14 @@ def rhs_2_1(point: HermitianPoint, S_star: SymBilinear, tau_star: float) -> Curv
 
     (phi + psi)(S*) / (2(m+2)) - tau* (pi1 + pi2) / (4(m+1)(m+2)), so adding
     :func:`generalized_bochner` back must reproduce the symmetrized tensor.
+    Evaluated as (phi + psi)(Q), Q = S*/(2(m+2)) - tau* g/(8(m+1)(m+2)).
     """
     _check_same_dim(point.dim, S_star.dim)
     m = point.m
-    phi, psi = phi_psi(point, S_star)
-    pi1, pi2 = sigma_forms(point)
-    return (1.0 / (2.0 * (m + 2))) * (phi + psi) - (
-        tau_star / (4.0 * (m + 1) * (m + 2))
-    ) * (pi1 + pi2)
+    Q = (1.0 / (2.0 * (m + 2))) * S_star.components - (
+        tau_star / (8.0 * (m + 1) * (m + 2))
+    ) * point.g_mat
+    return CurvTensor(point.dim, _phi_psi_sum(point, Q, Q))
 
 
 def nk_flat_form_3_4(point: HermitianPoint, S: SymBilinear, tau: float) -> CurvTensor:
@@ -189,17 +193,21 @@ def nk_flat_form_3_4(point: HermitianPoint, S: SymBilinear, tau: float) -> CurvT
 
     R = (phi + psi)(S) / (2(m+2)) - (4m+3) tau (pi1 + pi2) / (10 m (m+1)(m+2))
         + tau (3 pi1 - pi2) / (20 m (m-1))
+
+    Evaluated as phi(Q1) + psi(Q2), Q1 = a S + (3c - b)/2 g and
+    Q2 = a S - (b + c)/2 g, with a, b and c the three prefactors above.
     """
     _check_same_dim(point.dim, S.dim)
     m = point.m
     if m <= 2:
         raise DimensionTooSmallError(f"the closed form requires dimension >= 6, got {point.dim}")
-    phi, psi = phi_psi(point, S)
-    pi1, pi2 = sigma_forms(point)
-    return (
-        (1.0 / (2.0 * (m + 2))) * (phi + psi)
-        - ((4.0 * m + 3.0) * tau / (10.0 * m * (m + 1) * (m + 2))) * (pi1 + pi2)
-        + (tau / (20.0 * m * (m - 1))) * (3.0 * pi1 - pi2)
+    a = 1.0 / (2.0 * (m + 2))
+    b = (4.0 * m + 3.0) * tau / (10.0 * m * (m + 1) * (m + 2))
+    c = tau / (20.0 * m * (m - 1))
+    aS, g = a * S.components, point.g_mat
+    return CurvTensor(
+        point.dim,
+        _phi_psi_sum(point, aS + (0.5 * (3.0 * c - b)) * g, aS - (0.5 * (b + c)) * g),
     )
 
 

@@ -226,18 +226,7 @@ def sigma_forms(point: HermitianPoint) -> tuple[CurvTensor, CurvTensor]:
     Constant sectional curvature c is ``c * pi1``; constant holomorphic
     sectional curvature mu is ``(mu/4) * (pi1 + pi2)``.
     """
-    phi, psi = phi_psi(point, point.g)
-    return 0.5 * phi, 0.5 * psi
-
-
-def _kn(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Kulkarni-Nomizu-type product of two bilinear forms:
-
-    P(X,U)Q(Y,Z) - P(X,Z)Q(Y,U) + P(Y,Z)Q(X,U) - P(Y,U)Q(X,Z)
-    """
-    T = np.einsum("il,jk->ijkl", P, Q)
-    T = T - T.transpose(0, 1, 3, 2)
-    return T - T.transpose(1, 0, 2, 3)
+    return phi_psi(point, 0.5 * point.g)
 
 
 def phi_psi(point: HermitianPoint, Q: SymBilinear) -> tuple[CurvTensor, CurvTensor]:
@@ -251,12 +240,32 @@ def phi_psi(point: HermitianPoint, Q: SymBilinear) -> tuple[CurvTensor, CurvTens
     phi(g) = 2 pi1 and psi(g) = 2 pi2.
     """
     _check_same_dim(point.dim, Q.dim)
-    gJ = point.g_mat @ point.J  # gJ[i, j] = g(e_i, J e_j), antisymmetric
-    QJ = Q.components @ point.J  # QJ[i, j] = Q(e_i, J e_j)
-    pair = np.multiply.outer(gJ, QJ)  # g(X,JY) Q(Z,JU)
-    phi = _kn(point.g_mat, Q.components)
-    psi = _kn(gJ, QJ) - 2.0 * (pair + pair.transpose(2, 3, 0, 1))
-    return CurvTensor(point.dim, phi), CurvTensor(point.dim, psi)
+    zero = np.zeros_like(Q.components)
+    return (
+        CurvTensor(point.dim, _phi_psi_sum(point, Q.components, zero)),
+        CurvTensor(point.dim, _phi_psi_sum(point, zero, Q.components)),
+    )
+
+
+def _phi_psi_sum(point: HermitianPoint, Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
+    """The array phi(Q1) + psi(Q2), for symmetric component arrays Q1 and Q2.
+
+    Both maps are linear, and pi1 = phi(g)/2, pi2 = psi(g)/2, so any linear
+    combination of phi, psi, pi1 and pi2 folds into one call:
+
+        a phi(P) + b psi(P') + c pi1 + d pi2 = phi(Q1) + psi(Q2),
+        Q1 = a P + (c/2) g,   Q2 = b P' + (d/2) g.
+
+    The Kulkarni-Nomizu parts of the two maps share one antisymmetrization.
+    """
+    g, J = point.g_mat, point.J
+    gJ = g @ J  # gJ[i, j] = g(e_i, J e_j), antisymmetric
+    QJ = Q2 @ J  # QJ[i, j] = Q2(e_i, J e_j)
+    # g(X,U)Q1(Y,Z) + g(X,JU)Q2(Y,JZ), then antisymmetrized in (Z,U) and in (X,Y)
+    T = np.einsum("il,jk->ijkl", g, Q1) + np.einsum("il,jk->ijkl", gJ, QJ)
+    T = T - T.transpose(0, 1, 3, 2)
+    pair = np.multiply.outer(gJ, QJ)  # g(X,JY) Q2(Z,JU)
+    return T - T.transpose(1, 0, 2, 3) - 2.0 * (pair + pair.transpose(2, 3, 0, 1))
 
 
 def _rotate(A: np.ndarray, J: np.ndarray, *slots: int) -> np.ndarray:
@@ -287,7 +296,11 @@ def star(point: HermitianPoint, R: CurvTensor, sym_tol: float = TOL_ALG) -> Curv
     """
     _check_same_dim(point.dim, R.dim)
     require_curvature_class(R, sym_tol, "star()")
-    A, J = R.components, point.J
+    return CurvTensor(point.dim, _star(R.components, point.J))
+
+
+def _star(A: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """Components of :func:`star` for curvature-class components ``A``, unchecked."""
     # pair symmetry turns R(JX,JY,Z,U) into P^T and R(JX,Y,Z,JU) into M^T
     P = _rotate(A, J, 2, 3)  # R(X,Y,JZ,JU)
     M = _rotate(A, J, 1, 2)  # R(X,JY,JZ,U)
@@ -296,7 +309,7 @@ def star(point: HermitianPoint, R: CurvTensor, sym_tol: float = TOL_ALG) -> Curv
     # the eight mixed terms are mixed(X,Z,Y,U) - mixed(Y,Z,X,U)
     mixed = P + Pt - M - Mt
     tail = mixed.transpose(0, 2, 1, 3) - mixed.transpose(2, 0, 1, 3)
-    return CurvTensor(point.dim, (3.0 / 16.0) * main + (1.0 / 16.0) * tail)
+    return (3.0 / 16.0) * main + (1.0 / 16.0) * tail
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,12 +373,11 @@ def ricci_family(
     """
     _check_same_dim(point.dim, R.dim)
     require_curvature_class(R, sym_tol, "ricci_family()")
-    gi, n = point.g_inv, point.dim
-    S, Sp, tau, tau_p = _traces(gi, point.J, R.components)
+    gi, J, A, n = point.g_inv, point.J, R.components, point.dim
+    S, Sp, tau, tau_p = _traces(gi, J, A)
     S = _symmetrized(S, sym_tol, "Ricci trace")
     Sp = _symmetrized(Sp, sym_tol, "J-twisted Ricci trace")
-    Rs = star(point, R, sym_tol).components
-    Ss = _symmetrized(_ricci(gi, Rs), sym_tol, "Ricci trace of the symmetrized tensor")
+    Ss = _symmetrized(_ricci(gi, _star(A, J)), sym_tol, "Ricci trace of the symmetrized tensor")
     return RicciFamily(
         S=SymBilinear(n, S),
         S_prime=SymBilinear(n, Sp),
@@ -432,12 +444,11 @@ def constant_hsc_estimate(
     symmetrized tensor is ``(mu_hat / 4)(pi1 + pi2)``, i.e. when the point has
     pointwise constant holomorphic sectional curvature ``mu_hat``.
     """
-    Rs = star(point, R, sym_tol)
-    tau_star = _trace(point.g_inv, _ricci(point.g_inv, Rs.components))
-    m = point.m
-    mu_hat = tau_star / (m * (m + 1))
-    pi1, pi2 = sigma_forms(point)
-    defect = invariant_norm(point, Rs - (mu_hat / 4.0) * (pi1 + pi2))
+    Rs = star(point, R, sym_tol).components
+    gi, m = point.g_inv, point.m
+    mu_hat = _trace(gi, _ricci(gi, Rs)) / (m * (m + 1))
+    Q = (mu_hat / 8.0) * point.g_mat  # (mu_hat / 4)(pi1 + pi2) = (phi + psi)(Q)
+    defect = invariant_norm(point, CurvTensor(point.dim, Rs - _phi_psi_sum(point, Q, Q)))
     return HscEstimate(mu_hat=float(mu_hat), defect=defect)
 
 
@@ -446,14 +457,16 @@ def constant_hsc_estimate(
 # ---------------------------------------------------------------------------
 
 def space_form_tensor(point: HermitianPoint, c: float) -> CurvTensor:
-    """Curvature of constant sectional curvature ``c``: c * pi1."""
-    pi1, _ = sigma_forms(point)
-    return float(c) * pi1
+    """Curvature of constant sectional curvature ``c``: c * pi1 = phi((c/2) g)."""
+    Q = (0.5 * float(c)) * point.g_mat
+    return CurvTensor(point.dim, _phi_psi_sum(point, Q, np.zeros_like(Q)))
+
 
 def complex_space_form_tensor(point: HermitianPoint, mu: float) -> CurvTensor:
-    """Curvature of constant holomorphic sectional curvature ``mu``: (mu/4)(pi1 + pi2)."""
-    pi1, pi2 = sigma_forms(point)
-    return (float(mu) / 4.0) * (pi1 + pi2)
+    """Curvature of constant holomorphic sectional curvature ``mu``:
+    (mu/4)(pi1 + pi2) = (phi + psi)((mu/8) g)."""
+    Q = (float(mu) / 8.0) * point.g_mat
+    return CurvTensor(point.dim, _phi_psi_sum(point, Q, Q))
 
 
 def direct_sum(
@@ -507,7 +520,7 @@ def identity_defects(
     gi, J, A = point.g_inv, point.J, R.components
     RJ34 = _rotate(A, J, 2, 3)
     S, Sp = _ricci(gi, A), _ricci(gi, RJ34)
-    Ss = _ricci(gi, star(point, R, sym_tol).components)
+    Ss = _ricci(gi, _star(A, J))
     return IdentityDefects(
         kahler=float(np.max(np.abs(A - RJ34))),
         rk=float(np.max(np.abs(A - _rotate(RJ34, J, 0, 1)))),

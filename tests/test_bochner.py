@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bochnerkit import bochner
+from bochnerkit import bochner, multilinear
 from bochnerkit.bochner import (
     DimensionTooSmallError,
     FrameSamplingError,
@@ -21,6 +21,8 @@ from bochnerkit.curvature import (
     complex_space_form_tensor,
     direct_sum,
     flat_point,
+    identity_defects,
+    phi_psi,
     random_curvature_tensor,
     random_hermitian_point,
     ricci_family,
@@ -36,6 +38,7 @@ from bochnerkit.multilinear import (
     curvature_symmetry_defects,
     invariant_norm,
 )
+from bochnerkit.scenarios import make_model
 
 
 def _csf_product(blocks):
@@ -380,3 +383,168 @@ def test_antiholo_defect_deterministic():
     a = antiholo_4frame_defect(point, R, samples=32, seed=7)
     b = antiholo_4frame_defect(point, R, samples=32, seed=7)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the folded corrected tensors against their term-by-term formulas
+# ---------------------------------------------------------------------------
+
+def _ref_generalized(point, R, sym_tol):
+    """B* = R* - (phi + psi)(S*) / (2(m+2)) + tau* (pi1 + pi2) / (4(m+1)(m+2)), term by term."""
+    m = point.m
+    fam = ricci_family(point, R, sym_tol)
+    phi, psi = phi_psi(point, fam.S_star)
+    pi1, pi2 = sigma_forms(point)
+    c_ricci = 1.0 / (2.0 * (m + 2))
+    c_scalar = fam.tau_star / (4.0 * (m + 1) * (m + 2))
+    B = star(point, R, sym_tol) - c_ricci * (phi + psi) + c_scalar * (pi1 + pi2)
+    return B, {"ricci_correction": c_ricci, "scalar_correction": c_scalar}
+
+
+def _ref_rk(point, R, sym_tol, rk_tol):
+    """The five-term formula of ``rk_bochner``, term by term; the J-twisted
+    trace is symmetrized whatever its asymmetry, as ``allow_non_rk`` does."""
+    m = point.m
+    fam = ricci_family(point, R, sym_tol=np.inf)
+    S, Sp = fam.S, fam.S_prime
+    phi_a, psi_a = phi_psi(point, S + 3.0 * Sp)
+    phi_b, psi_b = phi_psi(point, S - Sp)
+    pi1, pi2 = sigma_forms(point)
+    c1 = 1.0 / (8.0 * (m + 2))
+    c2 = 1.0 / (8.0 * (m - 2))
+    c3 = float(fam.tau + 3.0 * fam.tau_prime) / (16.0 * (m + 1) * (m + 2))
+    c4 = float(fam.tau - fam.tau_prime) / (16.0 * (m - 1) * (m - 2))
+    B = (
+        R
+        - c1 * (phi_a + psi_a)
+        - c2 * (3.0 * phi_b - psi_b)
+        + c3 * (pi1 + pi2)
+        + c4 * (3.0 * pi1 - pi2)
+    )
+    coefficients = {
+        "sum_correction": c1,
+        "difference_correction": c2,
+        "scalar_sum_correction": c3,
+        "scalar_difference_correction": c4,
+    }
+    return B, coefficients, identity_defects(point, R, sym_tol).rk > rk_tol
+
+
+def _ref_rhs_2_1(point, S_star, tau_star):
+    m = point.m
+    phi, psi = phi_psi(point, S_star)
+    pi1, pi2 = sigma_forms(point)
+    return (1.0 / (2.0 * (m + 2))) * (phi + psi) - (
+        tau_star / (4.0 * (m + 1) * (m + 2))
+    ) * (pi1 + pi2)
+
+
+def _ref_flat_form(point, S, tau):
+    m = point.m
+    phi, psi = phi_psi(point, S)
+    pi1, pi2 = sigma_forms(point)
+    return (
+        (1.0 / (2.0 * (m + 2))) * (phi + psi)
+        - ((4.0 * m + 3.0) * tau / (10.0 * m * (m + 1) * (m + 2))) * (pi1 + pi2)
+        + (tau / (20.0 * m * (m - 1))) * (3.0 * pi1 - pi2)
+    )
+
+
+def _kappa(point, R):
+    """Largest term a J-rotation of all four slots of R can produce."""
+    return R.max_abs() * max(1.0, float(np.max(np.abs(point.J)))) ** 4
+
+
+def _assert_folds_match(point, R, rk_input=True):
+    kappa = _kappa(point, R)
+    tol = TOL_ALG * kappa
+    bound = 1e-13 * kappa
+
+    def close(a, b):
+        assert np.max(np.abs(a.components - b.components)) <= bound
+
+    fam = ricci_family(point, R, sym_tol=np.inf)
+    if rk_input:
+        out = generalized_bochner(point, R, sym_tol=tol)
+        ref, coefficients = _ref_generalized(point, R, tol)
+        close(out.tensor, ref)
+        assert out.coefficients_used == coefficients
+        assert out.out_of_domain is False
+        close(rhs_2_1(point, fam.S_star, fam.tau_star),
+              _ref_rhs_2_1(point, fam.S_star, fam.tau_star))
+    if point.m > 2:
+        out = rk_bochner(point, R, sym_tol=tol, rk_tol=tol, allow_non_rk=not rk_input)
+        ref, coefficients, out_of_domain = _ref_rk(point, R, tol, tol)
+        close(out.tensor, ref)
+        assert out.coefficients_used == coefficients
+        assert out.out_of_domain == out_of_domain == (not rk_input)
+        close(nk_flat_form_3_4(point, fam.S, fam.tau), _ref_flat_form(point, fam.S, fam.tau))
+    pi1, pi2 = sigma_forms(point)
+    for c in (1.0, -0.7, 2.5):
+        close(space_form_tensor(point, c), c * pi1)
+        close(complex_space_form_tensor(point, c), (c / 4.0) * (pi1 + pi2))
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 12])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_folded_tensors_match_term_by_term_formulas(n, seed):
+    """Each folded R + phi(Q1) + psi(Q2) is its term-by-term formula, up to
+    rounding, at a seeded non-orthonormal point with RK input."""
+    point = random_hermitian_point(n, seed)
+    _assert_folds_match(point, rk_project(point, random_curvature_tensor(n, seed)))
+
+
+def test_folded_rk_bochner_matches_off_domain():
+    """With ``allow_non_rk`` the folded form is still the five-term formula."""
+    point = random_hermitian_point(8, 5)
+    _assert_folds_match(point, random_curvature_tensor(8, 5), rk_input=False)
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        "CE(3)",
+        "S6(1)",
+        "S6(2.5)",
+        "CP(3,1)",
+        "CD(4,-1)",
+        "CP(6,2)",
+        "PRODUCT(CD(1,-1),S6(1))",
+        "PRODUCT(CD(2,-1),S6(1))",
+        "PRODUCT(CD(1,-1),CP(2,1))",
+        "PRODUCT(CD(2,-1),CP(4,1))",
+        "PRODUCT(CP(1,1),CD(1,-1),CP(2,2))",
+    ],
+)
+def test_folded_tensors_match_term_by_term_formulas_on_models(desc):
+    point, R, _ = make_model(desc)
+    _assert_folds_match(point, R)
+
+
+@pytest.fixture
+def construction_count(monkeypatch):
+    """Counts CurvTensor constructions: each copies and finiteness-checks n^4 floats."""
+    count = [0]
+    post_init = multilinear.CurvTensor.__post_init__
+
+    def counted(self):
+        count[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(multilinear.CurvTensor, "__post_init__", counted)
+    return count
+
+
+def test_corrected_tensors_build_one_tensor_each(construction_count):
+    """The corrections fold into one phi/psi pass: rk_bochner builds only B,
+    generalized_bochner only R* and B*, each model constructor one tensor."""
+    point, R, _ = make_model("CP(4,1)")
+    for call, expected in (
+        (lambda: rk_bochner(point, R), 1),
+        (lambda: generalized_bochner(point, R), 2),
+        (lambda: space_form_tensor(point, 1.0), 1),
+        (lambda: complex_space_form_tensor(point, 1.0), 1),
+    ):
+        construction_count[0] = 0
+        call()
+        assert construction_count[0] == expected

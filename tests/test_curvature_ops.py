@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bochnerkit import curvature
 from bochnerkit.curvature import (
     AntiholomorphyError,
     DegeneratePlaneError,
@@ -353,6 +354,26 @@ def test_star_rejects_non_curvature_input(flat4):
     T[0, 1, 0, 1] = 1.0
     with pytest.raises(SymmetryError):
         star(flat4, CurvTensor(4, T))
+
+
+@pytest.mark.parametrize("entry", [star, ricci_family, identity_defects])
+def test_each_entry_point_checks_the_curvature_class_once(entry, flat4, monkeypatch):
+    """The symmetrized tensor inside ricci_family and identity_defects reuses
+    their own check of R, and a rejection still names the function called."""
+    calls = []
+    check = curvature.require_curvature_class
+
+    def counted(T, tol, what):
+        calls.append(what)
+        check(T, tol, what)
+
+    monkeypatch.setattr(curvature, "require_curvature_class", counted)
+    entry(flat4, rk_project(flat4, random_curvature_tensor(4, 3)))
+    assert calls == [f"{entry.__name__}()"]
+    T = np.zeros((4,) * 4)
+    T[0, 1, 0, 1] = 1.0
+    with pytest.raises(SymmetryError, match=rf"^{entry.__name__}\(\) is not curvature-class"):
+        entry(flat4, CurvTensor(4, T))
 
 
 # ---------------------------------------------------------------------------
