@@ -143,13 +143,13 @@ def rk_bochner(
             f"the corrected tensor requires dimension >= 6, got {point.dim}"
         )
     require_curvature_class(R, max(sym_tol, rk_tol), "rk_bochner()")
-    A, J, gi = R.components, point.J, point.g_inv
-    rk_defect = float(np.max(np.abs(A - _rotate(A, J, 0, 1, 2, 3))))
+    A, J = R.components, point.J
+    S, Sp, tau, tau_p, P = _traces(point.g_inv, J, A)
+    rk_defect = float(np.max(np.abs(A - _rotate(P, J, 0, 1))))
     out_of_domain = rk_defect > rk_tol
     if out_of_domain and not allow_non_rk:
         raise NotRKError(rk_defect, rk_tol)
 
-    S, Sp, tau, tau_p = _traces(gi, J, A)
     S, Sp = 0.5 * (S + S.T), 0.5 * (Sp + Sp.T)
     Sa, Sb = S + 3.0 * Sp, S - Sp
     c1 = 1.0 / (8.0 * (m + 2))

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -73,7 +73,8 @@ class MarginError(ValueError):
 
 
 class FDConfigError(ValueError):
-    """Finite-difference step or tolerance that is not finite and positive."""
+    """Finite-difference step that is not finite and positive, or that collapses
+    the stencil."""
 
 
 class NotNearlyKahlerError(ValueError):
@@ -89,26 +90,28 @@ class NotNearlyKahlerError(ValueError):
 
 @dataclass(frozen=True)
 class FDConfig:
-    """Finite-difference policy.
+    """Finite-difference step policy.
 
     ``h`` is the step of the outer derivative levels, each extrapolated to
     fourth order with ``richardson``; the innermost ones, dg in the Christoffel
-    symbols and dJ in nabla J, are complex steps of ``H_C``.  ``tol_fd1`` bounds
-    first-derivative-level identities (e.g. nearly Kahler defects), ``tol_fd2``
-    second-derivative-level ones (curvature comparisons); the defaults sit at
-    the measured truncation/rounding crossover for double precision.
+    symbols and dJ in nabla J, are complex steps of ``H_C``.
+
+    No chart computation reads a tolerance: the gates belong to
+    ``scenarios.ToleranceConfig`` and the CLI's ``--tol-*`` flags.  The class
+    constants ``tol_fd1`` (first-derivative-level identities, e.g. nearly Kahler
+    defects) and ``tol_fd2`` (second-derivative-level ones, curvature
+    comparisons) are their defaults, at the measured truncation/rounding
+    crossover for double precision.
     """
 
     h: float = 1e-3
     richardson: bool = True
-    tol_fd1: float = 1e-6
-    tol_fd2: float = 1e-4
+    tol_fd1: ClassVar[float] = 1e-6
+    tol_fd2: ClassVar[float] = 1e-4
 
     def __post_init__(self):
-        for name in ("h", "tol_fd1", "tol_fd2"):
-            value = getattr(self, name)
-            if not _finite(value) > 0:
-                raise FDConfigError(f"{name} must be finite and positive, got {value}")
+        if not _finite(self.h) > 0:
+            raise FDConfigError(f"h must be finite and positive, got {self.h}")
 
 
 @dataclass(frozen=True)
@@ -376,7 +379,7 @@ def _product_chart(spec: ChartSpec) -> ChartModel:
         return at
 
     return ChartModel(
-        label="PRODUCT(" + ",".join(ch.label for ch in charts) + ")",
+        label=spec.label(),
         n=n, scale=0.0, metric_at=block("metric_at"), J_at=block("J_at"), factors=charts,
     )
 
@@ -628,7 +631,7 @@ def nk_identity_suite(chart: ChartModel, geo: ChartGeometry) -> NKIdentityReport
             raise PointValidationError(violations)
         if not np.all(np.isfinite(R_Y)):
             raise NonFiniteError("CurvTensor: components must be finite")
-        S_Y, Sp_Y, tau_Y, tau_p_Y = _traces(_g_inv(g_Y), J_Y, R_Y)
+        S_Y, Sp_Y, tau_Y, tau_p_Y, _ = _traces(_g_inv(g_Y), J_Y, R_Y)
         return R_Y, S_Y, S_Y - Sp_Y, tau_Y, tau_Y - tau_p_Y, nJ_Y
 
     nJ_low = g @ nJ  # nJ_low[a, k, j] = g_{kq} (nabla_a J)^q_j
@@ -636,10 +639,9 @@ def nk_identity_suite(chart: ChartModel, geo: ChartGeometry) -> NKIdentityReport
     if nk > NK_THRESHOLD:
         raise NotNearlyKahlerError(nk, NK_THRESHOLD)
 
+    S, Sp, tau, tau_p, P = _traces(gi, J, A)
     # g((nabla_a J) e_b, (nabla_c J) e_d) = (nabla_a J)^p_b (nabla_c J)_{pd}
-    id_1_1 = _norm(gi, A - _rotate(A, J, 2, 3) + np.tensordot(nJ, nJ_low, axes=(1, 1)))
-
-    S, Sp, tau, tau_p = _traces(gi, J, A)
+    id_1_1 = _norm(gi, A - P + np.tensordot(nJ, nJ_low, axes=(1, 1)))
     geometries = _geometry(chart, _stencil(x, cfg), cfg)
     dR, dS, dD, d_tau, d_tau_diff, dnJ = _difference(map(fields, geometries), cfg)
 

@@ -296,13 +296,14 @@ def star(point: HermitianPoint, R: CurvTensor, sym_tol: float = TOL_ALG) -> Curv
     """
     _check_same_dim(point.dim, R.dim)
     require_curvature_class(R, sym_tol, "star()")
-    return CurvTensor(point.dim, _star(R.components, point.J))
+    A, J = R.components, point.J
+    return CurvTensor(point.dim, _star(A, J, _rotate(A, J, 2, 3)))
 
 
-def _star(A: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """Components of :func:`star` for curvature-class components ``A``, unchecked."""
+def _star(A: np.ndarray, J: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Components of :func:`star` for curvature-class components ``A``, unchecked,
+    given P = R(X,Y,JZ,JU) (the last array of :func:`_traces`)."""
     # pair symmetry turns R(JX,JY,Z,U) into P^T and R(JX,Y,Z,JU) into M^T
-    P = _rotate(A, J, 2, 3)  # R(X,Y,JZ,JU)
     M = _rotate(A, J, 1, 2)  # R(X,JY,JZ,U)
     Pt, Mt = P.transpose(2, 3, 0, 1), M.transpose(2, 3, 0, 1)
     main = A + P + Pt + _rotate(P, J, 0, 1)
@@ -340,10 +341,12 @@ def _trace(g_inv: np.ndarray, Q: np.ndarray):
 
 
 def _traces(g_inv: np.ndarray, J: np.ndarray, R: np.ndarray) -> tuple:
-    """S, S', tau and tau' of ``R``, over any leading batch axes of the three
-    arrays; S' is the trace of R(X, Y, JZ, JU)."""
-    S, Sp = _ricci(g_inv, R), _ricci(g_inv, _rotate(R, J, 2, 3))
-    return S, Sp, _trace(g_inv, S), _trace(g_inv, Sp)
+    """S, S', tau, tau' and P = R(X, Y, JZ, JU) of ``R``, over any leading batch
+    axes of the three arrays; S' is the trace of P.  P is returned so that a
+    caller rotates R once for its traces, ``_star`` and its J-invariance defects."""
+    P = _rotate(R, J, 2, 3)
+    S, Sp = _ricci(g_inv, R), _ricci(g_inv, P)
+    return S, Sp, _trace(g_inv, S), _trace(g_inv, Sp), P
 
 
 def _ricci_identities(point: HermitianPoint, S, Sp, tau, tau_p) -> tuple[float, float, float]:
@@ -374,10 +377,10 @@ def ricci_family(
     _check_same_dim(point.dim, R.dim)
     require_curvature_class(R, sym_tol, "ricci_family()")
     gi, J, A, n = point.g_inv, point.J, R.components, point.dim
-    S, Sp, tau, tau_p = _traces(gi, J, A)
+    S, Sp, tau, tau_p, P = _traces(gi, J, A)
     S = _symmetrized(S, sym_tol, "Ricci trace")
     Sp = _symmetrized(Sp, sym_tol, "J-twisted Ricci trace")
-    Ss = _symmetrized(_ricci(gi, _star(A, J)), sym_tol, "Ricci trace of the symmetrized tensor")
+    Ss = _symmetrized(_ricci(gi, _star(A, J, P)), sym_tol, "Ricci trace of the symmetrized tensor")
     return RicciFamily(
         S=SymBilinear(n, S),
         S_prime=SymBilinear(n, Sp),
@@ -518,14 +521,13 @@ def identity_defects(
     _check_same_dim(point.dim, R.dim)
     require_curvature_class(R, sym_tol, "identity_defects()")
     gi, J, A = point.g_inv, point.J, R.components
-    RJ34 = _rotate(A, J, 2, 3)
-    S, Sp = _ricci(gi, A), _ricci(gi, RJ34)
-    Ss = _ricci(gi, _star(A, J))
+    S, Sp, tau, tau_p, P = _traces(gi, J, A)
+    Ss = _ricci(gi, _star(A, J, P))
     return IdentityDefects(
-        kahler=float(np.max(np.abs(A - RJ34))),
-        rk=float(np.max(np.abs(A - _rotate(RJ34, J, 0, 1)))),
+        kahler=float(np.max(np.abs(A - P))),
+        rk=float(np.max(np.abs(A - _rotate(P, J, 0, 1)))),
         star_relation=_norm(gi, 4.0 * Ss - (S + 3.0 * Sp)),
-        id_1_5=_ricci_identities(point, S, Sp, _trace(gi, S), _trace(gi, Sp))[0],
+        id_1_5=_ricci_identities(point, S, Sp, tau, tau_p)[0],
     )
 
 

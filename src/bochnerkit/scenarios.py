@@ -43,6 +43,7 @@ from .curvature import (
     complex_space_form_tensor,
     direct_sum,
     flat_point,
+    identity_defects,
     ricci_family,
     space_form_tensor,
 )
@@ -100,12 +101,7 @@ class ScenarioParams:
     tolerances: ToleranceConfig = field(default_factory=ToleranceConfig)
 
     def fd_config(self) -> FDConfig:
-        return FDConfig(
-            h=self.h,
-            richardson=self.richardson,
-            tol_fd1=self.tolerances.tol_fd1,
-            tol_fd2=self.tolerances.tol_fd2,
-        )
+        return FDConfig(h=self.h, richardson=self.richardson)
 
     def validate(self) -> None:
         if not (2 <= self.m <= 6):
@@ -116,9 +112,9 @@ class ScenarioParams:
             raise ScenarioParamError("curvature scales c and mu must be finite and positive")
         if self.samples < 1 or self.chart_points < 1:
             raise ScenarioParamError("samples and chart_points must be >= 1")
-        if not np.isfinite(self.tolerances.tol_alg) or self.tolerances.tol_alg <= 0:
-            raise ScenarioParamError("tol_alg must be finite and positive")
-        self.fd_config()  # FDConfig checks the step and the FD tolerances
+        for name, value in (("h", self.h), *asdict(self.tolerances).items()):
+            if not 0 < value < np.inf:  # NaN fails too
+                raise ScenarioParamError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -127,18 +123,9 @@ class CheckResult:
 
     name: str
     claim: str
-    defect: float | None
+    defect: float
     tolerance: float
-    status: str  # pass | fail | expected-fail | absent
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "claim": self.claim,
-            "defect": self.defect,
-            "tolerance": self.tolerance,
-            "status": self.status,
-        }
+    status: str  # pass | fail | expected-fail
 
 
 @dataclass
@@ -157,7 +144,7 @@ class ScenarioReport:
             "schema_version": 1,
             "scenario": self.scenario,
             "parameters": self.parameters,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
             "status": "pass" if self.passed else "fail",
         }
         # timing is excluded by default so identical runs serialize to
@@ -204,12 +191,13 @@ def make_model(spec: ChartSpec | str) -> tuple[HermitianPoint, CurvTensor, str]:
 
 
 def _csf_product(dims_mus: list[tuple[int, float]]) -> tuple[HermitianPoint, CurvTensor]:
-    """Product of constant-HSC factors given as (complex dim, mu) pairs."""
-    point = flat_point(2 * dims_mus[0][0])
-    R = complex_space_form_tensor(point, dims_mus[0][1])
-    for dim_c, mu in dims_mus[1:]:
-        fp = flat_point(2 * dim_c)
-        point, R = direct_sum(point, R, fp, complex_space_form_tensor(fp, mu))
+    """Product of constant-HSC factors given as (complex dim, mu) pairs: CP for
+    mu > 0, CD for mu < 0 and CE for mu = 0."""
+    factors = tuple(
+        ChartSpec("CE", m=m) if mu == 0 else ChartSpec("CP" if mu > 0 else "CD", m=m, mu=mu)
+        for m, mu in dims_mus
+    )
+    point, R, _ = make_model(ChartSpec("PRODUCT", factors=factors))
     return point, R
 
 
@@ -301,9 +289,9 @@ def _cor22(p: ScenarioParams, table: dict) -> list[CheckResult]:
 
 def _thm31_s6(p: ScenarioParams, table: dict) -> list[CheckResult]:
     tol = p.tolerances.tol_alg
-    point = flat_point(6)
-    R = space_form_tensor(point, p.c)
+    point, R, _ = make_model(ChartSpec("S6", c=p.c))
     fam = ricci_family(point, R)
+    defects = identity_defects(point, R)
     out = rk_bochner(point, R)
     flat_form = nk_flat_form_3_4(point, fam.S, fam.tau)
     return [
@@ -316,9 +304,9 @@ def _thm31_s6(p: ScenarioParams, table: dict) -> list[CheckResult]:
         _vanish("tau_ratio", "the scalar traces sit in the 5:1 ratio",
                 abs(fam.tau - 5.0 * fam.tau_prime), tol),
         _vanish("star_relation", "four times the symmetrized Ricci equals S + 3S'",
-                invariant_norm(point, 4.0 * fam.S_star - (fam.S + 3.0 * fam.S_prime)), tol),
+                defects.star_relation, tol),
         _vanish("twisted_contraction", "the twisted Ricci contraction vanishes",
-                _ricci_identities(point, *_traces(point.g_inv, point.J, R.components))[0], tol),
+                defects.id_1_5, tol),
         _vanish("flat_form_reconstruction",
                 "the closed 5:1-ratio curvature form reproduces the six-sphere tensor",
                 invariant_norm(point, flat_form - R), tol),
@@ -360,11 +348,12 @@ def _thm31_product(p: ScenarioParams, table: dict) -> list[CheckResult]:
                 worst_mixed, tol.tol_fd1)
     )
     point0, R0 = geometries[0].point, geometries[0].R
+    traces = _traces(point0.g_inv, point0.J, R0.components)[:4]
     checks.append(
         _nonvanish("chart_id_3_2",
                    "the Ricci difference of the product is not a multiple of the metric, "
                    "as the two blocks carry different constants",
-                   _ricci_identities(point0, *_traces(point0.g_inv, point0.J, R0.components))[1],
+                   _ricci_identities(point0, *traces)[1],
                    tol.tol_fd2)
     )
     return checks

@@ -495,7 +495,7 @@ def test_pointwise_identities_from_curvature_match_the_suite(seed, richardson):
     geo = geometry_at(chart, chart.sample_points(seed, 1)[0], cfg)
     suite = nk_identity_suite(chart, geo)
     point, R = geo.point, geo.R
-    pointwise = _ricci_identities(point, *_traces(point.g_inv, point.J, R.components))
+    pointwise = _ricci_identities(point, *_traces(point.g_inv, point.J, R.components)[:4])
     assert pointwise == (suite.id_1_5, suite.id_3_2, suite.id_3_3)
 
 
@@ -759,3 +759,11 @@ def test_step_that_collapses_the_stencil_is_rejected(richardson):
 def test_fd_config_validation():
     with pytest.raises(ValueError):
         FDConfig(h=-1e-3)
+
+
+def test_fd_config_holds_the_step_policy_alone():
+    # the gates belong to ToleranceConfig; the defaults stay readable here
+    assert [f.name for f in dataclasses.fields(FDConfig)] == ["h", "richardson"]
+    with pytest.raises(TypeError):
+        FDConfig(tol_fd1=1e-6)
+    assert FDConfig().tol_fd1 == 1e-6 and FDConfig.tol_fd2 == 1e-4

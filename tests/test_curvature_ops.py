@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bochnerkit import curvature
+from bochnerkit import bochner, charts, curvature
 from bochnerkit.curvature import (
     AntiholomorphyError,
     DegeneratePlaneError,
@@ -41,6 +41,7 @@ from bochnerkit.multilinear import (
     invariant_norm,
     orthonormalize,
 )
+from bochnerkit.scenarios import make_model
 
 
 # ---------------------------------------------------------------------------
@@ -442,14 +443,41 @@ def test_rotation_and_traces_take_batch_axes(dim):
     J = np.stack([p.J for p in points])
     R = np.stack([random_curvature_tensor(dim, 50 + i).components for i in range(3)])
     gi = _g_inv(g)
-    rotated, traces = _rotate(R, J, 2, 3), _traces(gi, J, R)
+    traces = _traces(gi, J, R)  # S, S', tau, tau' and R(X,Y,JZ,JU)
     for i, p in enumerate(points):
         assert np.array_equal(gi[i], p.g_inv)
-        assert np.array_equal(rotated[i], _rotate(R[i], p.J, 2, 3))
-        for batched, alone in zip(traces, _traces(p.g_inv, p.J, R[i])):
+        assert np.array_equal(traces[-1][i], _rotate(R[i], p.J, 2, 3))
+        for batched, alone in zip(traces, _traces(p.g_inv, p.J, R[i]), strict=True):
             assert np.array_equal(batched[i], alone)
     # one J for the whole stack
     assert np.array_equal(_rotate(R, J[0], 2, 3)[1], _rotate(R[1], J[0], 2, 3))
+
+
+def test_each_call_rotates_r_into_its_last_pair_once(monkeypatch):
+    """R(X,Y,JZ,JU) comes from ``_traces`` alone, and the traces, ``_star`` and
+    the J-invariance defects share it.  Counted in J-slot rotations; rotating
+    it again in each consumer cost 8, 6, 10 and 13."""
+    point, R, _ = make_model("PRODUCT(CD(1,-1),CP(3,1))")
+    chart = charts.make_chart("CP(3,1)")
+    geo = charts.geometry_at(chart, chart.sample_points(7, 1)[0], charts.FDConfig())
+    slots, rotate = [], curvature._rotate
+
+    def counted(A, J, *rotated):
+        slots.append(len(rotated))
+        return rotate(A, J, *rotated)
+
+    for module in (curvature, bochner, charts):
+        monkeypatch.setattr(module, "_rotate", counted)
+    for call, expected in (
+        (lambda: ricci_family(point, R), 6),  # traces 2, _star 4
+        (lambda: bochner.rk_bochner(point, R), 4),  # traces 2, then slots 0, 1 of P
+        (lambda: identity_defects(point, R), 8),  # traces 2, _star 4, rk 2
+        # traces 2 and R(X,JY,Z,U) 1 at x, traces 2 on each of 4 stencil batches
+        (lambda: charts.nk_identity_suite(chart, geo), 11),
+    ):
+        slots.clear()
+        call()
+        assert sum(slots) == expected
 
 
 def test_ricci_family_rejects_asymmetric_twisted_trace(flat6):

@@ -3,13 +3,16 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from bochnerkit import charts, scenarios
+from bochnerkit.curvature import complex_space_form_tensor, direct_sum, flat_point
 from bochnerkit.scenarios import (
     SCENARIO_IDS,
     ScenarioParamError,
     ScenarioParams,
+    ToleranceConfig,
     UnknownScenarioError,
     make_model,
     run_all,
@@ -60,6 +63,14 @@ def test_parameter_range_validation():
         run_scenario("thm21_forward", ScenarioParams(c=math.nan))
     with pytest.raises(ScenarioParamError):
         run_scenario("thm21_forward", ScenarioParams(mu=math.inf))
+
+
+@pytest.mark.parametrize("name", ["tol_alg", "tol_fd1", "tol_fd2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+def test_every_tolerance_is_validated_alike(name, value):
+    params = ScenarioParams(tolerances=ToleranceConfig(**{name: value}))
+    with pytest.raises(ScenarioParamError, match=f"^{name} must be finite and positive"):
+        run_scenario("thm21_forward", params)
 
 
 def test_counterexample_statuses():
@@ -113,6 +124,39 @@ def test_report_round_trips_through_canonical_json():
 def test_report_timing_available_on_request():
     report = run_scenario("thm21_forward", FAST)
     assert report.to_dict(include_timing=True)["wall_time_s"] >= 0.0
+
+
+def _csf_product_by_hand(dims_mus):
+    """The direct-sum loop the scenarios once built their products with."""
+    point = flat_point(2 * dims_mus[0][0])
+    R = complex_space_form_tensor(point, dims_mus[0][1])
+    for dim_c, mu in dims_mus[1:]:
+        fp = flat_point(2 * dim_c)
+        point, R = direct_sum(point, R, fp, complex_space_form_tensor(fp, mu))
+    return point, R
+
+
+@pytest.mark.parametrize("dims_mus, label", [
+    ([(1, 1.0), (2, -1.0)], "PRODUCT(CP(1,1),CD(2,-1))"),
+    ([(2, 2.5), (3, -2.5)], "PRODUCT(CP(2,2.5),CD(3,-2.5))"),
+    ([(1, 0.0), (1, 0.0), (1, 0.0)], "PRODUCT(CE(1),CE(1),CE(1))"),
+    ([(1, 1.0), (1, -1.0), (1, 0.0)], "PRODUCT(CP(1,1),CD(1,-1),CE(1))"),
+    ([(1, 1.0), (2, -1.0 + 1e-3)], "PRODUCT(CP(1,1),CD(2,-0.999))"),
+])
+def test_scenario_products_are_built_by_make_model(monkeypatch, dims_mus, label):
+    labels, build = [], scenarios.make_model
+
+    def counted(spec):
+        labels.append(spec.label())
+        return build(spec)
+
+    monkeypatch.setattr(scenarios, "make_model", counted)
+    point, R = scenarios._csf_product(dims_mus)
+    assert labels[0] == label
+    ref_point, ref_R = _csf_product_by_hand(dims_mus)
+    assert np.array_equal(point.g_mat, ref_point.g_mat)
+    assert np.array_equal(point.J, ref_point.J)
+    assert np.array_equal(R.components, ref_R.components)
 
 
 def test_make_model_labels():
