@@ -22,7 +22,8 @@ Models:
 * ``CP(m, mu)``  constant holomorphic sectional curvature mu > 0 in a
                  realified complex affine chart; J constant.
 * ``CD(m, mu)``  the hyperbolic analog (mu < 0) on the unit ball.
-* ``PRODUCT(a, b)``  block metric and block J with a product domain sampler.
+* ``PRODUCT(a, b)``  block metric and block J with a product domain sampler;
+                 its geometry is the block-diagonal assembly of its factors'.
 
 Chart evaluators are pure; sampled points may be processed in parallel and
 combined by max, so suite reports are schedule-independent.
@@ -124,7 +125,9 @@ class ChartModel:
     x and take complex points, as their first derivatives are complex steps (no
     ``abs``, ``norm`` or real-only cast).  ``boundary_radius`` is the coordinate
     radius at which the chart degenerates (infinite for global charts);
-    ``sample_radius`` keeps sampled points well-conditioned.
+    ``sample_radius`` keeps sampled points well-conditioned.  A product's
+    geometry is built from its ``factors`` alone, so replacing its own fields
+    (``dataclasses.replace(product, metric_at=...)``) does not change it.
     """
 
     label: str
@@ -495,20 +498,41 @@ def _curvature(g: np.ndarray, G: np.ndarray, dG: np.ndarray) -> np.ndarray:
     return A @ g[..., None, None, :, :]
 
 
-def _geometry(chart: ChartModel, C: np.ndarray, cfg: FDConfig):
+def _direct_sum(blocks: tuple[np.ndarray, ...], b: int) -> np.ndarray:
+    """The block-diagonal array of ``blocks``, whose first ``b`` axes are batch axes,
+    in the memory order of their axes (the one the suite's traces read fastest)."""
+    rank, ends = blocks[0].ndim - b, np.cumsum([B.shape[-1] for B in blocks])
+    out = np.zeros_like(blocks[0], shape=blocks[0].shape[:b] + (int(ends[-1]),) * rank)
+    for B, end in zip(blocks, ends):
+        out[(...,) + (slice(end - B.shape[-1], end),) * rank] = B
+    return out
+
+
+def _geometry(chart: ChartModel, C: np.ndarray, cfg: FDConfig, cap: int = 0):
     """Yield g, J, Gamma, nabla J and R at each batch ``C[b]`` of the centres ``C``
     (B, ..., n) in turn; no margin check.
 
     The centres and their stencil points form one grid, and Gamma is evaluated
     once per distinct point of it (:func:`_christoffel_table`), in calls of at
-    most n^2 points.  Points merge only when all their bits agree: the two-level
-    point x + s1 e_i + s2 e_j is reached again as x + s2 e_j + s1 e_i, while
-    (x_i + s1) + s2 and (x_i + s2) + s1 may differ in the last bit.  dGamma at a
-    batch is the :func:`_difference` of gathers from the table, so every value is
-    the one that evaluating Gamma afresh at each stencil point gives.  J and its
-    complex step are read once per batch.
+    most ``cap`` points, n^2 unless given.  Points merge only when all their bits
+    agree: the two-level point x + s1 e_i + s2 e_j is reached again as
+    x + s2 e_j + s1 e_i, while (x_i + s1) + s2 and (x_i + s2) + s1 may differ in
+    the last bit.  dGamma at a batch is the :func:`_difference` of gathers from
+    the table, so every value is the one that evaluating Gamma afresh at each
+    stencil point gives.  J and its complex step are read once per batch.
+
+    A product's Levi-Civita connection is the direct sum of its factors', so on
+    a chart with ``factors`` each field is the :func:`_direct_sum` of theirs, each
+    factor evaluated on its coordinates of ``C`` with the cap of ``chart``.
     """
     n, count = C.shape[-1], C.size // C.shape[-1]  # coordinates, centres
+    cap = cap or n * n
+    if chart.factors:
+        ends = np.cumsum([f.n for f in chart.factors])
+        parts = [_geometry(f, C[..., e - f.n : e], cfg, cap) for f, e in zip(chart.factors, ends)]
+        for blocks in zip(*parts):
+            yield tuple(_direct_sum(fields, C.ndim - 2) for fields in zip(*blocks))
+        return
     stencil = _stencil(C, cfg)
     points = np.concatenate([C.reshape(-1, n), stencil.reshape(-1, n)])
     _, first, index = np.unique(
@@ -516,9 +540,9 @@ def _geometry(chart: ChartModel, C: np.ndarray, cfg: FDConfig):
         return_index=True, return_inverse=True,
     )
     centres, around = index[:count].reshape(C.shape[:-1]), index[count:].reshape(stencil.shape[:-1])
-    # as many calls as n^2 points of the unmerged grid would fill, so the count
-    # depends on the grid's shape alone and no call exceeds n^2 points
-    table, g = _christoffel_table(chart, points[first], centres, -(-len(points) // n**2))
+    # as many calls as cap points of the unmerged grid would fill, so the count
+    # depends on the grid's shape alone and no call exceeds cap points
+    table, g = _christoffel_table(chart, points[first], centres, -(-len(points) // cap))
     i, j = np.triu_indices(n)
     unpack = np.empty((n, n), dtype=np.intp)
     unpack[i, j] = unpack[j, i] = np.arange(i.size)

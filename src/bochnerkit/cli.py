@@ -19,6 +19,7 @@ NO_COLOR); reports are byte-identical across runs with equal seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -91,6 +92,7 @@ def _positive(text: str) -> float:
     return value
 
 
+@functools.cache  # one parser per process; parsing leaves no state on it
 def _build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--tol-alg", type=_positive, default=ToleranceConfig.tol_alg,

@@ -380,8 +380,6 @@ def _thm31_counterexample(p: ScenarioParams, table: dict) -> list[CheckResult]:
 
 
 def _thm32_models(p: ScenarioParams, table: dict) -> list[CheckResult]:
-    if p.m < 3:
-        raise ScenarioParamError("thm32_models needs m >= 3 for the corrected tensor")
     tol = p.tolerances
     sym_tol = 10.0 * tol.tol_fd1
     descriptors = [
@@ -564,6 +562,9 @@ _SCENARIOS = {
 
 SCENARIO_IDS = tuple(_SCENARIOS)
 
+# the corrected tensor of their complex-dimension-m models needs real dimension >= 6
+_MIN_M = {"thm32_models": 3, "cor33_spotcheck": 3}
+
 
 def run_scenario(scenario_id: str, params: ScenarioParams | None = None) -> ScenarioReport:
     """Run one scenario and return its report."""
@@ -575,8 +576,7 @@ def _run(scenario_id: str, params: ScenarioParams | None, table: dict) -> Scenar
         raise UnknownScenarioError(
             f"unknown scenario {scenario_id!r}; known: {', '.join(SCENARIO_IDS)}"
         )
-    params = params or ScenarioParams()
-    params.validate()
+    params = _validated(params, (scenario_id,))
     start = time.perf_counter()
     checks = _SCENARIOS[scenario_id](params, table)
     return ScenarioReport(
@@ -591,4 +591,17 @@ def run_all(params: ScenarioParams | None = None) -> list[ScenarioReport]:
     """Run every scenario in a fixed order, evaluating each chart's suite and
     each sampled chart point once."""
     table: dict = {}
+    params = _validated(params, SCENARIO_IDS)
     return [_run(sid, params, table) for sid in SCENARIO_IDS]
+
+
+def _validated(params: ScenarioParams | None, scenario_ids: tuple[str, ...]) -> ScenarioParams:
+    """``params`` or the defaults, validated for every scenario in ``scenario_ids``."""
+    params = params or ScenarioParams()
+    params.validate()
+    for sid in scenario_ids:
+        if params.m < _MIN_M.get(sid, 2):
+            raise ScenarioParamError(
+                f"{sid} needs m >= {_MIN_M[sid]} for the corrected tensor, got m = {params.m}"
+            )
+    return params

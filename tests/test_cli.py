@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import bochnerkit
 from bochnerkit.charts import FDConfig
+from bochnerkit import cli
 from bochnerkit.cli import cli_dispatch
 
 
@@ -307,6 +308,51 @@ def test_tensor_descriptor_fuzz(desc):
 def test_usage_error_exit_code():
     assert cli_dispatch([]) == 2
     assert cli_dispatch(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["all", "--m", "2"], ["scenario", "cor33_spotcheck", "--m", "2"],
+                                  ["scenario", "thm32_models", "--m", "2", "--json", "{json}"]])
+def test_minimum_m_is_named_before_any_scenario_runs(argv, tmp_path, capsys):
+    """The scenarios that take the corrected tensor of m-dimensional models need
+    m >= 3; the error names m, and no report is written."""
+    report = tmp_path / "report.json"
+    assert cli_dispatch([str(report) if a == "{json}" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not report.exists()
+    assert captured.err.endswith("needs m >= 3 for the corrected tensor, got m = 2\n")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert cli_dispatch(["scenario", "thm21_forward", "--m", "2", "--quiet"]) == 0
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path, capsys):
+    """The parser is built once per process; each invocation through it, usage
+    errors and rejected flags among them, exits and prints what it does
+    through a parser of its own."""
+    doc = tmp_path / "s6.json"
+    argvs = [
+        ["identities", "CE(1)", "--points", "1", "--seed", "3"],
+        ["identities", "--bogus"],
+        ["all", "--fd-step", "nan"],
+        ["scenario", "thm21_forward", "--fd-step", "-1"],
+        ["tensor", "s6", "--quiet", "--dump", str(doc)],
+        ["validate", str(doc), "--tol-alg", "0"],
+        ["validate", str(doc)],
+        ["all", "--m", "2"],
+        ["identities", "--help"],
+        ["frobnicate"],
+        ["identities", "CE(1)", "--points", "1", "--seed", "3", "--no-richardson"],
+    ]
+    cli._build_parser.cache_clear()
+    shared = []
+    for argv in argvs:
+        code = cli_dispatch(argv)
+        shared.append((code, *capsys.readouterr()))
+    assert cli._build_parser.cache_info().misses == 1
+    assert [r[0] for r in shared] == [0, 2, 2, 2, 0, 2, 0, 2, 0, 2, 0]
+    for argv, result in zip(argvs, shared):
+        cli._build_parser.cache_clear()
+        code = cli_dispatch(argv)
+        assert (code, *capsys.readouterr()) == result
 
 
 def test_quiet_suppresses_output(capsys):

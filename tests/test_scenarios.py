@@ -65,6 +65,27 @@ def test_parameter_range_validation():
         run_scenario("thm21_forward", ScenarioParams(mu=math.inf))
 
 
+@pytest.mark.parametrize("sid", ["thm32_models", "cor33_spotcheck"])
+def test_scenarios_that_need_m_3_name_it(sid):
+    with pytest.raises(ScenarioParamError, match=f"^{sid} needs m >= 3 .*, got m = 2$"):
+        run_scenario(sid, ScenarioParams(m=2))
+
+
+def test_run_all_checks_m_before_running_any_scenario(monkeypatch):
+    ran = []
+    for sid, fn in scenarios._SCENARIOS.items():
+        monkeypatch.setitem(scenarios._SCENARIOS, sid,
+                            lambda p, table, sid=sid, fn=fn: ran.append(sid) or fn(p, table))
+    with pytest.raises(ScenarioParamError, match="^thm32_models needs m >= 3"):
+        run_all(ScenarioParams(m=2))
+    assert ran == []
+    # every other scenario runs at m = 2
+    others = [sid for sid in SCENARIO_IDS if sid not in ("thm32_models", "cor33_spotcheck")]
+    for sid in others:
+        run_scenario(sid, dataclasses.replace(FAST, m=2))
+    assert ran == others
+
+
 @pytest.mark.parametrize("name", ["tol_alg", "tol_fd1", "tol_fd2"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
 def test_every_tolerance_is_validated_alike(name, value):
@@ -204,17 +225,20 @@ def test_run_all_evaluates_each_chart_point_once(monkeypatch):
     # chart geometry only through geometry_at
     assert scenarios.geometry_at is charts.geometry_at and not hasattr(scenarios, "_geometry")
     monkeypatch.setattr(charts, "geometry_at", None)
-    points, at_x = [], []
+    points, at_x, top = [], [], []
     geometry_at, geometry = scenarios.geometry_at, charts._geometry
 
     def counted(chart, x, cfg):
         points.append((chart.label, tuple(x)))
+        top.append(chart)
         return geometry_at(chart, x, cfg)
 
-    def counted_geometry(chart, C, cfg):
-        if C.shape[:-1] == (1,):  # the one centre x of geometry_at
+    def counted_geometry(chart, C, cfg, *cap):
+        # the one centre x of geometry_at, on its chart; a product's geometry
+        # recurses into its factors' with the same centre
+        if C.shape[:-1] == (1,) and chart is top[-1]:
             at_x.append(C)
-        return geometry(chart, C, cfg)
+        return geometry(chart, C, cfg, *cap)
 
     monkeypatch.setattr(scenarios, "geometry_at", counted)
     monkeypatch.setattr(charts, "_geometry", counted_geometry)
@@ -245,19 +269,21 @@ def test_run_all_makes_a_fixed_number_of_metric_and_j_calls(monkeypatch):
 
     monkeypatch.setattr(scenarios, "make_chart", counted_chart)
     run_all(ScenarioParams(seed=7))
-    # 9 chart points at 2 metric calls (their 4n + 1 <= n^2 stencil points in
-    # one Gamma call) and 2 J calls each; 3 suites at n = 6, whose unmerged
-    # grids of 4n + 16n^2 = 600 points take 2 metric calls per n^2 = 36 of
-    # them, and 8 J calls: 18 + 3 x 2 x ceil(600 / 36) = 120 and 18 + 24 = 42.
-    # 210 metric calls
+    # 9 chart points, 3 of them on products, whose geometry evaluates their
+    # factors' fields and never the product's wrapped ones; the other 6 at 2
+    # metric calls (their 4n + 1 <= n^2 stencil points in one Gamma call) and 2
+    # J calls each; 3 suites at n = 6, whose unmerged grids of 4n + 16n^2 = 600
+    # points take 2 metric calls per n^2 = 36 of them, and 8 J calls:
+    # 12 + 3 x 2 x ceil(600 / 36) = 114 and 12 + 24 = 36.
+    # 120 and 42 while the products evaluated their own fields, 210 metric calls
     # while each batch evaluated Gamma afresh on its own stencil, 240 and 120
     # while each suite evaluated its point again, 725 and 137 while
     # thm32_models evaluated 3 points again and identities_cp took nabla^2 J
     # at its 2 points, 600 metric calls while Gamma took real differences of
     # g, 105 J calls while dJ took real differences
-    assert count == {"metric": 120, "J": 42}
+    assert count == {"metric": 114, "J": 36}
     run_all(ScenarioParams(seed=7))  # the second run repeats every evaluation
-    assert count == {"metric": 240, "J": 84}
+    assert count == {"metric": 228, "J": 72}
 
 
 def test_run_all_keeps_apart_charts_whose_labels_agree():
