@@ -12,7 +12,7 @@ the geometry that is itself differentiated on the stencil of each of those
 points.  Gamma is evaluated once per distinct point of the grid and kept in
 one table of its lower pairs; each level reads its differences from it.
 
-Models:
+Models (each leaf kind is one row of ``_KINDS``):
 
 * ``CE(m)``      flat R^{2m}, constant block J.
 * ``S6(c)``      the round six-sphere of sectional curvature c in a
@@ -33,15 +33,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, ClassVar
+from itertools import accumulate
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
 from .curvature import (
-    HermitianPoint, PointValidationError, point_violations, standard_J, validate_point,
-    _g_inv, _ricci_identities, _rotate, _traces,
+    HermitianPoint, PointValidationError, complex_space_form_tensor, point_violations,
+    space_form_tensor, standard_J, validate_point,
+    _block_diagonal, _g_inv, _ricci_identities, _rotate, _spans, _traces,
 )
-from .multilinear import CurvTensor, NonFiniteError, _norm
+from .multilinear import CurvTensor, NonFiniteError, SymBilinear, _norm
 from .octonion import cross_operator
 
 __all__ = [
@@ -154,10 +156,8 @@ class ChartModel:
 
     def require_margin(self, x: np.ndarray, needed: float) -> None:
         if self.factors:
-            offset = 0
-            for f in self.factors:
-                f.require_margin(x[offset : offset + f.n], needed)
-                offset += f.n
+            for f, sl in zip(self.factors, _spans([f.n for f in self.factors])):
+                f.require_margin(x[sl], needed)
             return
         if np.linalg.norm(x) + needed >= self.boundary_radius:
             raise MarginError(
@@ -172,7 +172,7 @@ class ChartModel:
 
 @dataclass(frozen=True)
 class ChartSpec:
-    kind: str                       # CE | S6 | CP | CD | PRODUCT
+    kind: str                       # a leaf kind of _KINDS, or PRODUCT
     m: int | None = None
     c: float | None = None
     mu: float | None = None
@@ -181,12 +181,14 @@ class ChartSpec:
     def __post_init__(self):
         """Every model parameter is checked here, so algebraic models and
         charts built from one spec accept exactly the same inputs."""
-        if self.kind not in ("CE", "S6", "CP", "CD", "PRODUCT"):
+        leaf = _KINDS.get(self.kind)
+        if leaf is None and self.kind != "PRODUCT":
             raise ChartSpecError(f"unknown model kind {self.kind!r}")
-        if self.kind in ("CE", "CP", "CD") and (self.m is None or self.m < 1):
+        takes = leaf.args if leaf else ()
+        if "m" in takes and (self.m is None or self.m < 1):
             raise ChartSpecError(f"{self.kind} needs a complex dimension m >= 1")
-        if self.kind == "S6" and not _finite(self.c) > 0:
-            raise ChartSpecError("S6 needs a positive curvature parameter c")
+        if "c" in takes and not _finite(self.c) > 0:
+            raise ChartSpecError(f"{self.kind} needs a positive curvature parameter c")
         if self.kind == "CP" and not _finite(self.mu) > 0:
             raise ChartSpecError("CP needs a positive holomorphic curvature mu")
         if self.kind == "CD" and not _finite(self.mu) < 0:
@@ -198,25 +200,17 @@ class ChartSpec:
 
     @property
     def dim(self) -> int:
-        """Real dimension of the model."""
+        """Real dimension of the model; a leaf kind without m is six-dimensional."""
         if self.kind == "PRODUCT":
             return sum(f.dim for f in self.factors)
-        return 6 if self.kind == "S6" else 2 * self.m
+        return 2 * self.m if "m" in _KINDS[self.kind].args else 6
 
     def label(self) -> str:
-        if self.kind == "CE":
-            return f"CE({self.m})"
-        if self.kind == "S6":
-            return f"S6({_fmt(self.c)})"
-        if self.kind == "CP":
-            return f"CP({self.m},{_fmt(self.mu)})"
-        if self.kind == "CD":
-            return f"CD({self.m},{_fmt(self.mu)})"
-        return "PRODUCT(" + ",".join(f.label() for f in self.factors) + ")"
-
-
-def _fmt(v: float) -> str:
-    return f"{v:g}"
+        if self.kind == "PRODUCT":
+            return "PRODUCT(" + ",".join(f.label() for f in self.factors) + ")"
+        args = (str(self.m) if a == "m" else f"{getattr(self, a):g}"
+                for a in _KINDS[self.kind].args)
+        return f"{self.kind}({','.join(args)})"
 
 
 def _finite(v: float | None) -> float:
@@ -224,62 +218,74 @@ def _finite(v: float | None) -> float:
     return v if v is not None and np.isfinite(v) else np.nan
 
 
-_LEAF = re.compile(r"^(CE|S6|CP|CD)\s*\(\s*([^()]*)\s*\)$", re.IGNORECASE)
+_LEAF = re.compile(r"^(\w+)\s*\(\s*([^()]*)\s*\)$")
 _PRODUCT = re.compile(r"^PRODUCT\s*\((.*)\)$", re.IGNORECASE | re.DOTALL)
+
+
+def _depths(text: str) -> list[int]:
+    """The parenthesis depth after each character of ``text``."""
+    return list(accumulate((ch == "(") - (ch == ")") for ch in text))
 
 
 def parse_model_spec(text: str) -> ChartSpec:
     """Parse descriptors like ``CE(3)``, ``S6(1)``, ``CP(3,4)``, ``CD(1,-1)``,
-    ``PRODUCT(CD(1,-1),S6(1))`` (case-insensitive, nesting allowed)."""
+    ``PRODUCT(CD(1,-1),S6(1))`` (case-insensitive, nesting allowed), after one
+    check that the parentheses of the whole text balance."""
+    depths = [0, *_depths(text)]
+    if min(depths) < 0 or depths[-1]:
+        raise ChartSpecError(f"unbalanced parentheses in model descriptor {text!r}")
+    return _parse(text)
+
+
+def _parse(text: str) -> ChartSpec:
+    """:func:`parse_model_spec` on a text whose parentheses balance."""
     s = text.strip()
     if s.upper().startswith("PRODUCT"):
         product = _PRODUCT.match(s)
         if not product:
             raise ChartSpecError(f"PRODUCT needs a parenthesized factor list: {text!r}")
         inner = product.group(1)
-        parts, depth, start = [], 0, 0
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                parts.append(inner[start:i])
-                start = i + 1
-        parts.append(inner[start:])
-        factors = tuple(parse_model_spec(p) for p in parts if p.strip())
+        cuts = [i for i, (ch, d) in enumerate(zip(inner, _depths(inner))) if ch == "," and d == 0]
+        parts = (inner[a + 1 : b] for a, b in zip([-1, *cuts], [*cuts, len(inner)]))
+        factors = tuple(_parse(p) for p in parts if p.strip())
         if len(factors) < 2:
             raise ChartSpecError(f"PRODUCT needs at least two factors: {text!r}")
         return ChartSpec(kind="PRODUCT", factors=factors)
     match = _LEAF.match(s)
-    if not match:
+    kind = match.group(1).upper() if match else None
+    if kind not in _KINDS:
         raise ChartSpecError(f"unknown model descriptor {text!r}")
-    kind = match.group(1).upper()
+    names = _KINDS[kind].args
     args = [a.strip() for a in match.group(2).split(",") if a.strip()]
+    if len(args) != len(names):
+        raise ChartSpecError(
+            f"bad arguments in model descriptor {text!r}: {kind}({', '.join(names)}) takes "
+            f"{len(names)} argument{'s' * (len(names) > 1)}, got {len(args)}"
+        )
     try:
-        if kind == "CE":
-            (m,) = args
-            params = {"m": int(m)}
-        elif kind == "S6":
-            (c,) = args
-            params = {"c": float(c)}
-        else:
-            m, mu = args
-            params = {"m": int(m), "mu": float(mu)}
+        params = {a: int(v) if a == "m" else float(v) for a, v in zip(names, args)}
     except ValueError as exc:
         raise ChartSpecError(f"bad arguments in model descriptor {text!r}: {exc}") from exc
     return ChartSpec(kind=kind, **params)
 
 
 def make_chart(spec: ChartSpec | str) -> ChartModel:
-    """Build the chart for a model descriptor."""
+    """Build the chart for a model descriptor: a leaf's from its row of ``_KINDS``;
+    a product's fields are the block-diagonal assembly of its factor charts' fields."""
     if isinstance(spec, str):
         spec = parse_model_spec(spec)
-    builders = {
-        "CE": _ce_chart, "S6": _s6_chart, "CP": _csf_chart, "CD": _csf_chart,
-        "PRODUCT": _product_chart,
-    }
-    return builders[spec.kind](spec)
+    if spec.kind != "PRODUCT":
+        return _KINDS[spec.kind].chart(spec)
+    charts = tuple(make_chart(f) for f in spec.factors)
+    spans = _spans([ch.n for ch in charts])
+
+    def block(fields: list[Callable]) -> Callable[[np.ndarray], np.ndarray]:
+        return lambda x: _block_diagonal([f(x[..., s]) for f, s in zip(fields, spans)], x.ndim - 1)
+
+    return ChartModel(
+        label=spec.label(), n=spec.dim, scale=0.0, factors=charts,
+        metric_at=block([ch.metric_at for ch in charts]), J_at=block([ch.J_at for ch in charts]),
+    )
 
 
 def _constant(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -368,23 +374,32 @@ def _csf_chart(spec: ChartSpec) -> ChartModel:
     )
 
 
-def _product_chart(spec: ChartSpec) -> ChartModel:
-    charts = tuple(make_chart(f) for f in spec.factors)
-    ends = np.cumsum([ch.n for ch in charts])
-    n, slices = int(ends[-1]), [slice(e - ch.n, e) for ch, e in zip(charts, ends)]
+class _Kind(NamedTuple):  # one leaf model kind
+    args: tuple[str, ...]  # its descriptor arguments in order: m an int, the others floats
+    chart: Callable[[ChartSpec], ChartModel]
+    tensor: Callable[[ChartSpec, HermitianPoint], CurvTensor]  # exact curvature at a point
 
-    def block(field: str) -> Callable[[np.ndarray], np.ndarray]:
-        def at(x: np.ndarray) -> np.ndarray:
-            out = np.zeros(x.shape[:-1] + (n, n), dtype=x.dtype)
-            for ch, sl in zip(charts, slices):
-                out[..., sl, sl] = getattr(ch, field)(x[..., sl])
-            return out
-        return at
 
-    return ChartModel(
-        label=spec.label(),
-        n=n, scale=0.0, metric_at=block("metric_at"), J_at=block("J_at"), factors=charts,
-    )
+# the leaf kinds, in the order the CLI lists their bare names
+_KINDS = {
+    "CE": _Kind(("m",), _ce_chart, lambda spec, p: CurvTensor.zero(p.dim)),
+    "S6": _Kind(("c",), _s6_chart, lambda spec, p: space_form_tensor(p, spec.c)),
+    # CP (mu > 0) and CD (mu < 0) share the chart and the constant-HSC tensor
+    "CP": _Kind(("m", "mu"), _csf_chart, lambda spec, p: complex_space_form_tensor(p, spec.mu)),
+    "CD": _Kind(("m", "mu"), _csf_chart, lambda spec, p: complex_space_form_tensor(p, spec.mu)),
+}
+
+
+def _model_tensor(spec: ChartSpec, point: HermitianPoint) -> CurvTensor:
+    """The exact curvature of the model ``spec`` at ``point``; a product's is the
+    block-diagonal assembly of its factors', each at its diagonal block of ``point``."""
+    if spec.kind != "PRODUCT":
+        return _KINDS[spec.kind].tensor(spec, point)
+    blocks = []
+    for f, sl in zip(spec.factors, _spans([f.dim for f in spec.factors])):
+        g, J = point.g_mat[sl, sl], point.J[sl, sl]
+        blocks.append(_model_tensor(f, HermitianPoint(f.dim, SymBilinear(f.dim, g), J)).components)
+    return CurvTensor(spec.dim, _block_diagonal(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -498,16 +513,6 @@ def _curvature(g: np.ndarray, G: np.ndarray, dG: np.ndarray) -> np.ndarray:
     return A @ g[..., None, None, :, :]
 
 
-def _direct_sum(blocks: tuple[np.ndarray, ...], b: int) -> np.ndarray:
-    """The block-diagonal array of ``blocks``, whose first ``b`` axes are batch axes,
-    in the memory order of their axes (the one the suite's traces read fastest)."""
-    rank, ends = blocks[0].ndim - b, np.cumsum([B.shape[-1] for B in blocks])
-    out = np.zeros_like(blocks[0], shape=blocks[0].shape[:b] + (int(ends[-1]),) * rank)
-    for B, end in zip(blocks, ends):
-        out[(...,) + (slice(end - B.shape[-1], end),) * rank] = B
-    return out
-
-
 def _geometry(chart: ChartModel, C: np.ndarray, cfg: FDConfig, cap: int = 0):
     """Yield g, J, Gamma, nabla J and R at each batch ``C[b]`` of the centres ``C``
     (B, ..., n) in turn; no margin check.
@@ -522,16 +527,16 @@ def _geometry(chart: ChartModel, C: np.ndarray, cfg: FDConfig, cap: int = 0):
     stencil point gives.  J and its complex step are read once per batch.
 
     A product's Levi-Civita connection is the direct sum of its factors', so on
-    a chart with ``factors`` each field is the :func:`_direct_sum` of theirs, each
-    factor evaluated on its coordinates of ``C`` with the cap of ``chart``.
+    a chart with ``factors`` each field is the :func:`_block_diagonal` of theirs,
+    each factor evaluated on its coordinates of ``C`` with the cap of ``chart``.
     """
     n, count = C.shape[-1], C.size // C.shape[-1]  # coordinates, centres
     cap = cap or n * n
     if chart.factors:
-        ends = np.cumsum([f.n for f in chart.factors])
-        parts = [_geometry(f, C[..., e - f.n : e], cfg, cap) for f, e in zip(chart.factors, ends)]
+        spans = _spans([f.n for f in chart.factors])
+        parts = [_geometry(f, C[..., sl], cfg, cap) for f, sl in zip(chart.factors, spans)]
         for blocks in zip(*parts):
-            yield tuple(_direct_sum(fields, C.ndim - 2) for fields in zip(*blocks))
+            yield tuple(_block_diagonal(fields, C.ndim - 2) for fields in zip(*blocks))
         return
     stencil = _stencil(C, cfg)
     points = np.concatenate([C.reshape(-1, n), stencil.reshape(-1, n)])

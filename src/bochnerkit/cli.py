@@ -37,6 +37,7 @@ from .charts import (
     make_chart,
     nk_identity_suite,
     parse_model_spec,
+    _KINDS,
 )
 from .curvature import PointValidationError, ricci_family, star
 from .multilinear import NonFiniteError, SymmetryError
@@ -207,30 +208,27 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-_BARE_MODELS = ("ce", "s6", "cp", "cd")
-
-
 def _tensor_spec(args: argparse.Namespace) -> ChartSpec:
     name = args.model.strip()
+    given = {a: getattr(args, a) for a in ("m", "c", "mu") if getattr(args, a) is not None}
     if "(" in name:
-        if args.m is not None or args.c is not None or args.mu is not None:
+        if given:
             raise ChartSpecError("pass parameters either in the descriptor or as flags, not both")
         return parse_model_spec(name)
-    kind = name.lower()
-    if kind not in _BARE_MODELS:
-        raise ChartSpecError(
-            f"unknown model {name!r}; use one of {', '.join(_BARE_MODELS)} or a descriptor"
-        )
-    m = args.m if args.m is not None else ScenarioParams.m
-    if kind == "ce":
-        return ChartSpec(kind="CE", m=m)
-    if kind == "s6":
-        if args.m is not None and args.m != 3:
-            raise ChartSpecError("the six-sphere fixes dim 6 (m = 3)")
-        return ChartSpec(kind="S6", c=args.c if args.c is not None else ScenarioParams.c)
-    if kind == "cp":
-        return ChartSpec(kind="CP", m=m, mu=args.mu if args.mu is not None else ScenarioParams.mu)
-    return ChartSpec(kind="CD", m=m, mu=args.mu if args.mu is not None else -ScenarioParams.mu)
+    kind = name.upper()
+    if kind not in _KINDS:
+        raise ChartSpecError(f"unknown model {name!r}; use one of "
+                             f"{', '.join(k.lower() for k in _KINDS)} or a descriptor")
+    if kind == "S6" and given.pop("m", 3) != 3:  # S6 takes no m; --m 3 names its dimension
+        raise ChartSpecError("the six-sphere fixes dim 6 (m = 3)")
+    takes = _KINDS[kind].args
+    for flag in given:
+        if flag not in takes:
+            raise ChartSpecError(f"{name} takes no --{flag} flag; its flags are "
+                                 + ", ".join("--" + a for a in takes))
+    defaults = {"m": ScenarioParams.m, "c": ScenarioParams.c,
+                "mu": -ScenarioParams.mu if kind == "CD" else ScenarioParams.mu}
+    return ChartSpec(kind, **{a: given.get(a, defaults[a]) for a in takes})
 
 
 def _cmd_tensor(args: argparse.Namespace) -> int:

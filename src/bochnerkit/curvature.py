@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -475,21 +475,31 @@ def complex_space_form_tensor(point: HermitianPoint, mu: float) -> CurvTensor:
 def direct_sum(
     p1: HermitianPoint, R1: CurvTensor, p2: HermitianPoint, R2: CurvTensor
 ) -> tuple[HermitianPoint, CurvTensor]:
-    """Riemannian-product point and curvature: block data, no mixed components."""
+    """Riemannian-product point and curvature: the :func:`_block_diagonal`
+    assembly of the factors' g, J and R, so no mixed components."""
     _check_same_dim(p1.dim, R1.dim)
     _check_same_dim(p2.dim, R2.dim)
-    n1, n2 = p1.dim, p2.dim
-    n = n1 + n2
-    g = np.zeros((n, n))
-    g[:n1, :n1] = p1.g_mat
-    g[n1:, n1:] = p2.g_mat
-    J = np.zeros((n, n))
-    J[:n1, :n1] = p1.J
-    J[n1:, n1:] = p2.J
-    R = np.zeros((n,) * 4)
-    R[:n1, :n1, :n1, :n1] = R1.components
-    R[n1:, n1:, n1:, n1:] = R2.components
-    return validate_point(g, J), CurvTensor(n, R)
+    g, J, R = (_block_diagonal(pair) for pair in
+               ((p1.g_mat, p2.g_mat), (p1.J, p2.J), (R1.components, R2.components)))
+    return validate_point(g, J), CurvTensor(p1.dim + p2.dim, R)
+
+
+def _block_diagonal(blocks: Sequence[np.ndarray], b: int = 0) -> np.ndarray:
+    """The block-diagonal array of ``blocks``, whose first ``b`` axes are batch axes,
+    as every product assembles its fields and tensors: of the blocks' result type
+    (a complex block keeps its imaginary part beside a real one) and in the memory
+    order of the first block's axes (the one the chart suite's traces read fastest)."""
+    rank, spans = blocks[0].ndim - b, _spans([B.shape[-1] for B in blocks])
+    shape = blocks[0].shape[:b] + (spans[-1].stop,) * rank
+    out = np.zeros_like(blocks[0], dtype=np.result_type(*blocks), shape=shape)
+    for B, sl in zip(blocks, spans):
+        out[(...,) + (sl,) * rank] = B
+    return out
+
+
+def _spans(sizes: list[int]) -> list[slice]:
+    """The coordinates of each factor of a product whose factors have ``sizes``."""
+    return [slice(e - size, e) for size, e in zip(sizes, np.cumsum(sizes))]
 
 
 # ---------------------------------------------------------------------------

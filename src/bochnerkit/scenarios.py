@@ -34,18 +34,16 @@ from .charts import (
     make_chart,
     nk_identity_suite,
     parse_model_spec,
+    _model_tensor,
 )
 from .curvature import (
     HermitianPoint,
     _ricci_identities,
     _traces,
     ahsc,
-    complex_space_form_tensor,
-    direct_sum,
     flat_point,
     identity_defects,
     ricci_family,
-    space_form_tensor,
 )
 from .multilinear import TOL_ALG, CurvTensor, _norm, invariant_norm
 
@@ -169,25 +167,12 @@ def _nonvanish(name: str, claim: str, defect: float, tol: float) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def make_model(spec: ChartSpec | str) -> tuple[HermitianPoint, CurvTensor, str]:
-    """Algebraic (pointwise) model for a descriptor: flat-coordinate point plus
-    the exact curvature tensor of the named space."""
+    """Algebraic (pointwise) model for a descriptor, product or leaf: the flat
+    point of its dimension plus the exact curvature tensor of the named space."""
     if isinstance(spec, str):
         spec = parse_model_spec(spec)
-    if spec.kind == "PRODUCT":
-        point, R, _ = make_model(spec.factors[0])
-        for factor in spec.factors[1:]:
-            fp, fR, _ = make_model(factor)
-            point, R = direct_sum(point, R, fp, fR)
-        return point, R, spec.label()
-    if spec.kind == "CE":
-        point = flat_point(2 * spec.m)
-        return point, CurvTensor.zero(point.dim), spec.label()
-    if spec.kind == "S6":
-        point = flat_point(6)
-        return point, space_form_tensor(point, spec.c), spec.label()
-    # CP (mu > 0) and CD (mu < 0) share the constant-HSC tensor
-    point = flat_point(2 * spec.m)
-    return point, complex_space_form_tensor(point, spec.mu), spec.label()
+    point = flat_point(spec.dim)
+    return point, _model_tensor(spec, point), spec.label()
 
 
 def _csf_product(dims_mus: list[tuple[int, float]]) -> tuple[HermitianPoint, CurvTensor]:
@@ -456,11 +441,11 @@ def _suite(p: ScenarioParams, desc: str, table: dict) -> NKIdentityReport:
     return table[desc]
 
 
-def _model_error(geometries: list, model) -> float:
-    """Worst relative invariant distance of the chart curvatures from ``model(point)``."""
-    worst = 0.0
+def _model_error(geometries: list, desc: str) -> float:
+    """Worst relative invariant distance of the chart curvatures from the exact one of ``desc``."""
+    spec, worst = parse_model_spec(desc), 0.0
     for geo in geometries:
-        target = model(geo.point)
+        target = _model_tensor(spec, geo.point)
         norm = invariant_norm(geo.point, target)
         if norm == 0.0:  # underflow; np.errstate does not see a Python float division
             raise FloatingPointError("the model curvature norm underflows to 0")
@@ -471,8 +456,8 @@ def _model_error(geometries: list, model) -> float:
 def _identities_s6(p: ScenarioParams, table: dict) -> list[CheckResult]:
     tol = p.tolerances
     desc = f"S6({p.c!r})"
-    chart, geometries = _chart_points(p, desc, p.chart_points, table)
-    worst_rel = _model_error(geometries, lambda point: space_form_tensor(point, chart.scale))
+    _, geometries = _chart_points(p, desc, p.chart_points, table)
+    worst_rel = _model_error(geometries, desc)
     suite = _suite(p, desc, table)
     checks = [
         _vanish("chart_curvature_matches_model",
@@ -497,7 +482,7 @@ def _identities_cp(p: ScenarioParams, table: dict) -> list[CheckResult]:
     desc = f"CP({p.m},{p.mu!r})"
     _, geometries = _chart_points(p, desc, p.chart_points, table)
     checks = []
-    worst_rel = _model_error(geometries, lambda point: complex_space_form_tensor(point, p.mu))
+    worst_rel = _model_error(geometries, desc)
     # full norm of nabla J, its upper index lowered
     worst_dj = max(_norm(geo.point.g_inv, geo.point.g_mat @ geo.nJ) for geo in geometries)
     checks.append(

@@ -1,6 +1,7 @@
 """Finite-difference geometry on the model charts."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from bochnerkit import charts
 from bochnerkit.charts import (
     ChartModel,
+    ChartSpec,
     ChartSpecError,
     FDConfig,
     FDConfigError,
@@ -23,7 +25,9 @@ from bochnerkit.curvature import (
     _ricci_identities,
     _traces,
     complex_space_form_tensor,
+    direct_sum,
     identity_defects,
+    random_hermitian_point,
     space_form_tensor,
     standard_J,
     validate_point,
@@ -55,14 +59,65 @@ def test_parse_rejects_unknown():
         parse_model_spec("TORUS(2)")
 
 
-@pytest.mark.parametrize(
-    "bad", ["CD(1,1)", "CP(3,-4)", "S6(-1)", "S6(0)", "CE(0)", "CP(3)", "PRODUCT(CE(1))",
-            "CE(7)", "CP(7,1)", "PRODUCT(CP(4,1),S6(1))", "PRODUCT(CE(2),PRODUCT(CE(2),CE(3)))",
-            "PRODUCT(CE(1),S6(1)"]
-)
+_BAD_DESCRIPTORS = {  # descriptor: the part of its error message that names the fault
+    "CD(1,1)": "CD needs a negative holomorphic curvature mu",
+    "CP(3,-4)": "CP needs a positive holomorphic curvature mu",
+    "S6(-1)": "S6 needs a positive curvature parameter c",
+    "S6(0)": "S6 needs a positive curvature parameter c",
+    "CE(0)": "CE needs a complex dimension m >= 1",
+    "CP(3)": "bad arguments in model descriptor 'CP(3)': CP(m, mu) takes 2 arguments, got 1",
+    "PRODUCT(CE(1))": "PRODUCT needs at least two factors: 'PRODUCT(CE(1))'",
+    "CE(7)": "CE(7) has real dimension 14; at most 12 is supported",
+    "CP(7,1)": "CP(7,1) has real dimension 14",
+    "PRODUCT(CP(4,1),S6(1))": "PRODUCT(CP(4,1),S6(1)) has real dimension 14",
+    "PRODUCT(CE(2),PRODUCT(CE(2),CE(3)))": "PRODUCT(CE(2),PRODUCT(CE(2),CE(3))) has real dimension 14",
+    # the whole descriptor is quoted, not the fragment where the parsing stops
+    "PRODUCT(CE(1),S6(1)": "unbalanced parentheses in model descriptor 'PRODUCT(CE(1),S6(1)'",
+    "PRODUCT(CE(1)),S6(1))": "unbalanced parentheses in model descriptor 'PRODUCT(CE(1)),S6(1))'",
+    "S6(1,2)": "bad arguments in model descriptor 'S6(1,2)': S6(c) takes 1 argument, got 2",
+    "CE(3,1)": "bad arguments in model descriptor 'CE(3,1)': CE(m) takes 1 argument, got 2",
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_DESCRIPTORS))
 def test_make_chart_rejects_bad_parameters(bad):
-    with pytest.raises(ChartSpecError):
+    with pytest.raises(ChartSpecError, match=re.escape(_BAD_DESCRIPTORS[bad])):
         make_chart(bad)
+
+
+@pytest.mark.parametrize("kind", list(charts._KINDS))
+def test_every_leaf_kind_round_trips_through_its_label(kind):
+    """Each row of the model table parses back from its label and builds a chart of
+    that label and dimension; a float argument takes whichever sign the kind admits."""
+    specs = []
+    for value in (2.5, -2.5):
+        try:
+            specs.append(ChartSpec(kind, **{a: 2 if a == "m" else value
+                                            for a in charts._KINDS[kind].args}))
+        except ChartSpecError:
+            continue
+    assert specs
+    for spec in specs:
+        assert parse_model_spec(spec.label()) == spec
+        assert parse_model_spec(spec.label().lower()) == spec
+        chart = make_chart(spec)
+        assert (chart.label, chart.n) == (spec.label(), spec.dim)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_product_model_tensor_is_the_direct_sum_at_a_non_flat_point(seed):
+    """A product's exact curvature at a block-diagonal point is, bit for bit, the
+    direct sum of its factors' exact curvatures at their blocks; so is a nested
+    product's."""
+    p1, p2, p3 = (random_hermitian_point(n, seed + 100 * i) for i, n in enumerate((4, 6, 2)))
+    R1, R2 = complex_space_form_tensor(p1, 1.5), space_form_tensor(p2, 2.0)
+    point, R = direct_sum(p1, R1, p2, R2)
+    spec = parse_model_spec("PRODUCT(CP(2,1.5),S6(2))")
+    assert np.array_equal(charts._model_tensor(spec, point).components, R.components)
+    R3 = complex_space_form_tensor(p3, -1.0)
+    point, R = direct_sum(p3, R3, point, R)
+    spec = parse_model_spec("PRODUCT(CD(1,-1),PRODUCT(CP(2,1.5),S6(2)))")
+    assert np.array_equal(charts._model_tensor(spec, point).components, R.components)
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +740,9 @@ def test_grid_matches_the_nested_formulation_bit_for_bit(monkeypatch, desc, rich
 _PRODUCTS = [
     "PRODUCT(CD(2,-1),S6(1))", "PRODUCT(CD(1,-1),CP(2,1))",
     "PRODUCT(PRODUCT(CD(1,-1),CD(1,-1)),S6(1))",
+    # a real constant block ahead of a complex-stepped one: the assembled field
+    # must keep the second block's imaginary part
+    "PRODUCT(CE(1),S6(1))",
 ]
 
 

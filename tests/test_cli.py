@@ -54,6 +54,29 @@ def test_tensor_s6_fixes_dimension(capsys):
     assert "fixes dim 6" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, model", [
+    (["tensor", "s6", "--m", "3"], "S6(1)"),
+    (["tensor", "s6", "--c", "2"], "S6(2)"),
+    (["tensor", "ce", "--m", "2"], "CE(2)"),
+    (["tensor", "cp", "--m", "2", "--mu", "3"], "CP(2,3)"),
+    (["tensor", "cd"], "CD(3,-1)"),
+    (["tensor", "cd", "--mu", "-2"], "CD(3,-2)"),
+])
+def test_bare_model_flags_are_its_descriptor_arguments(argv, model, capsys):
+    assert cli_dispatch(argv) == 0
+    assert json.loads(capsys.readouterr().out)["model"] == model
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["tensor", "cp", "--c", "2"], "cp takes no --c flag; its flags are --m, --mu"),
+    (["tensor", "s6", "--mu", "5"], "s6 takes no --mu flag; its flags are --c"),
+    (["tensor", "ce", "--m", "2", "--c", "1"], "ce takes no --c flag; its flags are --m"),
+])
+def test_a_stray_bare_model_flag_is_named(argv, err, capsys):
+    assert cli_dispatch(argv) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
 def test_tensor_bundle_stdout(capsys):
     assert cli_dispatch(["tensor", "s6"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -197,6 +220,12 @@ def test_identities_bad_chart(capsys):
     # a step that x +/- h/2 cannot resolve reads every real derivative as 0
     ["identities", "CP(2,1)", "--points", "1", "--fd-step", "1e-320"],
     ["all", "--fd-step", "1e-320"],
+    # a bare model takes only the flags that are its descriptor arguments
+    ["tensor", "cp", "--c", "2"],
+    ["tensor", "cd", "--c", "3"],
+    ["tensor", "ce", "--mu", "3"],
+    ["tensor", "ce", "--c", "1"],
+    ["tensor", "s6", "--mu", "5"],
 ])
 def test_bad_model_input_exits_2_with_one_line(argv, tmp_path, capsys):
     if "{doc}" in argv:  # a valid document, so only the flag can be at fault
