@@ -73,13 +73,11 @@ class BochnerOutput:
 
     ``coefficients_used`` records the scalar prefactors actually applied, so a
     report can show which correction weights produced the tensor.
-    ``out_of_domain`` marks results of the RK formula forced onto non-RK input.
     """
 
     tensor: CurvTensor
     norm: float
     coefficients_used: dict[str, float]
-    out_of_domain: bool = False
 
 
 def generalized_bochner(
@@ -115,7 +113,6 @@ def rk_bochner(
     R: CurvTensor,
     sym_tol: float = TOL_ALG,
     rk_tol: float = TOL_ALG,
-    allow_non_rk: bool = False,
 ) -> BochnerOutput:
     """Five-term trace-corrected curvature for RK tensors, dimension >= 6.
 
@@ -132,9 +129,7 @@ def rk_bochner(
 
     which is how it is evaluated.
 
-    Refuses non-RK input (the correction terms assume the J-twisted trace is
-    symmetric); ``allow_non_rk=True`` evaluates the formula anyway, with the
-    J-twisted trace symmetrized, and marks the output ``out_of_domain``.
+    Refuses non-RK input beyond ``rk_tol``; within it the J-twisted trace is symmetrized.
     """
     _check_same_dim(point.dim, R.dim)
     m = point.m
@@ -146,8 +141,7 @@ def rk_bochner(
     A, J = R.components, point.J
     S, Sp, tau, tau_p, P = _traces(point.g_inv, J, A)
     rk_defect = float(np.max(np.abs(A - _rotate(P, J, 0, 1))))
-    out_of_domain = rk_defect > rk_tol
-    if out_of_domain and not allow_non_rk:
+    if rk_defect > rk_tol:
         raise NotRKError(rk_defect, rk_tol)
 
     S, Sp = 0.5 * (S + S.T), 0.5 * (Sp + Sp.T)
@@ -169,7 +163,6 @@ def rk_bochner(
             "scalar_sum_correction": c3,
             "scalar_difference_correction": c4,
         },
-        out_of_domain=out_of_domain,
     )
 
 

@@ -179,20 +179,14 @@ class ChartSpec:
     factors: tuple["ChartSpec", ...] = ()
 
     def __post_init__(self):
-        """Every model parameter is checked here, so algebraic models and
-        charts built from one spec accept exactly the same inputs."""
+        """Every model parameter is checked here, by its kind's row of ``_KINDS``,
+        so algebraic models and charts built from one spec accept the same inputs."""
         leaf = _KINDS.get(self.kind)
         if leaf is None and self.kind != "PRODUCT":
             raise ChartSpecError(f"unknown model kind {self.kind!r}")
-        takes = leaf.args if leaf else ()
-        if "m" in takes and (self.m is None or self.m < 1):
-            raise ChartSpecError(f"{self.kind} needs a complex dimension m >= 1")
-        if "c" in takes and not _finite(self.c) > 0:
-            raise ChartSpecError(f"{self.kind} needs a positive curvature parameter c")
-        if self.kind == "CP" and not _finite(self.mu) > 0:
-            raise ChartSpecError("CP needs a positive holomorphic curvature mu")
-        if self.kind == "CD" and not _finite(self.mu) < 0:
-            raise ChartSpecError("CD needs a negative holomorphic curvature mu")
+        for arg, (sign, needs) in (leaf.args if leaf else {}).items():
+            if not sign * _finite(getattr(self, arg)) > 0:
+                raise ChartSpecError(f"{self.kind} needs {needs}")
         if self.dim > MAX_DIM:
             raise ChartSpecError(
                 f"{self.label()} has real dimension {self.dim}; at most {MAX_DIM} is supported"
@@ -215,58 +209,68 @@ class ChartSpec:
 
 def _finite(v: float | None) -> float:
     """``v``, or NaN (which fails every comparison) when missing or infinite."""
-    return v if v is not None and np.isfinite(v) else np.nan
+    return v if v is not None and abs(v) < np.inf else np.nan
 
 
-_LEAF = re.compile(r"^(\w+)\s*\(\s*([^()]*)\s*\)$")
-_PRODUCT = re.compile(r"^PRODUCT\s*\((.*)\)$", re.IGNORECASE | re.DOTALL)
-
-
-def _depths(text: str) -> list[int]:
-    """The parenthesis depth after each character of ``text``."""
-    return list(accumulate((ch == "(") - (ch == ")") for ch in text))
+# The one number grammar of descriptors and of the CLI's numeric flags: ASCII digits,
+# no digit separators; an integer (no fraction or exponent follows) or a decimal float.
+_INTEGER, _DECIMAL = r"[+-]?\d+(?![\d.eE])", r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 
 
 def parse_model_spec(text: str) -> ChartSpec:
-    """Parse descriptors like ``CE(3)``, ``S6(1)``, ``CP(3,4)``, ``CD(1,-1)``,
-    ``PRODUCT(CD(1,-1),S6(1))`` (case-insensitive, nesting allowed), after one
-    check that the parentheses of the whole text balance."""
-    depths = [0, *_depths(text)]
+    """Parse descriptors like ``CE(3)``, ``S6(1)``, ``CP(3,4)``, ``CD(1,-1)`` and
+    ``PRODUCT(CD(1,-1),S6(1))`` by recursive descent, after one check that the
+    parentheses of the whole text balance.  Kind names are case-insensitive, m is
+    an integer and every other argument a decimal, and whitespace may separate tokens::
+
+        descriptor := KIND "(" [number {"," number}] ")"
+                    | "PRODUCT" "(" descriptor "," descriptor {"," descriptor} ")"
+    """
+    depths = [0, *accumulate((ch == "(") - (ch == ")") for ch in text)]
     if min(depths) < 0 or depths[-1]:
         raise ChartSpecError(f"unbalanced parentheses in model descriptor {text!r}")
-    return _parse(text)
+    pos, kinds = 0, [*_KINDS, "PRODUCT"]
 
+    def take(token: str, what: str = "") -> str | None:
+        """The ``token`` pattern after any whitespace, consumed, or None; given ``what``,
+        its absence is a fault that quotes the text and names the column."""
+        nonlocal pos
+        match = re.compile(rf"\s*({token})?", re.ASCII).match(text, pos)
+        pos = match.end()
+        if match[1] is None and what:
+            raise ChartSpecError(
+                f"bad model descriptor {text!r} at column {pos + 1}: expected {what}")
+        return match[1]
 
-def _parse(text: str) -> ChartSpec:
-    """:func:`parse_model_spec` on a text whose parentheses balance."""
-    s = text.strip()
-    if s.upper().startswith("PRODUCT"):
-        product = _PRODUCT.match(s)
-        if not product:
-            raise ChartSpecError(f"PRODUCT needs a parenthesized factor list: {text!r}")
-        inner = product.group(1)
-        cuts = [i for i, (ch, d) in enumerate(zip(inner, _depths(inner))) if ch == "," and d == 0]
-        parts = (inner[a + 1 : b] for a, b in zip([-1, *cuts], [*cuts, len(inner)]))
-        factors = tuple(_parse(p) for p in parts if p.strip())
-        if len(factors) < 2:
-            raise ChartSpecError(f"PRODUCT needs at least two factors: {text!r}")
-        return ChartSpec(kind="PRODUCT", factors=factors)
-    match = _LEAF.match(s)
-    kind = match.group(1).upper() if match else None
-    if kind not in _KINDS:
-        raise ChartSpecError(f"unknown model descriptor {text!r}")
-    names = _KINDS[kind].args
-    args = [a.strip() for a in match.group(2).split(",") if a.strip()]
-    if len(args) != len(names):
-        raise ChartSpecError(
-            f"bad arguments in model descriptor {text!r}: {kind}({', '.join(names)}) takes "
-            f"{len(names)} argument{'s' * (len(names) > 1)}, got {len(args)}"
-        )
-    try:
-        params = {a: int(v) if a == "m" else float(v) for a, v in zip(names, args)}
-    except ValueError as exc:
-        raise ChartSpecError(f"bad arguments in model descriptor {text!r}: {exc}") from exc
-    return ChartSpec(kind=kind, **params)
+    def descriptor() -> ChartSpec:
+        kind = take(rf"(?i:{'|'.join(kinds)})(?![A-Za-z0-9])",
+                    f"a model kind, one of {', '.join(kinds)}").upper()
+        names = [*_KINDS[kind].args] if kind in _KINDS else []
+        take(r"\(", "'('")
+        parts = []
+        while take(r"\)") is None:
+            if parts:
+                take(",", "',' or ')'")
+            if kind == "PRODUCT":
+                parts.append(descriptor())
+            elif names[len(parts) : len(parts) + 1] == ["m"]:  # the one integer argument
+                parts.append(take(_INTEGER, "an integer m"))
+            else:
+                parts.append(take(_DECIMAL, "a number"))
+        if kind == "PRODUCT":
+            if len(parts) < 2:
+                raise ChartSpecError(f"PRODUCT needs at least two factors: {text!r}")
+            return ChartSpec(kind, factors=tuple(parts))
+        if len(parts) != len(names):
+            raise ChartSpecError(
+                f"bad arguments in model descriptor {text!r}: {kind}({', '.join(names)}) "
+                f"takes {len(names)} argument{'s' * (len(names) > 1)}, got {len(parts)}"
+            )
+        return ChartSpec(kind, **{a: (int if a == "m" else float)(v) for a, v in zip(names, parts)})
+
+    spec = descriptor()
+    take(r"\Z", "the end of the descriptor")
+    return spec
 
 
 def make_chart(spec: ChartSpec | str) -> ChartModel:
@@ -375,18 +379,22 @@ def _csf_chart(spec: ChartSpec) -> ChartModel:
 
 
 class _Kind(NamedTuple):  # one leaf model kind
-    args: tuple[str, ...]  # its descriptor arguments in order: m an int, the others floats
+    args: dict[str, tuple[int, str]]  # in order, each with (its sign, its fault's words)
     chart: Callable[[ChartSpec], ChartModel]
     tensor: Callable[[ChartSpec, HermitianPoint], CurvTensor]  # exact curvature at a point
 
 
+_M = {"m": (1, "a complex dimension m >= 1")}  # m > 0 is m >= 1 for an integer m
 # the leaf kinds, in the order the CLI lists their bare names
 _KINDS = {
-    "CE": _Kind(("m",), _ce_chart, lambda spec, p: CurvTensor.zero(p.dim)),
-    "S6": _Kind(("c",), _s6_chart, lambda spec, p: space_form_tensor(p, spec.c)),
+    "CE": _Kind(_M, _ce_chart, lambda spec, p: CurvTensor.zero(p.dim)),
+    "S6": _Kind({"c": (1, "a positive curvature parameter c")}, _s6_chart,
+                lambda spec, p: space_form_tensor(p, spec.c)),
     # CP (mu > 0) and CD (mu < 0) share the chart and the constant-HSC tensor
-    "CP": _Kind(("m", "mu"), _csf_chart, lambda spec, p: complex_space_form_tensor(p, spec.mu)),
-    "CD": _Kind(("m", "mu"), _csf_chart, lambda spec, p: complex_space_form_tensor(p, spec.mu)),
+    "CP": _Kind({**_M, "mu": (1, "a positive holomorphic curvature mu")}, _csf_chart,
+                lambda spec, p: complex_space_form_tensor(p, spec.mu)),
+    "CD": _Kind({**_M, "mu": (-1, "a negative holomorphic curvature mu")}, _csf_chart,
+                lambda spec, p: complex_space_form_tensor(p, spec.mu)),
 }
 
 

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,6 +38,8 @@ from .charts import (
     make_chart,
     nk_identity_suite,
     parse_model_spec,
+    _DECIMAL,
+    _INTEGER,
     _KINDS,
 )
 from .curvature import PointValidationError, ricci_family, star
@@ -77,20 +80,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _seed(text: str) -> int:
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return int(text)
+def _flag(integer: bool, admits=lambda v: True, needs: str = "") -> Callable[[str], float]:
+    """The reader of a numeric flag: one number of the descriptor grammar (whitespace
+    around it allowed) that ``admits``; with no ``needs``, its error is argparse's own."""
+    cast = int if integer else float
+
+    def read(text: str) -> float:
+        match = re.fullmatch(rf"\s*({_INTEGER if integer else _DECIMAL})\s*", text, re.ASCII)
+        value = match and cast(match[1])
+        if value is None or not admits(value):
+            raise argparse.ArgumentTypeError(f"must be {needs}, got {text!r}" if needs
+                                             else f"invalid {cast.__name__} value: {text!r}")
+        return value
+    return read
 
 
-def _positive(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = np.nan
-    if not (np.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
-    return value
+_seed = _flag(True, lambda v: v >= 0, "a non-negative integer")
+_count = _flag(True, lambda v: v >= 1, "an integer >= 1")
+_positive = _flag(False, lambda v: 0 < v < np.inf, "finite and positive")
+_integer, _real = _flag(True), _flag(False)
 
 
 @functools.cache  # one parser per process; parsing leaves no state on it
@@ -126,16 +134,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tensor.add_argument("model",
                           help="model name (ce, s6, cp, cd) or descriptor like CP(3,4) "
                                "or PRODUCT(CD(1,-1),S6(1))")
-    p_tensor.add_argument("--m", type=int, default=None, help="complex dimension")
-    p_tensor.add_argument("--c", type=float, default=None, help="sectional curvature (s6)")
-    p_tensor.add_argument("--mu", type=float, default=None, help="holomorphic curvature (cp/cd)")
+    p_tensor.add_argument("--m", type=_integer, default=None, help="complex dimension")
+    p_tensor.add_argument("--c", type=_real, default=None, help="sectional curvature (s6)")
+    p_tensor.add_argument("--mu", type=_real, default=None, help="holomorphic curvature (cp/cd)")
     p_tensor.add_argument("--dump", metavar="PATH",
                           help="also write the bare tensor document to PATH")
 
     p_ident = sub.add_parser("identities", parents=[common],
                              help="finite-difference identity residuals on a chart")
     p_ident.add_argument("chart", help="chart descriptor, e.g. S6(1) or CP(3,4)")
-    p_ident.add_argument("--points", type=int, default=2, help="sampled points (default 2)")
+    p_ident.add_argument("--points", type=_count, default=2, help="sampled points (default 2)")
 
     p_scen = sub.add_parser("scenario", parents=[common], help="run one scenario")
     p_scen.add_argument("id", help="scenario id; one of: " + ", ".join(SCENARIO_IDS))
@@ -147,13 +155,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_scenario_params(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--m", type=int, default=ScenarioParams.m)
-    parser.add_argument("--k", type=int, default=ScenarioParams.k)
-    parser.add_argument("--c", type=float, default=ScenarioParams.c)
-    parser.add_argument("--mu", type=float, default=ScenarioParams.mu)
-    parser.add_argument("--samples", type=int, default=ScenarioParams.samples,
+    parser.add_argument("--m", type=_integer, default=ScenarioParams.m)
+    parser.add_argument("--k", type=_integer, default=ScenarioParams.k)
+    parser.add_argument("--c", type=_real, default=ScenarioParams.c)
+    parser.add_argument("--mu", type=_real, default=ScenarioParams.mu)
+    parser.add_argument("--samples", type=_count, default=ScenarioParams.samples,
                         help="antiholomorphic 4-frame samples (default %(default)s)")
-    parser.add_argument("--points", type=int, default=ScenarioParams.chart_points,
+    parser.add_argument("--points", type=_count, default=ScenarioParams.chart_points,
                         help="chart points per scenario (default %(default)s)")
 
 
@@ -196,10 +204,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     except DocumentFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PointValidationError as exc:
-        _say(args, f"invalid: {exc}")
-        return 1
-    except SymmetryError as exc:
+    except (PointValidationError, SymmetryError) as exc:
         _say(args, f"invalid: {exc}")
         return 1
     label = f" ({doc.label})" if doc.label else ""
@@ -216,19 +221,18 @@ def _tensor_spec(args: argparse.Namespace) -> ChartSpec:
             raise ChartSpecError("pass parameters either in the descriptor or as flags, not both")
         return parse_model_spec(name)
     kind = name.upper()
-    if kind not in _KINDS:
+    if kind not in _KINDS or not name.isascii():  # a long s upper-cases to S
         raise ChartSpecError(f"unknown model {name!r}; use one of "
                              f"{', '.join(k.lower() for k in _KINDS)} or a descriptor")
-    if kind == "S6" and given.pop("m", 3) != 3:  # S6 takes no m; --m 3 names its dimension
-        raise ChartSpecError("the six-sphere fixes dim 6 (m = 3)")
     takes = _KINDS[kind].args
+    if "m" not in takes and given.pop("m", 3) != 3:  # a kind without m is 6-dimensional
+        raise ChartSpecError(f"{name} fixes dim 6 (m = 3)")
     for flag in given:
         if flag not in takes:
             raise ChartSpecError(f"{name} takes no --{flag} flag; its flags are "
                                  + ", ".join("--" + a for a in takes))
-    defaults = {"m": ScenarioParams.m, "c": ScenarioParams.c,
-                "mu": -ScenarioParams.mu if kind == "CD" else ScenarioParams.mu}
-    return ChartSpec(kind, **{a: given.get(a, defaults[a]) for a in takes})
+    return ChartSpec(kind, **{a: given.get(a, sign * getattr(ScenarioParams, a))
+                              for a, (sign, _) in takes.items()})  # signed as the kind admits
 
 
 def _cmd_tensor(args: argparse.Namespace) -> int:
@@ -276,9 +280,6 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
 
 
 def _cmd_identities(args: argparse.Namespace) -> int:
-    if args.points < 1:
-        print(f"error: --points must be >= 1, got {args.points}", file=sys.stderr)
-        return 2
     chart = make_chart(args.chart)
     cfg = FDConfig(h=args.fd_step, richardson=not args.no_richardson)
     points = chart.sample_points(args.seed, args.points)
@@ -286,15 +287,8 @@ def _cmd_identities(args: argparse.Namespace) -> int:
     for x in points:
         for name, value in nk_identity_suite(chart, geometry_at(chart, x, cfg)).__dict__.items():
             residuals[name] = max(residuals.get(name, 0.0), value)
-    universal = {
-        "nk": args.tol_fd1,
-        "id_1_1": args.tol_fd2,
-        "id_1_2": args.tol_fd2,
-        "id_1_3": args.tol_fd2,
-        "id_1_4": args.tol_fd2,
-        "id_1_6": args.tol_fd2,
-        "id_1_7": args.tol_fd2,
-    }
+    universal = {"nk": args.tol_fd1, **dict.fromkeys(
+        ("id_1_1", "id_1_2", "id_1_3", "id_1_4", "id_1_6", "id_1_7"), args.tol_fd2)}
     failed = False
     for name in sorted(residuals):
         value = residuals[name]

@@ -82,6 +82,11 @@ class ToleranceConfig:
     tol_fd1: float = FDConfig.tol_fd1
     tol_fd2: float = FDConfig.tol_fd2
 
+    @property
+    def chart_sym_tol(self) -> float:
+        """The symmetry and RK gate of a finite-difference chart curvature's traces."""
+        return 10.0 * self.tol_fd1
+
 
 @dataclass(frozen=True)
 class ScenarioParams:
@@ -318,7 +323,7 @@ def _thm31_product(p: ScenarioParams, table: dict) -> list[CheckResult]:
                 "trace-free symmetrized tensor vanishes",
                 generalized_bochner(point, R).norm, tol.tol_alg),
     ]
-    sym_tol = 10.0 * tol.tol_fd1
+    sym_tol = tol.chart_sym_tol
     worst_b = worst_mixed = 0.0
     _, geometries = _chart_points(p, desc, p.chart_points, table)
     for geo in geometries:
@@ -366,7 +371,7 @@ def _thm31_counterexample(p: ScenarioParams, table: dict) -> list[CheckResult]:
 
 def _thm32_models(p: ScenarioParams, table: dict) -> list[CheckResult]:
     tol = p.tolerances
-    sym_tol = 10.0 * tol.tol_fd1
+    sym_tol = tol.chart_sym_tol
     descriptors = [
         f"CE({p.m})",
         f"CD({p.m},{-p.c!r})",
@@ -494,7 +499,7 @@ def _identities_cp(p: ScenarioParams, table: dict) -> list[CheckResult]:
         _vanish("chart_nabla_j", "the chart is Kahler: nabla J vanishes",
                 worst_dj, tol.tol_fd1)
     )
-    fam = ricci_family(geometries[0].point, geometries[0].R, sym_tol=10.0 * tol.tol_fd1)
+    fam = ricci_family(geometries[0].point, geometries[0].R, sym_tol=tol.chart_sym_tol)
     suite = _suite(p, desc, table)
     checks.extend([
         _vanish("chart_nk", "Kahler charts are nearly Kahler", suite.nk, tol.tol_fd1),

@@ -21,7 +21,6 @@ from bochnerkit.curvature import (
     complex_space_form_tensor,
     direct_sum,
     flat_point,
-    identity_defects,
     phi_psi,
     random_curvature_tensor,
     random_hermitian_point,
@@ -230,15 +229,6 @@ def test_b_refuses_non_rk_input():
     assert err.value.defect > 0.1
 
 
-def test_b_bypass_marks_out_of_domain():
-    point = flat_point(6)
-    R = random_curvature_tensor(6, 5)
-    out = rk_bochner(point, R, allow_non_rk=True)
-    assert out.out_of_domain
-    ok = rk_bochner(point, rk_project(point, R))
-    assert not ok.out_of_domain
-
-
 @given(a=st.floats(-3, 3), b=st.floats(-3, 3))
 @settings(max_examples=15, deadline=None)
 def test_b_linear_on_rk_tensors(a, b):
@@ -401,9 +391,10 @@ def _ref_generalized(point, R, sym_tol):
     return B, {"ricci_correction": c_ricci, "scalar_correction": c_scalar}
 
 
-def _ref_rk(point, R, sym_tol, rk_tol):
+def _ref_rk(point, R, sym_tol):
     """The five-term formula of ``rk_bochner``, term by term; the J-twisted
-    trace is symmetrized whatever its asymmetry, as ``allow_non_rk`` does."""
+    trace is symmetrized whatever its asymmetry, as ``rk_bochner`` does within
+    its ``rk_tol``."""
     m = point.m
     fam = ricci_family(point, R, sym_tol=np.inf)
     S, Sp = fam.S, fam.S_prime
@@ -427,7 +418,7 @@ def _ref_rk(point, R, sym_tol, rk_tol):
         "scalar_sum_correction": c3,
         "scalar_difference_correction": c4,
     }
-    return B, coefficients, identity_defects(point, R, sym_tol).rk > rk_tol
+    return B, coefficients
 
 
 def _ref_rhs_2_1(point, S_star, tau_star):
@@ -469,15 +460,14 @@ def _assert_folds_match(point, R, rk_input=True):
         ref, coefficients = _ref_generalized(point, R, tol)
         close(out.tensor, ref)
         assert out.coefficients_used == coefficients
-        assert out.out_of_domain is False
         close(rhs_2_1(point, fam.S_star, fam.tau_star),
               _ref_rhs_2_1(point, fam.S_star, fam.tau_star))
     if point.m > 2:
-        out = rk_bochner(point, R, sym_tol=tol, rk_tol=tol, allow_non_rk=not rk_input)
-        ref, coefficients, out_of_domain = _ref_rk(point, R, tol, tol)
+        # off the RK domain, an unbounded rk_tol lets the formula run
+        out = rk_bochner(point, R, sym_tol=tol, rk_tol=tol if rk_input else np.inf)
+        ref, coefficients = _ref_rk(point, R, tol)
         close(out.tensor, ref)
         assert out.coefficients_used == coefficients
-        assert out.out_of_domain == out_of_domain == (not rk_input)
         close(nk_flat_form_3_4(point, fam.S, fam.tau), _ref_flat_form(point, fam.S, fam.tau))
     pi1, pi2 = sigma_forms(point)
     for c in (1.0, -0.7, 2.5):
@@ -495,7 +485,8 @@ def test_folded_tensors_match_term_by_term_formulas(n, seed):
 
 
 def test_folded_rk_bochner_matches_off_domain():
-    """With ``allow_non_rk`` the folded form is still the five-term formula."""
+    """Off the RK domain (``rk_tol`` unbounded) the folded form is still the
+    five-term formula."""
     point = random_hermitian_point(8, 5)
     _assert_folds_match(point, random_curvature_tensor(8, 5), rk_input=False)
 

@@ -76,6 +76,8 @@ _BAD_DESCRIPTORS = {  # descriptor: the part of its error message that names the
     "PRODUCT(CE(1)),S6(1))": "unbalanced parentheses in model descriptor 'PRODUCT(CE(1)),S6(1))'",
     "S6(1,2)": "bad arguments in model descriptor 'S6(1,2)': S6(c) takes 1 argument, got 2",
     "CE(3,1)": "bad arguments in model descriptor 'CE(3,1)': CE(m) takes 1 argument, got 2",
+    "PRODUCT(CE(1),PRODUCT(CE(1)))": "PRODUCT needs at least two factors: "
+                                     "'PRODUCT(CE(1),PRODUCT(CE(1)))'",
 }
 
 
@@ -83,6 +85,49 @@ _BAD_DESCRIPTORS = {  # descriptor: the part of its error message that names the
 def test_make_chart_rejects_bad_parameters(bad):
     with pytest.raises(ChartSpecError, match=re.escape(_BAD_DESCRIPTORS[bad])):
         make_chart(bad)
+
+
+_KIND_NAMES = "a model kind, one of CE, S6, CP, CD, PRODUCT"
+_GRAMMAR_FAULTS = {  # descriptor: the 1-based column where reading stops, what it expected
+    "S6(1,)": (6, "a number"),
+    "CE(,1)": (4, "an integer m"),
+    "PRODUCT(CE(1),,S6(1))": (15, _KIND_NAMES),
+    "PRODUCT(,CE(1),S6(1))": (9, _KIND_NAMES),
+    "S6(1_0)": (5, "',' or ')'"),
+    "CE(\u0663)": (4, "an integer m"),  # an Arabic-Indic three
+    "S6(\u0661)": (4, "a number"),  # an Arabic-Indic one
+    "CP(3.0,1)": (4, "an integer m"),
+    "CE(1e1)": (4, "an integer m"),
+    "S6(nan)": (4, "a number"),
+    "S6(0x10)": (5, "',' or ')'"),
+    "S6( 1 2 )": (7, "',' or ')'"),
+    "TORUS(1)": (1, _KIND_NAMES),
+    "\u017f6(1)": (1, _KIND_NAMES),  # a long s, which upper-cases to S
+    "PRODUCTS(CE(1),CE(1))": (1, _KIND_NAMES),
+    "(CE(1))": (1, _KIND_NAMES),
+    "": (1, _KIND_NAMES),
+    "CE": (3, "'('"),
+    "CE(1)x": (6, "the end of the descriptor"),
+    "CE(1),CE(2)": (6, "the end of the descriptor"),
+}
+
+
+@pytest.mark.parametrize("bad", list(_GRAMMAR_FAULTS))
+def test_grammar_fault_quotes_the_descriptor_and_names_the_column(bad):
+    column, expected = _GRAMMAR_FAULTS[bad]
+    with pytest.raises(ChartSpecError) as err:
+        parse_model_spec(bad)
+    assert str(err.value) == f"bad model descriptor {bad!r} at column {column}: expected {expected}"
+
+
+@pytest.mark.parametrize("text, label", [
+    (" cp ( 3 , 1e2 ) ", "CP(3,100)"),
+    ("product(ce(+2),S6(.5))", "PRODUCT(CE(2),S6(0.5))"),
+    ("CD(03,-2.50E-1)", "CD(3,-0.25)"),
+    ("PRODUCT(\tS6(5.),\nCE(1))", "PRODUCT(S6(5),CE(1))"),
+])
+def test_grammar_admits_case_signs_exponents_and_whitespace(text, label):
+    assert parse_model_spec(text).label() == label
 
 
 @pytest.mark.parametrize("kind", list(charts._KINDS))

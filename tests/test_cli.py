@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bochnerkit
-from bochnerkit.charts import FDConfig
+from bochnerkit import charts
+from bochnerkit.charts import FDConfig, parse_model_spec
 from bochnerkit import cli
 from bochnerkit.cli import cli_dispatch
 
@@ -226,6 +227,7 @@ def test_identities_bad_chart(capsys):
     ["tensor", "ce", "--mu", "3"],
     ["tensor", "ce", "--c", "1"],
     ["tensor", "s6", "--mu", "5"],
+    ["tensor", "\u017f6"],  # a long s, which upper-cases to S
 ])
 def test_bad_model_input_exits_2_with_one_line(argv, tmp_path, capsys):
     if "{doc}" in argv:  # a valid document, so only the flag can be at fault
@@ -332,6 +334,118 @@ def test_tensor_descriptor_fuzz(desc):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# inputs the reader once let through: empty arguments and factors were dropped, and
+# numbers went through int()/float(), which read digit separators and non-ASCII digits
+_FOUND_DESCRIPTORS = {  # descriptor: the column its error line names
+    "S6(1,)": 6,
+    "CE(,1)": 4,
+    "PRODUCT(CE(1),,S6(1))": 15,
+    "PRODUCT(,CE(1),S6(1))": 9,
+    "S6(1_0)": 5,
+    "CE(\u0663)": 4,  # an Arabic-Indic three
+}
+_FOUND_FLAGS = [
+    ["tensor", "cp", "--m", "\u0663"],
+    ["all", "--m", "\u0663"],
+    ["tensor", "s6", "--c", "1_0"],
+    ["scenario", "thm21_forward", "--c", "1_0"],
+    ["identities", "CE(1)", "--points", "\u0662"],  # an Arabic-Indic two
+    ["all", "--samples", "1_0"],
+    ["identities", "CE(1)", "--points", "1", "--fd-step", "1_0"],
+]
+
+
+@pytest.mark.parametrize("argv", [["tensor", d] for d in _FOUND_DESCRIPTORS] + _FOUND_FLAGS)
+def test_found_inputs_exit_2_with_one_error_line(argv, capsys):
+    assert cli_dispatch([*argv, "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    if argv[1] in _FOUND_DESCRIPTORS:  # the whole descriptor, and where reading stopped
+        where = f"{argv[1]!r} at column {_FOUND_DESCRIPTORS[argv[1]]}: "
+        assert captured.err.startswith(f"error: bad model descriptor {where}")
+
+
+def test_points_and_samples_are_checked_by_their_flag(capsys):
+    for argv in (["identities", "CE(1)", "--points", "0"], ["all", "--samples", "-1"]):
+        assert cli_dispatch(argv) == 2
+        flag, value = argv[-2:]
+        assert capsys.readouterr().err == (f"error: argument {flag}: must be an integer >= 1, "
+                                           f"got {value!r} (see bochnerkit {argv[0]} --help)\n")
+
+
+def _spaced(texts: list[str], draw) -> str:
+    """``texts`` joined by commas, with whitespace drawn around each."""
+    space = st.sampled_from(["", " ", "  ", "\t"])
+    return ",".join(f"{draw(space)}{t}{draw(space)}" for t in texts)
+
+
+@st.composite
+def _grammar_descriptor(draw, max_dim: int = 12) -> str:
+    """A valid descriptor of real dimension at most ``max_dim`` (6 or more), drawn
+    from the grammar: one to three leaves, each argument in one of several
+    spellings, and a product when there are two or more."""
+    def leaf(room: int) -> tuple[str, int]:
+        kind = draw(st.sampled_from([k for k in charts._KINDS if k != "S6" or room >= 6]))
+        args, dim = [], 6
+        for name, (sign, _) in charts._KINDS[kind].args.items():
+            if name == "m":
+                m = draw(st.integers(1, min(3, room // 2)))
+                args.append(draw(st.sampled_from(["{}", "+{}", "0{}"])).format(m))
+                dim = 2 * m
+            else:
+                value = sign * draw(st.floats(0.01, 100.0))
+                args.append(draw(st.sampled_from(["{!r}", "{:g}", "{:e}", "{:E}"])).format(value))
+        name = draw(st.sampled_from([kind, kind.lower(), kind.capitalize()]))
+        return f"{name}({_spaced(args, draw)})", dim
+
+    count, room, texts = draw(st.integers(1, 3)), max_dim, []
+    for later in reversed(range(count)):  # keep 2 dimensions for each later factor
+        text, dim = leaf(room - 2 * later)
+        texts.append(text)
+        room -= dim
+    if count == 1:
+        return texts[0]
+    return f"{draw(st.sampled_from(['PRODUCT', 'product']))}({_spaced(texts, draw)})"
+
+
+_MUTANT_CHARS = st.sampled_from(list("(),. _+-eE0123456789CDEPS") + ["\u0663", "\u00a0"])
+
+
+def _dispatch(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli_dispatch(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=25, deadline=None)
+@given(_grammar_descriptor(), st.data())
+def test_grammar_draws_round_trip_and_their_mutants_fail_cleanly(desc, data):
+    """A label is a fixed point of the reader (labels print floats with :g, so the
+    spec need not be); one character deleted, replaced or inserted ends in the
+    bundle or in one error line, never a traceback."""
+    label = parse_model_spec(desc).label()
+    assert parse_model_spec(label).label() == label
+    i = data.draw(st.integers(0, len(desc)))
+    char = data.draw(_MUTANT_CHARS)
+    mutant = data.draw(st.sampled_from(
+        [desc[:i] + desc[i + 1:], desc[:i] + char + desc[i + 1:], desc[:i] + char + desc[i:]]))
+    code, err = _dispatch(["tensor", mutant, "--quiet"])
+    assert code in (0, 2) and "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@settings(max_examples=12, deadline=None)
+@given(_grammar_descriptor(max_dim=6))
+def test_identities_on_small_grammar_draws_never_trace_back(desc):
+    code, err = _dispatch(["identities", desc, "--points", "1", "--quiet"])
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_usage_error_exit_code():

@@ -94,6 +94,13 @@ def test_every_tolerance_is_validated_alike(name, value):
         run_scenario("thm21_forward", params)
 
 
+def test_chart_symmetry_gate_is_derived_not_a_field():
+    """One owner for the gate of a chart curvature's traces, outside every report."""
+    tol = ToleranceConfig(tol_fd1=2e-6)
+    assert tol.chart_sym_tol == 10.0 * 2e-6
+    assert list(dataclasses.asdict(tol)) == ["tol_alg", "tol_fd1", "tol_fd2"]
+
+
 def test_counterexample_statuses():
     report = run_scenario("thm31_counterexample", FAST)
     by_name = {c.name: c for c in report.checks}
