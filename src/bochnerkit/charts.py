@@ -3,8 +3,8 @@
 Each model space is realized as a single chart with closed-form metric and
 almost complex structure fields; connection, curvature, and the covariant
 derivatives of J and of the Ricci traces come from central finite differences
-(optionally Richardson-extrapolated to fourth order), except the innermost
-derivatives of the two fields, dg and dJ, which are complex steps.
+Richardson-extrapolated to fourth order, except the innermost derivatives of
+the two fields, dg and dJ, which are complex steps.
 
 The real levels are one stencil grid: ``geometry_at`` differentiates Gamma on
 the stencil of x, and the identity suite differentiates on the stencil of x
@@ -76,8 +76,7 @@ class MarginError(ValueError):
 
 
 class FDConfigError(ValueError):
-    """Finite-difference step that is not finite and positive, or that collapses
-    the stencil."""
+    """The finite-difference step collapses the stencil at the evaluation point."""
 
 
 class NotNearlyKahlerError(ValueError):
@@ -93,11 +92,11 @@ class NotNearlyKahlerError(ValueError):
 
 @dataclass(frozen=True)
 class FDConfig:
-    """Finite-difference step policy.
+    """The finite-difference step policy, constants the gates are calibrated for.
 
-    ``h`` is the step of the outer derivative levels, each extrapolated to
-    fourth order with ``richardson``; the innermost ones, dg in the Christoffel
-    symbols and dJ in nabla J, are complex steps of ``H_C``.
+    ``h`` is the step of the outer derivative levels, each Richardson-extrapolated
+    to fourth order from the central differences at h/2 and h; the innermost ones,
+    dg in the Christoffel symbols and dJ in nabla J, are complex steps of ``H_C``.
 
     No chart computation reads a tolerance: the gates belong to
     ``scenarios.ToleranceConfig`` and the CLI's ``--tol-*`` flags.  The class
@@ -107,14 +106,9 @@ class FDConfig:
     crossover for double precision.
     """
 
-    h: float = 1e-3
-    richardson: bool = True
+    h: ClassVar[float] = 1e-3
     tol_fd1: ClassVar[float] = 1e-6
     tol_fd2: ClassVar[float] = 1e-4
-
-    def __post_init__(self):
-        if not _finite(self.h) > 0:
-            raise FDConfigError(f"h must be finite and positive, got {self.h}")
 
 
 @dataclass(frozen=True)
@@ -414,32 +408,30 @@ def _model_tensor(spec: ChartSpec, point: HermitianPoint) -> CurvTensor:
 # finite differences
 # ---------------------------------------------------------------------------
 
-def _steps(cfg: FDConfig) -> tuple[float, ...]:
-    """The real finite-difference steps of ``cfg``: h/2 and h with Richardson, h without."""
-    return (cfg.h / 2, cfg.h) if cfg.richardson else (cfg.h,)
+def _steps() -> tuple[float, float]:
+    """The real finite-difference steps h/2 and h of :class:`FDConfig`."""
+    return FDConfig.h / 2, FDConfig.h
 
 
-def _stencil(X: np.ndarray, cfg: FDConfig) -> np.ndarray:
+def _stencil(X: np.ndarray) -> np.ndarray:
     """The stencil of the points ``X`` (..., n): for each step s and sign, the n
     points X +/- s e_i as one batch (..., n, n), stacked in the order +s, -s per step."""
     X, eye = X[..., None, :], np.eye(X.shape[-1])
-    return np.stack([Y for s in _steps(cfg) for Y in (X + s * eye, X - s * eye)])
+    return np.stack([Y for s in _steps() for Y in (X + s * eye, X - s * eye)])
 
 
-def _difference(values, cfg: FDConfig) -> tuple[np.ndarray, ...]:
+def _difference(values) -> tuple[np.ndarray, ...]:
     """Coordinate derivatives of each field in the tuples that the iterator
     ``values`` yields on the batches of :func:`_stencil`, in its order.
 
-    Per step s the central difference is (p - m) / (2s); with Richardson the
-    differences a at h/2 and b at h combine as (4a - b) / 3.  Each result has the
+    Per step s the central difference is (p - m) / (2s), and Richardson combines
+    the differences a at h/2 and b at h as (4a - b) / 3.  Each result has the
     shape of its field on one batch, so a field evaluated per point carries the
     derivative index right after the batch axes of the stencil's centres.
     """
     central = [[(p - m) / (2.0 * s) for p, m in zip(next(values), next(values))]
-               for s in _steps(cfg)]
-    if cfg.richardson:
-        return tuple((4.0 * a - b) / 3.0 for a, b in zip(*central))
-    return tuple(central[0])
+               for s in _steps()]
+    return tuple((4.0 * a - b) / 3.0 for a, b in zip(*central))
 
 
 def _complex_step(f, X):
@@ -521,7 +513,7 @@ def _curvature(g: np.ndarray, G: np.ndarray, dG: np.ndarray) -> np.ndarray:
     return A @ g[..., None, None, :, :]
 
 
-def _geometry(chart: ChartModel, C: np.ndarray, cfg: FDConfig, cap: int = 0):
+def _geometry(chart: ChartModel, C: np.ndarray, cap: int = 0):
     """Yield g, J, Gamma, nabla J and R at each batch ``C[b]`` of the centres ``C``
     (B, ..., n) in turn; no margin check.
 
@@ -542,11 +534,11 @@ def _geometry(chart: ChartModel, C: np.ndarray, cfg: FDConfig, cap: int = 0):
     cap = cap or n * n
     if chart.factors:
         spans = _spans([f.n for f in chart.factors])
-        parts = [_geometry(f, C[..., sl], cfg, cap) for f, sl in zip(chart.factors, spans)]
+        parts = [_geometry(f, C[..., sl], cap) for f, sl in zip(chart.factors, spans)]
         for blocks in zip(*parts):
             yield tuple(_block_diagonal(fields, C.ndim - 2) for fields in zip(*blocks))
         return
-    stencil = _stencil(C, cfg)
+    stencil = _stencil(C)
     points = np.concatenate([C.reshape(-1, n), stencil.reshape(-1, n)])
     _, first, index = np.unique(
         points.view(np.dtype((np.void, points.itemsize * n))).ravel(),
@@ -564,12 +556,12 @@ def _geometry(chart: ChartModel, C: np.ndarray, cfg: FDConfig, cap: int = 0):
         nJ = _covariant(G, J, _complex_step(chart.J_at, X), "ul")
         # neither dGamma nor R is bound here, so neither outlives its use
         gathers = ((table[k],) for k in around[:, b])
-        yield g[b], J, G, nJ, _curvature(g[b], G, _difference(gathers, cfg)[0][..., unpack])
+        yield g[b], J, G, nJ, _curvature(g[b], G, _difference(gathers)[0][..., unpack])
 
 
 @dataclass(frozen=True)
 class ChartGeometry:
-    """The finite-difference geometry at the chart point ``x``, evaluated with ``cfg``.
+    """The finite-difference geometry at the chart point ``x``.
 
     ``point`` holds g and J, ``R`` the covariant curvature (antisymmetric in its
     first pair exactly by construction), ``G`` the connection coefficients
@@ -578,29 +570,28 @@ class ChartGeometry:
     """
 
     x: np.ndarray
-    cfg: FDConfig
     point: HermitianPoint
     R: CurvTensor
     G: np.ndarray
     nJ: np.ndarray
 
 
-def geometry_at(chart: ChartModel, x: np.ndarray, cfg: FDConfig) -> ChartGeometry:
+def geometry_at(chart: ChartModel, x: np.ndarray) -> ChartGeometry:
     """The geometry at ``x`` from one :func:`_geometry` evaluation, after one
-    check of the 4h margin its stencil needs and one that its smallest offset
-    (h/2 with Richardson, h without) moves every coordinate of ``x``; the point
-    is validated and R checked finite."""
-    chart.require_margin(x, 4 * cfg.h)
-    step = _steps(cfg)[0]
+    check of the 4h margin its stencil needs and one that its smallest offset,
+    h/2, moves every coordinate of ``x``; the point is validated and R checked
+    finite."""
+    chart.require_margin(x, 4 * FDConfig.h)
+    step = _steps()[0]
     collapsed = np.flatnonzero(x + step == x - step)
     if collapsed.size:
         i = collapsed[0]
         raise FDConfigError(
-            f"step h = {cfg.h:g} collapses the stencil: x[{i}] +/- {step:g} both round "
+            f"step h = {FDConfig.h:g} collapses the stencil: x[{i}] +/- {step:g} both round "
             f"to x[{i}] = {x[i]:g}"
         )
-    ((g, J, G, nJ, R),) = _geometry(chart, x[None], cfg)
-    return ChartGeometry(x, cfg, validate_point(g, J), CurvTensor(chart.n, R), G, nJ)
+    ((g, J, G, nJ, R),) = _geometry(chart, x[None])
+    return ChartGeometry(x, validate_point(g, J), CurvTensor(chart.n, R), G, nJ)
 
 
 # ---------------------------------------------------------------------------
@@ -650,15 +641,15 @@ def nk_identity_suite(chart: ChartModel, geo: ChartGeometry) -> NKIdentityReport
     chart itself fails the nearly Kahler condition beyond ``NK_THRESHOLD`` the
     dependent checks are aborted with :class:`NotNearlyKahlerError`.  The values
     at x come from ``geo``.  The two real levels around x are one grid: one
-    :func:`_geometry` over the batches of the stencil of x, one per step and sign
-    of ``geo.cfg``, evaluates Gamma once per distinct point of their stencils.
+    :func:`_geometry` over the batches of the stencil of x, one per step and sign,
+    evaluates Gamma once per distinct point of their stencils.
     Each batch of (g, J) is validated in one pass, and a non-finite R on it
     raises :class:`NonFiniteError`.  One finite-difference pass differentiates
     the fields R, S, S - S', tau, tau - tau' and nabla J on those batches, each
     as it is.
     """
-    x, cfg, point, G, nJ = geo.x, geo.cfg, geo.point, geo.G, geo.nJ
-    chart.require_margin(x, 6 * cfg.h)
+    x, point, G, nJ = geo.x, geo.point, geo.G, geo.nJ
+    chart.require_margin(x, 6 * FDConfig.h)
     g, gi, J, A = point.g_mat, point.g_inv, point.J, geo.R.components
 
     def fields(geometry: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
@@ -679,8 +670,8 @@ def nk_identity_suite(chart: ChartModel, geo: ChartGeometry) -> NKIdentityReport
     S, Sp, tau, tau_p, P = _traces(gi, J, A)
     # g((nabla_a J) e_b, (nabla_c J) e_d) = (nabla_a J)^p_b (nabla_c J)_{pd}
     id_1_1 = _norm(gi, A - P + np.tensordot(nJ, nJ_low, axes=(1, 1)))
-    geometries = _geometry(chart, _stencil(x, cfg), cfg)
-    dR, dS, dD, d_tau, d_tau_diff, dnJ = _difference(map(fields, geometries), cfg)
+    geometries = _geometry(chart, _stencil(x))
+    dR, dS, dD, d_tau, d_tau_diff, dnJ = _difference(map(fields, geometries))
 
     lhs_1_2 = 2.0 * np.einsum("abpc,pd->abcd", _covariant(G, nJ, dnJ, "lul"), g)
     RJ2 = _rotate(A, J, 1)  # R(X,JY,Z,U)

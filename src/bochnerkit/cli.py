@@ -30,7 +30,6 @@ from .bochner import DimensionTooSmallError, NotRKError, generalized_bochner, rk
 from .charts import (
     ChartSpec,
     ChartSpecError,
-    FDConfig,
     FDConfigError,
     MarginError,
     NotNearlyKahlerError,
@@ -72,11 +71,17 @@ _STATUS_TAG = {
 }
 
 
+def _write(line: str, stream=None) -> None:
+    """Print one line to ``stream`` (stdout unless given) with every non-ASCII
+    character backslash-escaped, so all output is plain ASCII."""
+    print(line.encode("ascii", "backslashreplace").decode("ascii"), file=stream or sys.stdout)
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one ``error:`` line, like every other bad input."""
 
     def error(self, message: str):
-        print(f"error: {message} (see {self.prog} --help)", file=sys.stderr)
+        _write(f"error: {message} (see {self.prog} --help)", sys.stderr)
         raise SystemExit(2)
 
 
@@ -110,10 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="tolerance for first-derivative identities (default %(default)g)")
     common.add_argument("--tol-fd2", type=_positive, default=ToleranceConfig.tol_fd2,
                         help="tolerance for second-derivative identities (default %(default)g)")
-    common.add_argument("--fd-step", type=_positive, default=ScenarioParams.h,
-                        help="finite-difference step (default %(default)g)")
-    common.add_argument("--no-richardson", action="store_true",
-                        help="disable Richardson extrapolation of first derivatives")
     common.add_argument("--seed", type=_seed, default=0,
                         help="non-negative seed for all sampling")
     common.add_argument("--json", metavar="PATH", help="write the JSON report to PATH")
@@ -168,8 +169,7 @@ def _add_scenario_params(parser: argparse.ArgumentParser) -> None:
 def _scenario_params(args: argparse.Namespace) -> ScenarioParams:
     return ScenarioParams(
         m=args.m, k=args.k, c=args.c, mu=args.mu,
-        seed=args.seed, h=args.fd_step, richardson=not args.no_richardson,
-        samples=args.samples, chart_points=args.points,
+        seed=args.seed, samples=args.samples, chart_points=args.points,
         tolerances=ToleranceConfig(
             tol_alg=args.tol_alg, tol_fd1=args.tol_fd1, tol_fd2=args.tol_fd2
         ),
@@ -178,7 +178,7 @@ def _scenario_params(args: argparse.Namespace) -> ScenarioParams:
 
 def _say(args: argparse.Namespace, line: str) -> None:
     if not args.quiet:
-        print(line)
+        _write(line)
 
 
 def _write_json(args: argparse.Namespace, payload: dict) -> None:
@@ -199,10 +199,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     try:
         doc = load_tensor(args.file, tol=args.tol_alg)
     except FileNotFoundError:
-        print(f"error: no such file: {args.file}", file=sys.stderr)
+        _write(f"error: no such file: {args.file}", sys.stderr)
         return 2
     except DocumentFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write(f"error: {exc}", sys.stderr)
         return 2
     except (PointValidationError, SymmetryError) as exc:
         _say(args, f"invalid: {exc}")
@@ -272,7 +272,7 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
         bundle["rk_bochner"] = None
         bundle["rk_bochner_status"] = str(exc)
     if not args.quiet and not args.json:
-        print(canonical_json(bundle))
+        _write(canonical_json(bundle))
     _write_json(args, bundle)
     if args.dump:
         dump_tensor(doc, args.dump)
@@ -281,11 +281,10 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
 
 def _cmd_identities(args: argparse.Namespace) -> int:
     chart = make_chart(args.chart)
-    cfg = FDConfig(h=args.fd_step, richardson=not args.no_richardson)
     points = chart.sample_points(args.seed, args.points)
     residuals: dict[str, float] = {}
     for x in points:
-        for name, value in nk_identity_suite(chart, geometry_at(chart, x, cfg)).__dict__.items():
+        for name, value in nk_identity_suite(chart, geometry_at(chart, x)).__dict__.items():
             residuals[name] = max(residuals.get(name, 0.0), value)
     universal = {"nk": args.tol_fd1, **dict.fromkeys(
         ("id_1_1", "id_1_2", "id_1_3", "id_1_4", "id_1_6", "id_1_7"), args.tol_fd2)}
@@ -325,7 +324,7 @@ def _cmd_all(args: argparse.Namespace) -> int:
     ok = all(r.passed for r in reports)
     _say(args, f"suite: {'pass' if ok else 'FAIL'} ({len(reports)} scenarios)")
     _write_json(args, {
-        "schema_version": 1,
+        "schema_version": 2,
         "reports": [r.to_dict() for r in reports],
         "status": "pass" if ok else "fail",
     })
@@ -356,10 +355,10 @@ def cli_dispatch(argv: Sequence[str]) -> int:
             ScenarioParamError, UnknownScenarioError, DocumentFormatError,
             PointValidationError, SymmetryError, DimensionTooSmallError,
             NonFiniteError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write(f"error: {exc}", sys.stderr)
         return 2
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"error: numerical failure in the model: {exc}", file=sys.stderr)
+        _write(f"error: numerical failure in the model: {exc}", sys.stderr)
         return 2
 
 

@@ -97,14 +97,9 @@ class ScenarioParams:
     c: float = 1.0
     mu: float = 1.0
     seed: int = 0
-    h: float = FDConfig.h
-    richardson: bool = True
     samples: int = 512
     chart_points: int = 2
     tolerances: ToleranceConfig = field(default_factory=ToleranceConfig)
-
-    def fd_config(self) -> FDConfig:
-        return FDConfig(h=self.h, richardson=self.richardson)
 
     def validate(self) -> None:
         if not (2 <= self.m <= 6):
@@ -115,7 +110,7 @@ class ScenarioParams:
             raise ScenarioParamError("curvature scales c and mu must be finite and positive")
         if self.samples < 1 or self.chart_points < 1:
             raise ScenarioParamError("samples and chart_points must be >= 1")
-        for name, value in (("h", self.h), *asdict(self.tolerances).items()):
+        for name, value in asdict(self.tolerances).items():
             if not 0 < value < np.inf:  # NaN fails too
                 raise ScenarioParamError(f"{name} must be finite and positive, got {value}")
 
@@ -144,7 +139,7 @@ class ScenarioReport:
 
     def to_dict(self, include_timing: bool = False) -> dict:
         out = {
-            "schema_version": 1,
+            "schema_version": 2,
             "scenario": self.scenario,
             "parameters": self.parameters,
             "checks": [asdict(c) for c in self.checks],
@@ -433,7 +428,7 @@ def _chart_points(p: ScenarioParams, desc: str, count: int, table: dict) -> tupl
     chart = make_chart(desc)
     for i, x in enumerate(chart.sample_points(p.seed, count)):
         if (desc, i) not in table:
-            table[desc, i] = geometry_at(chart, x, p.fd_config())
+            table[desc, i] = geometry_at(chart, x)
     return chart, [table[desc, i] for i in range(count)]
 
 

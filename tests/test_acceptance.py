@@ -142,11 +142,10 @@ def test_criterion_4_scalar_identities_on_sphere():
 
 def test_criterion_5_chart_level_geometry():
     start = time.perf_counter()
-    cfg = FDConfig()
     chart = make_chart("S6(1)")
     worst_rel = 0.0
     for x in chart.sample_points(7, 5):
-        geo = geometry_at(chart, x, cfg)
+        geo = geometry_at(chart, x)
         point, R = geo.point, geo.R
         target = space_form_tensor(point, 1.0)
         worst_rel = max(
@@ -154,7 +153,7 @@ def test_criterion_5_chart_level_geometry():
         )
     assert worst_rel < TOL_FD2
 
-    geo = geometry_at(chart, chart.sample_points(7, 1)[0], cfg)
+    geo = geometry_at(chart, chart.sample_points(7, 1)[0])
     g, nJ = geo.point.g_mat, geo.nJ
     rng = np.random.default_rng(7)
     nk_defect, off_diag = 0.0, 0.0
@@ -180,14 +179,14 @@ def test_criterion_5_chart_level_geometry():
     cp = make_chart("CP(3,4)")
     worst_cp = 0.0
     for x in cp.sample_points(7, 2):
-        geo = geometry_at(cp, x, cfg)
+        geo = geometry_at(cp, x)
         point, R = geo.point, geo.R
         target = complex_space_form_tensor(point, 4.0)
         worst_cp = max(
             worst_cp, invariant_norm(point, R - target) / invariant_norm(point, target)
         )
     assert worst_cp < TOL_FD2
-    nJ_cp = geometry_at(cp, cp.sample_points(7, 1)[0], cfg).nJ
+    nJ_cp = geometry_at(cp, cp.sample_points(7, 1)[0]).nJ
     assert np.max(np.abs(nJ_cp)) < TOL_FD1
 
     elapsed = time.perf_counter() - start
@@ -202,7 +201,6 @@ def test_criterion_5_chart_level_geometry():
 
 
 def test_criterion_6_model_sweep():
-    cfg = FDConfig()
     descriptors = [
         "CE(3)", "CD(3,-1)", "CP(3,1)", "S6(1)",
         "PRODUCT(CD(1,-1),S6(1))", "PRODUCT(CD(1,-1),CP(2,1))",
@@ -215,7 +213,7 @@ def test_criterion_6_model_sweep():
         worst_alg = max(worst_alg, rk_bochner(point, R).norm)
         chart = make_chart(desc)
         x = chart.sample_points(7, 1)[0]
-        geo = geometry_at(chart, x, cfg)
+        geo = geometry_at(chart, x)
         fd_point, fd_R = geo.point, geo.R
         worst_chart = max(
             worst_chart,
@@ -230,7 +228,7 @@ def test_criterion_6_model_sweep():
     )
 
 
-def test_criterion_7_reconstruction_and_convergence():
+def test_criterion_7_reconstruction_and_convergence(monkeypatch):
     point = flat_point(6)
     worst = 0.0
     for seed in range(20):
@@ -247,10 +245,12 @@ def test_criterion_7_reconstruction_and_convergence():
 
     chart = make_chart("S6(1)")
     x = chart.sample_points(7, 1)[0]
-    coarse = nk_identity_suite(chart, geometry_at(chart, x, FDConfig(h=2e-3, richardson=False)))
-    fine = nk_identity_suite(chart, geometry_at(chart, x, FDConfig(h=1e-3, richardson=False)))
-    ratio = coarse.id_1_1 / fine.id_1_1
-    assert ratio >= 3.0
+    residuals = []
+    for h in (2e-3, 1e-3):
+        monkeypatch.setattr(FDConfig, "h", h)
+        residuals.append(nk_identity_suite(chart, geometry_at(chart, x)).id_1_1)
+    ratio = residuals[0] / residuals[1]
+    assert ratio >= 12.0  # fourth order: 16 in exact arithmetic
     _report(
         "criterion 7",
         f"reconstruction residual {worst:.2e} over 20 tensors; "

@@ -39,9 +39,6 @@ from bochnerkit.multilinear import (
     invariant_norm,
 )
 
-CFG = FDConfig()
-
-
 # ---------------------------------------------------------------------------
 # descriptors
 # ---------------------------------------------------------------------------
@@ -224,7 +221,7 @@ def test_curvature_makes_a_fixed_number_of_metric_calls():
     counts = {}
     for desc in ("S6(1)", "CP(5,1)", "CE(1)"):
         chart, count = _counted_metric(make_chart(desc))
-        geometry_at(chart, chart.sample_points(3, 1)[0], CFG)
+        geometry_at(chart, chart.sample_points(3, 1)[0])
         counts[desc] = count
     # Gamma at x and its 4n stencil points: 4n + 1 <= n^2 points for n >= 5,
     # one call of g and one of the complex step.  Lowering R and validating the
@@ -242,7 +239,7 @@ def test_curvature_makes_a_fixed_number_of_metric_calls():
 def test_suite_metric_calls_stay_batched():
     chart, count = _counted_metric(make_chart("CP(5,1)"))
     x = chart.sample_points(3, 1)[0]
-    geo = geometry_at(chart, x, CFG)
+    geo = geometry_at(chart, x)
     # one geometry evaluation at x, then the suite's one over its 4 batches (2
     # steps x 2 signs on the n stencil points), each validated from the g and J
     # it read:
@@ -258,7 +255,7 @@ def test_suite_metric_calls_stay_batched():
     # validated alone, 125 (68,921 points) while Gamma took real differences
     # of g, 25 J calls while dJ took real differences
     assert (count["calls"], count["J_calls"], count["points"]) == (2, 2, 451)
-    assert _grid_size(x, CFG) == 801
+    assert _grid_size(x) == 801
     nk_identity_suite(chart, geo)
     assert (count["calls"], count["J_calls"], count["points"]) == (36, 10, 9262)
 
@@ -272,7 +269,7 @@ def test_derivative_evaluators_make_fixed_call_counts(desc):
     (The nabla^2 J of the deleted j_derivatives_at, which no check read, cost
     8 metric and 20 J calls more.)"""
     chart, count = _counted_metric(make_chart(desc))
-    geometry_at(chart, chart.sample_points(3, 1)[0], CFG)
+    geometry_at(chart, chart.sample_points(3, 1)[0])
     assert (count["calls"], count["J_calls"]) == (2, 2)
 
 
@@ -282,7 +279,7 @@ def test_derivative_evaluators_make_fixed_call_counts(desc):
 
 def test_ce_chart_is_flat():
     chart = make_chart("CE(3)")
-    geo = geometry_at(chart, chart.sample_points(0, 1)[0], CFG)
+    geo = geometry_at(chart, chart.sample_points(0, 1)[0])
     assert np.max(np.abs(geo.G)) == 0.0
     assert geo.R.max_abs() == 0.0
     assert np.max(np.abs(geo.nJ)) == 0.0
@@ -309,14 +306,14 @@ def test_s6_chart_point_validity():
 def test_s6_christoffel_vanishes_at_origin():
     """The conformal factor has zero gradient at the chart origin."""
     chart = make_chart("S6(1)")
-    G = geometry_at(chart, np.zeros(6), CFG).G
+    G = geometry_at(chart, np.zeros(6)).G
     assert np.max(np.abs(G)) < 1e-10
 
 
 def test_christoffel_symmetric_lower_indices():
     chart = make_chart("S6(1.7)")
     x = chart.sample_points(1, 1)[0]
-    G = geometry_at(chart, x, CFG).G
+    G = geometry_at(chart, x).G
     assert np.array_equal(G, G.transpose(0, 2, 1))
 
 
@@ -339,7 +336,7 @@ _PINNED_CHARTS = ["S6(1)", "CP(5,1)", "PRODUCT(CD(2,-1),S6(1))"]
 @pytest.mark.parametrize("desc", _PINNED_CHARTS)
 def test_curvature_antisymmetric_in_first_pair_exactly(desc):
     chart = make_chart(desc)
-    R = geometry_at(chart, chart.sample_points(3, 1)[0], CFG).R.components
+    R = geometry_at(chart, chart.sample_points(3, 1)[0]).R.components
     assert np.array_equal(R, -R.transpose(1, 0, 2, 3))
 
 
@@ -365,11 +362,11 @@ def _einsum_covariant(G, T, dT, variance):
     return out
 
 
-def _einsum_geometry(chart, X, cfg):
+def _einsum_geometry(chart, X):
     """nabla J and R at the points ``X``."""
     g, G = _einsum_christoffel(chart, X)
-    gammas = (_einsum_christoffel(chart, Y)[1:] for Y in charts._stencil(X, cfg))
-    (dG,) = charts._difference(gammas, cfg)
+    gammas = (_einsum_christoffel(chart, Y)[1:] for Y in charts._stencil(X))
+    (dG,) = charts._difference(gammas)
     R_up = (
         np.einsum("...iqjk->...ijkq", dG)
         - np.einsum("...jqik->...ijkq", dG)
@@ -397,8 +394,8 @@ def test_matmul_contractions_match_their_einsum_forms(desc, batch):
     assert np.array_equal(g, g_ref)
     _assert_close(G, G_ref)
 
-    ((_, _, _, nJ, R),) = charts._geometry(chart, X[None], CFG)
-    nJ_ref, R_ref = _einsum_geometry(chart, X, CFG)
+    ((_, _, _, nJ, R),) = charts._geometry(chart, X[None])
+    nJ_ref, R_ref = _einsum_geometry(chart, X)
     # on the Kahler CP(5,1) nabla J vanishes and both forms read rounding, so
     # it is measured against the size of its Gamma J terms
     _assert_close(nJ, nJ_ref, np.max(np.abs(G_ref)) * np.max(np.abs(chart.J_at(X))))
@@ -416,22 +413,22 @@ def test_matmul_contractions_match_their_einsum_forms(desc, batch):
 def test_s6_curvature_matches_constant_curvature_model(c):
     chart = make_chart(f"S6({c})")
     for x in chart.sample_points(5, 3):
-        geo = geometry_at(chart, x, CFG)
+        geo = geometry_at(chart, x)
         point, R = geo.point, geo.R
         target = space_form_tensor(point, c)
         rel = invariant_norm(point, R - target) / invariant_norm(point, target)
-        assert rel < CFG.tol_fd2
-        assert curvature_symmetry_defects(R).max() < CFG.tol_fd2
+        assert rel < FDConfig.tol_fd2
+        assert curvature_symmetry_defects(R).max() < FDConfig.tol_fd2
 
 
 def test_s6_curvature_is_rk_and_star_related():
     chart = make_chart("S6(1)")
     x = chart.sample_points(7, 1)[0]
-    geo = geometry_at(chart, x, CFG)
+    geo = geometry_at(chart, x)
     point, R = geo.point, geo.R
-    d = identity_defects(point, R, sym_tol=CFG.tol_fd2)
-    assert d.rk < CFG.tol_fd2
-    assert d.star_relation < CFG.tol_fd2
+    d = identity_defects(point, R, sym_tol=FDConfig.tol_fd2)
+    assert d.rk < FDConfig.tol_fd2
+    assert d.star_relation < FDConfig.tol_fd2
 
 
 def test_s6_nearly_kahler_not_kahler():
@@ -439,7 +436,7 @@ def test_s6_nearly_kahler_not_kahler():
     x = chart.sample_points(9, 1)[0]
     point = validate_point(chart.metric_at(x), chart.J_at(x))
     g = point.g_mat
-    nJ = geometry_at(chart, x, CFG).nJ
+    nJ = geometry_at(chart, x).nJ
     rng = np.random.default_rng(0)
     worst_xx, worst_xy = 0.0, 0.0
     for _ in range(32):
@@ -450,7 +447,7 @@ def test_s6_nearly_kahler_not_kahler():
         vxy = np.einsum("akj,a,j->k", nJ, X, Y)
         worst_xx = max(worst_xx, float(np.sqrt(vxx @ g @ vxx)))
         worst_xy = max(worst_xy, float(np.sqrt(vxy @ g @ vxy)))
-    assert worst_xx < CFG.tol_fd1
+    assert worst_xx < FDConfig.tol_fd1
     assert worst_xy > 0.1  # scale sqrt(c) with c = 1
 
 
@@ -459,23 +456,23 @@ def test_s6_nabla_j_pairing_antisymmetric():
     chart = make_chart("S6(1)")
     x = chart.sample_points(29, 1)[0]
     point = validate_point(chart.metric_at(x), chart.J_at(x))
-    nJ = geometry_at(chart, x, CFG).nJ
+    nJ = geometry_at(chart, x).nJ
     pairing = np.einsum("apb,pc->abc", nJ, point.g_mat)
-    assert np.max(np.abs(pairing + pairing.transpose(0, 2, 1))) < CFG.tol_fd1
+    assert np.max(np.abs(pairing + pairing.transpose(0, 2, 1))) < FDConfig.tol_fd1
 
 
 def test_s6_ricci_difference_from_nabla_j():
     """(S - S')(X, X) equals the frame sum of |(nabla_X J) E_i|^2."""
     chart = make_chart("S6(1)")
     x = chart.sample_points(11, 1)[0]
-    geo = geometry_at(chart, x, CFG)
+    geo = geometry_at(chart, x)
     point, R, nJ = geo.point, geo.R, geo.nJ
     g, gi = point.g_mat, point.g_inv
     S = np.einsum("bc,abcd->ad", gi, R.components)
     Sp = np.einsum("bc,pc,ql,abpq->al", gi, point.J, point.J, R.components)
     # sum_i g((nabla_X J) E_i, (nabla_Y J) E_i) as a metric contraction
     pairing = np.einsum("apb,pq,cqd,bd->ac", nJ, g, nJ, gi)
-    assert np.max(np.abs((S - Sp) - pairing)) < CFG.tol_fd1
+    assert np.max(np.abs((S - Sp) - pairing)) < FDConfig.tol_fd1
 
 
 # ---------------------------------------------------------------------------
@@ -486,19 +483,19 @@ def test_s6_ricci_difference_from_nabla_j():
 def test_complex_space_form_charts(desc, mu):
     chart = make_chart(desc)
     for x in chart.sample_points(13, 2):
-        geo = geometry_at(chart, x, CFG)
+        geo = geometry_at(chart, x)
         point, R = geo.point, geo.R
         target = complex_space_form_tensor(point, mu)
         rel = invariant_norm(point, R - target) / invariant_norm(point, target)
-        assert rel < CFG.tol_fd2
+        assert rel < FDConfig.tol_fd2
 
 
 @pytest.mark.parametrize("desc", ["CP(2,4)", "CD(1,-2)"])
 def test_kahler_charts_have_parallel_j(desc):
     chart = make_chart(desc)
     x = chart.sample_points(15, 1)[0]
-    nJ = geometry_at(chart, x, CFG).nJ
-    assert np.max(np.abs(nJ)) < CFG.tol_fd1
+    nJ = geometry_at(chart, x).nJ
+    assert np.max(np.abs(nJ)) < FDConfig.tol_fd1
 
 
 # ---------------------------------------------------------------------------
@@ -509,12 +506,12 @@ def test_product_chart_mixed_curvature_vanishes():
     chart = make_chart("PRODUCT(CD(1,-1),S6(1))")
     assert chart.n == 8
     x = chart.sample_points(17, 1)[0]
-    geo = geometry_at(chart, x, CFG)
+    geo = geometry_at(chart, x)
     point, R = geo.point, geo.R
     A = np.array(R.components)
     A[:2, :2, :2, :2] = 0.0
     A[2:, 2:, 2:, 2:] = 0.0
-    assert np.max(np.abs(A)) < CFG.tol_fd1
+    assert np.max(np.abs(A)) < FDConfig.tol_fd1
 
 
 def test_product_sampler_respects_factor_margins():
@@ -528,7 +525,7 @@ def test_margin_error_near_ball_boundary():
     chart = make_chart("CD(1,-1)")
     x = np.array([0.999, 0.0])
     with pytest.raises(MarginError):
-        geometry_at(chart, x, CFG)
+        geometry_at(chart, x)
 
 
 # ---------------------------------------------------------------------------
@@ -538,20 +535,20 @@ def test_margin_error_near_ball_boundary():
 def test_nk_suite_on_s6():
     chart = make_chart("S6(1)")
     x = chart.sample_points(21, 1)[0]
-    rep = nk_identity_suite(chart, geometry_at(chart, x, CFG))
-    assert rep.nk < CFG.tol_fd1
+    rep = nk_identity_suite(chart, geometry_at(chart, x))
+    assert rep.nk < FDConfig.tol_fd1
     for value in (rep.id_1_1, rep.id_1_2, rep.id_1_3, rep.id_1_5, rep.id_3_2, rep.id_3_3):
-        assert value < CFG.tol_fd2
+        assert value < FDConfig.tol_fd2
 
 
 def test_nk_suite_on_cp_kahler():
     chart = make_chart("CP(3,4)")
     x = chart.sample_points(23, 1)[0]
-    rep = nk_identity_suite(chart, geometry_at(chart, x, CFG))
-    assert rep.nk < CFG.tol_fd1
-    assert rep.id_1_1 < CFG.tol_fd2  # both sides vanish
-    assert rep.id_1_2 < CFG.tol_fd2
-    assert rep.id_3_2 < CFG.tol_fd2
+    rep = nk_identity_suite(chart, geometry_at(chart, x))
+    assert rep.nk < FDConfig.tol_fd1
+    assert rep.id_1_1 < FDConfig.tol_fd2  # both sides vanish
+    assert rep.id_1_2 < FDConfig.tol_fd2
+    assert rep.id_3_2 < FDConfig.tol_fd2
     # tau = 5 tau' fails on a Kahler model: tau = tau' = mu m (m+1) = 48
     assert rep.id_3_3 == pytest.approx(4 * 48.0, rel=1e-6)
 
@@ -570,7 +567,7 @@ def test_nk_suite_rejects_non_nearly_kahler_chart():
     )
     x = np.array([0.3, 0.2, -0.1, 0.4])
     with pytest.raises(NotNearlyKahlerError) as err:
-        nk_identity_suite(chart, geometry_at(chart, x, CFG))
+        nk_identity_suite(chart, geometry_at(chart, x))
     assert err.value.defect > 0.1
 
 
@@ -578,41 +575,38 @@ def test_nk_suite_rejects_non_nearly_kahler_chart():
 def test_bianchi_suite(desc):
     chart = make_chart(desc)
     x = chart.sample_points(25, 1)[0]
-    rep = nk_identity_suite(chart, geometry_at(chart, x, CFG))
-    assert rep.id_1_4 < CFG.tol_fd2
-    assert rep.id_1_6 < CFG.tol_fd2
-    assert rep.id_1_7 < CFG.tol_fd2
+    rep = nk_identity_suite(chart, geometry_at(chart, x))
+    assert rep.id_1_4 < FDConfig.tol_fd2
+    assert rep.id_1_6 < FDConfig.tol_fd2
+    assert rep.id_1_7 < FDConfig.tol_fd2
 
 
-@pytest.mark.parametrize("richardson", [True, False])
 @pytest.mark.parametrize("seed", [0, 5, 11])
-def test_pointwise_identities_from_curvature_match_the_suite(seed, richardson):
+def test_pointwise_identities_from_curvature_match_the_suite(seed):
     """id_1_5, id_3_2 and id_3_3 read from the point and R of a geometry are
     the suite's, bit for bit: the suite evaluates them from the g, J and R at x
     that its geometry holds."""
     chart = make_chart("PRODUCT(CD(1,-1),S6(1))")
-    cfg = FDConfig(richardson=richardson)
-    geo = geometry_at(chart, chart.sample_points(seed, 1)[0], cfg)
+    geo = geometry_at(chart, chart.sample_points(seed, 1)[0])
     suite = nk_identity_suite(chart, geo)
     point, R = geo.point, geo.R
     pointwise = _ricci_identities(point, *_traces(point.g_inv, point.J, R.components)[:4])
     assert pointwise == (suite.id_1_5, suite.id_3_2, suite.id_3_3)
 
 
-@pytest.mark.parametrize("richardson, stencil", [(True, 4), (False, 2)])
-def test_suite_evaluates_curvature_once_per_stencil_point(monkeypatch, richardson, stencil):
+def test_suite_evaluates_curvature_once_per_stencil_point(monkeypatch):
     """One geometry evaluation yields the geometry once per step and sign on
-    the n stencil points around x (two steps with Richardson), no more; the
+    the n stencil points around x, two steps and so four batches, no more; the
     values at x, Gamma among them, come from its geometry, so x is no centre."""
-    chart, cfg = make_chart("S6(1)"), FDConfig(richardson=richardson)
+    chart = make_chart("S6(1)")
     x = chart.sample_points(25, 1)[0]
-    geo = geometry_at(chart, x, cfg)
+    geo = geometry_at(chart, x)
     centres, batches, gamma_at_x = [], [], []
     geometry, christoffel = charts._geometry, charts._christoffel
 
-    def counted(chart, C, cfg):
+    def counted(chart, C):
         centres.append(C)
-        for batch in geometry(chart, C, cfg):
+        for batch in geometry(chart, C):
             batches.append(batch[0].shape[0])
             yield batch
 
@@ -625,15 +619,15 @@ def test_suite_evaluates_curvature_once_per_stencil_point(monkeypatch, richardso
     monkeypatch.setattr(charts, "_christoffel", counted_christoffel)
     monkeypatch.setattr(charts, "geometry_at", None)  # the suite never calls it
     nk_identity_suite(chart, geo)
-    assert len(centres) == 1 and np.array_equal(centres[0], charts._stencil(x, cfg))
+    assert len(centres) == 1 and np.array_equal(centres[0], charts._stencil(x))
     assert not np.any(np.all(centres[0] == x, axis=-1))
-    assert batches == [chart.n] * stencil
+    assert batches == [chart.n] * 4
     assert gamma_at_x == []
 
 
-def _grid_size(x, cfg, centred=False):
+def _grid_size(x, centred=False):
     """The distinct points of the suite's two-level grid around ``x``, from the
-    offsets o in {+/-h/2, +/-h} (+/-h without Richardson) alone.
+    offsets o in {+/-h/2, +/-h} alone.
 
     A point moved in two coordinates, x + o1 e_i + o2 e_j with i < j, is one
     point for both orders.  A point moved in coordinate i alone is a first-level
@@ -641,7 +635,7 @@ def _grid_size(x, cfg, centred=False):
     their values agree; all of them that land back on x_i are x.  With
     ``centred`` x is itself a centre of the grid.
     """
-    offsets = [o for s in charts._steps(cfg) for o in (s, -s)]
+    offsets = [o for s in charts._steps() for o in (s, -s)]
     n, x = len(x), x.tolist()
     moved = [{v + o for o in offsets} | {(v + o1) + o2 for o1 in offsets for o2 in offsets}
              for v in x]
@@ -662,37 +656,30 @@ def _counted_christoffel(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "desc, richardson, distinct, grid",
-    [("CP(5,1)", True, (803,), (1640,)), ("CP(5,1)", False, (222,), (420,)),
-     ("PRODUCT(CD(2,-1),S6(1))", True, (131, 289), (680, 1000)),
-     ("PRODUCT(CD(2,-1),S6(1))", False, (42, 85), (180, 260)),
-     ("S6(1)", True, (291,), (600,)), ("S6(1)", False, (86,), (156,))],
+    "desc, distinct, grid",
+    [("CP(5,1)", (803,), (1640,)), ("PRODUCT(CD(2,-1),S6(1))", (131, 289), (680, 1000)),
+     ("S6(1)", (291,), (600,))],
     ids=lambda v: "+".join(map(str, v)) if isinstance(v, tuple) else None,
 )
-def test_suite_evaluates_gamma_once_per_distinct_grid_point(
-    monkeypatch, desc, richardson, distinct, grid
-):
-    """The unmerged grid has 4n centres and 16n^2 points around them (2n and
-    4n^2 without Richardson), which each batch evaluated afresh.  Merged, 16
-    n(n - 1)/2 points moved in two coordinates, the 4n centres, the 4n
-    diagonals at +/-3h/2 and +/-2h, and x make 801 at n = 10 and 289 at n = 6
-    (4 n(n - 1)/2 + 2n + 2n + 1 = 221 and 85 without Richardson).  At the
-    seed-7 point two of the coincidences among the diagonal sums fail in the
-    last bit (one without Richardson), which adds a point each.  The calls
-    are as many as n^2 points of the unmerged grid would fill, so their count
-    does not depend on which points merge.
+def test_suite_evaluates_gamma_once_per_distinct_grid_point(monkeypatch, desc, distinct, grid):
+    """The unmerged grid has 4n centres and 16n^2 points around them, which
+    each batch evaluated afresh.  Merged, 16 n(n - 1)/2 points moved in two
+    coordinates, the 4n centres, the 4n diagonals at +/-3h/2 and +/-2h, and x
+    make 801 at n = 10 and 289 at n = 6.  At the seed-7 point two of the
+    coincidences among the diagonal sums fail in the last bit, which adds a
+    point each.  The calls are as many as n^2 points of the unmerged grid
+    would fill, so their count does not depend on which points merge.
 
     A product evaluates Gamma on each factor alone, at the factor's own
     coordinates of the product's grid: its 4n centres, n = 10, with 4 n_f
-    points around each, 4n(1 + 4 n_f) = 680 and 1,000 points for n_f = 4 and 6
-    (2n(1 + 2 n_f) = 180 and 260 without Richardson), in calls of at most n^2
-    points: 7 and 10 calls (2 and 3), 17 (5) in all, as before.  The centres
-    moved along the other factor all land on x_f, so x_f is a centre, and the
-    factor's grid is a suite grid around x_f: 129 + 2 and 289 points (41 + 1
-    and 85), where the full product had 803 (222)."""
-    chart, cfg = make_chart(desc), FDConfig(richardson=richardson)
+    points around each, 4n(1 + 4 n_f) = 680 and 1,000 points for n_f = 4 and 6,
+    in calls of at most n^2 points: 7 and 10 calls, 17 in all, as before.  The
+    centres moved along the other factor all land on x_f, so x_f is a centre,
+    and the factor's grid is a suite grid around x_f: 129 + 2 and 289 points,
+    where the full product had 803."""
+    chart = make_chart(desc)
     x = chart.sample_points(7, 1)[0]
-    geo = geometry_at(chart, x, cfg)
+    geo = geometry_at(chart, x)
     calls = _counted_christoffel(monkeypatch)
     nk_identity_suite(chart, geo)
     assert all(Y.ndim == 2 and 1 <= len(Y) <= chart.n**2 for Y in calls)
@@ -705,18 +692,18 @@ def test_suite_evaluates_gamma_once_per_distinct_grid_point(
         points = np.concatenate(own)
         x_leaf = x[end - leaf.n : end]
         assert len(points) == len({p.tobytes() for p in points}) == merged
-        assert merged == _grid_size(x_leaf, cfg, centred=bool(chart.factors))
+        assert merged == _grid_size(x_leaf, centred=bool(chart.factors))
 
 
 def test_diagonal_sums_that_differ_in_the_last_bit_are_both_evaluated(monkeypatch):
     """(0.5 + h/2) + h/2 rounds one ulp below 0.5 + h at h = 1e-3, so the
     diagonal point and the first-level centre are two points; at 0.25 the two
     sums agree and are one point."""
-    h = CFG.h
+    h = FDConfig.h
     assert (0.5 + h / 2) + h / 2 != 0.5 + h and (0.25 + h / 2) + h / 2 == 0.25 + h
     chart = make_chart("CP(2,1)")
     x = np.array([0.5, 0.25, 0.1, -0.2])
-    geo = geometry_at(chart, x, CFG)
+    geo = geometry_at(chart, x)
     calls = _counted_christoffel(monkeypatch)
     nk_identity_suite(chart, geo)
     seen = [p.tobytes() for p in np.concatenate(calls)]
@@ -728,7 +715,7 @@ def test_diagonal_sums_that_differ_in_the_last_bit_are_both_evaluated(monkeypatc
 
     for i, v in ((0, 0.5), (1, 0.25)):
         assert seen.count(moved(i, (v + h / 2) + h / 2)) == seen.count(moved(i, v + h)) == 1
-    assert len(seen) == len(set(seen)) == _grid_size(x, CFG)
+    assert len(seen) == len(set(seen)) == _grid_size(x)
 
 
 def _block_diagonal(blocks, b):
@@ -742,13 +729,13 @@ def _block_diagonal(blocks, b):
     return out
 
 
-def _nested_geometry(chart, C, cfg):
+def _nested_geometry(chart, C):
     """The nested formulation the grid replaced: at each batch of the centres
     ``C``, Gamma evaluated afresh at every point of each step and sign; on a
     product, the block-diagonal assembly of its factors' nested formulations."""
     if chart.factors:
         ends = np.cumsum([f.n for f in chart.factors])
-        parts = [_nested_geometry(f, C[..., e - f.n : e], cfg) for f, e in zip(chart.factors, ends)]
+        parts = [_nested_geometry(f, C[..., e - f.n : e]) for f, e in zip(chart.factors, ends)]
         for blocks in zip(*parts):
             yield tuple(_block_diagonal(fields, C.ndim - 2) for fields in zip(*blocks))
         return
@@ -761,21 +748,20 @@ def _nested_geometry(chart, C, cfg):
             m = charts._christoffel(chart, X[..., None, :] - s * eye)[1]
             return (p - m) / (2.0 * s)
 
-        dG = (4.0 * central(cfg.h / 2) - central(cfg.h)) / 3.0 if cfg.richardson else central(cfg.h)
+        dG = (4.0 * central(FDConfig.h / 2) - central(FDConfig.h)) / 3.0
         J = chart.J_at(X)
         nJ = charts._covariant(G, J, charts._complex_step(chart.J_at, X), "ul")
         yield g, J, G, nJ, charts._curvature(g, G, dG)
 
 
-@pytest.mark.parametrize("richardson", [True, False])
 @pytest.mark.parametrize("desc", ["CP(5,1)", "PRODUCT(CD(2,-1),S6(1))", "S6(1)", "CE(3)"])
-def test_grid_matches_the_nested_formulation_bit_for_bit(monkeypatch, desc, richardson):
-    chart, cfg = make_chart(desc), FDConfig(richardson=richardson)
+def test_grid_matches_the_nested_formulation_bit_for_bit(monkeypatch, desc):
+    chart = make_chart(desc)
     x = chart.sample_points(7, 1)[0]
-    geo = geometry_at(chart, x, cfg)
+    geo = geometry_at(chart, x)
     suite = nk_identity_suite(chart, geo)
     monkeypatch.setattr(charts, "_geometry", _nested_geometry)
-    ref = geometry_at(chart, x, cfg)
+    ref = geometry_at(chart, x)
     assert np.array_equal(geo.R.components, ref.R.components)
     assert np.array_equal(geo.G, ref.G) and np.array_equal(geo.nJ, ref.nJ)
     assert dataclasses.astuple(suite) == dataclasses.astuple(nk_identity_suite(chart, ref))
@@ -796,47 +782,45 @@ def _leaves(chart):
     return [leaf for f in chart.factors for leaf in _leaves(f)] if chart.factors else [chart]
 
 
-@pytest.mark.parametrize("richardson", [True, False])
 @pytest.mark.parametrize("desc", _PRODUCTS)
-def test_product_geometry_is_the_block_assembly_of_its_leaves(desc, richardson):
+def test_product_geometry_is_the_block_assembly_of_its_leaves(desc):
     """g, J, Gamma, nabla J and R of a product, at x and on every batch of the
     suite's stencil of x, are the block-diagonal assembly of each leaf chart's
     geometry on its own coordinates, bit for bit.  At x each leaf is evaluated
     alone, in calls of at most n_leaf^2 points; on the stencil in calls of at
     most n^2, as more calls than a 2-dimensional leaf's grid has points would
     leave some empty.  A nested product is flattened to its leaves."""
-    chart, cfg = make_chart(desc), FDConfig(richardson=richardson)
+    chart = make_chart(desc)
     x = chart.sample_points(7, 1)[0]
     leaves = _leaves(chart)
     coords = [slice(e - leaf.n, e) for leaf, e in zip(leaves, np.cumsum([f.n for f in leaves]))]
-    geo = geometry_at(chart, x, cfg)
-    parts = [geometry_at(leaf, x[sl], cfg) for leaf, sl in zip(leaves, coords)]
+    geo = geometry_at(chart, x)
+    parts = [geometry_at(leaf, x[sl]) for leaf, sl in zip(leaves, coords)]
     for field in (lambda g: g.point.g_mat, lambda g: g.point.J, lambda g: g.G, lambda g: g.nJ,
                   lambda g: g.R.components):
         assert np.array_equal(field(geo), _block_diagonal([field(p) for p in parts], 0))
-    C = charts._stencil(x, cfg)
-    blocks = zip(*(charts._geometry(leaf, C[..., sl], cfg, chart.n**2)
+    C = charts._stencil(x)
+    blocks = zip(*(charts._geometry(leaf, C[..., sl], chart.n**2)
                    for leaf, sl in zip(leaves, coords)))
-    for batch, per_leaf in zip(charts._geometry(chart, C, cfg), blocks, strict=True):
+    for batch, per_leaf in zip(charts._geometry(chart, C), blocks, strict=True):
         for field, fields in zip(batch, zip(*per_leaf), strict=True):
             assert np.array_equal(field, _block_diagonal(fields, 1))
 
 
-@pytest.mark.parametrize("richardson", [True, False])
 @pytest.mark.parametrize("desc", _PRODUCTS)
-def test_product_geometry_agrees_with_the_whole_product_chart(desc, richardson):
+def test_product_geometry_agrees_with_the_whole_product_chart(desc):
     """The product read as one chart of its block fields (``factors`` dropped)
     is the evaluation the block assembly replaced.  g and J agree exactly.
     Gamma and nabla J differ by rounding of the full-size inverse metric, and R
     and the suite residuals by that rounding divided by the step.  Measured at
     seeds 0-11: at most 2.2e-16 in Gamma, 2.8e-17 in nabla J, 4.8e-14 of
-    max|R| in R and 6.7e-10 in a suite residual (PRODUCT(CD(1,-1),CP(2,1))
-    with Richardson), against a tol_fd2 of 1e-4."""
-    chart, cfg = make_chart(desc), FDConfig(richardson=richardson)
+    max|R| in R and 6.7e-10 in a suite residual (PRODUCT(CD(1,-1),CP(2,1))),
+    against a tol_fd2 of 1e-4."""
+    chart = make_chart(desc)
     whole = dataclasses.replace(chart, factors=())
     for seed in range(12):
         x = chart.sample_points(seed, 1)[0]
-        new, old = geometry_at(chart, x, cfg), geometry_at(whole, x, cfg)
+        new, old = geometry_at(chart, x), geometry_at(whole, x)
         assert np.array_equal(new.point.g_mat, old.point.g_mat)
         assert np.array_equal(new.point.J, old.point.J)
         assert np.max(np.abs(new.G - old.G)) <= 1e-15
@@ -848,21 +832,20 @@ def test_product_geometry_agrees_with_the_whole_product_chart(desc, richardson):
         assert max(abs(a - b) for a, b in residuals) <= 5e-9
 
 
-@pytest.mark.parametrize("richardson", [True, False])
 @pytest.mark.parametrize(
     "desc", ["PRODUCT(CE(1),CE(1))", "PRODUCT(CD(1,-1),CP(2,1))",
              "PRODUCT(PRODUCT(CD(1,-1),CD(1,-1)),S6(1))"],
 )
-def test_every_leaf_gamma_call_holds_1_to_n_squared_points(monkeypatch, desc, richardson):
+def test_every_leaf_gamma_call_holds_1_to_n_squared_points(monkeypatch, desc):
     """A product's leaves evaluate Gamma in calls of at most n^2 points, n the
     product's dimension, and never in an empty call, down to 2-dimensional
     leaves in the smallest product (n = 4) and in a nested one.  The calls are
     as many at every seed."""
-    chart, cfg = make_chart(desc), FDConfig(richardson=richardson)
+    chart = make_chart(desc)
     calls, shapes = _counted_christoffel(monkeypatch), []
     for seed in (0, 7, 11):
         start = len(calls)
-        nk_identity_suite(chart, geometry_at(chart, chart.sample_points(seed, 1)[0], cfg))
+        nk_identity_suite(chart, geometry_at(chart, chart.sample_points(seed, 1)[0]))
         assert all(Y.ndim == 2 and 1 <= len(Y) <= chart.n**2 for Y in calls[start:])
         shapes.append([Y.shape[-1] for Y in calls[start:]])
     assert shapes[0] == shapes[1] == shapes[2]
@@ -885,7 +868,7 @@ def test_suite_validates_every_stencil_point():
     x = chart.sample_points(23, 1)[0]
     bad = _perturbed_off(chart, x, "J_at", lambda J, y: 1.001 * J)
     with pytest.raises(PointValidationError) as err:
-        nk_identity_suite(bad, geometry_at(bad, x, CFG))
+        nk_identity_suite(bad, geometry_at(bad, x))
     assert "J squares to -identity" in [v.invariant for v in err.value.violations]
 
 
@@ -896,98 +879,100 @@ def test_suite_rejects_non_finite_stencil_curvature():
     chart = make_chart("CP(3,4)")
     x = chart.sample_points(23, 1)[0]
     far = lambda g, y: np.where(
-        (np.max(np.abs(y - x), axis=-1) > 1.5 * CFG.h)[..., None, None], np.nan, g
+        (np.max(np.abs(y - x), axis=-1) > 1.5 * FDConfig.h)[..., None, None], np.nan, g
     )
     bad = _perturbed_off(chart, x, "metric_at", far)
     with pytest.raises(NonFiniteError):
-        nk_identity_suite(bad, geometry_at(bad, x, CFG))
+        nk_identity_suite(bad, geometry_at(bad, x))
 
 
-def test_id_1_1_second_order_convergence():
-    """Halving h cuts the residual of the pairing identity by >= 3 with the
-    plain second-order scheme."""
+def test_id_1_1_fourth_order_convergence(monkeypatch):
+    """Each halving of h from 3.2e-2 down to the default 1e-3 cuts the residual
+    of the pairing identity by >= 12, a fourth-order scheme's 16 within
+    rounding (15.9-16.3 measured at seeds 7 and 27)."""
     chart = make_chart("S6(1)")
     x = chart.sample_points(27, 1)[0]
-    coarse = nk_identity_suite(chart, geometry_at(chart, x, FDConfig(h=2e-3, richardson=False)))
-    fine = nk_identity_suite(chart, geometry_at(chart, x, FDConfig(h=1e-3, richardson=False)))
-    assert coarse.id_1_1 / fine.id_1_1 >= 3.0
+    residuals = []
+    for h in (3.2e-2, 1.6e-2, 8e-3, 4e-3, 2e-3, 1e-3):
+        monkeypatch.setattr(FDConfig, "h", h)
+        residuals.append(nk_identity_suite(chart, geometry_at(chart, x)).id_1_1)
+    for coarse, fine in zip(residuals, residuals[1:]):
+        assert coarse / fine >= 12.0
 
 
 def test_difference_differentiates_each_field_of_a_tuple():
     """One derivative array per field, in order, with the derivative index right
-    after the batch axes; the central difference is exact on a quadratic and
-    its Richardson extrapolation on a cubic, up to rounding."""
+    after the batch axes; the Richardson-extrapolated central difference is
+    exact on a quadratic and on a cubic, up to rounding."""
     x = np.random.default_rng(3).uniform(-1.0, 1.0, size=(2, 3, 4))
     field = lambda X: (X[..., :, None] * X[..., None, :], np.sum(X**3, axis=-1))
     eye = np.eye(4)
     d_outer = eye[:, :, None] * x[..., None, None, :] + x[..., None, :, None] * eye[:, None, :]
-    d_cubic = 3.0 * x**2
-    plain, extrapolated = (
-        charts._difference(map(field, charts._stencil(x, cfg)), cfg)
-        for cfg in (FDConfig(h=1e-3, richardson=False), FDConfig(h=1e-3, richardson=True))
-    )
-    for derivatives in (plain, extrapolated):
-        assert [d.shape for d in derivatives] == [(2, 3, 4, 4, 4), (2, 3, 4)]
-    np.testing.assert_allclose(plain[0], d_outer, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(extrapolated[1], d_cubic, rtol=0, atol=1e-10)
-    # the plain step leaves the cubic's truncation h^2, so the two schemes differ
-    np.testing.assert_allclose(plain[1] - d_cubic, 1e-6, rtol=1e-6)
+    derivatives = charts._difference(map(field, charts._stencil(x)))
+    assert [d.shape for d in derivatives] == [(2, 3, 4, 4, 4), (2, 3, 4)]
+    np.testing.assert_allclose(derivatives[0], d_outer, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(derivatives[1], 3.0 * x**2, rtol=0, atol=1e-10)
 
 
 SWEEP_STEPS = (8e-3, 4e-3, 2e-3, 1e-3, 5e-4)
 
 
-def _s6_sweep(richardson):
+def _s6_sweep(monkeypatch):
     """id_1_1, id_1_3, id_1_4 and the relative deviation of R from c * pi1 on
     S6(1) at the seed-7 point, one row per step of ``SWEEP_STEPS``."""
     chart = make_chart("S6(1)")
     x = chart.sample_points(7, 1)[0]
     rows = []
     for h in SWEEP_STEPS:
-        geo = geometry_at(chart, x, FDConfig(h=h, richardson=richardson))
+        monkeypatch.setattr(FDConfig, "h", h)
+        geo = geometry_at(chart, x)
         suite = nk_identity_suite(chart, geo)
         target = space_form_tensor(geo.point, chart.scale)
         rel = invariant_norm(geo.point, geo.R - target) / invariant_norm(geo.point, target)
         rows.append((suite.id_1_1, suite.id_1_3, suite.id_1_4, rel))
-    return rows
+    return dict(zip(SWEEP_STEPS, rows))
 
 
-def test_fd_step_sweep_on_s6():
-    """The plain scheme is second order in the pairing identity at every
-    halving.  With Richardson the residuals nearest their gates stay far below
-    tol_fd2 at the default step and twice it, and id_1_3 is smallest at
-    h = 2e-3: below it the rounding of the outer levels outgrows truncation."""
-    plain = _s6_sweep(richardson=False)
-    for coarse, fine in zip(plain, plain[1:]):
-        assert coarse[0] / fine[0] >= 3.0
-    extrapolated = dict(zip(SWEEP_STEPS, _s6_sweep(richardson=True)))
+def test_fd_step_sweep_on_s6(monkeypatch):
+    """The scheme is fourth order in the pairing identity at every halving down
+    to the default step; below it rounding takes over.  The residuals nearest
+    their gates stay far below tol_fd2 at the default step and twice it, and
+    id_1_3 is smallest at h = 2e-3: below it the rounding of the outer levels
+    outgrows truncation."""
+    sweep = _s6_sweep(monkeypatch)
+    for coarse, fine in zip(SWEEP_STEPS, SWEEP_STEPS[1:4]):
+        assert sweep[coarse][0] / sweep[fine][0] >= 12.0
     for h in (2e-3, 1e-3):
-        assert max(extrapolated[h]) < 1e-4
-    assert min(SWEEP_STEPS, key=lambda h: extrapolated[h][1]) == 2e-3
+        assert max(sweep[h]) < 1e-4
+    assert min(SWEEP_STEPS, key=lambda h: sweep[h][1]) == 2e-3
 
 
-@pytest.mark.parametrize("richardson", [True, False])
-def test_step_that_collapses_the_stencil_is_rejected(richardson):
-    """fl(1 +/- d) = 1 for d up to 2**-54, half the spacing of the doubles below
-    1: h = 1e-16 collapses the h/2 offsets of the Richardson stencil at the
-    coordinate 1.0, and not the h offsets of the plain one."""
-    chart = make_chart("CP(2,1)")
-    x, cfg = np.array([0.25, 1.0, 0.0, 0.0]), FDConfig(h=1e-16, richardson=richardson)
-    if richardson:
-        with pytest.raises(FDConfigError, match=r"^step h = 1e-16 collapses the stencil: x\[1\]"):
-            geometry_at(chart, x, cfg)
-    else:
-        geometry_at(chart, x, cfg)
+def test_step_that_collapses_the_stencil_is_rejected():
+    """The doubles near 1e13 are 2**-9 apart, so x +/- h/2 rounds back to x
+    there: a library caller's far-out point is named with the step, not blamed
+    on the identities.  Near 1e12, 2**-13 apart, the offsets still move x."""
+    chart = make_chart("CE(2)")
+    with pytest.raises(FDConfigError) as err:
+        geometry_at(chart, np.array([1e13, 0.0, 0.0, 0.0]))
+    assert str(err.value) == (
+        "step h = 0.001 collapses the stencil: x[0] +/- 0.0005 both round to x[0] = 1e+13"
+    )
+    geometry_at(chart, np.array([1e12, 0.0, 0.0, 0.0]))
 
 
 def test_fd_config_validation():
-    with pytest.raises(ValueError):
-        FDConfig(h=-1e-3)
+    """The policy takes no arguments: a step is not a setting."""
+    with pytest.raises(TypeError):
+        FDConfig(h=2e-3)
+    with pytest.raises(TypeError):
+        FDConfig(richardson=False)
 
 
 def test_fd_config_holds_the_step_policy_alone():
-    # the gates belong to ToleranceConfig; the defaults stay readable here
-    assert [f.name for f in dataclasses.fields(FDConfig)] == ["h", "richardson"]
+    # constants only; the gates belong to ToleranceConfig and their defaults
+    # stay readable here
+    assert dataclasses.fields(FDConfig) == ()
+    assert FDConfig.h == 1e-3 and FDConfig().h == 1e-3
     with pytest.raises(TypeError):
         FDConfig(tol_fd1=1e-6)
     assert FDConfig().tol_fd1 == 1e-6 and FDConfig.tol_fd2 == 1e-4

@@ -9,12 +9,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bochnerkit
 from bochnerkit import charts
+from bochnerkit.bochner import NotRKError
 from bochnerkit.charts import FDConfig, parse_model_spec
 from bochnerkit import cli
 from bochnerkit.cli import cli_dispatch
@@ -161,6 +163,28 @@ def test_validate_names_the_non_finite_array(kind, key, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {key} contains non-finite entries\n"
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["tensor", "CE(\u0663)"], 2),  # an Arabic-Indic three
+    (["tensor", "\uff23\uff25"], 2),  # a fullwidth CE
+    (["validate", "nofile_\u00e9.json"], 2),
+    (["tensor", "CE(1)", "extra\u00e9"], 2),
+    (["validate", "{doc}"], 0),  # a document labelled S\u2076(1), on stdout
+])
+def test_every_printed_line_is_ascii(argv, code, tmp_path, capsys):
+    """Non-ASCII text the user gave is printed backslash-escaped, on stdout and
+    in every error line alike."""
+    doc = tmp_path / "s6.json"
+    assert cli_dispatch(["tensor", "s6", "--quiet", "--dump", str(doc)]) == 0
+    doc.write_text(json.dumps({**json.loads(doc.read_text()), "label": "S\u2076(1)"}))
+    capsys.readouterr()
+    assert cli_dispatch([str(doc) if a == "{doc}" else a for a in argv]) == code
+    captured = capsys.readouterr()
+    assert (captured.out + captured.err).isascii()
+    given = "".join(argv) if code else "S\u2076(1)"
+    for char in filter(lambda c: not c.isascii(), given):
+        assert char.encode("ascii", "backslashreplace").decode() in captured.out + captured.err
+
+
 def test_identities_chart(tmp_path, capsys):
     out = tmp_path / "identities.json"
     code = cli_dispatch(["identities", "S6(1)", "--points", "1", "--json", str(out)])
@@ -197,14 +221,14 @@ def test_identities_bad_chart(capsys):
     ["tensor", "CP(3,-2)"],
     ["tensor", "CP(0,1)"],
     ["tensor", "CE(0)"],
-    ["identities", "CD(2,-1)", "--fd-step", "0.2"],
+    ["identities", "CD(2,1)"],
     ["identities", "CE(1)", "--points", "0"],
-    ["identities", "S6(1)", "--fd-step", "-1"],
+    ["identities", "S6(1)", "--tol-fd2", "-1"],
     ["identities", "S6(1)", "--tol-fd1", "0"],
-    ["identities", "S6(1)", "--fd-step", "nan"],
-    ["scenario", "bianchi", "--fd-step", "nan"],
+    ["identities", "S6(1)", "--tol-fd1", "inf"],
+    ["scenario", "bianchi", "--tol-fd2", "nan"],
     ["identities", "S6(1)", "--tol-fd2", "nan"],
-    ["identities", "PRODUCT(CD(1,-1),S6(1))", "--fd-step", "0.2", "--points", "1"],
+    ["identities", "PRODUCT(CD(1,-1),S6(-1))", "--points", "1"],
     ["scenario", "thm21_forward", "--tol-alg", "nan"],
     ["identities", "S6(1)", "--seed", "-1", "--points", "1"],
     ["all", "--seed", "-5"],
@@ -218,9 +242,9 @@ def test_identities_bad_chart(capsys):
     ["scenario", "thm21_forward", "--c", "nan"],
     ["scenario", "thm21_forward", "--c", "nan", "--json", "{json}"],
     ["all", "--mu", "nan"],
-    # a step that x +/- h/2 cannot resolve reads every real derivative as 0
-    ["identities", "CP(2,1)", "--points", "1", "--fd-step", "1e-320"],
-    ["all", "--fd-step", "1e-320"],
+    # a tolerance that overflows to inf, and a k that leaves no second factor
+    ["identities", "CP(2,1)", "--points", "1", "--tol-fd1", "1e999"],
+    ["all", "--k", "3"],
     # a bare model takes only the flags that are its descriptor arguments
     ["tensor", "cp", "--c", "2"],
     ["tensor", "cd", "--c", "3"],
@@ -243,12 +267,39 @@ def test_bad_model_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("argv", [["identities", "CP(2,1)", "--points", "1"], ["all"]])
-def test_collapsed_stencil_error_names_the_step(argv, capsys):
+def _sample_at(monkeypatch, x):
+    """Patch every chart's sampler to return the one point ``x``, which no
+    seed draws: the step and margin errors guard library callers' points."""
+    monkeypatch.setattr(charts.ChartModel, "sample_points",
+                        lambda self, seed, count: np.array([x], dtype=float))
+
+
+@pytest.mark.parametrize("argv", [["identities", "CE(2)"], ["identities", "PRODUCT(CE(1),CE(1))"]])
+def test_collapsed_stencil_error_names_the_step(argv, monkeypatch, capsys):
     """Not the identity that fails, nor the curvature class, but the step."""
-    assert cli_dispatch([*argv, "--fd-step", "1e-320"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: step h = ") and "collapses the stencil" in err
+    _sample_at(monkeypatch, [1e13, 0.0, 0.0, 0.0])
+    assert cli_dispatch([*argv, "--points", "1"]) == 2
+    assert capsys.readouterr().err == ("error: step h = 0.001 collapses the stencil: "
+                                       "x[0] +/- 0.0005 both round to x[0] = 1e+13\n")
+
+
+@pytest.mark.parametrize("x, needed", [([0.999, 0.0], "4.00e-03"), ([0.995, 0.0], "6.00e-03")])
+def test_point_inside_the_stencil_margin_exits_2_with_one_line(x, needed, monkeypatch, capsys):
+    """The geometry's stencil reaches 4h from x, the suite's 6h."""
+    _sample_at(monkeypatch, x)
+    assert cli_dispatch(["identities", "CD(1,-1)", "--points", "1"]) == 2
+    assert capsys.readouterr().err == (f"error: point at radius {x[0]:.3f} violates margin "
+                                       f"{needed} of chart 'CD(1,-1)' (boundary radius 1.0)\n")
+
+
+@pytest.mark.parametrize("argv, unknown", [(["all", "--fd-step", "1e-3"], "--fd-step 1e-3"),
+                                           (["identities", "CE(1)", "--no-richardson"],
+                                            "--no-richardson")])
+def test_step_policy_flags_are_gone(argv, unknown, capsys):
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unrecognized arguments: {unknown} (see bochnerkit --help)\n"
 
 
 def _run_module(argv: list[str]) -> subprocess.CompletedProcess:
@@ -279,7 +330,7 @@ def test_floating_point_failure_exits_2_with_one_line(argv, tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("flag", ["--fd-step", "--tol-fd1", "--tol-fd2"])
+@pytest.mark.parametrize("flag", ["--tol-fd1", "--tol-fd2"])
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
 def test_bad_fd_flag_is_named_in_the_error(flag, value, capsys):
     assert cli_dispatch(["all", flag, value]) == 2
@@ -288,18 +339,18 @@ def test_bad_fd_flag_is_named_in_the_error(flag, value, capsys):
     assert err.count("\n") == 1
 
 
-def test_non_rk_chart_curvature_exits_2_with_one_line():
-    """Without Richardson extrapolation and at twice the default step the
-    product chart's curvature at seed 7 misses the RK gate of the corrected
-    tensor: one error line, no traceback."""
-    proc = _run_module(
-        ["scenario", "thm32_models", "--seed", "7", "--no-richardson", "--fd-step", "2e-3"]
-    )
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: curvature is not RK")
-    assert "allow_non_rk" not in proc.stderr  # a library keyword, not a CLI option
-    assert proc.stderr.count("\n") == 1
-    assert "Traceback" not in proc.stderr
+def test_non_rk_chart_curvature_exits_2_with_one_line(monkeypatch, capsys):
+    """A chart curvature that misses the RK gate of the corrected tensor ends in
+    one error line, no traceback.  At the one step policy no valid chart misses
+    it, so the scenario command is patched to raise what rk_bochner raises."""
+    def not_rk(args):
+        raise NotRKError(2.5e-3, 1e-5)
+
+    monkeypatch.setitem(cli._COMMANDS, "scenario", not_rk)
+    assert cli_dispatch(["scenario", "thm32_models", "--seed", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: curvature is not RK (defect 2.500e-03 above tolerance 1.0e-05)\n"
 
 
 _NUMBER = st.one_of(
@@ -353,7 +404,7 @@ _FOUND_FLAGS = [
     ["scenario", "thm21_forward", "--c", "1_0"],
     ["identities", "CE(1)", "--points", "\u0662"],  # an Arabic-Indic two
     ["all", "--samples", "1_0"],
-    ["identities", "CE(1)", "--points", "1", "--fd-step", "1_0"],
+    ["identities", "CE(1)", "--points", "1", "--tol-fd1", "1_0"],
 ]
 
 
@@ -364,7 +415,7 @@ def test_found_inputs_exit_2_with_one_error_line(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     if argv[1] in _FOUND_DESCRIPTORS:  # the whole descriptor, and where reading stopped
-        where = f"{argv[1]!r} at column {_FOUND_DESCRIPTORS[argv[1]]}: "
+        where = f"{argv[1]!a} at column {_FOUND_DESCRIPTORS[argv[1]]}: "
         assert captured.err.startswith(f"error: bad model descriptor {where}")
 
 
@@ -475,15 +526,15 @@ def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path, capsys):
     argvs = [
         ["identities", "CE(1)", "--points", "1", "--seed", "3"],
         ["identities", "--bogus"],
-        ["all", "--fd-step", "nan"],
-        ["scenario", "thm21_forward", "--fd-step", "-1"],
+        ["all", "--tol-fd1", "nan"],
+        ["scenario", "thm21_forward", "--tol-fd2", "-1"],
         ["tensor", "s6", "--quiet", "--dump", str(doc)],
         ["validate", str(doc), "--tol-alg", "0"],
         ["validate", str(doc)],
         ["all", "--m", "2"],
         ["identities", "--help"],
         ["frobnicate"],
-        ["identities", "CE(1)", "--points", "1", "--seed", "3", "--no-richardson"],
+        ["identities", "CE(1)", "--points", "1", "--seed", "3", "--quiet"],
     ]
     cli._build_parser.cache_clear()
     shared = []

@@ -459,7 +459,7 @@ def test_each_call_rotates_r_into_its_last_pair_once(monkeypatch):
     it again in each consumer cost 8, 6, 10 and 13."""
     point, R, _ = make_model("PRODUCT(CD(1,-1),CP(3,1))")
     chart = charts.make_chart("CP(3,1)")
-    geo = charts.geometry_at(chart, chart.sample_points(7, 1)[0], charts.FDConfig())
+    geo = charts.geometry_at(chart, chart.sample_points(7, 1)[0])
     slots, rotate = [], curvature._rotate
 
     def counted(A, J, *rotated):

@@ -37,14 +37,6 @@ def test_every_scenario_passes(scenario_id):
     assert report.passed, failing
 
 
-def test_s6_identities_pass_without_richardson():
-    # dJ is a complex step, so chart_nk reads rounding; it read 2.04e-6 of
-    # truncation against tol_fd1 = 1e-6 here while dJ was a real difference
-    report = run_scenario("identities_s6", ScenarioParams(seed=5, richardson=False))
-    failing = [c.name for c in report.checks if c.status == "fail"]
-    assert report.passed, failing
-
-
 def test_unknown_scenario():
     with pytest.raises(UnknownScenarioError):
         run_scenario("thm99", FAST)
@@ -99,6 +91,15 @@ def test_chart_symmetry_gate_is_derived_not_a_field():
     tol = ToleranceConfig(tol_fd1=2e-6)
     assert tol.chart_sym_tol == 10.0 * 2e-6
     assert list(dataclasses.asdict(tol)) == ["tol_alg", "tol_fd1", "tol_fd2"]
+
+
+def test_the_step_policy_is_no_parameter():
+    """The step and Richardson are constants of FDConfig: no field of the
+    parameters and no key of a report, whose schema is version 2."""
+    assert not {"h", "richardson"} & {f.name for f in dataclasses.fields(ScenarioParams)}
+    payload = run_scenario("thm21_forward", FAST).to_dict()
+    assert payload["schema_version"] == 2
+    assert not {"h", "richardson"} & set(payload["parameters"])
 
 
 def test_counterexample_statuses():
@@ -235,17 +236,17 @@ def test_run_all_evaluates_each_chart_point_once(monkeypatch):
     points, at_x, top = [], [], []
     geometry_at, geometry = scenarios.geometry_at, charts._geometry
 
-    def counted(chart, x, cfg):
+    def counted(chart, x):
         points.append((chart.label, tuple(x)))
         top.append(chart)
-        return geometry_at(chart, x, cfg)
+        return geometry_at(chart, x)
 
-    def counted_geometry(chart, C, cfg, *cap):
+    def counted_geometry(chart, C, *cap):
         # the one centre x of geometry_at, on its chart; a product's geometry
         # recurses into its factors' with the same centre
         if C.shape[:-1] == (1,) and chart is top[-1]:
             at_x.append(C)
-        return geometry(chart, C, cfg, *cap)
+        return geometry(chart, C, *cap)
 
     monkeypatch.setattr(scenarios, "geometry_at", counted)
     monkeypatch.setattr(charts, "_geometry", counted_geometry)
