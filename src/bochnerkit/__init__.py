@@ -60,7 +60,6 @@ from .scenarios import (
     SCENARIO_IDS,
     ScenarioParams,
     ScenarioReport,
-    ToleranceConfig,
     run_all,
     run_scenario,
 )

@@ -62,7 +62,10 @@ __all__ = [
 ]
 
 
-MAX_DIM = 12  # largest real dimension; TOL_ALG is calibrated up to here
+# largest real dimension; TOL_ALG holds up to here for unit-scale orthonormal
+# points only: rk_bochner(rk_project(R)) of a random_curvature_tensor rejects 7,
+# 12 and 22 of 40 random_hermitian_point seeds at n = 8, 10 and 12 (ROADMAP item 4)
+MAX_DIM = 12
 H_C = 1e-30  # complex step of every first derivative of a chart field
 NK_THRESHOLD = 1e-3  # nearly Kahler defect above which the suite aborts
 
@@ -98,12 +101,12 @@ class FDConfig:
     to fourth order from the central differences at h/2 and h; the innermost ones,
     dg in the Christoffel symbols and dJ in nabla J, are complex steps of ``H_C``.
 
-    No chart computation reads a tolerance: the gates belong to
-    ``scenarios.ToleranceConfig`` and the CLI's ``--tol-*`` flags.  The class
-    constants ``tol_fd1`` (first-derivative-level identities, e.g. nearly Kahler
-    defects) and ``tol_fd2`` (second-derivative-level ones, curvature
-    comparisons) are their defaults, at the measured truncation/rounding
-    crossover for double precision.
+    The class constants ``tol_fd1`` (first-derivative-level identities, e.g.
+    nearly Kahler defects) and ``tol_fd2`` (second-derivative-level ones,
+    curvature comparisons) are the two FD gates, set for this step at the
+    measured truncation/rounding crossover for double precision.  They are their
+    only owner: the scenarios and the CLI read them here, and no flag or
+    parameter moves them.  No chart computation reads a tolerance.
     """
 
     h: ClassVar[float] = 1e-3

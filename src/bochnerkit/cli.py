@@ -30,6 +30,7 @@ from .bochner import DimensionTooSmallError, NotRKError, generalized_bochner, rk
 from .charts import (
     ChartSpec,
     ChartSpecError,
+    FDConfig,
     FDConfigError,
     MarginError,
     NotNearlyKahlerError,
@@ -48,7 +49,6 @@ from .scenarios import (
     ScenarioParamError,
     ScenarioParams,
     ScenarioReport,
-    ToleranceConfig,
     UnknownScenarioError,
     make_model,
     run_all,
@@ -102,19 +102,12 @@ def _flag(integer: bool, admits=lambda v: True, needs: str = "") -> Callable[[st
 
 _seed = _flag(True, lambda v: v >= 0, "a non-negative integer")
 _count = _flag(True, lambda v: v >= 1, "an integer >= 1")
-_positive = _flag(False, lambda v: 0 < v < np.inf, "finite and positive")
 _integer, _real = _flag(True), _flag(False)
 
 
 @functools.cache  # one parser per process; parsing leaves no state on it
 def _build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--tol-alg", type=_positive, default=ToleranceConfig.tol_alg,
-                        help="tolerance for exact-formula algebra (default %(default)g)")
-    common.add_argument("--tol-fd1", type=_positive, default=ToleranceConfig.tol_fd1,
-                        help="tolerance for first-derivative identities (default %(default)g)")
-    common.add_argument("--tol-fd2", type=_positive, default=ToleranceConfig.tol_fd2,
-                        help="tolerance for second-derivative identities (default %(default)g)")
     common.add_argument("--seed", type=_seed, default=0,
                         help="non-negative seed for all sampling")
     common.add_argument("--json", metavar="PATH", help="write the JSON report to PATH")
@@ -167,13 +160,8 @@ def _add_scenario_params(parser: argparse.ArgumentParser) -> None:
 
 
 def _scenario_params(args: argparse.Namespace) -> ScenarioParams:
-    return ScenarioParams(
-        m=args.m, k=args.k, c=args.c, mu=args.mu,
-        seed=args.seed, samples=args.samples, chart_points=args.points,
-        tolerances=ToleranceConfig(
-            tol_alg=args.tol_alg, tol_fd1=args.tol_fd1, tol_fd2=args.tol_fd2
-        ),
-    )
+    return ScenarioParams(m=args.m, k=args.k, c=args.c, mu=args.mu, seed=args.seed,
+                          samples=args.samples, chart_points=args.points)
 
 
 def _say(args: argparse.Namespace, line: str) -> None:
@@ -197,7 +185,7 @@ def _print_report(args: argparse.Namespace, report: ScenarioReport) -> None:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     try:
-        doc = load_tensor(args.file, tol=args.tol_alg)
+        doc = load_tensor(args.file)
     except FileNotFoundError:
         _write(f"error: no such file: {args.file}", sys.stderr)
         return 2
@@ -239,9 +227,9 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
     spec = _tensor_spec(args)
     point, R, label = make_model(spec)
     doc = TensorDocument.from_point_tensor(point, R, label=label)
-    star_tensor = star(point, R, sym_tol=args.tol_alg)
-    fam = ricci_family(point, R, sym_tol=args.tol_alg)
-    gen = generalized_bochner(point, R, sym_tol=args.tol_alg)
+    star_tensor = star(point, R)
+    fam = ricci_family(point, R)
+    gen = generalized_bochner(point, R)
     bundle = {
         "schema_version": 1,
         "model": label,
@@ -262,7 +250,7 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
         },
     }
     try:
-        rk = rk_bochner(point, R, sym_tol=args.tol_alg, rk_tol=args.tol_alg)
+        rk = rk_bochner(point, R)
         bundle["rk_bochner"] = {
             "norm": rk.norm,
             "coefficients_used": rk.coefficients_used,
@@ -286,8 +274,8 @@ def _cmd_identities(args: argparse.Namespace) -> int:
     for x in points:
         for name, value in nk_identity_suite(chart, geometry_at(chart, x)).__dict__.items():
             residuals[name] = max(residuals.get(name, 0.0), value)
-    universal = {"nk": args.tol_fd1, **dict.fromkeys(
-        ("id_1_1", "id_1_2", "id_1_3", "id_1_4", "id_1_6", "id_1_7"), args.tol_fd2)}
+    universal = {"nk": FDConfig.tol_fd1, **dict.fromkeys(
+        ("id_1_1", "id_1_2", "id_1_3", "id_1_4", "id_1_6", "id_1_7"), FDConfig.tol_fd2)}
     failed = False
     for name in sorted(residuals):
         value = residuals[name]

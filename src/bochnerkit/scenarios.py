@@ -15,7 +15,7 @@ Scenario-level randomness is fully seeded, so a report is a pure function of
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from .multilinear import TOL_ALG, CurvTensor, _norm, invariant_norm
 
 __all__ = [
     "SCENARIO_IDS",
-    "ToleranceConfig",
     "ScenarioParams",
     "CheckResult",
     "ScenarioReport",
@@ -69,23 +68,10 @@ class UnknownScenarioError(ValueError):
     """No scenario with the requested id."""
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """The three-tier tolerance policy.
-
-    ``tol_alg`` bounds exact-formula algebra in double precision, ``tol_fd1``
-    first-derivative-level finite-difference identities, ``tol_fd2``
-    second-derivative-level ones.
-    """
-
-    tol_alg: float = TOL_ALG
-    tol_fd1: float = FDConfig.tol_fd1
-    tol_fd2: float = FDConfig.tol_fd2
-
-    @property
-    def chart_sym_tol(self) -> float:
-        """The symmetry and RK gate of a finite-difference chart curvature's traces."""
-        return 10.0 * self.tol_fd1
+# the symmetry and RK gate of a finite-difference chart curvature's traces
+_CHART_SYM_TOL = 10.0 * FDConfig.tol_fd1
+# the three gates, as every report states them
+_TOLERANCES = {"tol_alg": TOL_ALG, "tol_fd1": FDConfig.tol_fd1, "tol_fd2": FDConfig.tol_fd2}
 
 
 @dataclass(frozen=True)
@@ -99,7 +85,6 @@ class ScenarioParams:
     seed: int = 0
     samples: int = 512
     chart_points: int = 2
-    tolerances: ToleranceConfig = field(default_factory=ToleranceConfig)
 
     def validate(self) -> None:
         if not (2 <= self.m <= 6):
@@ -110,9 +95,6 @@ class ScenarioParams:
             raise ScenarioParamError("curvature scales c and mu must be finite and positive")
         if self.samples < 1 or self.chart_points < 1:
             raise ScenarioParamError("samples and chart_points must be >= 1")
-        for name, value in asdict(self.tolerances).items():
-            if not 0 < value < np.inf:  # NaN fails too
-                raise ScenarioParamError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -191,7 +173,6 @@ def _csf_product(dims_mus: list[tuple[int, float]]) -> tuple[HermitianPoint, Cur
 # ---------------------------------------------------------------------------
 
 def _thm21_forward(p: ScenarioParams, table: dict) -> list[CheckResult]:
-    tol = p.tolerances.tol_alg
     point, R = _csf_product([(p.k, p.mu), (p.m - p.k, -p.mu)])
     out = generalized_bochner(point, R)
     return [
@@ -200,7 +181,7 @@ def _thm21_forward(p: ScenarioParams, table: dict) -> list[CheckResult]:
             "a product of two spaces of opposite constant holomorphic sectional "
             "curvature has vanishing trace-free symmetrized curvature",
             out.norm,
-            tol,
+            TOL_ALG,
         )
     ]
 
@@ -209,7 +190,6 @@ _EPSILONS = (1e-3, 1e-2, 1e-1)
 
 
 def _thm21_converse(p: ScenarioParams, table: dict) -> list[CheckResult]:
-    tol = p.tolerances.tol_alg
     checks = []
     point, R = _csf_product([(p.k, p.mu), (p.m - p.k, -p.mu)])
     checks.append(
@@ -217,7 +197,7 @@ def _thm21_converse(p: ScenarioParams, table: dict) -> list[CheckResult]:
             "bstar_unperturbed",
             "the unperturbed opposite-curvature product is trace-free",
             generalized_bochner(point, R).norm,
-            tol,
+            TOL_ALG,
         )
     )
     norms = []
@@ -231,7 +211,7 @@ def _thm21_converse(p: ScenarioParams, table: dict) -> list[CheckResult]:
                 "detuning one factor away from opposite curvature produces a "
                 "nonvanishing trace-free part",
                 norm,
-                tol,
+                TOL_ALG,
             )
         )
     growth_margin = min(b - a for a, b in zip(norms, norms[1:]))
@@ -247,7 +227,6 @@ def _thm21_converse(p: ScenarioParams, table: dict) -> list[CheckResult]:
 
 
 def _cor22(p: ScenarioParams, table: dict) -> list[CheckResult]:
-    tol = p.tolerances.tol_alg
     zero_pt, zero_R = _csf_product([(1, 0.0), (1, 0.0), (1, 0.0)])
     flat_norm = generalized_bochner(zero_pt, zero_R).norm
     checks = [
@@ -256,7 +235,7 @@ def _cor22(p: ScenarioParams, table: dict) -> list[CheckResult]:
             "a triple product with all factors of zero holomorphic sectional "
             "curvature is trace-free",
             flat_norm,
-            tol,
+            TOL_ALG,
         )
     ]
     for mus in ((p.mu, -p.mu, p.mu), (p.mu, -p.mu, 0.0)):
@@ -266,14 +245,13 @@ def _cor22(p: ScenarioParams, table: dict) -> list[CheckResult]:
                 "bstar_triple_hsc_" + "_".join(f"{v:g}" for v in mus),
                 "a triple product with any nonzero factor curvature is not trace-free",
                 generalized_bochner(pt, R).norm,
-                tol,
+                TOL_ALG,
             )
         )
     return checks
 
 
 def _thm31_s6(p: ScenarioParams, table: dict) -> list[CheckResult]:
-    tol = p.tolerances.tol_alg
     point, R, _ = make_model(ChartSpec("S6", c=p.c))
     fam = ricci_family(point, R)
     defects = identity_defects(point, R)
@@ -281,20 +259,20 @@ def _thm31_s6(p: ScenarioParams, table: dict) -> list[CheckResult]:
     flat_form = nk_flat_form_3_4(point, fam.S, fam.tau)
     return [
         _vanish("b_vanishes", "the round six-sphere has vanishing corrected curvature",
-                out.norm, tol),
+                out.norm, TOL_ALG),
         _vanish("tau_value", "scalar trace equals 30c on the six-sphere",
-                abs(fam.tau - 30.0 * p.c), tol),
+                abs(fam.tau - 30.0 * p.c), TOL_ALG),
         _vanish("tau_prime_value", "twisted scalar trace equals 6c on the six-sphere",
-                abs(fam.tau_prime - 6.0 * p.c), tol),
+                abs(fam.tau_prime - 6.0 * p.c), TOL_ALG),
         _vanish("tau_ratio", "the scalar traces sit in the 5:1 ratio",
-                abs(fam.tau - 5.0 * fam.tau_prime), tol),
+                abs(fam.tau - 5.0 * fam.tau_prime), TOL_ALG),
         _vanish("star_relation", "four times the symmetrized Ricci equals S + 3S'",
-                defects.star_relation, tol),
+                defects.star_relation, TOL_ALG),
         _vanish("twisted_contraction", "the twisted Ricci contraction vanishes",
-                defects.id_1_5, tol),
+                defects.id_1_5, TOL_ALG),
         _vanish("flat_form_reconstruction",
                 "the closed 5:1-ratio curvature form reproduces the six-sphere tensor",
-                invariant_norm(point, flat_form - R), tol),
+                invariant_norm(point, flat_form - R), TOL_ALG),
     ]
 
 
@@ -305,32 +283,35 @@ def _mixed_component_max(R: CurvTensor, n1: int) -> float:
     return float(np.max(np.abs(inside)))
 
 
+def _chart_b(geo) -> float:
+    """Norm of the corrected tensor of a finite-difference chart curvature."""
+    return rk_bochner(geo.point, geo.R, sym_tol=_CHART_SYM_TOL, rk_tol=_CHART_SYM_TOL).norm
+
+
 def _thm31_product(p: ScenarioParams, table: dict) -> list[CheckResult]:
-    tol = p.tolerances
     desc = f"PRODUCT(CD(1,{-p.c!r}),S6({p.c!r}))"
     point, R, _ = make_model(desc)
     checks = [
         _vanish("b_vanishes",
                 "the hyperbolic-line times six-sphere product has vanishing corrected curvature",
-                rk_bochner(point, R).norm, tol.tol_alg),
+                rk_bochner(point, R).norm, TOL_ALG),
         _vanish("bstar_vanishes",
                 "the product pairs opposite constant holomorphic curvatures, so the "
                 "trace-free symmetrized tensor vanishes",
-                generalized_bochner(point, R).norm, tol.tol_alg),
+                generalized_bochner(point, R).norm, TOL_ALG),
     ]
-    sym_tol = tol.chart_sym_tol
     worst_b = worst_mixed = 0.0
     _, geometries = _chart_points(p, desc, p.chart_points, table)
     for geo in geometries:
-        worst_b = max(worst_b, rk_bochner(geo.point, geo.R, sym_tol=sym_tol, rk_tol=sym_tol).norm)
+        worst_b = max(worst_b, _chart_b(geo))
         worst_mixed = max(worst_mixed, _mixed_component_max(geo.R, 2))
     checks.append(
         _vanish("chart_b_vanishes", "the corrected curvature also vanishes for the "
-                "finite-difference product chart", worst_b, tol.tol_fd2)
+                "finite-difference product chart", worst_b, FDConfig.tol_fd2)
     )
     checks.append(
         _vanish("chart_mixed_components", "product curvature has no mixed components",
-                worst_mixed, tol.tol_fd1)
+                worst_mixed, FDConfig.tol_fd1)
     )
     point0, R0 = geometries[0].point, geometries[0].R
     traces = _traces(point0.g_inv, point0.J, R0.components)[:4]
@@ -339,7 +320,7 @@ def _thm31_product(p: ScenarioParams, table: dict) -> list[CheckResult]:
                    "the Ricci difference of the product is not a multiple of the metric, "
                    "as the two blocks carry different constants",
                    _ricci_identities(point0, *traces)[1],
-                   tol.tol_fd2)
+                   FDConfig.tol_fd2)
     )
     return checks
 
@@ -347,7 +328,13 @@ def _thm31_product(p: ScenarioParams, table: dict) -> list[CheckResult]:
 def _thm31_counterexample(p: ScenarioParams, table: dict) -> list[CheckResult]:
     threshold = 1e-3
     point, R, _ = make_model(f"PRODUCT(CD(2,{-p.c!r}),S6({p.c!r}))")
-    frame_defect = antiholo_4frame_defect(point, R, samples=p.samples, seed=p.seed)
+    # a witness, so --samples only adds frames: (e0 + e4, e2 + e6, e2 - e6, e0 - e4)/sqrt2
+    # is an orthonormal antiholomorphic frame of the flat point, on which R reads c/4 (S6
+    # block) - c/16 (CD block) = 3c/16; the four 1/sqrt2 are applied as one exact 1/4
+    e = np.eye(point.dim)
+    x, y, z, u = e[0] + e[4], e[2] + e[6], e[2] - e[6], e[0] - e[4]
+    witness = abs(np.einsum("abcd,a,b,c,d->", R.components, x, y, z, u)) / 4.0
+    frame_defect = max(witness, antiholo_4frame_defect(point, R, samples=p.samples, seed=p.seed))
     return [
         _nonvanish("b_nonvanishing",
                    "the hyperbolic-plane times six-sphere product has nonvanishing "
@@ -356,7 +343,7 @@ def _thm31_counterexample(p: ScenarioParams, table: dict) -> list[CheckResult]:
         _vanish("bstar_vanishes",
                 "the same product still pairs opposite holomorphic curvatures, so the "
                 "trace-free symmetrized tensor is blind to it",
-                generalized_bochner(point, R).norm, p.tolerances.tol_alg),
+                generalized_bochner(point, R).norm, TOL_ALG),
         _nonvanish("antiholo_4frame",
                    "curvature does not vanish on orthonormal antiholomorphic 4-frames, "
                    "which a vanishing corrected tensor would force",
@@ -365,8 +352,6 @@ def _thm31_counterexample(p: ScenarioParams, table: dict) -> list[CheckResult]:
 
 
 def _thm32_models(p: ScenarioParams, table: dict) -> list[CheckResult]:
-    tol = p.tolerances
-    sym_tol = tol.chart_sym_tol
     descriptors = [
         f"CE({p.m})",
         f"CD({p.m},{-p.c!r})",
@@ -381,20 +366,18 @@ def _thm32_models(p: ScenarioParams, table: dict) -> list[CheckResult]:
         checks.append(
             _vanish(f"b_{label}",
                     "constant-scalar-curvature model has vanishing corrected curvature",
-                    rk_bochner(point, R).norm, tol.tol_alg)
+                    rk_bochner(point, R).norm, TOL_ALG)
         )
         _, [geo] = _chart_points(p, desc, 1, table)
         checks.append(
             _vanish(f"chart_b_{label}",
                     "the finite-difference chart agrees",
-                    rk_bochner(geo.point, geo.R, sym_tol=sym_tol, rk_tol=sym_tol).norm,
-                    tol.tol_fd2)
+                    _chart_b(geo), FDConfig.tol_fd2)
         )
     return checks
 
 
 def _cor33_spotcheck(p: ScenarioParams, table: dict) -> list[CheckResult]:
-    tol = p.tolerances.tol_alg
     cases = [
         (f"S6({p.c!r})", p.c),
         (f"CP({p.m},{p.mu!r})", p.mu / 4.0),
@@ -408,7 +391,7 @@ def _cor33_spotcheck(p: ScenarioParams, table: dict) -> list[CheckResult]:
             _vanish(f"b_{label}",
                     "a space of constant antiholomorphic sectional curvature has "
                     "vanishing corrected curvature",
-                    rk_bochner(point, R).norm, tol)
+                    rk_bochner(point, R).norm, TOL_ALG)
         )
         worst = max(
             abs(ahsc(point, R, X, Y) - expected)
@@ -417,7 +400,7 @@ def _cor33_spotcheck(p: ScenarioParams, table: dict) -> list[CheckResult]:
         checks.append(
             _vanish(f"ahsc_constant_{label}",
                     "sampled antiholomorphic planes all report the model constant",
-                    worst, tol)
+                    worst, TOL_ALG)
         )
     return checks
 
@@ -454,7 +437,6 @@ def _model_error(geometries: list, desc: str) -> float:
 
 
 def _identities_s6(p: ScenarioParams, table: dict) -> list[CheckResult]:
-    tol = p.tolerances
     desc = f"S6({p.c!r})"
     _, geometries = _chart_points(p, desc, p.chart_points, table)
     worst_rel = _model_error(geometries, desc)
@@ -462,8 +444,8 @@ def _identities_s6(p: ScenarioParams, table: dict) -> list[CheckResult]:
     checks = [
         _vanish("chart_curvature_matches_model",
                 "finite-difference curvature of the round six-sphere chart matches "
-                "the constant-curvature tensor", worst_rel, tol.tol_fd2),
-        _vanish("chart_nk", "the chart is nearly Kahler", suite.nk, tol.tol_fd1),
+                "the constant-curvature tensor", worst_rel, FDConfig.tol_fd2),
+        _vanish("chart_nk", "the chart is nearly Kahler", suite.nk, FDConfig.tol_fd1),
     ]
     for name, value, claim in (
         ("chart_id_1_1", suite.id_1_1, "curvature J-rotation defect equals the nabla-J pairing"),
@@ -473,12 +455,11 @@ def _identities_s6(p: ScenarioParams, table: dict) -> list[CheckResult]:
         ("chart_id_3_2", suite.id_3_2, "the Ricci difference is a multiple of the metric"),
         ("chart_id_3_3", suite.id_3_3, "the scalar traces sit in the 5:1 ratio"),
     ):
-        checks.append(_vanish(name, claim, value, tol.tol_fd2))
+        checks.append(_vanish(name, claim, value, FDConfig.tol_fd2))
     return checks
 
 
 def _identities_cp(p: ScenarioParams, table: dict) -> list[CheckResult]:
-    tol = p.tolerances
     desc = f"CP({p.m},{p.mu!r})"
     _, geometries = _chart_points(p, desc, p.chart_points, table)
     checks = []
@@ -488,36 +469,35 @@ def _identities_cp(p: ScenarioParams, table: dict) -> list[CheckResult]:
     checks.append(
         _vanish("chart_curvature_matches_model",
                 "finite-difference curvature matches the constant holomorphic "
-                "curvature tensor", worst_rel, tol.tol_fd2)
+                "curvature tensor", worst_rel, FDConfig.tol_fd2)
     )
     checks.append(
         _vanish("chart_nabla_j", "the chart is Kahler: nabla J vanishes",
-                worst_dj, tol.tol_fd1)
+                worst_dj, FDConfig.tol_fd1)
     )
-    fam = ricci_family(geometries[0].point, geometries[0].R, sym_tol=tol.chart_sym_tol)
+    fam = ricci_family(geometries[0].point, geometries[0].R, sym_tol=_CHART_SYM_TOL)
     suite = _suite(p, desc, table)
     checks.extend([
-        _vanish("chart_nk", "Kahler charts are nearly Kahler", suite.nk, tol.tol_fd1),
+        _vanish("chart_nk", "Kahler charts are nearly Kahler", suite.nk, FDConfig.tol_fd1),
         _vanish("chart_id_1_1", "both sides of the J-rotation pairing vanish",
-                suite.id_1_1, tol.tol_fd2),
+                suite.id_1_1, FDConfig.tol_fd2),
         _vanish("chart_id_1_2", "second derivatives of J are determined by curvature",
-                suite.id_1_2, tol.tol_fd2),
+                suite.id_1_2, FDConfig.tol_fd2),
         _vanish("chart_id_1_3", "the Ricci-difference derivative identity degenerates to 0 = 0",
-                suite.id_1_3, tol.tol_fd2),
+                suite.id_1_3, FDConfig.tol_fd2),
         _vanish("chart_id_1_5", "the twisted Ricci contraction vanishes",
-                suite.id_1_5, tol.tol_fd2),
+                suite.id_1_5, FDConfig.tol_fd2),
         _vanish("chart_id_3_2", "the Ricci difference vanishes, hence is a multiple of the metric",
-                suite.id_3_2, tol.tol_fd2),
+                suite.id_3_2, FDConfig.tol_fd2),
         _vanish("chart_tau_equality", "the two scalar traces agree on a Kahler model",
-                abs(fam.tau - fam.tau_prime), tol.tol_fd2),
+                abs(fam.tau - fam.tau_prime), FDConfig.tol_fd2),
         _nonvanish("chart_id_3_3", "the 5:1 scalar ratio does not apply to the Kahler model",
-                   suite.id_3_3, tol.tol_fd2),
+                   suite.id_3_3, FDConfig.tol_fd2),
     ])
     return checks
 
 
 def _bianchi(p: ScenarioParams, table: dict) -> list[CheckResult]:
-    tol = p.tolerances
     checks = []
     for desc in (f"S6({p.c!r})", f"CE({p.m})", f"CP({p.m},{p.mu!r})"):
         label = make_chart(desc).label
@@ -527,7 +507,7 @@ def _bianchi(p: ScenarioParams, table: dict) -> list[CheckResult]:
             ("id_1_6", suite.id_1_6, "the contracted differential identity for curvature holds"),
             ("id_1_7", suite.id_1_7, "the contracted differential identity for the Ricci trace holds"),
         ):
-            checks.append(_vanish(f"{name}_{label}", claim, value, tol.tol_fd2))
+            checks.append(_vanish(f"{name}_{label}", claim, value, FDConfig.tol_fd2))
     return checks
 
 
@@ -566,7 +546,7 @@ def _run(scenario_id: str, params: ScenarioParams | None, table: dict) -> Scenar
     checks = _SCENARIOS[scenario_id](params, table)
     return ScenarioReport(
         scenario=scenario_id,
-        parameters=asdict(params),
+        parameters={**asdict(params), "tolerances": dict(_TOLERANCES)},
         checks=checks,
         wall_time_s=time.perf_counter() - start,
     )

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, files, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -20,6 +21,8 @@ from bochnerkit.bochner import NotRKError
 from bochnerkit.charts import FDConfig, parse_model_spec
 from bochnerkit import cli
 from bochnerkit.cli import cli_dispatch
+from bochnerkit.multilinear import TOL_ALG
+from bochnerkit.scenarios import ScenarioParams
 
 
 def test_scenario_writes_report(tmp_path, capsys):
@@ -223,27 +226,30 @@ def test_identities_bad_chart(capsys):
     ["tensor", "CE(0)"],
     ["identities", "CD(2,1)"],
     ["identities", "CE(1)", "--points", "0"],
-    ["identities", "S6(1)", "--tol-fd2", "-1"],
-    ["identities", "S6(1)", "--tol-fd1", "0"],
-    ["identities", "S6(1)", "--tol-fd1", "inf"],
-    ["scenario", "bianchi", "--tol-fd2", "nan"],
-    ["identities", "S6(1)", "--tol-fd2", "nan"],
+    ["identities", "S6(1)", "--points", "-1"],
+    ["identities", "S6(0)"],
+    ["identities", "S6(inf)"],
+    ["scenario", "bianchi", "--m", "7"],
+    ["identities", "S6(nan)"],
     ["identities", "PRODUCT(CD(1,-1),S6(-1))", "--points", "1"],
-    ["scenario", "thm21_forward", "--tol-alg", "nan"],
+    ["scenario", "thm21_forward", "--k", "0"],
     ["identities", "S6(1)", "--seed", "-1", "--points", "1"],
     ["all", "--seed", "-5"],
     ["identities", "S6(1e300)", "--points", "1"],
     ["identities", "CE(7)"],
     ["tensor", "PRODUCT(CP(4,1),S6(1))"],
     ["tensor", "S6(1e308)"],
-    *(["tensor", "s6", "--tol-alg", tol] for tol in ("nan", "inf", "-1", "0")),
-    *(["validate", "{doc}", "--tol-alg", tol] for tol in ("nan", "inf", "-1", "0")),
+    *(["tensor", "s6", "--c", c] for c in ("nan", "inf", "-1", "0")),
+    ["validate"],
+    ["validate", "{doc}", "{doc}"],
+    ["validate", "{doc}.missing"],
+    ["validate", "{dir}"],
     # NaN fails every comparison, so a sign check alone lets a NaN scale through
     ["scenario", "thm21_forward", "--c", "nan"],
     ["scenario", "thm21_forward", "--c", "nan", "--json", "{json}"],
     ["all", "--mu", "nan"],
-    # a tolerance that overflows to inf, and a k that leaves no second factor
-    ["identities", "CP(2,1)", "--points", "1", "--tol-fd1", "1e999"],
+    # a curvature that overflows to inf, and a k that leaves no second factor
+    ["identities", "CP(2,1e999)", "--points", "1"],
     ["all", "--k", "3"],
     # a bare model takes only the flags that are its descriptor arguments
     ["tensor", "cp", "--c", "2"],
@@ -254,11 +260,10 @@ def test_identities_bad_chart(capsys):
     ["tensor", "\u017f6"],  # a long s, which upper-cases to S
 ])
 def test_bad_model_input_exits_2_with_one_line(argv, tmp_path, capsys):
-    if "{doc}" in argv:  # a valid document, so only the flag can be at fault
-        doc = tmp_path / "s6.json"
+    doc = tmp_path / "s6.json"
+    if any("{doc}" in a for a in argv):  # a valid document, so only the call can be at fault
         assert cli_dispatch(["tensor", "s6", "--quiet", "--dump", str(doc)]) == 0
-        argv = [str(doc) if a == "{doc}" else a for a in argv]
-    argv = [str(tmp_path / "report.json") if a == "{json}" else a for a in argv]
+    argv = [a.format(doc=doc, dir=tmp_path, json=tmp_path / "report.json") for a in argv]
     assert cli_dispatch(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -302,6 +307,28 @@ def test_step_policy_flags_are_gone(argv, unknown, capsys):
     assert captured.err == f"error: unrecognized arguments: {unknown} (see bochnerkit --help)\n"
 
 
+def test_the_gates_are_no_parameter(tmp_path, capsys):
+    """The three gates are constants: no flag moves them, no scenario parameter
+    holds them, and every report states the constants themselves."""
+    doc = tmp_path / "s6.json"
+    assert cli_dispatch(["tensor", "s6", "--quiet", "--dump", str(doc)]) == 0
+    for argv, unknown in ((["all", "--tol-fd1", "1e-20"], "--tol-fd1 1e-20"),
+                          (["identities", "CE(1)", "--tol-fd2", "1"], "--tol-fd2 1"),
+                          (["validate", str(doc), "--tol-alg", "1"], "--tol-alg 1")):
+        assert cli_dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unrecognized arguments: {unknown} (see bochnerkit --help)\n"
+    assert "tolerances" not in {f.name for f in dataclasses.fields(ScenarioParams)}
+    report = tmp_path / "all.json"
+    assert cli_dispatch(["all", "--points", "1", "--samples", "8", "--quiet",
+                         "--json", str(report)]) == 0
+    gates = {"tol_alg": TOL_ALG, "tol_fd1": FDConfig.tol_fd1, "tol_fd2": FDConfig.tol_fd2}
+    assert gates == {"tol_alg": 1e-12, "tol_fd1": 1e-6, "tol_fd2": 1e-4}
+    for scenario in json.loads(report.read_text())["reports"]:
+        assert scenario["parameters"]["tolerances"] == gates
+
+
 def _run_module(argv: list[str]) -> subprocess.CompletedProcess:
     """``python -m bochnerkit argv`` in a fresh interpreter on this checkout."""
     src = str(Path(bochnerkit.__file__).resolve().parents[1])
@@ -328,15 +355,6 @@ def test_floating_point_failure_exits_2_with_one_line(argv, tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: numerical failure in the model: ")
     assert proc.stderr.count("\n") == 1
-
-
-@pytest.mark.parametrize("flag", ["--tol-fd1", "--tol-fd2"])
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
-def test_bad_fd_flag_is_named_in_the_error(flag, value, capsys):
-    assert cli_dispatch(["all", flag, value]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: argument {flag}: must be finite and positive")
-    assert err.count("\n") == 1
 
 
 def test_non_rk_chart_curvature_exits_2_with_one_line(monkeypatch, capsys):
@@ -404,7 +422,7 @@ _FOUND_FLAGS = [
     ["scenario", "thm21_forward", "--c", "1_0"],
     ["identities", "CE(1)", "--points", "\u0662"],  # an Arabic-Indic two
     ["all", "--samples", "1_0"],
-    ["identities", "CE(1)", "--points", "1", "--tol-fd1", "1_0"],
+    ["tensor", "cp", "--mu", "1_0"],
 ]
 
 
@@ -526,10 +544,10 @@ def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path, capsys):
     argvs = [
         ["identities", "CE(1)", "--points", "1", "--seed", "3"],
         ["identities", "--bogus"],
-        ["all", "--tol-fd1", "nan"],
-        ["scenario", "thm21_forward", "--tol-fd2", "-1"],
+        ["all", "--c", "nan"],
+        ["scenario", "thm21_forward", "--points", "-1"],
         ["tensor", "s6", "--quiet", "--dump", str(doc)],
-        ["validate", str(doc), "--tol-alg", "0"],
+        ["validate", str(doc), "--seed", "-1"],
         ["validate", str(doc)],
         ["all", "--m", "2"],
         ["identities", "--help"],

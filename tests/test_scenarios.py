@@ -12,7 +12,6 @@ from bochnerkit.scenarios import (
     SCENARIO_IDS,
     ScenarioParamError,
     ScenarioParams,
-    ToleranceConfig,
     UnknownScenarioError,
     make_model,
     run_all,
@@ -78,19 +77,12 @@ def test_run_all_checks_m_before_running_any_scenario(monkeypatch):
     assert ran == others
 
 
-@pytest.mark.parametrize("name", ["tol_alg", "tol_fd1", "tol_fd2"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
-def test_every_tolerance_is_validated_alike(name, value):
-    params = ScenarioParams(tolerances=ToleranceConfig(**{name: value}))
-    with pytest.raises(ScenarioParamError, match=f"^{name} must be finite and positive"):
-        run_scenario("thm21_forward", params)
-
-
 def test_chart_symmetry_gate_is_derived_not_a_field():
-    """One owner for the gate of a chart curvature's traces, outside every report."""
-    tol = ToleranceConfig(tol_fd1=2e-6)
-    assert tol.chart_sym_tol == 10.0 * 2e-6
-    assert list(dataclasses.asdict(tol)) == ["tol_alg", "tol_fd1", "tol_fd2"]
+    """One constant gates a chart curvature's traces, derived from tol_fd1 and
+    outside every report."""
+    assert scenarios._CHART_SYM_TOL == 10.0 * charts.FDConfig.tol_fd1
+    payload = run_scenario("thm31_product", FAST).to_dict()
+    assert list(payload["parameters"]["tolerances"]) == ["tol_alg", "tol_fd1", "tol_fd2"]
 
 
 def test_the_step_policy_is_no_parameter():
@@ -109,6 +101,18 @@ def test_counterexample_statuses():
     assert by_name["b_nonvanishing"].defect > 1e-3
     assert by_name["antiholo_4frame"].status == "expected-fail"
     assert by_name["bstar_vanishes"].status == "pass"
+
+
+@pytest.mark.parametrize("c", [1.0, 2.5])
+def test_antiholo_4frame_has_a_witness_at_every_sample_count(c):
+    """The flat-point frame (e0 + e4, e2 + e6, e2 - e6, e0 - e4)/sqrt2 of
+    PRODUCT(CD(2,-c),S6(c)) reads 3c/16, so one sampled frame cannot fail the
+    nonvanishing verdict; --samples only adds frames."""
+    for seed in range(12):
+        report = run_scenario("thm31_counterexample", ScenarioParams(c=c, seed=seed, samples=1))
+        frame = {ch.name: ch for ch in report.checks}["antiholo_4frame"]
+        assert report.passed and frame.status == "expected-fail"
+        assert frame.defect >= 3.0 * c / 16.0
 
 
 def test_product_scenario_reports_expected_fail_for_metric_multiple():
