@@ -28,6 +28,7 @@ from .curvature import (
 from .multilinear import (
     TOL_ALG,
     CurvTensor,
+    InputError,
     SymBilinear,
     _check_same_dim,
     invariant_norm,
@@ -51,11 +52,11 @@ _CONSTRAINT_TOL = 1e-10  # Gram and J-pairing defect a sampled frame may keep
 _FRAME_BLOCK = 1024  # frames drawn and evaluated at once by antiholo_4frame_defect
 
 
-class DimensionTooSmallError(ValueError):
+class DimensionTooSmallError(InputError):
     """The five-term corrected tensor needs m > 2 (denominators m-1, m-2)."""
 
 
-class NotRKError(ValueError):
+class NotRKError(InputError):
     """Input curvature is not invariant under J-rotation of all four slots."""
 
     def __init__(self, defect: float, tol: float):

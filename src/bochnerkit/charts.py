@@ -43,7 +43,7 @@ from .curvature import (
     space_form_tensor, standard_J, validate_point,
     _block_diagonal, _g_inv, _ricci_identities, _rotate, _spans, _traces,
 )
-from .multilinear import CurvTensor, NonFiniteError, SymBilinear, _norm
+from .multilinear import CurvTensor, InputError, NonFiniteError, SymBilinear, _norm
 from .octonion import cross_operator
 
 __all__ = [
@@ -70,19 +70,19 @@ H_C = 1e-30  # complex step of every first derivative of a chart field
 NK_THRESHOLD = 1e-3  # nearly Kahler defect above which the suite aborts
 
 
-class ChartSpecError(ValueError):
+class ChartSpecError(InputError):
     """Unknown model descriptor or parameter outside its admissible range."""
 
 
-class MarginError(ValueError):
+class MarginError(InputError):
     """The evaluation point is too close to the chart boundary for the stencil."""
 
 
-class FDConfigError(ValueError):
+class FDConfigError(InputError):
     """The finite-difference step collapses the stencil at the evaluation point."""
 
 
-class NotNearlyKahlerError(ValueError):
+class NotNearlyKahlerError(InputError):
     """The chart fails (nabla_X J) X = 0, so the dependent identities are skipped."""
 
     def __init__(self, defect: float, threshold: float):
@@ -228,6 +228,9 @@ def parse_model_spec(text: str) -> ChartSpec:
         raise ChartSpecError(f"unbalanced parentheses in model descriptor {text!r}")
     pos, kinds = 0, [*_KINDS, "PRODUCT"]
 
+    def fault(column: int, what: str) -> ChartSpecError:
+        return ChartSpecError(f"bad model descriptor {text!r} at column {column}: expected {what}")
+
     def take(token: str, what: str = "") -> str | None:
         """The ``token`` pattern after any whitespace, consumed, or None; given ``what``,
         its absence is a fault that quotes the text and names the column."""
@@ -235,8 +238,7 @@ def parse_model_spec(text: str) -> ChartSpec:
         match = re.compile(rf"\s*({token})?", re.ASCII).match(text, pos)
         pos = match.end()
         if match[1] is None and what:
-            raise ChartSpecError(
-                f"bad model descriptor {text!r} at column {pos + 1}: expected {what}")
+            raise fault(pos + 1, what)
         return match[1]
 
     def descriptor() -> ChartSpec:
@@ -251,9 +253,12 @@ def parse_model_spec(text: str) -> ChartSpec:
             if kind == "PRODUCT":
                 parts.append(descriptor())
             elif names[len(parts) : len(parts) + 1] == ["m"]:  # the one integer argument
-                parts.append(take(_INTEGER, "an integer m"))
+                parts.append(int(take(_INTEGER, "an integer m")))
             else:
-                parts.append(take(_DECIMAL, "a number"))
+                number = take(_DECIMAL, "a number")
+                if abs(float(number)) == np.inf:  # a literal beyond the largest double
+                    raise fault(pos - len(number) + 1, "a finite number")
+                parts.append(float(number))
         if kind == "PRODUCT":
             if len(parts) < 2:
                 raise ChartSpecError(f"PRODUCT needs at least two factors: {text!r}")
@@ -263,7 +268,7 @@ def parse_model_spec(text: str) -> ChartSpec:
                 f"bad arguments in model descriptor {text!r}: {kind}({', '.join(names)}) "
                 f"takes {len(names)} argument{'s' * (len(names) > 1)}, got {len(parts)}"
             )
-        return ChartSpec(kind, **{a: (int if a == "m" else float)(v) for a, v in zip(names, parts)})
+        return ChartSpec(kind, **dict(zip(names, parts)))
 
     spec = descriptor()
     take(r"\Z", "the end of the descriptor")

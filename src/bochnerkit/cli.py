@@ -26,14 +26,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bochner import DimensionTooSmallError, NotRKError, generalized_bochner, rk_bochner
+from .bochner import DimensionTooSmallError, generalized_bochner, rk_bochner
 from .charts import (
     ChartSpec,
     ChartSpecError,
     FDConfig,
-    FDConfigError,
-    MarginError,
-    NotNearlyKahlerError,
     geometry_at,
     make_chart,
     nk_identity_suite,
@@ -43,13 +40,11 @@ from .charts import (
     _KINDS,
 )
 from .curvature import PointValidationError, ricci_family, star
-from .multilinear import NonFiniteError, SymmetryError
+from .multilinear import InputError, SymmetryError
 from .scenarios import (
     SCENARIO_IDS,
-    ScenarioParamError,
     ScenarioParams,
     ScenarioReport,
-    UnknownScenarioError,
     make_model,
     run_all,
     run_scenario,
@@ -108,10 +103,11 @@ _integer, _real = _flag(True), _flag(False)
 @functools.cache  # one parser per process; parsing leaves no state on it
 def _build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=_seed, default=0,
-                        help="non-negative seed for all sampling")
     common.add_argument("--json", metavar="PATH", help="write the JSON report to PATH")
     common.add_argument("--quiet", action="store_true", help="suppress console output")
+    sampled = _Parser(add_help=False, parents=[common])  # the commands that sample
+    sampled.add_argument("--seed", type=_seed, default=0,
+                         help="non-negative seed for all sampling")
 
     parser = _Parser(
         prog="bochnerkit",
@@ -126,24 +122,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tensor = sub.add_parser("tensor", parents=[common],
                               help="emit the tensor bundle of a model")
     p_tensor.add_argument("model",
-                          help="model name (ce, s6, cp, cd) or descriptor like CP(3,4) "
-                               "or PRODUCT(CD(1,-1),S6(1))")
-    p_tensor.add_argument("--m", type=_integer, default=None, help="complex dimension")
-    p_tensor.add_argument("--c", type=_real, default=None, help="sectional curvature (s6)")
-    p_tensor.add_argument("--mu", type=_real, default=None, help="holomorphic curvature (cp/cd)")
+                          help="descriptor like CP(3,4) or PRODUCT(CD(1,-1),S6(1)), or a "
+                               "bare name ce, s6, cp, cd for CE(3), S6(1), CP(3,1), CD(3,-1)")
     p_tensor.add_argument("--dump", metavar="PATH",
                           help="also write the bare tensor document to PATH")
 
-    p_ident = sub.add_parser("identities", parents=[common],
+    p_ident = sub.add_parser("identities", parents=[sampled],
                              help="finite-difference identity residuals on a chart")
     p_ident.add_argument("chart", help="chart descriptor, e.g. S6(1) or CP(3,4)")
     p_ident.add_argument("--points", type=_count, default=2, help="sampled points (default 2)")
 
-    p_scen = sub.add_parser("scenario", parents=[common], help="run one scenario")
+    p_scen = sub.add_parser("scenario", parents=[sampled], help="run one scenario")
     p_scen.add_argument("id", help="scenario id; one of: " + ", ".join(SCENARIO_IDS))
     _add_scenario_params(p_scen)
 
-    p_all = sub.add_parser("all", parents=[common], help="run the full scenario suite")
+    p_all = sub.add_parser("all", parents=[sampled], help="run the full scenario suite")
     _add_scenario_params(p_all)
     return parser
 
@@ -153,15 +146,13 @@ def _add_scenario_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=_integer, default=ScenarioParams.k)
     parser.add_argument("--c", type=_real, default=ScenarioParams.c)
     parser.add_argument("--mu", type=_real, default=ScenarioParams.mu)
-    parser.add_argument("--samples", type=_count, default=ScenarioParams.samples,
-                        help="antiholomorphic 4-frame samples (default %(default)s)")
     parser.add_argument("--points", type=_count, default=ScenarioParams.chart_points,
                         help="chart points per scenario (default %(default)s)")
 
 
 def _scenario_params(args: argparse.Namespace) -> ScenarioParams:
     return ScenarioParams(m=args.m, k=args.k, c=args.c, mu=args.mu, seed=args.seed,
-                          samples=args.samples, chart_points=args.points)
+                          chart_points=args.points)
 
 
 def _say(args: argparse.Namespace, line: str) -> None:
@@ -201,30 +192,22 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _tensor_spec(args: argparse.Namespace) -> ChartSpec:
-    name = args.model.strip()
-    given = {a: getattr(args, a) for a in ("m", "c", "mu") if getattr(args, a) is not None}
+def _tensor_spec(model: str) -> ChartSpec:
+    """A descriptor, or a bare kind name, which stands for that kind at m = 3 and
+    curvature 1 signed as the kind admits: CE(3), S6(1), CP(3,1), CD(3,-1)."""
+    name = model.strip()
     if "(" in name:
-        if given:
-            raise ChartSpecError("pass parameters either in the descriptor or as flags, not both")
         return parse_model_spec(name)
     kind = name.upper()
     if kind not in _KINDS or not name.isascii():  # a long s upper-cases to S
         raise ChartSpecError(f"unknown model {name!r}; use one of "
                              f"{', '.join(k.lower() for k in _KINDS)} or a descriptor")
-    takes = _KINDS[kind].args
-    if "m" not in takes and given.pop("m", 3) != 3:  # a kind without m is 6-dimensional
-        raise ChartSpecError(f"{name} fixes dim 6 (m = 3)")
-    for flag in given:
-        if flag not in takes:
-            raise ChartSpecError(f"{name} takes no --{flag} flag; its flags are "
-                                 + ", ".join("--" + a for a in takes))
-    return ChartSpec(kind, **{a: given.get(a, sign * getattr(ScenarioParams, a))
-                              for a, (sign, _) in takes.items()})  # signed as the kind admits
+    return ChartSpec(kind, **{a: 3 if a == "m" else sign * 1.0
+                              for a, (sign, _) in _KINDS[kind].args.items()})
 
 
 def _cmd_tensor(args: argparse.Namespace) -> int:
-    spec = _tensor_spec(args)
+    spec = _tensor_spec(args.model)
     point, R, label = make_model(spec)
     doc = TensorDocument.from_point_tensor(point, R, label=label)
     star_tensor = star(point, R)
@@ -312,7 +295,7 @@ def _cmd_all(args: argparse.Namespace) -> int:
     ok = all(r.passed for r in reports)
     _say(args, f"suite: {'pass' if ok else 'FAIL'} ({len(reports)} scenarios)")
     _write_json(args, {
-        "schema_version": 2,
+        "schema_version": 3,
         "reports": [r.to_dict() for r in reports],
         "status": "pass" if ok else "fail",
     })
@@ -339,10 +322,7 @@ def cli_dispatch(argv: Sequence[str]) -> int:
         # an overflow or invalid value is an input the model cannot evaluate
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return _COMMANDS[args.command](args)
-    except (ChartSpecError, FDConfigError, MarginError, NotNearlyKahlerError, NotRKError,
-            ScenarioParamError, UnknownScenarioError, DocumentFormatError,
-            PointValidationError, SymmetryError, DimensionTooSmallError,
-            NonFiniteError, OSError) as exc:
+    except (InputError, OSError) as exc:
         _write(f"error: {exc}", sys.stderr)
         return 2
     except (np.linalg.LinAlgError, FloatingPointError) as exc:

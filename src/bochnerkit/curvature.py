@@ -27,6 +27,7 @@ from .multilinear import (
     TOL_ALG,
     CurvTensor,
     DimensionMismatchError,
+    InputError,
     SymBilinear,
     SymmetryError,
     _check_same_dim,
@@ -74,7 +75,7 @@ class Violation:
     defect: float
 
 
-class PointValidationError(ValueError):
+class PointValidationError(InputError):
     """Metric/almost-complex data does not define a valid Hermitian point."""
 
     def __init__(self, violations: list[Violation]):

@@ -27,6 +27,7 @@ __all__ = [
     "SymBilinear",
     "FrameSet",
     "SymmetryDefects",
+    "InputError",
     "DimensionMismatchError",
     "NonFiniteError",
     "SymmetryError",
@@ -39,15 +40,20 @@ __all__ = [
 ]
 
 
+class InputError(ValueError):
+    """An input the computation cannot take.  The CLI reports every subclass as
+    one ``error:`` line and exit 2; any other exception is an internal fault."""
+
+
 class DimensionMismatchError(ValueError):
     """Operands disagree on dimension or array shape."""
 
 
-class NonFiniteError(ValueError):
+class NonFiniteError(InputError):
     """Components contain NaN or infinity."""
 
 
-class SymmetryError(ValueError):
+class SymmetryError(InputError):
     """A tensor violates the symmetry class an operation requires.
 
     Carries the offending defect value in ``defect``.

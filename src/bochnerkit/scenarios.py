@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bochner import (
-    antiholo_4frame_defect,
     generalized_bochner,
     nk_flat_form_3_4,
     rk_bochner,
@@ -45,7 +44,7 @@ from .curvature import (
     identity_defects,
     ricci_family,
 )
-from .multilinear import TOL_ALG, CurvTensor, _norm, invariant_norm
+from .multilinear import TOL_ALG, CurvTensor, InputError, _norm, invariant_norm
 
 __all__ = [
     "SCENARIO_IDS",
@@ -60,11 +59,11 @@ __all__ = [
 ]
 
 
-class ScenarioParamError(ValueError):
+class ScenarioParamError(InputError):
     """Parameter outside the documented range for the requested scenario."""
 
 
-class UnknownScenarioError(ValueError):
+class UnknownScenarioError(InputError):
     """No scenario with the requested id."""
 
 
@@ -83,7 +82,6 @@ class ScenarioParams:
     c: float = 1.0
     mu: float = 1.0
     seed: int = 0
-    samples: int = 512
     chart_points: int = 2
 
     def validate(self) -> None:
@@ -93,8 +91,8 @@ class ScenarioParams:
             raise ScenarioParamError(f"k must satisfy 1 <= k < m, got k={self.k}, m={self.m}")
         if not (0 < self.c < np.inf and 0 < self.mu < np.inf):  # NaN fails both
             raise ScenarioParamError("curvature scales c and mu must be finite and positive")
-        if self.samples < 1 or self.chart_points < 1:
-            raise ScenarioParamError("samples and chart_points must be >= 1")
+        if self.chart_points < 1:
+            raise ScenarioParamError("chart_points must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,7 @@ class ScenarioReport:
 
     def to_dict(self, include_timing: bool = False) -> dict:
         out = {
-            "schema_version": 2,
+            "schema_version": 3,
             "scenario": self.scenario,
             "parameters": self.parameters,
             "checks": [asdict(c) for c in self.checks],
@@ -328,13 +326,13 @@ def _thm31_product(p: ScenarioParams, table: dict) -> list[CheckResult]:
 def _thm31_counterexample(p: ScenarioParams, table: dict) -> list[CheckResult]:
     threshold = 1e-3
     point, R, _ = make_model(f"PRODUCT(CD(2,{-p.c!r}),S6({p.c!r}))")
-    # a witness, so --samples only adds frames: (e0 + e4, e2 + e6, e2 - e6, e0 - e4)/sqrt2
-    # is an orthonormal antiholomorphic frame of the flat point, on which R reads c/4 (S6
-    # block) - c/16 (CD block) = 3c/16; the four 1/sqrt2 are applied as one exact 1/4
+    # the witness (e0 + e4, e2 + e6, e2 - e6, e0 - e4)/sqrt2 is an orthonormal
+    # antiholomorphic frame of the flat point, on which R reads c/4 (S6 block) - c/16
+    # (CD block) = 3c/16, the largest |R| on such frames that maximization finds; the
+    # four 1/sqrt2 are applied as one exact 1/4
     e = np.eye(point.dim)
     x, y, z, u = e[0] + e[4], e[2] + e[6], e[2] - e[6], e[0] - e[4]
     witness = abs(np.einsum("abcd,a,b,c,d->", R.components, x, y, z, u)) / 4.0
-    frame_defect = max(witness, antiholo_4frame_defect(point, R, samples=p.samples, seed=p.seed))
     return [
         _nonvanish("b_nonvanishing",
                    "the hyperbolic-plane times six-sphere product has nonvanishing "
@@ -347,7 +345,7 @@ def _thm31_counterexample(p: ScenarioParams, table: dict) -> list[CheckResult]:
         _nonvanish("antiholo_4frame",
                    "curvature does not vanish on orthonormal antiholomorphic 4-frames, "
                    "which a vanishing corrected tensor would force",
-                   frame_defect, threshold),
+                   witness, threshold),
     ]
 
 

@@ -22,7 +22,7 @@ from typing import Any, IO
 import numpy as np
 
 from .curvature import HermitianPoint, validate_point
-from .multilinear import TOL_ALG, CurvTensor, require_curvature_class
+from .multilinear import TOL_ALG, CurvTensor, InputError, require_curvature_class
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -36,7 +36,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-class DocumentFormatError(ValueError):
+class DocumentFormatError(InputError):
     """Malformed JSON or structurally invalid document."""
 
 

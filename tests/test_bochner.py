@@ -367,6 +367,16 @@ def test_antiholo_defect_positive_on_counterexample():
     assert defect > 1e-3
 
 
+@pytest.mark.parametrize("c", [1.0, 2.5])
+def test_antiholo_defect_never_exceeds_the_witness(c):
+    """3c/16, the value of the scenario's witness frame, is the largest |R| on
+    orthonormal antiholomorphic 4-frames of PRODUCT(CD(2,-c),S6(c)) that a
+    maximization finds; no sampled frame reads more."""
+    point, R, _ = make_model(f"PRODUCT(CD(2,{-c!r}),S6({c!r}))")
+    for seed in range(3):
+        assert antiholo_4frame_defect(point, R, samples=4096, seed=seed) <= 3 * c / 16 * (1 + 1e-12)
+
+
 def test_antiholo_defect_deterministic():
     point = flat_point(8)
     R = rk_project(point, random_curvature_tensor(8, 9))

@@ -21,7 +21,7 @@ from bochnerkit.bochner import NotRKError
 from bochnerkit.charts import FDConfig, parse_model_spec
 from bochnerkit import cli
 from bochnerkit.cli import cli_dispatch
-from bochnerkit.multilinear import TOL_ALG
+from bochnerkit.multilinear import TOL_ALG, DimensionMismatchError, InputError
 from bochnerkit.scenarios import ScenarioParams
 
 
@@ -56,31 +56,27 @@ def test_scenario_bad_params(capsys):
 
 
 def test_tensor_s6_fixes_dimension(capsys):
-    assert cli_dispatch(["tensor", "s6", "--m", "4"]) == 2
-    assert "fixes dim 6" in capsys.readouterr().err
+    """S6 takes c alone: its model is six-dimensional, and an m is a second argument."""
+    assert cli_dispatch(["tensor", "s6"]) == 0
+    assert json.loads(capsys.readouterr().out)["document"]["dim"] == 6
+    assert cli_dispatch(["tensor", "S6(3,1)"]) == 2
+    assert capsys.readouterr().err == ("error: bad arguments in model descriptor 'S6(3,1)': "
+                                       "S6(c) takes 1 argument, got 2\n")
 
 
 @pytest.mark.parametrize("argv, model", [
-    (["tensor", "s6", "--m", "3"], "S6(1)"),
-    (["tensor", "s6", "--c", "2"], "S6(2)"),
-    (["tensor", "ce", "--m", "2"], "CE(2)"),
-    (["tensor", "cp", "--m", "2", "--mu", "3"], "CP(2,3)"),
+    (["tensor", "s6"], "S6(1)"),
+    (["tensor", "s6(2)"], "S6(2)"),
+    (["tensor", "ce(2)"], "CE(2)"),
+    (["tensor", " CP( 2 , 3 ) "], "CP(2,3)"),
     (["tensor", "cd"], "CD(3,-1)"),
-    (["tensor", "cd", "--mu", "-2"], "CD(3,-2)"),
+    (["tensor", "CD(3,-2)"], "CD(3,-2)"),
 ])
 def test_bare_model_flags_are_its_descriptor_arguments(argv, model, capsys):
+    """A model's parameters are its descriptor's arguments, and a bare name is its
+    kind at m = 3 and curvature 1 signed as the kind admits."""
     assert cli_dispatch(argv) == 0
     assert json.loads(capsys.readouterr().out)["model"] == model
-
-
-@pytest.mark.parametrize("argv, err", [
-    (["tensor", "cp", "--c", "2"], "cp takes no --c flag; its flags are --m, --mu"),
-    (["tensor", "s6", "--mu", "5"], "s6 takes no --mu flag; its flags are --c"),
-    (["tensor", "ce", "--m", "2", "--c", "1"], "ce takes no --c flag; its flags are --m"),
-])
-def test_a_stray_bare_model_flag_is_named(argv, err, capsys):
-    assert cli_dispatch(argv) == 2
-    assert capsys.readouterr().err == f"error: {err}\n"
 
 
 def test_tensor_bundle_stdout(capsys):
@@ -92,7 +88,7 @@ def test_tensor_bundle_stdout(capsys):
 
 
 def test_tensor_small_dimension_has_no_rk_tensor(capsys):
-    assert cli_dispatch(["tensor", "cd", "--m", "1"]) == 0
+    assert cli_dispatch(["tensor", "CD(1,-1)"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["rk_bochner"] is None
     assert "rk_bochner_status" in payload
@@ -239,7 +235,7 @@ def test_identities_bad_chart(capsys):
     ["identities", "CE(7)"],
     ["tensor", "PRODUCT(CP(4,1),S6(1))"],
     ["tensor", "S6(1e308)"],
-    *(["tensor", "s6", "--c", c] for c in ("nan", "inf", "-1", "0")),
+    *(["scenario", "thm31_s6", "--c", c] for c in ("nan", "inf", "-1", "0")),
     ["validate"],
     ["validate", "{doc}", "{doc}"],
     ["validate", "{doc}.missing"],
@@ -251,7 +247,7 @@ def test_identities_bad_chart(capsys):
     # a curvature that overflows to inf, and a k that leaves no second factor
     ["identities", "CP(2,1e999)", "--points", "1"],
     ["all", "--k", "3"],
-    # a bare model takes only the flags that are its descriptor arguments
+    # a bare model takes no parameter flag
     ["tensor", "cp", "--c", "2"],
     ["tensor", "cd", "--c", "3"],
     ["tensor", "ce", "--mu", "3"],
@@ -321,12 +317,44 @@ def test_the_gates_are_no_parameter(tmp_path, capsys):
         assert captured.err == f"error: unrecognized arguments: {unknown} (see bochnerkit --help)\n"
     assert "tolerances" not in {f.name for f in dataclasses.fields(ScenarioParams)}
     report = tmp_path / "all.json"
-    assert cli_dispatch(["all", "--points", "1", "--samples", "8", "--quiet",
-                         "--json", str(report)]) == 0
+    assert cli_dispatch(["all", "--points", "1", "--quiet", "--json", str(report)]) == 0
     gates = {"tol_alg": TOL_ALG, "tol_fd1": FDConfig.tol_fd1, "tol_fd2": FDConfig.tol_fd2}
     assert gates == {"tol_alg": 1e-12, "tol_fd1": 1e-6, "tol_fd2": 1e-4}
     for scenario in json.loads(report.read_text())["reports"]:
         assert scenario["parameters"]["tolerances"] == gates
+
+
+def test_unread_flags_are_gone(tmp_path, capsys):
+    """Every flag sets a value its command reads: a model's parameters are its
+    descriptor's, the witness frame needs no samples, and only the commands that
+    sample take a seed."""
+    doc = tmp_path / "s6.json"
+    assert cli_dispatch(["tensor", "s6", "--quiet", "--dump", str(doc)]) == 0
+    for argv, unknown in ((["all", "--samples", "8"], "--samples 8"),
+                          (["scenario", "thm31_counterexample", "--samples", "1"], "--samples 1"),
+                          (["tensor", "cp", "--m", "2"], "--m 2"),
+                          (["tensor", "s6", "--c", "2"], "--c 2"),
+                          (["tensor", "cd", "--mu", "-2"], "--mu -2"),
+                          (["tensor", "s6", "--seed", "1"], "--seed 1"),
+                          (["validate", str(doc), "--seed", "1"], "--seed 1")):
+        assert cli_dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unrecognized arguments: {unknown} (see bochnerkit --help)\n"
+    assert "samples" not in {f.name for f in dataclasses.fields(ScenarioParams)}
+
+
+@pytest.mark.parametrize("argv, column", [
+    (["tensor", "S6(1e999)"], 4),
+    (["identities", "CP(2,1e999)", "--points", "1"], 6),
+    (["tensor", "PRODUCT(CD(1, -1e999),S6(1))"], 15),
+])
+def test_overflowing_descriptor_number_is_named_at_its_column(argv, column, capsys):
+    """A number beyond the largest double is a grammar fault at its column, not a
+    value outside its kind's range."""
+    assert cli_dispatch(argv) == 2
+    assert capsys.readouterr().err == (f"error: bad model descriptor {argv[1]!r} at column "
+                                       f"{column}: expected a finite number\n")
 
 
 def _run_module(argv: list[str]) -> subprocess.CompletedProcess:
@@ -369,6 +397,26 @@ def test_non_rk_chart_curvature_exits_2_with_one_line(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: curvature is not RK (defect 2.500e-03 above tolerance 1.0e-05)\n"
+
+
+def test_only_an_input_error_is_reported_as_one(monkeypatch):
+    """The twelve input-error classes share one base, which the CLI reports as one
+    line and exit 2; any other fault keeps its traceback."""
+    modules = (bochnerkit.bochner, charts, bochnerkit.curvature, bochnerkit.multilinear,
+               bochnerkit.scenarios, bochnerkit.serialization)
+    inputs = {name for module in modules for name, cls in vars(module).items()
+              if isinstance(cls, type) and issubclass(cls, InputError) and cls is not InputError}
+    assert inputs == {"DimensionTooSmallError", "NotRKError", "ChartSpecError", "MarginError",
+                      "FDConfigError", "NotNearlyKahlerError", "PointValidationError",
+                      "NonFiniteError", "SymmetryError", "ScenarioParamError",
+                      "UnknownScenarioError", "DocumentFormatError"}
+
+    def internal_fault(args):
+        raise DimensionMismatchError("operands disagree")
+
+    monkeypatch.setitem(cli._COMMANDS, "scenario", internal_fault)
+    with pytest.raises(DimensionMismatchError):
+        cli_dispatch(["scenario", "thm21_forward"])
 
 
 _NUMBER = st.one_of(
@@ -416,13 +464,13 @@ _FOUND_DESCRIPTORS = {  # descriptor: the column its error line names
     "CE(\u0663)": 4,  # an Arabic-Indic three
 }
 _FOUND_FLAGS = [
-    ["tensor", "cp", "--m", "\u0663"],
+    ["scenario", "thm21_forward", "--k", "\u0663"],
     ["all", "--m", "\u0663"],
-    ["tensor", "s6", "--c", "1_0"],
+    ["all", "--c", "1_0"],
     ["scenario", "thm21_forward", "--c", "1_0"],
     ["identities", "CE(1)", "--points", "\u0662"],  # an Arabic-Indic two
-    ["all", "--samples", "1_0"],
-    ["tensor", "cp", "--mu", "1_0"],
+    ["all", "--points", "1_0"],
+    ["all", "--mu", "1_0"],
 ]
 
 
@@ -438,7 +486,7 @@ def test_found_inputs_exit_2_with_one_error_line(argv, capsys):
 
 
 def test_points_and_samples_are_checked_by_their_flag(capsys):
-    for argv in (["identities", "CE(1)", "--points", "0"], ["all", "--samples", "-1"]):
+    for argv in (["identities", "CE(1)", "--points", "0"], ["all", "--points", "-1"]):
         assert cli_dispatch(argv) == 2
         flag, value = argv[-2:]
         assert capsys.readouterr().err == (f"error: argument {flag}: must be an integer >= 1, "
@@ -589,7 +637,7 @@ def test_all_reports_the_s6_chart_checks_once(tmp_path):
 def test_all_seed7_byte_identical(tmp_path):
     """Two identical invocations serialize to identical bytes."""
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    argv = ["all", "--seed", "7", "--points", "1", "--samples", "64", "--quiet"]
+    argv = ["all", "--seed", "7", "--points", "1", "--quiet"]
     assert cli_dispatch(argv + ["--json", str(a)]) == 0
     assert cli_dispatch(argv + ["--json", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()

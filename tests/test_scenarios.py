@@ -18,7 +18,7 @@ from bochnerkit.scenarios import (
     run_scenario,
 )
 
-FAST = ScenarioParams(seed=7, chart_points=1, samples=64)
+FAST = ScenarioParams(seed=7, chart_points=1)
 
 
 def test_scenario_ids_pinned():
@@ -87,10 +87,10 @@ def test_chart_symmetry_gate_is_derived_not_a_field():
 
 def test_the_step_policy_is_no_parameter():
     """The step and Richardson are constants of FDConfig: no field of the
-    parameters and no key of a report, whose schema is version 2."""
+    parameters and no key of a report, whose schema is version 3."""
     assert not {"h", "richardson"} & {f.name for f in dataclasses.fields(ScenarioParams)}
     payload = run_scenario("thm21_forward", FAST).to_dict()
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     assert not {"h", "richardson"} & set(payload["parameters"])
 
 
@@ -105,14 +105,13 @@ def test_counterexample_statuses():
 
 @pytest.mark.parametrize("c", [1.0, 2.5])
 def test_antiholo_4frame_has_a_witness_at_every_sample_count(c):
-    """The flat-point frame (e0 + e4, e2 + e6, e2 - e6, e0 - e4)/sqrt2 of
-    PRODUCT(CD(2,-c),S6(c)) reads 3c/16, so one sampled frame cannot fail the
-    nonvanishing verdict; --samples only adds frames."""
+    """The check scores the flat-point frame (e0 + e4, e2 + e6, e2 - e6, e0 - e4)/sqrt2
+    of PRODUCT(CD(2,-c),S6(c)) alone, which reads 3c/16 whatever the seed."""
     for seed in range(12):
-        report = run_scenario("thm31_counterexample", ScenarioParams(c=c, seed=seed, samples=1))
+        report = run_scenario("thm31_counterexample", ScenarioParams(c=c, seed=seed))
         frame = {ch.name: ch for ch in report.checks}["antiholo_4frame"]
         assert report.passed and frame.status == "expected-fail"
-        assert frame.defect >= 3.0 * c / 16.0
+        assert frame.defect == 3.0 * c / 16.0
 
 
 def test_product_scenario_reports_expected_fail_for_metric_multiple():
