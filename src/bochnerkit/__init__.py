@@ -2,7 +2,7 @@
 
 The package is organized bottom-up:
 
-* :mod:`bochnerkit.multilinear`    dense tensor values, invariant norms, frames
+* :mod:`bochnerkit.multilinear`    dense tensor values, invariant norms
 * :mod:`bochnerkit.curvature`      pointwise almost Hermitian constructions
 * :mod:`bochnerkit.bochner`        the two trace-corrected curvature tensors
 * :mod:`bochnerkit.octonion`       the seven-dimensional cross product
@@ -15,22 +15,18 @@ The package is organized bottom-up:
 from .multilinear import (
     TOL_ALG,
     CurvTensor,
-    FrameSet,
     SymBilinear,
     SymmetryDefects,
     curvature_symmetry_defects,
     invariant_norm,
-    orthonormalize,
 )
 from .curvature import (
     HermitianPoint,
     RicciFamily,
     ahsc,
     complex_space_form_tensor,
-    constant_hsc_estimate,
     direct_sum,
     flat_point,
-    hsc,
     identity_defects,
     phi_psi,
     ricci_family,
@@ -42,10 +38,8 @@ from .curvature import (
 )
 from .bochner import (
     BochnerOutput,
-    antiholo_4frame_defect,
     generalized_bochner,
     nk_flat_form_3_4,
-    rhs_2_1,
     rk_bochner,
 )
 from .charts import (

@@ -6,7 +6,7 @@ spaces of opposite constant holomorphic sectional curvature.
 ``rk_bochner`` is the analogous five-term correction available once the
 curvature is invariant under J-rotation of all four slots (dimension >= 6);
 its vanishing forces the curvature to vanish on orthonormal 4-frames that
-span antiholomorphic planes, which :func:`antiholo_4frame_defect` samples.
+span antiholomorphic planes, which :func:`sample_antiholomorphic_frames` draws.
 """
 
 from __future__ import annotations
@@ -42,14 +42,11 @@ __all__ = [
     "FrameSamplingError",
     "generalized_bochner",
     "rk_bochner",
-    "rhs_2_1",
     "nk_flat_form_3_4",
-    "antiholo_4frame_defect",
     "sample_antiholomorphic_frames",
 ]
 
 _CONSTRAINT_TOL = 1e-10  # Gram and J-pairing defect a sampled frame may keep
-_FRAME_BLOCK = 1024  # frames drawn and evaluated at once by antiholo_4frame_defect
 
 
 class DimensionTooSmallError(InputError):
@@ -167,21 +164,6 @@ def rk_bochner(
     )
 
 
-def rhs_2_1(point: HermitianPoint, S_star: SymBilinear, tau_star: float) -> CurvTensor:
-    """The closed form the symmetrized curvature takes when its trace-free part vanishes.
-
-    (phi + psi)(S*) / (2(m+2)) - tau* (pi1 + pi2) / (4(m+1)(m+2)), so adding
-    :func:`generalized_bochner` back must reproduce the symmetrized tensor.
-    Evaluated as (phi + psi)(Q), Q = S*/(2(m+2)) - tau* g/(8(m+1)(m+2)).
-    """
-    _check_same_dim(point.dim, S_star.dim)
-    m = point.m
-    Q = (1.0 / (2.0 * (m + 2))) * S_star.components - (
-        tau_star / (8.0 * (m + 1) * (m + 2))
-    ) * point.g_mat
-    return CurvTensor(point.dim, _phi_psi_sum(point, Q, Q))
-
-
 def nk_flat_form_3_4(point: HermitianPoint, S: SymBilinear, tau: float) -> CurvTensor:
     """Closed curvature form of the non-Kahler constant-ratio case (m > 2).
 
@@ -218,10 +200,14 @@ def sample_antiholomorphic_frames(
     orthogonality) against the earlier vectors of each frame and their
     J-images, then normalized; self-pairing g(v, Jv) vanishes identically
     because g(., J.) is antisymmetric.  Raises :class:`FrameSamplingError`
-    when dim < 2 * count, or when any frame's Gram matrix or J-pairing then
-    misses ``_CONSTRAINT_TOL``; there is no retry.
+    when ``samples`` or ``count`` is below 1, when dim < 2 * count, or when
+    any frame's Gram matrix or J-pairing then misses ``_CONSTRAINT_TOL``;
+    there is no retry.
     """
     g, J = point.g_mat, point.J
+    for name, value in (("samples", samples), ("count", count)):
+        if value < 1:
+            raise FrameSamplingError(f"{name} must be at least 1, got {value}")
     if point.dim < 2 * count:
         raise FrameSamplingError(
             f"no {count}-frame with antiholomorphic span exists in dimension {point.dim}"
@@ -246,30 +232,3 @@ def sample_antiholomorphic_frames(
         )
     return V
 
-
-def antiholo_4frame_defect(
-    point: HermitianPoint,
-    R: CurvTensor,
-    samples: int = 512,
-    seed: int = 0,
-) -> float | None:
-    """Largest |R(x, y, z, u)| over sampled orthonormal antiholomorphic 4-frames.
-
-    Returns ``None`` below dimension 8: a 4-dimensional antiholomorphic plane
-    together with its J-image needs 8 dimensions.  Frames are drawn and
-    evaluated ``_FRAME_BLOCK`` at a time from one seeded stream, so memory does
-    not grow with ``samples``; they are the frames of one unblocked draw.
-    """
-    _check_same_dim(point.dim, R.dim)
-    n = point.dim
-    if n < 8:
-        return None
-    rng = np.random.default_rng(seed)
-    R2 = R.components.reshape(n * n, n * n)  # (x y) pair against (z u) pair
-    worst = 0.0
-    for start in range(0, samples, _FRAME_BLOCK):
-        F = sample_antiholomorphic_frames(point, rng, min(_FRAME_BLOCK, samples - start), 4)
-        xy = (F[:, 0, :, None] * F[:, 1, None, :]).reshape(-1, n * n)
-        zu = (F[:, 2, :, None] * F[:, 3, None, :]).reshape(-1, n * n)
-        worst = max(worst, float(np.max(np.abs(np.sum((xy @ R2) * zu, axis=-1)))))
-    return worst

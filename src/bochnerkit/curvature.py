@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .multilinear import (
     _check_same_dim,
     _inner,
     _norm,
-    invariant_norm,
     require_curvature_class,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "Violation",
     "DegeneratePlaneError",
     "AntiholomorphyError",
-    "HscEstimate",
     "IdentityDefects",
     "standard_J",
     "flat_point",
@@ -54,9 +52,7 @@ __all__ = [
     "phi_psi",
     "star",
     "ricci_family",
-    "hsc",
     "ahsc",
-    "constant_hsc_estimate",
     "direct_sum",
     "space_form_tensor",
     "complex_space_form_tensor",
@@ -396,16 +392,6 @@ def ricci_family(
 # sectional curvatures
 # ---------------------------------------------------------------------------
 
-def hsc(point: HermitianPoint, R: CurvTensor, X) -> float:
-    """Holomorphic sectional curvature of the plane spanned by X and JX."""
-    X = np.asarray(X, dtype=float)
-    gXX = point.inner(X, X)
-    if gXX <= 0.0 or not np.isfinite(gXX):
-        raise ValueError("hsc requires a nonzero vector")
-    JX = point.apply_J(X)
-    return R(X, JX, JX, X) / gXX**2
-
-
 def ahsc(
     point: HermitianPoint, R: CurvTensor, X, Y, tol: float = TOL_ALG
 ) -> float:
@@ -430,30 +416,6 @@ def ahsc(
     if pairing > tol:
         raise AntiholomorphyError(pairing)
     return R(X, Y, Y, X) / gram
-
-
-class HscEstimate(NamedTuple):
-    mu_hat: float
-    defect: float
-
-
-def constant_hsc_estimate(
-    point: HermitianPoint, R: CurvTensor, sym_tol: float = TOL_ALG
-) -> HscEstimate:
-    """Global constant-holomorphic-curvature estimate with certification residual.
-
-    ``mu_hat`` is read off the scalar trace of the symmetrized tensor
-    (``tau_star / (m (m+1))``) rather than from a single direction, so the
-    returned defect is a global residual: it vanishes exactly when the
-    symmetrized tensor is ``(mu_hat / 4)(pi1 + pi2)``, i.e. when the point has
-    pointwise constant holomorphic sectional curvature ``mu_hat``.
-    """
-    Rs = star(point, R, sym_tol).components
-    gi, m = point.g_inv, point.m
-    mu_hat = _trace(gi, _ricci(gi, Rs)) / (m * (m + 1))
-    Q = (mu_hat / 8.0) * point.g_mat  # (mu_hat / 4)(pi1 + pi2) = (phi + psi)(Q)
-    defect = invariant_norm(point, CurvTensor(point.dim, Rs - _phi_psi_sum(point, Q, Q)))
-    return HscEstimate(mu_hat=float(mu_hat), defect=defect)
 
 
 # ---------------------------------------------------------------------------

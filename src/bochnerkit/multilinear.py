@@ -19,22 +19,17 @@ import numpy as np
 # package have condition numbers near 1 on the test metrics and stay far below
 # this threshold at dim <= 12.
 TOL_ALG = 1e-12
-_RETRIES = 8  # seeded restarts before orthonormalize gives up on a metric
 
 __all__ = [
     "TOL_ALG",
     "CurvTensor",
     "SymBilinear",
-    "FrameSet",
     "SymmetryDefects",
     "InputError",
     "DimensionMismatchError",
     "NonFiniteError",
     "SymmetryError",
-    "DegenerateFrameError",
     "invariant_norm",
-    "orthonormalize",
-    "gram_schmidt",
     "curvature_symmetry_defects",
     "require_curvature_class",
 ]
@@ -62,10 +57,6 @@ class SymmetryError(InputError):
     def __init__(self, message: str, defect: float):
         super().__init__(f"{message} (defect {defect:.3e})")
         self.defect = float(defect)
-
-
-class DegenerateFrameError(RuntimeError):
-    """Gram-Schmidt failed repeatedly; the metric or basis is degenerate."""
 
 
 def _frozen_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -170,28 +161,6 @@ class SymBilinear:
         return float(np.max(np.abs(self.components)))
 
 
-@dataclass(frozen=True, eq=False)
-class FrameSet:
-    """A basis of coordinate vectors, one per row of ``vectors``.
-
-    Producers guarantee the Gram matrix with respect to the relevant metric is
-    the identity within :data:`TOL_ALG`.
-    """
-
-    dim: int
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "vectors",
-            _frozen_array(self.vectors, (self.dim, self.dim), "FrameSet"),
-        )
-
-    def __iter__(self):
-        return iter(self.vectors)
-
-
 @dataclass(frozen=True)
 class SymmetryDefects:
     """Max-abs violations of the curvature-class symmetries over all index tuples.
@@ -235,46 +204,6 @@ def invariant_norm(point, T: CurvTensor | SymBilinear) -> float:
     if not isinstance(T, (CurvTensor, SymBilinear)):
         raise TypeError(f"unsupported tensor type {type(T).__name__}")
     return _norm(point.g_inv, T.components)
-
-
-def gram_schmidt(point, vectors: np.ndarray) -> np.ndarray:
-    """Metric Gram-Schmidt on the rows of ``vectors`` (two passes for stability)."""
-    g = point.g_mat
-    basis = np.array(vectors, dtype=float)
-    n = basis.shape[0]
-    scale = float(np.max(np.abs(basis))) or 1.0
-    out = np.zeros_like(basis)
-    for i in range(n):
-        v = basis[i].copy()
-        for _ in range(2):
-            for j in range(i):
-                v = v - (out[j] @ g @ v) * out[j]
-        nrm = float(v @ g @ v)
-        if nrm <= (1e-10 * scale) ** 2:
-            raise DegenerateFrameError(
-                f"vector {i} collapsed during orthonormalization (norm^2 {nrm:.3e})"
-            )
-        out[i] = v / np.sqrt(nrm)
-    gram = out @ g @ out.T
-    defect = float(np.max(np.abs(gram - np.eye(n))))
-    if defect > TOL_ALG:
-        raise DegenerateFrameError(f"Gram defect {defect:.3e} above tolerance {TOL_ALG:.1e}")
-    return out
-
-
-def orthonormalize(point, seed: int) -> FrameSet:
-    """Metric-orthonormal basis from a seeded random start; deterministic given seed."""
-    rng = np.random.default_rng(seed)
-    last: Exception | None = None
-    for _ in range(_RETRIES):
-        basis = rng.standard_normal((point.dim, point.dim))
-        try:
-            return FrameSet(point.dim, gram_schmidt(point, basis))
-        except DegenerateFrameError as exc:  # extremely unlikely for SPD metrics
-            last = exc
-    raise DegenerateFrameError(
-        f"no orthonormal frame after {_RETRIES} seeded attempts; metric may be broken"
-    ) from last
 
 
 def curvature_symmetry_defects(T: CurvTensor) -> SymmetryDefects:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["FANO_TRIPLES", "structure_constants", "cross7", "cross_operator"]
+__all__ = ["FANO_TRIPLES", "cross_operator"]
 
 FANO_TRIPLES = (
     (0, 1, 2),
@@ -43,16 +43,6 @@ def _build() -> np.ndarray:
 
 
 _F7 = _build()
-
-
-def structure_constants() -> np.ndarray:
-    """The (7, 7, 7) array f with (u x v)_k = f[i, j, k] u_i v_j (read-only)."""
-    return _F7
-
-
-def cross7(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cross product of two vectors in R^7."""
-    return np.einsum("ijk,i,j->k", _F7, u, v)
 
 
 def cross_operator(p: np.ndarray) -> np.ndarray:

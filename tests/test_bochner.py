@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bochnerkit import bochner, multilinear
+from bochnerkit import multilinear
 from bochnerkit.bochner import (
     DimensionTooSmallError,
     FrameSamplingError,
     NotRKError,
-    antiholo_4frame_defect,
     generalized_bochner,
     nk_flat_form_3_4,
-    rhs_2_1,
     rk_bochner,
     sample_antiholomorphic_frames,
 )
@@ -114,22 +112,16 @@ def test_bstar_linear_in_curvature(a, b):
 # the closed form and reconstruction
 # ---------------------------------------------------------------------------
 
-def test_rhs_2_1_zero_inputs():
-    point = flat_point(6)
-    out = rhs_2_1(point, SymBilinear.zero(6), 0.0)
-    assert out.max_abs() == 0.0
-
-
-def test_rhs_2_1_reproduces_constant_hsc_star():
+def test_rhs_2_1_reproduces_constant_hsc_star(ref_rhs_2_1):
     point = flat_point(6)
     R = complex_space_form_tensor(point, 1.5)
     fam = ricci_family(point, R)
-    closed = rhs_2_1(point, fam.S_star, fam.tau_star)
+    closed = ref_rhs_2_1(point, fam.S_star, fam.tau_star)
     assert invariant_norm(point, closed - star(point, R)) < 10 * TOL_ALG
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_reconstruction_identity(seed):
+def test_reconstruction_identity(seed, ref_rhs_2_1):
     """star(R) = B* + closed form, for arbitrary curvature-class input."""
     point = flat_point(6)
     R = random_curvature_tensor(6, seed)
@@ -139,11 +131,11 @@ def test_reconstruction_identity(seed):
     S_star = np.einsum("bc,abcd->ad", gi, Rs.components)
     S_star = SymBilinear(6, 0.5 * (S_star + S_star.T))
     tau_star = float(np.einsum("ad,ad->", gi, S_star.components))
-    closed = rhs_2_1(point, S_star, tau_star)
+    closed = ref_rhs_2_1(point, S_star, tau_star)
     assert invariant_norm(point, Rs - (out.tensor + closed)) < TOL_ALG
 
 
-def test_rhs_2_1_differs_by_bstar_when_nonzero():
+def test_rhs_2_1_differs_by_bstar_when_nonzero(ref_rhs_2_1):
     point = flat_point(6)
     R = random_curvature_tensor(6, 77)
     out = generalized_bochner(point, R)
@@ -153,7 +145,7 @@ def test_rhs_2_1_differs_by_bstar_when_nonzero():
     S_star = np.einsum("bc,abcd->ad", gi, fam_star.components)
     S_star = SymBilinear(6, 0.5 * (S_star + S_star.T))
     tau_star = float(np.einsum("ad,ad->", gi, S_star.components))
-    closed = rhs_2_1(point, S_star, tau_star)
+    closed = ref_rhs_2_1(point, S_star, tau_star)
     assert invariant_norm(point, fam_star - closed) == pytest.approx(out.norm, rel=1e-9)
 
 
@@ -303,10 +295,18 @@ def test_frame_sampler_constraints():
 
 
 def test_frame_sampler_needs_room():
+    """A request no frame can meet is refused by name: an empty draw would
+    read as curvature vanishing on every frame."""
     point = flat_point(6)
     rng = np.random.default_rng(0)
-    with pytest.raises(FrameSamplingError):
-        sample_antiholomorphic_frames(point, rng, 1, 4)
+    for samples, count, message in (
+        (1, 4, "no 4-frame"),
+        (0, 2, "samples must be at least 1, got 0"),
+        (1, 0, "count must be at least 1, got 0"),
+        (-3, 2, "samples must be at least 1, got -3"),
+    ):
+        with pytest.raises(FrameSamplingError, match=message):
+            sample_antiholomorphic_frames(point, rng, samples, count)
 
 
 def _counterexample():
@@ -314,16 +314,11 @@ def _counterexample():
     return direct_sum(pa, complex_space_form_tensor(pa, -1.0), pb, space_form_tensor(pb, 1.0))
 
 
-def test_antiholo_defect_does_not_depend_on_blocking():
-    """A sample count that is not a multiple of the block size reads the same
-    stream as one unblocked draw, so the defect is the same."""
-    point, R = _counterexample()
-    samples = bochner._FRAME_BLOCK + 37
-    frames = sample_antiholomorphic_frames(point, np.random.default_rng(5), samples, 4)
-    values = np.einsum("ijkl,si,sj,sk,sl->s", R.components, *frames.transpose(1, 0, 2))
-    unblocked = float(np.max(np.abs(values)))
-    defect = antiholo_4frame_defect(point, R, samples=samples, seed=5)
-    assert defect == pytest.approx(unblocked, rel=1e-12)
+def _frame_max(point, R, samples, seed):
+    """Largest |R(x, y, z, u)| over sampled orthonormal antiholomorphic 4-frames."""
+    F = sample_antiholomorphic_frames(point, np.random.default_rng(seed), samples, 4)
+    values = np.einsum("ijkl,si,sj,sk,sl->s", R.components, *F.transpose(1, 0, 2))
+    return float(np.max(np.abs(values)))
 
 
 def test_antiholo_defect_matches_the_one_vector_sampler():
@@ -331,13 +326,7 @@ def test_antiholo_defect_matches_the_one_vector_sampler():
     counterexample at seed 7 and 512 samples; the batched sampler draws the
     same normals and differs only by rounding."""
     point, R = _counterexample()
-    defect = antiholo_4frame_defect(point, R, samples=512, seed=7)
-    assert defect == pytest.approx(0.14469212651426933, rel=1e-12)
-
-
-def test_antiholo_defect_absent_below_dim8():
-    point = flat_point(6)
-    assert antiholo_4frame_defect(point, space_form_tensor(point, 1.0)) is None
+    assert _frame_max(point, R, 512, 7) == pytest.approx(0.14469212651426933, rel=1e-12)
 
 
 def test_antiholo_defect_vanishes_on_constant_hsc_dim8():
@@ -345,8 +334,7 @@ def test_antiholo_defect_vanishes_on_constant_hsc_dim8():
     frames, so the constant-HSC tensor reports zero."""
     point = flat_point(8)
     R = complex_space_form_tensor(point, 1.0)
-    defect = antiholo_4frame_defect(point, R, samples=64, seed=1)
-    assert defect is not None and defect < 1e-12
+    assert _frame_max(point, R, 64, 1) < 1e-12
 
 
 def test_antiholo_defect_vanishes_on_line_times_sphere():
@@ -357,14 +345,12 @@ def test_antiholo_defect_vanishes_on_line_times_sphere():
         pa, complex_space_form_tensor(pa, -1.0), pb, space_form_tensor(pb, 1.0)
     )
     assert rk_bochner(point, R).norm < TOL_ALG
-    defect = antiholo_4frame_defect(point, R, samples=128, seed=2)
-    assert defect < 1e-10
+    assert _frame_max(point, R, 128, 2) < 1e-10
 
 
 def test_antiholo_defect_positive_on_counterexample():
     point, R = _counterexample()
-    defect = antiholo_4frame_defect(point, R, samples=256, seed=3)
-    assert defect > 1e-3
+    assert _frame_max(point, R, 256, 3) > 1e-3
 
 
 @pytest.mark.parametrize("c", [1.0, 2.5])
@@ -374,15 +360,7 @@ def test_antiholo_defect_never_exceeds_the_witness(c):
     maximization finds; no sampled frame reads more."""
     point, R, _ = make_model(f"PRODUCT(CD(2,{-c!r}),S6({c!r}))")
     for seed in range(3):
-        assert antiholo_4frame_defect(point, R, samples=4096, seed=seed) <= 3 * c / 16 * (1 + 1e-12)
-
-
-def test_antiholo_defect_deterministic():
-    point = flat_point(8)
-    R = rk_project(point, random_curvature_tensor(8, 9))
-    a = antiholo_4frame_defect(point, R, samples=32, seed=7)
-    b = antiholo_4frame_defect(point, R, samples=32, seed=7)
-    assert a == b
+        assert _frame_max(point, R, 4096, seed) <= 3 * c / 16 * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +409,6 @@ def _ref_rk(point, R, sym_tol):
     return B, coefficients
 
 
-def _ref_rhs_2_1(point, S_star, tau_star):
-    m = point.m
-    phi, psi = phi_psi(point, S_star)
-    pi1, pi2 = sigma_forms(point)
-    return (1.0 / (2.0 * (m + 2))) * (phi + psi) - (
-        tau_star / (4.0 * (m + 1) * (m + 2))
-    ) * (pi1 + pi2)
-
-
 def _ref_flat_form(point, S, tau):
     m = point.m
     phi, psi = phi_psi(point, S)
@@ -464,20 +433,18 @@ def _assert_folds_match(point, R, rk_input=True):
     def close(a, b):
         assert np.max(np.abs(a.components - b.components)) <= bound
 
-    fam = ricci_family(point, R, sym_tol=np.inf)
     if rk_input:
         out = generalized_bochner(point, R, sym_tol=tol)
         ref, coefficients = _ref_generalized(point, R, tol)
         close(out.tensor, ref)
         assert out.coefficients_used == coefficients
-        close(rhs_2_1(point, fam.S_star, fam.tau_star),
-              _ref_rhs_2_1(point, fam.S_star, fam.tau_star))
     if point.m > 2:
         # off the RK domain, an unbounded rk_tol lets the formula run
         out = rk_bochner(point, R, sym_tol=tol, rk_tol=tol if rk_input else np.inf)
         ref, coefficients = _ref_rk(point, R, tol)
         close(out.tensor, ref)
         assert out.coefficients_used == coefficients
+        fam = ricci_family(point, R, sym_tol=np.inf)
         close(nk_flat_form_3_4(point, fam.S, fam.tau), _ref_flat_form(point, fam.S, fam.tau))
     pi1, pi2 = sigma_forms(point)
     for c in (1.0, -0.7, 2.5):

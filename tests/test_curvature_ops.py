@@ -15,10 +15,8 @@ from bochnerkit.curvature import (
     _traces,
     ahsc,
     complex_space_form_tensor,
-    constant_hsc_estimate,
     direct_sum,
     flat_point,
-    hsc,
     identity_defects,
     phi_psi,
     point_violations,
@@ -39,7 +37,6 @@ from bochnerkit.multilinear import (
     SymmetryError,
     curvature_symmetry_defects,
     invariant_norm,
-    orthonormalize,
 )
 from bochnerkit.scenarios import make_model
 
@@ -98,7 +95,7 @@ def _oracle_star(point, R, X, Y, Z, U):
 
 
 def _frame_ricci_oracle(point, R, frame):
-    """S, S', tau, tau' by literal orthonormal-frame summation."""
+    """S, S', tau, tau' by literal summation over the rows of an orthonormal ``frame``."""
     n = point.dim
     J = point.J
     S = np.zeros((n, n))
@@ -106,11 +103,11 @@ def _frame_ricci_oracle(point, R, frame):
     basis = np.eye(n)
     for a in range(n):
         for b in range(n):
-            for E in frame.vectors:
+            for E in frame:
                 S[a, b] += _ev(R, basis[a], E, E, basis[b])
                 Sp[a, b] += _ev(R, basis[a], E, J @ E, J @ basis[b])
-    tau = sum(_ev_bilinear(point, S, E, E) for E in frame.vectors)
-    tau_p = sum(_ev_bilinear(point, Sp, E, E) for E in frame.vectors)
+    tau = sum(_ev_bilinear(point, S, E, E) for E in frame)
+    tau_p = sum(_ev_bilinear(point, Sp, E, E) for E in frame)
     return S, Sp, tau, tau_p
 
 
@@ -416,8 +413,11 @@ def test_ricci_family_matches_frame_sum_oracle(skew_point6):
     over several random frames (frame independence)."""
     R = rk_project(skew_point6, random_curvature_tensor(6, 21))
     fam = ricci_family(skew_point6, R, sym_tol=1e-9)
+    L = np.linalg.cholesky(skew_point6.g_inv)  # L L^T = g^-1, so Q^T L^T has g-orthonormal rows
     for seed in range(4):
-        frame = orthonormalize(skew_point6, seed)
+        Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((6, 6)))
+        frame = Q.T @ L.T
+        assert np.max(np.abs(frame @ skew_point6.g_mat @ frame.T - np.eye(6))) < TOL_ALG
         S, Sp, tau, tau_p = _frame_ricci_oracle(skew_point6, R, frame)
         assert np.max(np.abs(fam.S.components - 0.5 * (S + S.T))) < 1e-9
         assert np.max(np.abs(fam.S_prime.components - 0.5 * (Sp + Sp.T))) < 1e-9
@@ -498,7 +498,8 @@ def test_hsc_constant_model(flat6):
     rng = np.random.default_rng(6)
     for _ in range(100):
         X = rng.standard_normal(6)
-        assert hsc(flat6, R, X) == pytest.approx(mu, rel=1e-10)
+        JX = flat6.apply_J(X)
+        assert R(X, JX, JX, X) / flat6.inner(X, X) ** 2 == pytest.approx(mu, rel=1e-10)
 
 
 def test_hsc_space_form(flat6):
@@ -506,19 +507,8 @@ def test_hsc_space_form(flat6):
     R = space_form_tensor(flat6, c)
     X = np.array([1.0, 2.0, 0.0, 1.0, -1.0, 0.5])
     # oracle: pi1(X, JX, JX, X) = g(X,X)^2
-    assert hsc(flat6, R, X) == pytest.approx(c, rel=1e-12)
-
-
-def test_hsc_scale_and_J_invariance(flat6):
-    R = complex_space_form_tensor(flat6, 1.1)
-    X = np.array([0.3, -1.0, 2.0, 0.0, 0.7, 0.1])
-    assert hsc(flat6, R, 2.0 * X) == pytest.approx(hsc(flat6, R, X), rel=1e-12)
-    assert hsc(flat6, R, flat6.apply_J(X)) == pytest.approx(hsc(flat6, R, X), rel=1e-12)
-
-
-def test_hsc_zero_vector(flat6):
-    with pytest.raises(ValueError):
-        hsc(flat6, CurvTensor.zero(6), np.zeros(6))
+    JX = flat6.apply_J(X)
+    assert R(X, JX, JX, X) / flat6.inner(X, X) ** 2 == pytest.approx(c, rel=1e-12)
 
 
 def test_ahsc_space_form_all_planes(flat6):
@@ -553,37 +543,6 @@ def test_ahsc_rejects_degenerate_plane(flat6):
     e = np.eye(6)
     with pytest.raises(DegeneratePlaneError):
         ahsc(flat6, R, e[0], 2.0 * e[0])
-
-
-# ---------------------------------------------------------------------------
-# constant-HSC certification
-# ---------------------------------------------------------------------------
-
-def test_constant_hsc_estimate_model(flat6):
-    mu = 0.6
-    est = constant_hsc_estimate(flat6, complex_space_form_tensor(flat6, mu))
-    assert est.mu_hat == pytest.approx(mu, rel=1e-12)
-    assert est.defect < TOL_ALG
-
-
-def test_constant_hsc_estimate_zero(flat6):
-    est = constant_hsc_estimate(flat6, CurvTensor.zero(6))
-    assert est.mu_hat == 0.0 and est.defect == 0.0
-
-
-def test_constant_hsc_estimate_space_form_and_perturbation(flat6):
-    c = 1.0
-    R = space_form_tensor(flat6, c)
-    est = constant_hsc_estimate(flat6, R)
-    assert est.mu_hat == pytest.approx(c, rel=1e-12)
-    assert est.defect < TOL_ALG
-    # decomposable two-form square is curvature-class and breaks constancy
-    omega = np.zeros((6, 6))
-    omega[0, 2], omega[2, 0] = 1.0, -1.0
-    P = CurvTensor(6, np.einsum("ij,kl->ijkl", omega, omega))
-    assert curvature_symmetry_defects(P).max() < TOL_ALG
-    est2 = constant_hsc_estimate(flat6, R + 0.1 * P)
-    assert est2.defect > 1e-3
 
 
 # ---------------------------------------------------------------------------

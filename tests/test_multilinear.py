@@ -1,4 +1,4 @@
-"""Tensor storage, invariant norms, frames, and symmetry diagnostics."""
+"""Tensor storage, invariant norms, and symmetry diagnostics."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bochnerkit.curvature import (
     flat_point,
     random_curvature_tensor,
-    random_hermitian_point,
     sigma_forms,
     star,
     validate_point,
@@ -16,15 +15,12 @@ from bochnerkit.curvature import (
 from bochnerkit.multilinear import (
     TOL_ALG,
     CurvTensor,
-    DegenerateFrameError,
     DimensionMismatchError,
     NonFiniteError,
     SymBilinear,
     SymmetryError,
     curvature_symmetry_defects,
-    gram_schmidt,
     invariant_norm,
-    orthonormalize,
     require_curvature_class,
 )
 
@@ -150,57 +146,6 @@ def test_invariant_norm_positive_definite(flat4):
 def test_invariant_norm_dimension_mismatch(flat4):
     with pytest.raises(DimensionMismatchError):
         invariant_norm(flat4, CurvTensor.zero(6))
-
-
-# ---------------------------------------------------------------------------
-# orthonormalization
-# ---------------------------------------------------------------------------
-
-def test_orthonormalize_identity_metric_dim2():
-    point = flat_point(2)
-    frame = orthonormalize(point, seed=1)
-    gram = frame.vectors @ point.g_mat @ frame.vectors.T
-    assert np.allclose(gram, np.eye(2), atol=TOL_ALG)
-
-
-def test_orthonormalize_scaled_metric_unit_length():
-    g = np.diag([4.0, 1.0, 1.0, 1.0])
-    J = np.zeros((4, 4))
-    # compatible J for this metric: scale the block structure
-    J[1, 0], J[0, 1] = 2.0, -0.5
-    J[3, 2], J[2, 3] = 1.0, -1.0
-    point = validate_point(g, J)
-    frame = orthonormalize(point, seed=3)
-    for v in frame:
-        assert float(v @ g @ v) == pytest.approx(1.0, abs=TOL_ALG)
-
-
-def test_orthonormalize_deterministic(flat6):
-    f1 = orthonormalize(flat6, seed=9)
-    f2 = orthonormalize(flat6, seed=9)
-    assert np.array_equal(f1.vectors, f2.vectors)
-
-
-def test_orthonormalize_idempotent(skew_point6):
-    frame = orthonormalize(skew_point6, seed=11)
-    again = gram_schmidt(skew_point6, frame.vectors)
-    assert np.max(np.abs(again - frame.vectors)) < TOL_ALG
-
-
-def test_gram_schmidt_degenerate_basis(flat4):
-    basis = np.zeros((4, 4))
-    basis[:, 0] = 1.0  # rank one
-    with pytest.raises(DegenerateFrameError):
-        gram_schmidt(flat4, basis)
-
-
-@given(seed=st.integers(0, 10**6))
-@settings(max_examples=15, deadline=None)
-def test_orthonormalize_random_points(seed):
-    point = random_hermitian_point(6, seed)
-    frame = orthonormalize(point, seed=seed + 1)
-    gram = frame.vectors @ point.g_mat @ frame.vectors.T
-    assert np.max(np.abs(gram - np.eye(6))) < TOL_ALG
 
 
 # ---------------------------------------------------------------------------

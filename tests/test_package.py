@@ -1,8 +1,13 @@
 """The public names of the package and of its modules."""
 
 import importlib
+import os
 import pkgutil
+import re
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import bochnerkit
 
@@ -26,3 +31,14 @@ def test_every_public_name_resolves():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported <= public, sorted(exported - public)
+
+
+def test_readme_library_tour_runs():
+    """The README's one python block runs on this checkout, so a name the tour
+    calls cannot be deleted unnoticed."""
+    root = Path(__file__).resolve().parents[1]
+    (tour,) = re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", tour], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
