@@ -452,7 +452,7 @@ def _christoffel(chart: ChartModel, X: np.ndarray) -> tuple[np.ndarray, ...]:
     """Metric and connection coefficients at the points ``X`` (..., n); no margin check."""
     g = chart.metric_at(X)
     dg = _complex_step(chart.metric_at, X)  # dg[..., i, j, l] = d_i g_{jl}
-    t = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)  # t[..., i, j, l]
+    t = dg + dg.swapaxes(-3, -2) - dg.transpose(*range(dg.ndim - 3), -2, -1, -3)  # t[..., i, j, l]
     # Gamma^k_{ij} = g^{kl} t_{ijl} / 2 as one matmul per point, t as (..., l, ij)
     t = np.swapaxes(t.reshape(*dg.shape[:-3], -1, dg.shape[-1]), -1, -2)
     return g, ((0.5 * np.linalg.inv(g)) @ t).reshape(dg.shape)
@@ -468,15 +468,17 @@ def _covariant(G: np.ndarray, T: np.ndarray, dT: np.ndarray, variance: str) -> n
     Each correction is one matmul per point: T with the corrected axis last,
     (rest, p), times Gamma as (p, a i).
     """
-    b, n = T.ndim - len(variance), G.shape[-1]
+    b, n, last = T.ndim - len(variance), G.shape[-1], T.ndim - 1
     batch = T.shape[:b]
     # (p, a, i) layouts: Gamma^i_{ap} for an upper index, Gamma^p_{ai} for a lower one
     Gx = {"u": np.swapaxes(G, -3, -1), "l": G}
     out = dT
     for axis, var in enumerate(variance):
-        Tm = np.moveaxis(T, b + axis, -1)
+        k = b + axis  # T's axis k moves last, and the product's (a, i) axes to (b, k + 1)
+        Tm = T.transpose(*range(k), *range(k + 1, last + 1), k)
         term = Tm.reshape(batch + (-1, n)) @ Gx[var].reshape(batch + (n, n * n))
-        term = np.moveaxis(term.reshape(Tm.shape[:-1] + (n, n)), (-2, -1), (b, b + 1 + axis))
+        term = term.reshape(Tm.shape[:-1] + (n, n))
+        term = term.transpose(*range(b), last, *range(b, k), last + 1, *range(k, last))
         out = out + term if var == "u" else out - term
     return out
 
@@ -515,8 +517,8 @@ def _curvature(g: np.ndarray, G: np.ndarray, dG: np.ndarray) -> np.ndarray:
     GG = G.reshape(*G.shape[:-3], -1, n) @ G.reshape(*G.shape[:-2], -1)  # (qi, jk)
     # in place on dG, which is not read again; numpy buffers the overlapping
     # operand of the difference, so A - A_(i<->j) reads A before it is written
-    A = np.moveaxis(dG, -3, -1)
-    A += np.moveaxis(GG.reshape(G.shape + (n,)), -4, -1)
+    A = dG.transpose(*range(G.ndim - 3), -4, -2, -1, -3)
+    A += GG.reshape(G.shape + (n,)).transpose(*range(G.ndim - 3), -3, -2, -1, -4)
     A -= np.swapaxes(A, -4, -3)
     return A @ g[..., None, None, :, :]
 
@@ -658,7 +660,7 @@ def nk_identity_suite(chart: ChartModel, geo: ChartGeometry) -> NKIdentityReport
     """
     x, point, G, nJ = geo.x, geo.point, geo.G, geo.nJ
     chart.require_margin(x, 6 * FDConfig.h)
-    g, gi, J, A = point.g_mat, point.g_inv, point.J, geo.R.components
+    g, gi, J, A, n = point.g_mat, point.g_inv, point.J, geo.R.components, point.dim
 
     def fields(geometry: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
         g_Y, J_Y, _, nJ_Y, R_Y = geometry
@@ -676,8 +678,10 @@ def nk_identity_suite(chart: ChartModel, geo: ChartGeometry) -> NKIdentityReport
         raise NotNearlyKahlerError(nk, NK_THRESHOLD)
 
     S, Sp, tau, tau_p, P = _traces(gi, J, A)
-    # g((nabla_a J) e_b, (nabla_c J) e_d) = (nabla_a J)^p_b (nabla_c J)_{pd}
-    id_1_1 = _norm(gi, A - P + np.tensordot(nJ, nJ_low, axes=(1, 1)))
+    # g((nabla_a J) e_b, (nabla_c J) e_d) = (nabla_a J)^p_b (nabla_c J)_{pd}, one np.dot whose
+    # result is bound to no name, so that it is freed before the stencil pass below
+    id_1_1 = _norm(gi, A - P + np.dot(nJ.transpose(0, 2, 1).reshape(-1, n),
+                                      nJ_low.transpose(1, 0, 2).reshape(n, -1)).reshape((n,) * 4))
     geometries = _geometry(chart, _stencil(x))
     dR, dS, dD, d_tau, d_tau_diff, dnJ = _difference(map(fields, geometries))
 

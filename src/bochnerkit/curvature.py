@@ -272,10 +272,12 @@ def _rotate(A: np.ndarray, J: np.ndarray, *slots: int) -> np.ndarray:
     axes of ``A``; earlier axes are batch axes, matched by those of J before its
     last two.  Each slot costs one matrix product, never a multi-operand einsum.
     """
-    J = np.expand_dims(J, (-3, -4))
-    for slot in slots:
-        axis = A.ndim - 4 + slot
-        A = np.moveaxis(np.moveaxis(A, axis, -1) @ J, -1, axis)
+    J, last = J[..., None, None, :, :], A.ndim - 1
+    for slot in slots:  # the slot's axis moves last and back, as np.moveaxis moves it
+        axis = last - 3 + slot
+        to_end = (*range(axis), *range(axis + 1, last + 1), axis)
+        back = (*range(axis), last, *range(axis, last))
+        A = (A.transpose(to_end) @ J).transpose(back)
     return A
 
 
@@ -303,11 +305,16 @@ def _star(A: np.ndarray, J: np.ndarray, P: np.ndarray) -> np.ndarray:
     # pair symmetry turns R(JX,JY,Z,U) into P^T and R(JX,Y,Z,JU) into M^T
     M = _rotate(A, J, 1, 2)  # R(X,JY,JZ,U)
     Pt, Mt = P.transpose(2, 3, 0, 1), M.transpose(2, 3, 0, 1)
-    main = A + P + Pt + _rotate(P, J, 0, 1)
-    # the eight mixed terms are mixed(X,Z,Y,U) - mixed(Y,Z,X,U)
-    mixed = P + Pt - M - Mt
-    tail = mixed.transpose(0, 2, 1, 3) - mixed.transpose(2, 0, 1, 3)
-    return (3.0 / 16.0) * main + (1.0 / 16.0) * tail
+    main = A + P  # summed in place, in the order A + P + Pt + P(JX,JY,.,.)
+    main += Pt
+    main += _rotate(P, J, 0, 1)
+    # the eight mixed terms are mixed(X,Z,Y,U) - mixed(Y,Z,X,U), mixed = P + Pt - M - Mt
+    mixed = P + Pt
+    mixed -= M
+    mixed -= Mt
+    main *= 3.0 / 16.0
+    main += (1.0 / 16.0) * (mixed.transpose(0, 2, 1, 3) - mixed.transpose(2, 0, 1, 3))
+    return main
 
 
 @dataclass(frozen=True, eq=False)

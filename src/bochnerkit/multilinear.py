@@ -184,11 +184,12 @@ def _check_same_dim(a: int, b: int) -> None:
 
 
 def _inner(g_inv: np.ndarray, P: np.ndarray, Q: np.ndarray) -> float:
-    """Full contraction of P with Q, every index of Q raised by one ``tensordot``
-    per slot (the raised slot moves last, so the slots end in their own order)."""
+    """Full contraction of P with Q, every index of Q raised by the one ``np.dot`` per slot
+    that ``np.tensordot`` forms (the raised slot moves last, so the slots keep their order)."""
+    n, perm = g_inv.shape[0], (*range(1, Q.ndim), 0)
     for _ in range(Q.ndim):
-        Q = np.tensordot(Q, g_inv, axes=(0, 0))
-    return float(np.tensordot(P, Q, axes=P.ndim))
+        Q = np.dot(Q.transpose(perm).reshape(-1, n), g_inv).reshape(Q.shape[1:] + (n,))
+    return float(np.dot(P.reshape(1, -1), Q.reshape(-1, 1))[0, 0])
 
 
 def _norm(g_inv: np.ndarray, T: np.ndarray) -> float:

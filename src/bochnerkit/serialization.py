@@ -8,7 +8,10 @@ produce equal bytes.
 A list, tuple or array whose elements are all Python ``float`` is formatted
 in one ``%``-call over the whole run rather than element by element.
 ``"%.17g" % f`` and ``format(f, ".17g")`` share one double-to-string
-conversion, so both paths write the same bytes.
+conversion, so both paths write the same bytes.  The run is checked for NaN and
+infinity once, on its rendered text: ``nan`` and ``[-]inf`` are the only
+``%.17g`` renderings with an ``n``.  The reader checks each entry's type and
+finiteness, and converts a list with ``float`` only if it holds JSON integers.
 """
 
 from __future__ import annotations
@@ -60,19 +63,19 @@ def _canon(value: Any) -> str:
     if isinstance(value, str):
         return json.dumps(value, ensure_ascii=True)
     if isinstance(value, dict):
-        items = []
-        for key in sorted(value):
+        for key in value:  # before sorting, which cannot compare a str with an int
             if not isinstance(key, str):
                 raise DocumentFormatError(f"object keys must be strings, got {type(key).__name__}")
-            items.append(f"{json.dumps(key, ensure_ascii=True)}:{_canon(value[key])}")
+        items = (f"{json.dumps(k, ensure_ascii=True)}:{_canon(value[k])}" for k in sorted(value))
         return "{" + ",".join(items) + "}"
     if isinstance(value, (list, tuple, np.ndarray)):
         seq = value.tolist() if isinstance(value, np.ndarray) else value
         if set(map(type, seq)) == {float}:  # exact type: np.float64, ints, bools stay per element
-            if not all(map(math.isfinite, seq)):
-                raise DocumentFormatError(_NON_FINITE)
             # adding 0.0 turns -0.0 into 0.0
-            return "[" + ",".join(["%.17g"] * len(seq)) % tuple([f + 0.0 for f in seq]) + "]"
+            text = ("%.17g," * len(seq))[:-1] % tuple([f + 0.0 for f in seq])
+            if "n" in text:  # nan, inf or -inf
+                raise DocumentFormatError(_NON_FINITE)
+            return "[" + text + "]"
         return "[" + ",".join(_canon(v) for v in seq) + "]"
     raise DocumentFormatError(f"cannot serialize {type(value).__name__}")
 
@@ -113,10 +116,9 @@ class TensorDocument:
     def to_point_tensor(self, tol: float = TOL_ALG) -> tuple[HermitianPoint, CurvTensor]:
         """Rebuild and validate the geometric objects; raises with defect values."""
         n = self.dim
-        g = np.array(self.g, dtype=float).reshape(n, n)
-        J = np.array(self.J, dtype=float).reshape(n, n)
-        point = validate_point(g, J, tol)
-        R = CurvTensor(n, np.array(self.R, dtype=float).reshape((n,) * 4))
+        g, J, R = (np.fromiter(v, float, count=len(v)) for v in (self.g, self.J, self.R))
+        point = validate_point(g.reshape(n, n), J.reshape(n, n), tol)
+        R = CurvTensor(n, R.reshape((n,) * 4))
         require_curvature_class(R, tol, "document tensor")
         return point, R
 
@@ -149,12 +151,13 @@ def _structural_document(raw: Any) -> TensorDocument:
             raise DocumentFormatError(
                 f"{key} must be a flat list of {expected} numbers for dim {dim}"
             )
-        strays = set(map(type, values)) - {int, float}  # true/false, strings, nulls, lists
+        types = set(map(type, values))
+        strays = types - {int, float}  # true/false, strings, nulls, lists
         if strays:
             names = ", ".join(sorted(t.__name__ for t in strays))
             raise DocumentFormatError(f"{key} entries must be numbers, found {names}")
         try:
-            arrays[key] = tuple(map(float, values))
+            arrays[key] = tuple(values if types == {float} else map(float, values))
         except OverflowError as exc:
             raise DocumentFormatError(f"{key} has an integer too large for a float") from exc
         if not all(map(math.isfinite, arrays[key])):
@@ -163,7 +166,7 @@ def _structural_document(raw: Any) -> TensorDocument:
     if label is not None and not isinstance(label, str):
         raise DocumentFormatError("label must be a string when present")
     version = raw.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # true == 1 == 1.0
         raise DocumentFormatError(f"unsupported schema_version {version!r}")
     return TensorDocument(
         dim=dim, g=arrays["g"], J=arrays["J"], R=arrays["R"],

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from bochnerkit.curvature import flat_point, phi_psi, random_hermitian_point, sigma_forms
@@ -34,8 +33,3 @@ def ref_rhs_2_1():
         ) * (pi1 + pi2)
 
     return rhs
-
-
-def unit_vector(point, rng):
-    v = rng.standard_normal(point.dim)
-    return v / np.sqrt(float(v @ point.g_mat @ v))

@@ -136,6 +136,9 @@ _MALFORMED = {  # a valid S6 document, broken one way
     "deep_nesting": lambda raw: b"[" * 100_000 + b"]" * 100_000,
     "nan_in_g": lambda raw: json.dumps({**raw, "g": [math.nan] + raw["g"][1:]}).encode(),
     "infinity_in_R": lambda raw: json.dumps({**raw, "R": raw["R"][:-1] + [-math.inf]}).encode(),
+    "schema_version_true": lambda raw: json.dumps({**raw, "schema_version": True}).encode(),
+    "schema_version_float": lambda raw: json.dumps({**raw, "schema_version": 1.0}).encode(),
+    "schema_version_string": lambda raw: json.dumps({**raw, "schema_version": "1"}).encode(),
 }
 
 

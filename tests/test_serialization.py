@@ -44,6 +44,13 @@ def test_canonical_json_rejects_nan():
         canonical_json(float("nan"))
 
 
+@pytest.mark.parametrize("obj", [{1: "a"}, {1: "a", "b": 2}, {"b": 2, 1: "a"}])
+def test_canonical_json_rejects_non_string_keys(obj):
+    # the mixed cases cannot be sorted; the key check comes first
+    with pytest.raises(DocumentFormatError, match="object keys must be strings, got int"):
+        canonical_json(obj)
+
+
 @given(x=st.floats(allow_nan=False, allow_infinity=False))
 @settings(max_examples=200, deadline=None)
 def test_canonical_float_round_trips(x):
@@ -86,6 +93,18 @@ def test_float_run_rejects_non_finite(bad):
         canonical_json([1.0, bad, 2.0])
     with pytest.raises(DocumentFormatError):
         canonical_json(np.array([1.0, bad, 2.0]))
+
+
+@pytest.mark.parametrize("at", [0, 10_368, 20_735], ids=["start", "middle", "end"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_long_float_run_rejects_non_finite(bad, at):
+    # the length of R at dim 12; the run is checked once, on its rendered text
+    run = np.random.default_rng(7).standard_normal(20_736).tolist()
+    run[at] = bad
+    with pytest.raises(DocumentFormatError):
+        canonical_json(run)
+    with pytest.raises(DocumentFormatError):
+        canonical_json(np.array(run))
 
 
 def test_mixed_list_stays_per_element():
@@ -212,4 +231,29 @@ def test_load_rejects_unknown_schema(tmp_path):
     path = tmp_path / "version.json"
     path.write_text(json.dumps(raw))
     with pytest.raises(DocumentFormatError):
+        load_tensor(path)
+
+
+def test_document_mixing_json_ints_and_floats_loads_as_floats(tmp_path):
+    # the reader converts a list holding JSON integers; an all-float list is kept
+    raw = _sphere_doc().to_dict()
+    assert all(v.is_integer() for v in raw["R"]) and any(raw["R"])
+    mixed = {**raw, "R": [int(v) if i % 2 else v for i, v in enumerate(raw["R"])]}
+    floats_path, mixed_path = tmp_path / "floats.json", tmp_path / "mixed.json"
+    floats_path.write_text(json.dumps(raw))
+    mixed_path.write_text(json.dumps(mixed))
+    assert '1.0,' in floats_path.read_text() and '1,' in mixed_path.read_text()
+    loaded = load_tensor(mixed_path)
+    assert loaded == load_tensor(floats_path) == _sphere_doc()
+    assert {type(v) for v in loaded.R} == {float}
+    assert canonical_json(loaded.to_dict()) == canonical_json(raw)
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_load_rejects_schema_version_that_only_equals_one(tmp_path, version):
+    # JSON true and 1.0 compare equal to 1 in Python; only the integer 1 is version 1
+    raw = {**_sphere_doc().to_dict(), "schema_version": version}
+    path = tmp_path / "version.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(DocumentFormatError, match="unsupported schema_version"):
         load_tensor(path)
