@@ -25,9 +25,7 @@ from .curvature import (
     RicciFamily,
     ahsc,
     complex_space_form_tensor,
-    direct_sum,
     flat_point,
-    identity_defects,
     phi_psi,
     ricci_family,
     sigma_forms,

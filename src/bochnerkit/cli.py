@@ -48,6 +48,7 @@ from .scenarios import (
     make_model,
     run_all,
     run_scenario,
+    _worst,
 )
 from .serialization import (
     DocumentFormatError,
@@ -252,11 +253,9 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
 
 def _cmd_identities(args: argparse.Namespace) -> int:
     chart = make_chart(args.chart)
-    points = chart.sample_points(args.seed, args.points)
-    residuals: dict[str, float] = {}
-    for x in points:
-        for name, value in nk_identity_suite(chart, geometry_at(chart, x)).__dict__.items():
-            residuals[name] = max(residuals.get(name, 0.0), value)
+    suites = [nk_identity_suite(chart, geometry_at(chart, x)).__dict__
+              for x in chart.sample_points(args.seed, args.points)]
+    residuals = {name: _worst(suite[name] for suite in suites) for name in suites[0]}
     universal = {"nk": FDConfig.tol_fd1, **dict.fromkeys(
         ("id_1_1", "id_1_2", "id_1_3", "id_1_4", "id_1_6", "id_1_7"), FDConfig.tol_fd2)}
     failed = False

@@ -43,7 +43,6 @@ __all__ = [
     "Violation",
     "DegeneratePlaneError",
     "AntiholomorphyError",
-    "IdentityDefects",
     "standard_J",
     "flat_point",
     "point_violations",
@@ -53,10 +52,8 @@ __all__ = [
     "star",
     "ricci_family",
     "ahsc",
-    "direct_sum",
     "space_form_tensor",
     "complex_space_form_tensor",
-    "identity_defects",
     "rk_project",
     "random_hermitian_point",
     "random_curvature_tensor",
@@ -442,18 +439,6 @@ def complex_space_form_tensor(point: HermitianPoint, mu: float) -> CurvTensor:
     return CurvTensor(point.dim, _phi_psi_sum(point, Q, Q))
 
 
-def direct_sum(
-    p1: HermitianPoint, R1: CurvTensor, p2: HermitianPoint, R2: CurvTensor
-) -> tuple[HermitianPoint, CurvTensor]:
-    """Riemannian-product point and curvature: the :func:`_block_diagonal`
-    assembly of the factors' g, J and R, so no mixed components."""
-    _check_same_dim(p1.dim, R1.dim)
-    _check_same_dim(p2.dim, R2.dim)
-    g, J, R = (_block_diagonal(pair) for pair in
-               ((p1.g_mat, p2.g_mat), (p1.J, p2.J), (R1.components, R2.components)))
-    return validate_point(g, J), CurvTensor(p1.dim + p2.dim, R)
-
-
 def _block_diagonal(blocks: Sequence[np.ndarray], b: int = 0) -> np.ndarray:
     """The block-diagonal array of ``blocks``, whose first ``b`` axes are batch axes,
     as every product assembles its fields and tensors: of the blocks' result type
@@ -470,45 +455,6 @@ def _block_diagonal(blocks: Sequence[np.ndarray], b: int = 0) -> np.ndarray:
 def _spans(sizes: list[int]) -> list[slice]:
     """The coordinates of each factor of a product whose factors have ``sizes``."""
     return [slice(e - size, e) for size, e in zip(sizes, np.cumsum(sizes))]
-
-
-# ---------------------------------------------------------------------------
-# identity diagnostics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IdentityDefects:
-    """Pointwise identity residuals of one curvature tensor.
-
-    kahler          max-abs of R(X,Y,Z,U) - R(X,Y,JZ,JU) over index tuples
-    rk              max-abs of R - R(J.,J.,J.,J.) over index tuples
-    star_relation   invariant norm of 4 S* - (S + 3 S')  (vanishes when rk does)
-    id_1_5          |full contraction of (S - S') against (S - 5 S')|; this
-                    vanishes for the nearly Kahler models and is informational
-                    for general input
-    """
-
-    kahler: float
-    rk: float
-    star_relation: float
-    id_1_5: float
-
-
-def identity_defects(
-    point: HermitianPoint, R: CurvTensor, sym_tol: float = TOL_ALG
-) -> IdentityDefects:
-    """Evaluate the standard pointwise identity residuals of ``R``."""
-    _check_same_dim(point.dim, R.dim)
-    require_curvature_class(R, sym_tol, "identity_defects()")
-    gi, J, A = point.g_inv, point.J, R.components
-    S, Sp, tau, tau_p, P = _traces(gi, J, A)
-    Ss = _ricci(gi, _star(A, J, P))
-    return IdentityDefects(
-        kahler=float(np.max(np.abs(A - P))),
-        rk=float(np.max(np.abs(A - _rotate(P, J, 0, 1)))),
-        star_relation=_norm(gi, 4.0 * Ss - (S + 3.0 * Sp)),
-        id_1_5=_ricci_identities(point, S, Sp, tau, tau_p)[0],
-    )
 
 
 def rk_project(point: HermitianPoint, R: CurvTensor) -> CurvTensor:

@@ -5,8 +5,12 @@ returns a machine-readable report.  Checks carry an explicit expectation:
 
 * a *vanish* check passes when its defect is within tolerance;
 * a *nonvanish* check asserts that a quantity predicted to be nonzero really
-  is: when the prediction holds the status is ``expected-fail`` (the identity
-  fails, as it must), which counts as success; only ``fail`` blocks a report.
+  is: when the prediction holds (a finite defect above tolerance) the status
+  is ``expected-fail`` (the identity fails, as it must), which counts as
+  success; only ``fail`` blocks a report.
+
+A defect taken over several points or samples is their worst, and NaN if any
+of them is NaN, so a NaN never passes.
 
 Scenario-level randomness is fully seeded, so a report is a pure function of
 (scenario id, parameters).
@@ -14,6 +18,7 @@ Scenario-level randomness is fully seeded, so a report is a pure function of
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass
 
@@ -41,7 +46,6 @@ from .curvature import (
     _traces,
     ahsc,
     flat_point,
-    identity_defects,
     ricci_family,
 )
 from .multilinear import TOL_ALG, CurvTensor, InputError, _norm, invariant_norm
@@ -138,8 +142,16 @@ def _vanish(name: str, claim: str, defect: float, tol: float) -> CheckResult:
 
 
 def _nonvanish(name: str, claim: str, defect: float, tol: float) -> CheckResult:
-    status = "expected-fail" if defect > tol else "fail"
+    # an overflow to inf is no measurement of the predicted nonzero value
+    status = "expected-fail" if tol < defect < np.inf else "fail"
     return CheckResult(name, claim, float(defect), float(tol), status)
+
+
+def _worst(defects) -> float:
+    """The largest of 0 and ``defects``, or NaN if any defect is NaN: ``max``
+    keeps whichever of a number and a NaN comes first, so a NaN could pass."""
+    defects = [0.0, *defects]
+    return math.nan if any(map(math.isnan, defects)) else max(defects)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +224,11 @@ def _thm21_converse(p: ScenarioParams, table: dict) -> list[CheckResult]:
                 TOL_ALG,
             )
         )
-    growth_margin = min(b - a for a, b in zip(norms, norms[1:]))
     checks.append(
         _vanish(
             "bstar_growth_monotone",
             "the trace-free norm grows strictly with the detuning",
-            max(0.0, -growth_margin),
+            _worst(a - b for a, b in zip(norms, norms[1:])),
             0.0,
         )
     )
@@ -252,7 +263,7 @@ def _cor22(p: ScenarioParams, table: dict) -> list[CheckResult]:
 def _thm31_s6(p: ScenarioParams, table: dict) -> list[CheckResult]:
     point, R, _ = make_model(ChartSpec("S6", c=p.c))
     fam = ricci_family(point, R)
-    defects = identity_defects(point, R)
+    S, Sp = fam.S.components, fam.S_prime.components
     out = rk_bochner(point, R)
     flat_form = nk_flat_form_3_4(point, fam.S, fam.tau)
     return [
@@ -265,9 +276,9 @@ def _thm31_s6(p: ScenarioParams, table: dict) -> list[CheckResult]:
         _vanish("tau_ratio", "the scalar traces sit in the 5:1 ratio",
                 abs(fam.tau - 5.0 * fam.tau_prime), TOL_ALG),
         _vanish("star_relation", "four times the symmetrized Ricci equals S + 3S'",
-                defects.star_relation, TOL_ALG),
+                _norm(point.g_inv, 4.0 * fam.S_star.components - (S + 3.0 * Sp)), TOL_ALG),
         _vanish("twisted_contraction", "the twisted Ricci contraction vanishes",
-                defects.id_1_5, TOL_ALG),
+                _ricci_identities(point, S, Sp, fam.tau, fam.tau_prime)[0], TOL_ALG),
         _vanish("flat_form_reconstruction",
                 "the closed 5:1-ratio curvature form reproduces the six-sphere tensor",
                 invariant_norm(point, flat_form - R), TOL_ALG),
@@ -298,18 +309,15 @@ def _thm31_product(p: ScenarioParams, table: dict) -> list[CheckResult]:
                 "trace-free symmetrized tensor vanishes",
                 generalized_bochner(point, R).norm, TOL_ALG),
     ]
-    worst_b = worst_mixed = 0.0
     _, geometries = _chart_points(p, desc, p.chart_points, table)
-    for geo in geometries:
-        worst_b = max(worst_b, _chart_b(geo))
-        worst_mixed = max(worst_mixed, _mixed_component_max(geo.R, 2))
     checks.append(
         _vanish("chart_b_vanishes", "the corrected curvature also vanishes for the "
-                "finite-difference product chart", worst_b, FDConfig.tol_fd2)
+                "finite-difference product chart",
+                _worst(_chart_b(geo) for geo in geometries), FDConfig.tol_fd2)
     )
     checks.append(
         _vanish("chart_mixed_components", "product curvature has no mixed components",
-                worst_mixed, FDConfig.tol_fd1)
+                _worst(_mixed_component_max(geo.R, 2) for geo in geometries), FDConfig.tol_fd1)
     )
     point0, R0 = geometries[0].point, geometries[0].R
     traces = _traces(point0.g_inv, point0.J, R0.components)[:4]
@@ -391,7 +399,7 @@ def _cor33_spotcheck(p: ScenarioParams, table: dict) -> list[CheckResult]:
                     "vanishing corrected curvature",
                     rk_bochner(point, R).norm, TOL_ALG)
         )
-        worst = max(
+        worst = _worst(
             abs(ahsc(point, R, X, Y) - expected)
             for X, Y in sample_antiholomorphic_frames(point, rng, 16, 2)
         )
@@ -424,14 +432,14 @@ def _suite(p: ScenarioParams, desc: str, table: dict) -> NKIdentityReport:
 
 def _model_error(geometries: list, desc: str) -> float:
     """Worst relative invariant distance of the chart curvatures from the exact one of ``desc``."""
-    spec, worst = parse_model_spec(desc), 0.0
+    spec, errors = parse_model_spec(desc), []
     for geo in geometries:
         target = _model_tensor(spec, geo.point)
         norm = invariant_norm(geo.point, target)
         if norm == 0.0:  # underflow; np.errstate does not see a Python float division
             raise FloatingPointError("the model curvature norm underflows to 0")
-        worst = max(worst, invariant_norm(geo.point, geo.R - target) / norm)
-    return worst
+        errors.append(invariant_norm(geo.point, geo.R - target) / norm)
+    return _worst(errors)
 
 
 def _identities_s6(p: ScenarioParams, table: dict) -> list[CheckResult]:
@@ -463,7 +471,7 @@ def _identities_cp(p: ScenarioParams, table: dict) -> list[CheckResult]:
     checks = []
     worst_rel = _model_error(geometries, desc)
     # full norm of nabla J, its upper index lowered
-    worst_dj = max(_norm(geo.point.g_inv, geo.point.g_mat @ geo.nJ) for geo in geometries)
+    worst_dj = _worst(_norm(geo.point.g_inv, geo.point.g_mat @ geo.nJ) for geo in geometries)
     checks.append(
         _vanish("chart_curvature_matches_model",
                 "finite-difference curvature matches the constant holomorphic "

@@ -16,7 +16,6 @@ from bochnerkit.bochner import generalized_bochner, rk_bochner, sample_antiholom
 from bochnerkit.charts import FDConfig, geometry_at, make_chart, nk_identity_suite
 from bochnerkit.curvature import (
     complex_space_form_tensor,
-    direct_sum,
     flat_point,
     random_curvature_tensor,
     ricci_family,
@@ -24,6 +23,7 @@ from bochnerkit.curvature import (
     star,
 )
 from bochnerkit.multilinear import SymBilinear, invariant_norm
+from bochnerkit.scenarios import _csf_product, make_model
 
 TOL_ALG = 1e-12
 TOL_FD1 = 1e-6
@@ -32,15 +32,6 @@ TOL_FD2 = 1e-4
 
 def _report(criterion: str, detail: str) -> None:
     print(f"[PASS] {criterion}: {detail}")
-
-
-def _csf_product(blocks):
-    point = flat_point(2 * blocks[0][0])
-    R = complex_space_form_tensor(point, blocks[0][1])
-    for k, mu in blocks[1:]:
-        fp = flat_point(2 * k)
-        point, R = direct_sum(point, R, fp, complex_space_form_tensor(fp, mu))
-    return point, R
 
 
 def test_criterion_1_algebraic_bochner_vanishing():
@@ -81,16 +72,10 @@ def test_criterion_2_product_theorem():
 
 
 def test_criterion_3_product_classification_and_counterexample():
-    pa, pb = flat_point(2), flat_point(6)
-    point, R = direct_sum(
-        pa, complex_space_form_tensor(pa, -1.0), pb, space_form_tensor(pb, 1.0)
-    )
+    point, R, _ = make_model("PRODUCT(CD(1,-1),S6(1))")
     good = rk_bochner(point, R).norm
     assert good < TOL_ALG
-    pa2 = flat_point(4)
-    point2, R2 = direct_sum(
-        pa2, complex_space_form_tensor(pa2, -1.0), pb, space_form_tensor(pb, 1.0)
-    )
+    point2, R2, _ = make_model("PRODUCT(CD(2,-1),S6(1))")
     bad = rk_bochner(point2, R2).norm
     F = sample_antiholomorphic_frames(point2, np.random.default_rng(0), 512, 4)
     values = np.einsum("ijkl,si,sj,sk,sl->s", R2.components, *F.transpose(1, 0, 2))
@@ -202,8 +187,6 @@ def test_criterion_6_model_sweep():
         "CE(3)", "CD(3,-1)", "CP(3,1)", "S6(1)",
         "PRODUCT(CD(1,-1),S6(1))", "PRODUCT(CD(1,-1),CP(2,1))",
     ]
-    from bochnerkit.scenarios import make_model
-
     worst_alg, worst_chart = 0.0, 0.0
     for desc in descriptors:
         point, R, _ = make_model(desc)

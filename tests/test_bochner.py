@@ -17,7 +17,6 @@ from bochnerkit.bochner import (
 )
 from bochnerkit.curvature import (
     complex_space_form_tensor,
-    direct_sum,
     flat_point,
     phi_psi,
     random_curvature_tensor,
@@ -35,17 +34,7 @@ from bochnerkit.multilinear import (
     curvature_symmetry_defects,
     invariant_norm,
 )
-from bochnerkit.scenarios import make_model
-
-
-def _csf_product(blocks):
-    """Product of constant-HSC factors given as (complex dim, mu) pairs."""
-    point = flat_point(2 * blocks[0][0])
-    R = complex_space_form_tensor(point, blocks[0][1])
-    for k, mu in blocks[1:]:
-        fp = flat_point(2 * k)
-        point, R = direct_sum(point, R, fp, complex_space_form_tensor(fp, mu))
-    return point, R
+from bochnerkit.scenarios import _csf_product, make_model
 
 
 # ---------------------------------------------------------------------------
@@ -169,18 +158,12 @@ def test_b_vanishes_on_constant_hsc(m):
 
 
 def test_b_vanishes_on_line_times_sphere():
-    pa, pb = flat_point(2), flat_point(6)
-    point, R = direct_sum(
-        pa, complex_space_form_tensor(pa, -1.0), pb, space_form_tensor(pb, 1.0)
-    )
+    point, R, _ = make_model("PRODUCT(CD(1,-1),S6(1))")
     assert rk_bochner(point, R).norm < TOL_ALG
 
 
 def test_b_nonzero_on_plane_times_sphere():
-    pa, pb = flat_point(4), flat_point(6)
-    point, R = direct_sum(
-        pa, complex_space_form_tensor(pa, -1.0), pb, space_form_tensor(pb, 1.0)
-    )
+    point, R, _ = make_model("PRODUCT(CD(2,-1),S6(1))")
     out = rk_bochner(point, R)
     assert out.norm > 1e-3
     # frozen spot value: the antiholomorphic sphere-block component is c/8
@@ -195,10 +178,7 @@ def test_b_traces_vanish_on_models():
     p6 = flat_point(6)
     cases.append((p6, complex_space_form_tensor(p6, 1.0)))
     cases.append((p6, space_form_tensor(p6, 1.0)))
-    pa, pb = flat_point(2), flat_point(6)
-    cases.append(
-        direct_sum(pa, complex_space_form_tensor(pa, -1.0), pb, space_form_tensor(pb, 1.0))
-    )
+    cases.append(make_model("PRODUCT(CD(1,-1),S6(1))")[:2])
     for point, R in cases:
         out = rk_bochner(point, R)
         fam = ricci_family(point, out.tensor, sym_tol=1e-9)
@@ -310,8 +290,7 @@ def test_frame_sampler_needs_room():
 
 
 def _counterexample():
-    pa, pb = flat_point(4), flat_point(6)
-    return direct_sum(pa, complex_space_form_tensor(pa, -1.0), pb, space_form_tensor(pb, 1.0))
+    return make_model("PRODUCT(CD(2,-1),S6(1))")[:2]
 
 
 def _frame_max(point, R, samples, seed):
@@ -340,10 +319,7 @@ def test_antiholo_defect_vanishes_on_constant_hsc_dim8():
 def test_antiholo_defect_vanishes_on_line_times_sphere():
     """Necessary condition: the corrected tensor vanishes on this product, so
     sampled frames must report zero curvature."""
-    pa, pb = flat_point(2), flat_point(6)
-    point, R = direct_sum(
-        pa, complex_space_form_tensor(pa, -1.0), pb, space_form_tensor(pb, 1.0)
-    )
+    point, R, _ = make_model("PRODUCT(CD(1,-1),S6(1))")
     assert rk_bochner(point, R).norm < TOL_ALG
     assert _frame_max(point, R, 128, 2) < 1e-10
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bochnerkit import charts
+from bochnerkit.bochner import rk_bochner
 from bochnerkit.charts import (
     ChartModel,
     ChartSpec,
@@ -25,16 +26,17 @@ from bochnerkit.curvature import (
     _ricci_identities,
     _traces,
     complex_space_form_tensor,
-    direct_sum,
-    identity_defects,
     random_hermitian_point,
+    ricci_family,
     space_form_tensor,
     standard_J,
     validate_point,
 )
 from bochnerkit.multilinear import (
     TOL_ALG,
+    CurvTensor,
     NonFiniteError,
+    _norm,
     curvature_symmetry_defects,
     invariant_norm,
 )
@@ -149,15 +151,21 @@ def test_every_leaf_kind_round_trips_through_its_label(kind):
 @pytest.mark.parametrize("seed", range(5))
 def test_product_model_tensor_is_the_direct_sum_at_a_non_flat_point(seed):
     """A product's exact curvature at a block-diagonal point is, bit for bit, the
-    direct sum of its factors' exact curvatures at their blocks; so is a nested
-    product's."""
+    block-diagonal array of its factors' exact curvatures at their blocks; so is
+    a nested product's."""
     p1, p2, p3 = (random_hermitian_point(n, seed + 100 * i) for i, n in enumerate((4, 6, 2)))
+
+    def product(*pairs):
+        g, J, R = (_block_diagonal(blocks, 0) for blocks in zip(
+            *((p.g_mat, p.J, R.components) for p, R in pairs)))
+        return validate_point(g, J), CurvTensor(g.shape[0], R)
+
     R1, R2 = complex_space_form_tensor(p1, 1.5), space_form_tensor(p2, 2.0)
-    point, R = direct_sum(p1, R1, p2, R2)
+    point, R = product((p1, R1), (p2, R2))
     spec = parse_model_spec("PRODUCT(CP(2,1.5),S6(2))")
     assert np.array_equal(charts._model_tensor(spec, point).components, R.components)
     R3 = complex_space_form_tensor(p3, -1.0)
-    point, R = direct_sum(p3, R3, point, R)
+    point, R = product((p3, R3), (point, R))
     spec = parse_model_spec("PRODUCT(CD(1,-1),PRODUCT(CP(2,1.5),S6(2)))")
     assert np.array_equal(charts._model_tensor(spec, point).components, R.components)
 
@@ -426,9 +434,11 @@ def test_s6_curvature_is_rk_and_star_related():
     x = chart.sample_points(7, 1)[0]
     geo = geometry_at(chart, x)
     point, R = geo.point, geo.R
-    d = identity_defects(point, R, sym_tol=FDConfig.tol_fd2)
-    assert d.rk < FDConfig.tol_fd2
-    assert d.star_relation < FDConfig.tol_fd2
+    tol = FDConfig.tol_fd2
+    rk_bochner(point, R, sym_tol=tol, rk_tol=tol)  # raises NotRKError beyond tol from RK
+    fam = ricci_family(point, R, sym_tol=tol)
+    star_relation = 4.0 * fam.S_star.components - (fam.S.components + 3.0 * fam.S_prime.components)
+    assert _norm(point.g_inv, star_relation) < tol
 
 
 def test_s6_nearly_kahler_not_kahler():

@@ -197,6 +197,21 @@ def test_identities_chart(tmp_path, capsys):
     assert payload["residuals"]["nk"] < 1e-6
 
 
+def test_identities_fail_on_a_nan_residual_at_a_later_point(monkeypatch, capsys):
+    """The worst residual over the points is NaN when any point's is, not the
+    first point's number."""
+    reports, suite = [], cli.nk_identity_suite
+
+    def second_nan(chart, geo):
+        report = suite(chart, geo)
+        reports.append(report)
+        return dataclasses.replace(report, nk=math.nan) if len(reports) == 2 else report
+
+    monkeypatch.setattr(cli, "nk_identity_suite", second_nan)
+    assert cli_dispatch(["identities", "CE(1)", "--points", "2"]) == 1
+    assert "[FAIL]   nk  residual=nan" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [
     # third-order nested differences of a valid round sphere, which crossed
     # tol_fd2 while the innermost derivative was a real difference

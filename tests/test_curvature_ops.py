@@ -10,14 +10,14 @@ from bochnerkit.curvature import (
     AntiholomorphyError,
     DegeneratePlaneError,
     PointValidationError,
+    _block_diagonal,
     _g_inv,
+    _ricci_identities,
     _rotate,
     _traces,
     ahsc,
     complex_space_form_tensor,
-    direct_sum,
     flat_point,
-    identity_defects,
     phi_psi,
     point_violations,
     random_curvature_tensor,
@@ -35,10 +35,11 @@ from bochnerkit.multilinear import (
     CurvTensor,
     SymBilinear,
     SymmetryError,
+    _norm,
     curvature_symmetry_defects,
     invariant_norm,
 )
-from bochnerkit.scenarios import make_model
+from bochnerkit.scenarios import make_model, run_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +355,10 @@ def test_star_rejects_non_curvature_input(flat4):
         star(flat4, CurvTensor(4, T))
 
 
-@pytest.mark.parametrize("entry", [star, ricci_family, identity_defects])
+@pytest.mark.parametrize("entry", [star, ricci_family])
 def test_each_entry_point_checks_the_curvature_class_once(entry, flat4, monkeypatch):
-    """The symmetrized tensor inside ricci_family and identity_defects reuses
-    their own check of R, and a rejection still names the function called."""
+    """The symmetrized tensor inside ricci_family reuses its own check of R,
+    and a rejection still names the function called."""
     calls = []
     check = curvature.require_curvature_class
 
@@ -456,7 +457,9 @@ def test_rotation_and_traces_take_batch_axes(dim):
 def test_each_call_rotates_r_into_its_last_pair_once(monkeypatch):
     """R(X,Y,JZ,JU) comes from ``_traces`` alone, and the traces, ``_star`` and
     the J-invariance defects share it.  Counted in J-slot rotations; rotating
-    it again in each consumer cost 8, 6, 10 and 13."""
+    it again in each consumer cost 8, 6 and 13.  thm31_s6 reads every trace
+    of the six-sphere from one ``ricci_family`` and its RK defect from
+    ``rk_bochner``; a second trace-and-star pass beside them cost 18."""
     point, R, _ = make_model("PRODUCT(CD(1,-1),CP(3,1))")
     chart = charts.make_chart("CP(3,1)")
     geo = charts.geometry_at(chart, chart.sample_points(7, 1)[0])
@@ -471,13 +474,35 @@ def test_each_call_rotates_r_into_its_last_pair_once(monkeypatch):
     for call, expected in (
         (lambda: ricci_family(point, R), 6),  # traces 2, _star 4
         (lambda: bochner.rk_bochner(point, R), 4),  # traces 2, then slots 0, 1 of P
-        (lambda: identity_defects(point, R), 8),  # traces 2, _star 4, rk 2
+        (lambda: run_scenario("thm31_s6"), 10),  # ricci_family 6, rk_bochner 4
         # traces 2 and R(X,JY,Z,U) 1 at x, traces 2 on each of 4 stencil batches
         (lambda: charts.nk_identity_suite(chart, geo), 11),
     ):
         slots.clear()
         call()
         assert sum(slots) == expected
+
+
+def test_thm31_s6_checks_and_symmetrizes_its_tensor_once(monkeypatch):
+    """thm31_s6 checks the curvature class in ``ricci_family`` and ``rk_bochner``
+    and forms R* once; a separate identity pass made it 3 checks and 2 passes."""
+    checks, stars = [], []
+    check, star_pass = curvature.require_curvature_class, curvature._star
+
+    def counted_check(T, tol, what):
+        checks.append(what)
+        check(T, tol, what)
+
+    def counted_star(A, J, P):
+        stars.append(A)
+        return star_pass(A, J, P)
+
+    for module in (curvature, bochner):
+        monkeypatch.setattr(module, "require_curvature_class", counted_check)
+    monkeypatch.setattr(curvature, "_star", counted_star)
+    run_scenario("thm31_s6")
+    assert checks == ["ricci_family()", "rk_bochner()"]
+    assert len(stars) == 1
 
 
 def test_ricci_family_rejects_asymmetric_twisted_trace(flat6):
@@ -550,17 +575,13 @@ def test_ahsc_rejects_degenerate_plane(flat6):
 # ---------------------------------------------------------------------------
 
 def test_direct_sum_of_flats_is_flat():
-    p1, p2 = flat_point(2), flat_point(4)
-    point, R = direct_sum(p1, CurvTensor.zero(2), p2, CurvTensor.zero(4))
+    point, R, _ = make_model("PRODUCT(CE(1),CE(2))")
     assert point.dim == 6
     assert R.max_abs() == 0.0
 
 
 def test_direct_sum_mixed_components_vanish():
-    p1, p2 = flat_point(4), flat_point(6)
-    R1 = complex_space_form_tensor(p1, 1.0)
-    R2 = space_form_tensor(p2, 1.0)
-    point, R = direct_sum(p1, R1, p2, R2)
+    point, R, _ = make_model("PRODUCT(CP(2,1),S6(1))")
     e = np.eye(10)
     assert _ev(R, e[0], e[5], e[5], e[0]) == 0.0
 
@@ -569,7 +590,7 @@ def test_direct_sum_trace_additivity():
     p1, p2 = flat_point(4), flat_point(6)
     R1 = complex_space_form_tensor(p1, -2.0)
     R2 = space_form_tensor(p2, 0.5)
-    point, R = direct_sum(p1, R1, p2, R2)
+    point, R, _ = make_model("PRODUCT(CD(2,-2),S6(0.5))")
     fam = ricci_family(point, R)
     fam1 = ricci_family(p1, R1)
     fam2 = ricci_family(p2, R2)
@@ -581,7 +602,9 @@ def test_direct_sum_star_is_blockwise():
     p1, p2 = flat_point(4), flat_point(4)
     R1 = rk_project(p1, random_curvature_tensor(4, 51))
     R2 = rk_project(p2, random_curvature_tensor(4, 52))
-    point, R = direct_sum(p1, R1, p2, R2)
+    # the product of two flat points is the flat point
+    point = flat_point(8)
+    R = CurvTensor(8, _block_diagonal([R1.components, R2.components]))
     Rs = star(point, R).components
     blockwise = np.zeros_like(Rs)
     blockwise[:4, :4, :4, :4] = star(p1, R1).components
@@ -608,21 +631,45 @@ def test_space_form_every_sectional_curvature(flat6):
         assert _ev(R, X, Y, Y, X) / gram == pytest.approx(c, rel=1e-9)
 
 
-def test_identity_defects_constant_hsc(flat6):
-    d = identity_defects(flat6, complex_space_form_tensor(flat6, 1.0))
-    assert d.kahler < TOL_ALG and d.rk < TOL_ALG
-    assert d.star_relation < TOL_ALG and d.id_1_5 < TOL_ALG
+def _kahler_defect(point, R):
+    """max |R(X,Y,Z,U) - R(X,Y,JZ,JU)| over index tuples."""
+    P = _traces(point.g_inv, point.J, R.components)[4]
+    return float(np.max(np.abs(R.components - P)))
 
 
-def test_identity_defects_space_form(flat6):
+def _star_relation(point, R):
+    """The invariant norm of 4 S* - (S + 3 S'), which vanishes on RK tensors."""
+    fam = ricci_family(point, R)
+    return _norm(point.g_inv, 4.0 * fam.S_star.components
+                 - (fam.S.components + 3.0 * fam.S_prime.components))
+
+
+def _twisted_contraction(point, R):
+    """|full contraction of (S - S') against (S - 5 S')|."""
+    fam = ricci_family(point, R)
+    return _ricci_identities(point, fam.S.components, fam.S_prime.components,
+                             fam.tau, fam.tau_prime)[0]
+
+
+def test_constant_hsc_is_kahler_type_and_rk(flat6):
+    R = complex_space_form_tensor(flat6, 1.0)
+    assert _kahler_defect(flat6, R) < TOL_ALG
+    bochner.rk_bochner(flat6, R)  # raises NotRKError beyond TOL_ALG from RK
+    assert _star_relation(flat6, R) < TOL_ALG
+    assert _twisted_contraction(flat6, R) < TOL_ALG
+
+
+def test_space_form_is_rk_but_not_kahler_type(flat6):
     c = 1.0
-    d = identity_defects(flat6, space_form_tensor(flat6, c))
-    assert d.kahler > 0.5 * c       # constant curvature is not Kahler-type
-    assert d.rk < TOL_ALG
-    assert d.star_relation < TOL_ALG
-    assert d.id_1_5 < TOL_ALG       # (S - 5S') = 0 for this model
-    d0 = identity_defects(flat6, CurvTensor.zero(6))
-    assert d0.kahler == d0.rk == d0.star_relation == d0.id_1_5 == 0.0
+    R = space_form_tensor(flat6, c)
+    assert _kahler_defect(flat6, R) > 0.5 * c
+    bochner.rk_bochner(flat6, R)
+    assert _star_relation(flat6, R) < TOL_ALG
+    assert _twisted_contraction(flat6, R) < TOL_ALG  # (S - 5S') = 0 for this model
+    zero = CurvTensor.zero(6)
+    bochner.rk_bochner(flat6, zero, rk_tol=0.0)
+    assert _kahler_defect(flat6, zero) == _star_relation(flat6, zero) == 0.0
+    assert _twisted_contraction(flat6, zero) == 0.0
 
 
 @given(seed=st.integers(0, 10**5))
@@ -632,6 +679,5 @@ def test_star_relation_for_rk_tensors(seed):
     4 S* = S + 3 S'."""
     point = flat_point(6)
     R = rk_project(point, random_curvature_tensor(6, seed))
-    d = identity_defects(point, R)
-    assert d.rk < TOL_ALG
-    assert d.star_relation < 1e-10
+    bochner.rk_bochner(point, R)
+    assert _star_relation(point, R) < 1e-10

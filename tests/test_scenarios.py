@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bochnerkit import charts, scenarios
-from bochnerkit.curvature import complex_space_form_tensor, direct_sum, flat_point
+from bochnerkit.curvature import _block_diagonal, complex_space_form_tensor, flat_point
 from bochnerkit.scenarios import (
     SCENARIO_IDS,
     ScenarioParamError,
@@ -159,13 +159,12 @@ def test_report_timing_available_on_request():
 
 
 def _csf_product_by_hand(dims_mus):
-    """The direct-sum loop the scenarios once built their products with."""
-    point = flat_point(2 * dims_mus[0][0])
-    R = complex_space_form_tensor(point, dims_mus[0][1])
-    for dim_c, mu in dims_mus[1:]:
-        fp = flat_point(2 * dim_c)
-        point, R = direct_sum(point, R, fp, complex_space_form_tensor(fp, mu))
-    return point, R
+    """g, J and R of the product, assembled block by block from each factor's
+    constant-HSC tensor at its own flat point."""
+    points = [flat_point(2 * dim_c) for dim_c, _ in dims_mus]
+    Rs = [complex_space_form_tensor(fp, mu).components for fp, (_, mu) in zip(points, dims_mus)]
+    return (_block_diagonal([fp.g_mat for fp in points]),
+            _block_diagonal([fp.J for fp in points]), _block_diagonal(Rs))
 
 
 @pytest.mark.parametrize("dims_mus, label", [
@@ -185,10 +184,10 @@ def test_scenario_products_are_built_by_make_model(monkeypatch, dims_mus, label)
     monkeypatch.setattr(scenarios, "make_model", counted)
     point, R = scenarios._csf_product(dims_mus)
     assert labels[0] == label
-    ref_point, ref_R = _csf_product_by_hand(dims_mus)
-    assert np.array_equal(point.g_mat, ref_point.g_mat)
-    assert np.array_equal(point.J, ref_point.J)
-    assert np.array_equal(R.components, ref_R.components)
+    g, J, ref_R = _csf_product_by_hand(dims_mus)
+    assert np.array_equal(point.g_mat, g)
+    assert np.array_equal(point.J, J)
+    assert np.array_equal(R.components, ref_R)
 
 
 def test_make_model_labels():
@@ -303,3 +302,37 @@ def test_run_all_keeps_apart_charts_whose_labels_agree():
     params = dataclasses.replace(FAST, c=1.0000001)
     shared = [r.to_dict() for r in run_all(params)]
     assert shared == [run_scenario(sid, params).to_dict() for sid in SCENARIO_IDS]
+
+
+def test_a_nan_defect_anywhere_is_the_worst():
+    """``max`` drops a NaN that is not its first argument, which let a NaN chart
+    defect read as a pass; the worst-of reduction keeps it in every position."""
+    for defects in ([math.nan, 1.0], [1.0, math.nan], [2.0, math.nan, 3.0]):
+        assert math.isnan(scenarios._worst(defects))
+    assert scenarios._worst([]) == 0.0
+    assert scenarios._worst([1e-3, 2e-3]) == 2e-3
+
+
+def test_a_nan_chart_defect_fails(monkeypatch):
+    monkeypatch.setattr(scenarios, "_chart_b", lambda geo: math.nan)
+    by_name = {c.name: c for c in run_scenario("thm31_product", FAST).checks}
+    assert by_name["chart_b_vanishes"].status == "fail"
+    assert math.isnan(by_name["chart_b_vanishes"].defect)
+
+
+@pytest.mark.parametrize("defect, status", [
+    (2e-3, "expected-fail"), (math.inf, "fail"), (math.nan, "fail"), (1e-3, "fail"),
+])
+def test_only_a_finite_defect_above_its_gate_confirms_a_nonvanishing(defect, status):
+    """An overflow to inf is not the predicted nonzero value."""
+    assert scenarios._nonvanish("x", "claim", defect, 1e-3).status == status
+
+
+def test_an_overflowing_product_fails_its_chart_checks():
+    """At c = 1e100, outside the CLI's np.errstate, the chart's corrected tensor
+    is NaN and its Ricci difference overflows; both used to count as success."""
+    with np.errstate(all="ignore"):
+        report = run_scenario("thm31_product", ScenarioParams(c=1e100, mu=1e100))
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["chart_b_vanishes"].status == "fail"
+    assert by_name["chart_id_3_2"].status == "fail"

@@ -1,7 +1,11 @@
-"""Print the size of src/bochnerkit: its `wc -l` total, then its code lines.
+"""Print the size of src/bochnerkit: its `wc -l` total, its code lines, and
+the public names that no module of the package uses.
 
 A code line holds a token that is not a comment and lies outside every
-docstring.  Run from anywhere: ``python3 tools/src_size.py``.
+docstring.  A public name is an entry of a module's ``__all__``; it counts as
+used when some module of the package reads it as a name or an attribute
+(imports and ``__all__`` strings do not count).  Run from anywhere:
+``python3 tools/src_size.py``.
 """
 
 import ast
@@ -13,11 +17,19 @@ SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
         tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
 lines = code = 0
+public, used = [], set()
 for path in sorted(SRC.glob("*.py")):
     text = path.read_text()
     lines += text.count("\n")
     docstrings = set()
     for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(name, ast.Name) and name.id == "__all__" for name in node.targets):
+            public += [(path.stem, entry) for entry in ast.literal_eval(node.value)]
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             if ast.get_docstring(node, clean=False) is not None:
                 doc = node.body[0]
@@ -27,3 +39,4 @@ for path in sorted(SRC.glob("*.py")):
     code += len({n for t in tokens for n in range(t.start[0], t.end[0] + 1)} - docstrings)
 print(f"lines {lines}")
 print(f"code_lines {code}")
+print("unreferenced_public", *(f"{mod}.{name}" for mod, name in public if name not in used))
