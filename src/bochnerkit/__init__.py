@@ -16,8 +16,6 @@ from .multilinear import (
     TOL_ALG,
     CurvTensor,
     SymBilinear,
-    SymmetryDefects,
-    curvature_symmetry_defects,
     invariant_norm,
 )
 from .curvature import (
@@ -26,9 +24,7 @@ from .curvature import (
     ahsc,
     complex_space_form_tensor,
     flat_point,
-    phi_psi,
     ricci_family,
-    sigma_forms,
     space_form_tensor,
     standard_J,
     star,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import pathlib
 import re
 import sys
 from typing import Callable, Sequence
@@ -48,6 +49,7 @@ from .scenarios import (
     make_model,
     run_all,
     run_scenario,
+    _json_number,
     _worst,
 )
 from .serialization import (
@@ -162,9 +164,8 @@ def _say(args: argparse.Namespace, line: str) -> None:
 
 
 def _write_json(args: argparse.Namespace, payload: dict) -> None:
-    if args.json:
-        with open(args.json, "w", encoding="ascii") as fh:
-            fh.write(canonical_json(payload) + "\n")
+    if args.json:  # serialized first, so a payload canonical JSON refuses leaves no file
+        pathlib.Path(args.json).write_text(canonical_json(payload) + "\n", encoding="ascii")
 
 
 def _print_report(args: argparse.Namespace, report: ScenarioReport) -> None:
@@ -272,7 +273,7 @@ def _cmd_identities(args: argparse.Namespace) -> int:
         "schema_version": 1,
         "chart": chart.label,
         "points": int(args.points),
-        "residuals": residuals,
+        "residuals": {name: _json_number(value) for name, value in residuals.items()},
         "scored": {k: residuals[k] <= v for k, v in universal.items() if k in residuals},
         "status": "fail" if failed else "pass",
     }

@@ -47,8 +47,6 @@ __all__ = [
     "flat_point",
     "point_violations",
     "validate_point",
-    "sigma_forms",
-    "phi_psi",
     "star",
     "ricci_family",
     "ahsc",
@@ -123,9 +121,6 @@ class HermitianPoint:
 
     def inner(self, X, Y) -> float:
         return float(X @ self.g_mat @ Y)
-
-    def apply_J(self, X) -> np.ndarray:
-        return self.J @ X
 
 
 def _g_inv(g: np.ndarray) -> np.ndarray:
@@ -208,44 +203,21 @@ def validate_point(g, J, tol: float = TOL_ALG) -> HermitianPoint:
 
 
 # ---------------------------------------------------------------------------
-# universal curvature-class generators and the two Ricci-to-curvature maps
+# the two Ricci-to-curvature maps, the J-rotation and the symmetrized tensor
 # ---------------------------------------------------------------------------
 
-def sigma_forms(point: HermitianPoint) -> tuple[CurvTensor, CurvTensor]:
-    """The two universal curvature-class tensors built from g and J.
-
-    pi1(X,Y,Z,U) = g(X,U)g(Y,Z) - g(X,Z)g(Y,U)
-    pi2(X,Y,Z,U) = g(X,JU)g(Y,JZ) - g(X,JZ)g(Y,JU) - 2 g(X,JY)g(Z,JU)
-
-    Constant sectional curvature c is ``c * pi1``; constant holomorphic
-    sectional curvature mu is ``(mu/4) * (pi1 + pi2)``.
-    """
-    return phi_psi(point, 0.5 * point.g)
-
-
-def phi_psi(point: HermitianPoint, Q: SymBilinear) -> tuple[CurvTensor, CurvTensor]:
-    """The two linear maps sending a symmetric bilinear form to a rank-4 tensor.
+def _phi_psi_sum(point: HermitianPoint, Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
+    """The array phi(Q1) + psi(Q2), for symmetric component arrays Q1 and Q2,
+    where phi and psi send a symmetric bilinear form Q to a curvature-class tensor:
 
     phi(Q)(X,Y,Z,U) = g(X,U)Q(Y,Z) - g(X,Z)Q(Y,U) + g(Y,Z)Q(X,U) - g(Y,U)Q(X,Z)
-
     psi(Q)(X,Y,Z,U) = g(X,JU)Q(Y,JZ) - g(X,JZ)Q(Y,JU) - 2 g(X,JY)Q(Z,JU)
                     + g(Y,JZ)Q(X,JU) - g(Y,JU)Q(X,JZ) - 2 g(Z,JU)Q(X,JY)
 
-    phi(g) = 2 pi1 and psi(g) = 2 pi2.
-    """
-    _check_same_dim(point.dim, Q.dim)
-    zero = np.zeros_like(Q.components)
-    return (
-        CurvTensor(point.dim, _phi_psi_sum(point, Q.components, zero)),
-        CurvTensor(point.dim, _phi_psi_sum(point, zero, Q.components)),
-    )
-
-
-def _phi_psi_sum(point: HermitianPoint, Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
-    """The array phi(Q1) + psi(Q2), for symmetric component arrays Q1 and Q2.
-
-    Both maps are linear, and pi1 = phi(g)/2, pi2 = psi(g)/2, so any linear
-    combination of phi, psi, pi1 and pi2 folds into one call:
+    Both maps are linear.  The universal tensors are pi1 = phi(g)/2 (constant
+    sectional curvature c is c pi1) and pi2 = psi(g)/2 (constant holomorphic
+    sectional curvature mu is (mu/4)(pi1 + pi2)), so any linear combination of
+    phi, psi, pi1 and pi2 folds into one call:
 
         a phi(P) + b psi(P') + c pi1 + d pi2 = phi(Q1) + psi(Q2),
         Q1 = a P + (c/2) g,   Q2 = b P' + (d/2) g.
@@ -413,7 +385,7 @@ def ahsc(
     if gram <= tol * gXX * gYY:
         raise DegeneratePlaneError(f"vectors are parallel (Gram determinant {gram:.3e})")
     scale = np.sqrt(gXX * gYY)
-    JX, JY = point.apply_J(X), point.apply_J(Y)
+    JX, JY = point.J @ X, point.J @ Y
     pairing = max(
         abs(point.inner(X, JY)), abs(point.inner(X, JX)), abs(point.inner(Y, JY))
     ) / scale

@@ -6,12 +6,15 @@ orthonormal ones: every contraction raises indices with an explicitly supplied
 inverse metric, so non-orthonormal charts need no special casing.
 
 Values are immutable after construction and safe to share across threads; all
-operations are pure functions of their inputs.
+operations are pure functions of their inputs.  The value types carry no
+arithmetic beyond ``CurvTensor.__sub__``, and a ``CurvTensor`` caches its
+symmetry defect, which its read-only components keep valid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,13 +27,11 @@ __all__ = [
     "TOL_ALG",
     "CurvTensor",
     "SymBilinear",
-    "SymmetryDefects",
     "InputError",
     "DimensionMismatchError",
     "NonFiniteError",
     "SymmetryError",
     "invariant_norm",
-    "curvature_symmetry_defects",
     "require_curvature_class",
 ]
 
@@ -77,7 +78,7 @@ class CurvTensor:
     ``T(X, Y, Z, U) = X^i Y^j Z^k U^l T_{ijkl}``.  A tensor is *curvature
     class* when it is antisymmetric in the first and in the last index pair
     and its cyclic sum over the first three slots vanishes; operations that
-    require this verify it via :func:`curvature_symmetry_defects`.
+    require this verify it via :func:`require_curvature_class`.
     """
 
     dim: int
@@ -101,24 +102,21 @@ class CurvTensor:
     def __call__(self, X, Y, Z, U) -> float:
         return float(np.einsum("ijkl,i,j,k,l->", self.components, X, Y, Z, U))
 
-    def __add__(self, other: "CurvTensor") -> "CurvTensor":
-        _check_same_dim(self.dim, other.dim)
-        return CurvTensor(self.dim, self.components + other.components)
-
     def __sub__(self, other: "CurvTensor") -> "CurvTensor":
         _check_same_dim(self.dim, other.dim)
         return CurvTensor(self.dim, self.components - other.components)
 
-    def __neg__(self) -> "CurvTensor":
-        return CurvTensor(self.dim, -self.components)
-
-    def __mul__(self, scalar: float) -> "CurvTensor":
-        return CurvTensor(self.dim, float(scalar) * self.components)
-
-    __rmul__ = __mul__
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.components)))
+    @cached_property
+    def symmetry_defect(self) -> float:
+        """Max-abs violation of the curvature class: of both pair antisymmetries, of
+        the pair swap (implied by the others; a cross-check) and of first Bianchi."""
+        A = self.components
+        return max(
+            float(np.max(np.abs(A + A.transpose(1, 0, 2, 3)))),
+            float(np.max(np.abs(A + A.transpose(0, 1, 3, 2)))),
+            float(np.max(np.abs(A - A.transpose(2, 3, 0, 1)))),
+            float(np.max(np.abs(A + A.transpose(1, 2, 0, 3) + A.transpose(2, 0, 1, 3)))),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,46 +134,6 @@ class SymBilinear:
         if asym > TOL_ALG:
             raise SymmetryError("SymBilinear components are not symmetric", asym)
         object.__setattr__(self, "components", arr)
-
-    @staticmethod
-    def zero(dim: int) -> "SymBilinear":
-        return SymBilinear(dim, np.zeros((dim, dim)))
-
-    def __call__(self, X, Y) -> float:
-        return float(np.einsum("ij,i,j->", self.components, X, Y))
-
-    def __add__(self, other: "SymBilinear") -> "SymBilinear":
-        _check_same_dim(self.dim, other.dim)
-        return SymBilinear(self.dim, self.components + other.components)
-
-    def __sub__(self, other: "SymBilinear") -> "SymBilinear":
-        _check_same_dim(self.dim, other.dim)
-        return SymBilinear(self.dim, self.components - other.components)
-
-    def __mul__(self, scalar: float) -> "SymBilinear":
-        return SymBilinear(self.dim, float(scalar) * self.components)
-
-    __rmul__ = __mul__
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.components)))
-
-
-@dataclass(frozen=True)
-class SymmetryDefects:
-    """Max-abs violations of the curvature-class symmetries over all index tuples.
-
-    ``pair_symmetry`` (invariance under swapping the two index pairs) is a
-    consequence of the other three; it is reported separately as a cross-check.
-    """
-
-    antisym12: float
-    antisym34: float
-    pair_symmetry: float
-    first_bianchi: float
-
-    def max(self) -> float:
-        return max(self.antisym12, self.antisym34, self.pair_symmetry, self.first_bianchi)
 
 
 def _check_same_dim(a: int, b: int) -> None:
@@ -201,28 +159,14 @@ def invariant_norm(point, T: CurvTensor | SymBilinear) -> float:
     """Frame-invariant norm of a CurvTensor or SymBilinear: sqrt of its full
     self-contraction, every index raised with the inverse metric of ``point``,
     so the result does not depend on the coordinate basis."""
-    _check_same_dim(point.dim, T.dim)
     if not isinstance(T, (CurvTensor, SymBilinear)):
         raise TypeError(f"unsupported tensor type {type(T).__name__}")
+    _check_same_dim(point.dim, T.dim)
     return _norm(point.g_inv, T.components)
 
 
-def curvature_symmetry_defects(T: CurvTensor) -> SymmetryDefects:
-    """Measure how far ``T`` is from the curvature symmetry class."""
-    A = T.components
-    return SymmetryDefects(
-        antisym12=float(np.max(np.abs(A + A.transpose(1, 0, 2, 3)))),
-        antisym34=float(np.max(np.abs(A + A.transpose(0, 1, 3, 2)))),
-        pair_symmetry=float(np.max(np.abs(A - A.transpose(2, 3, 0, 1)))),
-        first_bianchi=float(
-            np.max(np.abs(A + A.transpose(1, 2, 0, 3) + A.transpose(2, 0, 1, 3)))
-        ),
-    )
-
-
 def require_curvature_class(T: CurvTensor, tol: float = TOL_ALG, what: str = "input") -> None:
-    """Raise :class:`SymmetryError` unless all four symmetry defects are within ``tol``."""
-    defects = curvature_symmetry_defects(T)
-    worst = defects.max()
-    if worst > tol:
-        raise SymmetryError(f"{what} is not curvature-class at tolerance {tol:.1e}", worst)
+    """Raise :class:`SymmetryError` unless ``T.symmetry_defect`` is within ``tol``."""
+    if T.symmetry_defect > tol:
+        raise SymmetryError(f"{what} is not curvature-class at tolerance {tol:.1e}",
+                            T.symmetry_defect)

@@ -126,7 +126,7 @@ class ScenarioReport:
             "schema_version": 3,
             "scenario": self.scenario,
             "parameters": self.parameters,
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [{**asdict(c), "defect": _json_number(c.defect)} for c in self.checks],
             "status": "pass" if self.passed else "fail",
         }
         # timing is excluded by default so identical runs serialize to
@@ -152,6 +152,11 @@ def _worst(defects) -> float:
     keeps whichever of a number and a NaN comes first, so a NaN could pass."""
     defects = [0.0, *defects]
     return math.nan if any(map(math.isnan, defects)) else max(defects)
+
+
+def _json_number(x: float) -> float | str:
+    """``x``, or its text nan, inf or -inf, which canonical JSON writes as no number."""
+    return x if math.isfinite(x) else str(x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from bochnerkit.curvature import flat_point, phi_psi, random_hermitian_point, sigma_forms
+from bochnerkit.curvature import _phi_psi_sum, flat_point, random_hermitian_point
 
 
 @pytest.fixture
@@ -21,13 +22,14 @@ def skew_point6():
 
 @pytest.fixture
 def ref_rhs_2_1():
-    """The right-hand side of eq. (2.1), term by term:
-    (phi + psi)(S*) / (2(m+2)) - tau* (pi1 + pi2) / (4(m+1)(m+2))."""
+    """The right-hand side of eq. (2.1), term by term, as an array:
+    (phi + psi)(S*) / (2(m+2)) - tau* (pi1 + pi2) / (4(m+1)(m+2)),
+    for the component array S*; pi1 = phi(g)/2 and pi2 = psi(g)/2."""
 
     def rhs(point, S_star, tau_star):
-        m = point.m
-        phi, psi = phi_psi(point, S_star)
-        pi1, pi2 = sigma_forms(point)
+        m, zero, half_g = point.m, np.zeros_like(S_star), 0.5 * point.g_mat
+        phi, psi = _phi_psi_sum(point, S_star, zero), _phi_psi_sum(point, zero, S_star)
+        pi1, pi2 = _phi_psi_sum(point, half_g, zero), _phi_psi_sum(point, zero, half_g)
         return (1.0 / (2.0 * (m + 2))) * (phi + psi) - (
             tau_star / (4.0 * (m + 1) * (m + 2))
         ) * (pi1 + pi2)

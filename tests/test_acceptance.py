@@ -22,7 +22,7 @@ from bochnerkit.curvature import (
     space_form_tensor,
     star,
 )
-from bochnerkit.multilinear import SymBilinear, invariant_norm
+from bochnerkit.multilinear import SymBilinear, _norm, invariant_norm
 from bochnerkit.scenarios import _csf_product, make_model
 
 TOL_ALG = 1e-12
@@ -96,7 +96,8 @@ def test_criterion_4_scalar_identities_on_sphere():
     assert abs(fam.tau - 30.0) < TOL_ALG
     assert abs(fam.tau_prime - 6.0) < TOL_ALG
     assert abs(fam.tau - 5.0 * fam.tau_prime) < TOL_ALG
-    rel = invariant_norm(point, 4.0 * fam.S_star - (fam.S + 3.0 * fam.S_prime))
+    S, Sp, Ss = fam.S.components, fam.S_prime.components, fam.S_star.components
+    rel = invariant_norm(point, SymBilinear(6, 4.0 * Ss - (S + 3.0 * Sp)))
     assert rel < TOL_ALG
     contraction = abs(
         float(
@@ -104,8 +105,8 @@ def test_criterion_4_scalar_identities_on_sphere():
                 "ac,bd,ab,cd->",
                 point.g_inv,
                 point.g_inv,
-                (fam.S - fam.S_prime).components,
-                (fam.S - 5.0 * fam.S_prime).components,
+                S - Sp,
+                S - 5.0 * Sp,
             )
         )
     )
@@ -217,10 +218,10 @@ def test_criterion_7_reconstruction_and_convergence(monkeypatch, ref_rhs_2_1):
         out = generalized_bochner(point, R)
         gi = point.g_inv
         S_star = np.einsum("bc,abcd->ad", gi, Rs.components)
-        S_star = SymBilinear(6, 0.5 * (S_star + S_star.T))
-        tau_star = float(np.einsum("ad,ad->", gi, S_star.components))
+        S_star = 0.5 * (S_star + S_star.T)
+        tau_star = float(np.einsum("ad,ad->", gi, S_star))
         closed = ref_rhs_2_1(point, S_star, tau_star)
-        worst = max(worst, invariant_norm(point, Rs - (out.tensor + closed)))
+        worst = max(worst, _norm(gi, Rs.components - (out.tensor.components + closed)))
     assert worst < TOL_ALG
 
     chart = make_chart("S6(1)")

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, files, determinism."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -16,13 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bochnerkit
-from bochnerkit import charts
+from bochnerkit import charts, scenarios
 from bochnerkit.bochner import NotRKError
 from bochnerkit.charts import FDConfig, parse_model_spec
 from bochnerkit import cli
 from bochnerkit.cli import cli_dispatch
 from bochnerkit.multilinear import TOL_ALG, DimensionMismatchError, InputError
 from bochnerkit.scenarios import ScenarioParams
+from bochnerkit.serialization import DocumentFormatError
 
 
 def test_scenario_writes_report(tmp_path, capsys):
@@ -195,6 +197,29 @@ def test_identities_chart(tmp_path, capsys):
     assert payload["chart"] == "S6(1)"
     assert payload["status"] == "pass"
     assert payload["residuals"]["nk"] < 1e-6
+
+
+def test_a_non_finite_defect_is_reported_as_a_string(monkeypatch, tmp_path):
+    """Canonical JSON has no NaN or infinity, so a report writes them as text
+    and keeps its verdict; a NaN used to end in exit 2 and an empty file."""
+    monkeypatch.setattr(scenarios, "_chart_b", lambda geo: math.nan)
+    out = tmp_path / "report.json"
+    assert cli_dispatch(["scenario", "thm31_product", "--points", "1", "--json", str(out)]) == 1
+    text = out.read_text()
+    assert '"defect":"nan"' in text
+    assert json.loads(text)["status"] == "fail"
+    suite = cli.nk_identity_suite
+    monkeypatch.setattr(cli, "nk_identity_suite",
+                        lambda chart, geo: dataclasses.replace(suite(chart, geo), nk=math.inf))
+    assert cli_dispatch(["identities", "CE(1)", "--points", "1", "--json", str(out)]) == 1
+    assert json.loads(out.read_text())["residuals"]["nk"] == "inf"
+
+
+def test_a_payload_canonical_json_refuses_leaves_no_file(tmp_path):
+    out = tmp_path / "report.json"
+    with pytest.raises(DocumentFormatError):
+        cli._write_json(argparse.Namespace(json=str(out)), {"defect": -math.inf})
+    assert not out.exists()
 
 
 def test_identities_fail_on_a_nan_residual_at_a_later_point(monkeypatch, capsys):

@@ -1,5 +1,7 @@
 """Pointwise curvature constructions against independent loop-based oracles."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,19 +14,18 @@ from bochnerkit.curvature import (
     PointValidationError,
     _block_diagonal,
     _g_inv,
+    _phi_psi_sum,
     _ricci_identities,
     _rotate,
     _traces,
     ahsc,
     complex_space_form_tensor,
     flat_point,
-    phi_psi,
     point_violations,
     random_curvature_tensor,
     random_hermitian_point,
     ricci_family,
     rk_project,
-    sigma_forms,
     space_form_tensor,
     standard_J,
     star,
@@ -33,10 +34,8 @@ from bochnerkit.curvature import (
 from bochnerkit.multilinear import (
     TOL_ALG,
     CurvTensor,
-    SymBilinear,
     SymmetryError,
     _norm,
-    curvature_symmetry_defects,
     invariant_norm,
 )
 from bochnerkit.scenarios import make_model, run_scenario
@@ -51,6 +50,17 @@ def _ev(T, *vectors):
     A = T.components if isinstance(T, CurvTensor) else T
     letters = "ijkl"[: len(vectors)]
     return float(np.einsum(f"{letters}," + ",".join(letters) + "->", A, *vectors))
+
+
+def _phi_psi(point, Q):
+    """phi(Q) and psi(Q) for the component array Q, each from its own ``_phi_psi_sum``."""
+    zero = np.zeros_like(Q)
+    return _phi_psi_sum(point, Q, zero), _phi_psi_sum(point, zero, Q)
+
+
+def _pi(point):
+    """pi1 = phi(g)/2 and pi2 = psi(g)/2, the universal curvature-class arrays."""
+    return _phi_psi(point, 0.5 * point.g_mat)
 
 
 def _oracle_pi2(point, X, Y, Z, U):
@@ -165,32 +175,32 @@ def test_random_hermitian_point_redraws_ill_conditioned_frame(seed):
 
 
 # ---------------------------------------------------------------------------
-# sigma forms
+# the universal tensors pi1 and pi2
 # ---------------------------------------------------------------------------
 
 def test_pi1_orthonormal_plane(flat6):
-    pi1, _ = sigma_forms(flat6)
+    pi1, _ = _pi(flat6)
     e = np.eye(6)
     assert _ev(pi1, e[0], e[1], e[1], e[0]) == 1.0
 
 
 def test_pi2_holomorphic_value(flat6):
-    _, pi2 = sigma_forms(flat6)
+    _, pi2 = _pi(flat6)
     e = np.eye(6)
-    Je0 = flat6.apply_J(e[0])
+    Je0 = flat6.J @ e[0]
     assert _ev(pi2, e[0], Je0, Je0, e[0]) == pytest.approx(3.0, abs=TOL_ALG)
     # cross-check against the displayed three-term expansion
     assert _oracle_pi2(flat6, e[0], Je0, Je0, e[0]) == pytest.approx(3.0, abs=TOL_ALG)
 
 
 def test_pi2_vanishes_off_J_span(flat6):
-    _, pi2 = sigma_forms(flat6)
+    _, pi2 = _pi(flat6)
     e = np.eye(6)
     assert _ev(pi2, e[0], e[2], e[2], e[0]) == 0.0
 
 
 def test_pi2_matches_oracle_componentwise(skew_point6):
-    _, pi2 = sigma_forms(skew_point6)
+    _, pi2 = _pi(skew_point6)
     rng = np.random.default_rng(0)
     for _ in range(10):
         X, Y, Z, U = rng.standard_normal((4, 6))
@@ -204,31 +214,31 @@ def test_pi2_matches_oracle_componentwise(skew_point6):
 # ---------------------------------------------------------------------------
 
 def test_phi_psi_of_metric(flat6):
-    pi1, pi2 = sigma_forms(flat6)
-    phi, psi = phi_psi(flat6, flat6.g)
-    assert invariant_norm(flat6, phi - 2.0 * pi1) < TOL_ALG
-    assert invariant_norm(flat6, psi - 2.0 * pi2) < TOL_ALG
+    pi1, pi2 = _pi(flat6)
+    phi, psi = _phi_psi(flat6, flat6.g_mat)
+    assert _norm(flat6.g_inv, phi - 2.0 * pi1) < TOL_ALG
+    assert _norm(flat6.g_inv, psi - 2.0 * pi2) < TOL_ALG
 
 
 def test_phi_psi_of_metric_skew_coordinates(skew_point6):
-    pi1, pi2 = sigma_forms(skew_point6)
-    phi, psi = phi_psi(skew_point6, skew_point6.g)
-    assert invariant_norm(skew_point6, phi - 2.0 * pi1) < 1e-10
-    assert invariant_norm(skew_point6, psi - 2.0 * pi2) < 1e-10
+    pi1, pi2 = _pi(skew_point6)
+    phi, psi = _phi_psi(skew_point6, skew_point6.g_mat)
+    assert _norm(skew_point6.g_inv, phi - 2.0 * pi1) < 1e-10
+    assert _norm(skew_point6.g_inv, psi - 2.0 * pi2) < 1e-10
 
 
 def test_phi_psi_zero(flat6):
-    phi, psi = phi_psi(flat6, SymBilinear.zero(6))
-    assert phi.max_abs() == 0.0 and psi.max_abs() == 0.0
+    zero = np.zeros((6, 6))
+    assert not np.any(_phi_psi_sum(flat6, zero, zero))
 
 
 def test_phi_diagonal_value(flat6):
     rng = np.random.default_rng(1)
     Q = rng.standard_normal((6, 6))
-    Q = SymBilinear(6, 0.5 * (Q + Q.T))
-    phi, _ = phi_psi(flat6, Q)
+    Q = 0.5 * (Q + Q.T)
+    phi, _ = _phi_psi(flat6, Q)
     e = np.eye(6)
-    expected = Q.components[1, 1] + Q.components[0, 0]  # cross terms vanish
+    expected = Q[1, 1] + Q[0, 0]  # cross terms vanish
     assert _ev(phi, e[0], e[1], e[1], e[0]) == pytest.approx(expected, abs=TOL_ALG)
 
 
@@ -236,7 +246,7 @@ def test_phi_psi_match_oracle(skew_point6):
     rng = np.random.default_rng(2)
     Q = rng.standard_normal((6, 6))
     Qs = 0.5 * (Q + Q.T)
-    phi, psi = phi_psi(skew_point6, SymBilinear(6, Qs))
+    phi, psi = _phi_psi(skew_point6, Qs)
     for _ in range(8):
         X, Y, Z, U = rng.standard_normal((4, 6))
         assert _ev(phi, X, Y, Z, U) == pytest.approx(
@@ -256,11 +266,11 @@ def test_phi_psi_linear(a, b):
     Q1 = 0.5 * (Q1 + Q1.T)
     Q2 = rng.standard_normal((4, 4))
     Q2 = 0.5 * (Q2 + Q2.T)
-    phi1, psi1 = phi_psi(point, SymBilinear(4, Q1))
-    phi2, psi2 = phi_psi(point, SymBilinear(4, Q2))
-    phi12, psi12 = phi_psi(point, SymBilinear(4, a * Q1 + b * Q2))
-    assert np.allclose(phi12.components, a * phi1.components + b * phi2.components, atol=1e-9)
-    assert np.allclose(psi12.components, a * psi1.components + b * psi2.components, atol=1e-9)
+    phi1, psi1 = _phi_psi(point, Q1)
+    phi2, psi2 = _phi_psi(point, Q2)
+    phi12, psi12 = _phi_psi(point, a * Q1 + b * Q2)
+    assert np.allclose(phi12, a * phi1 + b * phi2, atol=1e-9)
+    assert np.allclose(psi12, a * psi1 + b * psi2, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +278,7 @@ def test_phi_psi_linear(a, b):
 # ---------------------------------------------------------------------------
 
 def test_star_of_zero(flat6):
-    assert star(flat6, CurvTensor.zero(6)).max_abs() == 0.0
+    assert not np.any(star(flat6, CurvTensor.zero(6)).components)
 
 
 def test_star_of_constant_curvature(flat6):
@@ -276,9 +286,9 @@ def test_star_of_constant_curvature(flat6):
     is the constant-HSC model (c/4)(pi1 + pi2); confirmed by the brute-force
     sixteen-term oracle below."""
     c = 1.7
-    pi1, pi2 = sigma_forms(flat6)
-    out = star(flat6, c * pi1)
-    assert invariant_norm(flat6, out - (c / 4.0) * (pi1 + pi2)) < 10 * TOL_ALG
+    pi1, pi2 = _pi(flat6)
+    out = star(flat6, CurvTensor(6, c * pi1))
+    assert _norm(flat6.g_inv, out.components - (c / 4.0) * (pi1 + pi2)) < 10 * TOL_ALG
     rng = np.random.default_rng(3)
     for _ in range(5):
         X, Y, Z, U = rng.standard_normal((4, 6))
@@ -315,7 +325,7 @@ def test_star_properties_on_random_input(skew_point6):
         out = star(skew_point6, R, sym_tol=1e-9)
         A = out.components
         # curvature class
-        assert curvature_symmetry_defects(out).max() < 1e-10
+        assert out.symmetry_defect < 1e-10
         # J-pair invariance on the first pair
         paired = np.einsum("pqkl,pi,qj->ijkl", A, J, J)
         assert np.max(np.abs(A - paired)) < 1e-10
@@ -375,6 +385,41 @@ def test_each_entry_point_checks_the_curvature_class_once(entry, flat4, monkeypa
         entry(flat4, CurvTensor(4, T))
 
 
+def test_the_cached_class_defect_keeps_every_gate(flat6):
+    """A defect of about 1e-10 passes a 1e-8 gate; the value cached by that check
+    still fails the default gate of every entry point, with the same defect."""
+    A = complex_space_form_tensor(flat6, 1.0).components.copy()
+    A[0, 1, 0, 1] += 1e-10
+    R = CurvTensor(6, A)
+    star(flat6, R, sym_tol=1e-8)
+    defect = CurvTensor(6, A).symmetry_defect  # a fresh tensor computes it anew
+    assert defect == pytest.approx(1e-10, rel=1e-3)
+    for entry in (ricci_family, bochner.rk_bochner, bochner.generalized_bochner, star):
+        with pytest.raises(SymmetryError, match=r"not curvature-class at tolerance 1\.0e-12") as err:
+            entry(flat6, R)
+        assert err.value.defect == defect
+
+
+def test_the_class_defect_is_computed_once_per_tensor(flat6, monkeypatch):
+    """The four entry points check the same R against their gates, and all four
+    read the one defect its first check computed."""
+    computed, defect = [], CurvTensor.symmetry_defect.func
+
+    def counted(T):
+        computed.append(T)
+        return defect(T)
+
+    cached = functools.cached_property(counted)
+    cached.__set_name__(CurvTensor, "symmetry_defect")
+    monkeypatch.setattr(CurvTensor, "symmetry_defect", cached)
+    R = complex_space_form_tensor(flat6, 1.0)
+    star(flat6, R)
+    ricci_family(flat6, R)
+    bochner.generalized_bochner(flat6, R)
+    bochner.rk_bochner(flat6, R)
+    assert computed == [R]
+
+
 # ---------------------------------------------------------------------------
 # Ricci family
 # ---------------------------------------------------------------------------
@@ -405,7 +450,7 @@ def test_ricci_family_constant_hsc_m3(flat6):
 
 def test_ricci_family_zero(flat6):
     fam = ricci_family(flat6, CurvTensor.zero(6))
-    assert fam.S.max_abs() == 0 and fam.S_prime.max_abs() == 0 and fam.S_star.max_abs() == 0
+    assert not np.any([fam.S.components, fam.S_prime.components, fam.S_star.components])
     assert fam.tau == fam.tau_prime == fam.tau_star == 0.0
 
 
@@ -523,7 +568,7 @@ def test_hsc_constant_model(flat6):
     rng = np.random.default_rng(6)
     for _ in range(100):
         X = rng.standard_normal(6)
-        JX = flat6.apply_J(X)
+        JX = flat6.J @ X
         assert R(X, JX, JX, X) / flat6.inner(X, X) ** 2 == pytest.approx(mu, rel=1e-10)
 
 
@@ -532,7 +577,7 @@ def test_hsc_space_form(flat6):
     R = space_form_tensor(flat6, c)
     X = np.array([1.0, 2.0, 0.0, 1.0, -1.0, 0.5])
     # oracle: pi1(X, JX, JX, X) = g(X,X)^2
-    JX = flat6.apply_J(X)
+    JX = flat6.J @ X
     assert R(X, JX, JX, X) / flat6.inner(X, X) ** 2 == pytest.approx(c, rel=1e-12)
 
 
@@ -559,7 +604,7 @@ def test_ahsc_rejects_holomorphic_plane(flat6):
     R = space_form_tensor(flat6, 1.0)
     e = np.eye(6)
     with pytest.raises(AntiholomorphyError) as err:
-        ahsc(flat6, R, e[0], flat6.apply_J(e[0]))
+        ahsc(flat6, R, e[0], flat6.J @ e[0])
     assert err.value.defect == pytest.approx(1.0, abs=1e-12)
 
 
@@ -577,7 +622,7 @@ def test_ahsc_rejects_degenerate_plane(flat6):
 def test_direct_sum_of_flats_is_flat():
     point, R, _ = make_model("PRODUCT(CE(1),CE(2))")
     assert point.dim == 6
-    assert R.max_abs() == 0.0
+    assert not np.any(R.components)
 
 
 def test_direct_sum_mixed_components_vanish():
@@ -617,7 +662,7 @@ def test_direct_sum_star_is_blockwise():
 # ---------------------------------------------------------------------------
 
 def test_space_form_zero(flat6):
-    assert space_form_tensor(flat6, 0.0).max_abs() == 0.0
+    assert not np.any(space_form_tensor(flat6, 0.0).components)
 
 
 def test_space_form_every_sectional_curvature(flat6):

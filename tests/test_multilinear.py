@@ -1,14 +1,17 @@
 """Tensor storage, invariant norms, and symmetry diagnostics."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bochnerkit.curvature import (
+    _phi_psi_sum,
     flat_point,
     random_curvature_tensor,
-    sigma_forms,
+    space_form_tensor,
     star,
     validate_point,
 )
@@ -19,7 +22,6 @@ from bochnerkit.multilinear import (
     NonFiniteError,
     SymBilinear,
     SymmetryError,
-    curvature_symmetry_defects,
     invariant_norm,
     require_curvature_class,
 )
@@ -53,8 +55,15 @@ def test_symbilinear_rejects_asymmetric():
         SymBilinear(4, Q)
 
 
+def _pi(point):
+    """pi1 = phi(g)/2 and pi2 = psi(g)/2, the universal curvature-class tensors."""
+    half_g, zero = 0.5 * point.g_mat, np.zeros_like(point.g_mat)
+    return (CurvTensor(point.dim, _phi_psi_sum(point, half_g, zero)),
+            CurvTensor(point.dim, _phi_psi_sum(point, zero, half_g)))
+
+
 def test_components_are_read_only(flat4):
-    pi1, _ = sigma_forms(flat4)
+    pi1, _ = _pi(flat4)
     with pytest.raises(ValueError):
         pi1.components[0, 0, 0, 0] = 1.0
 
@@ -77,11 +86,11 @@ def _norm_oracle_pi1(dim):
 
 def test_invariant_norm_zero(flat4):
     assert invariant_norm(flat4, CurvTensor.zero(4)) == 0.0
-    assert invariant_norm(flat4, SymBilinear.zero(4)) == 0.0
+    assert invariant_norm(flat4, SymBilinear(4, np.zeros((4, 4)))) == 0.0
 
 
 def test_invariant_norm_pi1_flat_dim4(flat4):
-    pi1, _ = sigma_forms(flat4)
+    pi1 = space_form_tensor(flat4, 1.0)
     expected = _norm_oracle_pi1(4)
     assert expected == pytest.approx(np.sqrt(24.0), abs=1e-15)
     assert invariant_norm(flat4, pi1) == pytest.approx(expected, abs=1e-12)
@@ -90,20 +99,20 @@ def test_invariant_norm_pi1_flat_dim4(flat4):
 def test_desk_scale_maximum_dimension():
     """dim 12 is the stated desk-scale ceiling; everything stays exact there."""
     point = flat_point(12)
-    pi1, pi2 = sigma_forms(point)
-    assert curvature_symmetry_defects(pi1).max() == 0.0
-    assert curvature_symmetry_defects(pi2).max() == 0.0
+    pi1, pi2 = _pi(point)
+    assert pi1.symmetry_defect == 0.0
+    assert pi2.symmetry_defect == 0.0
     assert invariant_norm(point, pi1) == pytest.approx(_norm_oracle_pi1(12), abs=1e-11)
     out = star(point, random_curvature_tensor(12, seed=1))
-    assert curvature_symmetry_defects(out).max() < TOL_ALG
+    assert out.symmetry_defect < TOL_ALG
 
 
 @given(c=st.floats(-1e3, 1e3, allow_nan=False))
 @settings(max_examples=30, deadline=None)
 def test_invariant_norm_homogeneous(c):
     point = flat_point(4)
-    pi1, _ = sigma_forms(point)
-    assert invariant_norm(point, c * pi1) == pytest.approx(
+    pi1 = space_form_tensor(point, 1.0)
+    assert invariant_norm(point, CurvTensor(4, c * pi1.components)) == pytest.approx(
         abs(c) * invariant_norm(point, pi1), rel=1e-12, abs=1e-12
     )
 
@@ -137,9 +146,10 @@ def test_invariant_norm_frame_independent(seed):
 
 def test_invariant_norm_positive_definite(flat4):
     T = random_curvature_tensor(4, seed=5)
-    assert T.max_abs() > 100 * TOL_ALG
+    max_abs = np.max(np.abs(T.components))
+    assert max_abs > 100 * TOL_ALG
     assert invariant_norm(flat4, T) > 0.0
-    tiny = CurvTensor(4, 1e-14 * T.components / T.max_abs())
+    tiny = CurvTensor(4, 1e-14 * T.components / max_abs)
     assert invariant_norm(flat4, tiny) < 4**2 * TOL_ALG
 
 
@@ -148,29 +158,37 @@ def test_invariant_norm_dimension_mismatch(flat4):
         invariant_norm(flat4, CurvTensor.zero(6))
 
 
+def test_invariant_norm_refuses_a_raw_array(flat4):
+    """The type is checked before the dimension, which a raw array does not carry."""
+    with pytest.raises(TypeError, match="unsupported tensor type ndarray"):
+        invariant_norm(flat4, np.zeros((4,) * 4))
+
+
 # ---------------------------------------------------------------------------
 # symmetry diagnostics
 # ---------------------------------------------------------------------------
 
 def test_defects_vanish_on_pi1(flat6):
-    pi1, pi2 = sigma_forms(flat6)
-    for T in (pi1, pi2):
-        d = curvature_symmetry_defects(T)
-        assert d.max() == 0.0
+    for T in _pi(flat6):
+        assert T.symmetry_defect == 0.0
 
 
 def test_defects_detect_constructed_violation():
     T = np.zeros((4,) * 4)
-    T[0, 1, 0, 1] = 1.0  # lone entry breaks both antisymmetries
-    d = curvature_symmetry_defects(CurvTensor(4, T))
-    assert d.antisym12 > 0 and d.antisym34 > 0
+    T[0, 1, 0, 1] = 1.0  # lone entry breaks both antisymmetries and first Bianchi
+    assert CurvTensor(4, T).symmetry_defect == 1.0
+    # a 4-form keeps both antisymmetries and the pair swap; only its cyclic sum, 3x, is left
+    form = np.zeros((4,) * 4)
+    for perm in itertools.permutations(range(4)):
+        form[perm] = np.linalg.det(np.eye(4)[list(perm)])
+    assert CurvTensor(4, form).symmetry_defect == pytest.approx(3.0, abs=1e-15)
 
 
 def test_star_output_is_curvature_class(flat6):
     for seed in range(5):
         R = random_curvature_tensor(6, seed)
         out = star(flat6, R)
-        assert curvature_symmetry_defects(out).max() < TOL_ALG
+        assert out.symmetry_defect < TOL_ALG
 
 
 def test_require_curvature_class_raises():

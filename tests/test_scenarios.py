@@ -101,6 +101,20 @@ def test_counterexample_statuses():
     assert by_name["b_nonvanishing"].defect > 1e-3
     assert by_name["antiholo_4frame"].status == "expected-fail"
     assert by_name["bstar_vanishes"].status == "pass"
+    # the local nonvanishing gate, which no report states under parameters.tolerances
+    assert by_name["b_nonvanishing"].tolerance == by_name["antiholo_4frame"].tolerance == 1e-3
+
+
+def test_thm21_forward_names_its_factor_dimensions():
+    report = run_scenario("thm21_forward", dataclasses.replace(FAST, m=5, k=2))
+    assert [c.name for c in report.checks] == ["bstar_product_2_3"]
+
+
+def test_run_all_states_a_fixed_set_of_tolerances():
+    """The three gates, the counterexample's local 1e-3 and the converse's
+    monotonicity count 0 are every tolerance a suite report states."""
+    stated = {c.tolerance for report in run_all(FAST) for c in report.checks}
+    assert stated == {0.0, 1e-12, 1e-6, 1e-4, 1e-3}
 
 
 @pytest.mark.parametrize("c", [1.0, 2.5])

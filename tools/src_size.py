@@ -1,33 +1,40 @@
 """Print the size of src/bochnerkit: its `wc -l` total, its code lines, and
-the public names that no module of the package uses.
+the public names that neither the package nor the benchmark uses.
 
 A code line holds a token that is not a comment and lies outside every
 docstring.  A public name is an entry of a module's ``__all__``; it counts as
-used when some module of the package reads it as a name or an attribute
-(imports and ``__all__`` strings do not count).  Run from anywhere:
-``python3 tools/src_size.py``.
+used when some module of the package or of ``perfbench/`` reads it as a name
+or an attribute (imports and ``__all__`` strings do not count).  Run from
+anywhere: ``python3 tools/src_size.py``.
 """
 
 import ast
 import pathlib
 import tokenize
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "bochnerkit"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bochnerkit"
 SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
         tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
+
+def names_read(tree: ast.AST) -> set:
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
 lines = code = 0
 public, used = [], set()
+for path in sorted((ROOT / "perfbench").glob("*.py")):
+    used |= names_read(ast.parse(path.read_text()))
 for path in sorted(SRC.glob("*.py")):
     text = path.read_text()
     lines += text.count("\n")
     docstrings = set()
-    for node in ast.walk(ast.parse(text)):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
-        elif isinstance(node, ast.Assign) and any(
+    tree = ast.parse(text)
+    used |= names_read(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
                 isinstance(name, ast.Name) and name.id == "__all__" for name in node.targets):
             public += [(path.stem, entry) for entry in ast.literal_eval(node.value)]
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
