@@ -15,7 +15,6 @@ The package is organized bottom-up:
 from .multilinear import (
     TOL_ALG,
     CurvTensor,
-    SymBilinear,
     invariant_norm,
 )
 from .curvature import (

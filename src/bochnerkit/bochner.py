@@ -29,8 +29,8 @@ from .multilinear import (
     TOL_ALG,
     CurvTensor,
     InputError,
-    SymBilinear,
     _check_same_dim,
+    _frozen_array,
     invariant_norm,
     require_curvature_class,
 )
@@ -97,7 +97,7 @@ def generalized_bochner(
     tau_star = float(_trace(gi, S_star))
     c_ricci = 1.0 / (2.0 * (m + 2))
     c_scalar = tau_star / (4.0 * (m + 1) * (m + 2))
-    Q = (0.5 * c_scalar) * point.g_mat - c_ricci * S_star
+    Q = (0.5 * c_scalar) * point.g - c_ricci * S_star
     B = CurvTensor(point.dim, Rs + _phi_psi_sum(point, Q, Q))
     return BochnerOutput(
         tensor=B,
@@ -148,7 +148,7 @@ def rk_bochner(
     c2 = 1.0 / (8.0 * (m - 2))
     c3 = float(tau + 3.0 * tau_p) / (16.0 * (m + 1) * (m + 2))
     c4 = float(tau - tau_p) / (16.0 * (m - 1) * (m - 2))
-    g = point.g_mat
+    g = point.g
     Q1 = (0.5 * (c3 + 3.0 * c4)) * g - c1 * Sa - (3.0 * c2) * Sb
     Q2 = (0.5 * (c3 - c4)) * g - c1 * Sa + c2 * Sb
     B = CurvTensor(point.dim, A + _phi_psi_sum(point, Q1, Q2))
@@ -164,23 +164,24 @@ def rk_bochner(
     )
 
 
-def nk_flat_form_3_4(point: HermitianPoint, S: SymBilinear, tau: float) -> CurvTensor:
+def nk_flat_form_3_4(point: HermitianPoint, S: np.ndarray, tau: float) -> CurvTensor:
     """Closed curvature form of the non-Kahler constant-ratio case (m > 2).
 
     R = (phi + psi)(S) / (2(m+2)) - (4m+3) tau (pi1 + pi2) / (10 m (m+1)(m+2))
         + tau (3 pi1 - pi2) / (20 m (m-1))
 
     Evaluated as phi(Q1) + psi(Q2), Q1 = a S + (3c - b)/2 g and
-    Q2 = a S - (b + c)/2 g, with a, b and c the three prefactors above.
+    Q2 = a S - (b + c)/2 g, with a, b and c the three prefactors above.  ``S``
+    must be symmetric to ``TOL_ALG``; otherwise this raises :class:`SymmetryError`.
     """
-    _check_same_dim(point.dim, S.dim)
+    S = _symmetrized(_frozen_array(S, point.g.shape, "nk_flat_form_3_4() S"), TOL_ALG, "S")
     m = point.m
     if m <= 2:
         raise DimensionTooSmallError(f"the closed form requires dimension >= 6, got {point.dim}")
     a = 1.0 / (2.0 * (m + 2))
     b = (4.0 * m + 3.0) * tau / (10.0 * m * (m + 1) * (m + 2))
     c = tau / (20.0 * m * (m - 1))
-    aS, g = a * S.components, point.g_mat
+    aS, g = a * S, point.g
     return CurvTensor(
         point.dim,
         _phi_psi_sum(point, aS + (0.5 * (3.0 * c - b)) * g, aS - (0.5 * (b + c)) * g),
@@ -204,7 +205,7 @@ def sample_antiholomorphic_frames(
     any frame's Gram matrix or J-pairing then misses ``_CONSTRAINT_TOL``;
     there is no retry.
     """
-    g, J = point.g_mat, point.J
+    g, J = point.g, point.J
     for name, value in (("samples", samples), ("count", count)):
         if value < 1:
             raise FrameSamplingError(f"{name} must be at least 1, got {value}")

@@ -43,7 +43,7 @@ from .curvature import (
     space_form_tensor, standard_J, validate_point,
     _block_diagonal, _g_inv, _ricci_identities, _rotate, _spans, _traces,
 )
-from .multilinear import CurvTensor, InputError, NonFiniteError, SymBilinear, _norm
+from .multilinear import CurvTensor, InputError, NonFiniteError, _norm
 from .octonion import cross_operator
 
 __all__ = [
@@ -131,7 +131,6 @@ class ChartModel:
 
     label: str
     n: int
-    scale: float
     metric_at: Callable[[np.ndarray], np.ndarray]
     J_at: Callable[[np.ndarray], np.ndarray]
     boundary_radius: float = np.inf
@@ -289,7 +288,7 @@ def make_chart(spec: ChartSpec | str) -> ChartModel:
         return lambda x: _block_diagonal([f(x[..., s]) for f, s in zip(fields, spans)], x.ndim - 1)
 
     return ChartModel(
-        label=spec.label(), n=spec.dim, scale=0.0, factors=charts,
+        label=spec.label(), n=spec.dim, factors=charts,
         metric_at=block([ch.metric_at for ch in charts]), J_at=block([ch.J_at for ch in charts]),
     )
 
@@ -311,7 +310,7 @@ def _r2(x: np.ndarray) -> np.ndarray:
 def _ce_chart(spec: ChartSpec) -> ChartModel:
     n = 2 * spec.m
     return ChartModel(
-        label=spec.label(), n=n, scale=0.0,
+        label=spec.label(), n=n,
         metric_at=_constant(np.eye(n)), J_at=_constant(standard_J(n)),
     )
 
@@ -343,7 +342,7 @@ def _s6_chart(spec: ChartSpec) -> ChartModel:
         # differential exactly on its range; |embed(x)| = rho
         return np.swapaxes(D, -1, -2) @ cross_operator(embed(x) / rho) @ D / conformal(x)
 
-    return ChartModel(label=spec.label(), n=6, scale=c, metric_at=metric_at, J_at=J_at)
+    return ChartModel(label=spec.label(), n=6, metric_at=metric_at, J_at=J_at)
 
 
 def _interleaved_metric(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -375,7 +374,7 @@ def _csf_chart(spec: ChartSpec) -> ChartModel:
 
     ball = {} if s > 0 else {"boundary_radius": 1.0, "sample_radius": 0.5}
     return ChartModel(
-        label=spec.label(), n=2 * m, scale=mu,
+        label=spec.label(), n=2 * m,
         metric_at=metric_at, J_at=_constant(standard_J(2 * m)), **ball,
     )
 
@@ -405,10 +404,8 @@ def _model_tensor(spec: ChartSpec, point: HermitianPoint) -> CurvTensor:
     block-diagonal assembly of its factors', each at its diagonal block of ``point``."""
     if spec.kind != "PRODUCT":
         return _KINDS[spec.kind].tensor(spec, point)
-    blocks = []
-    for f, sl in zip(spec.factors, _spans([f.dim for f in spec.factors])):
-        g, J = point.g_mat[sl, sl], point.J[sl, sl]
-        blocks.append(_model_tensor(f, HermitianPoint(f.dim, SymBilinear(f.dim, g), J)).components)
+    blocks = [_model_tensor(f, HermitianPoint(point.g[sl, sl], point.J[sl, sl])).components
+              for f, sl in zip(spec.factors, _spans([f.dim for f in spec.factors]))]
     return CurvTensor(spec.dim, _block_diagonal(blocks))
 
 
@@ -660,7 +657,7 @@ def nk_identity_suite(chart: ChartModel, geo: ChartGeometry) -> NKIdentityReport
     """
     x, point, G, nJ = geo.x, geo.point, geo.G, geo.nJ
     chart.require_margin(x, 6 * FDConfig.h)
-    g, gi, J, A, n = point.g_mat, point.g_inv, point.J, geo.R.components, point.dim
+    g, gi, J, A, n = point.g, point.g_inv, point.J, geo.R.components, point.dim
 
     def fields(geometry: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
         g_Y, J_Y, _, nJ_Y, R_Y = geometry

@@ -187,6 +187,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         return 2
     except (PointValidationError, SymmetryError) as exc:
         _say(args, f"invalid: {exc}")
+        _write_json(args, {"file": str(args.file), "status": "invalid", "error": str(exc)})
         return 1
     label = f" ({doc.label})" if doc.label else ""
     _say(args, f"valid tensor document{label}: dim {doc.dim}")
@@ -221,9 +222,9 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
         "document": doc.to_dict(),
         "star": star_tensor.components.reshape(-1).tolist(),
         "ricci": {
-            "S": fam.S.components.reshape(-1).tolist(),
-            "S_prime": fam.S_prime.components.reshape(-1).tolist(),
-            "S_star": fam.S_star.components.reshape(-1).tolist(),
+            "S": fam.S.reshape(-1).tolist(),
+            "S_prime": fam.S_prime.reshape(-1).tolist(),
+            "S_star": fam.S_star.reshape(-1).tolist(),
             "tau": fam.tau,
             "tau_prime": fam.tau_prime,
             "tau_star": fam.tau_star,

@@ -28,9 +28,9 @@ from .multilinear import (
     CurvTensor,
     DimensionMismatchError,
     InputError,
-    SymBilinear,
     SymmetryError,
     _check_same_dim,
+    _frozen_array,
     _inner,
     _norm,
     require_curvature_class,
@@ -91,36 +91,43 @@ class AntiholomorphyError(ValueError):
 class HermitianPoint:
     """A 2m-dimensional metric plus compatible almost complex structure.
 
-    ``g`` is positive definite and symmetric, ``J`` squares to minus the
-    identity and preserves ``g``.  Construct through :func:`validate_point`;
-    the constructor itself trusts its inputs.
+    ``g`` is a positive definite, exactly symmetric matrix, ``J`` squares to
+    minus the identity and preserves ``g``; both are read-only float arrays.
+    Construct through :func:`validate_point`; the constructor itself trusts its
+    inputs.
     """
 
-    dim: int
-    g: SymBilinear
+    g: np.ndarray
     J: np.ndarray
 
     def __post_init__(self):
-        J = np.array(self.J, dtype=float)
-        J.setflags(write=False)
-        object.__setattr__(self, "J", J)
+        _freeze_forms(self, "g", "J")
+
+    @property
+    def dim(self) -> int:
+        return self.g.shape[0]
 
     @property
     def m(self) -> int:
         return self.dim // 2
 
-    @property
-    def g_mat(self) -> np.ndarray:
-        return self.g.components
-
     @cached_property
     def g_inv(self) -> np.ndarray:
-        inv = _g_inv(self.g.components)
+        inv = _g_inv(self.g)
         inv.setflags(write=False)
         return inv
 
     def inner(self, X, Y) -> float:
-        return float(X @ self.g_mat @ Y)
+        return float(X @ self.g @ Y)
+
+
+def _freeze_forms(value, *names: str) -> None:
+    """Replace each named field of the frozen dataclass ``value`` by a read-only
+    float copy of the same n x n shape as the first."""
+    n = len(getattr(value, names[0]))
+    for name in names:
+        what = f"{type(value).__name__}.{name}"
+        object.__setattr__(value, name, _frozen_array(getattr(value, name), (n, n), what))
 
 
 def _g_inv(g: np.ndarray) -> np.ndarray:
@@ -148,11 +155,10 @@ def flat_point(dim: int) -> HermitianPoint:
 def point_violations(g, J, tol: float = TOL_ALG) -> list[Violation]:
     """Check all Hermitian-point invariants; return every violation found.
 
-    ``g`` may be a :class:`SymBilinear` or a raw square array; raw ``g`` and
-    ``J`` may share leading batch axes, and each violation then reports the
-    worst defect over the batch.
+    ``g`` and ``J`` are square arrays that may share leading batch axes; each
+    violation then reports the worst defect over the batch.
     """
-    g_arr = np.asarray(g.components if isinstance(g, SymBilinear) else g, dtype=float)
+    g_arr = np.asarray(g, dtype=float)
     J_arr = np.asarray(J, dtype=float)
     violations: list[Violation] = []
 
@@ -196,10 +202,8 @@ def validate_point(g, J, tol: float = TOL_ALG) -> HermitianPoint:
     violations = point_violations(g, J, tol)
     if violations:
         raise PointValidationError(violations)
-    g_arr = np.asarray(g.components if isinstance(g, SymBilinear) else g, dtype=float)
-    n = g_arr.shape[-1]
-    g_sym = 0.5 * (g_arr + np.swapaxes(g_arr, -1, -2))
-    return HermitianPoint(n, SymBilinear(n, g_sym), np.asarray(J, dtype=float))
+    g_arr = np.asarray(g, dtype=float)
+    return HermitianPoint(0.5 * (g_arr + np.swapaxes(g_arr, -1, -2)), J)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +228,7 @@ def _phi_psi_sum(point: HermitianPoint, Q1: np.ndarray, Q2: np.ndarray) -> np.nd
 
     The Kulkarni-Nomizu parts of the two maps share one antisymmetrization.
     """
-    g, J = point.g_mat, point.J
+    g, J = point.g, point.J
     gJ = g @ J  # gJ[i, j] = g(e_i, J e_j), antisymmetric
     QJ = Q2 @ J  # QJ[i, j] = Q2(e_i, J e_j)
     # g(X,U)Q1(Y,Z) + g(X,JU)Q2(Y,JZ), then antisymmetrized in (Z,U) and in (X,Y)
@@ -293,15 +297,20 @@ class RicciFamily:
     ``S`` is the plain Ricci trace, ``S_prime`` the J-twisted trace
     ``sum_i R(X, E_i, J E_i, J Y)``, ``S_star`` the Ricci trace of the
     holomorphically symmetrized tensor; ``tau``/``tau_prime``/``tau_star``
-    are the corresponding scalar traces.
+    are the corresponding scalar traces.  The three forms are read-only,
+    exactly symmetric float arrays, and a non-finite one raises
+    :class:`~bochnerkit.multilinear.NonFiniteError`.
     """
 
-    S: SymBilinear
-    S_prime: SymBilinear
-    S_star: SymBilinear
+    S: np.ndarray
+    S_prime: np.ndarray
+    S_star: np.ndarray
     tau: float
     tau_prime: float
     tau_star: float
+
+    def __post_init__(self):
+        _freeze_forms(self, "S", "S_prime", "S_star")
 
 
 def _ricci(g_inv: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -326,7 +335,7 @@ def _ricci_identities(point: HermitianPoint, S, Sp, tau, tau_p) -> tuple[float, 
     """Residuals ``id_1_5``, ``id_3_2`` and ``id_3_3`` of ``charts.NKIdentityReport``
     from the traces S, S', tau and tau' of one curvature tensor at ``point``."""
     gi = point.g_inv
-    id_3_2 = _norm(gi, S - Sp - ((tau - tau_p) / (2.0 * point.m)) * point.g_mat)
+    id_3_2 = _norm(gi, S - Sp - ((tau - tau_p) / (2.0 * point.m)) * point.g)
     return abs(_inner(gi, S - Sp, S - 5.0 * Sp)), id_3_2, abs(float(tau - 5.0 * tau_p))
 
 
@@ -349,19 +358,13 @@ def ricci_family(
     """
     _check_same_dim(point.dim, R.dim)
     require_curvature_class(R, sym_tol, "ricci_family()")
-    gi, J, A, n = point.g_inv, point.J, R.components, point.dim
+    gi, J, A = point.g_inv, point.J, R.components
     S, Sp, tau, tau_p, P = _traces(gi, J, A)
     S = _symmetrized(S, sym_tol, "Ricci trace")
     Sp = _symmetrized(Sp, sym_tol, "J-twisted Ricci trace")
     Ss = _symmetrized(_ricci(gi, _star(A, J, P)), sym_tol, "Ricci trace of the symmetrized tensor")
-    return RicciFamily(
-        S=SymBilinear(n, S),
-        S_prime=SymBilinear(n, Sp),
-        S_star=SymBilinear(n, Ss),
-        tau=float(tau),
-        tau_prime=float(tau_p),
-        tau_star=float(_trace(gi, Ss)),
-    )
+    return RicciFamily(S=S, S_prime=Sp, S_star=Ss, tau=float(tau), tau_prime=float(tau_p),
+                       tau_star=float(_trace(gi, Ss)))
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +403,14 @@ def ahsc(
 
 def space_form_tensor(point: HermitianPoint, c: float) -> CurvTensor:
     """Curvature of constant sectional curvature ``c``: c * pi1 = phi((c/2) g)."""
-    Q = (0.5 * float(c)) * point.g_mat
+    Q = (0.5 * float(c)) * point.g
     return CurvTensor(point.dim, _phi_psi_sum(point, Q, np.zeros_like(Q)))
 
 
 def complex_space_form_tensor(point: HermitianPoint, mu: float) -> CurvTensor:
     """Curvature of constant holomorphic sectional curvature ``mu``:
     (mu/4)(pi1 + pi2) = (phi + psi)((mu/8) g)."""
-    Q = (float(mu) / 8.0) * point.g_mat
+    Q = (float(mu) / 8.0) * point.g
     return CurvTensor(point.dim, _phi_psi_sum(point, Q, Q))
 
 

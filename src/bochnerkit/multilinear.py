@@ -6,9 +6,11 @@ orthonormal ones: every contraction raises indices with an explicitly supplied
 inverse metric, so non-orthonormal charts need no special casing.
 
 Values are immutable after construction and safe to share across threads; all
-operations are pure functions of their inputs.  The value types carry no
-arithmetic beyond ``CurvTensor.__sub__``, and a ``CurvTensor`` caches its
-symmetry defect, which its read-only components keep valid.
+operations are pure functions of their inputs.  The one value type,
+``CurvTensor``, carries no arithmetic beyond ``__sub__`` and caches its
+symmetry defect, which its read-only components keep valid.  A symmetric form
+(a metric or a Ricci trace) is a plain read-only float array, frozen by
+``_frozen_array``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ TOL_ALG = 1e-12
 __all__ = [
     "TOL_ALG",
     "CurvTensor",
-    "SymBilinear",
     "InputError",
     "DimensionMismatchError",
     "NonFiniteError",
@@ -119,23 +120,6 @@ class CurvTensor:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class SymBilinear:
-    """Dense symmetric rank-2 covariant tensor ``Q_{ij}`` (Ricci-type or metric)."""
-
-    dim: int
-    components: np.ndarray
-
-    def __post_init__(self):
-        if self.dim <= 0:
-            raise DimensionMismatchError(f"dim must be positive, got {self.dim}")
-        arr = _frozen_array(self.components, (self.dim,) * 2, "SymBilinear")
-        asym = float(np.max(np.abs(arr - arr.T)))
-        if asym > TOL_ALG:
-            raise SymmetryError("SymBilinear components are not symmetric", asym)
-        object.__setattr__(self, "components", arr)
-
-
 def _check_same_dim(a: int, b: int) -> None:
     if a != b:
         raise DimensionMismatchError(f"dimension mismatch: {a} != {b}")
@@ -155,11 +139,11 @@ def _norm(g_inv: np.ndarray, T: np.ndarray) -> float:
     return float(np.sqrt(max(_inner(g_inv, T, T), 0.0)))
 
 
-def invariant_norm(point, T: CurvTensor | SymBilinear) -> float:
-    """Frame-invariant norm of a CurvTensor or SymBilinear: sqrt of its full
-    self-contraction, every index raised with the inverse metric of ``point``,
-    so the result does not depend on the coordinate basis."""
-    if not isinstance(T, (CurvTensor, SymBilinear)):
+def invariant_norm(point, T: CurvTensor) -> float:
+    """Frame-invariant norm of a CurvTensor: sqrt of its full self-contraction,
+    every index raised with the inverse metric of ``point``, so the result does
+    not depend on the coordinate basis."""
+    if not isinstance(T, CurvTensor):
         raise TypeError(f"unsupported tensor type {type(T).__name__}")
     _check_same_dim(point.dim, T.dim)
     return _norm(point.g_inv, T.components)

@@ -268,7 +268,7 @@ def _cor22(p: ScenarioParams, table: dict) -> list[CheckResult]:
 def _thm31_s6(p: ScenarioParams, table: dict) -> list[CheckResult]:
     point, R, _ = make_model(ChartSpec("S6", c=p.c))
     fam = ricci_family(point, R)
-    S, Sp = fam.S.components, fam.S_prime.components
+    S, Sp = fam.S, fam.S_prime
     out = rk_bochner(point, R)
     flat_form = nk_flat_form_3_4(point, fam.S, fam.tau)
     return [
@@ -281,7 +281,7 @@ def _thm31_s6(p: ScenarioParams, table: dict) -> list[CheckResult]:
         _vanish("tau_ratio", "the scalar traces sit in the 5:1 ratio",
                 abs(fam.tau - 5.0 * fam.tau_prime), TOL_ALG),
         _vanish("star_relation", "four times the symmetrized Ricci equals S + 3S'",
-                _norm(point.g_inv, 4.0 * fam.S_star.components - (S + 3.0 * Sp)), TOL_ALG),
+                _norm(point.g_inv, 4.0 * fam.S_star - (S + 3.0 * Sp)), TOL_ALG),
         _vanish("twisted_contraction", "the twisted Ricci contraction vanishes",
                 _ricci_identities(point, S, Sp, fam.tau, fam.tau_prime)[0], TOL_ALG),
         _vanish("flat_form_reconstruction",
@@ -476,7 +476,7 @@ def _identities_cp(p: ScenarioParams, table: dict) -> list[CheckResult]:
     checks = []
     worst_rel = _model_error(geometries, desc)
     # full norm of nabla J, its upper index lowered
-    worst_dj = _worst(_norm(geo.point.g_inv, geo.point.g_mat @ geo.nJ) for geo in geometries)
+    worst_dj = _worst(_norm(geo.point.g_inv, geo.point.g @ geo.nJ) for geo in geometries)
     checks.append(
         _vanish("chart_curvature_matches_model",
                 "finite-difference curvature matches the constant holomorphic "

@@ -99,7 +99,6 @@ class TensorDocument:
     J: tuple[float, ...]
     R: tuple[float, ...]
     label: str | None = None
-    schema_version: int = SCHEMA_VERSION
 
     @classmethod
     def from_point_tensor(
@@ -107,7 +106,7 @@ class TensorDocument:
     ) -> "TensorDocument":
         return cls(
             dim=point.dim,
-            g=tuple(point.g_mat.reshape(-1).tolist()),
+            g=tuple(point.g.reshape(-1).tolist()),
             J=tuple(point.J.reshape(-1).tolist()),
             R=tuple(R.components.reshape(-1).tolist()),
             label=label,
@@ -124,7 +123,7 @@ class TensorDocument:
 
     def to_dict(self) -> dict:
         out = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "dim": self.dim,
             "g": self.g,
             "J": self.J,
@@ -168,10 +167,7 @@ def _structural_document(raw: Any) -> TensorDocument:
     version = raw.get("schema_version", SCHEMA_VERSION)
     if type(version) is not int or version != SCHEMA_VERSION:  # true == 1 == 1.0
         raise DocumentFormatError(f"unsupported schema_version {version!r}")
-    return TensorDocument(
-        dim=dim, g=arrays["g"], J=arrays["J"], R=arrays["R"],
-        label=label, schema_version=version,
-    )
+    return TensorDocument(dim=dim, g=arrays["g"], J=arrays["J"], R=arrays["R"], label=label)
 
 
 def dump_tensor(doc: TensorDocument, destination: str | os.PathLike | IO[str]) -> None:

@@ -27,7 +27,7 @@ def ref_rhs_2_1():
     for the component array S*; pi1 = phi(g)/2 and pi2 = psi(g)/2."""
 
     def rhs(point, S_star, tau_star):
-        m, zero, half_g = point.m, np.zeros_like(S_star), 0.5 * point.g_mat
+        m, zero, half_g = point.m, np.zeros_like(S_star), 0.5 * point.g
         phi, psi = _phi_psi_sum(point, S_star, zero), _phi_psi_sum(point, zero, S_star)
         pi1, pi2 = _phi_psi_sum(point, half_g, zero), _phi_psi_sum(point, zero, half_g)
         return (1.0 / (2.0 * (m + 2))) * (phi + psi) - (

@@ -29,7 +29,7 @@ from bochnerkit.curvature import (
 from bochnerkit.multilinear import (
     TOL_ALG,
     CurvTensor,
-    SymBilinear,
+    SymmetryError,
     _norm,
     invariant_norm,
 )
@@ -104,7 +104,7 @@ def test_rhs_2_1_reproduces_constant_hsc_star(ref_rhs_2_1):
     point = flat_point(6)
     R = complex_space_form_tensor(point, 1.5)
     fam = ricci_family(point, R)
-    closed = ref_rhs_2_1(point, fam.S_star.components, fam.tau_star)
+    closed = ref_rhs_2_1(point, fam.S_star, fam.tau_star)
     assert _norm(point.g_inv, closed - star(point, R).components) < 10 * TOL_ALG
 
 
@@ -181,8 +181,8 @@ def test_b_traces_vanish_on_models():
     for point, R in cases:
         out = rk_bochner(point, R)
         fam = ricci_family(point, out.tensor, sym_tol=1e-9)
-        assert invariant_norm(point, fam.S) < 1e-10
-        assert invariant_norm(point, fam.S_prime) < 1e-10
+        assert _norm(point.g_inv, fam.S) < 1e-10
+        assert _norm(point.g_inv, fam.S_prime) < 1e-10
         assert abs(fam.tau) < 1e-10 and abs(fam.tau_prime) < 1e-10 and abs(fam.tau_star) < 1e-10
 
 
@@ -224,15 +224,14 @@ def test_flat_form_reproduces_sphere_tensor():
     c(pi1+pi2) - 0.75 c(pi1+pi2) + 0.25 c(3 pi1 - pi2) = c pi1."""
     point = flat_point(6)
     c = 1.25
-    g = point.g
-    form = nk_flat_form_3_4(point, SymBilinear(6, 5.0 * c * g.components), 30.0 * c)
+    form = nk_flat_form_3_4(point, 5.0 * c * point.g, 30.0 * c)
     pi1, _ = _pi(point)
     assert _norm(point.g_inv, form.components - c * pi1) < 10 * TOL_ALG
 
 
 def test_flat_form_zero():
     point = flat_point(6)
-    assert not np.any(nk_flat_form_3_4(point, SymBilinear(6, np.zeros((6, 6))), 0.0).components)
+    assert not np.any(nk_flat_form_3_4(point, np.zeros((6, 6)), 0.0).components)
 
 
 def test_flat_form_consistency_with_vanishing_b():
@@ -252,7 +251,17 @@ def test_flat_form_consistency_with_vanishing_b():
 def test_flat_form_requires_dimension_six():
     point = flat_point(4)
     with pytest.raises(DimensionTooSmallError):
-        nk_flat_form_3_4(point, SymBilinear(4, np.zeros((4, 4))), 0.0)
+        nk_flat_form_3_4(point, np.zeros((4, 4)), 0.0)
+
+
+def test_flat_form_rejects_asymmetric_S():
+    """The one public function that takes a form from its caller checks that it
+    is symmetric."""
+    S = 5.0 * np.eye(6)
+    S[0, 1] += 1e-6
+    with pytest.raises(SymmetryError) as err:
+        nk_flat_form_3_4(flat_point(6), S, 30.0)
+    assert err.value.defect == pytest.approx(1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +275,7 @@ def test_frame_sampler_constraints():
         for point in (flat_point(n), random_hermitian_point(n, seed=n)):
             frames = sample_antiholomorphic_frames(point, np.random.default_rng(n), 2048, 4)
             assert frames.shape == (2048, 4, n)
-            Fg = frames @ point.g_mat
+            Fg = frames @ point.g
             gram = Fg @ np.swapaxes(frames, 1, 2)
             pairing = Fg @ np.swapaxes(frames @ point.J.T, 1, 2)
             assert np.max(np.abs(gram - np.eye(4))) < 1e-12
@@ -350,14 +359,14 @@ def _phi_psi(point, Q):
 
 def _pi(point):
     """pi1 = phi(g)/2 and pi2 = psi(g)/2, the universal curvature-class arrays."""
-    return _phi_psi(point, 0.5 * point.g_mat)
+    return _phi_psi(point, 0.5 * point.g)
 
 
 def _ref_generalized(point, R, sym_tol):
     """B* = R* - (phi + psi)(S*) / (2(m+2)) + tau* (pi1 + pi2) / (4(m+1)(m+2)), term by term."""
     m = point.m
     fam = ricci_family(point, R, sym_tol)
-    phi, psi = _phi_psi(point, fam.S_star.components)
+    phi, psi = _phi_psi(point, fam.S_star)
     pi1, pi2 = _pi(point)
     c_ricci = 1.0 / (2.0 * (m + 2))
     c_scalar = fam.tau_star / (4.0 * (m + 1) * (m + 2))
@@ -371,7 +380,7 @@ def _ref_rk(point, R, sym_tol):
     its ``rk_tol``."""
     m = point.m
     fam = ricci_family(point, R, sym_tol=np.inf)
-    S, Sp = fam.S.components, fam.S_prime.components
+    S, Sp = fam.S, fam.S_prime
     phi_a, psi_a = _phi_psi(point, S + 3.0 * Sp)
     phi_b, psi_b = _phi_psi(point, S - Sp)
     pi1, pi2 = _pi(point)
@@ -397,7 +406,7 @@ def _ref_rk(point, R, sym_tol):
 
 def _ref_flat_form(point, S, tau):
     m = point.m
-    phi, psi = _phi_psi(point, S.components)
+    phi, psi = _phi_psi(point, S)
     pi1, pi2 = _pi(point)
     return (
         (1.0 / (2.0 * (m + 2))) * (phi + psi)

@@ -156,7 +156,7 @@ def test_product_model_tensor_is_the_direct_sum_at_a_non_flat_point(seed):
 
     def product(*pairs):
         g, J, R = (_block_diagonal(blocks, 0) for blocks in zip(
-            *((p.g_mat, p.J, R.components) for p, R in pairs)))
+            *((p.g, p.J, R.components) for p, R in pairs)))
         return validate_point(g, J), CurvTensor(g.shape[0], R)
 
     R1, R2 = complex_space_form_tensor(p1, 1.5), space_form_tensor(p2, 2.0)
@@ -302,7 +302,7 @@ def test_s6_chart_point_validity():
     chart = make_chart("S6(1)")
     for x in chart.sample_points(3, 4):
         point = validate_point(chart.metric_at(x), chart.J_at(x))
-        J, g = point.J, point.g_mat
+        J, g = point.J, point.g
         assert np.max(np.abs(J @ J + np.eye(6))) < TOL_ALG
         assert np.max(np.abs(J.T @ g @ J - g)) < TOL_ALG
         # stereographic metric is conformally flat
@@ -436,7 +436,7 @@ def test_s6_curvature_is_rk_and_star_related():
     tol = FDConfig.tol_fd2
     rk_bochner(point, R, sym_tol=tol, rk_tol=tol)  # raises NotRKError beyond tol from RK
     fam = ricci_family(point, R, sym_tol=tol)
-    star_relation = 4.0 * fam.S_star.components - (fam.S.components + 3.0 * fam.S_prime.components)
+    star_relation = 4.0 * fam.S_star - (fam.S + 3.0 * fam.S_prime)
     assert _norm(point.g_inv, star_relation) < tol
 
 
@@ -444,7 +444,7 @@ def test_s6_nearly_kahler_not_kahler():
     chart = make_chart("S6(1)")
     x = chart.sample_points(9, 1)[0]
     point = validate_point(chart.metric_at(x), chart.J_at(x))
-    g = point.g_mat
+    g = point.g
     nJ = geometry_at(chart, x).nJ
     rng = np.random.default_rng(0)
     worst_xx, worst_xy = 0.0, 0.0
@@ -466,7 +466,7 @@ def test_s6_nabla_j_pairing_antisymmetric():
     x = chart.sample_points(29, 1)[0]
     point = validate_point(chart.metric_at(x), chart.J_at(x))
     nJ = geometry_at(chart, x).nJ
-    pairing = np.einsum("apb,pc->abc", nJ, point.g_mat)
+    pairing = np.einsum("apb,pc->abc", nJ, point.g)
     assert np.max(np.abs(pairing + pairing.transpose(0, 2, 1))) < FDConfig.tol_fd1
 
 
@@ -476,7 +476,7 @@ def test_s6_ricci_difference_from_nabla_j():
     x = chart.sample_points(11, 1)[0]
     geo = geometry_at(chart, x)
     point, R, nJ = geo.point, geo.R, geo.nJ
-    g, gi = point.g_mat, point.g_inv
+    g, gi = point.g, point.g_inv
     S = np.einsum("bc,abcd->ad", gi, R.components)
     Sp = np.einsum("bc,pc,ql,abpq->al", gi, point.J, point.J, R.components)
     # sum_i g((nabla_X J) E_i, (nabla_Y J) E_i) as a metric contraction
@@ -570,7 +570,6 @@ def test_nk_suite_rejects_non_nearly_kahler_chart():
     chart = ChartModel(
         label="conformal",
         n=n,
-        scale=0.0,
         metric_at=lambda x: (1.0 + np.sum(x * x, -1))[..., None, None] * np.eye(n),
         J_at=lambda x: np.broadcast_to(J0, x.shape[:-1] + J0.shape).copy(),
     )
@@ -805,7 +804,7 @@ def test_product_geometry_is_the_block_assembly_of_its_leaves(desc):
     coords = [slice(e - leaf.n, e) for leaf, e in zip(leaves, np.cumsum([f.n for f in leaves]))]
     geo = geometry_at(chart, x)
     parts = [geometry_at(leaf, x[sl]) for leaf, sl in zip(leaves, coords)]
-    for field in (lambda g: g.point.g_mat, lambda g: g.point.J, lambda g: g.G, lambda g: g.nJ,
+    for field in (lambda g: g.point.g, lambda g: g.point.J, lambda g: g.G, lambda g: g.nJ,
                   lambda g: g.R.components):
         assert np.array_equal(field(geo), _block_diagonal([field(p) for p in parts], 0))
     C = charts._stencil(x)
@@ -830,7 +829,7 @@ def test_product_geometry_agrees_with_the_whole_product_chart(desc):
     for seed in range(12):
         x = chart.sample_points(seed, 1)[0]
         new, old = geometry_at(chart, x), geometry_at(whole, x)
-        assert np.array_equal(new.point.g_mat, old.point.g_mat)
+        assert np.array_equal(new.point.g, old.point.g)
         assert np.array_equal(new.point.J, old.point.J)
         assert np.max(np.abs(new.G - old.G)) <= 1e-15
         assert np.max(np.abs(new.nJ - old.nJ)) <= 1e-15
@@ -929,14 +928,15 @@ SWEEP_STEPS = (8e-3, 4e-3, 2e-3, 1e-3, 5e-4)
 def _s6_sweep(monkeypatch):
     """id_1_1, id_1_3, id_1_4 and the relative deviation of R from c * pi1 on
     S6(1) at the seed-7 point, one row per step of ``SWEEP_STEPS``."""
-    chart = make_chart("S6(1)")
+    spec = parse_model_spec("S6(1)")
+    chart = make_chart(spec)
     x = chart.sample_points(7, 1)[0]
     rows = []
     for h in SWEEP_STEPS:
         monkeypatch.setattr(FDConfig, "h", h)
         geo = geometry_at(chart, x)
         suite = nk_identity_suite(chart, geo)
-        target = space_form_tensor(geo.point, chart.scale)
+        target = space_form_tensor(geo.point, spec.c)
         rel = invariant_norm(geo.point, geo.R - target) / invariant_norm(geo.point, target)
         rows.append((suite.id_1_1, suite.id_1_3, suite.id_1_4, rel))
     return dict(zip(SWEEP_STEPS, rows))

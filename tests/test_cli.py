@@ -112,6 +112,20 @@ def test_validate_rejects_broken_document(tmp_path, capsys):
     assert cli_dispatch(["validate", str(doc)]) == 1
 
 
+def test_validate_writes_the_report_of_an_invalid_document(tmp_path, capsys):
+    doc, report = tmp_path / "s6.json", tmp_path / "report.json"
+    cli_dispatch(["tensor", "s6", "--dump", str(doc), "--quiet"])
+    payload = json.loads(doc.read_text())
+    payload["R"][5] += 1e-3
+    doc.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert cli_dispatch(["validate", str(doc), "--json", str(report)]) == 1
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("invalid: document tensor is not curvature-class")
+    assert json.loads(report.read_text()) == {
+        "file": str(doc), "status": "invalid", "error": line.removeprefix("invalid: ")}
+
+
 def test_validate_malformed_json(tmp_path):
     doc = tmp_path / "junk.json"
     doc.write_text("{]")

@@ -60,24 +60,24 @@ def _phi_psi(point, Q):
 
 def _pi(point):
     """pi1 = phi(g)/2 and pi2 = psi(g)/2, the universal curvature-class arrays."""
-    return _phi_psi(point, 0.5 * point.g_mat)
+    return _phi_psi(point, 0.5 * point.g)
 
 
 def _oracle_pi2(point, X, Y, Z, U):
-    g, J = point.g_mat, point.J
+    g, J = point.g, point.J
     gv = lambda a, b: float(a @ g @ b)
     return gv(X, J @ U) * gv(Y, J @ Z) - gv(X, J @ Z) * gv(Y, J @ U) - 2 * gv(X, J @ Y) * gv(Z, J @ U)
 
 
 def _oracle_phi(point, Q, X, Y, Z, U):
-    g = point.g_mat
+    g = point.g
     gv = lambda a, b: float(a @ g @ b)
     qv = lambda a, b: float(a @ Q @ b)
     return gv(X, U) * qv(Y, Z) - gv(X, Z) * qv(Y, U) + gv(Y, Z) * qv(X, U) - gv(Y, U) * qv(X, Z)
 
 
 def _oracle_psi(point, Q, X, Y, Z, U):
-    g, J = point.g_mat, point.J
+    g, J = point.g, point.J
     gv = lambda a, b: float(a @ g @ b)
     qv = lambda a, b: float(a @ Q @ b)
     return (
@@ -215,14 +215,14 @@ def test_pi2_matches_oracle_componentwise(skew_point6):
 
 def test_phi_psi_of_metric(flat6):
     pi1, pi2 = _pi(flat6)
-    phi, psi = _phi_psi(flat6, flat6.g_mat)
+    phi, psi = _phi_psi(flat6, flat6.g)
     assert _norm(flat6.g_inv, phi - 2.0 * pi1) < TOL_ALG
     assert _norm(flat6.g_inv, psi - 2.0 * pi2) < TOL_ALG
 
 
 def test_phi_psi_of_metric_skew_coordinates(skew_point6):
     pi1, pi2 = _pi(skew_point6)
-    phi, psi = _phi_psi(skew_point6, skew_point6.g_mat)
+    phi, psi = _phi_psi(skew_point6, skew_point6.g)
     assert _norm(skew_point6.g_inv, phi - 2.0 * pi1) < 1e-10
     assert _norm(skew_point6.g_inv, psi - 2.0 * pi2) < 1e-10
 
@@ -427,10 +427,10 @@ def test_the_class_defect_is_computed_once_per_tensor(flat6, monkeypatch):
 def test_ricci_family_constant_curvature_dim6(flat6):
     c = 0.9
     fam = ricci_family(flat6, space_form_tensor(flat6, c))
-    g = flat6.g_mat
-    assert np.allclose(fam.S.components, 5 * c * g, atol=TOL_ALG)
-    assert np.allclose(fam.S_prime.components, c * g, atol=TOL_ALG)
-    assert np.allclose(fam.S_star.components, 2 * c * g, atol=TOL_ALG)
+    g = flat6.g
+    assert np.allclose(fam.S, 5 * c * g, atol=TOL_ALG)
+    assert np.allclose(fam.S_prime, c * g, atol=TOL_ALG)
+    assert np.allclose(fam.S_star, 2 * c * g, atol=TOL_ALG)
     assert fam.tau == pytest.approx(30 * c, abs=1e-12)
     assert fam.tau_prime == pytest.approx(6 * c, abs=1e-12)
     assert fam.tau_star == pytest.approx(12 * c, abs=1e-12)
@@ -439,9 +439,9 @@ def test_ricci_family_constant_curvature_dim6(flat6):
 def test_ricci_family_constant_hsc_m3(flat6):
     mu = 1.3
     fam = ricci_family(flat6, complex_space_form_tensor(flat6, mu))
-    g = flat6.g_mat
-    assert np.allclose(fam.S.components, 2 * mu * g, atol=1e-12)
-    assert np.allclose(fam.S_prime.components, 2 * mu * g, atol=1e-12)
+    g = flat6.g
+    assert np.allclose(fam.S, 2 * mu * g, atol=1e-12)
+    assert np.allclose(fam.S_prime, 2 * mu * g, atol=1e-12)
     assert fam.tau == pytest.approx(12 * mu, abs=1e-11)
     assert fam.tau_prime == pytest.approx(12 * mu, abs=1e-11)
     # tau* = m(m+1) mu with m = 3
@@ -450,7 +450,7 @@ def test_ricci_family_constant_hsc_m3(flat6):
 
 def test_ricci_family_zero(flat6):
     fam = ricci_family(flat6, CurvTensor.zero(6))
-    assert not np.any([fam.S.components, fam.S_prime.components, fam.S_star.components])
+    assert not np.any([fam.S, fam.S_prime, fam.S_star])
     assert fam.tau == fam.tau_prime == fam.tau_star == 0.0
 
 
@@ -463,10 +463,10 @@ def test_ricci_family_matches_frame_sum_oracle(skew_point6):
     for seed in range(4):
         Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((6, 6)))
         frame = Q.T @ L.T
-        assert np.max(np.abs(frame @ skew_point6.g_mat @ frame.T - np.eye(6))) < TOL_ALG
+        assert np.max(np.abs(frame @ skew_point6.g @ frame.T - np.eye(6))) < TOL_ALG
         S, Sp, tau, tau_p = _frame_ricci_oracle(skew_point6, R, frame)
-        assert np.max(np.abs(fam.S.components - 0.5 * (S + S.T))) < 1e-9
-        assert np.max(np.abs(fam.S_prime.components - 0.5 * (Sp + Sp.T))) < 1e-9
+        assert np.max(np.abs(fam.S - 0.5 * (S + S.T))) < 1e-9
+        assert np.max(np.abs(fam.S_prime - 0.5 * (Sp + Sp.T))) < 1e-9
         assert fam.tau == pytest.approx(tau, rel=1e-9, abs=1e-9)
         assert fam.tau_prime == pytest.approx(tau_p, rel=1e-9, abs=1e-9)
 
@@ -485,7 +485,7 @@ def test_s_star_j_invariant_for_general_input(skew_point6):
 def test_rotation_and_traces_take_batch_axes(dim):
     """A stack of points gives, bit for bit, what each point gives alone."""
     points = [random_hermitian_point(dim, seed) for seed in range(3)]
-    g = np.stack([p.g_mat for p in points])
+    g = np.stack([p.g for p in points])
     J = np.stack([p.J for p in points])
     R = np.stack([random_curvature_tensor(dim, 50 + i).components for i in range(3)])
     gi = _g_inv(g)
@@ -668,7 +668,7 @@ def test_space_form_zero(flat6):
 def test_space_form_every_sectional_curvature(flat6):
     c = 0.8
     R = space_form_tensor(flat6, c)
-    g = flat6.g_mat
+    g = flat6.g
     rng = np.random.default_rng(8)
     for _ in range(20):
         X, Y = rng.standard_normal((2, 6))
@@ -685,14 +685,14 @@ def _kahler_defect(point, R):
 def _star_relation(point, R):
     """The invariant norm of 4 S* - (S + 3 S'), which vanishes on RK tensors."""
     fam = ricci_family(point, R)
-    return _norm(point.g_inv, 4.0 * fam.S_star.components
-                 - (fam.S.components + 3.0 * fam.S_prime.components))
+    return _norm(point.g_inv, 4.0 * fam.S_star
+                 - (fam.S + 3.0 * fam.S_prime))
 
 
 def _twisted_contraction(point, R):
     """|full contraction of (S - S') against (S - 5 S')|."""
     fam = ricci_family(point, R)
-    return _ricci_identities(point, fam.S.components, fam.S_prime.components,
+    return _ricci_identities(point, fam.S, fam.S_prime,
                              fam.tau, fam.tau_prime)[0]
 
 

@@ -11,6 +11,7 @@ from bochnerkit.curvature import (
     _phi_psi_sum,
     flat_point,
     random_curvature_tensor,
+    ricci_family,
     space_form_tensor,
     star,
     validate_point,
@@ -20,8 +21,8 @@ from bochnerkit.multilinear import (
     CurvTensor,
     DimensionMismatchError,
     NonFiniteError,
-    SymBilinear,
     SymmetryError,
+    _norm,
     invariant_norm,
     require_curvature_class,
 )
@@ -48,24 +49,22 @@ def test_curvtensor_rejects_nan():
         CurvTensor(4, bad)
 
 
-def test_symbilinear_rejects_asymmetric():
-    Q = np.eye(4)
-    Q[0, 1] = 1e-6
-    with pytest.raises(SymmetryError):
-        SymBilinear(4, Q)
-
-
 def _pi(point):
     """pi1 = phi(g)/2 and pi2 = psi(g)/2, the universal curvature-class tensors."""
-    half_g, zero = 0.5 * point.g_mat, np.zeros_like(point.g_mat)
+    half_g, zero = 0.5 * point.g, np.zeros_like(point.g)
     return (CurvTensor(point.dim, _phi_psi_sum(point, half_g, zero)),
             CurvTensor(point.dim, _phi_psi_sum(point, zero, half_g)))
 
 
 def test_components_are_read_only(flat4):
+    """A tensor's components, a point's g, J and g_inv, and the three Ricci
+    forms are read-only arrays."""
     pi1, _ = _pi(flat4)
-    with pytest.raises(ValueError):
-        pi1.components[0, 0, 0, 0] = 1.0
+    fam = ricci_family(flat4, pi1)
+    arrays = (pi1.components, flat4.g, flat4.J, flat4.g_inv, fam.S, fam.S_prime, fam.S_star)
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +85,7 @@ def _norm_oracle_pi1(dim):
 
 def test_invariant_norm_zero(flat4):
     assert invariant_norm(flat4, CurvTensor.zero(4)) == 0.0
-    assert invariant_norm(flat4, SymBilinear(4, np.zeros((4, 4)))) == 0.0
+    assert _norm(flat4.g_inv, np.zeros((4, 4))) == 0.0
 
 
 def test_invariant_norm_pi1_flat_dim4(flat4):
@@ -130,7 +129,7 @@ def test_invariant_norm_frame_independent(seed):
         M = np.eye(dim) + 0.4 * rng.standard_normal((dim, dim))
         if np.linalg.cond(M) < 20.0:  # keep roundoff amplification bounded
             break
-    g2 = M.T @ point.g_mat @ M
+    g2 = M.T @ point.g @ M
     J2 = np.linalg.solve(M, point.J @ M)
     point2 = validate_point(0.5 * (g2 + g2.T), J2, tol=1e-8)
     T2 = CurvTensor(dim, np.einsum("pqrs,pi,qj,rk,sl->ijkl", T.components, M, M, M, M))
@@ -138,10 +137,10 @@ def test_invariant_norm_frame_independent(seed):
         invariant_norm(point, T), rel=1e-9
     )
     Q = rng.standard_normal((dim, dim))
-    Q = SymBilinear(dim, Q + Q.T)
-    Q2 = M.T @ Q.components @ M
-    Q2 = SymBilinear(dim, 0.5 * (Q2 + Q2.T))
-    assert invariant_norm(point2, Q2) == pytest.approx(invariant_norm(point, Q), rel=1e-9)
+    Q = Q + Q.T
+    Q2 = M.T @ Q @ M
+    Q2 = 0.5 * (Q2 + Q2.T)
+    assert _norm(point2.g_inv, Q2) == pytest.approx(_norm(point.g_inv, Q), rel=1e-9)
 
 
 def test_invariant_norm_positive_definite(flat4):

@@ -177,7 +177,7 @@ def _csf_product_by_hand(dims_mus):
     constant-HSC tensor at its own flat point."""
     points = [flat_point(2 * dim_c) for dim_c, _ in dims_mus]
     Rs = [complex_space_form_tensor(fp, mu).components for fp, (_, mu) in zip(points, dims_mus)]
-    return (_block_diagonal([fp.g_mat for fp in points]),
+    return (_block_diagonal([fp.g for fp in points]),
             _block_diagonal([fp.J for fp in points]), _block_diagonal(Rs))
 
 
@@ -199,7 +199,7 @@ def test_scenario_products_are_built_by_make_model(monkeypatch, dims_mus, label)
     point, R = scenarios._csf_product(dims_mus)
     assert labels[0] == label
     g, J, ref_R = _csf_product_by_hand(dims_mus)
-    assert np.array_equal(point.g_mat, g)
+    assert np.array_equal(point.g, g)
     assert np.array_equal(point.J, J)
     assert np.array_equal(R.components, ref_R)
 

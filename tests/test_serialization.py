@@ -215,7 +215,7 @@ def test_load_rejects_non_curvature_tensor(tmp_path):
     bad[0, 1, 0, 1] = 1.0
     raw = {
         "dim": 4,
-        "g": list(point.g_mat.reshape(-1)),
+        "g": list(point.g.reshape(-1)),
         "J": list(standard_J(4).reshape(-1)),
         "R": list(bad.reshape(-1)),
     }
