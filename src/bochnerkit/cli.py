@@ -220,11 +220,11 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
         "schema_version": 1,
         "model": label,
         "document": doc.to_dict(),
-        "star": star_tensor.components.reshape(-1).tolist(),
+        "star": star_tensor.components.reshape(-1),
         "ricci": {
-            "S": fam.S.reshape(-1).tolist(),
-            "S_prime": fam.S_prime.reshape(-1).tolist(),
-            "S_star": fam.S_star.reshape(-1).tolist(),
+            "S": fam.S.reshape(-1),
+            "S_prime": fam.S_prime.reshape(-1),
+            "S_star": fam.S_star.reshape(-1),
             "tau": fam.tau,
             "tau_prime": fam.tau_prime,
             "tau_star": fam.tau_star,
@@ -232,7 +232,7 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
         "generalized_bochner": {
             "norm": gen.norm,
             "coefficients_used": gen.coefficients_used,
-            "tensor": gen.tensor.components.reshape(-1).tolist(),
+            "tensor": gen.tensor.components.reshape(-1),
         },
     }
     try:
@@ -240,7 +240,7 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
         bundle["rk_bochner"] = {
             "norm": rk.norm,
             "coefficients_used": rk.coefficients_used,
-            "tensor": rk.tensor.components.reshape(-1).tolist(),
+            "tensor": rk.tensor.components.reshape(-1),
         }
     except DimensionTooSmallError as exc:
         bundle["rk_bochner"] = None

@@ -5,17 +5,28 @@ significant digits (which round-trips IEEE doubles exactly), and there is no
 insignificant whitespace.  Two runs that produce equal values therefore
 produce equal bytes.
 
-A list, tuple or array whose elements are all Python ``float`` is formatted
-in one ``%``-call over the whole run rather than element by element.
-``"%.17g" % f`` and ``format(f, ".17g")`` share one double-to-string
-conversion, so both paths write the same bytes.  The run is checked for NaN and
-infinity once, on its rendered text: ``nan`` and ``[-]inf`` are the only
-``%.17g`` renderings with an ``n``.  The reader checks each entry's type and
-finiteness, and converts a list with ``float`` only if it holds JSON integers.
+A run of floats (a float array, or a list or tuple whose elements are all
+Python ``float``) is written by ``_float_text`` in one vectorized pass, with
+the bytes ``"%.17g" % f`` gives each element.  For a nonzero |x| < 1e17 the
+17 digits are the integer D nearest |x| 10**q, q = 16 - floor(log10|x|), ties
+to even: 2**q is exact by ``np.ldexp``, and Dekker's error-free product with
+5**q gives D exactly for q <= 22 and to within 1e-14 for q > 22, where 5**q is
+a double-double.  For no double below 1e-6 does |x| 10**q come within 0.01 of
+a decade boundary, 1e16 or 1e17, so the exponent is exact too.  An element
+with |x| >= 1e17, or whose remainder in that double-double range lies within
+1e-9 of a rounding tie, is written by ``format(f, ".17g")``, as a lone float
+is.  Zero (and -0.0) is written as ``0``.  A run is checked for NaN and
+infinity once, before it is written.
+
+A ``TensorDocument`` holds ``g``, ``J`` and ``R`` as read-only 1-D float64
+arrays, which it writes as runs; an array and the list of its values give the
+same bytes.  The reader checks each entry's type and finiteness before it
+builds the arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -25,7 +36,13 @@ from typing import Any, IO
 import numpy as np
 
 from .curvature import HermitianPoint, validate_point
-from .multilinear import TOL_ALG, CurvTensor, InputError, require_curvature_class
+from .multilinear import (
+    TOL_ALG,
+    CurvTensor,
+    InputError,
+    _check_same_dim,
+    require_curvature_class,
+)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -44,6 +61,107 @@ class DocumentFormatError(InputError):
 
 
 _NON_FINITE = "canonical JSON forbids NaN and infinity"
+
+
+@functools.cache
+def _writer_tables():
+    """Tables of ``_float_text``, built on its first call rather than at import.
+
+    Column q of ``pow5`` holds 5**q, q = 0..341, as a double-double hi + lo
+    (lo = 0 for q <= 22) and the Veltkamp halves of hi.  ``digit4[g]`` is the
+    ASCII of the 4-digit group g as one uint32, ``tz4[g]`` its trailing zeros.
+    A number is laid out in one 48-byte ``row``: sign, the "0.000" prefix,
+    the 17 digits, ".", the 17 digits again, "e+0000" and ",".  Row
+    ``keep[18 * cls + nd]`` marks the bytes kept for nd significant digits
+    and the %e exponent X of layout class cls: X + 4 for the fixed notation
+    (-4 <= X <= 16), 21 for a 2-digit and 22 for a 3-digit exponent.
+    """
+    pow5, p = [], 1
+    for _ in range(342):
+        h = float(p)
+        pow5.append((h, float(p - int(h))))
+        p *= 5
+    hi, lo = np.array(pow5).T
+    t = hi * 134217729.0  # Veltkamp split, as in _float_text
+    bh = t - (t - hi)
+    grid = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)
+    ascii4 = np.ascontiguousarray(grid.T) + 48  # "0000" to "9999"
+    z = (np.arange(10) == 0).astype(np.int8)
+    tz4 = (z * (1 + z[:, None] * (1 + z[:, None, None] * (1 + z[:, None, None, None])))).ravel()
+    X = np.array([*range(-4, 17), 17, 100])[:, None, None]
+    nd = np.arange(18)[:, None]
+    c = np.arange(48)
+    expo = X > 16
+    lead = np.where(expo, 1, np.where(X < 0, nd, X + 1))  # digits before the point
+    keep = ((c >= 1) & (c < 2 - X) & (X < 0)
+            | (c >= 6) & (c < 6 + lead)
+            | (c == 23) & (nd > lead)
+            | (c >= 24 + lead) & (c < 24 + nd)
+            | expo & ((c == 41) | (c == 42) | (c >= 45 - (X >= 100)) & (c < 47))
+            | (c == 47))
+    row = b"-0.000" + b"0" * 17 + b"." + b"0" * 17 + b"e+0000,"
+    return (np.stack([hi, lo, bh, hi - bh]), ascii4, ascii4.view(np.uint32).ravel(), tz4,
+            keep.reshape(-1, 48).view(np.uint64), row)
+
+
+def _float_text(x: np.ndarray) -> str:
+    """The ``%.17g`` text of each element of a finite float64 array, comma-joined."""
+    pow5, ascii4, digit4, tz4, keep_rows, row_bytes = _writer_tables()
+    n = x.size
+    ax = np.abs(x)
+    zero, slow = ax == 0.0, ax >= 1e17
+    ax[zero | slow] = 1.0
+    # the decimal exponent k, from log10 and then corrected where
+    # V = |x| 10**(16 - k) = p + s falls outside [1e16, 1e17)
+    k = np.minimum(np.floor(np.log10(ax)), 16).astype(np.int64)
+    p, s = np.empty(n), np.empty(n)
+    rows = slice(None)
+    while True:  # log10 misses k by at most one: two passes at most
+        q = 16 - k[rows]
+        hi, lo, bh, bl = np.take(pow5, q, axis=1)
+        y = np.ldexp(ax[rows], q.astype(np.int32))
+        c = y * 134217729.0  # Veltkamp split into 26-bit halves, for Dekker's product
+        ah = c - (c - y)
+        al = y - ah
+        p[rows] = pr = y * hi
+        s[rows] = sr = ((ah * bh - pr) + ah * bl + al * bh) + al * bl + y * lo
+        above = (pr > 1e17) | (pr == 1e17) & (sr >= 0)
+        step = above.astype(np.int64) - ((pr < 1e16) | (pr == 1e16) & (sr < 0))
+        if not step.any():
+            break
+        rows = np.arange(n)[rows][step != 0]
+        k[rows] += step[step != 0]
+    r = np.rint(s)  # p is even, so this rounds V half to even
+    slow |= (k < -6) & (np.abs(np.abs(s - r) - 0.5) < 1e-9)  # q > 22: s is within 1e-14
+    D = p.astype(np.int64) + r.astype(np.int64)
+    carry = D == 10**17
+    D[carry] = 10**16
+    X = k + carry
+    D[zero] = X[zero] = 0
+    lead = D // 10**16
+    t = D - lead * 10**16
+    u = t // 10**8
+    t -= u * 10**8
+    g1, g3 = u // 10**4, t // 10**4
+    g2, g4 = u - g1 * 10**4, t - g3 * 10**4
+    z4 = g4 == 0
+    z3 = z4 & (g3 == 0)
+    nd = 17 - tz4[g4] - z4 * tz4[g3] - z3 * (tz4[g2] + (g2 == 0) * tz4[g1])
+    cls = np.where((X < -4) | (X > 16), 21 + (np.abs(X) >= 100), X + 4)
+    keep = np.take(keep_rows, 18 * cls + nd, axis=0).view(bool)
+    keep[:, 0] = x < 0
+    row = np.frombuffer(bytearray(row_bytes * n), np.uint8).reshape(n, 48)
+    row[:, 6] += lead.astype(np.uint8)
+    row[:, 7:23] = row[:, 25:41] = digit4[np.stack([g1, g2, g3, g4], axis=1)].view(np.uint8)
+    row[:, 42] += (X < 0).astype(np.uint8) * 2
+    row[:, 43:47] = ascii4[np.abs(X)]
+    text = row[keep].tobytes().decode("ascii")
+    if slow.any():
+        parts = text.split(",")
+        for i in np.flatnonzero(slow):
+            parts[i] = format(float(x[i]), ".17g")
+        text = ",".join(parts)
+    return text[:-1]
 
 
 def _canon(value: Any) -> str:
@@ -68,16 +186,28 @@ def _canon(value: Any) -> str:
                 raise DocumentFormatError(f"object keys must be strings, got {type(key).__name__}")
         items = (f"{json.dumps(k, ensure_ascii=True)}:{_canon(value[k])}" for k in sorted(value))
         return "{" + ",".join(items) + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
-        seq = value.tolist() if isinstance(value, np.ndarray) else value
-        if set(map(type, seq)) == {float}:  # exact type: np.float64, ints, bools stay per element
-            # adding 0.0 turns -0.0 into 0.0
-            text = ("%.17g," * len(seq))[:-1] % tuple([f + 0.0 for f in seq])
-            if "n" in text:  # nan, inf or -inf
-                raise DocumentFormatError(_NON_FINITE)
-            return "[" + text + "]"
-        return "[" + ",".join(_canon(v) for v in seq) + "]"
+    if isinstance(value, np.ndarray):
+        if value.ndim == 0:
+            return _canon(value.item())
+        if value.ndim > 1:  # the list of its rows
+            return "[" + ",".join(map(_canon, value)) + "]"
+        if value.dtype.kind == "f":
+            return _float_run(value)
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        # exact type: np.float64, ints and bools stay per element
+        if value and set(map(type, value)) == {float}:
+            return _float_run(value)
+        return "[" + ",".join(map(_canon, value)) + "]"
     raise DocumentFormatError(f"cannot serialize {type(value).__name__}")
+
+
+def _float_run(values) -> str:
+    x = np.asarray(values, dtype=np.float64)  # float16 and float32 widen exactly
+    if not np.isfinite(x).all():
+        raise DocumentFormatError(_NON_FINITE)
+    # in blocks of 4096, whose temporaries stay in cache
+    return "[" + ",".join(_float_text(x[i:i + 4096]) for i in range(0, x.size, 4096)) + "]"
 
 
 def canonical_json(value: Any) -> str:
@@ -85,39 +215,54 @@ def canonical_json(value: Any) -> str:
     return _canon(value)
 
 
-@dataclass(frozen=True)
+def _read_only(values: np.ndarray) -> np.ndarray:
+    flat = values.reshape(-1)  # a view of a contiguous array, never the array itself
+    flat.flags.writeable = False
+    return flat
+
+
+@dataclass(frozen=True, eq=False)
 class TensorDocument:
     """Flat on-disk form of one point plus one curvature tensor.
 
-    Arrays are row-major flat lists; ``g`` and ``J`` have dim^2 entries, ``R``
-    has dim^4.  A loaded document is only returned after full geometric
-    validation (valid Hermitian point, curvature-class tensor).
+    ``g``, ``J`` and ``R`` are read-only row-major 1-D float64 arrays: ``g``
+    and ``J`` have dim^2 entries, ``R`` has dim^4.  A loaded document is only
+    returned after full geometric validation (valid Hermitian point,
+    curvature-class tensor).  Two documents are equal when their ``dim``,
+    ``label`` and array values are.
     """
 
     dim: int
-    g: tuple[float, ...]
-    J: tuple[float, ...]
-    R: tuple[float, ...]
+    g: np.ndarray
+    J: np.ndarray
+    R: np.ndarray
     label: str | None = None
 
     @classmethod
     def from_point_tensor(
         cls, point: HermitianPoint, R: CurvTensor, label: str | None = None
     ) -> "TensorDocument":
+        _check_same_dim(point.dim, R.dim)
         return cls(
             dim=point.dim,
-            g=tuple(point.g.reshape(-1).tolist()),
-            J=tuple(point.J.reshape(-1).tolist()),
-            R=tuple(R.components.reshape(-1).tolist()),
+            g=_read_only(point.g),
+            J=_read_only(point.J),
+            R=_read_only(R.components),
             label=label,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TensorDocument):
+            return NotImplemented
+        return (self.dim, self.label) == (other.dim, other.label) and all(
+            np.array_equal(getattr(self, key), getattr(other, key)) for key in "gJR"
         )
 
     def to_point_tensor(self, tol: float = TOL_ALG) -> tuple[HermitianPoint, CurvTensor]:
         """Rebuild and validate the geometric objects; raises with defect values."""
         n = self.dim
-        g, J, R = (np.fromiter(v, float, count=len(v)) for v in (self.g, self.J, self.R))
-        point = validate_point(g.reshape(n, n), J.reshape(n, n), tol)
-        R = CurvTensor(n, R.reshape((n,) * 4))
+        point = validate_point(self.g.reshape(n, n), self.J.reshape(n, n), tol)
+        R = CurvTensor(n, self.R.reshape((n,) * 4))
         require_curvature_class(R, tol, "document tensor")
         return point, R
 
@@ -150,24 +295,24 @@ def _structural_document(raw: Any) -> TensorDocument:
             raise DocumentFormatError(
                 f"{key} must be a flat list of {expected} numbers for dim {dim}"
             )
-        types = set(map(type, values))
-        strays = types - {int, float}  # true/false, strings, nulls, lists
+        strays = set(map(type, values)) - {int, float}  # true/false, strings, nulls, lists
         if strays:
             names = ", ".join(sorted(t.__name__ for t in strays))
             raise DocumentFormatError(f"{key} entries must be numbers, found {names}")
         try:
-            arrays[key] = tuple(values if types == {float} else map(float, values))
+            arrays[key] = np.array(values, dtype=np.float64)
         except OverflowError as exc:
             raise DocumentFormatError(f"{key} has an integer too large for a float") from exc
-        if not all(map(math.isfinite, arrays[key])):
+        if not np.isfinite(arrays[key]).all():
             raise DocumentFormatError(f"{key} contains non-finite entries")
+        arrays[key].flags.writeable = False
     label = raw.get("label")
     if label is not None and not isinstance(label, str):
         raise DocumentFormatError("label must be a string when present")
     version = raw.get("schema_version", SCHEMA_VERSION)
     if type(version) is not int or version != SCHEMA_VERSION:  # true == 1 == 1.0
         raise DocumentFormatError(f"unsupported schema_version {version!r}")
-    return TensorDocument(dim=dim, g=arrays["g"], J=arrays["J"], R=arrays["R"], label=label)
+    return TensorDocument(dim=dim, **arrays, label=label)
 
 
 def dump_tensor(doc: TensorDocument, destination: str | os.PathLike | IO[str]) -> None:

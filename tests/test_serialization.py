@@ -2,6 +2,7 @@
 
 import io
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from bochnerkit.curvature import (
     space_form_tensor,
     standard_J,
 )
-from bochnerkit.multilinear import SymmetryError
+from bochnerkit.multilinear import DimensionMismatchError, SymmetryError
 from bochnerkit.serialization import (
     DocumentFormatError,
     TensorDocument,
@@ -25,6 +26,7 @@ from bochnerkit.serialization import (
     dump_tensor,
     load_tensor,
 )
+from float_reference import float_cases, mismatches, percent_run, reference_document
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +100,60 @@ def test_float_run_rejects_non_finite(bad):
 @pytest.mark.parametrize("at", [0, 10_368, 20_735], ids=["start", "middle", "end"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_long_float_run_rejects_non_finite(bad, at):
-    # the length of R at dim 12; the run is checked once, on its rendered text
+    # the length of R at dim 12, written in blocks of 4096; the run is checked before it is written
     run = np.random.default_rng(7).standard_normal(20_736).tolist()
     run[at] = bad
     with pytest.raises(DocumentFormatError):
         canonical_json(run)
     with pytest.raises(DocumentFormatError):
         canonical_json(np.array(run))
+
+
+@pytest.mark.parametrize("value, text", [
+    (np.array(1.5), "1.5"),
+    (np.array(-0.0), "0"),
+    (np.array(3), "3"),
+    (np.array(True), "true"),
+    (np.array(0.1, dtype=np.float32), "0.10000000149011612"),
+    (np.array([0.1], dtype=np.float32), "[0.10000000149011612]"),
+    (np.array([], dtype=float), "[]"),
+])
+def test_zero_dimensional_float32_and_empty_arrays(value, text):
+    # a 0-d array is its scalar; float32 widens exactly to the double it is
+    assert canonical_json(value) == text
+
+
+def test_float_runs_write_the_bytes_of_the_percent_form():
+    # about 100,000 seeded doubles: every binade, subnormals, decimal scales,
+    # powers of ten and their neighbours, rounding ties and the format's edges
+    values = float_cases(100_000, seed=33)
+    assert values.size >= 100_000
+    assert not mismatches(values)
+    assert canonical_json(values.tolist()) == canonical_json(values)
+
+
+def test_no_double_below_a_millionth_is_near_a_decade_boundary():
+    # for q = 16 - k > 22 the writer's remainder s is off by up to 1e-14, and it
+    # decides the decade of |x| 10**q from the sign of s at 1e16 and 1e17.  Only
+    # a double next to a power of ten can come within a unit of a boundary, and
+    # none comes within 0.01 (the nearest is 1e-205, at 0.011).
+    for p in range(-323, -6):
+        x = float(f"1e{p}")
+        for y in (np.nextafter(x, 0.0), x, np.nextafter(x, 1.0)):
+            for k in (p - 1, p):
+                V = Fraction(float(y)) * Fraction(10) ** (16 - k)
+                assert min(abs(V - 10**16), abs(V - 10**17)) > Fraction(1, 100), (y, k)
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 12])
+def test_random_documents_write_the_bytes_of_the_percent_form(n):
+    doc = _random_doc(n, seed=n)
+    buf = io.StringIO()
+    dump_tensor(doc, buf)
+    raw = {"schema_version": 1, "dim": n, "g": doc.g.tolist(), "J": doc.J.tolist(),
+           "R": doc.R.tolist(), "label": doc.label}
+    assert buf.getvalue() == reference_document(raw)
+    assert canonical_json(doc.R) == "[" + percent_run(doc.R) + "]"
 
 
 def test_mixed_list_stays_per_element():
@@ -153,6 +202,32 @@ def test_round_trip_through_stream():
     assert load_tensor(buf) == doc
 
 
+def test_document_arrays_are_read_only(tmp_path):
+    doc = _sphere_doc()
+    path = tmp_path / "doc.json"
+    dump_tensor(doc, path)
+    for d in (doc, load_tensor(path)):
+        for values, size in ((d.g, 36), (d.J, 36), (d.R, 6**4)):
+            assert values.dtype == np.float64 and values.shape == (size,)
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
+
+
+def test_document_refuses_a_tensor_of_another_dimension():
+    # such a document would dump, and load_tensor refuse it
+    point = flat_point(6)
+    with pytest.raises(DimensionMismatchError, match="6 != 8"):
+        TensorDocument.from_point_tensor(point, space_form_tensor(flat_point(8), 1.0))
+
+
+def test_document_equality_compares_values():
+    doc = _sphere_doc()
+    assert doc == TensorDocument(6, doc.g.copy(), doc.J.copy(), doc.R.copy(), "S6(1)")
+    assert doc != TensorDocument(6, doc.g, doc.J, doc.R, "other")
+    assert doc != TensorDocument(6, doc.g, doc.J, np.nextafter(doc.R, 2.0), "S6(1)")
+    assert doc != doc.to_dict()
+
+
 def test_document_rebuilds_point_and_tensor():
     doc = _sphere_doc()
     point, R = doc.to_point_tensor()
@@ -179,7 +254,7 @@ def test_load_rejects_wrong_lengths(tmp_path):
     raw = doc.to_dict()
     raw["R"] = raw["R"][:-1]
     path = tmp_path / "short.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(raw, default=np.ndarray.tolist))
     with pytest.raises(DocumentFormatError):
         load_tensor(path)
 
@@ -203,7 +278,7 @@ def test_load_rejects_bad_J(tmp_path):
     raw = doc.to_dict()
     raw["J"] = list(np.eye(6).reshape(-1))  # J^2 = +I
     path = tmp_path / "badj.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(raw, default=np.ndarray.tolist))
     with pytest.raises(PointValidationError) as err:
         load_tensor(path)
     assert any("J squares" in v.invariant for v in err.value.violations)
@@ -229,7 +304,7 @@ def test_load_rejects_unknown_schema(tmp_path):
     raw = _sphere_doc().to_dict()
     raw["schema_version"] = 99
     path = tmp_path / "version.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(raw, default=np.ndarray.tolist))
     with pytest.raises(DocumentFormatError):
         load_tensor(path)
 
@@ -240,12 +315,12 @@ def test_document_mixing_json_ints_and_floats_loads_as_floats(tmp_path):
     assert all(v.is_integer() for v in raw["R"]) and any(raw["R"])
     mixed = {**raw, "R": [int(v) if i % 2 else v for i, v in enumerate(raw["R"])]}
     floats_path, mixed_path = tmp_path / "floats.json", tmp_path / "mixed.json"
-    floats_path.write_text(json.dumps(raw))
-    mixed_path.write_text(json.dumps(mixed))
+    floats_path.write_text(json.dumps(raw, default=np.ndarray.tolist))
+    mixed_path.write_text(json.dumps(mixed, default=np.ndarray.tolist))
     assert '1.0,' in floats_path.read_text() and '1,' in mixed_path.read_text()
     loaded = load_tensor(mixed_path)
     assert loaded == load_tensor(floats_path) == _sphere_doc()
-    assert {type(v) for v in loaded.R} == {float}
+    assert loaded.R.dtype == np.float64 and loaded.R.shape == (6**4,)
     assert canonical_json(loaded.to_dict()) == canonical_json(raw)
 
 
@@ -254,6 +329,6 @@ def test_load_rejects_schema_version_that_only_equals_one(tmp_path, version):
     # JSON true and 1.0 compare equal to 1 in Python; only the integer 1 is version 1
     raw = {**_sphere_doc().to_dict(), "schema_version": version}
     path = tmp_path / "version.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(raw, default=np.ndarray.tolist))
     with pytest.raises(DocumentFormatError, match="unsupported schema_version"):
         load_tensor(path)
