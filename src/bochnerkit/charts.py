@@ -64,7 +64,7 @@ __all__ = [
 
 # largest real dimension; TOL_ALG holds up to here for unit-scale orthonormal
 # points only: rk_bochner(rk_project(R)) of a random_curvature_tensor rejects 7,
-# 12 and 22 of 40 random_hermitian_point seeds at n = 8, 10 and 12 (ROADMAP item 4)
+# 12 and 22 of 40 random_hermitian_point seeds at n = 8, 10 and 12 (ROADMAP item 6)
 MAX_DIM = 12
 H_C = 1e-30  # complex step of every first derivative of a chart field
 NK_THRESHOLD = 1e-3  # nearly Kahler defect above which the suite aborts
@@ -448,6 +448,10 @@ def _complex_step(f, X):
 def _christoffel(chart: ChartModel, X: np.ndarray) -> tuple[np.ndarray, ...]:
     """Metric and connection coefficients at the points ``X`` (..., n); no margin check."""
     g = chart.metric_at(X)
+    largest = np.abs(g).max()  # NaN passes, for the finiteness checks of the callers
+    if largest * H_C < np.finfo(float).tiny:
+        raise FloatingPointError(f"the metric (largest entry {largest:.3e}) is too small "
+                                 f"for the complex step {H_C:g}: its derivative underflows")
     dg = _complex_step(chart.metric_at, X)  # dg[..., i, j, l] = d_i g_{jl}
     t = dg + dg.swapaxes(-3, -2) - dg.transpose(*range(dg.ndim - 3), -2, -1, -3)  # t[..., i, j, l]
     # Gamma^k_{ij} = g^{kl} t_{ijl} / 2 as one matmul per point, t as (..., l, ij)
@@ -627,7 +631,19 @@ class NKIdentityReport:
     id_1_7   sum_i (nabla_{E_i} S)(X,E_i) - X(tau)/2
     id_3_2   invariant norm of (S - S') - (tau - tau') g / (2m)
     id_3_3   |tau - 5 tau'|
+
+    ``GATES`` is the one table of the catalog's gates: ``FDConfig.tol_fd1`` for
+    ``nk``, at the nabla J level, and ``tol_fd2`` for the nine others.  Every
+    check of a residual reads its gate there: the scored lines of ``identities``
+    and the chart checks of the scenarios.  ``MODEL_DEPENDENT`` marks the three
+    residuals that hold only on the nearly Kahler models the scenarios pin them
+    to; ``identities`` prints them unscored.
     """
+
+    GATES: ClassVar[dict[str, float]] = {"nk": FDConfig.tol_fd1, **dict.fromkeys((
+        "id_1_1", "id_1_2", "id_1_3", "id_1_4", "id_1_5", "id_1_6", "id_1_7", "id_3_2", "id_3_3",
+    ), FDConfig.tol_fd2)}
+    MODEL_DEPENDENT: ClassVar[frozenset[str]] = frozenset({"id_1_5", "id_3_2", "id_3_3"})
 
     nk: float
     id_1_1: float

@@ -31,7 +31,7 @@ from .bochner import DimensionTooSmallError, generalized_bochner, rk_bochner
 from .charts import (
     ChartSpec,
     ChartSpecError,
-    FDConfig,
+    NKIdentityReport,
     geometry_at,
     make_chart,
     nk_identity_suite,
@@ -258,24 +258,23 @@ def _cmd_identities(args: argparse.Namespace) -> int:
     suites = [nk_identity_suite(chart, geometry_at(chart, x)).__dict__
               for x in chart.sample_points(args.seed, args.points)]
     residuals = {name: _worst(suite[name] for suite in suites) for name in suites[0]}
-    universal = {"nk": FDConfig.tol_fd1, **dict.fromkeys(
-        ("id_1_1", "id_1_2", "id_1_3", "id_1_4", "id_1_6", "id_1_7"), FDConfig.tol_fd2)}
-    failed = False
+    gates = {name: gate for name, gate in NKIdentityReport.GATES.items()
+             if name not in NKIdentityReport.MODEL_DEPENDENT}
+    scored = {name: residuals[name] <= gate for name, gate in gates.items()}
     for name in sorted(residuals):
         value = residuals[name]
-        if name in universal:
-            ok = value <= universal[name]
-            failed |= not ok
-            tag = "[PASS]" if ok else "[FAIL]"
-            _say(args, f"{tag:8s} {name}  residual={value:.3e}  tol={universal[name]:.1e}")
+        if name in gates:
+            tag = "[PASS]" if scored[name] else "[FAIL]"
+            _say(args, f"{tag:8s} {name}  residual={value:.3e}  tol={gates[name]:.1e}")
         else:
             _say(args, f"[INFO]   {name}  residual={value:.3e}  (model-dependent, not scored)")
+    failed = not all(scored.values())
     payload = {
         "schema_version": 1,
         "chart": chart.label,
         "points": int(args.points),
         "residuals": {name: _json_number(value) for name, value in residuals.items()},
-        "scored": {k: residuals[k] <= v for k, v in universal.items() if k in residuals},
+        "scored": scored,
         "status": "fail" if failed else "pass",
     }
     _write_json(args, payload)

@@ -371,9 +371,7 @@ def ricci_family(
 # sectional curvatures
 # ---------------------------------------------------------------------------
 
-def ahsc(
-    point: HermitianPoint, R: CurvTensor, X, Y, tol: float = TOL_ALG
-) -> float:
+def ahsc(point: HermitianPoint, R: CurvTensor, X, Y) -> float:
     """Sectional curvature of the antiholomorphic plane spanned by X and Y.
 
     The span must be 2-dimensional and orthogonal to its own J-image;
@@ -385,14 +383,14 @@ def ahsc(
     if gXX <= 0.0 or gYY <= 0.0:
         raise DegeneratePlaneError("ahsc requires two nonzero vectors")
     gram = gXX * gYY - gXY**2
-    if gram <= tol * gXX * gYY:
+    if gram <= TOL_ALG * gXX * gYY:
         raise DegeneratePlaneError(f"vectors are parallel (Gram determinant {gram:.3e})")
     scale = np.sqrt(gXX * gYY)
     JX, JY = point.J @ X, point.J @ Y
     pairing = max(
         abs(point.inner(X, JY)), abs(point.inner(X, JX)), abs(point.inner(Y, JY))
     ) / scale
-    if pairing > tol:
+    if pairing > TOL_ALG:
         raise AntiholomorphyError(pairing)
     return R(X, Y, Y, X) / gram
 
@@ -469,7 +467,7 @@ def random_hermitian_point(dim: int, seed: int) -> HermitianPoint:
             continue
 
 
-def random_curvature_tensor(dim: int, seed: int, scale: float = 1.0) -> CurvTensor:
+def random_curvature_tensor(dim: int, seed: int) -> CurvTensor:
     """Seeded random curvature-class tensor (no further structure).
 
     A raw random array is projected onto the curvature symmetry class:
@@ -478,7 +476,7 @@ def random_curvature_tensor(dim: int, seed: int, scale: float = 1.0) -> CurvTens
     first Bianchi identity inside that symmetry class.
     """
     rng = np.random.default_rng(seed)
-    T = scale * rng.standard_normal((dim,) * 4)
+    T = rng.standard_normal((dim,) * 4)
     T = 0.5 * (T - T.transpose(1, 0, 2, 3))
     T = 0.5 * (T - T.transpose(0, 1, 3, 2))
     T = 0.5 * (T + T.transpose(2, 3, 0, 1))

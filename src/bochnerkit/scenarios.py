@@ -331,7 +331,7 @@ def _thm31_product(p: ScenarioParams, table: dict) -> list[CheckResult]:
                    "the Ricci difference of the product is not a multiple of the metric, "
                    "as the two blocks carry different constants",
                    _ricci_identities(point0, *traces)[1],
-                   FDConfig.tol_fd2)
+                   NKIdentityReport.GATES["id_3_2"])
     )
     return checks
 
@@ -447,78 +447,74 @@ def _model_error(geometries: list, desc: str) -> float:
     return _worst(errors)
 
 
+def _catalog_checks(suite: NKIdentityReport, claims: dict[str, str],
+                    name=lambda residual: f"chart_{residual}") -> list[CheckResult]:
+    """One vanish check of each residual of ``suite`` that ``claims`` names, in its
+    order, with its claim and the gate of :attr:`NKIdentityReport.GATES`."""
+    return [_vanish(name(r), claim, getattr(suite, r), NKIdentityReport.GATES[r])
+            for r, claim in claims.items()]
+
+
 def _identities_s6(p: ScenarioParams, table: dict) -> list[CheckResult]:
     desc = f"S6({p.c!r})"
     _, geometries = _chart_points(p, desc, p.chart_points, table)
     worst_rel = _model_error(geometries, desc)
     suite = _suite(p, desc, table)
-    checks = [
+    return [
         _vanish("chart_curvature_matches_model",
                 "finite-difference curvature of the round six-sphere chart matches "
                 "the constant-curvature tensor", worst_rel, FDConfig.tol_fd2),
-        _vanish("chart_nk", "the chart is nearly Kahler", suite.nk, FDConfig.tol_fd1),
+        *_catalog_checks(suite, {
+            "nk": "the chart is nearly Kahler",
+            "id_1_1": "curvature J-rotation defect equals the nabla-J pairing",
+            "id_1_2": "second derivatives of J are determined by curvature",
+            "id_1_3": "the derivative of the twisted Ricci difference couples to nabla J",
+            "id_1_5": "the twisted Ricci contraction vanishes",
+            "id_3_2": "the Ricci difference is a multiple of the metric",
+            "id_3_3": "the scalar traces sit in the 5:1 ratio",
+        }),
     ]
-    for name, value, claim in (
-        ("chart_id_1_1", suite.id_1_1, "curvature J-rotation defect equals the nabla-J pairing"),
-        ("chart_id_1_2", suite.id_1_2, "second derivatives of J are determined by curvature"),
-        ("chart_id_1_3", suite.id_1_3, "the derivative of the twisted Ricci difference couples to nabla J"),
-        ("chart_id_1_5", suite.id_1_5, "the twisted Ricci contraction vanishes"),
-        ("chart_id_3_2", suite.id_3_2, "the Ricci difference is a multiple of the metric"),
-        ("chart_id_3_3", suite.id_3_3, "the scalar traces sit in the 5:1 ratio"),
-    ):
-        checks.append(_vanish(name, claim, value, FDConfig.tol_fd2))
-    return checks
 
 
 def _identities_cp(p: ScenarioParams, table: dict) -> list[CheckResult]:
     desc = f"CP({p.m},{p.mu!r})"
     _, geometries = _chart_points(p, desc, p.chart_points, table)
-    checks = []
     worst_rel = _model_error(geometries, desc)
     # full norm of nabla J, its upper index lowered
     worst_dj = _worst(_norm(geo.point.g_inv, geo.point.g @ geo.nJ) for geo in geometries)
-    checks.append(
-        _vanish("chart_curvature_matches_model",
-                "finite-difference curvature matches the constant holomorphic "
-                "curvature tensor", worst_rel, FDConfig.tol_fd2)
-    )
-    checks.append(
-        _vanish("chart_nabla_j", "the chart is Kahler: nabla J vanishes",
-                worst_dj, FDConfig.tol_fd1)
-    )
     fam = ricci_family(geometries[0].point, geometries[0].R, sym_tol=_CHART_SYM_TOL)
     suite = _suite(p, desc, table)
-    checks.extend([
-        _vanish("chart_nk", "Kahler charts are nearly Kahler", suite.nk, FDConfig.tol_fd1),
-        _vanish("chart_id_1_1", "both sides of the J-rotation pairing vanish",
-                suite.id_1_1, FDConfig.tol_fd2),
-        _vanish("chart_id_1_2", "second derivatives of J are determined by curvature",
-                suite.id_1_2, FDConfig.tol_fd2),
-        _vanish("chart_id_1_3", "the Ricci-difference derivative identity degenerates to 0 = 0",
-                suite.id_1_3, FDConfig.tol_fd2),
-        _vanish("chart_id_1_5", "the twisted Ricci contraction vanishes",
-                suite.id_1_5, FDConfig.tol_fd2),
-        _vanish("chart_id_3_2", "the Ricci difference vanishes, hence is a multiple of the metric",
-                suite.id_3_2, FDConfig.tol_fd2),
+    return [
+        _vanish("chart_curvature_matches_model",
+                "finite-difference curvature matches the constant holomorphic "
+                "curvature tensor", worst_rel, FDConfig.tol_fd2),
+        _vanish("chart_nabla_j", "the chart is Kahler: nabla J vanishes",
+                worst_dj, FDConfig.tol_fd1),
+        *_catalog_checks(suite, {
+            "nk": "Kahler charts are nearly Kahler",
+            "id_1_1": "both sides of the J-rotation pairing vanish",
+            "id_1_2": "second derivatives of J are determined by curvature",
+            "id_1_3": "the Ricci-difference derivative identity degenerates to 0 = 0",
+            "id_1_5": "the twisted Ricci contraction vanishes",
+            "id_3_2": "the Ricci difference vanishes, hence is a multiple of the metric",
+        }),
         _vanish("chart_tau_equality", "the two scalar traces agree on a Kahler model",
                 abs(fam.tau - fam.tau_prime), FDConfig.tol_fd2),
         _nonvanish("chart_id_3_3", "the 5:1 scalar ratio does not apply to the Kahler model",
-                   suite.id_3_3, FDConfig.tol_fd2),
-    ])
-    return checks
+                   suite.id_3_3, NKIdentityReport.GATES["id_3_3"]),
+    ]
 
 
 def _bianchi(p: ScenarioParams, table: dict) -> list[CheckResult]:
+    claims = {
+        "id_1_4": "the scalar trace difference is locally constant",
+        "id_1_6": "the contracted differential identity for curvature holds",
+        "id_1_7": "the contracted differential identity for the Ricci trace holds",
+    }
     checks = []
     for desc in (f"S6({p.c!r})", f"CE({p.m})", f"CP({p.m},{p.mu!r})"):
         label = make_chart(desc).label
-        suite = _suite(p, desc, table)
-        for name, value, claim in (
-            ("id_1_4", suite.id_1_4, "the scalar trace difference is locally constant"),
-            ("id_1_6", suite.id_1_6, "the contracted differential identity for curvature holds"),
-            ("id_1_7", suite.id_1_7, "the contracted differential identity for the Ricci trace holds"),
-        ):
-            checks.append(_vanish(f"{name}_{label}", claim, value, FDConfig.tol_fd2))
+        checks += _catalog_checks(_suite(p, desc, table), claims, lambda r: f"{r}_{label}")
     return checks
 
 

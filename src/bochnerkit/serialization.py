@@ -5,18 +5,19 @@ significant digits (which round-trips IEEE doubles exactly), and there is no
 insignificant whitespace.  Two runs that produce equal values therefore
 produce equal bytes.
 
-A run of floats (a float array, or a list or tuple whose elements are all
-Python ``float``) is written by ``_float_text`` in one vectorized pass, with
-the bytes ``"%.17g" % f`` gives each element.  For a nonzero |x| < 1e17 the
-17 digits are the integer D nearest |x| 10**q, q = 16 - floor(log10|x|), ties
-to even: 2**q is exact by ``np.ldexp``, and Dekker's error-free product with
-5**q gives D exactly for q <= 22 and to within 1e-14 for q > 22, where 5**q is
-a double-double.  For no double below 1e-6 does |x| 10**q come within 0.01 of
-a decade boundary, 1e16 or 1e17, so the exponent is exact too.  An element
-with |x| >= 1e17, or whose remainder in that double-double range lies within
-1e-9 of a rounding tie, is written by ``format(f, ".17g")``, as a lone float
-is.  Zero (and -0.0) is written as ``0``.  A run is checked for NaN and
-infinity once, before it is written.
+A run of floats (a float array) is written by ``_float_text`` in one
+vectorized pass, with the bytes ``"%.17g" % f`` gives each element; a list or
+tuple is written element by element, each float by ``format(f, ".17g")``,
+which gives the same bytes.  For a nonzero |x| < 1e17 the 17 digits are the
+integer D nearest |x| 10**q, q = 16 - floor(log10|x|), ties to even: 2**q is
+exact by ``np.ldexp``, and Dekker's error-free product with 5**q gives D
+exactly for q <= 22 and to within 1e-14 for q > 22, where 5**q is a
+double-double.  For no double below 1e-6 does |x| 10**q come within 0.01 of a
+decade boundary, 1e16 or 1e17, so the exponent is exact too.  An element with
+|x| >= 1e17, or whose remainder in that double-double range lies within 1e-9
+of a rounding tie, is written by ``format(f, ".17g")``, as a lone float is.
+Zero (and -0.0) is written as ``0``.  A run is checked for NaN and infinity
+once, before it is written.
 
 A ``TensorDocument`` holds ``g``, ``J`` and ``R`` as read-only 1-D float64
 arrays, which it writes as runs; an array and the list of its values give the
@@ -192,22 +193,15 @@ def _canon(value: Any) -> str:
         if value.ndim > 1:  # the list of its rows
             return "[" + ",".join(map(_canon, value)) + "]"
         if value.dtype.kind == "f":
-            return _float_run(value)
+            x = np.asarray(value, dtype=np.float64)  # float16 and float32 widen exactly
+            if not np.isfinite(x).all():
+                raise DocumentFormatError(_NON_FINITE)
+            # in blocks of 4096, whose temporaries stay in cache
+            return "[" + ",".join(_float_text(x[i:i + 4096]) for i in range(0, x.size, 4096)) + "]"
         value = value.tolist()
     if isinstance(value, (list, tuple)):
-        # exact type: np.float64, ints and bools stay per element
-        if value and set(map(type, value)) == {float}:
-            return _float_run(value)
         return "[" + ",".join(map(_canon, value)) + "]"
     raise DocumentFormatError(f"cannot serialize {type(value).__name__}")
-
-
-def _float_run(values) -> str:
-    x = np.asarray(values, dtype=np.float64)  # float16 and float32 widen exactly
-    if not np.isfinite(x).all():
-        raise DocumentFormatError(_NON_FINITE)
-    # in blocks of 4096, whose temporaries stay in cache
-    return "[" + ",".join(_float_text(x[i:i + 4096]) for i in range(0, x.size, 4096)) + "]"
 
 
 def canonical_json(value: Any) -> str:

@@ -211,6 +211,14 @@ def test_identities_chart(tmp_path, capsys):
     assert payload["chart"] == "S6(1)"
     assert payload["status"] == "pass"
     assert payload["residuals"]["nk"] < 1e-6
+    # every residual is reported, and the scored ones are the table's, at its gates
+    catalog = charts.NKIdentityReport
+    assert set(payload["residuals"]) == {f.name for f in dataclasses.fields(catalog)}
+    assert set(payload["residuals"]) == set(catalog.GATES)
+    assert set(payload["scored"]) == set(catalog.GATES) - catalog.MODEL_DEPENDENT
+    lines = {line.split()[1]: line for line in capsys.readouterr().out.splitlines()}
+    for name, gate in catalog.GATES.items():
+        assert (f"tol={gate:.1e}" if name in payload["scored"] else "not scored") in lines[name]
 
 
 def test_a_non_finite_defect_is_reported_as_a_string(monkeypatch, tmp_path):
@@ -255,9 +263,6 @@ def test_identities_fail_on_a_nan_residual_at_a_later_point(monkeypatch, capsys)
     # third-order nested differences of a valid round sphere, which crossed
     # tol_fd2 while the innermost derivative was a real difference
     ["S6(2.5)", "--points", "2", "--seed", "5"],
-    # a tiny metric whose derivative is below what the complex step resolves:
-    # Gamma, R and every residual read 0, so nothing on the way overflows
-    ["CD(1,-1e300)", "--points", "1"],
 ])
 def test_identities_pass_on_valid_models(argv, tmp_path, capsys):
     out = tmp_path / "identities.json"
@@ -430,7 +435,11 @@ def _run_module(argv: list[str]) -> subprocess.CompletedProcess:
     ["all", "--mu", "1e300"],
     ["scenario", "thm31_product", "--c", "1e100"],  # the chart traces overflow
     ["scenario", "thm32_models", "--c", "1e100", "--json", "{json}"],
-    ["identities", "S6(1e300)", "--points", "1"],  # the chart metric is singular
+    ["identities", "S6(1e300)", "--points", "1"],  # the chart metric underflows to 0
+    # a metric whose derivative the complex step cannot resolve: Gamma, R and every
+    # residual would read 0, and a product would check nothing of that factor
+    ["identities", "CD(1,-1e300)", "--points", "1"],
+    ["identities", "PRODUCT(CD(1,-1e300),S6(1))", "--points", "1"],
 ])
 def test_floating_point_failure_exits_2_with_one_line(argv, tmp_path):
     """Overflow or an invalid value ends in one error line and no numpy warning.

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -115,6 +116,21 @@ def test_run_all_states_a_fixed_set_of_tolerances():
     monotonicity count 0 are every tolerance a suite report states."""
     stated = {c.tolerance for report in run_all(FAST) for c in report.checks}
     assert stated == {0.0, 1e-12, 1e-6, 1e-4, 1e-3}
+
+
+def test_every_catalog_check_carries_its_gate_from_the_table():
+    """A chart check of a residual of the identity catalog (chart_nk, chart_id_*,
+    and id_1_4, id_1_6 and id_1_7 of each bianchi chart) is scored at the gate
+    that NKIdentityReport.GATES gives that residual, and every residual is checked."""
+    gates, seen = charts.NKIdentityReport.GATES, set()
+    for report in run_all(FAST):
+        for check in report.checks:
+            match = re.fullmatch(r"chart_(nk|id_\d_\d)|(id_1_[467])_.+", check.name)
+            if match:
+                residual = match[1] or match[2]
+                assert check.tolerance == gates[residual], f"{report.scenario}.{check.name}"
+                seen.add(residual)
+    assert seen == set(gates)
 
 
 @pytest.mark.parametrize("c", [1.0, 2.5])
