@@ -20,7 +20,6 @@ from .multilinear import (
 from .curvature import (
     HermitianPoint,
     RicciFamily,
-    ahsc,
     complex_space_form_tensor,
     flat_point,
     ricci_family,

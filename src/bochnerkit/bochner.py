@@ -1,4 +1,4 @@
-"""The two trace-corrected curvature tensors and the 4-frame obstruction.
+"""The two trace-corrected curvature tensors and one closed curvature form.
 
 ``generalized_bochner`` removes the Ricci and scalar parts of the
 holomorphically symmetrized tensor; it vanishes exactly on products of two
@@ -6,7 +6,10 @@ spaces of opposite constant holomorphic sectional curvature.
 ``rk_bochner`` is the analogous five-term correction available once the
 curvature is invariant under J-rotation of all four slots (dimension >= 6);
 its vanishing forces the curvature to vanish on orthonormal 4-frames that
-span antiholomorphic planes, which :func:`sample_antiholomorphic_frames` draws.
+span antiholomorphic planes.  It vanishes on every tensor nu pi1 + psi(Q)
+with Q J-invariant, which are the RK tensors of constant antiholomorphic
+sectional curvature nu that ``curvature._ahsc_defect`` measures.
+``nk_flat_form_3_4`` is the curvature of the non-Kahler constant-ratio case.
 """
 
 from __future__ import annotations
@@ -39,15 +42,10 @@ __all__ = [
     "BochnerOutput",
     "DimensionTooSmallError",
     "NotRKError",
-    "FrameSamplingError",
     "generalized_bochner",
     "rk_bochner",
     "nk_flat_form_3_4",
-    "sample_antiholomorphic_frames",
 ]
-
-_CONSTRAINT_TOL = 1e-10  # Gram and J-pairing defect a sampled frame may keep
-
 
 class DimensionTooSmallError(InputError):
     """The five-term corrected tensor needs m > 2 (denominators m-1, m-2)."""
@@ -59,10 +57,6 @@ class NotRKError(InputError):
     def __init__(self, defect: float, tol: float):
         super().__init__(f"curvature is not RK (defect {defect:.3e} above tolerance {tol:.1e})")
         self.defect = float(defect)
-
-
-class FrameSamplingError(RuntimeError):
-    """No such frame exists, or a sampled frame misses the constraint tolerance."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,50 +180,4 @@ def nk_flat_form_3_4(point: HermitianPoint, S: np.ndarray, tau: float) -> CurvTe
         point.dim,
         _phi_psi_sum(point, aS + (0.5 * (3.0 * c - b)) * g, aS - (0.5 * (b + c)) * g),
     )
-
-
-def sample_antiholomorphic_frames(
-    point: HermitianPoint,
-    rng: np.random.Generator,
-    samples: int,
-    count: int,
-) -> np.ndarray:
-    """``samples`` frames (samples, count, n) of orthonormal vectors v_1..v_count
-    whose span is orthogonal to its J-image.
-
-    One normal draw is projected slot by slot (twice, for numerical
-    orthogonality) against the earlier vectors of each frame and their
-    J-images, then normalized; self-pairing g(v, Jv) vanishes identically
-    because g(., J.) is antisymmetric.  Raises :class:`FrameSamplingError`
-    when ``samples`` or ``count`` is below 1, when dim < 2 * count, or when
-    any frame's Gram matrix or J-pairing then misses ``_CONSTRAINT_TOL``;
-    there is no retry.
-    """
-    g, J = point.g, point.J
-    for name, value in (("samples", samples), ("count", count)):
-        if value < 1:
-            raise FrameSamplingError(f"{name} must be at least 1, got {value}")
-    if point.dim < 2 * count:
-        raise FrameSamplingError(
-            f"no {count}-frame with antiholomorphic span exists in dimension {point.dim}"
-        )
-    V = rng.standard_normal((samples, count, point.dim))
-    obstacles: list[np.ndarray] = []  # earlier vectors and J-images, each (samples, n)
-    for i in range(count):
-        v = V[:, i]
-        for _ in range(2):
-            for u in obstacles:
-                v = v - np.sum((u @ g) * v, axis=-1, keepdims=True) * u
-        v = v / np.sqrt(np.sum((v @ g) * v, axis=-1, keepdims=True))
-        Jv = v @ J.T
-        Jv = Jv / np.sqrt(np.sum((Jv @ g) * Jv, axis=-1, keepdims=True))
-        V[:, i] = v
-        obstacles.extend([v, Jv])
-    Vg, Vt = V @ g, np.swapaxes(V, 1, 2)  # Gram matrix Vg @ Vt, J-pairing Vg @ J @ Vt
-    defect = max(np.max(np.abs(Vg @ Vt - np.eye(count))), np.max(np.abs(Vg @ J @ Vt)))
-    if not defect <= _CONSTRAINT_TOL:  # also catches NaN from a collapsed vector
-        raise FrameSamplingError(
-            f"frame constraint defect {defect:.3e} above tolerance {_CONSTRAINT_TOL:.1e}"
-        )
-    return V
 

@@ -41,15 +41,12 @@ __all__ = [
     "RicciFamily",
     "PointValidationError",
     "Violation",
-    "DegeneratePlaneError",
-    "AntiholomorphyError",
     "standard_J",
     "flat_point",
     "point_violations",
     "validate_point",
     "star",
     "ricci_family",
-    "ahsc",
     "space_form_tensor",
     "complex_space_form_tensor",
     "rk_project",
@@ -73,18 +70,6 @@ class PointValidationError(InputError):
         self.violations = violations
         detail = "; ".join(f"{v.invariant} (defect {v.defect:.3e})" for v in violations)
         super().__init__(f"invalid Hermitian point: {detail}")
-
-
-class DegeneratePlaneError(ValueError):
-    """The two vectors do not span a 2-plane."""
-
-
-class AntiholomorphyError(ValueError):
-    """The plane is not antiholomorphic; carries the J-pairing defect."""
-
-    def __init__(self, defect: float):
-        super().__init__(f"plane is not antiholomorphic (J-pairing defect {defect:.3e})")
-        self.defect = float(defect)
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,31 +353,25 @@ def ricci_family(
 
 
 # ---------------------------------------------------------------------------
-# sectional curvatures
+# antiholomorphic sectional curvature
 # ---------------------------------------------------------------------------
 
-def ahsc(point: HermitianPoint, R: CurvTensor, X, Y) -> float:
-    """Sectional curvature of the antiholomorphic plane spanned by X and Y.
+def _ahsc_defect(point: HermitianPoint, A: np.ndarray, nu: float) -> float:
+    """Invariant norm of A - nu pi1 - psi(Q), Q = (S - (n-1) nu g) / 6, for the
+    curvature-class components ``A`` with Ricci trace S: 0 exactly when every
+    antiholomorphic plane of an RK tensor has sectional curvature ``nu``.
 
-    The span must be 2-dimensional and orthogonal to its own J-image;
-    ``g(X, Y)`` itself is arbitrary (the Gram determinant normalizes it).
+    Every term of psi(Q)(X,Y,Y,X) carries a factor g(X,JY), g(X,JX) or g(Y,JY),
+    which is 0 on an antiholomorphic plane, so at a zero defect every such plane
+    reads nu.  Conversely an RK tensor of constant antiholomorphic sectional
+    curvature nu is nu pi1 + psi(Q) with Q J-invariant and symmetric (Tricerri
+    and Vanhecke, Trans. AMS 267, 1981).  Its Ricci trace is S = (n-1) nu g + 6 Q:
+    two of the six terms of psi(Q) trace g(., J.) or Q(., J.), which are 0, and
+    the other four give Q(X,U) once, twice, once and twice.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    gXX, gYY, gXY = point.inner(X, X), point.inner(Y, Y), point.inner(X, Y)
-    if gXX <= 0.0 or gYY <= 0.0:
-        raise DegeneratePlaneError("ahsc requires two nonzero vectors")
-    gram = gXX * gYY - gXY**2
-    if gram <= TOL_ALG * gXX * gYY:
-        raise DegeneratePlaneError(f"vectors are parallel (Gram determinant {gram:.3e})")
-    scale = np.sqrt(gXX * gYY)
-    JX, JY = point.J @ X, point.J @ Y
-    pairing = max(
-        abs(point.inner(X, JY)), abs(point.inner(X, JX)), abs(point.inner(Y, JY))
-    ) / scale
-    if pairing > TOL_ALG:
-        raise AntiholomorphyError(pairing)
-    return R(X, Y, Y, X) / gram
+    g, gi = point.g, point.g_inv
+    Q = (_ricci(gi, A) - ((point.dim - 1) * nu) * g) / 6.0
+    return _norm(gi, A - _phi_psi_sum(point, (0.5 * nu) * g, Q))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from bochnerkit.bochner import generalized_bochner, rk_bochner, sample_antiholomorphic_frames
+from bochnerkit.bochner import generalized_bochner, rk_bochner
 from bochnerkit.charts import FDConfig, geometry_at, make_chart, nk_identity_suite
 from bochnerkit.curvature import (
     complex_space_form_tensor,
@@ -24,6 +24,7 @@ from bochnerkit.curvature import (
 )
 from bochnerkit.multilinear import _norm, invariant_norm
 from bochnerkit.scenarios import _csf_product, make_model
+from frames import antiholomorphic_frames
 
 TOL_ALG = 1e-12
 TOL_FD1 = 1e-6
@@ -77,7 +78,7 @@ def test_criterion_3_product_classification_and_counterexample():
     assert good < TOL_ALG
     point2, R2, _ = make_model("PRODUCT(CD(2,-1),S6(1))")
     bad = rk_bochner(point2, R2).norm
-    F = sample_antiholomorphic_frames(point2, np.random.default_rng(0), 512, 4)
+    F = antiholomorphic_frames(point2, np.random.default_rng(0), 512, 4)
     values = np.einsum("ijkl,si,sj,sk,sl->s", R2.components, *F.transpose(1, 0, 2))
     frame = float(np.max(np.abs(values)))
     assert bad > 1e-3

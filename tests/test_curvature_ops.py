@@ -9,16 +9,14 @@ from hypothesis import strategies as st
 
 from bochnerkit import bochner, charts, curvature
 from bochnerkit.curvature import (
-    AntiholomorphyError,
-    DegeneratePlaneError,
     PointValidationError,
+    _ahsc_defect,
     _block_diagonal,
     _g_inv,
     _phi_psi_sum,
     _ricci_identities,
     _rotate,
     _traces,
-    ahsc,
     complex_space_form_tensor,
     flat_point,
     point_violations,
@@ -39,6 +37,7 @@ from bochnerkit.multilinear import (
     invariant_norm,
 )
 from bochnerkit.scenarios import make_model, run_scenario
+from frames import antiholomorphic_frames
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +558,8 @@ def test_ricci_family_rejects_asymmetric_twisted_trace(flat6):
 
 
 # ---------------------------------------------------------------------------
-# sectional curvatures
+# sectional curvatures, and constant antiholomorphic sectional curvature in
+# closed form
 # ---------------------------------------------------------------------------
 
 def test_hsc_constant_model(flat6):
@@ -581,39 +581,119 @@ def test_hsc_space_form(flat6):
     assert R(X, JX, JX, X) / flat6.inner(X, X) ** 2 == pytest.approx(c, rel=1e-12)
 
 
-def test_ahsc_space_form_all_planes(flat6):
+def test_ahsc_space_form_all_planes(flat6, skew_point6):
+    """A space form of curvature c reads c on every antiholomorphic plane: its
+    defect is 0 at nu = c and positive at c + 0.1, in flat and skew coordinates."""
     c = 1.4
-    R = space_form_tensor(flat6, c)
-    e = np.eye(6)
-    assert ahsc(flat6, R, e[0], e[2]) == pytest.approx(c, rel=1e-12)
-    # non-orthogonal admissible pair: Gram normalization handles g(X, Y) != 0
-    assert ahsc(flat6, R, e[0], e[2] + 0.5 * e[0]) == pytest.approx(c, rel=1e-12)
+    for point in (flat6, skew_point6):
+        A = space_form_tensor(point, c).components
+        assert _ahsc_defect(point, A, c) < TOL_ALG
+        assert _ahsc_defect(point, A, c + 0.1) > 0.1
 
 
-def test_ahsc_complex_space_form(flat6):
-    """The J-paired generator vanishes on antiholomorphic orthonormal pairs,
-    so the constant-HSC model has antiholomorphic curvature mu / 4."""
+def test_ahsc_complex_space_form(flat6, skew_point6):
+    """The J-paired generator vanishes on antiholomorphic planes, so the
+    constant-HSC model has antiholomorphic curvature mu / 4."""
     mu = 2.0
-    R = complex_space_form_tensor(flat6, mu)
-    e = np.eye(6)
-    assert ahsc(flat6, R, e[0], e[2]) == pytest.approx(mu / 4.0, rel=1e-12)
-    assert ahsc(flat6, R, e[1], e[4]) == pytest.approx(mu / 4.0, rel=1e-12)
+    for point in (flat6, skew_point6):
+        A = complex_space_form_tensor(point, mu).components
+        assert _ahsc_defect(point, A, mu / 4.0) < TOL_ALG
+        assert _ahsc_defect(point, A, mu / 4.0 + 0.1) > 0.1
 
 
-def test_ahsc_rejects_holomorphic_plane(flat6):
-    R = space_form_tensor(flat6, 1.0)
-    e = np.eye(6)
-    with pytest.raises(AntiholomorphyError) as err:
-        ahsc(flat6, R, e[0], flat6.J @ e[0])
-    assert err.value.defect == pytest.approx(1.0, abs=1e-12)
+def test_psi_reads_zero_on_antiholomorphic_planes(flat6, skew_point6):
+    """Every term of psi(Q)(X,Y,Y,X) carries g(X,JY), g(X,JX) or g(Y,JY), so psi
+    of any symmetric form reads 0 on sampled antiholomorphic planes."""
+    rng = np.random.default_rng(3)
+    for point in (flat6, skew_point6):
+        B = rng.standard_normal((6, 6))
+        A = _phi_psi_sum(point, np.zeros((6, 6)), B + B.T)
+        X, Y = antiholomorphic_frames(point, rng, 256, 2).transpose(1, 0, 2)
+        assert np.max(np.abs(np.einsum("ijkl,si,sj,sk,sl->s", A, X, Y, Y, X))) < TOL_ALG
 
 
-def test_ahsc_rejects_degenerate_plane(flat6):
-    R = space_form_tensor(flat6, 1.0)
-    e = np.eye(6)
-    with pytest.raises(DegeneratePlaneError):
-        ahsc(flat6, R, e[0], 2.0 * e[0])
+def _span(rows) -> np.ndarray:
+    """An orthonormal basis of the span of ``rows``, each flattened, as matrix rows."""
+    _, s, Vt = np.linalg.svd(np.stack([np.ravel(r) for r in rows]), full_matrices=False)
+    return Vt[: int(np.sum(s > 1e-9 * s[0]))]
 
+
+def _j_invariant_forms(point) -> np.ndarray:
+    """An orthonormal basis (m^2, n, n) of the symmetric forms with Q(JX,JY) = Q(X,Y)."""
+    n, J, E = point.dim, point.J, np.eye(point.dim)
+    forms = [np.outer(E[i], E[j]) + np.outer(E[j], E[i]) for i in range(n) for j in range(i, n)]
+    return _span([F + J.T @ F @ J for F in forms]).reshape(-1, n, n)
+
+
+def _psi(point, Q) -> np.ndarray:
+    return _phi_psi_sum(point, np.zeros_like(Q), Q)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_rk_tensors_zero_on_antiholomorphic_planes_are_psi_of_j_invariant_forms(n):
+    """Among RK tensors, those that read 0 on every antiholomorphic plane span a
+    space of dimension m^2, with a clear gap, and it is psi of the J-invariant
+    symmetric forms.  So nu pi1 + psi(Q) is every RK tensor of constant
+    antiholomorphic sectional curvature nu, which ``_ahsc_defect`` relies on."""
+    point, m = flat_point(n), n // 2
+    class_dim = n * n * (n * n - 1) // 12  # spanned by as many random tensors
+    rk = _span([rk_project(point, random_curvature_tensor(n, s)).components
+                for s in range(class_dim)])
+    X, Y = antiholomorphic_frames(point, np.random.default_rng(n), 4 * len(rk), 2).transpose(1, 0, 2)
+    on_planes = np.einsum("si,sj,sk,sl->sijkl", X, Y, Y, X).reshape(len(X), -1) @ rk.T
+    _, s, Vt = np.linalg.svd(on_planes)
+    rank = int(np.sum(s > 1e-9 * s[0]))
+    assert s[rank - 1] / s[0] > 0.05 and s[rank] / s[0] < 1e-14
+    zero_on_planes = Vt[rank:] @ rk
+    psi = [_psi(point, Q) for Q in _j_invariant_forms(point)]
+    assert len(zero_on_planes) == len(psi) == len(_span(psi)) == m * m
+    assert len(_span([*zero_on_planes, *psi])) == m * m
+
+
+def _least_squares(point, A, nu) -> tuple:
+    """The J-invariant symmetric Q that best fits A = nu pi1 + psi(Q), and the
+    residual |A - nu pi1 - psi(Q)|; at a flat point, the invariant norm is the
+    Frobenius norm that ``lstsq`` minimizes."""
+    forms = _j_invariant_forms(point)
+    target = (A - space_form_tensor(point, nu).components).ravel()
+    M = np.stack([_psi(point, Q).ravel() for Q in forms], axis=1)
+    coef = np.linalg.lstsq(M, target, rcond=None)[0]
+    return np.tensordot(coef, forms, 1), float(np.linalg.norm(target - M @ coef))
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_ahsc_defect_reads_the_least_squares_form_on_members(n):
+    """On nu pi1 + psi(Q) with Q J-invariant, (S - (n-1) nu g) / 6 is Q, and so
+    is the least-squares fit; the defect is 0."""
+    point, rng = flat_point(n), np.random.default_rng(n)
+    for nu in (-0.5, 0.7):
+        B = rng.standard_normal((n, n))
+        Q = B + B.T + point.J.T @ (B + B.T) @ point.J
+        A = space_form_tensor(point, nu).components + _psi(point, Q)
+        Q_hat = (curvature._ricci(point.g_inv, A) - ((n - 1) * nu) * point.g) / 6.0
+        Q_fit, residual = _least_squares(point, A, nu)
+        assert np.max(np.abs(Q_hat - Q)) < TOL_ALG
+        assert np.max(np.abs(Q_fit - Q)) < TOL_ALG
+        assert residual < TOL_ALG
+        assert _ahsc_defect(point, A, nu) < TOL_ALG
+
+
+def test_ahsc_defect_is_at_least_the_least_squares_residual_off_members():
+    """An RK tensor without constant antiholomorphic sectional curvature reads
+    at least its least-squares residual, and above 0, at every nu: projected
+    random tensors, and PRODUCT(CD(1,-1),S6(1)), whose corrected tensor
+    vanishes while its planes read 1 inside the sphere and 0 across factors."""
+    point, R, _ = make_model("PRODUCT(CD(1,-1),S6(1))")
+    assert bochner.rk_bochner(point, R).norm < TOL_ALG
+    cases = [(point, R.components)]
+    for n in (6, 8):
+        flat = flat_point(n)
+        cases.append((flat, rk_project(flat, random_curvature_tensor(n, n)).components))
+    for point, A in cases:
+        for nu in (-0.25, 0.0, 1.0):
+            residual = _least_squares(point, A, nu)[1]
+            assert residual > 1.0
+            assert _ahsc_defect(point, A, nu) >= residual * (1.0 - 1e-12)
 
 # ---------------------------------------------------------------------------
 # direct sums

@@ -167,6 +167,21 @@ def test_cor22_zero_curvature_case():
     assert all(c.status == "expected-fail" for c in others)
 
 
+@pytest.mark.parametrize("scale", [1e6, 1e-6])
+def test_cor33_spotcheck_passes_at_every_scale(scale):
+    """At the flat point the constant-antiholomorphic-curvature defect reads 0
+    at any scale, so the absolute tol_alg holds far from unit curvature too."""
+    assert run_scenario("cor33_spotcheck", ScenarioParams(c=scale, mu=scale)).passed
+
+
+@pytest.mark.parametrize("scenario_id", ["thm21_forward", "thm21_converse", "cor22", "thm31_s6",
+                                         "thm31_counterexample", "cor33_spotcheck"])
+def test_scenarios_without_a_chart_do_not_read_the_seed(scenario_id):
+    """The seed moves chart sample points only."""
+    checks = [run_scenario(scenario_id, ScenarioParams(seed=seed)).checks for seed in (0, 5)]
+    assert checks[0] == checks[1]
+
+
 def test_reports_are_deterministic():
     a = run_scenario("thm31_s6", FAST).to_dict()
     b = run_scenario("thm31_s6", FAST).to_dict()
