@@ -10,7 +10,8 @@ The real levels are one stencil grid: ``geometry_at`` differentiates Gamma on
 the stencil of x, and the identity suite differentiates on the stencil of x
 the geometry that is itself differentiated on the stencil of each of those
 points.  Gamma is evaluated once per distinct point of the grid and kept in
-one table of its lower pairs; each level reads its differences from it.
+one table of its lower pairs; each level reads its differences from it.  The
+grid belongs to a leaf chart: a product's results are assembled from its leaves'.
 
 Models (each leaf kind is one row of ``_KINDS``):
 
@@ -23,7 +24,8 @@ Models (each leaf kind is one row of ``_KINDS``):
                  realified complex affine chart; J constant.
 * ``CD(m, mu)``  the hyperbolic analog (mu < 0) on the unit ball.
 * ``PRODUCT(a, b)``  block metric and block J with a product domain sampler;
-                 its geometry is the block-diagonal assembly of its factors'.
+                 its geometry and the suite's derivatives are the block-diagonal
+                 assembly of its leaf charts' finished results.
 
 Chart evaluators are pure; sampled points may be processed in parallel and
 combined by max, so suite reports are schedule-independent.
@@ -125,8 +127,10 @@ class ChartModel:
     ``abs``, ``norm`` or real-only cast).  ``boundary_radius`` is the coordinate
     radius at which the chart degenerates (infinite for global charts);
     ``sample_radius`` keeps sampled points well-conditioned.  A product's
-    geometry is built from its ``factors`` alone, so replacing its own fields
-    (``dataclasses.replace(product, metric_at=...)``) does not change it.
+    geometry and suite are assembled from the finished results of its leaf
+    ``factors``, each evaluated on its own coordinates alone, so replacing the
+    product's own fields (``dataclasses.replace(product, metric_at=...)``) does
+    not change them.
     """
 
     label: str
@@ -484,24 +488,6 @@ def _covariant(G: np.ndarray, T: np.ndarray, dT: np.ndarray, variance: str) -> n
     return out
 
 
-def _christoffel_table(
-    chart: ChartModel, P: np.ndarray, rows: np.ndarray, calls: int
-) -> tuple[np.ndarray, ...]:
-    """Gamma at each of the points ``P`` (N, n) in ``calls`` calls whose sizes differ
-    by at most one, and g at the points ``P[rows]``.  Gamma is exactly symmetric in
-    its lower pair, so the table keeps the pairs i <= j: ``table[p, k]`` lists
-    Gamma^k_{ij} in the order of ``np.triu_indices(n)``."""
-    n, edges = P.shape[-1], [len(P) * c // calls for c in range(calls + 1)]
-    i, j = np.triu_indices(n)
-    table, g_rows = np.empty((len(P), n, i.size)), np.empty(rows.shape + (n, n))
-    for start, stop in zip(edges, edges[1:]):
-        g, G = _christoffel(chart, P[start:stop])
-        table[start:stop] = G[..., i, j]
-        here = (rows >= start) & (rows < stop)
-        g_rows[here] = g[rows[here] - start]
-    return table, g_rows
-
-
 def _curvature(g: np.ndarray, G: np.ndarray, dG: np.ndarray) -> np.ndarray:
     """The covariant curvature from g, Gamma and dGamma (derivative index first).
 
@@ -524,31 +510,25 @@ def _curvature(g: np.ndarray, G: np.ndarray, dG: np.ndarray) -> np.ndarray:
     return A @ g[..., None, None, :, :]
 
 
-def _geometry(chart: ChartModel, C: np.ndarray, cap: int = 0):
-    """Yield g, J, Gamma, nabla J and R at each batch ``C[b]`` of the centres ``C``
-    (B, ..., n) in turn; no margin check.
+def _geometry(chart: ChartModel, C: np.ndarray):
+    """Yield g, J, Gamma, nabla J and R of the leaf chart ``chart`` at each batch
+    ``C[b]`` of the centres ``C`` (B, ..., n) in turn; no margin check.  Products
+    are assembled above it, by :func:`_assembled`.
 
-    The centres and their stencil points form one grid, and Gamma is evaluated
-    once per distinct point of it (:func:`_christoffel_table`), in calls of at
-    most ``cap`` points, n^2 unless given.  Points merge only when all their bits
-    agree: the two-level point x + s1 e_i + s2 e_j is reached again as
-    x + s2 e_j + s1 e_i, while (x_i + s1) + s2 and (x_i + s2) + s1 may differ in
-    the last bit.  dGamma at a batch is the :func:`_difference` of gathers from
-    the table, so every value is the one that evaluating Gamma afresh at each
-    stencil point gives.  J and its complex step are read once per batch.
-
-    A product's Levi-Civita connection is the direct sum of its factors', so on
-    a chart with ``factors`` each field is the :func:`_block_diagonal` of theirs,
-    each factor evaluated on its coordinates of ``C`` with the cap of ``chart``.
+    The centres and their stencil points form one grid, and g and Gamma are
+    evaluated once per distinct point of it, in as many calls as ``MAX_DIM**2``
+    points of the unmerged grid would fill, of sizes that differ by at most one:
+    the count depends on the grid's shape alone, and no call exceeds
+    ``MAX_DIM**2`` points.  Points merge only when all their bits agree: the
+    two-level point x + s1 e_i + s2 e_j is reached again as x + s2 e_j + s1 e_i,
+    while (x_i + s1) + s2 and (x_i + s2) + s1 may differ in the last bit.  Gamma
+    is exactly symmetric in its lower pair, so its table keeps the pairs i <= j
+    in the order of ``np.triu_indices(n)``.  dGamma at a batch is the
+    :func:`_difference` of gathers from the table, so every value is the one
+    that evaluating Gamma afresh at each stencil point gives.  J and its complex
+    step are read once per batch.
     """
     n, count = C.shape[-1], C.size // C.shape[-1]  # coordinates, centres
-    cap = cap or n * n
-    if chart.factors:
-        spans = _spans([f.n for f in chart.factors])
-        parts = [_geometry(f, C[..., sl], cap) for f, sl in zip(chart.factors, spans)]
-        for blocks in zip(*parts):
-            yield tuple(_block_diagonal(fields, C.ndim - 2) for fields in zip(*blocks))
-        return
     stencil = _stencil(C)
     points = np.concatenate([C.reshape(-1, n), stencil.reshape(-1, n)])
     _, first, index = np.unique(
@@ -556,18 +536,38 @@ def _geometry(chart: ChartModel, C: np.ndarray, cap: int = 0):
         return_index=True, return_inverse=True,
     )
     centres, around = index[:count].reshape(C.shape[:-1]), index[count:].reshape(stencil.shape[:-1])
-    # as many calls as cap points of the unmerged grid would fill, so the count
-    # depends on the grid's shape alone and no call exceeds cap points
-    table, g = _christoffel_table(chart, points[first], centres, -(-len(points) // cap))
-    i, j = np.triu_indices(n)
+    P, (i, j), calls = points[first], np.triu_indices(n), -(-len(points) // MAX_DIM**2)
+    g, table = np.empty((len(P), n, n)), np.empty((len(P), n, i.size))
+    edges = [len(P) * c // calls for c in range(calls + 1)]
+    for start, stop in zip(edges, edges[1:]):
+        g[start:stop], G = _christoffel(chart, P[start:stop])
+        table[start:stop] = G[..., i, j]
     unpack = np.empty((n, n), dtype=np.intp)
     unpack[i, j] = unpack[j, i] = np.arange(i.size)
     for b, X in enumerate(C):
-        G, J = table[centres[b]][..., unpack], chart.J_at(X)
+        g_X, G, J = g[centres[b]], table[centres[b]][..., unpack], chart.J_at(X)
         nJ = _covariant(G, J, _complex_step(chart.J_at, X), "ul")
         # neither dGamma nor R is bound here, so neither outlives its use
         gathers = ((table[k],) for k in around[:, b])
-        yield g[b], J, G, nJ, _curvature(g[b], G, _difference(gathers)[0][..., unpack])
+        yield g_X, J, G, nJ, _curvature(g_X, G, _difference(gathers)[0][..., unpack])
+
+
+def _assembled(chart: ChartModel, x: np.ndarray, leaf: Callable) -> tuple[np.ndarray, ...]:
+    """The fields ``leaf(chart, x)`` of a leaf chart; on a product, each field is
+    the :func:`_block_diagonal` over all its axes of its factors' fields, each
+    factor taken at its own coordinates of ``x``, and nested products recurse.
+
+    A product's Levi-Civita connection is the direct sum of its factors', and J
+    is block-diagonal, so every field and every coordinate derivative of one is
+    block-diagonal in all its axes: a factor's block does not move along the
+    other factors' coordinates, and each factor is differentiated on its own
+    stencil alone.
+    """
+    if not chart.factors:
+        return leaf(chart, x)
+    spans = _spans([f.n for f in chart.factors])
+    parts = [_assembled(f, x[sl], leaf) for f, sl in zip(chart.factors, spans)]
+    return tuple(map(_block_diagonal, zip(*parts)))
 
 
 @dataclass(frozen=True)
@@ -588,10 +588,10 @@ class ChartGeometry:
 
 
 def geometry_at(chart: ChartModel, x: np.ndarray) -> ChartGeometry:
-    """The geometry at ``x`` from one :func:`_geometry` evaluation, after one
-    check of the 4h margin its stencil needs and one that its smallest offset,
-    h/2, moves every coordinate of ``x``; the point is validated and R checked
-    finite."""
+    """The geometry at ``x``, after one check of the 4h margin its stencil needs
+    and one that its smallest offset, h/2, moves every coordinate of ``x``: one
+    :func:`_geometry` evaluation per leaf chart at its own coordinates of ``x``,
+    assembled by :func:`_assembled`; the point is validated and R checked finite."""
     chart.require_margin(x, 4 * FDConfig.h)
     step = _steps()[0]
     collapsed = np.flatnonzero(x + step == x - step)
@@ -601,7 +601,7 @@ def geometry_at(chart: ChartModel, x: np.ndarray) -> ChartGeometry:
             f"step h = {FDConfig.h:g} collapses the stencil: x[{i}] +/- {step:g} both round "
             f"to x[{i}] = {x[i]:g}"
         )
-    ((g, J, G, nJ, R),) = _geometry(chart, x[None])
+    g, J, G, nJ, R = _assembled(chart, x, lambda leaf, y: next(_geometry(leaf, y[None])))
     return ChartGeometry(x, validate_point(g, J), CurvTensor(chart.n, R), G, nJ)
 
 
@@ -657,33 +657,37 @@ class NKIdentityReport:
     id_3_3: float
 
 
+def _fields(geometry: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """R, S, S - S', tau, tau - tau' and nabla J on one batch of :func:`_geometry`,
+    after one validation of its (g, J) and a finiteness check of its R."""
+    g_Y, J_Y, _, nJ_Y, R_Y = geometry
+    violations = point_violations(g_Y, J_Y)
+    if violations:
+        raise PointValidationError(violations)
+    if not np.all(np.isfinite(R_Y)):
+        raise NonFiniteError("CurvTensor: components must be finite")
+    S_Y, Sp_Y, tau_Y, tau_p_Y, _ = _traces(_g_inv(g_Y), J_Y, R_Y)
+    return R_Y, S_Y, S_Y - Sp_Y, tau_Y, tau_Y - tau_p_Y, nJ_Y
+
+
 def nk_identity_suite(chart: ChartModel, geo: ChartGeometry) -> NKIdentityReport:
     """Evaluate the nearly Kahler identity catalog at the point of ``geo``.
 
     Each residual is scored by its full norm (see :class:`NKIdentityReport`).  If the
     chart itself fails the nearly Kahler condition beyond ``NK_THRESHOLD`` the
     dependent checks are aborted with :class:`NotNearlyKahlerError`.  The values
-    at x come from ``geo``.  The two real levels around x are one grid: one
-    :func:`_geometry` over the batches of the stencil of x, one per step and sign,
-    evaluates Gamma once per distinct point of their stencils.
-    Each batch of (g, J) is validated in one pass, and a non-finite R on it
-    raises :class:`NonFiniteError`.  One finite-difference pass differentiates
-    the fields R, S, S - S', tau, tau - tau' and nabla J on those batches, each
-    as it is.
+    at x come from ``geo``.  The two real levels around x are one grid per leaf
+    chart: one :func:`_geometry` over the batches of the stencil of the leaf's
+    coordinates of x, one per step and sign, evaluates Gamma once per distinct
+    point of their stencils.  Each batch of (g, J) is validated in one pass, and
+    a non-finite R on it raises :class:`NonFiniteError`.  One finite-difference
+    pass per leaf differentiates its fields R, S, S - S', tau, tau - tau' and
+    nabla J on those batches, each as it is, and :func:`_assembled` builds a
+    product's derivatives from its leaves'.
     """
     x, point, G, nJ = geo.x, geo.point, geo.G, geo.nJ
     chart.require_margin(x, 6 * FDConfig.h)
     g, gi, J, A, n = point.g, point.g_inv, point.J, geo.R.components, point.dim
-
-    def fields(geometry: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-        g_Y, J_Y, _, nJ_Y, R_Y = geometry
-        violations = point_violations(g_Y, J_Y)
-        if violations:
-            raise PointValidationError(violations)
-        if not np.all(np.isfinite(R_Y)):
-            raise NonFiniteError("CurvTensor: components must be finite")
-        S_Y, Sp_Y, tau_Y, tau_p_Y, _ = _traces(_g_inv(g_Y), J_Y, R_Y)
-        return R_Y, S_Y, S_Y - Sp_Y, tau_Y, tau_Y - tau_p_Y, nJ_Y
 
     nJ_low = g @ nJ  # nJ_low[a, k, j] = g_{kq} (nabla_a J)^q_j
     nk = _norm(gi, 0.5 * (nJ_low + nJ_low.transpose(2, 1, 0)))
@@ -695,8 +699,8 @@ def nk_identity_suite(chart: ChartModel, geo: ChartGeometry) -> NKIdentityReport
     # result is bound to no name, so that it is freed before the stencil pass below
     id_1_1 = _norm(gi, A - P + np.dot(nJ.transpose(0, 2, 1).reshape(-1, n),
                                       nJ_low.transpose(1, 0, 2).reshape(n, -1)).reshape((n,) * 4))
-    geometries = _geometry(chart, _stencil(x))
-    dR, dS, dD, d_tau, d_tau_diff, dnJ = _difference(map(fields, geometries))
+    dR, dS, dD, d_tau, d_tau_diff, dnJ = _assembled(
+        chart, x, lambda leaf, y: _difference(map(_fields, _geometry(leaf, _stencil(y)))))
 
     lhs_1_2 = 2.0 * np.einsum("abpc,pd->abcd", _covariant(G, nJ, dnJ, "lul"), g)
     RJ2 = _rotate(A, J, 1)  # R(X,JY,Z,U)

@@ -223,21 +223,22 @@ def _counted_metric(chart):
 
 def test_curvature_makes_a_fixed_number_of_metric_calls():
     """Gamma is evaluated on all the points of the stencil of x at once, in
-    calls of at most n^2 points, so the call count does not grow with the
-    dimension."""
+    calls of at most MAX_DIM^2 = 144 points, so the call count does not grow
+    with the dimension."""
     counts = {}
     for desc in ("S6(1)", "CP(5,1)", "CE(1)"):
         chart, count = _counted_metric(make_chart(desc))
         geometry_at(chart, chart.sample_points(3, 1)[0])
         counts[desc] = count
-    # Gamma at x and its 4n stencil points: 4n + 1 <= n^2 points for n >= 5,
-    # one call of g and one of the complex step.  Lowering R and validating the
-    # point reuse the g that Gamma at x read, and nabla J reuses Gamma (10 calls
-    # while Gamma at x and each step and sign were separate calls, 25 with a
-    # real-difference Gamma of 1 + 4 calls)
+    # Gamma at x and its 4n stencil points: 4n + 1 <= 49 <= 144 points for
+    # n <= 12, one call of g and one of the complex step.  Lowering R and
+    # validating the point reuse the g that Gamma at x read, and nabla J reuses
+    # Gamma (10 calls while Gamma at x and each step and sign were separate
+    # calls, 25 with a real-difference Gamma of 1 + 4 calls)
     assert counts["S6(1)"]["calls"] == counts["CP(5,1)"]["calls"] == 2
-    # at n = 2 the 9 points take ceil(9 / 4) = 3 calls of Gamma
-    assert counts["CE(1)"]["calls"] == 6
+    # at n = 2 the 9 points take ceil(9 / 144) = 1 call of Gamma (3 calls, 6
+    # metric calls, while calls held at most n^2 = 4 points)
+    assert counts["CE(1)"]["calls"] == 2
     # Gamma at x and at its 4n stencil points, n + 1 metric points each: (n + 1)(4n + 1)
     assert counts["S6(1)"]["points"] == 175
     assert counts["CP(5,1)"]["points"] == 451
@@ -250,9 +251,10 @@ def test_suite_metric_calls_stay_batched():
     # one geometry evaluation at x, then the suite's one over its 4 batches (2
     # steps x 2 signs on the n stencil points), each validated from the g and J
     # it read:
-    #   metric: 2 calls (g and the complex step) per n^2 = 100 points of the
-    #           unmerged grid: 4n + 1 = 41 at x, 4n + 16n^2 = 1,640 for the suite,
-    #           so 2 + 2 ceil(1,640 / 100) = 36 in all;
+    #   metric: 2 calls (g and the complex step) per MAX_DIM^2 = 144 points of
+    #           the unmerged grid: 4n + 1 = 41 at x, 4n + 16n^2 = 1,640 for the
+    #           suite, so 2 + 2 ceil(1,640 / 144) = 26 in all (36 while calls
+    #           held at most n^2 = 100 points);
     #   J:      J 1 + the complex step dJ 1 = 2 calls a batch, 2 + 8 = 10 in all;
     #   points: n + 1 = 11 per distinct Gamma point, 41 at x and 801 for the
     #           suite at this point (_grid_size): 451 + 8,811 = 9,262.
@@ -264,7 +266,7 @@ def test_suite_metric_calls_stay_batched():
     assert (count["calls"], count["J_calls"], count["points"]) == (2, 2, 451)
     assert _grid_size(x) == 801
     nk_identity_suite(chart, geo)
-    assert (count["calls"], count["J_calls"], count["points"]) == (36, 10, 9262)
+    assert (count["calls"], count["J_calls"], count["points"]) == (26, 10, 9262)
 
 
 @pytest.mark.parametrize("desc", ["S6(1)", "CP(5,1)"])
@@ -633,21 +635,20 @@ def test_suite_evaluates_curvature_once_per_stencil_point(monkeypatch):
     assert gamma_at_x == []
 
 
-def _grid_size(x, centred=False):
+def _grid_size(x):
     """The distinct points of the suite's two-level grid around ``x``, from the
     offsets o in {+/-h/2, +/-h} alone.
 
     A point moved in two coordinates, x + o1 e_i + o2 e_j with i < j, is one
     point for both orders.  A point moved in coordinate i alone is a first-level
     centre x_i + o or a diagonal (x_i + o1) + o2, and those merge only where
-    their values agree; all of them that land back on x_i are x.  With
-    ``centred`` x is itself a centre of the grid.
+    their values agree; all of them that land back on x_i are x.
     """
     offsets = [o for s in charts._steps() for o in (s, -s)]
     n, x = len(x), x.tolist()
     moved = [{v + o for o in offsets} | {(v + o1) + o2 for o1 in offsets for o2 in offsets}
              for v in x]
-    at_x = centred or any(v in values for v, values in zip(x, moved))
+    at_x = any(v in values for v, values in zip(x, moved))
     return n * (n - 1) // 2 * len(offsets) ** 2 + sum(len(m - {v}) for v, m in zip(x, moved)) + at_x
 
 
@@ -665,7 +666,7 @@ def _counted_christoffel(monkeypatch):
 
 @pytest.mark.parametrize(
     "desc, distinct, grid",
-    [("CP(5,1)", (803,), (1640,)), ("PRODUCT(CD(2,-1),S6(1))", (131, 289), (680, 1000)),
+    [("CP(5,1)", (803,), (1640,)), ("PRODUCT(CD(2,-1),S6(1))", (131, 289), (272, 600)),
      ("S6(1)", (291,), (600,))],
     ids=lambda v: "+".join(map(str, v)) if isinstance(v, tuple) else None,
 )
@@ -675,32 +676,69 @@ def test_suite_evaluates_gamma_once_per_distinct_grid_point(monkeypatch, desc, d
     coordinates, the 4n centres, the 4n diagonals at +/-3h/2 and +/-2h, and x
     make 801 at n = 10 and 289 at n = 6.  At the seed-7 point two of the
     coincidences among the diagonal sums fail in the last bit, which adds a
-    point each.  The calls are as many as n^2 points of the unmerged grid
-    would fill, so their count does not depend on which points merge.
+    point each.  The calls are as many as MAX_DIM^2 = 144 points of the unmerged
+    grid would fill, so their count does not depend on which points merge:
+    ceil(1,640 / 144) = 12 on CP(5,1) and ceil(600 / 144) = 5 on S6(1) (17 and
+    17 while calls held at most n^2 points).
 
-    A product evaluates Gamma on each factor alone, at the factor's own
-    coordinates of the product's grid: its 4n centres, n = 10, with 4 n_f
-    points around each, 4n(1 + 4 n_f) = 680 and 1,000 points for n_f = 4 and 6,
-    in calls of at most n^2 points: 7 and 10 calls, 17 in all, as before.  The
-    centres moved along the other factor all land on x_f, so x_f is a centre,
-    and the factor's grid is a suite grid around x_f: 129 + 2 and 289 points,
-    where the full product had 803."""
+    A product evaluates Gamma on each leaf alone, on the suite grid around the
+    leaf's own coordinates x_f: 4 n_f + 16 n_f^2 = 272 and 600 points for
+    n_f = 4 and 6, in ceil(272 / 144) + ceil(600 / 144) = 2 + 5 = 7 calls (17,
+    7 + 10, while each leaf was evaluated on the product's 4n centres, n = 10,
+    at 680 and 1,000 points).  Merged, 129 + 2 and 289 points, where the full
+    product had 803."""
     chart = make_chart(desc)
     x = chart.sample_points(7, 1)[0]
     geo = geometry_at(chart, x)
     calls = _counted_christoffel(monkeypatch)
     nk_identity_suite(chart, geo)
-    assert all(Y.ndim == 2 and 1 <= len(Y) <= chart.n**2 for Y in calls)
+    assert all(Y.ndim == 2 and 1 <= len(Y) <= charts.MAX_DIM**2 for Y in calls)
     leaves = chart.factors or (chart,)
-    assert len(calls) == sum(-(-size // chart.n**2) for size in grid)
+    assert len(calls) == sum(-(-size // charts.MAX_DIM**2) for size in grid)
     ends = np.cumsum([leaf.n for leaf in leaves])
     for leaf, end, merged, size in zip(leaves, ends, distinct, grid, strict=True):
         own = [Y for Y in calls if Y.shape[-1] == leaf.n]  # the leaves differ in dimension
-        assert len(own) == -(-size // chart.n**2)
+        assert len(own) == -(-size // charts.MAX_DIM**2)
+        assert size == 4 * leaf.n + 16 * leaf.n**2
         points = np.concatenate(own)
         x_leaf = x[end - leaf.n : end]
         assert len(points) == len({p.tobytes() for p in points}) == merged
-        assert merged == _grid_size(x_leaf, centred=bool(chart.factors))
+        assert merged == _grid_size(x_leaf)
+
+
+def test_product_suite_evaluates_each_leaf_on_its_own_stencil_alone(monkeypatch):
+    """Each leaf of a product is differentiated on the stencil of its own
+    coordinates of x alone: its J calls take batches of n_leaf centres, 4 and 6
+    (10 while each leaf was evaluated at every centre of the product, 8 of 20
+    leaf rows per batch repeats of x_leaf), 8 J calls per leaf, and its Gamma
+    points are, bit for bit and in order, those of the suite on the leaf chart
+    alone at x_leaf: no point moved along the other factor."""
+    batches = {}
+
+    def recording(leaf):
+        def J_at(X):
+            batches.setdefault(leaf.label, []).append(X.shape[0])
+            return leaf.J_at(X)
+
+        return dataclasses.replace(leaf, J_at=J_at)
+
+    chart = make_chart("PRODUCT(CD(2,-1),S6(1))")
+    chart = dataclasses.replace(chart, factors=tuple(map(recording, chart.factors)))
+    x = chart.sample_points(7, 1)[0]
+    geo = geometry_at(chart, x)
+    batches.clear()
+    calls = _counted_christoffel(monkeypatch)
+    nk_identity_suite(chart, geo)
+    own = {n: np.concatenate([Y for Y in calls if Y.shape[-1] == n]) for n in (4, 6)}
+    for leaf, sl in zip(chart.factors, (slice(0, 4), slice(4, 10)), strict=True):
+        # per batch one J call on its centres and one on their complex steps
+        assert batches[leaf.label] == [leaf.n] * 8
+        alone = make_chart(leaf.label)
+        geo_alone = geometry_at(alone, x[sl])
+        start = len(calls)
+        nk_identity_suite(alone, geo_alone)
+        assert np.array_equal(own[leaf.n], np.concatenate(calls[start:]))
+        assert len(own[leaf.n]) == _grid_size(x[sl])
 
 
 def test_diagonal_sums_that_differ_in_the_last_bit_are_both_evaluated(monkeypatch):
@@ -739,14 +777,8 @@ def _block_diagonal(blocks, b):
 
 def _nested_geometry(chart, C):
     """The nested formulation the grid replaced: at each batch of the centres
-    ``C``, Gamma evaluated afresh at every point of each step and sign; on a
-    product, the block-diagonal assembly of its factors' nested formulations."""
-    if chart.factors:
-        ends = np.cumsum([f.n for f in chart.factors])
-        parts = [_nested_geometry(f, C[..., e - f.n : e]) for f, e in zip(chart.factors, ends)]
-        for blocks in zip(*parts):
-            yield tuple(_block_diagonal(fields, C.ndim - 2) for fields in zip(*blocks))
-        return
+    ``C`` of a leaf chart, Gamma evaluated afresh at every point of each step
+    and sign."""
     eye = np.eye(chart.n)
     for X in C:
         g, G = charts._christoffel(chart, X)
@@ -791,13 +823,13 @@ def _leaves(chart):
 
 
 @pytest.mark.parametrize("desc", _PRODUCTS)
-def test_product_geometry_is_the_block_assembly_of_its_leaves(desc):
-    """g, J, Gamma, nabla J and R of a product, at x and on every batch of the
-    suite's stencil of x, are the block-diagonal assembly of each leaf chart's
-    geometry on its own coordinates, bit for bit.  At x each leaf is evaluated
-    alone, in calls of at most n_leaf^2 points; on the stencil in calls of at
-    most n^2, as more calls than a 2-dimensional leaf's grid has points would
-    leave some empty.  A nested product is flattened to its leaves."""
+def test_product_geometry_is_the_block_assembly_of_its_leaves(monkeypatch, desc):
+    """g, J, Gamma, nabla J and R of a product at x, and the suite's
+    differentiated fields dR, dS, d(S - S'), dtau, d(tau - tau') and d nabla J,
+    are the block-diagonal assembly over all their axes of each leaf chart's, on
+    its own coordinates, bit for bit: each leaf's geometry at x_leaf, and its
+    one difference pass over the stencil of x_leaf.  A nested product is
+    flattened to its leaves."""
     chart = make_chart(desc)
     x = chart.sample_points(7, 1)[0]
     leaves = _leaves(chart)
@@ -807,12 +839,21 @@ def test_product_geometry_is_the_block_assembly_of_its_leaves(desc):
     for field in (lambda g: g.point.g, lambda g: g.point.J, lambda g: g.G, lambda g: g.nJ,
                   lambda g: g.R.components):
         assert np.array_equal(field(geo), _block_diagonal([field(p) for p in parts], 0))
-    C = charts._stencil(x)
-    blocks = zip(*(charts._geometry(leaf, C[..., sl], chart.n**2)
-                   for leaf, sl in zip(leaves, coords)))
-    for batch, per_leaf in zip(charts._geometry(chart, C), blocks, strict=True):
-        for field, fields in zip(batch, zip(*per_leaf), strict=True):
-            assert np.array_equal(field, _block_diagonal(fields, 1))
+    seen, assembled = [], charts._assembled
+
+    def recorded(part, y, leaf):
+        out = assembled(part, y, leaf)
+        if part is chart:
+            seen.append(out)
+        return out
+
+    monkeypatch.setattr(charts, "_assembled", recorded)
+    nk_identity_suite(chart, geo)
+    (fields,) = seen
+    per_leaf = [charts._difference(map(charts._fields, charts._geometry(leaf, charts._stencil(y))))
+                for leaf, y in zip(leaves, (x[sl] for sl in coords))]
+    for field, blocks in zip(fields, zip(*per_leaf), strict=True):
+        assert np.array_equal(field, _block_diagonal(blocks, 0))
 
 
 @pytest.mark.parametrize("desc", _PRODUCTS)
@@ -845,19 +886,25 @@ def test_product_geometry_agrees_with_the_whole_product_chart(desc):
              "PRODUCT(PRODUCT(CD(1,-1),CD(1,-1)),S6(1))"],
 )
 def test_every_leaf_gamma_call_holds_1_to_n_squared_points(monkeypatch, desc):
-    """A product's leaves evaluate Gamma in calls of at most n^2 points, n the
-    product's dimension, and never in an empty call, down to 2-dimensional
-    leaves in the smallest product (n = 4) and in a nested one.  The calls are
-    as many at every seed."""
+    """A product's leaves evaluate Gamma in calls of at most n^2 points, n =
+    MAX_DIM = 12 the largest dimension, and never in an empty call, down to
+    2-dimensional leaves in the smallest product (n = 4) and in a nested one.
+    At x each leaf's 4 n_f + 1 points take one call; in the suite each leaf's
+    calls are as many as its own unmerged grid of 4 n_f + 16 n_f^2 points
+    fills, at every seed: 1 for n_f = 2 (72 points) and n_f = 4 (272), 5 for
+    n_f = 6 (600)."""
     chart = make_chart(desc)
+    leaves = _leaves(chart)
     calls, shapes = _counted_christoffel(monkeypatch), []
     for seed in (0, 7, 11):
         start = len(calls)
         nk_identity_suite(chart, geometry_at(chart, chart.sample_points(seed, 1)[0]))
-        assert all(Y.ndim == 2 and 1 <= len(Y) <= chart.n**2 for Y in calls[start:])
+        assert all(Y.ndim == 2 and 1 <= len(Y) <= charts.MAX_DIM**2 for Y in calls[start:])
         shapes.append([Y.shape[-1] for Y in calls[start:]])
     assert shapes[0] == shapes[1] == shapes[2]
-    assert {n for n in shapes[0]} == {leaf.n for leaf in _leaves(chart)}
+    suite_calls = [-(-(4 * leaf.n + 16 * leaf.n**2) // charts.MAX_DIM**2) for leaf in leaves]
+    suite = [leaf.n for leaf, k in zip(leaves, suite_calls) for _ in range(k)]
+    assert shapes[0] == [leaf.n for leaf in leaves] + suite
 
 def _perturbed_off(chart, x, field, perturb):
     """``chart`` with ``field`` passed through ``perturb`` at every point but ``x``."""
