@@ -3,12 +3,14 @@
 import dataclasses
 import math
 import re
+from fnmatch import fnmatchcase
 
 import numpy as np
 import pytest
 
 from bochnerkit import charts, scenarios
 from bochnerkit.curvature import _block_diagonal, complex_space_form_tensor, flat_point
+from bochnerkit.multilinear import TOL_ALG
 from bochnerkit.scenarios import (
     SCENARIO_IDS,
     ScenarioParamError,
@@ -102,7 +104,8 @@ def test_counterexample_statuses():
     assert by_name["b_nonvanishing"].defect > 1e-3
     assert by_name["antiholo_4frame"].status == "expected-fail"
     assert by_name["bstar_vanishes"].status == "pass"
-    # the local nonvanishing gate, which no report states under parameters.tolerances
+    # the gate of both nonvanishing rows of _CHECKS, which no report states under
+    # parameters.tolerances
     assert by_name["b_nonvanishing"].tolerance == by_name["antiholo_4frame"].tolerance == 1e-3
 
 
@@ -112,8 +115,8 @@ def test_thm21_forward_names_its_factor_dimensions():
 
 
 def test_run_all_states_a_fixed_set_of_tolerances():
-    """The three gates, the counterexample's local 1e-3 and the converse's
-    monotonicity count 0 are every tolerance a suite report states."""
+    """The three gates, the counterexample's nonvanishing gate 1e-3 and the
+    converse's monotonicity count 0 are every tolerance a suite report states."""
     stated = {c.tolerance for report in run_all(FAST) for c in report.checks}
     assert stated == {0.0, 1e-12, 1e-6, 1e-4, 1e-3}
 
@@ -370,7 +373,34 @@ def test_a_nan_chart_defect_fails(monkeypatch):
 ])
 def test_only_a_finite_defect_above_its_gate_confirms_a_nonvanishing(defect, status):
     """An overflow to inf is not the predicted nonzero value."""
-    assert scenarios._nonvanish("x", "claim", defect, 1e-3).status == status
+    assert scenarios._check("thm31_counterexample", "antiholo_4frame", defect).status == status
+
+
+@pytest.mark.parametrize("defect, status", [
+    (TOL_ALG, "pass"), (2 * TOL_ALG, "fail"), (math.inf, "fail"), (math.nan, "fail"),
+])
+def test_only_a_defect_within_its_gate_confirms_a_vanishing(defect, status):
+    """A NaN compares false with the gate, so it fails; a defect at the gate passes."""
+    assert scenarios._check("thm31_counterexample", "bstar_vanishes", defect).status == status
+
+
+def test_each_check_matches_one_row_of_its_scenario_and_each_row_is_reached():
+    """Every check name of run_all, at the defaults and at two other parameter
+    sets whose names differ, matches exactly one pattern of ``_CHECKS``, and the
+    default run reaches every row."""
+    assert set(scenarios._CHECKS) == set(SCENARIO_IDS)
+    reached = set()
+    for params in (ScenarioParams(), ScenarioParams(seed=3, m=4, k=2, c=2.5, mu=0.5),
+                   ScenarioParams(m=6, k=5)):
+        for report in run_all(params):
+            for check in report.checks:
+                rows = [pattern for pattern in scenarios._CHECKS[report.scenario]
+                        if fnmatchcase(check.name, pattern)]
+                assert len(rows) == 1, f"{report.scenario}.{check.name}: {rows}"
+                if params == ScenarioParams():
+                    reached.add((report.scenario, rows[0]))
+    assert reached == {(sid, pattern) for sid, rows in scenarios._CHECKS.items()
+                       for pattern in rows}
 
 
 def test_an_overflowing_product_fails_its_chart_checks():
