@@ -6,7 +6,7 @@ The package is organized bottom-up:
 * :mod:`bochnerkit.curvature`      pointwise almost Hermitian constructions
 * :mod:`bochnerkit.bochner`        the two trace-corrected curvature tensors
 * :mod:`bochnerkit.octonion`       the seven-dimensional cross product
-* :mod:`bochnerkit.charts`         finite-difference geometry on model charts
+* :mod:`bochnerkit.charts`         exact-derivative geometry on model charts
 * :mod:`bochnerkit.scenarios`      theorem-level verification scenarios
 * :mod:`bochnerkit.serialization`  canonical JSON and the tensor document format
 * :mod:`bochnerkit.cli`            the command-line interface

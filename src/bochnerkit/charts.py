@@ -1,17 +1,14 @@
 """Numerical differential geometry on concrete coordinate charts.
 
 Each model space is realized as a single chart with closed-form metric and
-almost complex structure fields; connection, curvature, and the covariant
-derivatives of J and of the Ricci traces come from central finite differences
-Richardson-extrapolated to fourth order, except the innermost derivatives of
-the two fields, dg and dJ, which are complex steps.
-
-The real levels are one stencil grid: ``geometry_at`` differentiates Gamma on
-the stencil of x, and the identity suite differentiates on the stencil of x
-the geometry that is itself differentiated on the stencil of each of those
-points.  Gamma is evaluated once per distinct point of the grid and kept in
-one table of its lower pairs; each level reads its differences from it.  The
-grid belongs to a leaf chart: a product's results are assembled from its leaves'.
+almost complex structure fields.  Each leaf chart's fields are evaluated once at
+the point x with hyper-dual numbers (``_jet.Jet``), which gives g with its first,
+second and third coordinate derivatives and J with its first and second, all
+exact.  g, J, Gamma, nabla J and R at x follow from them in closed form.  The
+identity suite differentiates its fields R, S, S - S', tau, tau - tau' and
+nabla J by one complex step of that same per-point geometry, whose inputs are
+lifted exactly from the jets; no derivative is a finite difference.  A
+product's results are assembled from its leaves'.
 
 Models (each leaf kind is one row of ``_KINDS``):
 
@@ -35,22 +32,22 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import reduce
+from itertools import accumulate, combinations_with_replacement, permutations
 from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
 from .curvature import (
-    HermitianPoint, PointValidationError, complex_space_form_tensor, point_violations,
-    space_form_tensor, standard_J, validate_point,
+    HermitianPoint, complex_space_form_tensor, space_form_tensor, standard_J, validate_point,
     _block_diagonal, _g_inv, _ricci_identities, _rotate, _spans, _traces,
 )
+from ._jet import Jet
 from .multilinear import CurvTensor, InputError, NonFiniteError, _norm
 from .octonion import cross_operator
 
 __all__ = [
     "FDConfig",
-    "FDConfigError",
     "ChartModel",
     "ChartSpecError",
     "MarginError",
@@ -68,7 +65,8 @@ __all__ = [
 # points only: rk_bochner(rk_project(R)) of a random_curvature_tensor rejects 7,
 # 12 and 22 of 40 random_hermitian_point seeds at n = 8, 10 and 12 (ROADMAP item 6)
 MAX_DIM = 12
-H_C = 1e-30  # complex step of every first derivative of a chart field
+H_C = 1e-30  # complex step of the identity suite's derivatives of the per-point geometry
+PASS_DIRECTIONS = 2  # directions per complex-step pass: bounds the memory of its arrays
 NK_THRESHOLD = 1e-3  # nearly Kahler defect above which the suite aborts
 
 
@@ -77,11 +75,7 @@ class ChartSpecError(InputError):
 
 
 class MarginError(InputError):
-    """The evaluation point is too close to the chart boundary for the stencil."""
-
-
-class FDConfigError(InputError):
-    """The finite-difference step collapses the stencil at the evaluation point."""
+    """The evaluation point lies outside the chart's domain."""
 
 
 class NotNearlyKahlerError(InputError):
@@ -97,21 +91,18 @@ class NotNearlyKahlerError(InputError):
 
 @dataclass(frozen=True)
 class FDConfig:
-    """The finite-difference step policy, constants the gates are calibrated for.
+    """The two gates of the chart-level checks, constants with no fields.
 
-    ``h`` is the step of the outer derivative levels, each Richardson-extrapolated
-    to fourth order from the central differences at h/2 and h; the innermost ones,
-    dg in the Christoffel symbols and dJ in nabla J, are complex steps of ``H_C``.
-
-    The class constants ``tol_fd1`` (first-derivative-level identities, e.g.
-    nearly Kahler defects) and ``tol_fd2`` (second-derivative-level ones,
-    curvature comparisons) are the two FD gates, set for this step at the
-    measured truncation/rounding crossover for double precision.  They are their
-    only owner: the scenarios and the CLI read them here, and no flag or
-    parameter moves them.  No chart computation reads a tolerance.
+    ``tol_fd1`` gates the first-derivative-level identities (e.g. nearly Kahler
+    defects) and ``tol_fd2`` the second-derivative-level ones (curvature
+    comparisons).  They were set at the truncation/rounding crossover of the
+    finite-difference scheme that the exact jet derivatives replaced, and are
+    kept as they are: the residuals of valid models now read about 1e-14, some
+    eight orders of magnitude below them (ROADMAP item 7 tightens them).  The class is their only
+    owner: the scenarios and the CLI read them here, and no flag or parameter
+    moves them.  No chart computation reads a tolerance.
     """
 
-    h: ClassVar[float] = 1e-3
     tol_fd1: ClassVar[float] = 1e-6
     tol_fd2: ClassVar[float] = 1e-4
 
@@ -122,10 +113,13 @@ class ChartModel:
 
     ``metric_at`` / ``J_at`` take points of shape (..., n) and return raw
     arrays of shape (..., n, n): a single point (n,) gives one matrix, and a
-    stack of points is evaluated in one call.  Both fields must be analytic in
-    x and take complex points, as their first derivatives are complex steps (no
-    ``abs``, ``norm`` or real-only cast).  ``boundary_radius`` is the coordinate
-    radius at which the chart degenerates (infinite for global charts);
+    stack of points is evaluated in one call.  Both fields must take jet points
+    (``_jet.Jet``), as their derivatives are read from one evaluation on jets:
+    they are built from arithmetic, ``@``, indexing and the numpy calls the jet
+    supports, with no ``abs``, ``norm``, real-only cast or in-place assignment.
+    A field may return a plain array, whose derivatives are then zero.  A field
+    that checks its domain, reading the real part of the value (``.real``),
+    raises :class:`MarginError` outside it.
     ``sample_radius`` keeps sampled points well-conditioned.  A product's
     geometry and suite are assembled from the finished results of its leaf
     ``factors``, each evaluated on its own coordinates alone, so replacing the
@@ -137,7 +131,6 @@ class ChartModel:
     n: int
     metric_at: Callable[[np.ndarray], np.ndarray]
     J_at: Callable[[np.ndarray], np.ndarray]
-    boundary_radius: float = np.inf
     sample_radius: float = 0.8
     factors: tuple["ChartModel", ...] = ()
 
@@ -153,17 +146,6 @@ class ChartModel:
         direction /= np.linalg.norm(direction)
         radius = self.sample_radius * rng.uniform() ** (1.0 / self.n)
         return radius * direction
-
-    def require_margin(self, x: np.ndarray, needed: float) -> None:
-        if self.factors:
-            for f, sl in zip(self.factors, _spans([f.n for f in self.factors])):
-                f.require_margin(x[sl], needed)
-            return
-        if np.linalg.norm(x) + needed >= self.boundary_radius:
-            raise MarginError(
-                f"point at radius {np.linalg.norm(x):.3f} violates margin {needed:.2e} "
-                f"of chart '{self.label}' (boundary radius {self.boundary_radius})"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -349,37 +331,25 @@ def _s6_chart(spec: ChartSpec) -> ChartModel:
     return ChartModel(label=spec.label(), n=6, metric_at=metric_at, J_at=J_at)
 
 
-def _interleaved_metric(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Real metric of a Hermitian form A + iB in x1,y1,x2,y2,... coordinates."""
-    m = A.shape[-1]
-    g = np.zeros(A.shape[:-2] + (2 * m, 2 * m), dtype=A.dtype)
-    g[..., 0::2, 0::2] = A
-    g[..., 1::2, 1::2] = A
-    g[..., 0::2, 1::2] = B
-    g[..., 1::2, 0::2] = -B
-    return g
-
-
 def _csf_chart(spec: ChartSpec) -> ChartModel:
     """Constant holomorphic curvature mu: CP (mu > 0) on a realified complex
-    affine chart, CD (mu < 0) on the unit ball."""
+    affine chart, CD (mu < 0) on the unit ball, in x1,y1,x2,y2,... coordinates.
+    The metric is c0 (q I - s (v v^T + Jv Jv^T)) / q^2, with q = 1 + s |v|^2,
+    s the sign of mu and Jv = (-y1, x1, -y2, x2, ...)."""
     m, mu = spec.m, spec.mu
     s, c0 = np.sign(mu), 4.0 / abs(mu)
 
     def metric_at(xy: np.ndarray) -> np.ndarray:
-        x, y = xy[..., 0::2], xy[..., 1::2]
         r2 = _r2(xy)
         if s < 0 and np.any(r2.real >= 1.0):
             raise MarginError(f"CD chart is the open unit ball; |x| = {r2.real.max() ** 0.5:.3f}")
         q = 1 + s * r2
-        A = c0 * (q * np.eye(m) - s * (_outer(x, x) + _outer(y, y))) / q**2
-        B = -s * c0 * (_outer(x, y) - _outer(y, x)) / q**2
-        return _interleaved_metric(A, B)
+        Jv = np.stack([-xy[..., 1::2], xy[..., 0::2]], axis=-1).reshape(xy.shape)
+        return c0 * (q * np.eye(2 * m) - s * (_outer(xy, xy) + _outer(Jv, Jv))) / q**2
 
-    ball = {} if s > 0 else {"boundary_radius": 1.0, "sample_radius": 0.5}
     return ChartModel(
-        label=spec.label(), n=2 * m,
-        metric_at=metric_at, J_at=_constant(standard_J(2 * m)), **ball,
+        label=spec.label(), n=2 * m, metric_at=metric_at, J_at=_constant(standard_J(2 * m)),
+        sample_radius=0.8 if s > 0 else 0.5,
     )
 
 
@@ -414,53 +384,61 @@ def _model_tensor(spec: ChartSpec, point: HermitianPoint) -> CurvTensor:
 
 
 # ---------------------------------------------------------------------------
-# finite differences
+# exact derivatives at a point
 # ---------------------------------------------------------------------------
 
-def _steps() -> tuple[float, float]:
-    """The real finite-difference steps h/2 and h of :class:`FDConfig`."""
-    return FDConfig.h / 2, FDConfig.h
-
-
-def _stencil(X: np.ndarray) -> np.ndarray:
-    """The stencil of the points ``X`` (..., n): for each step s and sign, the n
-    points X +/- s e_i as one batch (..., n, n), stacked in the order +s, -s per step."""
-    X, eye = X[..., None, :], np.eye(X.shape[-1])
-    return np.stack([Y for s in _steps() for Y in (X + s * eye, X - s * eye)])
-
-
-def _difference(values) -> tuple[np.ndarray, ...]:
-    """Coordinate derivatives of each field in the tuples that the iterator
-    ``values`` yields on the batches of :func:`_stencil`, in its order.
-
-    Per step s the central difference is (p - m) / (2s), and Richardson combines
-    the differences a at h/2 and b at h as (4a - b) / 3.  Each result has the
-    shape of its field on one batch, so a field evaluated per point carries the
-    derivative index right after the batch axes of the stencil's centres.
+def _jets(field: Callable, x: np.ndarray, order: int) -> list[np.ndarray]:
+    """The field and its coordinate derivatives up to ``order`` at the point
+    ``x``: [f, df, ..., d^order f], derivative indices first, each exactly
+    symmetric in them.  One call of ``field`` on the jets seeded along each
+    index tuple i_1 <= ... <= i_order, 220 of them at n = 10 and order 3; the
+    derivative along (a_1, ..., a_d) is read from the tuple of the sorted a's
+    padded with their largest.  A field that returns a plain array is constant.
+    A derivative that is not finite raises :class:`NonFiniteError`.
     """
-    central = [[(p - m) / (2.0 * s) for p, m in zip(next(values), next(values))]
-               for s in _steps()]
-    return tuple((4.0 * a - b) / 3.0 for a, b in zip(*central))
+    n = x.shape[-1]
+    combos = np.array(list(combinations_with_replacement(range(n), order)))
+    seeds = np.zeros((2**order, len(combos), n))
+    seeds[0] = x
+    for unit in range(order):
+        seeds[1 << unit, np.arange(len(combos)), combos[:, unit]] = 1.0
+    out = field(Jet(seeds))
+    if not isinstance(out, Jet):
+        return [out[0]] + [np.zeros((n,) * d + out.shape[1:]) for d in range(1, order + 1)]
+    if not np.all(np.isfinite(out.c[1:])):
+        raise NonFiniteError("a derivative of a chart field is not finite at the point")
+    at = np.empty((n,) * order, dtype=np.intp)  # at[i, j, k]: the jet of sorted (i, j, k)
+    for p in permutations(range(order)):
+        at[tuple(combos[:, p].T)] = np.arange(len(combos))
+    jets = [out.c[0, 0]]
+    for d in range(1, order + 1):
+        index = np.indices((n,) * d, sparse=True)
+        top = reduce(np.maximum, index)
+        jets.append(out.c[2**d - 1][at[(*index, *[top] * (order - d))]])
+    return jets
 
 
-def _complex_step(f, X):
-    """Im f(x + i H_C e_i) / H_C: the exact coordinate derivatives of the analytic field
-    ``f`` at the points ``X`` (..., n), derivative index after the batch axes; one call."""
-    return f(X[..., None, :] + 1j * H_C * np.eye(X.shape[-1])).imag / H_C
+def _pointwise(g, dg, d2g, J, dJ) -> tuple[np.ndarray, ...]:
+    """Gamma, nabla J and R at a point from g, J and their coordinate
+    derivatives there (derivative indices first, after any batch axes):
 
+        Gamma^k_{ij} = g^{kl} t_{ijl} / 2,  t_{ijl} = d_i g_{jl} + d_j g_{il} - d_l g_{ij},
+        d_a Gamma^k_{ij} = g^{kl} (d_a t_{ijl} / 2 - d_a g_{lq} Gamma^q_{ij}),
 
-def _christoffel(chart: ChartModel, X: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Metric and connection coefficients at the points ``X`` (..., n); no margin check."""
-    g = chart.metric_at(X)
-    largest = np.abs(g).max()  # NaN passes, for the finiteness checks of the callers
-    if largest * H_C < np.finfo(float).tiny:
-        raise FloatingPointError(f"the metric (largest entry {largest:.3e}) is too small "
-                                 f"for the complex step {H_C:g}: its derivative underflows")
-    dg = _complex_step(chart.metric_at, X)  # dg[..., i, j, l] = d_i g_{jl}
-    t = dg + dg.swapaxes(-3, -2) - dg.transpose(*range(dg.ndim - 3), -2, -1, -3)  # t[..., i, j, l]
-    # Gamma^k_{ij} = g^{kl} t_{ijl} / 2 as one matmul per point, t as (..., l, ij)
-    t = np.swapaxes(t.reshape(*dg.shape[:-3], -1, dg.shape[-1]), -1, -2)
-    return g, ((0.5 * np.linalg.inv(g)) @ t).reshape(dg.shape)
+    each contraction one matmul per point, with t as (l, ij).  Gamma is exactly
+    symmetric in its lower pair when dg is exactly symmetric in its last two axes.
+    """
+    n, batch = g.shape[-1], g.shape[:-2]
+
+    def lowered(d):  # t_{ijl} of the last three axes of d, as (..., l, ij)
+        t = d + np.swapaxes(d, -3, -2) - np.moveaxis(d, -3, -1)
+        return np.swapaxes(t.reshape(d.shape[:-3] + (n * n, n)), -1, -2)
+
+    g_inv = np.linalg.inv(g)
+    G = (0.5 * g_inv) @ lowered(dg)
+    dG = g_inv[..., None, :, :] @ (0.5 * lowered(d2g) - dg @ G[..., None, :, :])
+    G, dG = G.reshape(batch + (n,) * 3), dG.reshape(batch + (n,) * 4)
+    return G, _covariant(G, J, dJ, "ul"), _curvature(g, G, dG)
 
 
 def _covariant(G: np.ndarray, T: np.ndarray, dT: np.ndarray, variance: str) -> np.ndarray:
@@ -510,46 +488,12 @@ def _curvature(g: np.ndarray, G: np.ndarray, dG: np.ndarray) -> np.ndarray:
     return A @ g[..., None, None, :, :]
 
 
-def _geometry(chart: ChartModel, C: np.ndarray):
-    """Yield g, J, Gamma, nabla J and R of the leaf chart ``chart`` at each batch
-    ``C[b]`` of the centres ``C`` (B, ..., n) in turn; no margin check.  Products
-    are assembled above it, by :func:`_assembled`.
-
-    The centres and their stencil points form one grid, and g and Gamma are
-    evaluated once per distinct point of it, in as many calls as ``MAX_DIM**2``
-    points of the unmerged grid would fill, of sizes that differ by at most one:
-    the count depends on the grid's shape alone, and no call exceeds
-    ``MAX_DIM**2`` points.  Points merge only when all their bits agree: the
-    two-level point x + s1 e_i + s2 e_j is reached again as x + s2 e_j + s1 e_i,
-    while (x_i + s1) + s2 and (x_i + s2) + s1 may differ in the last bit.  Gamma
-    is exactly symmetric in its lower pair, so its table keeps the pairs i <= j
-    in the order of ``np.triu_indices(n)``.  dGamma at a batch is the
-    :func:`_difference` of gathers from the table, so every value is the one
-    that evaluating Gamma afresh at each stencil point gives.  J and its complex
-    step are read once per batch.
-    """
-    n, count = C.shape[-1], C.size // C.shape[-1]  # coordinates, centres
-    stencil = _stencil(C)
-    points = np.concatenate([C.reshape(-1, n), stencil.reshape(-1, n)])
-    _, first, index = np.unique(
-        points.view(np.dtype((np.void, points.itemsize * n))).ravel(),
-        return_index=True, return_inverse=True,
-    )
-    centres, around = index[:count].reshape(C.shape[:-1]), index[count:].reshape(stencil.shape[:-1])
-    P, (i, j), calls = points[first], np.triu_indices(n), -(-len(points) // MAX_DIM**2)
-    g, table = np.empty((len(P), n, n)), np.empty((len(P), n, i.size))
-    edges = [len(P) * c // calls for c in range(calls + 1)]
-    for start, stop in zip(edges, edges[1:]):
-        g[start:stop], G = _christoffel(chart, P[start:stop])
-        table[start:stop] = G[..., i, j]
-    unpack = np.empty((n, n), dtype=np.intp)
-    unpack[i, j] = unpack[j, i] = np.arange(i.size)
-    for b, X in enumerate(C):
-        g_X, G, J = g[centres[b]], table[centres[b]][..., unpack], chart.J_at(X)
-        nJ = _covariant(G, J, _complex_step(chart.J_at, X), "ul")
-        # neither dGamma nor R is bound here, so neither outlives its use
-        gathers = ((table[k],) for k in around[:, b])
-        yield g_X, J, G, nJ, _curvature(g_X, G, _difference(gathers)[0][..., unpack])
+def _leaf_geometry(leaf: ChartModel, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """g, J, Gamma, nabla J and R of the leaf chart ``leaf`` at ``x``: one call
+    of each field, on its order-2 and order-1 jets."""
+    g, dg, d2g = _jets(leaf.metric_at, x, 2)
+    J, dJ = _jets(leaf.J_at, x, 1)
+    return (g, J, *_pointwise(g, dg, d2g, J, dJ))
 
 
 def _assembled(chart: ChartModel, x: np.ndarray, leaf: Callable) -> tuple[np.ndarray, ...]:
@@ -560,8 +504,8 @@ def _assembled(chart: ChartModel, x: np.ndarray, leaf: Callable) -> tuple[np.nda
     A product's Levi-Civita connection is the direct sum of its factors', and J
     is block-diagonal, so every field and every coordinate derivative of one is
     block-diagonal in all its axes: a factor's block does not move along the
-    other factors' coordinates, and each factor is differentiated on its own
-    stencil alone.
+    other factors' coordinates, and each factor is differentiated at its own
+    coordinates alone.
     """
     if not chart.factors:
         return leaf(chart, x)
@@ -572,7 +516,7 @@ def _assembled(chart: ChartModel, x: np.ndarray, leaf: Callable) -> tuple[np.nda
 
 @dataclass(frozen=True)
 class ChartGeometry:
-    """The finite-difference geometry at the chart point ``x``.
+    """The geometry at the chart point ``x``, from exact derivatives of the fields.
 
     ``point`` holds g and J, ``R`` the covariant curvature (antisymmetric in its
     first pair exactly by construction), ``G`` the connection coefficients
@@ -588,20 +532,10 @@ class ChartGeometry:
 
 
 def geometry_at(chart: ChartModel, x: np.ndarray) -> ChartGeometry:
-    """The geometry at ``x``, after one check of the 4h margin its stencil needs
-    and one that its smallest offset, h/2, moves every coordinate of ``x``: one
-    :func:`_geometry` evaluation per leaf chart at its own coordinates of ``x``,
-    assembled by :func:`_assembled`; the point is validated and R checked finite."""
-    chart.require_margin(x, 4 * FDConfig.h)
-    step = _steps()[0]
-    collapsed = np.flatnonzero(x + step == x - step)
-    if collapsed.size:
-        i = collapsed[0]
-        raise FDConfigError(
-            f"step h = {FDConfig.h:g} collapses the stencil: x[{i}] +/- {step:g} both round "
-            f"to x[{i}] = {x[i]:g}"
-        )
-    g, J, G, nJ, R = _assembled(chart, x, lambda leaf, y: next(_geometry(leaf, y[None])))
+    """The geometry at ``x``: one :func:`_leaf_geometry` per leaf chart at its own
+    coordinates of ``x``, assembled by :func:`_assembled`; the point is validated
+    and R checked finite."""
+    g, J, G, nJ, R = _assembled(chart, x, _leaf_geometry)
     return ChartGeometry(x, validate_point(g, J), CurvTensor(chart.n, R), G, nJ)
 
 
@@ -657,17 +591,31 @@ class NKIdentityReport:
     id_3_3: float
 
 
-def _fields(geometry: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    """R, S, S - S', tau, tau - tau' and nabla J on one batch of :func:`_geometry`,
-    after one validation of its (g, J) and a finiteness check of its R."""
-    g_Y, J_Y, _, nJ_Y, R_Y = geometry
-    violations = point_violations(g_Y, J_Y)
-    if violations:
-        raise PointValidationError(violations)
-    if not np.all(np.isfinite(R_Y)):
-        raise NonFiniteError("CurvTensor: components must be finite")
-    S_Y, Sp_Y, tau_Y, tau_p_Y, _ = _traces(_g_inv(g_Y), J_Y, R_Y)
-    return R_Y, S_Y, S_Y - Sp_Y, tau_Y, tau_Y - tau_p_Y, nJ_Y
+def _derivatives(leaf: ChartModel, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """dR, dS, d(S - S'), dtau, d(tau - tau') and d nabla J of the leaf chart
+    ``leaf`` at ``x``, derivative index first.
+
+    F = :func:`_pointwise` followed by ``_traces`` sends (g, dg, d2g, J, dJ) to
+    the six fields, so its derivative along b is Im F(g + ih d_b g, dg + ih d_b dg,
+    d2g + ih d_b d2g, J + ih d_b J, dJ + ih d_b dJ) / h with h = ``H_C``: one
+    complex step, its inputs read from one call of each field on its order-3 and
+    order-2 jets.  ``PASS_DIRECTIONS`` directions b go per pass; each direction's
+    result is, bit for bit, the one a pass of its own gives.
+    """
+    g, dg, d2g, d3g = _jets(leaf.metric_at, x, 3)
+    J, dJ, d2J = _jets(leaf.J_at, x, 2)
+    largest = np.abs(g).max()
+    if largest * H_C < np.finfo(float).tiny:
+        raise FloatingPointError(f"the metric (largest entry {largest:.3e}) is too small "
+                                 f"for the complex step {H_C:g}: its derivative underflows")
+    passes, lifts = [], ((g, dg), (dg, d2g), (d2g, d3g), (J, dJ), (dJ, d2J))
+    for b in range(0, leaf.n, PASS_DIRECTIONS):
+        step = [f + 1j * H_C * df[b : b + PASS_DIRECTIONS] for f, df in lifts]
+        _, nJ_b, R_b = _pointwise(*step)
+        S_b, Sp_b, tau_b, tau_p_b, _ = _traces(_g_inv(step[0]), step[3], R_b)
+        fields = (R_b, S_b, S_b - Sp_b, tau_b, tau_b - tau_p_b, nJ_b)
+        passes.append([f.imag / H_C for f in fields])
+    return tuple(map(np.concatenate, zip(*passes)))
 
 
 def nk_identity_suite(chart: ChartModel, geo: ChartGeometry) -> NKIdentityReport:
@@ -676,18 +624,14 @@ def nk_identity_suite(chart: ChartModel, geo: ChartGeometry) -> NKIdentityReport
     Each residual is scored by its full norm (see :class:`NKIdentityReport`).  If the
     chart itself fails the nearly Kahler condition beyond ``NK_THRESHOLD`` the
     dependent checks are aborted with :class:`NotNearlyKahlerError`.  The values
-    at x come from ``geo``.  The two real levels around x are one grid per leaf
-    chart: one :func:`_geometry` over the batches of the stencil of the leaf's
-    coordinates of x, one per step and sign, evaluates Gamma once per distinct
-    point of their stencils.  Each batch of (g, J) is validated in one pass, and
-    a non-finite R on it raises :class:`NonFiniteError`.  One finite-difference
-    pass per leaf differentiates its fields R, S, S - S', tau, tau - tau' and
-    nabla J on those batches, each as it is, and :func:`_assembled` builds a
-    product's derivatives from its leaves'.
+    at x come from ``geo``, validated there.  The derivatives of R, S, S - S',
+    tau, tau - tau' and nabla J come first, from :func:`_derivatives` per leaf
+    chart, so that a metric too small for their complex step is refused before
+    any residual is formed; :func:`_assembled` builds a product's from its leaves'.
     """
     x, point, G, nJ = geo.x, geo.point, geo.G, geo.nJ
-    chart.require_margin(x, 6 * FDConfig.h)
     g, gi, J, A, n = point.g, point.g_inv, point.J, geo.R.components, point.dim
+    dR, dS, dD, d_tau, d_tau_diff, dnJ = _assembled(chart, x, _derivatives)
 
     nJ_low = g @ nJ  # nJ_low[a, k, j] = g_{kq} (nabla_a J)^q_j
     nk = _norm(gi, 0.5 * (nJ_low + nJ_low.transpose(2, 1, 0)))
@@ -695,12 +639,9 @@ def nk_identity_suite(chart: ChartModel, geo: ChartGeometry) -> NKIdentityReport
         raise NotNearlyKahlerError(nk, NK_THRESHOLD)
 
     S, Sp, tau, tau_p, P = _traces(gi, J, A)
-    # g((nabla_a J) e_b, (nabla_c J) e_d) = (nabla_a J)^p_b (nabla_c J)_{pd}, one np.dot whose
-    # result is bound to no name, so that it is freed before the stencil pass below
+    # g((nabla_a J) e_b, (nabla_c J) e_d) = (nabla_a J)^p_b (nabla_c J)_{pd}, one np.dot
     id_1_1 = _norm(gi, A - P + np.dot(nJ.transpose(0, 2, 1).reshape(-1, n),
                                       nJ_low.transpose(1, 0, 2).reshape(n, -1)).reshape((n,) * 4))
-    dR, dS, dD, d_tau, d_tau_diff, dnJ = _assembled(
-        chart, x, lambda leaf, y: _difference(map(_fields, _geometry(leaf, _stencil(y)))))
 
     lhs_1_2 = 2.0 * np.einsum("abpc,pd->abcd", _covariant(G, nJ, dnJ, "lul"), g)
     RJ2 = _rotate(A, J, 1)  # R(X,JY,Z,U)

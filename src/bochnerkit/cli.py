@@ -7,7 +7,7 @@ Subcommands:
 * ``tensor <model> [--dump F]``  emit the model tensor bundle (curvature, its
                                  symmetrized companion, both corrected tensors,
                                  Ricci traces) as JSON
-* ``identities <chart> [--points N]``  finite-difference identity residuals
+* ``identities <chart> [--points N]``  identity residuals on a chart
 * ``scenario <id> [params]``     one verification scenario
 * ``all``                        the full scenario suite
 
@@ -131,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="also write the bare tensor document to PATH")
 
     p_ident = sub.add_parser("identities", parents=[sampled],
-                             help="finite-difference identity residuals on a chart")
+                             help="identity residuals on a chart")
     p_ident.add_argument("chart", help="chart descriptor, e.g. S6(1) or CP(3,4)")
     p_ident.add_argument("--points", type=_count, default=2, help="sampled points (default 2)")
 

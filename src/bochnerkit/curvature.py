@@ -249,7 +249,7 @@ def star(point: HermitianPoint, R: CurvTensor, sym_tol: float = TOL_ALG) -> Curv
         R*(JX, JY, Z, U) = R*(X, Y, Z, U),   R*(X, JX, JX, X) = R(X, JX, JX, X).
 
     ``sym_tol`` bounds the symmetry defects the input may carry (use a looser
-    value for finite-difference curvature).
+    value for a chart curvature).
     """
     _check_same_dim(point.dim, R.dim)
     require_curvature_class(R, sym_tol, "star()")

@@ -75,7 +75,7 @@ class UnknownScenarioError(InputError):
     """No scenario with the requested id."""
 
 
-# the symmetry and RK gate of a finite-difference chart curvature's traces
+# the symmetry and RK gate of a chart curvature's traces
 _CHART_SYM_TOL = 10.0 * FDConfig.tol_fd1
 # the three gates, as every report states them
 _TOLERANCES = {"tol_alg": TOL_ALG, "tol_fd1": FDConfig.tol_fd1, "tol_fd2": FDConfig.tol_fd2}
@@ -233,7 +233,7 @@ def _mixed_component_max(R: CurvTensor, n1: int) -> float:
 
 
 def _chart_b(geo) -> float:
-    """Norm of the corrected tensor of a finite-difference chart curvature."""
+    """Norm of the corrected tensor of a chart curvature."""
     return rk_bochner(geo.point, geo.R, sym_tol=_CHART_SYM_TOL, rk_tol=_CHART_SYM_TOL).norm
 
 

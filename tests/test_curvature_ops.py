@@ -519,8 +519,9 @@ def test_each_call_rotates_r_into_its_last_pair_once(monkeypatch):
         (lambda: ricci_family(point, R), 6),  # traces 2, _star 4
         (lambda: bochner.rk_bochner(point, R), 4),  # traces 2, then slots 0, 1 of P
         (lambda: run_scenario("thm31_s6"), 10),  # ricci_family 6, rk_bochner 4
-        # traces 2 and R(X,JY,Z,U) 1 at x, traces 2 on each of 4 stencil batches
-        (lambda: charts.nk_identity_suite(chart, geo), 11),
+        # traces 2 and R(X,JY,Z,U) 1 at x, traces 2 on each of the n / 2 = 3
+        # complex-step passes of two directions (11 on 4 stencil batches)
+        (lambda: charts.nk_identity_suite(chart, geo), 9),
     ):
         slots.clear()
         call()

@@ -284,24 +284,23 @@ def test_run_all_evaluates_each_chart_point_once(monkeypatch):
     assert scenarios.geometry_at is charts.geometry_at and not hasattr(scenarios, "_geometry")
     monkeypatch.setattr(charts, "geometry_at", None)
     points, at_x = [], []
-    geometry_at, geometry = scenarios.geometry_at, charts._geometry
+    geometry_at, geometry = scenarios.geometry_at, charts._leaf_geometry
 
     def counted(chart, x):
         points.append((chart.label, tuple(x)))
         return geometry_at(chart, x)
 
-    def counted_geometry(chart, C):
-        # the one centre x of geometry_at, on each leaf chart of its chart
-        if C.shape[:-1] == (1,):
-            at_x.append(C)
-        return geometry(chart, C)
+    def counted_geometry(chart, x):
+        # the geometry at x of each leaf chart of geometry_at's chart
+        at_x.append(x)
+        return geometry(chart, x)
 
     monkeypatch.setattr(scenarios, "geometry_at", counted)
-    monkeypatch.setattr(charts, "_geometry", counted_geometry)
+    monkeypatch.setattr(charts, "_leaf_geometry", counted_geometry)
     run_all(FAST)
     # one point each on CE(3), CD(3,-1), CP(3,1), S6(1) and the two products,
-    # whose 2 leaves each are evaluated at x once: 4 + 2 x 2 = 8 leaf centres;
-    # the suites on CE(3), CP(3,1) and S6(1) evaluate only their stencils
+    # whose 2 leaves each are evaluated at x once: 4 + 2 x 2 = 8 leaf points;
+    # the suites on CE(3), CP(3,1) and S6(1) take their own order-3 jets at x
     assert len(points) == len(set(points)) == 6 and len(at_x) == 8
     run_all(FAST)  # nothing carries over from the first run
     assert len(points) == 12 and len(at_x) == 16 and set(points[6:]) == set(points[:6])
@@ -327,11 +326,12 @@ def test_run_all_makes_a_fixed_number_of_metric_and_j_calls(monkeypatch):
     monkeypatch.setattr(scenarios, "make_chart", counted_chart)
     run_all(ScenarioParams(seed=7))
     # 9 chart points, 3 of them on products, whose geometry evaluates their
-    # factors' fields and never the product's wrapped ones; the other 6 at 2
-    # metric calls (their 4n + 1 <= 144 stencil points in one Gamma call) and 2
-    # J calls each; 3 suites at n = 6, whose unmerged grids of 4n + 16n^2 = 600
-    # points take 2 metric calls per MAX_DIM^2 = 144 of them, and 8 J calls:
-    # 12 + 3 x 2 x ceil(600 / 144) = 42 and 12 + 24 = 36.
+    # factors' fields and never the product's wrapped ones; the other 6 at 1
+    # metric call (its order-2 jets) and 1 J call (its order-1 jets) each; 3
+    # suites at n = 6, each at 1 metric call (its 56 order-3 jets) and 1 J call
+    # (its 21 order-2 jets): 6 + 3 = 9 and 6 + 3 = 9.
+    # 42 and 36 while Gamma was differenced on a two-level stencil grid in calls
+    # of at most MAX_DIM^2 = 144 points each,
     # 114 metric calls while Gamma calls held at most n^2 = 36 points, 120 and
     # 42 while the products evaluated their own fields, 210 metric calls
     # while each batch evaluated Gamma afresh on its own stencil, 240 and 120
@@ -339,9 +339,9 @@ def test_run_all_makes_a_fixed_number_of_metric_and_j_calls(monkeypatch):
     # thm32_models evaluated 3 points again and identities_cp took nabla^2 J
     # at its 2 points, 600 metric calls while Gamma took real differences of
     # g, 105 J calls while dJ took real differences
-    assert count == {"metric": 42, "J": 36}
+    assert count == {"metric": 9, "J": 9}
     run_all(ScenarioParams(seed=7))  # the second run repeats every evaluation
-    assert count == {"metric": 84, "J": 72}
+    assert count == {"metric": 18, "J": 18}
 
 
 def test_run_all_keeps_apart_charts_whose_labels_agree():
