@@ -706,6 +706,35 @@ def test_product_geometry_agrees_with_the_whole_product_chart(desc):
         assert max(abs(a - b) for a, b in residuals) <= 1e-7
 
 
+@pytest.mark.parametrize(
+    "desc", ["PRODUCT(CE(1),CE(1))", "PRODUCT(CD(1,-1),CP(2,1))",
+             "PRODUCT(PRODUCT(CD(1,-1),CD(1,-1)),S6(1))"],
+)
+def test_every_leaf_gamma_call_holds_1_to_n_squared_points(monkeypatch, desc):
+    """A product's leaves build Gamma (in ``_pointwise``) in calls of at most n^2
+    points, n = MAX_DIM = 12 the largest dimension, and never in an empty call,
+    down to 2-dimensional leaves in the smallest product (n = 4) and in a nested
+    one.  At x each leaf builds it once, at x alone; in the suite each leaf's n_f
+    complex-step points x + i h e_b go PASS_DIRECTIONS = 2 to a call, at every
+    seed: n_f / 2 calls, 1 for n_f = 2, 2 for n_f = 4 and 3 for n_f = 6."""
+    chart = make_chart(desc)
+    leaves = _leaves(chart)
+    calls, pointwise = [], charts._pointwise
+
+    def counted(g, *rest):
+        calls.append((int(np.prod(g.shape[:-2])), g.shape[-1]))
+        return pointwise(g, *rest)
+
+    monkeypatch.setattr(charts, "_pointwise", counted)
+    width = charts.PASS_DIRECTIONS
+    suite = [(width, leaf.n) for leaf in leaves for _ in range(leaf.n // width)]
+    for seed in (0, 7, 11):
+        calls.clear()
+        nk_identity_suite(chart, geometry_at(chart, chart.sample_points(seed, 1)[0]))
+        assert all(1 <= size <= charts.MAX_DIM**2 for size, _ in calls)
+        assert calls == [(1, leaf.n) for leaf in leaves] + suite
+
+
 _SCORED = [name for name in NKIdentityReport.GATES if name not in NKIdentityReport.MODEL_DEPENDENT]
 
 
@@ -742,6 +771,32 @@ def test_each_complex_step_direction_reads_the_same_bits_in_any_pass(monkeypatch
     assert default == 2
     for width in (1, chart.n):
         assert all(map(np.array_equal, fields[width], fields[default]))
+
+
+def test_suite_evaluates_curvature_once_per_stencil_point(monkeypatch):
+    """The suite's complex step reads the curvature on the n points x + i h e_b,
+    its stencil: R is built once per direction b, in order, PASS_DIRECTIONS = 2
+    to a call, so n / 2 = 3 calls of 2 on S6(1).  The metric there is g + i h
+    d_b g, bit for bit; R at x comes from the geometry, so x is no stencil point
+    and the suite never calls geometry_at."""
+    chart = make_chart("S6(1)")
+    x = chart.sample_points(25, 1)[0]
+    geo = geometry_at(chart, x)
+    g, dg = charts._jets(chart.metric_at, x, 3)[:2]
+    metrics, curvature = [], charts._curvature
+
+    def counted(g, G, dG):
+        metrics.append(g)
+        return curvature(g, G, dG)
+
+    monkeypatch.setattr(charts, "_curvature", counted)
+    monkeypatch.setattr(charts, "geometry_at", None)  # the suite never calls it
+    nk_identity_suite(chart, geo)
+    assert [m.shape for m in metrics] == [(charts.PASS_DIRECTIONS, chart.n, chart.n)] * 3
+    stencil = np.concatenate(metrics)
+    assert np.array_equal(stencil.real, np.broadcast_to(g, stencil.shape))
+    assert np.array_equal(stencil.imag, charts.H_C * dg)
+    assert np.all(np.any(stencil.imag != 0.0, axis=(-2, -1)))
 
 
 def _jet_field(x_at, edit):
