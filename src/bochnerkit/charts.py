@@ -1,11 +1,13 @@
 """Numerical differential geometry on concrete coordinate charts.
 
 Each model space is realized as a single chart with closed-form metric and
-almost complex structure fields.  Each leaf chart's fields are evaluated once at
-the point x with hyper-dual numbers (``_jet.Jet``), which gives g with its first,
-second and third coordinate derivatives and J with its first and second, all
-exact.  g, J, Gamma, nabla J and R at x follow from them in closed form.  The
-identity suite differentiates its fields R, S, S - S', tau, tau - tau' and
+almost complex structure fields.  ``geometry_at(chart, x)`` and
+``nk_identity_suite(chart, x)`` both take a chart and a point, and each
+evaluates each leaf chart's fields once at x with hyper-dual numbers
+(``_jet.Jet``): the geometry g with its first and second coordinate derivatives
+and J with its first, the suite g to third order and J to second, all exact.
+g, J, Gamma, nabla J and R at x follow from the lower coefficients in closed
+form.  The suite differentiates its fields R, S, S - S', tau, tau - tau' and
 nabla J by one complex step of that same per-point geometry, whose inputs are
 lifted exactly from the jets; no derivative is a finite difference.  A
 product's results are assembled from its leaves'.
@@ -43,7 +45,7 @@ from .curvature import (
     _block_diagonal, _g_inv, _ricci_identities, _rotate, _spans, _traces,
 )
 from ._jet import Jet
-from .multilinear import CurvTensor, InputError, NonFiniteError, _norm
+from .multilinear import CurvTensor, DimensionMismatchError, InputError, NonFiniteError, _norm
 from .octonion import cross_operator
 
 __all__ = [
@@ -505,8 +507,10 @@ def _assembled(chart: ChartModel, x: np.ndarray, leaf: Callable) -> tuple[np.nda
     is block-diagonal, so every field and every coordinate derivative of one is
     block-diagonal in all its axes: a factor's block does not move along the
     other factors' coordinates, and each factor is differentiated at its own
-    coordinates alone.
+    coordinates alone.  ``x`` must have the shape (n,) of ``chart``'s points.
     """
+    if (shape := np.shape(x)) != (chart.n,):
+        raise DimensionMismatchError(f"{chart.label} points have shape ({chart.n},), got {shape}")
     if not chart.factors:
         return leaf(chart, x)
     spans = _spans([f.n for f in chart.factors])
@@ -516,7 +520,7 @@ def _assembled(chart: ChartModel, x: np.ndarray, leaf: Callable) -> tuple[np.nda
 
 @dataclass(frozen=True)
 class ChartGeometry:
-    """The geometry at the chart point ``x``, from exact derivatives of the fields.
+    """The geometry at one chart point, from exact derivatives of the fields.
 
     ``point`` holds g and J, ``R`` the covariant curvature (antisymmetric in its
     first pair exactly by construction), ``G`` the connection coefficients
@@ -524,7 +528,6 @@ class ChartGeometry:
     construction) and ``nJ[a, k, j] = (nabla_a J)^k_j``.
     """
 
-    x: np.ndarray
     point: HermitianPoint
     R: CurvTensor
     G: np.ndarray
@@ -536,7 +539,7 @@ def geometry_at(chart: ChartModel, x: np.ndarray) -> ChartGeometry:
     coordinates of ``x``, assembled by :func:`_assembled`; the point is validated
     and R checked finite."""
     g, J, G, nJ, R = _assembled(chart, x, _leaf_geometry)
-    return ChartGeometry(x, validate_point(g, J), CurvTensor(chart.n, R), G, nJ)
+    return ChartGeometry(validate_point(g, J), CurvTensor(chart.n, R), G, nJ)
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +548,7 @@ def geometry_at(chart: ChartModel, x: np.ndarray) -> ChartGeometry:
 
 @dataclass(frozen=True)
 class NKIdentityReport:
-    """Residuals of the nearly Kahler identity catalog at the point of one
-    :class:`ChartGeometry`.
+    """Residuals of the nearly Kahler identity catalog at one chart point.
 
     Every residual except the absolute values ``id_1_5`` and ``id_3_3`` is the
     frame-invariant norm of its residual tensor, every slot raised by the
@@ -591,16 +593,19 @@ class NKIdentityReport:
     id_3_3: float
 
 
-def _derivatives(leaf: ChartModel, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """dR, dS, d(S - S'), dtau, d(tau - tau') and d nabla J of the leaf chart
-    ``leaf`` at ``x``, derivative index first.
+def _suite_fields(leaf: ChartModel, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """g, J, Gamma, nabla J and R of the leaf chart ``leaf`` at ``x``, then dR,
+    dS, d(S - S'), dtau, d(tau - tau') and d nabla J there, derivative index first.
 
+    Both come from one call of each field, on its order-3 and order-2 jets.
+    Gamma, nabla J and R are :func:`_pointwise` of their lower coefficients, so
+    the first five are bit for bit those of :func:`_leaf_geometry`.
     F = :func:`_pointwise` followed by ``_traces`` sends (g, dg, d2g, J, dJ) to
     the six fields, so its derivative along b is Im F(g + ih d_b g, dg + ih d_b dg,
     d2g + ih d_b d2g, J + ih d_b J, dJ + ih d_b dJ) / h with h = ``H_C``: one
-    complex step, its inputs read from one call of each field on its order-3 and
-    order-2 jets.  ``PASS_DIRECTIONS`` directions b go per pass; each direction's
-    result is, bit for bit, the one a pass of its own gives.
+    complex step, its inputs lifted from the same jets.  ``PASS_DIRECTIONS``
+    directions b go per pass; each direction's result is, bit for bit, the one a
+    pass of its own gives.
     """
     g, dg, d2g, d3g = _jets(leaf.metric_at, x, 3)
     J, dJ, d2J = _jets(leaf.J_at, x, 2)
@@ -615,23 +620,24 @@ def _derivatives(leaf: ChartModel, x: np.ndarray) -> tuple[np.ndarray, ...]:
         S_b, Sp_b, tau_b, tau_p_b, _ = _traces(_g_inv(step[0]), step[3], R_b)
         fields = (R_b, S_b, S_b - Sp_b, tau_b, tau_b - tau_p_b, nJ_b)
         passes.append([f.imag / H_C for f in fields])
-    return tuple(map(np.concatenate, zip(*passes)))
+    return (g, J, *_pointwise(g, dg, d2g, J, dJ), *map(np.concatenate, zip(*passes)))
 
 
-def nk_identity_suite(chart: ChartModel, geo: ChartGeometry) -> NKIdentityReport:
-    """Evaluate the nearly Kahler identity catalog at the point of ``geo``.
+def nk_identity_suite(chart: ChartModel, x: np.ndarray) -> NKIdentityReport:
+    """Evaluate the nearly Kahler identity catalog at the chart point ``x``.
 
     Each residual is scored by its full norm (see :class:`NKIdentityReport`).  If the
     chart itself fails the nearly Kahler condition beyond ``NK_THRESHOLD`` the
-    dependent checks are aborted with :class:`NotNearlyKahlerError`.  The values
-    at x come from ``geo``, validated there.  The derivatives of R, S, S - S',
-    tau, tau - tau' and nabla J come first, from :func:`_derivatives` per leaf
-    chart, so that a metric too small for their complex step is refused before
-    any residual is formed; :func:`_assembled` builds a product's from its leaves'.
+    dependent checks are aborted with :class:`NotNearlyKahlerError`.  g, J,
+    Gamma, nabla J and R at x and the derivatives of R, S, S - S', tau, tau - tau'
+    and nabla J come from :func:`_suite_fields` per leaf chart, which
+    refuses a metric too small for their complex step; :func:`_assembled` builds
+    a product's from its leaves'.  The point is then validated and R checked
+    finite, as :func:`geometry_at` does, before any residual is formed.
     """
-    x, point, G, nJ = geo.x, geo.point, geo.G, geo.nJ
-    g, gi, J, A, n = point.g, point.g_inv, point.J, geo.R.components, point.dim
-    dR, dS, dD, d_tau, d_tau_diff, dnJ = _assembled(chart, x, _derivatives)
+    g, J, G, nJ, R, dR, dS, dD, d_tau, d_tau_diff, dnJ = _assembled(chart, x, _suite_fields)
+    point, A = validate_point(g, J), CurvTensor(chart.n, R).components
+    g, gi, J, n = point.g, point.g_inv, point.J, point.dim
 
     nJ_low = g @ nJ  # nJ_low[a, k, j] = g_{kq} (nabla_a J)^q_j
     nk = _norm(gi, 0.5 * (nJ_low + nJ_low.transpose(2, 1, 0)))

@@ -32,7 +32,6 @@ from .charts import (
     ChartSpec,
     ChartSpecError,
     NKIdentityReport,
-    geometry_at,
     make_chart,
     nk_identity_suite,
     parse_model_spec,
@@ -255,7 +254,7 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
 
 def _cmd_identities(args: argparse.Namespace) -> int:
     chart = make_chart(args.chart)
-    suites = [nk_identity_suite(chart, geometry_at(chart, x)).__dict__
+    suites = [nk_identity_suite(chart, x).__dict__
               for x in chart.sample_points(args.seed, args.points)]
     residuals = {name: _worst(suite[name] for suite in suites) for name in suites[0]}
     gates = {name: gate for name, gate in NKIdentityReport.GATES.items()

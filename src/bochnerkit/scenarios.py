@@ -311,11 +311,10 @@ def _chart_points(p: ScenarioParams, desc: str, count: int, table: dict) -> tupl
 
 
 def _suite(p: ScenarioParams, desc: str, table: dict) -> NKIdentityReport:
-    """The suite at the first sample point of ``desc``, from that point's geometry
-    in ``table``, kept in ``table`` by descriptor."""
+    """The suite at the first sample point of ``desc``, kept in ``table`` by descriptor."""
     if desc not in table:
-        chart, [geo] = _chart_points(p, desc, 1, table)
-        table[desc] = nk_identity_suite(chart, geo)
+        chart = make_chart(desc)
+        table[desc] = nk_identity_suite(chart, chart.sample_points(p.seed, 1)[0])
     return table[desc]
 
 
@@ -422,7 +421,7 @@ _CHECKS: dict[str, dict[str, tuple[bool, float, str]]] = {
         "bstar_vanishes": (False, TOL_ALG, "the product pairs opposite constant holomorphic "
                            "curvatures, so the trace-free symmetrized tensor vanishes"),
         "chart_b_vanishes": (False, FDConfig.tol_fd2, "the corrected curvature also vanishes for "
-                             "the finite-difference product chart"),
+                             "the exact-derivative product chart"),
         "chart_mixed_components": (False, FDConfig.tol_fd1, "product curvature has no mixed "
                                    "components"),
         "chart_id_3_2": (True, _GATES["id_3_2"], "the Ricci difference of the product is not a "
@@ -439,7 +438,7 @@ _CHECKS: dict[str, dict[str, tuple[bool, float, str]]] = {
     "thm32_models": {
         "b_*": (False, TOL_ALG,
                 "constant-scalar-curvature model has vanishing corrected curvature"),
-        "chart_b_*": (False, FDConfig.tol_fd2, "the finite-difference chart agrees"),
+        "chart_b_*": (False, FDConfig.tol_fd2, "the exact-derivative chart agrees"),
     },
     "cor33_spotcheck": {
         "b_*": (False, TOL_ALG, "a space of constant antiholomorphic sectional curvature has "
@@ -449,7 +448,7 @@ _CHECKS: dict[str, dict[str, tuple[bool, float, str]]] = {
                             "which vanishes on them"),
     },
     "identities_s6": {
-        "chart_curvature_matches_model": (False, FDConfig.tol_fd2, "finite-difference curvature of "
+        "chart_curvature_matches_model": (False, FDConfig.tol_fd2, "exact-derivative curvature of "
                                           "the round six-sphere chart matches the "
                                           "constant-curvature tensor"),
         "chart_nk": (False, _GATES["nk"], "the chart is nearly Kahler"),
@@ -465,7 +464,7 @@ _CHECKS: dict[str, dict[str, tuple[bool, float, str]]] = {
         "chart_id_3_3": (False, _GATES["id_3_3"], "the scalar traces sit in the 5:1 ratio"),
     },
     "identities_cp": {
-        "chart_curvature_matches_model": (False, FDConfig.tol_fd2, "finite-difference curvature "
+        "chart_curvature_matches_model": (False, FDConfig.tol_fd2, "exact-derivative curvature "
                                           "matches the constant holomorphic curvature tensor"),
         "chart_nabla_j": (False, FDConfig.tol_fd1, "the chart is Kahler: nabla J vanishes"),
         "chart_nk": (False, _GATES["nk"], "Kahler charts are nearly Kahler"),

@@ -76,15 +76,16 @@ def leaf_derivatives(chart, x, h=H):
 def geometry(chart, x, h=H):
     """The oracle's :class:`charts.ChartGeometry` at ``x``; products assembled."""
     g, J, G, nJ, R = charts._assembled(chart, x, lambda leaf, y: leaf_geometry(leaf, y, h))
-    return charts.ChartGeometry(x, validate_point(g, J), CurvTensor(chart.n, R), G, nJ)
+    return charts.ChartGeometry(validate_point(g, J), CurvTensor(chart.n, R), G, nJ)
 
 
 def suite(chart, x, h=H):
     """The identity catalog at ``x`` from the oracle's geometry and derivatives,
     scored by the package's own residual formulas."""
-    exact = charts._derivatives
-    charts._derivatives = lambda leaf, y: leaf_derivatives(leaf, y, h)
+    exact = charts._suite_fields
+    charts._suite_fields = lambda leaf, y: (
+        *leaf_geometry(leaf, y, h), *leaf_derivatives(leaf, y, h))
     try:
-        return charts.nk_identity_suite(chart, geometry(chart, x, h))
+        return charts.nk_identity_suite(chart, x)
     finally:
-        charts._derivatives = exact
+        charts._suite_fields = exact

@@ -138,7 +138,8 @@ def test_criterion_5_chart_level_geometry():
         )
     assert worst_rel < TOL_FD2
 
-    geo = geometry_at(chart, chart.sample_points(7, 1)[0])
+    x = chart.sample_points(7, 1)[0]
+    geo = geometry_at(chart, x)
     g, nJ = geo.point.g, geo.nJ
     rng = np.random.default_rng(7)
     nk_defect, off_diag = 0.0, 0.0
@@ -153,7 +154,7 @@ def test_criterion_5_chart_level_geometry():
     assert nk_defect < TOL_FD1
     assert off_diag > 0.1
 
-    suite = nk_identity_suite(chart, geo)
+    suite = nk_identity_suite(chart, x)
     assert suite.id_1_1 < TOL_FD2
     assert suite.id_1_2 < TOL_FD2
     assert suite.id_1_3 < TOL_FD2
@@ -232,7 +233,7 @@ def test_criterion_7_reconstruction_and_convergence(ref_rhs_2_1):
     residuals = [fd_reference.suite(chart, x, h).id_1_1 for h in (2e-3, 1e-3)]
     ratio = residuals[0] / residuals[1]
     assert ratio >= 12.0  # fourth order: 16 in exact arithmetic
-    exact = nk_identity_suite(chart, geometry_at(chart, x)).id_1_1
+    exact = nk_identity_suite(chart, x).id_1_1
     assert exact <= 1e-13
     _report(
         "criterion 7",

@@ -232,7 +232,7 @@ def test_a_non_finite_defect_is_reported_as_a_string(monkeypatch, tmp_path):
     assert json.loads(text)["status"] == "fail"
     suite = cli.nk_identity_suite
     monkeypatch.setattr(cli, "nk_identity_suite",
-                        lambda chart, geo: dataclasses.replace(suite(chart, geo), nk=math.inf))
+                        lambda chart, x: dataclasses.replace(suite(chart, x), nk=math.inf))
     assert cli_dispatch(["identities", "CE(1)", "--points", "1", "--json", str(out)]) == 1
     assert json.loads(out.read_text())["residuals"]["nk"] == "inf"
 
@@ -249,8 +249,8 @@ def test_identities_fail_on_a_nan_residual_at_a_later_point(monkeypatch, capsys)
     first point's number."""
     reports, suite = [], cli.nk_identity_suite
 
-    def second_nan(chart, geo):
-        report = suite(chart, geo)
+    def second_nan(chart, x):
+        report = suite(chart, x)
         reports.append(report)
         return dataclasses.replace(report, nk=math.nan) if len(reports) == 2 else report
 
@@ -277,6 +277,46 @@ def test_identities_pass_on_valid_models(argv, tmp_path, capsys):
     assert payload["status"] == "pass"
     assert payload["residuals"]["id_1_3"] <= FDConfig.tol_fd2
     assert payload["residuals"]["id_1_4"] <= FDConfig.tol_fd2
+
+
+@pytest.mark.parametrize("desc, points", [("CP(3,1)", 3), ("PRODUCT(CD(1,-1),S6(1))", 2)])
+def test_identities_evaluates_each_leaf_field_once_per_point(monkeypatch, desc, points):
+    """``identities X --points P`` calls each leaf chart's metric and J P times:
+    the suite at each point evaluates each field once, and no geometry is
+    evaluated beside it (2P each while the CLI passed the suite a geometry_at)."""
+    calls, build = [], cli.make_chart
+
+    def counted(chart):
+        if chart.factors:
+            return dataclasses.replace(chart, factors=tuple(map(counted, chart.factors)))
+
+        def field(name):
+            return lambda X: calls.append((chart.label, name)) or getattr(chart, name)(X)
+
+        return dataclasses.replace(chart, metric_at=field("metric_at"), J_at=field("J_at"))
+
+    monkeypatch.setattr(cli, "make_chart", lambda text: counted(build(text)))
+    assert cli_dispatch(["identities", desc, "--points", str(points), "--quiet"]) == 0
+    leaves = {label for label, _ in calls}
+    assert len(leaves) == len(parse_model_spec(desc).factors or [desc])
+    for leaf in leaves:
+        assert calls.count((leaf, "metric_at")) == calls.count((leaf, "J_at")) == points
+
+
+def test_identities_and_the_s6_scenario_read_the_same_bits(tmp_path):
+    """``identities 'S6(1)' --points 1 --seed 7`` and ``scenario identities_s6
+    --seed 7`` evaluate the suite at the same first sample point, so the seven
+    residuals they share are equal in every bit."""
+    ident, scen = tmp_path / "identities.json", tmp_path / "scenario.json"
+    assert cli_dispatch(["identities", "S6(1)", "--points", "1", "--seed", "7", "--quiet",
+                         "--json", str(ident)]) == 0
+    assert cli_dispatch(["scenario", "identities_s6", "--seed", "7", "--quiet",
+                         "--json", str(scen)]) == 0
+    residuals = json.loads(ident.read_text())["residuals"]
+    defects = {c["name"]: c["defect"] for c in json.loads(scen.read_text())["checks"]}
+    shared = ("nk", "id_1_1", "id_1_2", "id_1_3", "id_1_5", "id_3_2", "id_3_3")
+    assert [residuals[r] for r in shared] == [defects[f"chart_{r}"] for r in shared]
+    assert any(residuals[r] != 0.0 for r in shared)
 
 
 def test_identities_bad_chart(capsys):

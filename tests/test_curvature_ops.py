@@ -506,7 +506,7 @@ def test_each_call_rotates_r_into_its_last_pair_once(monkeypatch):
     ``rk_bochner``; a second trace-and-star pass beside them cost 18."""
     point, R, _ = make_model("PRODUCT(CD(1,-1),CP(3,1))")
     chart = charts.make_chart("CP(3,1)")
-    geo = charts.geometry_at(chart, chart.sample_points(7, 1)[0])
+    x = chart.sample_points(7, 1)[0]
     slots, rotate = [], curvature._rotate
 
     def counted(A, J, *rotated):
@@ -521,7 +521,7 @@ def test_each_call_rotates_r_into_its_last_pair_once(monkeypatch):
         (lambda: run_scenario("thm31_s6"), 10),  # ricci_family 6, rk_bochner 4
         # traces 2 and R(X,JY,Z,U) 1 at x, traces 2 on each of the n / 2 = 3
         # complex-step passes of two directions (11 on 4 stencil batches)
-        (lambda: charts.nk_identity_suite(chart, geo), 9),
+        (lambda: charts.nk_identity_suite(chart, x), 9),
     ):
         slots.clear()
         call()

@@ -278,9 +278,9 @@ def test_run_all_reports_equal_single_scenario_runs(monkeypatch):
 
 
 def test_run_all_evaluates_each_chart_point_once(monkeypatch):
-    # thm31_product, thm32_models, identities_s6, identities_cp and the three
-    # suites read the geometry from the run's table; the scenarios reach the
-    # chart geometry only through geometry_at
+    # thm31_product, thm32_models, identities_s6 and identities_cp read the
+    # geometry from the run's table, and the three suites evaluate none; the
+    # scenarios reach the chart geometry only through geometry_at
     assert scenarios.geometry_at is charts.geometry_at and not hasattr(scenarios, "_geometry")
     monkeypatch.setattr(charts, "geometry_at", None)
     points, at_x = [], []
@@ -301,6 +301,7 @@ def test_run_all_evaluates_each_chart_point_once(monkeypatch):
     # one point each on CE(3), CD(3,-1), CP(3,1), S6(1) and the two products,
     # whose 2 leaves each are evaluated at x once: 4 + 2 x 2 = 8 leaf points;
     # the suites on CE(3), CP(3,1) and S6(1) take their own order-3 jets at x
+    # and build their geometry there from them
     assert len(points) == len(set(points)) == 6 and len(at_x) == 8
     run_all(FAST)  # nothing carries over from the first run
     assert len(points) == 12 and len(at_x) == 16 and set(points[6:]) == set(points[:6])

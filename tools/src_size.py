@@ -1,5 +1,6 @@
-"""Print the size of src/bochnerkit: its `wc -l` total, its code lines, and
-the public names that neither the package nor the benchmark uses.
+"""Print the size of src/bochnerkit: its `wc -l` total, its code lines, the
+code lines of each module, and the public names that neither the package nor
+the benchmark uses.
 
 A code line holds a token that is not a comment and lies outside every
 docstring.  A public name is an entry of a module's ``__all__``; it counts as
@@ -23,8 +24,8 @@ def names_read(tree: ast.AST) -> set:
             | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
 
 
-lines = code = 0
-public, used = [], set()
+lines = 0
+public, used, per_module = [], set(), {}
 for path in sorted((ROOT / "perfbench").glob("*.py")):
     used |= names_read(ast.parse(path.read_text()))
 for path in sorted(SRC.glob("*.py")):
@@ -43,7 +44,10 @@ for path in sorted(SRC.glob("*.py")):
                 docstrings.update(range(doc.lineno, doc.end_lineno + 1))
     with path.open("rb") as f:
         tokens = [t for t in tokenize.tokenize(f.readline) if t.type not in SKIP]
-    code += len({n for t in tokens for n in range(t.start[0], t.end[0] + 1)} - docstrings)
+    per_module[path.name] = len({n for t in tokens for n in range(t.start[0], t.end[0] + 1)}
+                                - docstrings)
 print(f"lines {lines}")
-print(f"code_lines {code}")
+print(f"code_lines {sum(per_module.values())}")
+for name, count in per_module.items():
+    print(f"code_lines {name} {count}")
 print("unreferenced_public", *(f"{mod}.{name}" for mod, name in public if name not in used))
