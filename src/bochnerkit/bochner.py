@@ -32,6 +32,7 @@ from .multilinear import (
     TOL_ALG,
     CurvTensor,
     InputError,
+    _bound,
     _check_same_dim,
     _frozen_array,
     invariant_norm,
@@ -121,7 +122,10 @@ def rk_bochner(
 
     which is how it is evaluated.
 
-    Refuses non-RK input beyond ``rk_tol``; within it the J-twisted trace is symmetrized.
+    Refuses input that is not curvature-class within max(``sym_tol``, ``rk_tol``),
+    or not RK within ``rk_tol``, both relative to max|R|
+    (:func:`~bochnerkit.multilinear._bound`); within them the J-twisted trace is
+    symmetrized.
     """
     _check_same_dim(point.dim, R.dim)
     m = point.m
@@ -133,8 +137,9 @@ def rk_bochner(
     A, J = R.components, point.J
     S, Sp, tau, tau_p, P = _traces(point.g_inv, J, A)
     rk_defect = float(np.max(np.abs(A - _rotate(P, J, 0, 1))))
-    if rk_defect > rk_tol:
-        raise NotRKError(rk_defect, rk_tol)
+    rk_bound = _bound(rk_tol, float(np.max(np.abs(A))))
+    if rk_defect > rk_bound:
+        raise NotRKError(rk_defect, rk_bound)
 
     S, Sp = 0.5 * (S + S.T), 0.5 * (Sp + Sp.T)
     Sa, Sb = S + 3.0 * Sp, S - Sp
@@ -166,7 +171,8 @@ def nk_flat_form_3_4(point: HermitianPoint, S: np.ndarray, tau: float) -> CurvTe
 
     Evaluated as phi(Q1) + psi(Q2), Q1 = a S + (3c - b)/2 g and
     Q2 = a S - (b + c)/2 g, with a, b and c the three prefactors above.  ``S``
-    must be symmetric to ``TOL_ALG``; otherwise this raises :class:`SymmetryError`.
+    must be symmetric to ``TOL_ALG`` relative to max|S|; otherwise this raises
+    :class:`SymmetryError`.
     """
     S = _symmetrized(_frozen_array(S, point.g.shape, "nk_flat_form_3_4() S"), TOL_ALG, "S")
     m = point.m

@@ -63,9 +63,10 @@ __all__ = [
 ]
 
 
-# largest real dimension; TOL_ALG holds up to here for unit-scale orthonormal
-# points only: rk_bochner(rk_project(R)) of a random_curvature_tensor rejects 7,
-# 12 and 22 of 40 random_hermitian_point seeds at n = 8, 10 and 12 (ROADMAP item 6)
+# largest real dimension; TOL_ALG holds up to here for well-conditioned points
+# only: rk_bochner(rk_project(R)) of a random_curvature_tensor rejects 2 and 6
+# of 40 random_hermitian_point seeds at n = 10 and 12, where J^4 amplifies the
+# rounding of the projection beyond max|R| (ROADMAP item 6)
 MAX_DIM = 12
 H_C = 1e-30  # complex step of the identity suite's derivatives of the per-point geometry
 PASS_DIRECTIONS = 2  # directions per complex-step pass: bounds the memory of its arrays

@@ -29,6 +29,7 @@ from .multilinear import (
     DimensionMismatchError,
     InputError,
     SymmetryError,
+    _bound,
     _check_same_dim,
     _frozen_array,
     _inner,
@@ -140,8 +141,12 @@ def flat_point(dim: int) -> HermitianPoint:
 def point_violations(g, J, tol: float = TOL_ALG) -> list[Violation]:
     """Check all Hermitian-point invariants; return every violation found.
 
+    Each defect is gated by :func:`~bochnerkit.multilinear._bound` at the
+    magnitude of the terms it compares: max|g| for the metric's symmetry,
+    max|J|^2 for J^2 + I and max|g| max|J|^2 for Hermitian compatibility.
     ``g`` and ``J`` are square arrays that may share leading batch axes; each
-    violation then reports the worst defect over the batch.
+    violation then reports the worst defect over the batch, gated at the
+    batch's magnitudes.
     """
     g_arr = np.asarray(g, dtype=float)
     J_arr = np.asarray(J, dtype=float)
@@ -160,13 +165,14 @@ def point_violations(g, J, tol: float = TOL_ALG) -> list[Violation]:
     if n % 2:
         violations.append(Violation("even dimension", float(n % 2)))
 
+    g_max, J_max2 = float(np.max(np.abs(g_arr))), float(np.max(np.abs(J_arr))) ** 2
     g_t = np.swapaxes(g_arr, -1, -2)
     sym_defect = float(np.max(np.abs(g_arr - g_t)))
-    if sym_defect > tol:
+    if sym_defect > _bound(tol, g_max):
         violations.append(Violation("metric symmetry", sym_defect))
 
     j_defect = float(np.max(np.abs(J_arr @ J_arr + np.eye(n))))
-    if j_defect > tol:
+    if j_defect > _bound(tol, J_max2):
         violations.append(Violation("J squares to -identity", j_defect))
 
     try:
@@ -176,7 +182,7 @@ def point_violations(g, J, tol: float = TOL_ALG) -> list[Violation]:
         violations.append(Violation("metric positive definite", abs(min(min_eig, 0.0))))
 
     compat_defect = float(np.max(np.abs(np.swapaxes(J_arr, -1, -2) @ g_arr @ J_arr - g_arr)))
-    if compat_defect > tol:
+    if compat_defect > _bound(tol, g_max * J_max2):
         violations.append(Violation("Hermitian compatibility g(JX,JY)=g(X,Y)", compat_defect))
 
     return violations
@@ -248,8 +254,8 @@ def star(point: HermitianPoint, R: CurvTensor, sym_tol: float = TOL_ALG) -> Curv
 
         R*(JX, JY, Z, U) = R*(X, Y, Z, U),   R*(X, JX, JX, X) = R(X, JX, JX, X).
 
-    ``sym_tol`` bounds the symmetry defects the input may carry (use a looser
-    value for a chart curvature).
+    The input must be curvature-class within ``sym_tol`` relative to max|R|
+    (:func:`~bochnerkit.multilinear.require_curvature_class`).
     """
     _check_same_dim(point.dim, R.dim)
     require_curvature_class(R, sym_tol, "star()")
@@ -325,8 +331,10 @@ def _ricci_identities(point: HermitianPoint, S, Sp, tau, tau_p) -> tuple[float, 
 
 
 def _symmetrized(Q: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """The symmetric part of the form ``Q``, whose asymmetry must be within
+    ``tol`` relative to max|Q| (:func:`~bochnerkit.multilinear._bound`)."""
     asym = float(np.max(np.abs(Q - Q.T)))
-    if asym > tol:
+    if asym > _bound(tol, float(np.max(np.abs(Q)))):
         raise SymmetryError(f"{what} is not symmetric", asym)
     return 0.5 * (Q + Q.T)
 
@@ -339,7 +347,9 @@ def ricci_family(
     The J-twisted trace is symmetric for every tensor invariant under the
     simultaneous J-rotation of all four slots (and for all model tensors);
     outside that class it can be genuinely asymmetric, in which case this
-    raises :class:`SymmetryError` rather than silently symmetrizing.
+    raises :class:`SymmetryError` rather than silently symmetrizing.  ``R``
+    must be curvature-class within ``sym_tol`` relative to max|R|, and each
+    trace symmetric within ``sym_tol`` relative to its own largest entry.
     """
     _check_same_dim(point.dim, R.dim)
     require_curvature_class(R, sym_tol, "ricci_family()")
@@ -428,22 +438,18 @@ def random_hermitian_point(dim: int, seed: int) -> HermitianPoint:
 
     Conjugating the flat data (identity metric, block J) by a random invertible
     matrix M gives g = M^-T M^-1 and J = M J0 M^-1, which satisfy every point
-    invariant exactly.
+    invariant exactly.  Their rounding grows with cond M, which the determinant
+    guard does not bound, but so do the magnitudes of g and J that scale the
+    gates of :func:`point_violations`, so an ill-conditioned draw passes.
     """
     rng = np.random.default_rng(seed)
-    J0 = standard_J(dim)
     while True:
         M = np.eye(dim) + 0.3 * rng.standard_normal((dim, dim))
-        if abs(np.linalg.det(M)) <= 0.1:
-            continue
-        # a bounded determinant does not bound the condition number, so an
-        # ill-conditioned draw can still miss the tolerance: draw again
-        M_inv = np.linalg.inv(M)
-        g = M_inv.T @ M_inv
-        try:
-            return validate_point(0.5 * (g + g.T), M @ J0 @ M_inv, tol=1e-9)
-        except PointValidationError:
-            continue
+        if abs(np.linalg.det(M)) > 0.1:
+            break
+    M_inv = np.linalg.inv(M)
+    g = M_inv.T @ M_inv
+    return validate_point(0.5 * (g + g.T), M @ standard_J(dim) @ M_inv)
 
 
 def random_curvature_tensor(dim: int, seed: int) -> CurvTensor:

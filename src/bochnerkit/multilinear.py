@@ -149,8 +149,19 @@ def invariant_norm(point, T: CurvTensor) -> float:
     return _norm(point.g_inv, T.components)
 
 
+def _bound(tol: float, scale: float) -> float:
+    """The one rule of every input gate: a defect passes when it is at most
+    ``tol * max(1, scale)``, where ``scale`` is the magnitude of the terms the
+    defect compares.  Rounding grows with that magnitude, so the gate follows a
+    scaled input; the factor is never below 1, so every defect within ``tol``
+    still passes."""
+    return tol * max(1.0, scale)
+
+
 def require_curvature_class(T: CurvTensor, tol: float = TOL_ALG, what: str = "input") -> None:
-    """Raise :class:`SymmetryError` unless ``T.symmetry_defect`` is within ``tol``."""
-    if T.symmetry_defect > tol:
-        raise SymmetryError(f"{what} is not curvature-class at tolerance {tol:.1e}",
+    """Raise :class:`SymmetryError` unless ``T.symmetry_defect`` is within
+    ``tol * max(1, max|T|)`` (:func:`_bound`)."""
+    bound = _bound(tol, float(np.max(np.abs(T.components))))
+    if T.symmetry_defect > bound:
+        raise SymmetryError(f"{what} is not curvature-class at tolerance {bound:.1e}",
                             T.symmetry_defect)

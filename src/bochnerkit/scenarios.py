@@ -75,8 +75,6 @@ class UnknownScenarioError(InputError):
     """No scenario with the requested id."""
 
 
-# the symmetry and RK gate of a chart curvature's traces
-_CHART_SYM_TOL = 10.0 * FDConfig.tol_fd1
 # the three gates, as every report states them
 _TOLERANCES = {"tol_alg": TOL_ALG, "tol_fd1": FDConfig.tol_fd1, "tol_fd2": FDConfig.tol_fd2}
 
@@ -232,11 +230,6 @@ def _mixed_component_max(R: CurvTensor, n1: int) -> float:
     return float(np.max(np.abs(inside)))
 
 
-def _chart_b(geo) -> float:
-    """Norm of the corrected tensor of a chart curvature."""
-    return rk_bochner(geo.point, geo.R, sym_tol=_CHART_SYM_TOL, rk_tol=_CHART_SYM_TOL).norm
-
-
 def _thm31_product(p: ScenarioParams, table: dict) -> dict[str, float]:
     desc = f"PRODUCT(CD(1,{-p.c!r}),S6({p.c!r}))"
     point, R, _ = make_model(desc)
@@ -247,7 +240,7 @@ def _thm31_product(p: ScenarioParams, table: dict) -> dict[str, float]:
     traces = _traces(point0.g_inv, point0.J, R0.components)[:4]
     return {
         **defects,
-        "chart_b_vanishes": _worst(_chart_b(geo) for geo in geometries),
+        "chart_b_vanishes": _worst(rk_bochner(geo.point, geo.R).norm for geo in geometries),
         "chart_mixed_components": _worst(_mixed_component_max(geo.R, 2) for geo in geometries),
         "chart_id_3_2": _ricci_identities(point0, *traces)[1],
     }
@@ -282,7 +275,7 @@ def _thm32_models(p: ScenarioParams, table: dict) -> dict[str, float]:
         point, R, label = make_model(desc)
         defects[f"b_{label}"] = rk_bochner(point, R).norm
         _, [geo] = _chart_points(p, desc, 1, table)
-        defects[f"chart_b_{label}"] = _chart_b(geo)
+        defects[f"chart_b_{label}"] = rk_bochner(geo.point, geo.R).norm
     return defects
 
 
@@ -348,7 +341,7 @@ def _identities_cp(p: ScenarioParams, table: dict) -> dict[str, float]:
         # full norm of nabla J, its upper index lowered
         "chart_nabla_j": _worst(_norm(geo.point.g_inv, geo.point.g @ geo.nJ) for geo in geometries),
     }
-    fam = ricci_family(geometries[0].point, geometries[0].R, sym_tol=_CHART_SYM_TOL)
+    fam = ricci_family(geometries[0].point, geometries[0].R)
     suite = _suite(p, desc, table)
     for r in ("nk", "id_1_1", "id_1_2", "id_1_3", "id_1_5", "id_3_2"):
         defects[f"chart_{r}"] = getattr(suite, r)

@@ -199,10 +199,7 @@ def test_criterion_6_model_sweep():
         x = chart.sample_points(7, 1)[0]
         geo = geometry_at(chart, x)
         fd_point, fd_R = geo.point, geo.R
-        worst_chart = max(
-            worst_chart,
-            rk_bochner(fd_point, fd_R, sym_tol=1e-5, rk_tol=1e-5).norm,
-        )
+        worst_chart = max(worst_chart, rk_bochner(fd_point, fd_R).norm)
     assert worst_alg < TOL_ALG
     assert worst_chart < TOL_FD2
     _report(

@@ -179,7 +179,7 @@ def test_b_traces_vanish_on_models():
     cases.append(make_model("PRODUCT(CD(1,-1),S6(1))")[:2])
     for point, R in cases:
         out = rk_bochner(point, R)
-        fam = ricci_family(point, out.tensor, sym_tol=1e-9)
+        fam = ricci_family(point, out.tensor)
         assert _norm(point.g_inv, fam.S) < 1e-10
         assert _norm(point.g_inv, fam.S_prime) < 1e-10
         assert abs(fam.tau) < 1e-10 and abs(fam.tau_prime) < 1e-10 and abs(fam.tau_star) < 1e-10
@@ -206,7 +206,7 @@ def test_b_linear_on_rk_tensors(a, b):
     R1 = rk_project(point, random_curvature_tensor(6, 71))
     R2 = rk_project(point, random_curvature_tensor(6, 72))
     combo = CurvTensor(6, a * R1.components + b * R2.components)
-    lhs = rk_bochner(point, combo, rk_tol=1e-9).tensor.components
+    lhs = rk_bochner(point, combo).tensor.components
     rhs = (
         a * rk_bochner(point, R1).tensor.components
         + b * rk_bochner(point, R2).tensor.components
@@ -346,19 +346,19 @@ def _pi(point):
     return _phi_psi(point, 0.5 * point.g)
 
 
-def _ref_generalized(point, R, sym_tol):
+def _ref_generalized(point, R):
     """B* = R* - (phi + psi)(S*) / (2(m+2)) + tau* (pi1 + pi2) / (4(m+1)(m+2)), term by term."""
     m = point.m
-    fam = ricci_family(point, R, sym_tol)
+    fam = ricci_family(point, R)
     phi, psi = _phi_psi(point, fam.S_star)
     pi1, pi2 = _pi(point)
     c_ricci = 1.0 / (2.0 * (m + 2))
     c_scalar = fam.tau_star / (4.0 * (m + 1) * (m + 2))
-    B = star(point, R, sym_tol).components - c_ricci * (phi + psi) + c_scalar * (pi1 + pi2)
+    B = star(point, R).components - c_ricci * (phi + psi) + c_scalar * (pi1 + pi2)
     return B, {"ricci_correction": c_ricci, "scalar_correction": c_scalar}
 
 
-def _ref_rk(point, R, sym_tol):
+def _ref_rk(point, R):
     """The five-term formula of ``rk_bochner``, term by term; the J-twisted
     trace is symmetrized whatever its asymmetry, as ``rk_bochner`` does within
     its ``rk_tol``."""
@@ -400,27 +400,26 @@ def _ref_flat_form(point, S, tau):
 
 
 def _kappa(point, R):
-    """Largest term a J-rotation of all four slots of R can produce."""
+    """Largest term a J-rotation of all four slots of R can produce: the scale of
+    the rounding that separates a fold from its term-by-term formula."""
     return np.max(np.abs(R.components)) * max(1.0, float(np.max(np.abs(point.J)))) ** 4
 
 
 def _assert_folds_match(point, R, rk_input=True):
-    kappa = _kappa(point, R)
-    tol = TOL_ALG * kappa
-    bound = 1e-13 * kappa
+    bound = 1e-13 * _kappa(point, R)
 
     def close(a, b):
         assert np.max(np.abs(a.components - b)) <= bound
 
     if rk_input:
-        out = generalized_bochner(point, R, sym_tol=tol)
-        ref, coefficients = _ref_generalized(point, R, tol)
+        out = generalized_bochner(point, R)
+        ref, coefficients = _ref_generalized(point, R)
         close(out.tensor, ref)
         assert out.coefficients_used == coefficients
     if point.m > 2:
         # off the RK domain, an unbounded rk_tol lets the formula run
-        out = rk_bochner(point, R, sym_tol=tol, rk_tol=tol if rk_input else np.inf)
-        ref, coefficients = _ref_rk(point, R, tol)
+        out = rk_bochner(point, R) if rk_input else rk_bochner(point, R, rk_tol=np.inf)
+        ref, coefficients = _ref_rk(point, R)
         close(out.tensor, ref)
         assert out.coefficients_used == coefficients
         fam = ricci_family(point, R, sym_tol=np.inf)

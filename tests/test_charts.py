@@ -430,8 +430,8 @@ def test_s6_curvature_is_rk_and_star_related():
     geo = geometry_at(chart, x)
     point, R = geo.point, geo.R
     tol = FDConfig.tol_fd2
-    rk_bochner(point, R, sym_tol=tol, rk_tol=tol)  # raises NotRKError beyond tol from RK
-    fam = ricci_family(point, R, sym_tol=tol)
+    rk_bochner(point, R)  # raises NotRKError off the RK class
+    fam = ricci_family(point, R)
     star_relation = 4.0 * fam.S_star - (fam.S + 3.0 * fam.S_prime)
     assert _norm(point.g_inv, star_relation) < tol
 

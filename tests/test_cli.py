@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -224,7 +225,7 @@ def test_identities_chart(tmp_path, capsys):
 def test_a_non_finite_defect_is_reported_as_a_string(monkeypatch, tmp_path):
     """Canonical JSON has no NaN or infinity, so a report writes them as text
     and keeps its verdict; a NaN used to end in exit 2 and an empty file."""
-    monkeypatch.setattr(scenarios, "_chart_b", lambda geo: math.nan)
+    monkeypatch.setattr(scenarios, "rk_bochner", lambda point, R: SimpleNamespace(norm=math.nan))
     out = tmp_path / "report.json"
     assert cli_dispatch(["scenario", "thm31_product", "--points", "1", "--json", str(out)]) == 1
     text = out.read_text()
@@ -431,6 +432,16 @@ def test_the_gates_are_no_parameter(tmp_path, capsys):
     assert gates == {"tol_alg": 1e-12, "tol_fd1": 1e-6, "tol_fd2": 1e-4}
     for scenario in json.loads(report.read_text())["reports"]:
         assert scenario["parameters"]["tolerances"] == gates
+
+
+@pytest.mark.parametrize("flag", ["--c", "--mu"])
+@pytest.mark.parametrize("scale", ["1e-8", "1e-4", "1e-3", "1e4", "1e8"])
+def test_a_scaled_run_is_never_refused(flag, scale, capsys):
+    """A scaled model is a valid input: its chart curvature meets the same
+    relative input gates as the algebraic one, so a run may fail a check but
+    never ends in an input error."""
+    assert cli_dispatch(["all", flag, scale, "--points", "1", "--quiet"]) in (0, 1)
+    assert capsys.readouterr().err == ""
 
 
 def test_unread_flags_are_gone(tmp_path, capsys):

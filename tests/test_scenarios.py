@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 from fnmatch import fnmatchcase
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -80,12 +81,20 @@ def test_run_all_checks_m_before_running_any_scenario(monkeypatch):
     assert ran == others
 
 
-def test_chart_symmetry_gate_is_derived_not_a_field():
-    """One constant gates a chart curvature's traces, derived from tol_fd1 and
-    outside every report."""
-    assert scenarios._CHART_SYM_TOL == 10.0 * charts.FDConfig.tol_fd1
-    payload = run_scenario("thm31_product", FAST).to_dict()
-    assert list(payload["parameters"]["tolerances"]) == ["tol_alg", "tol_fd1", "tol_fd2"]
+def test_chart_symmetry_gate_is_derived_not_a_field(monkeypatch):
+    """A chart curvature meets the input gates of an algebraic one: no call of
+    the corrected tensor or the traces in a run passes a tolerance, and every
+    report states the three scoring gates only."""
+    calls = []
+    for name in ("rk_bochner", "ricci_family"):
+        entry = getattr(scenarios, name)
+        monkeypatch.setattr(scenarios, name, lambda *args, entry=entry, **kwargs:
+                            calls.append((entry.__name__, len(args), kwargs)) or entry(*args, **kwargs))
+    reports = run_all(FAST)
+    assert {name for name, _, _ in calls} == {"rk_bochner", "ricci_family"}
+    assert {(n_args, tuple(kwargs)) for _, n_args, kwargs in calls} == {(2, ())}
+    for report in reports:
+        assert list(report.to_dict()["parameters"]["tolerances"]) == ["tol_alg", "tol_fd1", "tol_fd2"]
 
 
 def test_the_step_policy_is_no_parameter():
@@ -363,7 +372,7 @@ def test_a_nan_defect_anywhere_is_the_worst():
 
 
 def test_a_nan_chart_defect_fails(monkeypatch):
-    monkeypatch.setattr(scenarios, "_chart_b", lambda geo: math.nan)
+    monkeypatch.setattr(scenarios, "rk_bochner", lambda point, R: SimpleNamespace(norm=math.nan))
     by_name = {c.name: c for c in run_scenario("thm31_product", FAST).checks}
     assert by_name["chart_b_vanishes"].status == "fail"
     assert math.isnan(by_name["chart_b_vanishes"].defect)
