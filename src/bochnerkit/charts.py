@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import accumulate, combinations_with_replacement, permutations
 from typing import Callable, ClassVar, NamedTuple
 
@@ -390,35 +390,44 @@ def _model_tensor(spec: ChartSpec, point: HermitianPoint) -> CurvTensor:
 # exact derivatives at a point
 # ---------------------------------------------------------------------------
 
+@cache
+def _jet_plan(n: int, order: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """What :func:`_jets` reads at every point of dimension ``n``, built once per
+    process: the seeds with a zero value, one jet per index tuple i_1 <= ... <=
+    i_order (220 at n = 10 and order 3) with e_u along i_u, and for each order d
+    the (n,) * d array of the jet that holds each derivative d_{a_1} ... d_{a_d},
+    the tuple of the sorted a's padded with their largest.  All are read-only."""
+    combos = np.array(list(combinations_with_replacement(range(n), order)))
+    seeds = np.zeros((2**order, len(combos), n))
+    for unit in range(order):
+        seeds[1 << unit, np.arange(len(combos)), combos[:, unit]] = 1.0
+    at = np.empty((n,) * order, dtype=np.intp)  # at[i, j, k]: the jet of sorted (i, j, k)
+    for p in permutations(range(order)):
+        at[tuple(combos[:, p].T)] = np.arange(len(combos))
+    indices = [np.indices((n,) * d, sparse=True) for d in range(1, order + 1)]
+    gathers = [at[(*ix, *[reduce(np.maximum, ix)] * (order - len(ix)))] for ix in indices]
+    for a in (seeds, *gathers):
+        a.flags.writeable = False
+    return seeds, tuple(gathers)
+
+
 def _jets(field: Callable, x: np.ndarray, order: int) -> list[np.ndarray]:
     """The field and its coordinate derivatives up to ``order`` at the point
     ``x``: [f, df, ..., d^order f], derivative indices first, each exactly
-    symmetric in them.  One call of ``field`` on the jets seeded along each
-    index tuple i_1 <= ... <= i_order, 220 of them at n = 10 and order 3; the
-    derivative along (a_1, ..., a_d) is read from the tuple of the sorted a's
-    padded with their largest.  A field that returns a plain array is constant.
+    symmetric in them.  One call of ``field`` on the jets of :func:`_jet_plan`,
+    their value set to x.  A field that returns a plain array is constant.
     A derivative that is not finite raises :class:`NonFiniteError`.
     """
     n = x.shape[-1]
-    combos = np.array(list(combinations_with_replacement(range(n), order)))
-    seeds = np.zeros((2**order, len(combos), n))
+    seeds, gathers = _jet_plan(n, order)
+    seeds = seeds.copy()
     seeds[0] = x
-    for unit in range(order):
-        seeds[1 << unit, np.arange(len(combos)), combos[:, unit]] = 1.0
     out = field(Jet(seeds))
     if not isinstance(out, Jet):
         return [out[0]] + [np.zeros((n,) * d + out.shape[1:]) for d in range(1, order + 1)]
     if not np.all(np.isfinite(out.c[1:])):
         raise NonFiniteError("a derivative of a chart field is not finite at the point")
-    at = np.empty((n,) * order, dtype=np.intp)  # at[i, j, k]: the jet of sorted (i, j, k)
-    for p in permutations(range(order)):
-        at[tuple(combos[:, p].T)] = np.arange(len(combos))
-    jets = [out.c[0, 0]]
-    for d in range(1, order + 1):
-        index = np.indices((n,) * d, sparse=True)
-        top = reduce(np.maximum, index)
-        jets.append(out.c[2**d - 1][at[(*index, *[top] * (order - d))]])
-    return jets
+    return [out.c[0, 0]] + [out.c[2**d - 1][at] for d, at in enumerate(gathers, 1)]
 
 
 def _pointwise(g, dg, d2g, J, dJ) -> tuple[np.ndarray, ...]:

@@ -18,7 +18,7 @@ orthonormal-frame summation survives only as a test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -133,8 +133,10 @@ def standard_J(dim: int) -> np.ndarray:
     return J
 
 
+@cache
 def flat_point(dim: int) -> HermitianPoint:
-    """Euclidean metric with the standard block structure."""
+    """Euclidean metric with the standard block structure; one read-only point
+    per dimension and process, as it is a constant of ``dim``."""
     return validate_point(np.eye(dim), standard_J(dim))
 
 

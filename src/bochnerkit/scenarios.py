@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
+from typing import Any, Callable
 
 import numpy as np
 
@@ -128,7 +129,7 @@ class ScenarioReport:
             "schema_version": 3,
             "scenario": self.scenario,
             "parameters": self.parameters,
-            "checks": [{**asdict(c), "defect": _json_number(c.defect)} for c in self.checks],
+            "checks": [{**vars(c), "defect": _json_number(c.defect)} for c in self.checks],
             "status": "pass" if self.passed else "fail",
         }
         # timing is excluded by default so identical runs serialize to
@@ -163,15 +164,61 @@ def make_model(spec: ChartSpec | str) -> tuple[HermitianPoint, CurvTensor, str]:
     return point, _model_tensor(spec, point), spec.label()
 
 
-def _csf_product(dims_mus: list[tuple[int, float]]) -> tuple[HermitianPoint, CurvTensor]:
+def _csf_spec(dims_mus: list[tuple[int, float]]) -> ChartSpec:
     """Product of constant-HSC factors given as (complex dim, mu) pairs: CP for
     mu > 0, CD for mu < 0 and CE for mu = 0."""
-    factors = tuple(
+    return ChartSpec("PRODUCT", factors=tuple(
         ChartSpec("CE", m=m) if mu == 0 else ChartSpec("CP" if mu > 0 else "CD", m=m, mu=mu)
         for m, mu in dims_mus
-    )
-    point, R, _ = make_model(ChartSpec("PRODUCT", factors=factors))
-    return point, R
+    ))
+
+
+# ---------------------------------------------------------------------------
+# the run's table: each distinct input is built once per run
+# ---------------------------------------------------------------------------
+
+def _memo(table: dict, key, build: Callable[[], Any]) -> Any:
+    """``table[key]``, built by ``build()`` the first time the run asks for it.
+    The table lives for one run, so nothing carries over between runs."""
+    if key not in table:
+        table[key] = build()
+    return table[key]
+
+
+def _model(desc: ChartSpec | str, table: dict) -> tuple[HermitianPoint, CurvTensor, str]:
+    """:func:`make_model` of ``desc``, kept by descriptor; labels round the parameters."""
+    return _memo(table, ("model", desc), lambda: make_model(desc))
+
+
+def _model_norm(fn: Callable, desc: ChartSpec | str, table: dict) -> float:
+    """The norm of ``fn`` (rk_bochner or generalized_bochner) on the model of ``desc``."""
+    return _memo(table, (fn, desc), lambda: fn(*_model(desc, table)[:2]).norm)
+
+
+def _chart(p: ScenarioParams, desc: str, table: dict) -> tuple:
+    """The chart of ``desc`` and its first ``p.chart_points`` sample points; a
+    scenario that reads fewer reads the first ones, which fewer draws give too."""
+    chart = _memo(table, ("chart", desc), lambda: make_chart(desc))
+    return chart, _memo(table, ("x", desc), lambda: chart.sample_points(p.seed, p.chart_points))
+
+
+def _geometries(p: ScenarioParams, desc: str, count: int, table: dict) -> list:
+    """The geometry at the first ``count`` sample points of the chart of ``desc``."""
+    chart, xs = _chart(p, desc, table)
+    return [_memo(table, ("geometry", desc, i), lambda: geometry_at(chart, xs[i]))
+            for i in range(count)]
+
+
+def _chart_b_norms(p: ScenarioParams, desc: str, count: int, table: dict) -> list[float]:
+    """The rk_bochner norm at each of the first ``count`` sample points of ``desc``."""
+    return [_memo(table, (rk_bochner, desc, i), lambda: rk_bochner(geo.point, geo.R).norm)
+            for i, geo in enumerate(_geometries(p, desc, count, table))]
+
+
+def _suite(p: ScenarioParams, desc: str, table: dict) -> NKIdentityReport:
+    """The suite at the first sample point of the chart of ``desc``."""
+    chart, xs = _chart(p, desc, table)
+    return _memo(table, ("suite", desc), lambda: nk_identity_suite(chart, xs[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -179,40 +226,41 @@ def _csf_product(dims_mus: list[tuple[int, float]]) -> tuple[HermitianPoint, Cur
 # ---------------------------------------------------------------------------
 
 def _thm21_forward(p: ScenarioParams, table: dict) -> dict[str, float]:
-    point, R = _csf_product([(p.k, p.mu), (p.m - p.k, -p.mu)])
-    return {f"bstar_product_{p.k}_{p.m - p.k}": generalized_bochner(point, R).norm}
+    spec = _csf_spec([(p.k, p.mu), (p.m - p.k, -p.mu)])
+    return {f"bstar_product_{p.k}_{p.m - p.k}": _model_norm(generalized_bochner, spec, table)}
 
 
 _EPSILONS = (1e-3, 1e-2, 1e-1)
 
 
 def _thm21_converse(p: ScenarioParams, table: dict) -> dict[str, float]:
-    point, R = _csf_product([(p.k, p.mu), (p.m - p.k, -p.mu)])
-    defects = {"bstar_unperturbed": generalized_bochner(point, R).norm}
+    defects = {"bstar_unperturbed": _model_norm(
+        generalized_bochner, _csf_spec([(p.k, p.mu), (p.m - p.k, -p.mu)]), table)}
     for eps in _EPSILONS:
-        point, R = _csf_product([(p.k, p.mu), (p.m - p.k, -p.mu + eps)])
-        defects[f"bstar_perturbed_eps_{eps:g}"] = generalized_bochner(point, R).norm
+        spec = _csf_spec([(p.k, p.mu), (p.m - p.k, -p.mu + eps)])
+        defects[f"bstar_perturbed_eps_{eps:g}"] = _model_norm(generalized_bochner, spec, table)
     norms = list(defects.values())[1:]  # the perturbed norms, by growing detuning
     defects["bstar_growth_monotone"] = _worst(a - b for a, b in zip(norms, norms[1:]))
     return defects
 
 
 def _cor22(p: ScenarioParams, table: dict) -> dict[str, float]:
-    zero_pt, zero_R = _csf_product([(1, 0.0), (1, 0.0), (1, 0.0)])
-    defects = {"bstar_triple_zero_hsc": generalized_bochner(zero_pt, zero_R).norm}
+    zero = _csf_spec([(1, 0.0), (1, 0.0), (1, 0.0)])
+    defects = {"bstar_triple_zero_hsc": _model_norm(generalized_bochner, zero, table)}
     for mus in ((p.mu, -p.mu, p.mu), (p.mu, -p.mu, 0.0)):
-        pt, R = _csf_product([(1, mus[0]), (1, mus[1]), (1, mus[2])])
+        spec = _csf_spec([(1, mu) for mu in mus])
         name = "bstar_triple_hsc_" + "_".join(f"{v:g}" for v in mus)
-        defects[name] = generalized_bochner(pt, R).norm
+        defects[name] = _model_norm(generalized_bochner, spec, table)
     return defects
 
 
 def _thm31_s6(p: ScenarioParams, table: dict) -> dict[str, float]:
-    point, R, _ = make_model(ChartSpec("S6", c=p.c))
+    desc = f"S6({p.c!r})"
+    point, R, _ = _model(desc, table)
     fam = ricci_family(point, R)
     S, Sp = fam.S, fam.S_prime
     return {
-        "b_vanishes": rk_bochner(point, R).norm,
+        "b_vanishes": _model_norm(rk_bochner, desc, table),
         "tau_value": abs(fam.tau - 30.0 * p.c),
         "tau_prime_value": abs(fam.tau_prime - 6.0 * p.c),
         "tau_ratio": abs(fam.tau - 5.0 * fam.tau_prime),
@@ -232,22 +280,21 @@ def _mixed_component_max(R: CurvTensor, n1: int) -> float:
 
 def _thm31_product(p: ScenarioParams, table: dict) -> dict[str, float]:
     desc = f"PRODUCT(CD(1,{-p.c!r}),S6({p.c!r}))"
-    point, R, _ = make_model(desc)
-    defects = {"b_vanishes": rk_bochner(point, R).norm,
-               "bstar_vanishes": generalized_bochner(point, R).norm}
-    _, geometries = _chart_points(p, desc, p.chart_points, table)
+    geometries = _geometries(p, desc, p.chart_points, table)
     point0, R0 = geometries[0].point, geometries[0].R
     traces = _traces(point0.g_inv, point0.J, R0.components)[:4]
     return {
-        **defects,
-        "chart_b_vanishes": _worst(rk_bochner(geo.point, geo.R).norm for geo in geometries),
+        "b_vanishes": _model_norm(rk_bochner, desc, table),
+        "bstar_vanishes": _model_norm(generalized_bochner, desc, table),
+        "chart_b_vanishes": _worst(_chart_b_norms(p, desc, p.chart_points, table)),
         "chart_mixed_components": _worst(_mixed_component_max(geo.R, 2) for geo in geometries),
         "chart_id_3_2": _ricci_identities(point0, *traces)[1],
     }
 
 
 def _thm31_counterexample(p: ScenarioParams, table: dict) -> dict[str, float]:
-    point, R, _ = make_model(f"PRODUCT(CD(2,{-p.c!r}),S6({p.c!r}))")
+    desc = f"PRODUCT(CD(2,{-p.c!r}),S6({p.c!r}))"
+    point, R, _ = _model(desc, table)
     # the witness (e0 + e4, e2 + e6, e2 - e6, e0 - e4)/sqrt2 is an orthonormal
     # antiholomorphic frame of the flat point, on which R reads c/4 (S6 block) - c/16
     # (CD block) = 3c/16, the largest |R| on such frames that maximization finds; the
@@ -255,8 +302,8 @@ def _thm31_counterexample(p: ScenarioParams, table: dict) -> dict[str, float]:
     e = np.eye(point.dim)
     x, y, z, u = e[0] + e[4], e[2] + e[6], e[2] - e[6], e[0] - e[4]
     return {
-        "b_nonvanishing": rk_bochner(point, R).norm,
-        "bstar_vanishes": generalized_bochner(point, R).norm,
+        "b_nonvanishing": _model_norm(rk_bochner, desc, table),
+        "bstar_vanishes": _model_norm(generalized_bochner, desc, table),
         "antiholo_4frame": abs(np.einsum("abcd,a,b,c,d->", R.components, x, y, z, u)) / 4.0,
     }
 
@@ -272,10 +319,9 @@ def _thm32_models(p: ScenarioParams, table: dict) -> dict[str, float]:
     ]
     defects = {}
     for desc in descriptors:
-        point, R, label = make_model(desc)
-        defects[f"b_{label}"] = rk_bochner(point, R).norm
-        _, [geo] = _chart_points(p, desc, 1, table)
-        defects[f"chart_b_{label}"] = rk_bochner(geo.point, geo.R).norm
+        label = _model(desc, table)[2]
+        defects[f"b_{label}"] = _model_norm(rk_bochner, desc, table)
+        [defects[f"chart_b_{label}"]] = _chart_b_norms(p, desc, 1, table)
     return defects
 
 
@@ -287,28 +333,10 @@ def _cor33_spotcheck(p: ScenarioParams, table: dict) -> dict[str, float]:
     ]
     defects = {}
     for desc, nu in cases:
-        point, R, label = make_model(desc)
-        defects[f"b_{label}"] = rk_bochner(point, R).norm
+        point, R, label = _model(desc, table)
+        defects[f"b_{label}"] = _model_norm(rk_bochner, desc, table)
         defects[f"ahsc_constant_{label}"] = _ahsc_defect(point, R.components, nu)
     return defects
-
-
-def _chart_points(p: ScenarioParams, desc: str, count: int, table: dict) -> tuple:
-    """The chart of ``desc`` and its geometry at its first ``count`` sample points,
-    kept in ``table`` by (descriptor, index); labels round the parameters, descriptors do not."""
-    chart = make_chart(desc)
-    for i, x in enumerate(chart.sample_points(p.seed, count)):
-        if (desc, i) not in table:
-            table[desc, i] = geometry_at(chart, x)
-    return chart, [table[desc, i] for i in range(count)]
-
-
-def _suite(p: ScenarioParams, desc: str, table: dict) -> NKIdentityReport:
-    """The suite at the first sample point of ``desc``, kept in ``table`` by descriptor."""
-    if desc not in table:
-        chart = make_chart(desc)
-        table[desc] = nk_identity_suite(chart, chart.sample_points(p.seed, 1)[0])
-    return table[desc]
 
 
 def _model_error(geometries: list, desc: str) -> float:
@@ -325,7 +353,7 @@ def _model_error(geometries: list, desc: str) -> float:
 
 def _identities_s6(p: ScenarioParams, table: dict) -> dict[str, float]:
     desc = f"S6({p.c!r})"
-    _, geometries = _chart_points(p, desc, p.chart_points, table)
+    geometries = _geometries(p, desc, p.chart_points, table)
     defects = {"chart_curvature_matches_model": _model_error(geometries, desc)}
     suite = _suite(p, desc, table)
     for r in ("nk", "id_1_1", "id_1_2", "id_1_3", "id_1_5", "id_3_2", "id_3_3"):
@@ -335,7 +363,7 @@ def _identities_s6(p: ScenarioParams, table: dict) -> dict[str, float]:
 
 def _identities_cp(p: ScenarioParams, table: dict) -> dict[str, float]:
     desc = f"CP({p.m},{p.mu!r})"
-    _, geometries = _chart_points(p, desc, p.chart_points, table)
+    geometries = _geometries(p, desc, p.chart_points, table)
     defects = {
         "chart_curvature_matches_model": _model_error(geometries, desc),
         # full norm of nabla J, its upper index lowered
@@ -352,7 +380,7 @@ def _identities_cp(p: ScenarioParams, table: dict) -> dict[str, float]:
 def _bianchi(p: ScenarioParams, table: dict) -> dict[str, float]:
     defects = {}
     for desc in (f"S6({p.c!r})", f"CE({p.m})", f"CP({p.m},{p.mu!r})"):
-        label, suite = make_chart(desc).label, _suite(p, desc, table)
+        label, suite = _chart(p, desc, table)[0].label, _suite(p, desc, table)
         for r in ("id_1_4", "id_1_6", "id_1_7"):
             defects[f"{r}_{label}"] = getattr(suite, r)
     return defects
@@ -517,15 +545,15 @@ def _run(scenario_id: str, params: ScenarioParams | None, table: dict) -> Scenar
     checks = [_check(scenario_id, name, defect) for name, defect in defects.items()]
     return ScenarioReport(
         scenario=scenario_id,
-        parameters={**asdict(params), "tolerances": dict(_TOLERANCES)},
+        parameters={**vars(params), "tolerances": dict(_TOLERANCES)},
         checks=checks,
         wall_time_s=time.perf_counter() - start,
     )
 
 
 def run_all(params: ScenarioParams | None = None) -> list[ScenarioReport]:
-    """Run every scenario in a fixed order, evaluating each chart's suite and
-    each sampled chart point once."""
+    """Run every scenario in a fixed order, sharing one table: each model, chart,
+    sampled chart point, suite and corrected-tensor norm is evaluated once per run."""
     table: dict = {}
     params = _validated(params, SCENARIO_IDS)
     return [_run(sid, params, table) for sid in SCENARIO_IDS]

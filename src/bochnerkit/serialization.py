@@ -32,6 +32,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii  # the bytes of json.dumps(s, ensure_ascii=True)
 from typing import Any, IO
 
 import numpy as np
@@ -180,12 +181,12 @@ def _canon(value: Any) -> str:
             f = 0.0  # normalize -0.0
         return format(f, ".17g")
     if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=True)
+        return encode_basestring_ascii(value)
     if isinstance(value, dict):
         for key in value:  # before sorting, which cannot compare a str with an int
             if not isinstance(key, str):
                 raise DocumentFormatError(f"object keys must be strings, got {type(key).__name__}")
-        items = (f"{json.dumps(k, ensure_ascii=True)}:{_canon(value[k])}" for k in sorted(value))
+        items = (f"{encode_basestring_ascii(k)}:{_canon(value[k])}" for k in sorted(value))
         return "{" + ",".join(items) + "}"
     if isinstance(value, np.ndarray):
         if value.ndim == 0:

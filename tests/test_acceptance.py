@@ -24,7 +24,7 @@ from bochnerkit.curvature import (
     star,
 )
 from bochnerkit.multilinear import _norm, invariant_norm
-from bochnerkit.scenarios import _csf_product, make_model
+from bochnerkit.scenarios import _csf_spec, make_model
 from frames import antiholomorphic_frames
 
 TOL_ALG = 1e-12
@@ -57,12 +57,12 @@ def test_criterion_2_product_theorem():
     """Opposite-curvature products are trace-free; detuning breaks it monotonically."""
     worst = 0.0
     for k, mk in ((1, 3), (2, 2), (2, 3)):
-        point, R = _csf_product([(k, 1.0), (mk, -1.0)])
+        point, R, _ = make_model(_csf_spec([(k, 1.0), (mk, -1.0)]))
         worst = max(worst, generalized_bochner(point, R).norm)
     assert worst < TOL_ALG
     norms = []
     for eps in (1e-3, 1e-2, 1e-1):
-        point, R = _csf_product([(1, 1.0), (3, -1.0 + eps)])
+        point, R, _ = make_model(_csf_spec([(1, 1.0), (3, -1.0 + eps)]))
         norms.append(generalized_bochner(point, R).norm)
     assert norms[0] > 0.0
     assert norms[0] < norms[1] < norms[2]

@@ -31,7 +31,7 @@ from bochnerkit.multilinear import (
     _norm,
     invariant_norm,
 )
-from bochnerkit.scenarios import _csf_product, make_model
+from bochnerkit.scenarios import _csf_spec, make_model
 from frames import antiholomorphic_frames
 
 
@@ -49,12 +49,12 @@ def test_bstar_vanishes_on_constant_hsc(m):
 @pytest.mark.parametrize("split", [(1, 3), (2, 2), (2, 3)])
 def test_bstar_vanishes_on_opposite_products(split):
     k, mk = split
-    point, R = _csf_product([(k, 1.0), (mk, -1.0)])
+    point, R, _ = make_model(_csf_spec([(k, 1.0), (mk, -1.0)]))
     assert generalized_bochner(point, R).norm < TOL_ALG
 
 
 def test_bstar_nonzero_on_equal_sign_product():
-    point, R = _csf_product([(1, 1.0), (3, 1.0)])
+    point, R, _ = make_model(_csf_spec([(1, 1.0), (3, 1.0)]))
     out = generalized_bochner(point, R)
     assert out.norm > 1e-2
     # uniqueness route: a mixed component of the closed form is nonzero

@@ -942,6 +942,37 @@ def test_jets_of_each_leaf_equal_the_complex_step_and_are_exactly_symmetric(desc
                     assert np.array_equal(d, np.swapaxes(d, -1, -2))
 
 
+def test_jets_at_a_point_do_not_depend_on_earlier_calls():
+    """The plan of each (n, order) is built once per process and shared by every
+    later call: the jets at x are bit for bit the same before and after calls at
+    other points, dimensions and orders, and the same as from a plan built anew."""
+    chart = make_chart("S6(1)")
+    x = chart.sample_points(7, 1)[0]
+    first = [charts._jets(field, x, order) for field, order in ((chart.metric_at, 3), (chart.J_at, 2))]
+    for desc, seed, order in (("S6(1)", 8, 3), ("CP(5,1)", 7, 3), ("CD(2,-1)", 7, 1),
+                              ("S6(2)", 7, 2), ("CE(2)", 7, 2), ("CP(6,1)", 7, 2)):
+        other = make_chart(desc)
+        charts._jets(other.metric_at, other.sample_points(seed, 1)[0], order)
+    again = [charts._jets(field, x, order) for field, order in ((chart.metric_at, 3), (chart.J_at, 2))]
+    charts._jet_plan.cache_clear()
+    fresh = [charts._jets(field, x, order) for field, order in ((chart.metric_at, 3), (chart.J_at, 2))]
+    for jets in (again, fresh):
+        for a, b in zip(sum(first, []), sum(jets, [])):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n, order, combos", [(6, 2, 21), (10, 2, 55), (10, 3, 220), (2, 1, 2)])
+def test_jet_plans_are_read_only(n, order, combos):
+    seeds, gathers = charts._jet_plan(n, order)
+    assert charts._jet_plan(n, order)[0] is seeds
+    assert seeds.shape == (2**order, combos, n) and not seeds[0].any()
+    assert [g.shape for g in gathers] == [(n,) * d for d in range(1, order + 1)]
+    for a in (seeds, *gathers):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 1
+
+
 def _interleaved_metric(mu, m, xy):
     """The CP/CD metric as it was first written: the Hermitian form A + iB of the
     complex coordinates, written into x1,y1,x2,y2,... coordinates slice by slice."""

@@ -836,3 +836,13 @@ def test_star_relation_for_rk_tensors(seed):
     R = rk_project(point, random_curvature_tensor(6, seed))
     bochner.rk_bochner(point, R)
     assert _star_relation(point, R) < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 6, 12])
+def test_flat_point_is_one_read_only_point_per_dimension(n):
+    point = flat_point(n)
+    assert flat_point(n) is point and flat_point(n + 2) is not point
+    for field in (point.g, point.J, point.g_inv):
+        with pytest.raises(ValueError):
+            field[0, 0] = 2.0
+    assert np.array_equal(point.g, np.eye(n)) and np.array_equal(point.J, standard_J(n))

@@ -239,8 +239,8 @@ def test_scenario_products_are_built_by_make_model(monkeypatch, dims_mus, label)
         return build(spec)
 
     monkeypatch.setattr(scenarios, "make_model", counted)
-    point, R = scenarios._csf_product(dims_mus)
-    assert labels[0] == label
+    point, R, _ = scenarios._model(scenarios._csf_spec(dims_mus), {})
+    assert labels == [label]
     g, J, ref_R = _csf_product_by_hand(dims_mus)
     assert np.array_equal(point.g, g)
     assert np.array_equal(point.J, J)
@@ -275,6 +275,43 @@ def test_run_all_evaluates_each_chart_suite_once(monkeypatch):
     assert sorted(labels) == ["CE(3)", "CP(3,1)", "S6(1)"]
     run_all(FAST)  # nothing carries over from the first run
     assert len(labels) == 6
+
+
+def _counted_builds(monkeypatch) -> dict[str, list]:
+    """The inputs of each call the scenarios make of ``make_model``, ``make_chart``,
+    ``rk_bochner`` and ``generalized_bochner``: the descriptor, or the bytes of
+    g, J and R."""
+    calls = {}
+    for name in ("make_model", "make_chart", "rk_bochner", "generalized_bochner"):
+        fn, calls[name] = getattr(scenarios, name), []
+
+        def counted(*args, fn=fn, seen=calls[name]):
+            seen.append(args[0] if len(args) == 1 else
+                        (args[0].g.tobytes(), args[0].J.tobytes(), args[1].components.tobytes()))
+            return fn(*args)
+
+        monkeypatch.setattr(scenarios, name, counted)
+    return calls
+
+
+def test_run_all_builds_each_model_chart_and_norm_once(monkeypatch):
+    # 14 models: the 7 products of thm21_forward, thm21_converse and cor22, S6(1),
+    # the products CD(1) x S6, CD(2) x S6 and CD(1) x CP(2), and CE(3), CD(3,-1) and
+    # CP(3,1); 6 charts, those of thm32_models; rk_bochner on 7 models and on the 6
+    # chart points of thm32_models, one of them thm31_product's too; and
+    # generalized_bochner on the 9 models of Theorem 2.1, Corollary 2.2 and the
+    # two products of Theorem 3.1
+    calls = _counted_builds(monkeypatch)
+    run_all(FAST)
+    first = {name: list(seen) for name, seen in calls.items()}
+    assert {name: len(seen) for name, seen in first.items()} == {
+        "make_model": 14, "make_chart": 6, "rk_bochner": 13, "generalized_bochner": 9}
+    for name in ("make_model", "make_chart", "generalized_bochner"):
+        assert len(set(first[name])) == len(first[name]), name
+    # CE(3)'s model and its chart point are the same flat point with R = 0
+    assert len(set(first["rk_bochner"])) == 12
+    run_all(FAST)  # nothing carries over from the first run
+    assert {name: seen[len(first[name]):] for name, seen in calls.items()} == first
 
 
 def test_run_all_reports_equal_single_scenario_runs(monkeypatch):
